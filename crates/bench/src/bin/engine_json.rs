@@ -25,8 +25,9 @@
 //!
 //! Alongside the three end-to-end workloads the suite tracks a
 //! **scheduler-only post/pop kernel** (`sched_post_pop`): raw engine posts at
-//! hot, granule-aligned, overflow and zero delays with a no-op component, so
-//! scheduler regressions are visible even when protocol work masks them.
+//! hot (laned), one-per-burst, RTO-scale and zero delays with a no-op
+//! component, so scheduler regressions are visible even when protocol work
+//! masks them.
 //! The kernel is recorded in `BENCH_engine.json` but excluded from the gated
 //! geomean (its rate is an order of magnitude above the workloads').
 
@@ -114,9 +115,11 @@ fn run_openloop(fused: bool) -> u64 {
 }
 
 /// Scheduler-only kernel: post bursts across the delay classes the engine
-/// distinguishes — lane-hot repeats, an exact wheel granule, overflow-heap
-/// RTO-scale delays and zero-delay refeeds — against a no-op component, so
-/// the measured rate is pure post/pop cost.
+/// distinguishes — lane-hot repeats, once-per-burst short delays, an
+/// RTO-scale delay and zero-delay refeeds — against a no-op component, so
+/// the measured rate is pure post/pop cost. Every delay here repeats each
+/// burst, so after warm-up all five ride lanes; the heap sees only the
+/// first sightings.
 fn run_sched_micro() -> (u64, f64) {
     struct Sink;
     impl Component<u64> for Sink {

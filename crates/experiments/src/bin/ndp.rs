@@ -122,11 +122,16 @@ fn run(args: &[String]) {
             }
         }
     }
-    // Consult NDP_SCALE/NDP_TOPO only when no explicit flag was given, so
-    // a stale/typoed env var cannot override (or abort) an explicit flag.
-    let scale = scale.unwrap_or_else(Scale::from_env);
+    // Environment defaults are checked here, before anything runs: a typo
+    // must not surface as a panic from inside an experiment. NDP_SCALE and
+    // NDP_TOPO are consulted only when no explicit flag was given, so a
+    // stale/typoed env var cannot override (or abort) an explicit flag.
+    if let Err(e) = ndp_sim::scheduler_from_env() {
+        usage_error(&e);
+    }
+    let scale = scale.unwrap_or_else(|| Scale::from_env().unwrap_or_else(|e| usage_error(&e)));
     let topo_env = if topo_flag.is_none() {
-        topo::topo_from_env()
+        topo::topo_from_env().unwrap_or_else(|e| usage_error(&e))
     } else {
         None
     };

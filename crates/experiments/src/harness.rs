@@ -36,14 +36,14 @@ impl Scale {
     }
 
     /// Read `NDP_SCALE`. Unset (or empty) means `Quick`; anything that is
-    /// not `paper`/`quick` (case-insensitive) is a hard error — a typoed
+    /// not `paper`/`quick` (case-insensitive) is an error — a typoed
     /// `NDP_SCALE=Papre` must not silently run a quick-scale campaign.
-    pub fn from_env() -> Scale {
+    pub fn from_env() -> Result<Scale, String> {
         match std::env::var("NDP_SCALE") {
-            Err(_) => Scale::Quick,
-            Ok(v) if v.is_empty() => Scale::Quick,
-            Ok(v) => Scale::parse(&v).unwrap_or_else(|| {
-                panic!("NDP_SCALE must be 'paper' or 'quick' (case-insensitive), got '{v}'")
+            Err(_) => Ok(Scale::Quick),
+            Ok(v) if v.is_empty() => Ok(Scale::Quick),
+            Ok(v) => Scale::parse(&v).ok_or_else(|| {
+                format!("NDP_SCALE must be 'paper' or 'quick' (case-insensitive), got '{v}'")
             }),
         }
     }

@@ -254,17 +254,17 @@ pub(crate) fn registered(name: &str) -> &'static TopoEntry {
 
 /// Read `NDP_TOPO`, the default-topology override for topology-neutral
 /// experiments. Unset (or empty) means no override; anything that is not
-/// a registered topology name is a hard error — a typoed
+/// a registered topology name is an error — a typoed
 /// `NDP_TOPO=leafspin` must not silently run the default fabric,
 /// matching the strict `NDP_SCALE`/`NDP_SCHED` behavior.
-pub fn topo_from_env() -> Option<&'static TopoEntry> {
+pub fn topo_from_env() -> Result<Option<&'static TopoEntry>, String> {
     match std::env::var("NDP_TOPO") {
-        Err(_) => None,
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => Some(find_topo(&v).unwrap_or_else(|| {
+        Err(_) => Ok(None),
+        Ok(v) if v.is_empty() => Ok(None),
+        Ok(v) => find_topo(&v).map(Some).ok_or_else(|| {
             let known: Vec<&str> = TOPOLOGIES.iter().map(|e| e.name).collect();
-            panic!("NDP_TOPO must be one of {known:?} (case-insensitive), got '{v}'")
-        })),
+            format!("NDP_TOPO must be one of {known:?} (case-insensitive), got '{v}'")
+        }),
     }
 }
 

@@ -353,11 +353,9 @@ impl HostCore {
                 sim.send(self.nic, pkt, self.latency.tx_delay);
             }
             // A real burst (initial window, retransmission sweep): hand the
-            // buffer over as one scheduler train and restage from the
-            // scheduler's free list, so steady-state bursts recycle spent
-            // train buffers instead of allocating.
+            // buffer over as one scheduler train.
             _ => {
-                let train = std::mem::replace(&mut self.tx_train, sim.train_buf());
+                let train = std::mem::take(&mut self.tx_train);
                 sim.send_train(self.nic, train, self.latency.tx_delay);
             }
         }

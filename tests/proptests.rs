@@ -629,8 +629,9 @@ mod chaos_invariants {
 // ---------------------------------------------------------------------------
 // Scheduler delay-lane equivalence: the TwoTier scheduler with per-delay FIFO
 // lanes must deliver in exactly the Classic heap's (time, posting-seq) order
-// under arbitrary interleavings of hot repeated delays, same-instant trains,
-// zero-delay forwards, partial drains, and retirement churn.
+// under arbitrary interleavings of hot repeated delays (more of them than
+// there are lanes), same-instant trains, zero-delay forwards, partial drains,
+// and retirement churn.
 
 mod scheduler_lanes {
     use ndp::sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
@@ -660,16 +661,26 @@ mod scheduler_lanes {
         }
     }
 
-    /// Hot repeats (lane-promotable), one exact wheel granule, a
-    /// just-past-the-window delay, and two overflow-horizon delays.
+    /// Lane-eligible delays on a shared 50 ns grid, so posts from different
+    /// (grid-aligned) bases collide on one instant. Twenty of them against
+    /// the scheduler's 16 lanes: once the table is full the rest spill to
+    /// the heap on every post.
+    const HOT_DELAYS: u64 = 20;
+
+    fn hot_delay(k: u64) -> Time {
+        Time::from_ns(50 * (k + 1))
+    }
+
+    /// The hot grid, three off-grid lane-eligible delays, and two repeated
+    /// lane-ineligible ones (> 10 ms) that always tie in the heap.
     fn delay(r: u64) -> Time {
-        match r % 9 {
-            0 | 1 => Time::from_ns(100),
-            2 | 3 => Time::from_ns(250),
-            4 => Time::from_ns(777),
-            5 => Time::from_ps(65_536),
-            6 => Time::from_us(80),
-            7 => Time::from_ms(3),
+        match r % (HOT_DELAYS + 6) {
+            k if k < HOT_DELAYS => hot_delay(k),
+            20 => Time::from_ns(777),
+            21 => Time::from_ps(65_536),
+            22 => Time::from_us(80),
+            23 => Time::from_ms(3),
+            24 => Time::from_ms(50),
             _ => Time::from_secs(30),
         }
     }
@@ -679,8 +690,8 @@ mod scheduler_lanes {
     /// count, and the stale-drop count.
     type Outcome = (Vec<Vec<(Time, u64)>>, (u64, u64), u64, u64);
 
-    fn run(kind: SchedulerKind, lanes: bool, ops: &[u16]) -> Outcome {
-        let mut w: World<u64> = World::with_scheduler_lanes(7, kind, lanes);
+    fn run(kind: SchedulerKind, ops: &[u16]) -> Outcome {
+        let mut w: World<u64> = World::with_scheduler(7, kind);
         w.enable_trace();
         let sink = w.add(Echo {
             peer: None,
@@ -695,7 +706,7 @@ mod scheduler_lanes {
         let mut tag = 0u64;
         for &x in ops {
             tag += 1;
-            let (op, r) = (x % 12, (x / 12) as u64);
+            let (op, r) = (x % 13, (x / 13) as u64);
             match op {
                 0..=2 => w.post(base + delay(r), sink, tag),
                 // Through the forwarder: arrival triggers a zero-delay hop
@@ -724,13 +735,25 @@ mod scheduler_lanes {
                         w.post(base + delay(r), id, tag);
                     }
                 }
-                // Partial drain, then advance the posting base.
+                // Partial drain, then advance the posting base: off the
+                // delay grid (9) or along it (10).
                 9 | 10 => {
-                    let h = base + Time::from_ns(1 + r * 7);
+                    let step = if op == 9 { 1 + r * 7 } else { 50 * (1 + r % 8) };
+                    let h = base + Time::from_ns(step);
                     w.run_until(h);
                     base = h;
                 }
-                _ => w.shrink_idle(),
+                11 => w.shrink_idle(),
+                // Every hot delay twice in a row: the second sighting
+                // promotes it while lanes are free, so one sweep fills the
+                // lane table and leaves the tail of the grid to the heap,
+                // each pair tying at one instant.
+                _ => {
+                    for k in 0..HOT_DELAYS {
+                        w.post(base + hot_delay(k), sink, tag * 1000 + 2 * k);
+                        w.post(base + hot_delay(k), fwd, tag * 1000 + 2 * k + 1);
+                    }
+                }
             }
         }
         w.run_until_idle();
@@ -749,38 +772,37 @@ mod scheduler_lanes {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Three worlds — Classic, TwoTier with lanes, TwoTier without —
-        /// fed the same op script must agree on every delivery (time and
-        /// order), the trace hash, the event count and the stale count.
+        /// Classic and TwoTier fed the same op script must agree on every
+        /// delivery (time and order), the trace hash, the event count and
+        /// the stale count.
         #[test]
         fn lanes_preserve_exact_delivery_order(
-            ops in proptest::collection::vec(0u16..u16::MAX, 1..120),
+            ops in proptest::collection::vec(0u16..u16::MAX, 1..160),
         ) {
-            let classic = run(SchedulerKind::Classic, false, &ops);
-            let lanes_on = run(SchedulerKind::TwoTier, true, &ops);
-            let lanes_off = run(SchedulerKind::TwoTier, false, &ops);
-            prop_assert_eq!(&lanes_on, &classic, "TwoTier+lanes diverged from Classic");
-            prop_assert_eq!(&lanes_off, &classic, "TwoTier w/o lanes diverged from Classic");
+            let classic = run(SchedulerKind::Classic, &ops);
+            let two_tier = run(SchedulerKind::TwoTier, &ops);
+            prop_assert_eq!(&two_tier, &classic, "TwoTier diverged from Classic");
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Lane-on vs lane-off A/B at the experiment level: delay lanes are a pure
-// scheduler-internal reshuffling, so FCTs, goodput and even the dispatched
-// event count must be bit-identical on every registered topology entry.
+// Classic vs TwoTier A/B at the experiment level: the fast lane, the delay
+// lanes and the heap are a pure scheduler-internal reshuffling, so FCTs,
+// goodput and even the dispatched event count must be bit-identical to the
+// reference heap's on every registered topology entry.
 
-mod lane_ab {
+mod scheduler_ab {
     use ndp::experiments::harness::{incast_run, permutation_run};
     use ndp::experiments::{Proto, TopoSpec};
-    use ndp::sim::{set_default_lanes, Speed, Time};
+    use ndp::sim::{set_default_scheduler, SchedulerKind, Speed, Time};
     use ndp::topology::{FatTreeCfg, LeafSpineCfg, TwoTierCfg};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
-    /// Serializes sections that flip the process-wide lane default, so the
-    /// A and B runs of one case can't interleave with another case's flip.
-    static LANE_TOGGLE: Mutex<()> = Mutex::new(());
+    /// Serializes sections that flip the process-wide scheduler default, so
+    /// the A and B runs of one case can't interleave with another case's flip.
+    static SCHED_TOGGLE: Mutex<()> = Mutex::new(());
 
     /// All six registered topology entries at quick scale.
     fn spec(ti: usize) -> TopoSpec {
@@ -794,24 +816,24 @@ mod lane_ab {
         }
     }
 
-    /// Runs `f` twice — lanes on, then off — restoring the on default.
+    /// Runs `f` twice — TwoTier, then Classic — restoring the TwoTier default.
     fn ab<T>(f: impl Fn() -> T) -> (T, T) {
-        let _guard = LANE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        set_default_lanes(true);
+        let _guard = SCHED_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        set_default_scheduler(SchedulerKind::TwoTier);
         let a = f();
-        set_default_lanes(false);
+        set_default_scheduler(SchedulerKind::Classic);
         let b = f();
-        set_default_lanes(true);
+        set_default_scheduler(SchedulerKind::TwoTier);
         (a, b)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2))]
 
-        /// Incast completion times are bit-identical with lanes on and
-        /// off, on all six registered topology entries.
+        /// Incast completion times are bit-identical on TwoTier and
+        /// Classic, on all six registered topology entries.
         #[test]
-        fn incast_fcts_lane_invariant(seed in 0u64..1000) {
+        fn incast_fcts_scheduler_invariant(seed in 0u64..1000) {
             for ti in 0..6 {
                 let s = spec(ti);
                 let n = (s.n_hosts() - 1).min(8);
@@ -819,18 +841,18 @@ mod lane_ab {
                 let (a, b) =
                     ab(|| incast_run(Proto::Ndp, spec(ti), n, 45_000, None, seed, horizon));
                 prop_assert_eq!(a.incomplete, b.incomplete, "topology {}", ti);
-                prop_assert_eq!(a.fcts, b.fcts, "lane toggle changed FCTs on topology {}", ti);
+                prop_assert_eq!(a.fcts, b.fcts, "scheduler changed FCTs on topology {}", ti);
                 prop_assert_eq!(
                     a.events_processed, b.events_processed,
-                    "lanes reorder nothing, so event counts must match (topology {})", ti
+                    "the scheduler reorders nothing, so event counts must match (topology {})", ti
                 );
             }
         }
 
-        /// Permutation goodput and utilization are bit-identical with
-        /// lanes on and off, on all six registered topology entries.
+        /// Permutation goodput and utilization are bit-identical on TwoTier
+        /// and Classic, on all six registered topology entries.
         #[test]
-        fn permutation_goodput_lane_invariant(seed in 0u64..1000) {
+        fn permutation_goodput_scheduler_invariant(seed in 0u64..1000) {
             for ti in 0..6 {
                 let dur = Time::from_us(500);
                 let (a, b) = ab(|| permutation_run(Proto::Ndp, spec(ti), dur, seed, Some(12)));

@@ -18,6 +18,7 @@ use ndp_net::host::{Endpoint, EndpointCtx, PullPriority};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_net::Host;
 use ndp_sim::{ComponentId, Time, World};
+use ndp_transport::SeqWindow;
 use rand::Rng;
 
 const TIMEOUT_TOKEN: u8 = 1;
@@ -70,7 +71,7 @@ pub struct PHostSender {
     cfg: PHostCfg,
     total_pkts: u64,
     next_new: u64,
-    acked: Vec<bool>,
+    acked: SeqWindow<bool>,
     acked_count: u64,
     token_ctr: u64,
     scan: u64,
@@ -81,13 +82,14 @@ pub struct PHostSender {
 impl PHostSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: PHostCfg) -> PHostSender {
         let total_pkts = cfg.total_pkts();
+        let acked = SeqWindow::new(false, true, total_pkts.min(cfg.iw_pkts) as usize);
         PHostSender {
             flow,
             dst,
             cfg,
             total_pkts,
             next_new: 0,
-            acked: vec![false; total_pkts as usize],
+            acked,
             acked_count: 0,
             token_ctr: 0,
             scan: 0,
@@ -135,11 +137,13 @@ impl PHostSender {
                 self.next_new += 1;
                 self.send_seq(seq, false, ctx);
             } else if self.acked_count < self.total_pkts {
-                // Resend the next unacked packet in scan order.
-                for _ in 0..self.total_pkts {
-                    let seq = self.scan % self.total_pkts;
-                    self.scan += 1;
-                    if !self.acked[seq as usize] {
+                // Resend the next unacked packet in scan order; one exists
+                // at or above the acked floor, so skip the prefix below it.
+                loop {
+                    let at = self.scan % self.total_pkts;
+                    let seq = at.max(self.acked.floor());
+                    self.scan += seq - at + 1;
+                    if !self.acked.get(seq) {
                         self.send_seq(seq, true, ctx);
                         break;
                     }
@@ -164,8 +168,7 @@ impl Endpoint for PHostSender {
         match pkt.kind {
             PacketKind::Ack => {
                 let seq = u64::from(pkt.seq);
-                if seq < self.total_pkts && !self.acked[seq as usize] {
-                    self.acked[seq as usize] = true;
+                if seq < self.total_pkts && self.acked.settle(seq) {
                     self.acked_count += 1;
                     if self.acked_count == self.total_pkts && !self.done {
                         self.done = true;
@@ -194,7 +197,7 @@ impl Endpoint for PHostSender {
 pub struct PHostReceiver {
     peer: HostId,
     total: Option<u64>,
-    received: Vec<bool>,
+    received: SeqWindow<bool>,
     received_count: u64,
     last_arrival: Time,
     token_timeout: Time,
@@ -212,7 +215,7 @@ impl PHostReceiver {
         PHostReceiver {
             peer,
             total: None,
-            received: Vec::new(),
+            received: SeqWindow::new(false, true, 0),
             received_count: 0,
             last_arrival: Time::ZERO,
             token_timeout,
@@ -236,16 +239,9 @@ impl PHostReceiver {
     }
 
     fn mark(&mut self, seq: u64) -> bool {
-        if self.received.len() <= seq as usize {
-            self.received.resize(seq as usize + 1, false);
-        }
-        if self.received[seq as usize] {
-            false
-        } else {
-            self.received[seq as usize] = true;
-            self.received_count += 1;
-            true
-        }
+        let new = self.received.settle(seq);
+        self.received_count += u64::from(new);
+        new
     }
 
     fn arm_timer(&mut self, ctx: &mut EndpointCtx<'_, '_>) {

@@ -16,6 +16,7 @@ use std::any::Any;
 use ndp_net::host::{Endpoint, EndpointCtx, PullPriority};
 use ndp_net::packet::{Flags, HostId, Packet, PacketKind};
 use ndp_sim::{ComponentId, Time};
+use ndp_transport::SeqWindow;
 
 /// Receiver-side counters.
 #[derive(Clone, Debug, Default)]
@@ -38,7 +39,8 @@ pub struct NdpReceiver {
     /// `total = FIN seq + 1`, learned from any FIN-flagged arrival
     /// (trimmed headers keep their flags).
     total: Option<u64>,
-    received: Vec<bool>,
+    /// Received-or-not per seq, held from the lowest missing seq up.
+    received: SeqWindow<bool>,
     received_count: u64,
     done: bool,
     notify: Option<(ComponentId, u64)>,
@@ -52,7 +54,7 @@ impl NdpReceiver {
             peer,
             prio: PullPriority::Normal,
             total: None,
-            received: Vec::new(),
+            received: SeqWindow::new(false, true, 0),
             received_count: 0,
             done: false,
             notify: None,
@@ -91,21 +93,9 @@ impl NdpReceiver {
     }
 
     fn mark(&mut self, seq: u64) -> bool {
-        if self.received.len() <= seq as usize {
-            self.received.resize(seq as usize + 1, false);
-        }
-        if self.received[seq as usize] {
-            false
-        } else {
-            self.received[seq as usize] = true;
-            self.received_count += 1;
-            true
-        }
-    }
-
-    #[allow(dead_code)] // mirror of mark_received, kept for protocol debugging
-    fn is_received(&self, seq: u64) -> bool {
-        self.received.get(seq as usize).copied().unwrap_or(false)
+        let new = self.received.settle(seq);
+        self.received_count += u64::from(new);
+        new
     }
 
     fn check_done(&mut self, ctx: &mut EndpointCtx<'_, '_>) {

@@ -13,14 +13,17 @@ use std::collections::VecDeque;
 use ndp_net::host::{Endpoint, EndpointCtx};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, FxHashSet, Time};
+use ndp_transport::SeqWindow;
 
 use crate::path::PathSet;
 
 const RTO_TOKEN: u8 = 1;
 
-/// "Not outstanding" sentinel for the dense per-seq path store (real path
-/// indices are small — a path set never approaches 2^32 entries).
-const NO_PATH: u32 = u32::MAX;
+/// Slot values of the per-seq window: below [`ACKED`], the path the packet
+/// is outstanding on (a path set never approaches 2^32 entries); `IDLE` is
+/// never sent, or fed back (NACK/RTS) and waiting to be pulled again.
+const IDLE: u32 = u32::MAX;
+const ACKED: u32 = u32::MAX - 1;
 
 /// Sender-side counters for the evaluation figures.
 #[derive(Clone, Debug, Default)]
@@ -119,14 +122,13 @@ pub struct NdpSender {
     /// Packets queued for retransmission (pulled before new data).
     rtx_q: VecDeque<u64>,
     rtx_set: FxHashSet<u64>,
-    acked: Vec<bool>,
+    /// Per-seq state, one `u32` slot each ([`IDLE`], the path a packet is
+    /// outstanding on, or [`ACKED`]), held from the lowest un-ACKed seq to
+    /// the highest sent: O(packets in flight), not O(flow size). Send and
+    /// the three feedback paths index it flat; the one ordered query
+    /// (oldest outstanding seq, RTO only) scans the window.
+    window: SeqWindow<u32>,
     acked_count: u64,
-    /// Per-seq path of packets awaiting ACK/NACK ([`NO_PATH`] = not
-    /// outstanding), dense like `acked`. Insert-on-send and the three
-    /// feedback removals are the flow's hottest map traffic, so this is a
-    /// flat store instead of an ordered map; the one ordered query (oldest
-    /// outstanding seq, RTO only) scans — RTO firing is loss-rare.
-    outstanding: Vec<u32>,
     outstanding_count: u64,
     /// Total ACK+NACK feedback received (each queues a pull at the rx).
     feedback: u64,
@@ -153,6 +155,8 @@ impl NdpSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: NdpFlowCfg) -> NdpSender {
         let total_pkts = cfg.total_pkts();
         let paths = PathSet::new(cfg.n_paths, cfg.path_penalty);
+        // One allocation covers any flow that fits its initial window.
+        let window = SeqWindow::new(IDLE, ACKED, total_pkts.min(cfg.iw_pkts) as usize);
         NdpSender {
             flow,
             dst,
@@ -161,9 +165,8 @@ impl NdpSender {
             next_new: 0,
             rtx_q: VecDeque::new(),
             rtx_set: FxHashSet::default(),
-            acked: vec![false; total_pkts as usize],
+            window,
             acked_count: 0,
-            outstanding: vec![NO_PATH; total_pkts as usize],
             outstanding_count: 0,
             feedback: 0,
             pull_ctr: 0,
@@ -232,11 +235,12 @@ impl NdpSender {
         if self.cfg.high_priority {
             pkt.flags = pkt.flags.with(Flags::PRIO);
         }
-        let o = &mut self.outstanding[seq as usize];
-        if *o == NO_PATH {
+        let prev = self.window.get(seq);
+        debug_assert!(prev != ACKED, "resending ACKed seq {seq}");
+        if prev == IDLE {
             self.outstanding_count += 1;
         }
-        *o = path;
+        self.window.set(seq, path);
         self.stats.data_sent += 1;
         self.last_activity = ctx.now();
         ctx.send(pkt);
@@ -245,9 +249,8 @@ impl NdpSender {
 
     #[inline]
     fn clear_outstanding(&mut self, seq: u64) {
-        let o = &mut self.outstanding[seq as usize];
-        if *o != NO_PATH {
-            *o = NO_PATH;
+        if self.window.get(seq) < ACKED {
+            self.window.set(seq, IDLE);
             self.outstanding_count -= 1;
         }
     }
@@ -260,7 +263,7 @@ impl NdpSender {
     }
 
     fn queue_rtx(&mut self, seq: u64) {
-        if !self.acked[seq as usize] && self.rtx_set.insert(seq) {
+        if self.window.get(seq) != ACKED && self.rtx_set.insert(seq) {
             self.rtx_q.push_back(seq);
         }
     }
@@ -268,7 +271,7 @@ impl NdpSender {
     fn pop_rtx(&mut self) -> Option<u64> {
         while let Some(seq) = self.rtx_q.pop_front() {
             self.rtx_set.remove(&seq);
-            if !self.acked[seq as usize] {
+            if self.window.get(seq) != ACKED {
                 return Some(seq);
             }
         }
@@ -301,9 +304,12 @@ impl NdpSender {
         self.paths.on_ack(pkt.path);
         self.push_recent(true);
         self.feedback += 1;
-        self.clear_outstanding(seq);
-        if !self.acked[seq as usize] {
-            self.acked[seq as usize] = true;
+        let prev = self.window.get(seq);
+        if prev < ACKED {
+            self.outstanding_count -= 1;
+        }
+        if prev != ACKED {
+            self.window.set(seq, ACKED);
             self.acked_count += 1;
             if self.acked_count == self.total_pkts && !self.done {
                 self.done = true;
@@ -349,7 +355,7 @@ impl NdpSender {
         }
         self.stats.rts_received += 1;
         self.clear_outstanding(seq);
-        if self.acked[seq as usize] {
+        if self.window.get(seq) == ACKED {
             return;
         }
         if seq < self.iw_sent {
@@ -463,8 +469,8 @@ impl Endpoint for NdpSender {
         // genuinely lost (corruption, or a dropped header). Resend the
         // oldest outstanding packet on a different path and penalize the
         // old one (§3.2.3).
-        if let Some(i) = self.outstanding.iter().position(|&p| p != NO_PATH) {
-            let (seq, path) = (i as u64, self.outstanding[i]);
+        let oldest = self.window.iter().find(|&(_, p)| p < ACKED);
+        if let Some((seq, path)) = oldest {
             self.paths.on_loss(path);
             self.stats.rtx_rto += 1;
             self.send_data(seq, true, Some(path), ctx);
@@ -474,5 +480,85 @@ impl Endpoint for NdpSender {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NdpReceiver;
+    use ndp_net::host::{Host, HostLatency};
+    use ndp_sim::{Speed, World};
+    use ndp_topology::{BackToBack, QueueSpec};
+
+    #[test]
+    fn rto_scan_is_bounded_by_the_window_not_the_flow() {
+        // The RTO's oldest-outstanding search walks the sender's per-seq
+        // window, so its cost is the window's length. Lose one packet
+        // 100k packets into a flow: when the RTO finally fires for it, the
+        // window holds the tail of the flow behind the hole, not the 100k
+        // settled packets in front of it.
+        /// A receiver that never sees the first copy of one sequence.
+        struct DropOnce {
+            inner: NdpReceiver,
+            seq: Option<u32>,
+        }
+        impl Endpoint for DropOnce {
+            fn on_start(&mut self, c: &mut EndpointCtx<'_, '_>) {
+                self.inner.on_start(c);
+            }
+            fn on_packet(&mut self, p: Packet, c: &mut EndpointCtx<'_, '_>) {
+                if self.seq == Some(p.seq) {
+                    self.seq = None;
+                } else {
+                    self.inner.on_packet(p, c);
+                }
+            }
+            fn on_timer(&mut self, t: u8, c: &mut EndpointCtx<'_, '_>) {
+                self.inner.on_timer(t, c);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        const SETTLED: u64 = 100_000;
+        const TAIL: u64 = 50;
+        let mut w: World<Packet> = World::new(9);
+        let b = BackToBack::build(
+            &mut w,
+            Speed::gbps(10),
+            Time::from_us(1),
+            9000,
+            QueueSpec::ndp_default(),
+            HostLatency::default(),
+        );
+        let cfg = NdpFlowCfg {
+            n_paths: 1,
+            ..NdpFlowCfg::new((SETTLED + TAIL) * 8936)
+        };
+        let sender = NdpSender::new(1, 1, cfg);
+        let receiver = DropOnce {
+            inner: NdpReceiver::new(0),
+            seq: Some(SETTLED as u32),
+        };
+        w.get_mut::<Host>(b.hosts[0])
+            .add_endpoint(1, Box::new(sender));
+        w.get_mut::<Host>(b.hosts[1])
+            .add_endpoint(1, Box::new(receiver));
+        w.post_wake(Time::ZERO, b.hosts[0], 1 << 8);
+        let mut scanned = None;
+        // 100k 9 KB packets take 0.72 s at 10 Gb/s.
+        for ms in 1..=800 {
+            w.run_until(Time::from_ms(ms));
+            let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+            if s.stats.rtx_rto == 0 && s.stats.acks == SETTLED + TAIL - 1 {
+                // Silent, one packet outstanding: the next timer scans this.
+                scanned = Some(s.window.len());
+            }
+        }
+        let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert!(s.is_done(), "the hole must be repaired");
+        assert_eq!(s.stats.rtx_rto, 1, "by exactly one RTO");
+        assert_eq!(scanned, Some(TAIL as usize), "slots the RTO walked");
     }
 }

@@ -19,10 +19,18 @@ use crate::probe::Gauge;
 use crate::session::PointTelemetry;
 use crate::span::{FlowSpan, RequestSpan};
 use ndp_net::flight::HopRecord;
+use std::fmt::{self, Write as _};
 
 /// Chrome-trace track offset for request slices, so request lanes never
 /// collide with per-flow lanes (flow ids count up from 1).
 const REQUEST_TID_BASE: u64 = 1 << 32;
+
+/// `write!` into the one output `String`; that cannot fail.
+macro_rules! put {
+    ($out:expr, $($arg:tt)*) => {{
+        let _ = write!($out, $($arg)*);
+    }};
+}
 
 /// Escape a string for embedding in a JSON string literal.
 fn esc(s: &str) -> String {
@@ -34,34 +42,67 @@ fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => put!(out, "\\u{:04x}", c as u32),
             c => out.push(c),
         }
     }
     out
 }
 
-fn opt_ps(t: Option<ndp_sim::Time>) -> String {
-    match t {
-        Some(t) => t.as_ps().to_string(),
-        None => "null".into(),
+/// A point's key and tag labels, escaped once and borrowed by every
+/// record of the point.
+struct Labels {
+    key: String,
+    tags: Vec<String>,
+}
+
+impl Labels {
+    fn of(p: &PointTelemetry) -> Labels {
+        Labels {
+            key: esc(&p.key),
+            tags: p.tags.iter().map(|t| esc(t)).collect(),
+        }
+    }
+
+    fn tag(&self, tag: u32) -> TagLabel<'_> {
+        TagLabel(self.tags.get(tag as usize).map(String::as_str), tag)
     }
 }
 
-fn opt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+/// A tag's escaped label, or `tag<N>` for one outside the table.
+struct TagLabel<'a>(Option<&'a str>, u32);
+
+impl fmt::Display for TagLabel<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(label) => f.write_str(label),
+            None => write!(f, "tag{}", self.1),
+        }
     }
 }
 
-fn tag_label(tags: &[String], tag: u32) -> String {
-    tags.get(tag as usize)
-        .map_or_else(|| format!("tag{tag}"), |s| esc(s))
+/// `null` for `None`; `T`'s own rendering otherwise.
+struct OrNull<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("null"),
+        }
+    }
 }
 
-fn push_gauge_line(out: &mut String, key: &str, tags: &[String], g: &Gauge) {
+fn opt_ps(t: Option<ndp_sim::Time>) -> OrNull<u64> {
+    OrNull(t.map(ndp_sim::Time::as_ps))
+}
+
+fn opt_f64(v: f64) -> OrNull<f64> {
+    OrNull(Some(v).filter(|v| v.is_finite()))
+}
+
+fn push_gauge_line(out: &mut String, l: &Labels, g: &Gauge) {
+    let key = &l.key;
     match *g {
         Gauge::Queue {
             at,
@@ -74,41 +115,45 @@ fn push_gauge_line(out: &mut String, key: &str, tags: &[String], g: &Gauge) {
             dropped,
             dropped_down,
             ecn_marked,
-        } => out.push_str(&format!(
+        } => put!(
+            out,
             "{{\"type\":\"gauge\",\"point\":\"{key}\",\"gauge\":\"queue\",\"at_ps\":{},\
              \"target\":\"{}\",\"occ_bytes\":{occ_bytes},\"occ_pkts\":{occ_pkts},\
              \"forwarded\":{forwarded},\"trimmed\":{trimmed},\"bounced\":{bounced},\
              \"dropped\":{dropped},\"dropped_down\":{dropped_down},\"ecn_marked\":{ecn_marked}}}\n",
             at.as_ps(),
-            tag_label(tags, tag),
-        )),
+            l.tag(tag),
+        ),
         Gauge::Switch {
             at,
             tag,
             rx_pkts,
             rerouted,
-        } => out.push_str(&format!(
+        } => put!(
+            out,
             "{{\"type\":\"gauge\",\"point\":\"{key}\",\"gauge\":\"switch\",\"at_ps\":{},\
              \"target\":\"{}\",\"rx_pkts\":{rx_pkts},\"rerouted\":{rerouted}}}\n",
             at.as_ps(),
-            tag_label(tags, tag),
-        )),
+            l.tag(tag),
+        ),
         Gauge::World {
             at,
             live_components,
             live_flows,
             events,
-        } => out.push_str(&format!(
+        } => put!(
+            out,
             "{{\"type\":\"gauge\",\"point\":\"{key}\",\"gauge\":\"world\",\"at_ps\":{},\
              \"live_components\":{live_components},\"live_flows\":{live_flows},\
              \"events\":{events}}}\n",
             at.as_ps(),
-        )),
+        ),
     }
 }
 
 fn push_span_line(out: &mut String, key: &str, s: &FlowSpan) {
-    out.push_str(&format!(
+    put!(
+        out,
         "{{\"type\":\"span\",\"point\":\"{key}\",\"flow\":{},\"src\":{},\"dst\":{},\
          \"request\":{},\"bytes\":{},\"arrival_ps\":{},\"first_data_ps\":{},\
          \"completion_ps\":{},\
@@ -117,7 +162,7 @@ fn push_span_line(out: &mut String, key: &str, s: &FlowSpan) {
         s.flow,
         s.src,
         s.dst,
-        s.request.map_or_else(|| "null".into(), |r| r.to_string()),
+        OrNull(s.request),
         s.bytes,
         s.arrival.as_ps(),
         opt_ps(s.first_data),
@@ -129,11 +174,12 @@ fn push_span_line(out: &mut String, key: &str, s: &FlowSpan) {
         s.timeouts,
         s.trimmed_headers,
         s.rts_events,
-    ));
+    );
 }
 
 fn push_request_line(out: &mut String, key: &str, r: &RequestSpan) {
-    out.push_str(&format!(
+    put!(
+        out,
         "{{\"type\":\"request\",\"point\":\"{key}\",\"request\":{},\"tenant\":{},\
          \"seq\":{},\"client\":{},\"fanout\":{},\"arrival_ps\":{},\"completion_ps\":{},\
          \"latency_ps\":{},\"straggler_leg\":{},\"measured\":{},\"slo_met\":{}}}\n",
@@ -148,22 +194,24 @@ fn push_request_line(out: &mut String, key: &str, r: &RequestSpan) {
         r.straggler_leg,
         r.measured,
         r.slo_met,
-    ));
+    );
 }
 
-fn push_hop_line(out: &mut String, key: &str, tags: &[String], h: &HopRecord) {
-    out.push_str(&format!(
-        "{{\"type\":\"hop\",\"point\":\"{key}\",\"at_ps\":{},\"target\":\"{}\",\
+fn push_hop_line(out: &mut String, l: &Labels, h: &HopRecord) {
+    put!(
+        out,
+        "{{\"type\":\"hop\",\"point\":\"{}\",\"at_ps\":{},\"target\":\"{}\",\
          \"kind\":\"{}\",\"flow\":{},\"src\":{},\"dst\":{},\"seq\":{},\"size\":{}}}\n",
+        l.key,
         h.at.as_ps(),
-        tag_label(tags, h.tag),
+        l.tag(h.tag),
         h.kind.name(),
         h.flow,
         h.src,
         h.dst,
         h.seq,
         h.size,
-    ));
+    );
 }
 
 /// Serialise all points as NDJSON. Line order: per point (already
@@ -172,183 +220,193 @@ fn push_hop_line(out: &mut String, key: &str, tags: &[String], h: &HopRecord) {
 pub fn write_ndjson(points: &[PointTelemetry]) -> String {
     let mut out = String::new();
     for p in points {
-        let key = esc(&p.key);
-        let tags: Vec<String> = p.tags.iter().map(|t| format!("\"{}\"", esc(t))).collect();
-        out.push_str(&format!(
-            "{{\"type\":\"point\",\"point\":\"{key}\",\"tags\":[{}],\"gauges\":{},\
-             \"spans\":{},\"requests\":{},\"hops\":{},\"gauges_evicted\":{},\
+        let l = Labels::of(p);
+        let key = &l.key;
+        put!(out, "{{\"type\":\"point\",\"point\":\"{key}\",\"tags\":[");
+        for (i, t) in l.tags.iter().enumerate() {
+            put!(out, "{}\"{t}\"", if i == 0 { "" } else { "," });
+        }
+        put!(
+            out,
+            "],\"gauges\":{},\"spans\":{},\"requests\":{},\"hops\":{},\"gauges_evicted\":{},\
              \"hops_evicted\":{}}}\n",
-            tags.join(","),
             p.gauges.len(),
             p.spans.len(),
             p.requests.len(),
             p.hops.len(),
             p.gauges_evicted,
             p.hops_evicted,
-        ));
+        );
         for g in &p.gauges {
-            push_gauge_line(&mut out, &key, &p.tags, g);
+            push_gauge_line(&mut out, &l, g);
         }
         for s in &p.spans {
-            push_span_line(&mut out, &key, s);
+            push_span_line(&mut out, key, s);
         }
         for r in &p.requests {
-            push_request_line(&mut out, &key, r);
+            push_request_line(&mut out, key, r);
         }
         for h in &p.hops {
-            push_hop_line(&mut out, &key, &p.tags, h);
+            push_hop_line(&mut out, &l, h);
         }
     }
     out
 }
 
-/// Picoseconds → microseconds with six fractional digits, as a string.
-/// Integer math throughout so the bytes are platform-independent.
-fn us(ps: u64) -> String {
-    format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
+/// Picoseconds → microseconds with six fractional digits. Integer math
+/// throughout so the bytes are platform-independent.
+struct Us(u64);
+
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:06}", self.0 / 1_000_000, self.0 % 1_000_000)
+    }
 }
 
-fn chrome_event(out: &mut Vec<String>, body: String) {
-    out.push(format!("{{{body}}}"));
+fn us(t: ndp_sim::Time) -> Us {
+    Us(t.as_ps())
+}
+
+/// The `,"request":N` member a leg flow's slice carries; nothing for a
+/// flow outside any request.
+struct RequestArg(Option<u64>);
+
+impl fmt::Display for RequestArg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(r) => write!(f, ",\"request\":{r}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Append one Chrome trace event, `{body}`, comma-separated from the one
+/// before it (the array's opening bracket is the only `[` an event can
+/// follow: every event ends in `}`).
+macro_rules! chrome_event {
+    ($out:expr, $($body:tt)*) => {{
+        $out.push_str(if $out.ends_with('[') { "{" } else { ",{" });
+        put!($out, $($body)*);
+        $out.push('}');
+    }};
 }
 
 /// Serialise all points as a Chrome trace-event JSON document.
 pub fn write_chrome_trace(points: &[PointTelemetry]) -> String {
-    let mut ev: Vec<String> = Vec::new();
+    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     for (pid, p) in points.iter().enumerate() {
-        let key = esc(&p.key);
-        chrome_event(
-            &mut ev,
-            format!(
-                "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{key}\"}}"
-            ),
+        let l = Labels::of(p);
+        chrome_event!(
+            out,
+            "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
+             \"args\":{{\"name\":\"{}\"}}",
+            l.key
         );
         for g in &p.gauges {
             match *g {
                 Gauge::Queue {
                     at, tag, occ_bytes, ..
-                } => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"C\",\"name\":\"queue {}\",\"pid\":{pid},\"ts\":{},\
-                         \"args\":{{\"occ_bytes\":{occ_bytes}}}",
-                        tag_label(&p.tags, tag),
-                        us(at.as_ps()),
-                    ),
+                } => chrome_event!(
+                    out,
+                    "\"ph\":\"C\",\"name\":\"queue {}\",\"pid\":{pid},\"ts\":{},\
+                     \"args\":{{\"occ_bytes\":{occ_bytes}}}",
+                    l.tag(tag),
+                    us(at),
                 ),
                 Gauge::Switch {
                     at, tag, rerouted, ..
-                } => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"C\",\"name\":\"reroutes {}\",\"pid\":{pid},\"ts\":{},\
-                         \"args\":{{\"rerouted\":{rerouted}}}",
-                        tag_label(&p.tags, tag),
-                        us(at.as_ps()),
-                    ),
+                } => chrome_event!(
+                    out,
+                    "\"ph\":\"C\",\"name\":\"reroutes {}\",\"pid\":{pid},\"ts\":{},\
+                     \"args\":{{\"rerouted\":{rerouted}}}",
+                    l.tag(tag),
+                    us(at),
                 ),
-                Gauge::World { at, live_flows, .. } => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"C\",\"name\":\"live_flows\",\"pid\":{pid},\"ts\":{},\
-                         \"args\":{{\"live_flows\":{live_flows}}}",
-                        us(at.as_ps()),
-                    ),
+                Gauge::World { at, live_flows, .. } => chrome_event!(
+                    out,
+                    "\"ph\":\"C\",\"name\":\"live_flows\",\"pid\":{pid},\"ts\":{},\
+                     \"args\":{{\"live_flows\":{live_flows}}}",
+                    us(at),
                 ),
             }
         }
         for s in &p.spans {
-            let req_arg = s
-                .request
-                .map_or(String::new(), |r| format!(",\"request\":{r}"));
             match s.completion {
-                Some(done) => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"X\",\"cat\":\"flow\",\"name\":\"flow {}\",\"pid\":{pid},\
-                         \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"bytes\":{},\
-                         \"slowdown\":{},\"retransmissions\":{},\"trimmed_headers\":{}{req_arg}}}",
-                        s.flow,
-                        s.flow,
-                        us(s.arrival.as_ps()),
-                        us(done.as_ps().saturating_sub(s.arrival.as_ps())),
-                        s.bytes,
-                        opt_f64(s.slowdown),
-                        s.retransmissions,
-                        s.trimmed_headers,
-                    ),
+                Some(done) => chrome_event!(
+                    out,
+                    "\"ph\":\"X\",\"cat\":\"flow\",\"name\":\"flow {}\",\"pid\":{pid},\
+                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"bytes\":{},\
+                     \"slowdown\":{},\"retransmissions\":{},\"trimmed_headers\":{}{}}}",
+                    s.flow,
+                    s.flow,
+                    us(s.arrival),
+                    us(done.saturating_sub(s.arrival)),
+                    s.bytes,
+                    opt_f64(s.slowdown),
+                    s.retransmissions,
+                    s.trimmed_headers,
+                    RequestArg(s.request),
                 ),
-                None => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"i\",\"s\":\"p\",\"cat\":\"flow\",\"name\":\"stuck flow {}\",\
-                         \"pid\":{pid},\"tid\":{},\"ts\":{},\"args\":{{\"bytes\":{}}}",
-                        s.flow,
-                        s.flow,
-                        us(s.arrival.as_ps()),
-                        s.bytes,
-                    ),
+                None => chrome_event!(
+                    out,
+                    "\"ph\":\"i\",\"s\":\"p\",\"cat\":\"flow\",\"name\":\"stuck flow {}\",\
+                     \"pid\":{pid},\"tid\":{},\"ts\":{},\"args\":{{\"bytes\":{}}}",
+                    s.flow,
+                    s.flow,
+                    us(s.arrival),
+                    s.bytes,
                 ),
             }
         }
         for r in &p.requests {
             match r.completion {
-                Some(done) => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"X\",\"cat\":\"request\",\"name\":\"t{} req {}\",\"pid\":{pid},\
-                         \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"request\":{},\
-                         \"fanout\":{},\"client\":{},\"straggler_leg\":{},\"slo_met\":{}}}",
-                        r.tenant,
-                        r.seq,
-                        REQUEST_TID_BASE + r.request,
-                        us(r.arrival.as_ps()),
-                        us(done.as_ps().saturating_sub(r.arrival.as_ps())),
-                        r.request,
-                        r.fanout,
-                        r.client,
-                        r.straggler_leg,
-                        r.slo_met,
-                    ),
+                Some(done) => chrome_event!(
+                    out,
+                    "\"ph\":\"X\",\"cat\":\"request\",\"name\":\"t{} req {}\",\"pid\":{pid},\
+                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"request\":{},\
+                     \"fanout\":{},\"client\":{},\"straggler_leg\":{},\"slo_met\":{}}}",
+                    r.tenant,
+                    r.seq,
+                    REQUEST_TID_BASE + r.request,
+                    us(r.arrival),
+                    us(done.saturating_sub(r.arrival)),
+                    r.request,
+                    r.fanout,
+                    r.client,
+                    r.straggler_leg,
+                    r.slo_met,
                 ),
-                None => chrome_event(
-                    &mut ev,
-                    format!(
-                        "\"ph\":\"i\",\"s\":\"p\",\"cat\":\"request\",\
-                         \"name\":\"stuck t{} req {}\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
-                         \"args\":{{\"request\":{},\"fanout\":{}}}",
-                        r.tenant,
-                        r.seq,
-                        REQUEST_TID_BASE + r.request,
-                        us(r.arrival.as_ps()),
-                        r.request,
-                        r.fanout,
-                    ),
+                None => chrome_event!(
+                    out,
+                    "\"ph\":\"i\",\"s\":\"p\",\"cat\":\"request\",\
+                     \"name\":\"stuck t{} req {}\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
+                     \"args\":{{\"request\":{},\"fanout\":{}}}",
+                    r.tenant,
+                    r.seq,
+                    REQUEST_TID_BASE + r.request,
+                    us(r.arrival),
+                    r.request,
+                    r.fanout,
                 ),
             }
         }
         for h in &p.hops {
-            chrome_event(
-                &mut ev,
-                format!(
-                    "\"ph\":\"i\",\"s\":\"t\",\"cat\":\"hop\",\"name\":\"{}\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{},\"args\":{{\"target\":\"{}\",\"seq\":{},\
-                     \"size\":{}}}",
-                    h.kind.name(),
-                    h.flow,
-                    us(h.at.as_ps()),
-                    tag_label(&p.tags, h.tag),
-                    h.seq,
-                    h.size,
-                ),
+            chrome_event!(
+                out,
+                "\"ph\":\"i\",\"s\":\"t\",\"cat\":\"hop\",\"name\":\"{}\",\"pid\":{pid},\
+                 \"tid\":{},\"ts\":{},\"args\":{{\"target\":\"{}\",\"seq\":{},\
+                 \"size\":{}}}",
+                h.kind.name(),
+                h.flow,
+                us(h.at),
+                l.tag(h.tag),
+                h.seq,
+                h.size,
             );
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}\n",
-        ev.join(",")
-    )
+    out.push_str("]}\n");
+    out
 }
 
 /// Headline numbers for the `run --json` envelope.
@@ -522,6 +580,61 @@ mod tests {
         assert_eq!(
             write_chrome_trace(&[sample_point()]),
             write_chrome_trace(&[sample_point()])
+        );
+    }
+
+    /// `sample_point()` plus every arm it leaves out: a tag label that
+    /// needs all three escape classes (quote, backslash, control
+    /// character), the switch and world gauges, a hop on that label and
+    /// one on a tag outside the table, a stuck request.
+    fn golden_point() -> PointTelemetry {
+        let mut p = sample_point();
+        p.key = "leaf\"spine\\dctcp\u{1f}".into();
+        p.tags.push("agg\"1\\up\u{1}\n".into());
+        p.gauges.push(Gauge::Switch {
+            at: Time::from_ps(1_000_001),
+            tag: 1,
+            rx_pkts: 40,
+            rerouted: 3,
+        });
+        p.gauges.push(Gauge::World {
+            at: Time::from_us(5),
+            live_components: 12,
+            live_flows: 2,
+            events: 999,
+        });
+        for (tag, kind) in [(1, HopKind::Reroute), (9, HopKind::DropDown)] {
+            p.hops.push(HopRecord {
+                tag,
+                kind,
+                seq: u64::from(tag),
+                ..p.hops[0]
+            });
+        }
+        p.requests.push(crate::span::RequestSpan {
+            request: 12,
+            completion: None,
+            slo_met: false,
+            ..p.requests[0]
+        });
+        p.gauges_evicted = 4;
+        p.hops_evicted = 5;
+        p
+    }
+
+    /// The writers are held to bytes rendered by the parent of the commit
+    /// that rewrote them (`testdata/` was generated there), not to
+    /// themselves.
+    #[test]
+    fn exported_bytes_match_the_committed_golden_files() {
+        let points = [golden_point(), sample_point()];
+        assert_eq!(
+            write_ndjson(&points),
+            include_str!("../testdata/export_golden.ndjson")
+        );
+        assert_eq!(
+            write_chrome_trace(&points),
+            include_str!("../testdata/export_golden.chrome.json")
         );
     }
 

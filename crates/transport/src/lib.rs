@@ -11,12 +11,17 @@
 //!
 //! The trait lives in its own leaf crate (above `ndp-net`/`ndp-sim`/
 //! `ndp-topology`, below every protocol crate) so `ndp-core` and
-//! `ndp-baselines` can both implement it without a dependency cycle.
+//! `ndp-baselines` can both implement it without a dependency cycle. For
+//! the same reason it also holds [`SeqWindow`], the per-sequence store
+//! both crates' endpoints keep their ack/receive state in.
 
 use ndp_net::packet::{FlowId, HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
 
+mod seq_window;
+
 pub use ndp_topology::QueueSpec;
+pub use seq_window::SeqWindow;
 
 /// One flow to set up, in protocol-neutral terms.
 ///

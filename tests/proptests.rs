@@ -863,3 +863,112 @@ mod scheduler_ab {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// SeqWindow vs the dense arrays it replaced: any script of sends and
+// feedback (duplicated, reordered) or of arrivals (any order, far ahead)
+// reads back exactly as stores sized for the whole flow would, while the
+// window holds only lowest-unsettled..highest-touched.
+
+mod seq_window_oracle {
+    use ndp::transport::SeqWindow;
+    use proptest::prelude::*;
+
+    // The NDP sender's slot encoding.
+    const IDLE: u32 = u32::MAX;
+    const ACKED: u32 = u32::MAX - 1;
+    const TOTAL: usize = 160;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sender shape, against `acked: Vec<bool>` + `outstanding:
+        /// Vec<u32>`.
+        #[test]
+        fn sender_window_matches_dense_arrays(
+            // Each word packs (op, path, feedback target).
+            ops in proptest::collection::vec(0u32..7 * 8 * 1000, 1..500),
+            reserve in 0usize..40,
+        ) {
+            let mut w = SeqWindow::new(IDLE, ACKED, reserve);
+            let mut acked = [false; TOTAL];
+            let mut outstanding = [IDLE; TOTAL];
+            let mut next_new = 0usize;
+            for word in ops {
+                let (op, path, r) = (word % 7, word / 7 % 8, (word / 56) as usize);
+                // Feedback is for something sent: first, duplicate or late.
+                let seq = r % next_new.max(1);
+                match op {
+                    // Send the next new packet.
+                    0..=2 if next_new < TOTAL => {
+                        outstanding[next_new] = path;
+                        w.set(next_new as u64, path);
+                        next_new += 1;
+                    }
+                    // ACK.
+                    3 if next_new > 0 => {
+                        outstanding[seq] = IDLE;
+                        acked[seq] = true;
+                        if w.get(seq as u64) != ACKED {
+                            w.set(seq as u64, ACKED);
+                        }
+                    }
+                    // NACK: stops being outstanding, stays un-ACKed.
+                    4 if next_new > 0 => {
+                        outstanding[seq] = IDLE;
+                        if w.get(seq as u64) < ACKED {
+                            w.set(seq as u64, IDLE);
+                        }
+                    }
+                    // RTS / pulled retransmission: back out on a new path.
+                    5 if next_new > 0 && !acked[seq] => {
+                        outstanding[seq] = path;
+                        w.set(seq as u64, path);
+                    }
+                    // RTO: the oldest outstanding packet and its path.
+                    6 => {
+                        let dense = outstanding
+                            .iter()
+                            .position(|&p| p != IDLE)
+                            .map(|i| (i as u64, outstanding[i]));
+                        prop_assert_eq!(w.iter().find(|&(_, p)| p < ACKED), dense);
+                    }
+                    _ => {}
+                }
+                for s in 0..TOTAL + 2 {
+                    let dense = match acked.get(s) {
+                        Some(true) => ACKED,
+                        _ => outstanding.get(s).copied().unwrap_or(IDLE),
+                    };
+                    prop_assert_eq!(w.get(s as u64), dense, "seq {}", s);
+                }
+                let first_unacked = acked.iter().position(|&a| !a).unwrap_or(TOTAL);
+                prop_assert_eq!(w.floor(), first_unacked as u64);
+                prop_assert!(w.high() <= next_new.max(first_unacked) as u64);
+                prop_assert!(w.len() as u64 <= w.high() - w.floor());
+            }
+        }
+
+        /// Receiver shape, against `received: Vec<bool>` grown on demand.
+        #[test]
+        fn receiver_window_matches_dense_bitmap(
+            arrivals in proptest::collection::vec(0u64..400, 1..600),
+        ) {
+            let mut w = SeqWindow::new(false, true, 0);
+            let mut received = [false; 402];
+            let mut top = 0;
+            for seq in arrivals {
+                prop_assert_eq!(w.settle(seq), !received[seq as usize]);
+                received[seq as usize] = true;
+                top = top.max(seq + 1);
+                for (s, &r) in received.iter().enumerate() {
+                    prop_assert_eq!(w.get(s as u64), r, "seq {}", s);
+                }
+                let first_missing = received.iter().position(|&r| !r).unwrap() as u64;
+                prop_assert_eq!(w.floor(), first_missing);
+                prop_assert!(w.high() <= top.max(first_missing));
+                prop_assert!(w.len() as u64 <= w.high() - w.floor());
+            }
+        }
+    }
+}

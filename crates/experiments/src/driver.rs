@@ -1,0 +1,776 @@
+//! The lifecycle driver and the driven-point runner every open-loop,
+//! failure-matrix and RPC point runs on.
+//!
+//! ```text
+//! ArrivalProcess ──► source ──► driver ──► batch sink
+//! ```
+//!
+//! A [`RequestSource`] yields time-sorted request trees: an
+//! [`RpcWorkload`]'s fan-out/fan-in trees, or — through [`Flows`] — an
+//! open-loop flow stream, each flow a fan-out-1 request with no response.
+//! [`RpcDriver`] walks the source *inside* simulated time on one self-wake
+//! chain: at a request's arrival instant it attaches every shard leg
+//! through the engine's deferred-op queue (a flow costs nothing before it
+//! arrives), each leg's `FlowSpec.notify` points back at the driver, and a
+//! finished leg is detached on the spot, so live state is O(requests in
+//! flight), never O(requests ever offered). A request is done when its
+//! *last* flow is — optionally after a sequential response flow — and
+//! closed-loop tenants are self-clocked: each completion asks the source
+//! for the chain's next request.
+//!
+//! `run_driven` is the one point runner: seeded world, fabric, a
+//! totals-only completion sink on every host, the caller's set-up hook,
+//! the driver, opt-in telemetry, then the world stepped in chunks with
+//! each chunk's measured completions streamed to the caller's batch sink.
+//! A run has three phases — `warmup` (arrivals happen unmeasured while
+//! queues reach steady state), measurement up to `arrivals_end`, and a
+//! `drain` that is a cap, not a horizon: the run ends as soon as the
+//! live-flow gauge hits zero.
+
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use ndp_net::flight::FlightRecorder;
+use ndp_net::packet::{FlowId, HostId, Packet};
+use ndp_net::{CompletionSink, Host};
+use ndp_sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
+use ndp_telemetry::span::{push_request, push_span};
+use ndp_telemetry::{FlowSpan, RequestSpan, TelemetryConfig};
+use ndp_topology::Topology;
+use ndp_workloads::{FlowEvent, FlowLeg, RpcRequest, RpcWorkload};
+
+use crate::harness::{FlowSpec, Proto};
+use crate::topo::TopoSpec;
+
+/// The driver's self-wake token. Completion wakes carry the flow id, and
+/// flow ids start at 1 and count up, so `u64::MAX` can never collide.
+const SPAWN_TICK: u64 = u64::MAX;
+
+/// Where the driver's requests come from: one time-sorted open-loop
+/// stream plus, for self-clocked tenants, chains fed by completions.
+pub trait RequestSource: Send {
+    /// The next open-loop arrival.
+    fn next_open(&mut self) -> Option<RpcRequest>;
+    /// The first request of every closed-loop chain.
+    fn initial_closed_loop(&mut self) -> Vec<RpcRequest> {
+        Vec::new()
+    }
+    /// A request of `tenant` completed at `done_ps`: its chain's next
+    /// request, if the tenant is closed-loop.
+    fn on_complete(&mut self, _tenant: u32, _done_ps: u64) -> Option<RpcRequest> {
+        None
+    }
+    /// The deadline `tenant`'s request spans are graded against.
+    fn slo_ps(&self, _tenant: u32) -> u64 {
+        u64::MAX
+    }
+}
+
+impl RequestSource for RpcWorkload {
+    fn next_open(&mut self) -> Option<RpcRequest> {
+        self.next()
+    }
+    fn initial_closed_loop(&mut self) -> Vec<RpcRequest> {
+        RpcWorkload::initial_closed_loop(self)
+    }
+    fn on_complete(&mut self, tenant: u32, done_ps: u64) -> Option<RpcRequest> {
+        RpcWorkload::on_complete(self, tenant, done_ps)
+    }
+    fn slo_ps(&self, tenant: u32) -> u64 {
+        RpcWorkload::slo_ps(self, tenant)
+    }
+}
+
+/// A time-sorted [`FlowEvent`] stream as a request source: every flow is
+/// a single-leg request of tenant 0 with no response.
+pub struct Flows<I>(std::iter::Enumerate<I>);
+
+impl<I: Iterator<Item = FlowEvent>> Flows<I> {
+    pub fn new(events: I) -> Flows<I> {
+        Flows(events.enumerate())
+    }
+}
+
+impl<I: Iterator<Item = FlowEvent> + Send> RequestSource for Flows<I> {
+    fn next_open(&mut self) -> Option<RpcRequest> {
+        let (seq, ev) = self.0.next()?;
+        Some(RpcRequest {
+            start_ps: ev.start_ps,
+            tenant: 0,
+            seq: seq as u64,
+            client: ev.src,
+            legs: vec![FlowLeg {
+                src: ev.src,
+                dst: ev.dst,
+                bytes: ev.bytes,
+            }],
+            response: None,
+        })
+    }
+}
+
+/// Pluggable flow-attach hook: how the driver turns a due [`FlowSpec`]
+/// into live endpoints. `None` uses the standard
+/// [`crate::harness::attach_generic`] path; the Figure 8 port substitutes
+/// its handshake-variant TCP attach here.
+pub type AttachFn = Arc<dyn Fn(&mut World<Packet>, &FlowSpec) + Send + Sync>;
+
+/// Which flow of a request tree a live flow is.
+#[derive(Clone, Copy, Debug)]
+enum LegRef {
+    /// Parallel shard leg `i`.
+    Leg(u32),
+    /// The sequential follow-up flow.
+    Response,
+}
+
+/// One in-flight flow's bookkeeping, keyed by flow id.
+#[derive(Clone, Copy, Debug)]
+struct FlowRef {
+    req: u64,
+    leg: LegRef,
+    src: HostId,
+    dst: HostId,
+    bytes: u64,
+    start: Time,
+    /// Did the flow's request arrive inside the measurement window?
+    measured: bool,
+}
+
+impl FlowRef {
+    /// The flow's span, opened with the driver-side facts; `tagged` links
+    /// it to its request (only where request spans are recorded).
+    fn span(&self, flow: FlowId, tagged: bool) -> FlowSpan {
+        let mut span = FlowSpan::open(flow, self.src, self.dst, self.bytes, self.start);
+        span.request = tagged.then_some(self.req);
+        span.measured = self.measured;
+        span
+    }
+}
+
+/// One in-flight request tree, dropped the instant its last flow is done.
+#[derive(Clone, Debug)]
+struct LiveRequest {
+    tenant: u32,
+    seq: u64,
+    client: HostId,
+    start: Time,
+    measured: bool,
+    /// Shard legs still in flight; the fan-in completes at zero.
+    legs_left: usize,
+    fanout: u32,
+    max_leg_bytes: u64,
+    /// Index and size of the last shard leg to finish (the straggler).
+    last_leg: u32,
+    last_leg_bytes: u64,
+    /// Deferred sequential stage, taken when the fan-in completes.
+    response: Option<FlowLeg>,
+}
+
+impl LiveRequest {
+    /// The request's span: completed at `done` within `slo_ps` or not,
+    /// or (`done` = `None`) still live when the run ended.
+    fn span(&self, request: u64, done: Option<Time>, slo_ps: u64) -> RequestSpan {
+        RequestSpan {
+            request,
+            tenant: self.tenant,
+            seq: self.seq,
+            client: self.client,
+            fanout: self.fanout,
+            arrival: self.start,
+            completion: done,
+            straggler_leg: done.map_or(0, |_| self.last_leg),
+            measured: self.measured,
+            slo_met: done.is_some_and(|t| (t - self.start).as_ps() <= slo_ps),
+        }
+    }
+}
+
+/// A finished request's sample, buffered until the runner's next
+/// streaming drain.
+#[derive(Clone, Copy, Debug)]
+pub struct CompletedRequest {
+    pub tenant: u32,
+    pub seq: u64,
+    /// Arrival instant — phase-windowed reports (the failure matrix)
+    /// attribute each sample to the phase its request *started* in.
+    pub start: Time,
+    /// End-to-end: request arrival to last-flow completion.
+    pub latency: Time,
+    pub straggler_leg: u32,
+    pub straggler_was_largest: bool,
+    /// Size of the last flow to finish and its FCT over the topology's
+    /// ideal FCT — for a single-flow request, *the* flow's slowdown.
+    pub bytes: u64,
+    pub slowdown: f64,
+    pub measured: bool,
+}
+
+/// Drives request trees through their whole lifecycle inside simulated
+/// time (see the module docs).
+pub struct RpcDriver {
+    proto: Proto,
+    topo: Arc<dyn Topology>,
+    source: Box<dyn RequestSource>,
+    /// Arm `FlowSpec::liveness` on every leg.
+    liveness: bool,
+    /// Next open-loop arrival, pulled from the stream but not yet due.
+    pending_open: Option<RpcRequest>,
+    /// Closed-loop follow-ups not yet due, in the source's merge order.
+    pending_closed: BinaryHeap<Reverse<RpcRequest>>,
+    next_flow: FlowId,
+    next_req: u64,
+    warmup: Time,
+    live: HashMap<u64, LiveRequest>,
+    flows: HashMap<FlowId, FlowRef>,
+    /// Completed-request samples since the runner's last drain.
+    pub completed: Vec<CompletedRequest>,
+    /// Requests spawned so far.
+    pub started: u64,
+    /// Requests that arrived inside the measurement window.
+    pub measured_arrivals: usize,
+    /// Per-tenant measured arrivals — each tenant digest's `offered`.
+    pub measured_per_tenant: Vec<u64>,
+    pub peak_live_requests: usize,
+    pub peak_live_flows: usize,
+    /// Attach override; `None` = the generic per-protocol path.
+    attach: Option<AttachFn>,
+    spans: Option<ndp_telemetry::SpanLog>,
+    requests_log: Option<ndp_telemetry::RequestLog>,
+    live_gauge: Option<Arc<AtomicU64>>,
+}
+
+impl RpcDriver {
+    /// Install a driver over a request source and arm its first wake.
+    /// Seeds every closed-loop tenant's initial chains, then pulls the
+    /// open-loop stream lazily. `liveness` arms the transport's
+    /// stall-recovery net (NDP: the lost-PULL liveness timer) on every
+    /// leg: a request tree only completes when *every* leg does, so one
+    /// stuck leg would otherwise wedge the whole request.
+    pub fn install_into(
+        world: &mut World<Packet>,
+        proto: Proto,
+        topo: Arc<dyn Topology>,
+        mut source: Box<dyn RequestSource>,
+        warmup: Time,
+        liveness: bool,
+    ) -> ComponentId {
+        let pending_closed: BinaryHeap<_> = source
+            .initial_closed_loop()
+            .into_iter()
+            .map(Reverse)
+            .collect();
+        let pending_open = source.next_open();
+        let first = (pending_open.iter())
+            .chain(pending_closed.peek().map(|Reverse(r)| r))
+            .map(|r| r.start_ps)
+            .min();
+        let id = world.add(RpcDriver {
+            proto,
+            topo,
+            source,
+            liveness,
+            pending_open,
+            pending_closed,
+            next_flow: 1,
+            next_req: 0,
+            warmup,
+            live: HashMap::new(),
+            flows: HashMap::new(),
+            completed: Vec::new(),
+            started: 0,
+            measured_arrivals: 0,
+            measured_per_tenant: Vec::new(),
+            peak_live_requests: 0,
+            peak_live_flows: 0,
+            attach: None,
+            spans: None,
+            requests_log: None,
+            live_gauge: None,
+        });
+        if let Some(at) = first {
+            world.post_wake(Time::from_ps(at), id, SPAWN_TICK);
+        }
+        id
+    }
+
+    /// Flows currently in flight (across all live requests).
+    pub fn live_flows(&self) -> usize {
+        self.flows.len()
+    }
+
+    /// Replace the generic attach path (the Figure 8 handshake variants).
+    pub fn set_attach(&mut self, attach: AttachFn) {
+        self.attach = Some(attach);
+    }
+
+    /// Record a [`FlowSpan`] for every flow this driver detaches — tagged
+    /// with its request id where a request log is installed too.
+    /// Telemetry-only: the event stream is identical with or without.
+    pub fn set_span_log(&mut self, log: ndp_telemetry::SpanLog) {
+        self.spans = Some(log);
+    }
+
+    /// Record a [`RequestSpan`] for every completed request.
+    pub fn set_request_log(&mut self, log: ndp_telemetry::RequestLog) {
+        self.requests_log = Some(log);
+    }
+
+    /// Publish the live-flow count into `gauge` after every change, for
+    /// the telemetry probe's world samples.
+    pub fn set_live_gauge(&mut self, gauge: Arc<AtomicU64>) {
+        gauge.store(self.flows.len() as u64, Ordering::Relaxed);
+        self.live_gauge = Some(gauge);
+    }
+
+    fn publish_live(&self) {
+        if let Some(g) = &self.live_gauge {
+            g.store(self.flows.len() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// The next due request across both streams, or the instant to sleep
+    /// until. Ties are broken `(time, tenant, seq)` exactly like the
+    /// workload's own merge.
+    fn pop_due(&mut self, now: Time) -> Result<Option<RpcRequest>, Time> {
+        let closed = self.pending_closed.peek().map(|Reverse(r)| r);
+        let (take_open, at) = match (&self.pending_open, closed) {
+            (None, None) => return Ok(None),
+            (Some(o), Some(c)) if c <= o => (false, c.start_ps),
+            (Some(o), _) => (true, o.start_ps),
+            (None, Some(c)) => (false, c.start_ps),
+        };
+        if Time::from_ps(at) > now {
+            return Err(Time::from_ps(at));
+        }
+        Ok(if take_open {
+            std::mem::replace(&mut self.pending_open, self.source.next_open())
+        } else {
+            self.pending_closed.pop().map(|Reverse(r)| r)
+        })
+    }
+
+    /// Start one request: book the tree, attach every shard leg.
+    fn spawn(&mut self, req: RpcRequest, ctx: &mut Ctx<'_, Packet>) {
+        let rid = self.next_req;
+        self.next_req += 1;
+        let start = ctx.now();
+        debug_assert_eq!(start.as_ps(), req.start_ps, "spawn wake drifted");
+        let measured = start >= self.warmup;
+        self.started += 1;
+        if measured {
+            self.measured_arrivals += 1;
+            let t = req.tenant as usize;
+            if self.measured_per_tenant.len() <= t {
+                self.measured_per_tenant.resize(t + 1, 0);
+            }
+            self.measured_per_tenant[t] += 1;
+        }
+        self.live.insert(
+            rid,
+            LiveRequest {
+                tenant: req.tenant,
+                seq: req.seq,
+                client: req.client,
+                start,
+                measured,
+                legs_left: req.legs.len(),
+                fanout: req.legs.len() as u32,
+                max_leg_bytes: req.legs.iter().map(|l| l.bytes).max().unwrap_or(0),
+                last_leg: 0,
+                last_leg_bytes: 0,
+                response: req.response,
+            },
+        );
+        self.peak_live_requests = self.peak_live_requests.max(self.live.len());
+        for (i, leg) in req.legs.iter().enumerate() {
+            self.start_flow(rid, LegRef::Leg(i as u32), *leg, measured, ctx);
+        }
+    }
+
+    /// Attach one flow of a request through the deferred-op path.
+    fn start_flow(
+        &mut self,
+        req: u64,
+        leg: LegRef,
+        fl: FlowLeg,
+        measured: bool,
+        ctx: &mut Ctx<'_, Packet>,
+    ) {
+        let flow = self.next_flow;
+        self.next_flow += 1;
+        let start = ctx.now();
+        self.flows.insert(
+            flow,
+            FlowRef {
+                req,
+                leg,
+                src: fl.src,
+                dst: fl.dst,
+                bytes: fl.bytes,
+                start,
+                measured,
+            },
+        );
+        self.peak_live_flows = self.peak_live_flows.max(self.flows.len());
+        self.publish_live();
+        let mut spec = FlowSpec::new(flow, fl.src, fl.dst, fl.bytes);
+        spec.start = start;
+        spec.notify = Some((ctx.self_id(), flow));
+        spec.liveness = self.liveness;
+        match &self.attach {
+            Some(f) => {
+                let f = Arc::clone(f);
+                ctx.defer(move |w| f(w, &spec));
+            }
+            None => {
+                let proto = self.proto;
+                let src = (self.topo.host(fl.src), fl.src);
+                let dst = (self.topo.host(fl.dst), fl.dst);
+                let n_paths = self.topo.n_paths(fl.src, fl.dst);
+                let mtu = self.topo.mtu();
+                ctx.defer(move |w| {
+                    crate::harness::attach_generic(w, proto, &spec, src, dst, n_paths, mtu);
+                });
+            }
+        }
+    }
+
+    /// One of a request's flows completed: detach it, advance the fan-in.
+    fn finish(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Packet>) {
+        let Some(fr) = self.flows.remove(&flow) else {
+            return; // duplicate notify — already retired
+        };
+        self.publish_live();
+        let proto = self.proto;
+        let src = self.topo.host(fr.src);
+        let dst = self.topo.host(fr.dst);
+        let ideal = self.topo.ideal_fct(fr.src, fr.dst, fr.bytes);
+        let slowdown = (ctx.now() - fr.start).as_ps() as f64 / ideal.as_ps() as f64;
+        let spans = self.spans.clone();
+        let tagged = self.requests_log.is_some();
+        ctx.defer(move |w| {
+            let harvest = proto.transport().detach(w, src, dst, flow);
+            if let Some(log) = spans {
+                let mut span = fr.span(flow, tagged);
+                span.slowdown = slowdown;
+                span.absorb(&harvest);
+                push_span(&log, span);
+            }
+        });
+        let Some(lr) = self.live.get_mut(&fr.req) else {
+            return;
+        };
+        if let LegRef::Leg(i) = fr.leg {
+            lr.legs_left -= 1;
+            lr.last_leg = i;
+            lr.last_leg_bytes = fr.bytes;
+            if lr.legs_left > 0 {
+                return;
+            }
+            // Fan-in complete: the sequential stage, if any.
+            if let Some(rsp) = lr.response.take() {
+                return self.start_flow(fr.req, LegRef::Response, rsp, fr.measured, ctx);
+            }
+        }
+        self.complete(fr.req, fr.bytes, slowdown, ctx);
+    }
+
+    /// A request's last flow (`bytes`, `slowdown`) is done: book its
+    /// end-to-end latency and, for closed-loop tenants, queue the chain's
+    /// next request.
+    fn complete(&mut self, rid: u64, bytes: u64, slowdown: f64, ctx: &mut Ctx<'_, Packet>) {
+        let Some(lr) = self.live.remove(&rid) else {
+            return;
+        };
+        let now = ctx.now();
+        self.completed.push(CompletedRequest {
+            tenant: lr.tenant,
+            seq: lr.seq,
+            start: lr.start,
+            latency: now - lr.start,
+            straggler_leg: lr.last_leg,
+            straggler_was_largest: lr.last_leg_bytes == lr.max_leg_bytes,
+            bytes,
+            slowdown,
+            measured: lr.measured,
+        });
+        if let Some(log) = &self.requests_log {
+            push_request(log, lr.span(rid, Some(now), self.source.slo_ps(lr.tenant)));
+        }
+        if let Some(next) = self.source.on_complete(lr.tenant, now.as_ps()) {
+            let at = Time::from_ps(next.start_ps);
+            self.pending_closed.push(Reverse(next));
+            ctx.wake_at(at, SPAWN_TICK);
+        }
+    }
+}
+
+impl Component<Packet> for RpcDriver {
+    fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
+        match ev {
+            Event::Wake(SPAWN_TICK) => loop {
+                match self.pop_due(ctx.now()) {
+                    Ok(Some(req)) => self.spawn(req, ctx),
+                    Ok(None) => break,
+                    Err(at) => {
+                        ctx.wake_at(at, SPAWN_TICK);
+                        break;
+                    }
+                }
+            },
+            Event::Wake(flow) => self.finish(flow, ctx),
+            Event::Msg(_) => {}
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// What a driven point declares; its source, batch sink and result struct
+/// are the caller's.
+pub(crate) struct DrivenSpec<'a> {
+    pub proto: Proto,
+    pub topo: &'a TopoSpec,
+    pub seed: u64,
+    /// Engine scheduler override (`None` = the process default), used by
+    /// the determinism tests to A/B the two scheduler implementations.
+    pub sched: Option<SchedulerKind>,
+    pub warmup: Time,
+    /// Arrivals stop here; measurement runs `warmup..arrivals_end`.
+    pub arrivals_end: Time,
+    /// Cap on the tail after `arrivals_end`.
+    pub drain: Time,
+    /// The window the world is stepped in eighths of (1 ms at least). The
+    /// run ends at a chunk boundary, so this decides `events_processed`.
+    pub chunk_of: Time,
+    /// The source yields request trees, not bare flows: legs are armed
+    /// with `FlowSpec::liveness` and request spans are recorded.
+    pub request_trees: bool,
+    /// What tells the point from the others of its sweep on the same
+    /// fabric and protocol ("" if nothing): the session orders points by
+    /// their `{topo}/{proto}[/{cell}]` key, so it must be unique.
+    pub cell: &'a str,
+}
+
+/// Point-specific telemetry targets a set-up hook hands the runner: the
+/// probe samples these beside the live-flow gauge, and the recorder's
+/// hops ride the point's submission.
+#[derive(Default)]
+pub(crate) struct Instruments {
+    /// Label table the `u32` tags below index.
+    pub tags: Vec<String>,
+    pub queues: Vec<(ComponentId, u32)>,
+    pub switches: Vec<(ComponentId, u32)>,
+    pub recorder: Option<Arc<Mutex<FlightRecorder>>>,
+}
+
+/// The counters every driven point reports.
+pub(crate) struct Driven {
+    /// All requests spawned (warmup + measured).
+    pub offered: usize,
+    /// Requests that arrived inside the measurement window, in total and
+    /// per tenant.
+    pub measured: usize,
+    pub measured_per_tenant: Vec<u64>,
+    /// Tenant of each measured request still live at the drain cap.
+    pub stuck: Vec<u32>,
+    /// Payload bytes of completed flows, from the world-level sink.
+    pub delivered_bytes: u64,
+    pub peak_live_flows: usize,
+    pub peak_live_requests: usize,
+    /// Arena population before any traffic was attached.
+    pub live_components_baseline: usize,
+}
+
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Run one driven point in its own seeded world, so concurrent sweep
+/// executions are independent and bit-reproducible regardless of
+/// `NDP_THREADS`. `setup` runs on the built fabric *before* the driver is
+/// installed (a `ChaosController` keeps its arena slot and first-wake
+/// seq) and returns the point's request source; `on_measured` sees every
+/// measured completion, chunk by chunk. Returns the counters and the
+/// finished world (driver and probe retired) for point-specific harvesting.
+pub(crate) fn run_driven(
+    spec: &DrivenSpec<'_>,
+    setup: impl FnOnce(
+        &mut World<Packet>,
+        &Arc<dyn Topology>,
+        Option<TelemetryConfig>,
+    ) -> (Box<dyn RequestSource>, Instruments),
+    mut on_measured: impl FnMut(&CompletedRequest),
+) -> (Driven, World<Packet>) {
+    let mut world: World<Packet> = match spec.sched {
+        Some(kind) => World::with_scheduler(spec.seed, kind),
+        None => World::new(spec.seed),
+    };
+    let topo: Arc<dyn Topology> = Arc::from(spec.topo.build(&mut world, spec.proto.fabric()));
+    // Totals-only: the runner consumes the sink's delivered-bytes
+    // accounting, while per-flow samples come from the driver — no
+    // per-record buffer to churn.
+    let sink = world.add(CompletionSink::totals_only());
+    for h in 0..topo.n_hosts() {
+        world
+            .get_mut::<Host>(topo.host(h as HostId))
+            .set_completion_sink(sink);
+    }
+    let live_components_baseline = world.live_components();
+    let tele = ndp_telemetry::session::active();
+    let (source, inst) = setup(&mut world, &topo, tele);
+    let drv = RpcDriver::install_into(
+        &mut world,
+        spec.proto,
+        topo.clone(),
+        source,
+        spec.warmup,
+        spec.request_trees,
+    );
+
+    // Telemetry wiring (opt-in, gated on an active session): flow and
+    // request spans from the driver plus a sampling probe over the live
+    // flow gauge and the caller's targets. With no session none of this
+    // exists — the event stream and golden hashes are untouched.
+    let mut probe = None;
+    if let Some(cfg) = tele {
+        let live_gauge = Arc::new(AtomicU64::new(0));
+        let d = world.get_mut::<RpcDriver>(drv);
+        if cfg.spans {
+            d.spans = Some(ndp_telemetry::span::span_log());
+            d.requests_log = spec.request_trees.then(ndp_telemetry::span::request_log);
+        }
+        d.set_live_gauge(Arc::clone(&live_gauge));
+        // Sample through the measured windows only: the drain tail is
+        // near-constant, and letting it tick would evict the measured
+        // window from the bounded ring on stuck-flow points that run to
+        // the full drain cap.
+        probe = Some(ndp_telemetry::Probe::install_into(
+            &mut world,
+            ndp_telemetry::ProbeSpec {
+                tick: cfg.probe_tick,
+                until: spec.arrivals_end,
+                capacity: cfg.gauge_capacity,
+                queues: inst.queues,
+                switches: inst.switches,
+                live_flows: Some(live_gauge),
+            },
+        ));
+    }
+
+    // Step the world in chunks, streaming each chunk's completions to
+    // the caller, so no O(total arrivals) structure survives the run.
+    let cap = spec.arrivals_end + spec.drain;
+    let chunk = Time::from_ps((spec.chunk_of.as_ps() / 8).max(Time::from_ms(1).as_ps()));
+    let mut done = false;
+    let mut target = Time::ZERO;
+    while !done {
+        // `run_until` leaves `now()` at the last processed event, which
+        // can sit *before* the chunk boundary when a chunk is eventless
+        // (sparse arrivals on a 2-host fabric) — so the boundary grid
+        // must advance monotonically on its own, not off `now()`.
+        target = (target.max(world.now()) + chunk).min(cap);
+        done = target == cap;
+        world.run_until(target);
+        let batch = std::mem::take(&mut world.get_mut::<RpcDriver>(drv).completed);
+        batch
+            .iter()
+            .filter(|c| c.measured)
+            .for_each(&mut on_measured);
+        if world.now() >= spec.arrivals_end && world.get::<RpcDriver>(drv).live_flows() == 0 {
+            done = true;
+        }
+        // Scheduler buckets never shrink mid-run (capacity reuse keeps
+        // refills allocation-free); releasing burst capacity at chunk
+        // boundaries keeps a long sweep point from holding its peak-burst
+        // memory through the whole measure + drain tail.
+        world.shrink_idle();
+    }
+    let (completed_flows, delivered_bytes) = {
+        let s = world.get::<CompletionSink>(sink);
+        (s.total_flows, s.total_bytes)
+    };
+
+    // Whatever is still live at the cap is incomplete: detach the flows
+    // (as `stuck` spans) so the world drains back to its pre-traffic
+    // component population, and log the requests as never completed —
+    // each in ascending id order, so what the point exports of them does
+    // not depend on `HashMap`'s per-process iteration order.
+    let d = world.get_mut::<RpcDriver>(drv);
+    let mut flows: Vec<_> = d.flows.drain().collect();
+    let mut reqs: Vec<_> = d.live.drain().collect();
+    flows.sort_unstable_by_key(|&(id, _)| id);
+    reqs.sort_unstable_by_key(|&(id, _)| id);
+    d.publish_live();
+    let (spans, requests) = (d.spans.take(), d.requests_log.take());
+    let mut out = Driven {
+        offered: d.started as usize,
+        measured: d.measured_arrivals,
+        measured_per_tenant: std::mem::take(&mut d.measured_per_tenant),
+        stuck: Vec::new(),
+        delivered_bytes,
+        peak_live_flows: d.peak_live_flows,
+        peak_live_requests: d.peak_live_requests,
+        live_components_baseline,
+    };
+    debug_assert_eq!(
+        completed_flows + flows.len() as u64,
+        d.next_flow - 1,
+        "sink reports must account for every non-straggler flow"
+    );
+    for (flow, fr) in flows {
+        let harvest =
+            spec.proto
+                .transport()
+                .detach(&mut world, topo.host(fr.src), topo.host(fr.dst), flow);
+        if let Some(log) = &spans {
+            let mut span = fr.span(flow, requests.is_some());
+            span.stuck = true;
+            span.absorb(&harvest);
+            push_span(log, span);
+        }
+    }
+    for (rid, lr) in &reqs {
+        if lr.measured {
+            out.stuck.push(lr.tenant);
+        }
+        if let Some(log) = &requests {
+            push_request(log, lr.span(*rid, None, 0));
+        }
+    }
+    world.retire(drv);
+    if let Some((pid, ring)) = probe {
+        world.retire(pid);
+        let (gauges, gauges_evicted) = {
+            let mut g = locked(&ring);
+            (g.take(), g.evicted)
+        };
+        let (hops, hops_evicted) = inst.recorder.map_or((Vec::new(), 0), |r| {
+            let mut g = locked(&r);
+            (g.take(), g.evicted)
+        });
+        let mut key = format!("{}/{}", spec.topo.name(), spec.proto.label());
+        if !spec.cell.is_empty() {
+            key = format!("{key}/{}", spec.cell);
+        }
+        ndp_telemetry::session::submit(ndp_telemetry::PointTelemetry {
+            key,
+            tags: inst.tags,
+            gauges,
+            gauges_evicted,
+            spans: spans.map_or(Vec::new(), |s| ndp_telemetry::span::take_spans(&s)),
+            requests: requests.map_or(Vec::new(), |r| ndp_telemetry::span::take_requests(&r)),
+            hops,
+            hops_evicted,
+        });
+    }
+    (out, world)
+}

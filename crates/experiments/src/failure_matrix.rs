@@ -19,22 +19,20 @@
 //! claim is that NDP has zero), `reroutes` (packets the switches steered
 //! off dead ports), and the controller's per-kind link-event tally.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 use ndp_metrics::{SlowdownBins, Table};
 use ndp_net::flight::{FlightHook, FlightRecorder};
-use ndp_net::packet::{HostId, Packet};
+use ndp_net::packet::Packet;
 use ndp_net::queue::Queue;
 use ndp_net::switch::Switch;
-use ndp_net::{CompletionSink, Host};
 use ndp_sim::{SchedulerKind, Time, World};
-use ndp_telemetry::{Probe, ProbeSpec, SampleRing, SpanLog};
+use ndp_telemetry::TelemetryConfig;
 use ndp_topology::{link_index, ChaosController, ChaosTally, FabricEvent, FabricOp, Topology};
-use ndp_workloads::{ArrivalProcess, DynamicWorkload};
 
+use crate::driver::{run_driven, DrivenSpec, Instruments};
 use crate::harness::{Proto, Scale};
-use crate::openloop::{DistKind, Spawner, SWEEP_PROTOS};
+use crate::openloop::{flow_source, DistKind, SWEEP_PROTOS};
 use crate::sweep::SweepSpec;
 use crate::topo::{registered, TopoEntry, TopoSpec};
 
@@ -124,139 +122,15 @@ fn victim_links(topo: &dyn Topology) -> Vec<usize> {
     Vec::new()
 }
 
-/// The simulation behind one [`FailurePoint`]: the open-loop pipeline
-/// (lazy [`Spawner`], streaming completions, drain-to-idle) plus a
+/// The simulation behind one [`FailurePoint`]: an open-loop driven point
+/// (see [`crate::driver`]) whose set-up hook installs a
 /// [`ChaosController`] that kills the victim link pair for the `during`
-/// window. Builds its own seeded world, so sweep cells stay
-/// bit-reproducible regardless of `NDP_THREADS`.
+/// window and, under a telemetry session, instruments the victims and
+/// every switch.
 pub(crate) fn failure_world_run(point: &FailurePoint) -> FailureResult {
-    let mut world: World<Packet> = match point.sched {
-        Some(kind) => World::with_scheduler(point.seed, kind),
-        None => World::new(point.seed),
-    };
-    let topo: Arc<dyn Topology> = Arc::from(point.topo.build(&mut world, point.proto.fabric()));
-    let n = topo.n_hosts();
-    let sink = world.add(CompletionSink::totals_only());
-    for h in 0..n {
-        world
-            .get_mut::<Host>(topo.host(h as HostId))
-            .set_completion_sink(sink);
-    }
-
     let pre_end = point.warmup + point.pre;
     let during_end = pre_end + point.during;
     let arrivals_end = during_end + point.post;
-    let victims = victim_links(topo.as_ref());
-    let mut schedule = Vec::with_capacity(victims.len() * 2);
-    for &link in &victims {
-        schedule.push(FabricEvent {
-            at: pre_end,
-            op: FabricOp::LinkDown { link },
-        });
-        schedule.push(FabricEvent {
-            at: during_end,
-            op: FabricOp::LinkUp { link },
-        });
-    }
-    let ctrl = (!schedule.is_empty())
-        .then(|| ChaosController::install_into(&mut world, topo.as_ref(), schedule));
-
-    let sizes = point.dist.cdf();
-    let process = ArrivalProcess::poisson_for_load(
-        point.load,
-        topo.host_link_speed().as_bps(),
-        sizes.mean_size(),
-    );
-    let workload =
-        DynamicWorkload::new(n, process, sizes, point.seed ^ 0xD15C, arrivals_end.as_ps());
-    let sp = Spawner::install_into(
-        &mut world,
-        point.proto,
-        topo.clone(),
-        workload,
-        point.warmup,
-    );
-    let cap = arrivals_end + point.drain;
-
-    // Telemetry wiring (opt-in, gated on an active session): flight
-    // recorder on the victim queues plus reroute hooks on every switch,
-    // a sampling probe over the same targets, per-flow spans from the
-    // spawner. With no session none of this exists — the event stream and
-    // golden hashes are untouched.
-    let tele_cfg = ndp_telemetry::session::active();
-    let mut tele_tags: Vec<String> = Vec::new();
-    let mut tele_recorder: Option<Arc<Mutex<FlightRecorder>>> = None;
-    let mut tele_ring: Option<Arc<Mutex<SampleRing>>> = None;
-    let mut tele_spans: Option<SpanLog> = None;
-    if let Some(cfg) = tele_cfg {
-        let links = topo.links();
-        let recorder = Arc::new(Mutex::new(FlightRecorder::new(cfg.flight_capacity)));
-        let mut probe_queues = Vec::new();
-        for &li in &victims {
-            let l = &links[li];
-            let tag = tele_tags.len() as u32;
-            tele_tags.push(l.label.clone());
-            probe_queues.push((l.queue, tag));
-            if cfg.flight {
-                let hook = FlightHook::new(Arc::clone(&recorder), tag);
-                world.get_mut::<Queue>(l.queue).set_flight_hook(Some(hook));
-            }
-        }
-        let mut probe_switches = Vec::new();
-        let ids: Vec<_> = world.ids().collect();
-        for id in ids {
-            if world.try_get::<Switch>(id).is_none() {
-                continue;
-            }
-            let tag = tele_tags.len() as u32;
-            tele_tags.push(format!("switch[{}]", probe_switches.len()));
-            probe_switches.push((id, tag));
-            if cfg.flight {
-                let hook = FlightHook::new(Arc::clone(&recorder), tag);
-                world.get_mut::<Switch>(id).set_flight_hook(Some(hook));
-            }
-        }
-        let live_gauge = Arc::new(AtomicU64::new(0));
-        if cfg.spans {
-            let spans = ndp_telemetry::span::span_log();
-            let s = world.get_mut::<Spawner>(sp);
-            s.set_span_log(spans.clone());
-            s.set_live_gauge(Arc::clone(&live_gauge));
-            tele_spans = Some(spans);
-        }
-        // Sample through the measured windows only: the drain tail is
-        // near-constant, and letting it tick would evict the failure
-        // window from the bounded ring on stuck-flow cells that run to
-        // the full drain cap.
-        let (_, ring) = Probe::install_into(
-            &mut world,
-            ProbeSpec {
-                tick: cfg.probe_tick,
-                until: arrivals_end,
-                capacity: cfg.gauge_capacity,
-                queues: probe_queues,
-                switches: probe_switches,
-                live_flows: Some(live_gauge),
-            },
-        );
-        tele_ring = Some(ring);
-        if cfg.flight {
-            tele_recorder = Some(recorder);
-        }
-    }
-
-    // Phase of a measured flow, by its arrival instant.
-    let phase_of = |start: Time| -> usize {
-        if start < pre_end {
-            0
-        } else if start < during_end {
-            1
-        } else {
-            2
-        }
-    };
-
-    let chunk = Time::from_ps(((arrivals_end.as_ps() / 8).max(Time::from_ms(1).as_ps())).max(1));
     // Note: SlowdownBins::default() has no bins — `new()` is the
     // shape-stable constructor.
     let mut phases: [SlowdownBins; 3] = [
@@ -264,53 +138,56 @@ pub(crate) fn failure_world_run(point: &FailurePoint) -> FailureResult {
         SlowdownBins::new(),
         SlowdownBins::new(),
     ];
-    let mut done = false;
-    let mut target = Time::ZERO;
-    while !done {
-        target = (target.max(world.now()) + chunk).min(cap);
-        done = target == cap;
-        world.run_until(target);
-        let batch = std::mem::take(&mut world.get_mut::<Spawner>(sp).completed);
-        for c in &batch {
-            if c.measured {
-                phases[phase_of(c.start)].add(c.bytes, c.slowdown);
-            }
-        }
-        if world.now() >= arrivals_end && world.get::<Spawner>(sp).live_flows() == 0 {
-            done = true;
-        }
-        world.shrink_idle();
-    }
-
-    let (stragglers, offered, measured, peak_live_flows) = {
-        let s = world.get_mut::<Spawner>(sp);
-        (
-            s.drain_live(),
-            s.started as usize,
-            s.measured_arrivals,
-            s.peak_live,
-        )
+    let mut failed_links = 0;
+    let mut ctrl = None;
+    let spec = DrivenSpec {
+        proto: point.proto,
+        topo: &point.topo,
+        seed: point.seed,
+        sched: point.sched,
+        warmup: point.warmup,
+        arrivals_end,
+        drain: point.drain,
+        chunk_of: arrivals_end,
+        request_trees: false,
+        cell: "",
     };
-    let mut stuck_flows = 0usize;
-    for (flow, meta) in stragglers {
-        if meta.measured {
-            stuck_flows += 1;
-        }
-        let harvest = point.proto.transport().detach(
-            &mut world,
-            topo.host(meta.src),
-            topo.host(meta.dst),
-            flow,
-        );
-        if let Some(spans) = &tele_spans {
-            let mut span =
-                ndp_telemetry::FlowSpan::open(flow, meta.src, meta.dst, meta.bytes, meta.start);
-            span.measured = meta.measured;
-            span.stuck = true;
-            span.absorb(&harvest);
-            ndp_telemetry::span::push_span(spans, span);
-        }
-    }
+    let (d, world) = run_driven(
+        &spec,
+        |world, topo, tele| {
+            let victims = victim_links(topo.as_ref());
+            failed_links = victims.len();
+            let mut schedule = Vec::with_capacity(victims.len() * 2);
+            for &link in &victims {
+                schedule.push(FabricEvent {
+                    at: pre_end,
+                    op: FabricOp::LinkDown { link },
+                });
+                schedule.push(FabricEvent {
+                    at: during_end,
+                    op: FabricOp::LinkUp { link },
+                });
+            }
+            ctrl = (!schedule.is_empty())
+                .then(|| ChaosController::install_into(world, topo.as_ref(), schedule));
+            let inst = tele.map_or_else(Instruments::default, |cfg| {
+                instrument(world, topo.as_ref(), &victims, cfg)
+            });
+            let source = flow_source(
+                topo.as_ref(),
+                point.dist,
+                point.load,
+                point.seed,
+                arrivals_end,
+            );
+            (source, inst)
+        },
+        // Phase of a measured flow, by its arrival instant.
+        |c| {
+            let phase = usize::from(c.start >= pre_end) + usize::from(c.start >= during_end);
+            phases[phase].add(c.bytes, c.slowdown)
+        },
+    );
 
     let ids: Vec<_> = world.ids().collect();
     let reroutes = ids
@@ -326,50 +203,61 @@ pub(crate) fn failure_world_run(point: &FailurePoint) -> FailureResult {
     let tally = ctrl.map_or(ChaosTally::default(), |c| {
         world.get::<ChaosController>(c).tally
     });
-
-    if tele_cfg.is_some() {
-        let (gauges, gauges_evicted) = tele_ring.map_or((Vec::new(), 0), |r| {
-            let mut g = match r.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            (g.take(), g.evicted)
-        });
-        let (hops, hops_evicted) = tele_recorder.map_or((Vec::new(), 0), |r| {
-            let mut g = match r.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            (g.take(), g.evicted)
-        });
-        ndp_telemetry::session::submit(ndp_telemetry::PointTelemetry {
-            key: format!("{}/{}", point.topo.name(), point.proto.label()),
-            tags: tele_tags,
-            gauges,
-            gauges_evicted,
-            spans: tele_spans.map_or(Vec::new(), |s| ndp_telemetry::span::take_spans(&s)),
-            requests: Vec::new(),
-            hops,
-            hops_evicted,
-        });
-    }
-
     FailureResult {
         proto: point.proto,
         topo: point.topo.name(),
         phases,
-        measured,
-        stuck_flows,
-        offered,
-        failed_links: victims.len(),
+        measured: d.measured,
+        stuck_flows: d.stuck.len(),
+        offered: d.offered,
+        failed_links,
         reroutes,
         dropped_down,
         tally,
         events_processed: world.events_processed(),
         event_kinds: world.event_kind_counts(),
         peak_live_components: world.peak_live_components(),
-        peak_live_flows,
+        peak_live_flows: d.peak_live_flows,
     }
+}
+
+/// A cell's telemetry targets: a flight recorder on the victim queues
+/// plus reroute hooks on every switch, and the same components as probe
+/// targets.
+fn instrument(
+    world: &mut World<Packet>,
+    topo: &dyn Topology,
+    victims: &[usize],
+    cfg: TelemetryConfig,
+) -> Instruments {
+    let links = topo.links();
+    let recorder = Arc::new(Mutex::new(FlightRecorder::new(cfg.flight_capacity)));
+    let mut inst = Instruments::default();
+    for &li in victims {
+        let l = &links[li];
+        let tag = inst.tags.len() as u32;
+        inst.tags.push(l.label.clone());
+        inst.queues.push((l.queue, tag));
+        if cfg.flight {
+            let hook = FlightHook::new(Arc::clone(&recorder), tag);
+            world.get_mut::<Queue>(l.queue).set_flight_hook(Some(hook));
+        }
+    }
+    let ids: Vec<_> = world.ids().collect();
+    for id in ids {
+        if world.try_get::<Switch>(id).is_none() {
+            continue;
+        }
+        let tag = inst.tags.len() as u32;
+        inst.tags.push(format!("switch[{}]", inst.switches.len()));
+        inst.switches.push((id, tag));
+        if cfg.flight {
+            let hook = FlightHook::new(Arc::clone(&recorder), tag);
+            world.get_mut::<Switch>(id).set_flight_hook(Some(hook));
+        }
+    }
+    inst.recorder = Some(recorder);
+    inst
 }
 
 pub struct Report {

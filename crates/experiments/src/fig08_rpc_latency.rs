@@ -16,8 +16,8 @@ use ndp_sim::{Speed, Time, World};
 use ndp_topology::{BackToBack, QueueSpec, Topology};
 use ndp_workloads::{ArrivalProcess, EmpiricalCdf, RpcProfile, RpcWorkload, TenantMix, TreeShape};
 
+use crate::driver::RpcDriver;
 use crate::harness::{Proto, Scale};
-use crate::rpc::RpcDriver;
 use ndp_baselines::tcp::Handshake;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,7 +126,14 @@ fn run_stack(stack: Stack, n_rpcs: usize) -> Cdf {
     };
     let horizon = Time::from_secs(30);
     let workload = RpcWorkload::new(2, TenantMix::new(vec![profile]), 99, horizon.as_ps());
-    let drv = RpcDriver::install_into(&mut world, stack.proto(), topo, workload, Time::ZERO);
+    let drv = RpcDriver::install_into(
+        &mut world,
+        stack.proto(),
+        topo,
+        Box::new(workload),
+        Time::ZERO,
+        true,
+    );
     if stack.proto() != Proto::Ndp {
         // Kernel-stack variants: same driver, but legs attach as TCP
         // flows with the stack's handshake model.

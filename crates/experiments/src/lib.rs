@@ -19,6 +19,7 @@
 //! registry (names resolving to buildable [`topo::TopoSpec`]s behind
 //! `ndp run <id> --topo <name>` / `NDP_TOPO`).
 
+pub mod driver;
 pub mod failure_matrix;
 pub mod harness;
 pub mod json;

@@ -3,54 +3,26 @@
 //! slowdown per flow-size bin — the standard "slowdown vs. load" axis the
 //! low-latency-DC literature compares transports on.
 //!
-//! # Pipeline
-//!
 //! [`ndp_workloads::DynamicWorkload`] turns (hosts × [`ArrivalProcess`] ×
 //! [`EmpiricalCdf`]) into a time-ordered stream of `(start, src, dst,
-//! bytes)` events. The [`Spawner`] component walks that stream lazily,
-//! *inside* simulated time: at each flow's arrival instant it constructs
-//! the flow's [`FlowSpec`] and attaches its endpoints through the
-//! engine's deferred-op queue — so flow starts interleave with packet
-//! events exactly as an application would issue them, and a flow costs
-//! nothing before it arrives. When a flow's receiver reports completion,
-//! the Spawner records its slowdown sample and detaches both endpoints
-//! via [`crate::transport::Transport::detach`], freeing their state
-//! immediately. Live state — host endpoint maps, pull-queue entries,
-//! spawner bookkeeping — is therefore O(flows in flight), not O(flows
-//! ever offered), which is what makes long measure windows at high load
-//! affordable.
+//! bytes)` events, and each point runs it as the request source of a
+//! driven point (see [`crate::driver`]: an open-loop flow is a fan-out-1
+//! request). Each measured flow's FCT is taken against its own start time
+//! and normalized by [`Topology::ideal_fct`] — the topology's own
+//! unloaded-network lower bound, computed from its per-hop link speeds —
+//! to give its slowdown, streamed into [`SlowdownBins`] chunk by chunk.
 //!
-//! # Windows
-//!
-//! A run has three phases: `warmup` (arrivals happen but are not
-//! measured, letting queues reach steady state), `measure` (arrivals are
-//! measured), and `drain` (no new arrivals; in-flight measured flows may
-//! still complete). The runner steps the world in chunks, streaming
-//! completed flows into [`SlowdownBins`] after each chunk, and the drain
-//! phase ends as soon as the live-flow gauge hits zero — `drain` is a
-//! cap, not a fixed horizon. Each measured flow's FCT is taken against
-//! its own start time and normalized by [`Topology::ideal_fct`] — the
-//! topology's own unloaded-network lower bound, computed from its
-//! per-hop link speeds — to give its slowdown.
-//!
-//! The whole pipeline is topology-neutral: the [`Spawner`] and runner
-//! hold `Arc<dyn Topology>`/[`crate::topo::TopoSpec`] and the default
-//! fabric comes from the [`crate::topo`] registry, so the same sweep
-//! runs on any registered shape via `ndp run <id> --topo <name>`.
-
-use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! The whole pipeline is topology-neutral: the default fabric comes from
+//! the [`crate::topo`] registry, so the same sweep runs on any registered
+//! shape via `ndp run <id> --topo <name>`.
 
 use ndp_metrics::{SlowdownBins, Table, SLOWDOWN_BIN_LABELS};
-use ndp_net::packet::{FlowId, HostId, Packet};
-use ndp_net::{CompletionSink, Host};
-use ndp_sim::{Component, ComponentId, Ctx, Event, EventKindCounts, Time, World};
+use ndp_sim::{EventKindCounts, Time};
 use ndp_topology::Topology;
-use ndp_workloads::{ArrivalProcess, DynamicWorkload, EmpiricalCdf, FlowEvent};
+use ndp_workloads::{ArrivalProcess, DynamicWorkload, EmpiricalCdf};
 
-use crate::harness::{FlowSpec, Proto, Scale};
+use crate::driver::{run_driven, DrivenSpec, Flows, Instruments, RequestSource};
+use crate::harness::{Proto, Scale};
 use crate::sweep::{sweep_openloop, OpenLoopPoint, SweepSpec};
 use crate::topo::{registered, TopoEntry, TopoSpec};
 
@@ -74,232 +46,6 @@ impl DistKind {
             DistKind::WebSearch => "websearch",
             DistKind::DataMining => "datamining",
         }
-    }
-}
-
-/// The spawner's self-wake token. Completion wakes carry the flow id, and
-/// flow ids start at 1 and count up, so `u64::MAX` can never collide.
-const SPAWN_TICK: u64 = u64::MAX;
-
-/// One in-flight flow's bookkeeping, dropped the instant it completes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LiveFlow {
-    pub(crate) start: Time,
-    pub(crate) bytes: u64,
-    pub(crate) src: HostId,
-    pub(crate) dst: HostId,
-    /// Did the flow arrive inside the measurement window?
-    pub(crate) measured: bool,
-}
-
-/// A finished flow's slowdown sample, buffered until the runner's next
-/// streaming drain.
-#[derive(Clone, Copy, Debug)]
-pub struct CompletedFlow {
-    /// Arrival instant — phase-windowed reports (the failure matrix)
-    /// attribute each sample to the phase its flow *started* in.
-    pub start: Time,
-    pub bytes: u64,
-    pub slowdown: f64,
-    pub measured: bool,
-}
-
-/// Drives the whole flow lifecycle inside simulated time.
-///
-/// The spawner owns the (lazy) arrival stream. Riding a single self-wake
-/// chain, it attaches each flow via a deferred world op *at its arrival
-/// instant* — endpoints for a flow that hasn't arrived yet simply don't
-/// exist. Each flow's `FlowSpec.notify` points back at the spawner, so on
-/// completion it books the slowdown sample and defers a
-/// [`crate::transport::Transport::detach`] that frees both endpoints.
-pub struct Spawner {
-    proto: Proto,
-    topo: Arc<dyn Topology>,
-    arrivals: Box<dyn Iterator<Item = FlowEvent> + Send>,
-    /// Next arrival, pulled from the stream but not yet due.
-    pending: Option<FlowEvent>,
-    next_flow: FlowId,
-    warmup: Time,
-    live: HashMap<FlowId, LiveFlow>,
-    /// Completed-flow samples since the runner's last drain.
-    pub completed: Vec<CompletedFlow>,
-    /// Flows attached so far (every arrival offered gets attached).
-    pub started: u64,
-    /// Arrivals that fell inside the measurement window.
-    pub measured_arrivals: usize,
-    /// High-water mark of concurrently live flows.
-    pub peak_live: usize,
-    /// Optional telemetry span sink: when set, every detached flow's
-    /// harvest is folded into a [`ndp_telemetry::FlowSpan`]. `None` (the
-    /// default) records nothing and costs nothing.
-    spans: Option<ndp_telemetry::SpanLog>,
-    /// Optional live-flow gauge published for the telemetry probe.
-    live_gauge: Option<Arc<AtomicU64>>,
-}
-
-impl Spawner {
-    /// Install a spawner over an arrival stream and arm its first wake-up.
-    /// `arrivals` must be time-ordered (the workload iterator yields it
-    /// that way).
-    pub fn install_into(
-        world: &mut World<Packet>,
-        proto: Proto,
-        topo: Arc<dyn Topology>,
-        arrivals: impl Iterator<Item = FlowEvent> + Send + 'static,
-        warmup: Time,
-    ) -> ComponentId {
-        let mut arrivals: Box<dyn Iterator<Item = FlowEvent> + Send> = Box::new(arrivals);
-        let pending = arrivals.next();
-        let first = pending.as_ref().map(|ev| Time::from_ps(ev.start_ps));
-        let id = world.add(Spawner {
-            proto,
-            topo,
-            arrivals,
-            pending,
-            next_flow: 1,
-            warmup,
-            live: HashMap::new(),
-            completed: Vec::new(),
-            started: 0,
-            measured_arrivals: 0,
-            peak_live: 0,
-            spans: None,
-            live_gauge: None,
-        });
-        if let Some(at) = first {
-            world.post_wake(at, id, SPAWN_TICK);
-        }
-        id
-    }
-
-    /// Flows currently in flight.
-    pub fn live_flows(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Record a [`ndp_telemetry::FlowSpan`] for every flow this spawner
-    /// detaches. Telemetry-only; the spawner's event behaviour is
-    /// identical with or without a sink.
-    pub fn set_span_log(&mut self, log: ndp_telemetry::SpanLog) {
-        self.spans = Some(log);
-    }
-
-    /// Publish the live-flow count into `gauge` after every change, for
-    /// the telemetry probe's world samples.
-    pub fn set_live_gauge(&mut self, gauge: Arc<AtomicU64>) {
-        gauge.store(self.live.len() as u64, Ordering::Relaxed);
-        self.live_gauge = Some(gauge);
-    }
-
-    fn publish_live(&self) {
-        if let Some(g) = &self.live_gauge {
-            g.store(self.live.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Take every still-live flow — the stragglers a runner detaches when
-    /// its drain cap expires.
-    pub(crate) fn drain_live(&mut self) -> Vec<(FlowId, LiveFlow)> {
-        let out = self.live.drain().collect();
-        self.publish_live();
-        out
-    }
-
-    /// Attach one arrival (now due) through the deferred-op path.
-    fn spawn(&mut self, ev: FlowEvent, ctx: &mut Ctx<'_, Packet>) {
-        let flow = self.next_flow;
-        self.next_flow += 1;
-        let start = ctx.now();
-        debug_assert_eq!(start.as_ps(), ev.start_ps, "spawn wake drifted");
-        let measured = start >= self.warmup;
-        self.started += 1;
-        if measured {
-            self.measured_arrivals += 1;
-        }
-        self.live.insert(
-            flow,
-            LiveFlow {
-                start,
-                bytes: ev.bytes,
-                src: ev.src,
-                dst: ev.dst,
-                measured,
-            },
-        );
-        self.peak_live = self.peak_live.max(self.live.len());
-        self.publish_live();
-        let mut spec = FlowSpec::new(flow, ev.src, ev.dst, ev.bytes);
-        spec.start = start;
-        spec.notify = Some((ctx.self_id(), flow));
-        let proto = self.proto;
-        let src = (self.topo.host(ev.src), ev.src);
-        let dst = (self.topo.host(ev.dst), ev.dst);
-        let n_paths = self.topo.n_paths(ev.src, ev.dst);
-        let mtu = self.topo.mtu();
-        ctx.defer(move |w| {
-            crate::harness::attach_generic(w, proto, &spec, src, dst, n_paths, mtu);
-        });
-    }
-
-    /// A flow's receiver reported completion: book the sample, free the
-    /// endpoints.
-    fn finish(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Packet>) {
-        let Some(meta) = self.live.remove(&flow) else {
-            return; // duplicate notify — already retired
-        };
-        self.publish_live();
-        let fct = ctx.now() - meta.start;
-        let ideal = self.topo.ideal_fct(meta.src, meta.dst, meta.bytes);
-        let slowdown = fct.as_ps() as f64 / ideal.as_ps() as f64;
-        self.completed.push(CompletedFlow {
-            start: meta.start,
-            bytes: meta.bytes,
-            slowdown,
-            measured: meta.measured,
-        });
-        let proto = self.proto;
-        let src = self.topo.host(meta.src);
-        let dst = self.topo.host(meta.dst);
-        let spans = self.spans.clone();
-        ctx.defer(move |w| {
-            let harvest = proto.transport().detach(w, src, dst, flow);
-            if let Some(log) = spans {
-                let mut span =
-                    ndp_telemetry::FlowSpan::open(flow, meta.src, meta.dst, meta.bytes, meta.start);
-                span.measured = meta.measured;
-                span.slowdown = slowdown;
-                span.absorb(&harvest);
-                ndp_telemetry::span::push_span(&log, span);
-            }
-        });
-    }
-}
-
-impl Component<Packet> for Spawner {
-    fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
-        match ev {
-            Event::Wake(SPAWN_TICK) => loop {
-                if self.pending.is_none() {
-                    self.pending = self.arrivals.next();
-                }
-                let Some(ev) = self.pending else { break };
-                let at = Time::from_ps(ev.start_ps);
-                if at > ctx.now() {
-                    ctx.wake_at(at, SPAWN_TICK);
-                    break;
-                }
-                self.pending = None;
-                self.spawn(ev, ctx);
-            },
-            Event::Wake(flow) => self.finish(flow, ctx),
-            Event::Msg(_) => {}
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -343,121 +89,73 @@ pub fn openloop_run(point: OpenLoopPoint) -> OpenLoopResult {
         .expect("single-point sweep")
 }
 
-/// The simulation behind one [`OpenLoopPoint`]: builds its own seeded
-/// world, so concurrent sweep executions are independent and
-/// bit-reproducible regardless of `NDP_THREADS`.
+/// The open-loop flow stream of one point as a request source. It is a
+/// function of (seed, load, dist) only — every protocol at the same point
+/// sees the identical flow sequence, so comparisons are paired, not merely
+/// distributionally matched.
+pub(crate) fn flow_source(
+    topo: &dyn Topology,
+    dist: DistKind,
+    load: f64,
+    seed: u64,
+    arrivals_end: Time,
+) -> Box<dyn RequestSource> {
+    let sizes = dist.cdf();
+    let process =
+        ArrivalProcess::poisson_for_load(load, topo.host_link_speed().as_bps(), sizes.mean_size());
+    Box::new(Flows::new(DynamicWorkload::new(
+        topo.n_hosts(),
+        process,
+        sizes,
+        seed ^ 0xD15C,
+        arrivals_end.as_ps(),
+    )))
+}
+
+/// The simulation behind one [`OpenLoopPoint`], on [`run_driven`]: each
+/// measured flow's slowdown streams into [`SlowdownBins`].
 pub(crate) fn openloop_world_run(point: &OpenLoopPoint) -> OpenLoopResult {
-    let mut world: World<Packet> = World::new(point.seed);
-    let topo: Arc<dyn Topology> = Arc::from(point.topo.build(&mut world, point.proto.fabric()));
-    let n = topo.n_hosts();
-    // Totals-only: the runner consumes the sink's delivered-bytes
-    // accounting, while per-flow samples come from the Spawner — no
-    // per-record buffer to churn.
-    let sink = world.add(CompletionSink::totals_only());
-    for h in 0..n {
-        world
-            .get_mut::<Host>(topo.host(h as HostId))
-            .set_completion_sink(sink);
-    }
-    let live_components_baseline = world.live_components();
-    let sizes = point.dist.cdf();
-    let process = ArrivalProcess::poisson_for_load(
-        point.load,
-        topo.host_link_speed().as_bps(),
-        sizes.mean_size(),
-    );
     let arrivals_end = point.warmup + point.measure;
-    // The arrival stream is a function of (seed, load, dist) only — every
-    // protocol at the same point sees the identical flow sequence, so
-    // comparisons are paired, not merely distributionally matched. The
-    // Spawner consumes it lazily, one flow per arrival instant.
-    let workload =
-        DynamicWorkload::new(n, process, sizes, point.seed ^ 0xD15C, arrivals_end.as_ps());
-    let sp = Spawner::install_into(
-        &mut world,
-        point.proto,
-        topo.clone(),
-        workload,
-        point.warmup,
-    );
-
-    // Step the world in chunks, streaming each chunk's completed flows
-    // into the bins and freeing the sink's record buffer, so no
-    // O(total arrivals) structure survives the run. `drain` caps the tail;
-    // the run actually ends when the live-flow gauge reaches zero.
-    let cap = arrivals_end + point.drain;
-    let chunk = Time::from_ps((point.measure.as_ps() / 8).max(Time::from_ms(1).as_ps()));
     let mut slowdown = SlowdownBins::new();
-    let mut done = false;
-    let mut target = Time::ZERO;
-    while !done {
-        // `run_until` leaves `now()` at the last processed event, which
-        // can sit *before* the chunk boundary when a chunk is eventless
-        // (sparse arrivals on a 2-host fabric) — so the boundary grid
-        // must advance monotonically on its own, not off `now()`.
-        target = (target.max(world.now()) + chunk).min(cap);
-        done = target == cap;
-        world.run_until(target);
-        let batch = std::mem::take(&mut world.get_mut::<Spawner>(sp).completed);
-        for c in &batch {
-            if c.measured {
-                slowdown.add(c.bytes, c.slowdown);
-            }
-        }
-        if world.now() >= arrivals_end && world.get::<Spawner>(sp).live_flows() == 0 {
-            done = true;
-        }
-        // Scheduler buckets never shrink mid-run (capacity reuse keeps
-        // refills allocation-free); releasing burst capacity at chunk
-        // boundaries keeps a long sweep point from holding its peak-burst
-        // memory through the whole measure + drain tail.
-        world.shrink_idle();
-    }
-    let (completed_flows, delivered_bytes) = {
-        let s = world.get::<CompletionSink>(sink);
-        (s.total_flows, s.total_bytes)
+    let cell = format!("load{:.2}", point.load);
+    let spec = DrivenSpec {
+        proto: point.proto,
+        topo: &point.topo,
+        seed: point.seed,
+        sched: None,
+        warmup: point.warmup,
+        arrivals_end,
+        drain: point.drain,
+        chunk_of: point.measure,
+        request_trees: false,
+        cell: &cell,
     };
-
-    // Flows still live at the cap are the incomplete ones; detach them so
-    // the world drains back to its pre-traffic component population.
-    let (stragglers, offered, measured, peak_live_flows) = {
-        let s = world.get_mut::<Spawner>(sp);
-        let stragglers: Vec<(FlowId, LiveFlow)> = s.live.drain().collect();
-        (
-            stragglers,
-            s.started as usize,
-            s.measured_arrivals,
-            s.peak_live,
-        )
-    };
-    debug_assert_eq!(
-        completed_flows as usize + stragglers.len(),
-        offered,
-        "sink reports must account for every non-straggler flow"
+    let (d, world) = run_driven(
+        &spec,
+        |_, topo, _| {
+            let source = flow_source(
+                topo.as_ref(),
+                point.dist,
+                point.load,
+                point.seed,
+                arrivals_end,
+            );
+            (source, Instruments::default())
+        },
+        |c| slowdown.add(c.bytes, c.slowdown),
     );
-    let mut incomplete = 0usize;
-    for (flow, meta) in stragglers {
-        if meta.measured {
-            incomplete += 1;
-        }
-        point
-            .proto
-            .transport()
-            .detach(&mut world, topo.host(meta.src), topo.host(meta.dst), flow);
-    }
-    world.retire(sp);
     OpenLoopResult {
         proto: point.proto,
         load: point.load,
         slowdown,
-        measured,
-        incomplete,
-        offered,
-        delivered_bytes,
+        measured: d.measured,
+        incomplete: d.stuck.len(),
+        offered: d.offered,
+        delivered_bytes: d.delivered_bytes,
         events_processed: world.events_processed(),
         event_kinds: world.event_kind_counts(),
-        peak_live_flows,
-        live_components_baseline,
+        peak_live_flows: d.peak_live_flows,
+        live_components_baseline: d.live_components_baseline,
         live_components_end: world.live_components(),
         peak_live_components: world.peak_live_components(),
     }
@@ -814,6 +512,12 @@ impl crate::registry::Experiment for OversubLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RpcDriver;
+    use ndp_net::packet::Packet;
+    use ndp_net::Host;
+    use ndp_sim::World;
+    use ndp_workloads::FlowEvent;
+    use std::sync::Arc;
 
     fn quick_point(proto: Proto, load: f64, seed: u64) -> OpenLoopPoint {
         OpenLoopPoint {
@@ -899,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn spawner_attaches_at_arrival_and_retires_on_completion() {
+    fn driver_attaches_at_arrival_and_retires_on_completion() {
         let mut w: World<Packet> = World::new(1);
         let topo: Arc<dyn Topology> = Arc::from(
             registered("fattree")
@@ -914,22 +618,23 @@ mod tests {
             dst: 15,
             bytes: 90_000,
         };
-        let sp = Spawner::install_into(
+        let sp = RpcDriver::install_into(
             &mut w,
             Proto::Ndp,
             topo.clone(),
-            std::iter::once(arrival),
+            Box::new(Flows::new(std::iter::once(arrival))),
             Time::ZERO,
+            false,
         );
         // Before the arrival instant nothing exists for the flow.
         w.run_until(Time::from_us(49));
         assert_eq!(w.get::<Host>(topo.host(0)).n_endpoints(), 0);
-        assert_eq!(w.get::<Spawner>(sp).started, 0);
+        assert_eq!(w.get::<RpcDriver>(sp).started, 0);
         w.run_until(Time::from_ms(20));
-        let s = w.get::<Spawner>(sp);
+        let s = w.get::<RpcDriver>(sp);
         assert_eq!(s.started, 1);
         assert_eq!(s.live_flows(), 0, "completed flow must leave the live set");
-        assert_eq!(s.peak_live, 1);
+        assert_eq!(s.peak_live_flows, 1);
         assert_eq!(s.completed.len(), 1);
         let fct_over_ideal = s.completed[0].slowdown;
         // Unloaded network: the flow runs at ideal speed, give ~200 us of
@@ -941,7 +646,7 @@ mod tests {
         // Both endpoints were detached the instant the flow finished.
         assert_eq!(w.get::<Host>(topo.host(0)).n_endpoints(), 0);
         assert_eq!(w.get::<Host>(topo.host(15)).n_endpoints(), 0);
-        // Retiring the spawner returns the arena to its pre-traffic state.
+        // Retiring the driver returns the arena to its pre-traffic state.
         w.retire(sp);
         assert_eq!(w.live_components(), baseline);
     }
@@ -999,7 +704,7 @@ mod tests {
         assert_eq!(
             r.peak_live_components,
             r.live_components_baseline + 1,
-            "only the spawner joins the arena during traffic"
+            "only the driver joins the arena during traffic"
         );
         // The world-level sink accounted for the completed flows' payload.
         assert!(

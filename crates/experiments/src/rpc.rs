@@ -1,21 +1,13 @@
 //! The RPC serving subsystem: fan-out/fan-in request trees graded by
 //! end-to-end request latency, not per-flow FCT.
 //!
-//! # Driver
-//!
-//! [`RpcDriver`] is the request-tree counterpart of the open-loop
-//! [`crate::openloop::Spawner`]: one self-wake chain walks the merged
-//! request stream of an [`RpcWorkload`] inside simulated time. At each
-//! request's arrival instant it attaches *all* shard legs through the
-//! engine's deferred-op path (the response path is a natural N:1 incast
-//! onto the client ToR); each leg's `FlowSpec.notify` points back at the
-//! driver, so fan-in completion is tracked exactly — a request is done
-//! when its *last* flow is done, optionally after a sequential upstream
-//! response flow. Completions feed per-tenant request-latency digests
-//! ([`ndp_metrics::TenantDigest`]): p50/p99/p999 with sample-size
-//! confidence gates, SLO attainment against the tenant deadline, and
-//! straggler attribution. Closed-loop tenants are self-clocked: each
-//! completion asks the workload for the chain's next request.
+//! An [`RpcWorkload`] is the request source of a driven point (see
+//! [`crate::driver`]): all shard legs of a request attach at its arrival
+//! instant (the response path is a natural N:1 incast onto the client
+//! ToR) and the request is done when its *last* flow is. Completions feed
+//! per-tenant request-latency digests ([`ndp_metrics::TenantDigest`]):
+//! p50/p99/p999 with sample-size confidence gates, SLO attainment against
+//! the tenant deadline, and straggler attribution.
 //!
 //! # Experiments
 //!
@@ -36,494 +28,16 @@
 //! `FlowSpan.request` back-links on their legs) surface the fan-out trees
 //! in the NDJSON/Perfetto exports.
 
-use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use ndp_metrics::{Table, TenantDigest};
-use ndp_net::packet::{FlowId, HostId, Packet};
-use ndp_net::{CompletionSink, Host};
-use ndp_sim::{Component, ComponentId, Ctx, Event, EventKindCounts, SchedulerKind, Time, World};
+use ndp_sim::{EventKindCounts, SchedulerKind, Time};
 use ndp_topology::Topology;
-use ndp_workloads::{
-    ArrivalProcess, EmpiricalCdf, FlowLeg, RpcProfile, RpcRequest, RpcWorkload, TenantMix,
-    TreeShape,
-};
+use ndp_workloads::{ArrivalProcess, EmpiricalCdf, RpcProfile, RpcWorkload, TenantMix, TreeShape};
 
-use crate::harness::{FlowSpec, Proto, Scale};
+use crate::driver::{run_driven, DrivenSpec, Instruments};
+use crate::harness::{Proto, Scale};
 use crate::openloop::SWEEP_PROTOS;
 use crate::sweep::SweepSpec;
 use crate::topo::{registered, TopoEntry, TopoSpec};
-
-/// The driver's self-wake token. Completion wakes carry the flow id, and
-/// flow ids start at 1 and count up, so `u64::MAX` can never collide.
-const SPAWN_TICK: u64 = u64::MAX;
-
-/// Pluggable flow-attach hook: how the driver turns a due [`FlowSpec`]
-/// into live endpoints. `None` uses the standard
-/// [`crate::harness::attach_generic`] path; the Figure 8 port substitutes
-/// its handshake-variant TCP attach here.
-pub type AttachFn = Arc<dyn Fn(&mut World<Packet>, &FlowSpec) + Send + Sync>;
-
-/// Which flow of a request tree a live flow is.
-#[derive(Clone, Copy, Debug)]
-enum LegRef {
-    /// Parallel shard leg `i`.
-    Leg(u32),
-    /// The sequential follow-up flow.
-    Response,
-}
-
-/// One in-flight flow's bookkeeping, keyed by flow id.
-#[derive(Clone, Copy, Debug)]
-struct FlowRef {
-    req: u64,
-    leg: LegRef,
-    src: HostId,
-    dst: HostId,
-    bytes: u64,
-    start: Time,
-}
-
-/// One in-flight request tree, dropped the instant its last flow is done.
-#[derive(Clone, Debug)]
-struct LiveRequest {
-    tenant: u32,
-    seq: u64,
-    client: HostId,
-    start: Time,
-    measured: bool,
-    /// Shard legs still in flight; the fan-in completes at zero.
-    legs_left: usize,
-    fanout: u32,
-    max_leg_bytes: u64,
-    /// Index and size of the last shard leg to finish (the straggler).
-    last_leg: u32,
-    last_leg_bytes: u64,
-    /// Deferred sequential stage, taken when the fan-in completes.
-    response: Option<FlowLeg>,
-}
-
-/// A finished request's sample, buffered until the runner's next
-/// streaming drain.
-#[derive(Clone, Copy, Debug)]
-pub struct CompletedRequest {
-    pub tenant: u32,
-    pub seq: u64,
-    pub start: Time,
-    /// End-to-end: request arrival to last-flow completion.
-    pub latency: Time,
-    pub straggler_leg: u32,
-    pub straggler_was_largest: bool,
-    pub measured: bool,
-}
-
-/// Closed-loop follow-ups waiting for their think-time instant, ordered
-/// like the workload's open-loop merge: `(time, tenant, seq)`.
-struct QueuedRequest(RpcRequest);
-
-impl PartialEq for QueuedRequest {
-    fn eq(&self, other: &QueuedRequest) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for QueuedRequest {}
-impl PartialOrd for QueuedRequest {
-    fn partial_cmp(&self, other: &QueuedRequest) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedRequest {
-    fn cmp(&self, other: &QueuedRequest) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-impl QueuedRequest {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.0.start_ps, self.0.tenant, self.0.seq)
-    }
-}
-
-/// What the fan-in bookkeeping decided a finished flow triggers.
-enum AfterFlow {
-    Nothing,
-    Response(u64, FlowLeg),
-    Complete(u64),
-}
-
-/// Still-live flows and requests handed back by [`RpcDriver::drain_live`]
-/// when a runner's drain cap expires.
-type DrainedLive = (Vec<(FlowId, FlowRef)>, Vec<(u64, LiveRequest)>);
-
-/// Drives request trees through their whole lifecycle inside simulated
-/// time — the [`crate::openloop::Spawner`] pattern lifted from flows to
-/// requests. Live state is O(requests in flight), never O(requests ever
-/// offered): legs attach lazily at the request's arrival instant and both
-/// endpoints detach the moment each leg completes.
-pub struct RpcDriver {
-    proto: Proto,
-    topo: Arc<dyn Topology>,
-    workload: RpcWorkload,
-    /// Next open-loop arrival, pulled from the stream but not yet due.
-    pending_open: Option<RpcRequest>,
-    /// Closed-loop follow-ups not yet due.
-    pending_closed: BinaryHeap<Reverse<QueuedRequest>>,
-    next_flow: FlowId,
-    next_req: u64,
-    warmup: Time,
-    live: HashMap<u64, LiveRequest>,
-    flows: HashMap<FlowId, FlowRef>,
-    /// Completed-request samples since the runner's last drain.
-    pub completed: Vec<CompletedRequest>,
-    /// Requests spawned so far.
-    pub started: u64,
-    /// Requests that arrived inside the measurement window.
-    pub measured_arrivals: usize,
-    /// Per-tenant measured arrivals — each tenant digest's `offered`.
-    pub measured_per_tenant: Vec<u64>,
-    pub peak_live_requests: usize,
-    pub peak_live_flows: usize,
-    /// Attach override; `None` = the generic per-protocol path.
-    attach: Option<AttachFn>,
-    spans: Option<ndp_telemetry::SpanLog>,
-    requests_log: Option<ndp_telemetry::RequestLog>,
-    live_gauge: Option<Arc<AtomicU64>>,
-}
-
-impl RpcDriver {
-    /// Install a driver over a request workload and arm its first wake.
-    /// Seeds every closed-loop tenant's initial chains, then pulls the
-    /// open-loop stream lazily.
-    pub fn install_into(
-        world: &mut World<Packet>,
-        proto: Proto,
-        topo: Arc<dyn Topology>,
-        mut workload: RpcWorkload,
-        warmup: Time,
-    ) -> ComponentId {
-        let mut pending_closed = BinaryHeap::new();
-        for req in workload.initial_closed_loop() {
-            pending_closed.push(Reverse(QueuedRequest(req)));
-        }
-        let pending_open = workload.next();
-        let first_open = pending_open.as_ref().map(|r| r.start_ps);
-        let first_closed = pending_closed.peek().map(|Reverse(q)| q.0.start_ps);
-        let first = match (first_open, first_closed) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let id = world.add(RpcDriver {
-            proto,
-            topo,
-            workload,
-            pending_open,
-            pending_closed,
-            next_flow: 1,
-            next_req: 0,
-            warmup,
-            live: HashMap::new(),
-            flows: HashMap::new(),
-            completed: Vec::new(),
-            started: 0,
-            measured_arrivals: 0,
-            measured_per_tenant: Vec::new(),
-            peak_live_requests: 0,
-            peak_live_flows: 0,
-            attach: None,
-            spans: None,
-            requests_log: None,
-            live_gauge: None,
-        });
-        if let Some(at) = first {
-            world.post_wake(Time::from_ps(at), id, SPAWN_TICK);
-        }
-        id
-    }
-
-    /// Flows currently in flight (across all live requests).
-    pub fn live_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Requests currently in flight.
-    pub fn live_requests(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Replace the generic attach path (the Figure 8 handshake variants).
-    pub fn set_attach(&mut self, attach: AttachFn) {
-        self.attach = Some(attach);
-    }
-
-    /// Record a [`ndp_telemetry::FlowSpan`] (tagged with its request id)
-    /// for every leg this driver detaches.
-    pub fn set_span_log(&mut self, log: ndp_telemetry::SpanLog) {
-        self.spans = Some(log);
-    }
-
-    /// Record a [`ndp_telemetry::RequestSpan`] for every completed
-    /// request.
-    pub fn set_request_log(&mut self, log: ndp_telemetry::RequestLog) {
-        self.requests_log = Some(log);
-    }
-
-    /// Publish the live-flow count into `gauge` after every change, for
-    /// the telemetry probe's world samples.
-    pub fn set_live_gauge(&mut self, gauge: Arc<AtomicU64>) {
-        gauge.store(self.flows.len() as u64, Ordering::Relaxed);
-        self.live_gauge = Some(gauge);
-    }
-
-    fn publish_live(&self) {
-        if let Some(g) = &self.live_gauge {
-            g.store(self.flows.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// The next due request across both streams, or the instant to sleep
-    /// until. Ties are broken `(time, tenant, seq)` exactly like the
-    /// workload's own merge.
-    fn pop_due(&mut self, now: Time) -> Result<Option<RpcRequest>, Time> {
-        let open_key = self
-            .pending_open
-            .as_ref()
-            .map(|r| (r.start_ps, r.tenant, r.seq));
-        let closed_key = self.pending_closed.peek().map(|Reverse(q)| q.key());
-        let take_open = match (open_key, closed_key) {
-            (None, None) => return Ok(None),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(o), Some(c)) => o < c,
-        };
-        let at = if take_open {
-            open_key.unwrap().0
-        } else {
-            closed_key.unwrap().0
-        };
-        if Time::from_ps(at) > now {
-            return Err(Time::from_ps(at));
-        }
-        Ok(Some(if take_open {
-            let req = self.pending_open.take().unwrap();
-            self.pending_open = self.workload.next();
-            req
-        } else {
-            self.pending_closed.pop().unwrap().0 .0
-        }))
-    }
-
-    /// Start one request: book the tree, attach every shard leg.
-    fn spawn(&mut self, req: RpcRequest, ctx: &mut Ctx<'_, Packet>) {
-        let rid = self.next_req;
-        self.next_req += 1;
-        let start = ctx.now();
-        debug_assert_eq!(start.as_ps(), req.start_ps, "spawn wake drifted");
-        let measured = start >= self.warmup;
-        self.started += 1;
-        if measured {
-            self.measured_arrivals += 1;
-            let t = req.tenant as usize;
-            if self.measured_per_tenant.len() <= t {
-                self.measured_per_tenant.resize(t + 1, 0);
-            }
-            self.measured_per_tenant[t] += 1;
-        }
-        self.live.insert(
-            rid,
-            LiveRequest {
-                tenant: req.tenant,
-                seq: req.seq,
-                client: req.client,
-                start,
-                measured,
-                legs_left: req.legs.len(),
-                fanout: req.legs.len() as u32,
-                max_leg_bytes: req.legs.iter().map(|l| l.bytes).max().unwrap_or(0),
-                last_leg: 0,
-                last_leg_bytes: 0,
-                response: req.response,
-            },
-        );
-        self.peak_live_requests = self.peak_live_requests.max(self.live.len());
-        for (i, leg) in req.legs.iter().enumerate() {
-            self.start_flow(rid, LegRef::Leg(i as u32), *leg, ctx);
-        }
-    }
-
-    /// Attach one flow of a request through the deferred-op path.
-    fn start_flow(&mut self, rid: u64, leg: LegRef, fl: FlowLeg, ctx: &mut Ctx<'_, Packet>) {
-        let flow = self.next_flow;
-        self.next_flow += 1;
-        let start = ctx.now();
-        self.flows.insert(
-            flow,
-            FlowRef {
-                req: rid,
-                leg,
-                src: fl.src,
-                dst: fl.dst,
-                bytes: fl.bytes,
-                start,
-            },
-        );
-        self.peak_live_flows = self.peak_live_flows.max(self.flows.len());
-        self.publish_live();
-        let mut spec = FlowSpec::new(flow, fl.src, fl.dst, fl.bytes);
-        spec.start = start;
-        spec.notify = Some((ctx.self_id(), flow));
-        // A request only completes when *every* leg does, so arm the
-        // transport's stall-recovery net (NDP: the lost-PULL liveness
-        // timer) — one stuck leg would otherwise wedge the whole request.
-        spec.liveness = true;
-        match &self.attach {
-            Some(f) => {
-                let f = Arc::clone(f);
-                ctx.defer(move |w| f(w, &spec));
-            }
-            None => {
-                let proto = self.proto;
-                let src = (self.topo.host(fl.src), fl.src);
-                let dst = (self.topo.host(fl.dst), fl.dst);
-                let n_paths = self.topo.n_paths(fl.src, fl.dst);
-                let mtu = self.topo.mtu();
-                ctx.defer(move |w| {
-                    crate::harness::attach_generic(w, proto, &spec, src, dst, n_paths, mtu);
-                });
-            }
-        }
-    }
-
-    /// One of a request's flows completed: detach it, advance the fan-in.
-    fn finish(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Packet>) {
-        let Some(fr) = self.flows.remove(&flow) else {
-            return; // duplicate notify — already retired
-        };
-        self.publish_live();
-        let measured = self.live.get(&fr.req).is_some_and(|r| r.measured);
-        let proto = self.proto;
-        let src = self.topo.host(fr.src);
-        let dst = self.topo.host(fr.dst);
-        let ideal = self.topo.ideal_fct(fr.src, fr.dst, fr.bytes);
-        let slowdown = (ctx.now() - fr.start).as_ps() as f64 / ideal.as_ps() as f64;
-        let spans = self.spans.clone();
-        ctx.defer(move |w| {
-            let harvest = proto.transport().detach(w, src, dst, flow);
-            if let Some(log) = spans {
-                let mut span =
-                    ndp_telemetry::FlowSpan::open(flow, fr.src, fr.dst, fr.bytes, fr.start);
-                span.request = Some(fr.req);
-                span.measured = measured;
-                span.slowdown = slowdown;
-                span.absorb(&harvest);
-                ndp_telemetry::span::push_span(&log, span);
-            }
-        });
-        let after = {
-            let Some(lr) = self.live.get_mut(&fr.req) else {
-                return;
-            };
-            match fr.leg {
-                LegRef::Leg(i) => {
-                    lr.legs_left -= 1;
-                    lr.last_leg = i;
-                    lr.last_leg_bytes = fr.bytes;
-                    if lr.legs_left > 0 {
-                        AfterFlow::Nothing
-                    } else {
-                        // Fan-in complete: the sequential stage, if any.
-                        match lr.response.take() {
-                            Some(rsp) => AfterFlow::Response(fr.req, rsp),
-                            None => AfterFlow::Complete(fr.req),
-                        }
-                    }
-                }
-                LegRef::Response => AfterFlow::Complete(fr.req),
-            }
-        };
-        match after {
-            AfterFlow::Nothing => {}
-            AfterFlow::Response(rid, rsp) => self.start_flow(rid, LegRef::Response, rsp, ctx),
-            AfterFlow::Complete(rid) => self.complete(rid, ctx),
-        }
-    }
-
-    /// A request's last flow is done: book its end-to-end latency and, for
-    /// closed-loop tenants, queue the chain's next request.
-    fn complete(&mut self, rid: u64, ctx: &mut Ctx<'_, Packet>) {
-        let Some(lr) = self.live.remove(&rid) else {
-            return;
-        };
-        let now = ctx.now();
-        let latency = now - lr.start;
-        self.completed.push(CompletedRequest {
-            tenant: lr.tenant,
-            seq: lr.seq,
-            start: lr.start,
-            latency,
-            straggler_leg: lr.last_leg,
-            straggler_was_largest: lr.last_leg_bytes == lr.max_leg_bytes,
-            measured: lr.measured,
-        });
-        if let Some(log) = &self.requests_log {
-            ndp_telemetry::span::push_request(
-                log,
-                ndp_telemetry::RequestSpan {
-                    request: rid,
-                    tenant: lr.tenant,
-                    seq: lr.seq,
-                    client: lr.client,
-                    fanout: lr.fanout,
-                    arrival: lr.start,
-                    completion: Some(now),
-                    straggler_leg: lr.last_leg,
-                    measured: lr.measured,
-                    slo_met: latency.as_ps() <= self.workload.slo_ps(lr.tenant),
-                },
-            );
-        }
-        if let Some(next) = self.workload.on_complete(lr.tenant, now.as_ps()) {
-            let at = Time::from_ps(next.start_ps);
-            self.pending_closed.push(Reverse(QueuedRequest(next)));
-            ctx.wake_at(at, SPAWN_TICK);
-        }
-    }
-
-    /// Take every still-live flow and request — the stragglers a runner
-    /// detaches when its drain cap expires.
-    fn drain_live(&mut self) -> DrainedLive {
-        let flows = self.flows.drain().collect();
-        let reqs = self.live.drain().collect();
-        self.publish_live();
-        (flows, reqs)
-    }
-}
-
-impl Component<Packet> for RpcDriver {
-    fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
-        match ev {
-            Event::Wake(SPAWN_TICK) => loop {
-                match self.pop_due(ctx.now()) {
-                    Ok(Some(req)) => self.spawn(req, ctx),
-                    Ok(None) => break,
-                    Err(at) => {
-                        ctx.wake_at(at, SPAWN_TICK);
-                        break;
-                    }
-                }
-            },
-            Event::Wake(flow) => self.finish(flow, ctx),
-            Event::Msg(_) => {}
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
 
 /// How a tenant's request arrivals are declared — loads, not rates, so a
 /// point is `--topo`-neutral. Resolved against the built fabric's NIC
@@ -689,197 +203,66 @@ pub struct RpcPointResult {
     pub peak_live_components: usize,
 }
 
-/// Run one RPC point in its own seeded world — the request-tree
-/// counterpart of [`crate::openloop::openloop_world_run`].
+/// Run one RPC point on the [`crate::driver`] runner: per-tenant
+/// request-latency digests ([`ndp_metrics::TenantDigest`]) fed chunk by
+/// chunk.
 pub fn rpc_world_run(point: &RpcPoint) -> RpcPointResult {
-    let mut world: World<Packet> = match point.sched {
-        Some(kind) => World::with_scheduler(point.seed, kind),
-        None => World::new(point.seed),
-    };
-    let topo: Arc<dyn Topology> = Arc::from(point.topo.build(&mut world, point.proto.fabric()));
-    let n = topo.n_hosts();
-    let sink = world.add(CompletionSink::totals_only());
-    for h in 0..n {
-        world
-            .get_mut::<Host>(topo.host(h as HostId))
-            .set_completion_sink(sink);
-    }
-    let live_components_baseline = world.live_components();
-
     let arrivals_end = point.warmup + point.measure;
-    let mix = resolve_mix(&point.tenants, topo.as_ref());
-    // The request stream is a function of (seed, tenants) only — every
-    // protocol and scheduler at the same point sees the identical request
-    // trees, so comparisons are paired.
-    let workload = RpcWorkload::new(n, mix, point.seed ^ 0x52BC, arrivals_end.as_ps());
-    let names = workload.tenant_names();
-    let slos: Vec<u64> = (0..names.len() as u32)
-        .map(|t| workload.slo_ps(t))
+    let mut digests: Vec<TenantDigest> = (point.tenants.iter())
+        .map(|t| TenantDigest::new(t.name, t.slo.as_ps() as f64 / 1e6))
         .collect();
-    let drv = RpcDriver::install_into(
-        &mut world,
-        point.proto,
-        topo.clone(),
-        workload,
-        point.warmup,
-    );
-
-    // Telemetry wiring (opt-in, gated on an active session): request and
-    // leg spans from the driver plus a world-gauge probe over the live
-    // flow count. With no session none of this exists — the event stream
-    // and golden hashes are untouched.
-    let tele_cfg = ndp_telemetry::session::active();
-    let mut tele_ring = None;
-    let mut tele_spans: Option<ndp_telemetry::SpanLog> = None;
-    let mut tele_requests: Option<ndp_telemetry::RequestLog> = None;
-    let mut probe_id = None;
-    if let Some(cfg) = tele_cfg {
-        let live_gauge = Arc::new(AtomicU64::new(0));
-        if cfg.spans {
-            let spans = ndp_telemetry::span::span_log();
-            let requests = ndp_telemetry::span::request_log();
-            let d = world.get_mut::<RpcDriver>(drv);
-            d.set_span_log(spans.clone());
-            d.set_request_log(requests.clone());
-            tele_spans = Some(spans);
-            tele_requests = Some(requests);
-        }
-        world
-            .get_mut::<RpcDriver>(drv)
-            .set_live_gauge(Arc::clone(&live_gauge));
-        let (pid, ring) = ndp_telemetry::Probe::install_into(
-            &mut world,
-            ndp_telemetry::ProbeSpec {
-                tick: cfg.probe_tick,
-                until: arrivals_end,
-                capacity: cfg.gauge_capacity,
-                queues: Vec::new(),
-                switches: Vec::new(),
-                live_flows: Some(live_gauge),
-            },
-        );
-        probe_id = Some(pid);
-        tele_ring = Some(ring);
-    }
-
-    let mut digests: Vec<TenantDigest> = names
-        .iter()
-        .zip(&slos)
-        .map(|(&name, &slo)| TenantDigest::new(name, slo as f64 / 1e6))
-        .collect();
-
-    // Chunked stepping, streaming each chunk's completed requests into
-    // the digests; the drain cap bounds the tail but the run ends as soon
-    // as the last in-flight flow lands.
-    let cap = arrivals_end + point.drain;
-    let chunk = Time::from_ps((point.measure.as_ps() / 8).max(Time::from_ms(1).as_ps()));
-    let mut done = false;
-    let mut target = Time::ZERO;
-    while !done {
-        target = (target.max(world.now()) + chunk).min(cap);
-        done = target == cap;
-        world.run_until(target);
-        let batch = std::mem::take(&mut world.get_mut::<RpcDriver>(drv).completed);
-        for c in &batch {
-            if c.measured {
-                digests[c.tenant as usize].record(
-                    c.latency.as_ps() as f64 / 1e6,
-                    c.straggler_leg as usize,
-                    c.straggler_was_largest,
-                );
-            }
-        }
-        if world.now() >= arrivals_end && world.get::<RpcDriver>(drv).live_flows() == 0 {
-            done = true;
-        }
-        world.shrink_idle();
-    }
-
-    // Requests still live at the cap are the incomplete ones (graded as
-    // SLO misses); detach their flows so the world drains to baseline.
-    let (straggler_flows, straggler_reqs, offered, measured, peak_live_flows, peak_live_requests) = {
-        let d = world.get_mut::<RpcDriver>(drv);
-        for (t, digest) in digests.iter_mut().enumerate() {
-            digest.offered = d.measured_per_tenant.get(t).copied().unwrap_or(0);
-        }
-        let (fl, rq) = d.drain_live();
-        (
-            fl,
-            rq,
-            d.started as usize,
-            d.measured_arrivals,
-            d.peak_live_flows,
-            d.peak_live_requests,
-        )
+    let spec = DrivenSpec {
+        proto: point.proto,
+        topo: &point.topo,
+        seed: point.seed,
+        sched: point.sched,
+        warmup: point.warmup,
+        arrivals_end,
+        drain: point.drain,
+        chunk_of: point.measure,
+        request_trees: true,
+        cell: &point.key,
     };
-    for (flow, fr) in straggler_flows {
-        point
-            .proto
-            .transport()
-            .detach(&mut world, topo.host(fr.src), topo.host(fr.dst), flow);
-    }
-    for (rid, lr) in &straggler_reqs {
-        if lr.measured {
-            digests[lr.tenant as usize].incomplete += 1;
-        }
-        if let Some(log) = &tele_requests {
-            ndp_telemetry::span::push_request(
-                log,
-                ndp_telemetry::RequestSpan {
-                    request: *rid,
-                    tenant: lr.tenant,
-                    seq: lr.seq,
-                    client: lr.client,
-                    fanout: lr.fanout,
-                    arrival: lr.start,
-                    completion: None,
-                    straggler_leg: 0,
-                    measured: lr.measured,
-                    slo_met: false,
-                },
+    let (d, world) = run_driven(
+        &spec,
+        |_, topo, _| {
+            let mix = resolve_mix(&point.tenants, topo.as_ref());
+            // The request stream is a function of (seed, tenants) only —
+            // every protocol and scheduler at the same point sees the
+            // identical request trees, so comparisons are paired.
+            let workload = RpcWorkload::new(
+                topo.n_hosts(),
+                mix,
+                point.seed ^ 0x52BC,
+                arrivals_end.as_ps(),
             );
-        }
+            (Box::new(workload), Instruments::default())
+        },
+        |c| {
+            digests[c.tenant as usize].record(
+                c.latency.as_ps() as f64 / 1e6,
+                c.straggler_leg as usize,
+                c.straggler_was_largest,
+            )
+        },
+    );
+    // Requests still live at the cap are graded as SLO misses.
+    for (t, digest) in digests.iter_mut().enumerate() {
+        digest.offered = d.measured_per_tenant.get(t).copied().unwrap_or(0);
     }
-    world.retire(drv);
-    if let Some(pid) = probe_id {
-        world.retire(pid);
+    for &t in &d.stuck {
+        digests[t as usize].incomplete += 1;
     }
-
-    if tele_cfg.is_some() {
-        let (gauges, gauges_evicted) = tele_ring.map_or((Vec::new(), 0), |r| {
-            let mut g = match r.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            (g.take(), g.evicted)
-        });
-        ndp_telemetry::session::submit(ndp_telemetry::PointTelemetry {
-            key: format!(
-                "{}/{}/{}",
-                point.topo.name(),
-                point.proto.label(),
-                point.key
-            ),
-            tags: Vec::new(),
-            gauges,
-            gauges_evicted,
-            spans: tele_spans.map_or(Vec::new(), |s| ndp_telemetry::span::take_spans(&s)),
-            requests: tele_requests.map_or(Vec::new(), |r| ndp_telemetry::span::take_requests(&r)),
-            hops: Vec::new(),
-            hops_evicted: 0,
-        });
-    }
-
     RpcPointResult {
         proto: point.proto,
         tenants: digests.iter_mut().map(TenantSummary::from_digest).collect(),
-        offered,
-        measured,
+        offered: d.offered,
+        measured: d.measured,
         events_processed: world.events_processed(),
         event_kinds: world.event_kind_counts(),
-        peak_live_flows,
-        peak_live_requests,
-        live_components_baseline,
+        peak_live_flows: d.peak_live_flows,
+        peak_live_requests: d.peak_live_requests,
+        live_components_baseline: d.live_components_baseline,
         live_components_end: world.live_components(),
         peak_live_components: world.peak_live_components(),
     }
@@ -1442,6 +825,11 @@ impl crate::registry::Experiment for RpcTenantMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RpcDriver;
+    use ndp_net::packet::{HostId, Packet};
+    use ndp_net::{CompletionSink, Host};
+    use ndp_sim::World;
+    use std::sync::Arc;
 
     fn quick_point(proto: Proto, seed: u64) -> RpcPoint {
         RpcPoint {
@@ -1498,8 +886,9 @@ mod tests {
             &mut world,
             point.proto,
             topo.clone(),
-            workload,
+            Box::new(workload),
             point.warmup,
+            true,
         );
         let spans = ndp_telemetry::span::span_log();
         let requests = ndp_telemetry::span::request_log();

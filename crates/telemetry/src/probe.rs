@@ -1,6 +1,6 @@
 //! The sampling probe: a component that snapshots gauges on a tick.
 //!
-//! Like the open-loop `Spawner` and the chaos `ChaosController`, the
+//! Like the experiments' request driver and the chaos `ChaosController`, the
 //! probe is a self-wake-chain component: it posts one wake to itself,
 //! samples via [`ndp_sim::Ctx::defer`] (so it reads a quiescent world,
 //! never a half-applied event), and re-arms until its horizon. Samples
@@ -114,8 +114,8 @@ pub struct ProbeSpec {
     pub queues: Vec<(ComponentId, u32)>,
     /// Switches to snapshot, with their tag-table indices.
     pub switches: Vec<(ComponentId, u32)>,
-    /// Optional externally-maintained live-flow count (the spawner
-    /// publishes its `live` map size here).
+    /// Optional externally-maintained live-flow count (the request
+    /// driver publishes its live-flow map size here).
     pub live_flows: Option<Arc<AtomicU64>>,
 }
 

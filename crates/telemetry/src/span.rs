@@ -1,7 +1,7 @@
 //! Per-flow spans: the life of one flow as three timestamps and a
 //! handful of pathology tallies.
 //!
-//! A span opens when the open-loop spawner starts a flow and closes when
+//! A span opens when the request driver starts a flow and closes when
 //! the flow's endpoints are detached (normally at completion; at
 //! shutdown for stragglers, which are marked `stuck`). The tallies come
 //! from [`ndp_transport::FlowHarvest`], so every transport that can
@@ -24,7 +24,7 @@ pub struct FlowSpan {
     pub request: Option<u64>,
     /// Requested transfer size in bytes.
     pub bytes: u64,
-    /// When the spawner started the flow.
+    /// When the driver started the flow.
     pub arrival: Time,
     /// First data byte accepted by the receiver, if any arrived.
     pub first_data: Option<Time>,
@@ -43,7 +43,7 @@ pub struct FlowSpan {
 }
 
 impl FlowSpan {
-    /// Open a span with only the spawner-side facts filled in.
+    /// Open a span with only the driver-side facts filled in.
     pub fn open(flow: FlowId, src: HostId, dst: HostId, bytes: u64, arrival: Time) -> FlowSpan {
         FlowSpan {
             flow,
@@ -121,7 +121,7 @@ impl RequestSpan {
     }
 }
 
-/// Shared, thread-safe span sink handed to a world's spawner.
+/// Shared, thread-safe span sink handed to a world's driver.
 pub type SpanLog = Arc<Mutex<Vec<FlowSpan>>>;
 
 /// Fresh empty span log.

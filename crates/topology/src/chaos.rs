@@ -3,8 +3,8 @@
 //!
 //! A [`FabricEvent`] schedule (hand-written, or generated by the seeded
 //! MTBF/MTTR Poisson [`poisson_campaign`]) is walked by a
-//! [`ChaosController`] component exactly the way the open-loop `Spawner`
-//! walks flow arrivals: one self-wake per event instant, with each
+//! [`ChaosController`] component exactly the way the experiments' request
+//! driver walks arrivals: one self-wake per event instant, with each
 //! operation applied through the deferred world-op queue so the controller
 //! gets full `&mut World` access between dispatches. Taking a link down
 //! flips two switches' worth of state in the same simulated instant:
@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use crate::topology::{LinkRef, Topology};
 
 /// The controller's only wake token (it owns no flows, so any constant
-/// works; `u64::MAX` matches the spawner's convention).
+/// works; `u64::MAX` matches the request driver's convention).
 const CHAOS_TICK: u64 = u64::MAX;
 
 /// One fabric operation. Links are named by their index into

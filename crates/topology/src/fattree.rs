@@ -287,7 +287,7 @@ impl Router for AggRouter {
 
 /// A built FatTree: component ids for hosts, switches and every queue.
 /// `Clone` is cheap (id vectors only) — harness components that attach
-/// flows mid-run (e.g. the open-loop `Spawner`) carry their own copy.
+/// flows mid-run (e.g. the experiments' request driver) carry their own copy.
 #[derive(Clone)]
 pub struct FatTree {
     pub cfg: FatTreeCfg,

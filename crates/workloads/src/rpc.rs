@@ -33,7 +33,7 @@ use crate::empirical::EmpiricalCdf;
 use crate::{incast, uniform_where};
 
 /// One flow inside a request tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowLeg {
     pub src: u32,
     pub dst: u32,
@@ -150,8 +150,11 @@ impl TenantMix {
     }
 }
 
-/// One request tree, fully materialised at generation time.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One request tree, fully materialised at generation time. Orders
+/// `(start_ps, tenant, seq)` — the workload's own merge order, which the
+/// derive gets from the field order; `(tenant, seq)` is unique, so the
+/// remaining fields never decide.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RpcRequest {
     pub start_ps: u64,
     /// Index into the mix's profile list.
@@ -231,10 +234,6 @@ impl RpcWorkload {
     /// The SLO deadline of tenant `t`.
     pub fn slo_ps(&self, t: u32) -> u64 {
         self.tenants[t as usize].profile.slo_ps
-    }
-
-    pub fn tenant_names(&self) -> Vec<&'static str> {
-        self.tenants.iter().map(|t| t.profile.name).collect()
     }
 
     /// The initial request chains of every closed-loop tenant: chain 0

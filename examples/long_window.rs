@@ -71,7 +71,7 @@ fn main() {
     assert_eq!(
         r.peak_live_components,
         r.live_components_baseline + 1,
-        "traffic must not grow the arena (only the spawner is added)"
+        "traffic must not grow the arena (only the driver is added)"
     );
     assert!(
         r.slowdown.len() + r.incomplete == r.measured,

@@ -15,7 +15,9 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ndp::core::{attach_flow, NdpFlowCfg};
-use ndp::experiments::{failure_matrix, Scale};
+use ndp::experiments::openloop::{openloop_run, DistKind, SWEEP_PROTOS};
+use ndp::experiments::sweep::OpenLoopPoint;
+use ndp::experiments::{failure_matrix, find_topo, registry, Proto, Scale};
 use ndp::net::flight::{FlightHook, FlightRecorder, HopKind};
 use ndp::net::queue::Queue;
 use ndp::net::switch::Switch;
@@ -178,4 +180,70 @@ fn tracing_does_not_change_experiment_results() {
     assert!(points.iter().any(|p| !p.gauges.is_empty()));
     // No session active afterwards: the next runner sees telemetry off.
     assert!(session::active().is_none());
+}
+
+#[test]
+fn traced_load_sweep_submits_every_point_and_keeps_its_headline() {
+    let _g = serialize();
+    let exp = registry::find("load_websearch").expect("registered");
+    let plain = exp.run(Scale::Quick, None).headline();
+    session::begin(TelemetryConfig::default());
+    let traced = exp.run(Scale::Quick, None).headline();
+    let (_, points) = session::end().expect("session was active");
+    assert_eq!(
+        plain, traced,
+        "an active telemetry session changed the sweep's results"
+    );
+    for proto in SWEEP_PROTOS {
+        let tag = format!("/{}/", proto.label());
+        let mine: Vec<_> = points.iter().filter(|p| p.key.contains(&tag)).collect();
+        assert!(!mine.is_empty(), "no telemetry point for {}", proto.label());
+        assert!(
+            mine.iter()
+                .all(|p| !p.spans.is_empty() && !p.gauges.is_empty()),
+            "{}: a point without flow spans or live-flow gauges",
+            proto.label()
+        );
+    }
+    // The session sorts by key, so equal keys would leave point order to
+    // the worker threads.
+    assert!(
+        points.windows(2).all(|w| w[0].key < w[1].key),
+        "telemetry keys must be unique per point"
+    );
+}
+
+#[test]
+fn stragglers_export_in_ascending_flow_order_run_after_run() {
+    let _g = serialize();
+    // This DCTCP point ends its drain cap with two measured flows still
+    // live; their `stuck` spans used to come out in `HashMap` order, which
+    // differs from map to map even inside one process.
+    let stuck_flows = || {
+        session::begin(TelemetryConfig::default());
+        let r = openloop_run(OpenLoopPoint {
+            proto: Proto::Dctcp,
+            topo: find_topo("leafspine")
+                .expect("registered")
+                .spec(Scale::Quick),
+            dist: DistKind::WebSearch,
+            load: 0.6,
+            seed: 23,
+            warmup: Time::from_ms(5),
+            measure: Time::from_ms(30),
+            drain: Time::from_ms(200),
+        });
+        let (_, points) = session::end().expect("session was active");
+        assert_eq!(r.incomplete, 2);
+        assert_eq!(points.len(), 1);
+        let stuck: Vec<u64> = (points[0].spans.iter())
+            .filter(|s| s.stuck)
+            .map(|s| s.flow)
+            .collect();
+        stuck
+    };
+    let (first, second) = (stuck_flows(), stuck_flows());
+    assert!(first.len() >= 2, "want >= 2 stragglers, got {first:?}");
+    assert!(first.windows(2).all(|w| w[0] < w[1]), "order {first:?}");
+    assert_eq!(first, second, "straggler order changed between runs");
 }

@@ -783,27 +783,18 @@ mod tests {
         // recover via fast retransmit, far quicker than the RTO. (Burst-
         // tail losses, by contrast, can only be recovered by the RTO —
         // exactly the paper's complaint about short flows.)
-        use ndp_net::pipe::Pipe;
         use ndp_net::queue::{LinkClass, Queue};
         let mut w: World<Packet> = World::new(4);
         let h0 = w.reserve();
         let h1 = w.reserve();
         let speed = Speed::gbps(10);
         // Data path drops ~0.3% of packets (corruption); ACK path is clean.
-        let p01 = w.add(Pipe::new(Time::from_us(1), h1).with_corruption(0.003));
-        let nic0 = w.add(Queue::new(
-            speed,
-            p01,
-            LinkClass::HostNic,
-            QueueSpec::droptail_default().build_host_nic(9000),
-        ));
-        let p10 = w.add(Pipe::new(Time::from_us(1), h0));
-        let nic1 = w.add(Queue::new(
-            speed,
-            p10,
-            LinkClass::HostNic,
-            QueueSpec::droptail_default().build_host_nic(9000),
-        ));
+        let nic = |to| {
+            let disc = QueueSpec::droptail_default().build_host_nic(9000);
+            Queue::fused(speed, to, Time::from_us(1), LinkClass::HostNic, disc)
+        };
+        let nic0 = w.add(nic(h1).with_wire_corruption(0.003));
+        let nic1 = w.add(nic(h0));
         w.install(h0, Host::new(0, nic0, speed, 9000));
         w.install(h1, Host::new(1, nic1, speed, 9000));
         let size = 20_000_000u64;

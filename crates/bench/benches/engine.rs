@@ -1,63 +1,21 @@
-//! Raw engine throughput on the three BENCH_engine.json workloads —
-//! steady permutation, large incast, open-loop dynamic traffic — each in
-//! its default fused-hop wiring and the seed's explicit-`Pipe` reference.
-//! The fused/unfused wall-time ratio (at bit-identical protocol behaviour)
-//! is the hop-fusion speedup; `engine_json` turns the same measurements
-//! into the committed effective-events/sec suite. The permutation workload
-//! additionally runs on the classic binary-heap scheduler so the original
-//! scheduler-refactor ratio stays observable.
+//! The fast regression detector: one open-loop web-search point (NDP,
+//! leaf-spine 8×4×4, load 0.6). PR 13 showed this run resolves a 3 %
+//! per-packet slowdown in seconds; alternate it against a parent build
+//! and take the minimum over alternations before spending a full
+//! `BENCHMARK.json` A/B.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ndp_experiments::harness::{incast_run, permutation_run, Proto};
+use ndp_experiments::harness::Proto;
 use ndp_experiments::openloop::{openloop_run, DistKind};
 use ndp_experiments::sweep::OpenLoopPoint;
 use ndp_experiments::topo::TopoSpec;
-use ndp_sim::{set_default_scheduler, SchedulerKind, Time};
-use ndp_topology::{FatTreeCfg, LeafSpineCfg};
+use ndp_sim::Time;
+use ndp_topology::LeafSpineCfg;
 
-fn permutation_k8(fused: bool) -> u64 {
-    let cfg = if fused {
-        FatTreeCfg::new(8)
-    } else {
-        FatTreeCfg::new(8).unfused()
-    };
-    permutation_run(
-        Proto::Ndp,
-        TopoSpec::fattree(cfg),
-        Time::from_ms(2),
-        7,
-        None,
-    )
-    .events_processed
-}
-
-fn incast_432(fused: bool) -> u64 {
-    let cfg = if fused {
-        FatTreeCfg::new(12)
-    } else {
-        FatTreeCfg::new(12).unfused()
-    };
-    incast_run(
-        Proto::Ndp,
-        TopoSpec::fattree(cfg),
-        431,
-        450_000,
-        None,
-        7,
-        Time::from_ms(500),
-    )
-    .events_processed
-}
-
-fn openloop_websearch_60(fused: bool) -> u64 {
-    let cfg = if fused {
-        LeafSpineCfg::new(8, 4, 4)
-    } else {
-        LeafSpineCfg::new(8, 4, 4).unfused()
-    };
+fn openloop_websearch_60() -> u64 {
     openloop_run(OpenLoopPoint {
         proto: Proto::Ndp,
-        topo: TopoSpec::leafspine(cfg),
+        topo: TopoSpec::leafspine(LeafSpineCfg::new(8, 4, 4)),
         dist: DistKind::WebSearch,
         load: 0.6,
         seed: 7,
@@ -72,25 +30,8 @@ fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(1);
     g.measurement_time(std::time::Duration::from_secs(10));
-    type WorkloadFn = fn(bool) -> u64;
-    let workloads: [(&str, WorkloadFn); 3] = [
-        ("permutation_k8", permutation_k8),
-        ("incast_432", incast_432),
-        ("openloop_websearch_60", openloop_websearch_60),
-    ];
-    for (name, run) in workloads {
-        for fused in [true, false] {
-            let wiring = if fused { "fused" } else { "unfused" };
-            g.bench_function(&format!("{name}/{wiring}"), |b| {
-                b.iter(|| criterion::black_box(run(fused)))
-            });
-        }
-    }
-    // The original scheduler A/B, kept on the cheapest workload.
-    g.bench_function("permutation_k8/classic-sched", |b| {
-        set_default_scheduler(SchedulerKind::Classic);
-        b.iter(|| criterion::black_box(permutation_k8(true)));
-        set_default_scheduler(SchedulerKind::TwoTier);
+    g.bench_function("openloop_websearch_60", |b| {
+        b.iter(|| criterion::black_box(openloop_websearch_60()))
     });
     g.finish();
 }

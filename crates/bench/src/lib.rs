@@ -1,5 +1,3 @@
-//! Criterion benchmark shims: every paper figure is exposed as a bench in
-//! `benches/figures.rs`, each running the corresponding experiment at
-//! `Scale::Quick`. This crate intentionally has no library code of its
-//! own — it exists so `cargo bench --workspace` regenerates the paper's
-//! evaluation.
+//! No library code: this crate exists to hold `benches/engine.rs`, the one
+//! criterion bench kept as a fast per-packet regression detector. The
+//! perf contract itself is `BENCHMARK.json` + `examples/benchmark`.

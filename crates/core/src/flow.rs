@@ -69,8 +69,7 @@ pub fn receiver_stats(
 mod tests {
     use super::*;
     use ndp_net::host::HostLatency;
-    use ndp_net::pipe::Pipe;
-    use ndp_net::queue::Queue;
+    use ndp_net::queue::{LinkClass, Queue};
     use ndp_sim::Speed;
     use ndp_topology::{BackToBack, FatTree, FatTreeCfg, QueueSpec, SingleBottleneck};
 
@@ -218,20 +217,13 @@ mod tests {
         let h1 = w.reserve();
         let mtu = 9000;
         let speed = Speed::gbps(10);
-        let p01 = w.add(Pipe::new(Time::from_us(1), h1).with_corruption(0.05));
-        let nic0 = w.add(Queue::new(
-            speed,
-            p01,
-            ndp_net::queue::LinkClass::HostNic,
-            QueueSpec::ndp_default().build_host_nic(mtu),
-        ));
-        let p10 = w.add(Pipe::new(Time::from_us(1), h0).with_corruption(0.05));
-        let nic1 = w.add(Queue::new(
-            speed,
-            p10,
-            ndp_net::queue::LinkClass::HostNic,
-            QueueSpec::ndp_default().build_host_nic(mtu),
-        ));
+        let nic = |to| {
+            let disc = QueueSpec::ndp_default().build_host_nic(mtu);
+            Queue::fused(speed, to, Time::from_us(1), LinkClass::HostNic, disc)
+                .with_wire_corruption(0.05)
+        };
+        let nic0 = w.add(nic(h1));
+        let nic1 = w.add(nic(h0));
         w.install(h0, Host::new(0, nic0, speed, mtu));
         w.install(h1, Host::new(1, nic1, speed, mtu));
         let size = 1_000_000u64;

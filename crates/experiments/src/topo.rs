@@ -138,25 +138,6 @@ impl TopoSpec {
             }),
         }
     }
-
-    /// [`TopoSpec::backtoback`] with explicit `Pipe` wiring (the A/B
-    /// reference against fused hops).
-    pub fn backtoback_unfused() -> TopoSpec {
-        TopoSpec {
-            name: "backtoback",
-            n_hosts: 2,
-            build: Arc::new(move |w, fabric| {
-                Box::new(ndp_topology::BackToBack::build_unfused(
-                    w,
-                    Speed::gbps(10),
-                    ndp_sim::Time::from_us(1),
-                    9000,
-                    fabric,
-                    ndp_net::host::HostLatency::default(),
-                ))
-            }),
-        }
-    }
 }
 
 impl fmt::Debug for TopoSpec {

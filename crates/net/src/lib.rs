@@ -1,20 +1,22 @@
-//! Network element models: packets, pipes, queues, switches and hosts.
+//! Network element models: packets, links, switches and hosts.
 //!
 //! Everything here is a [`ndp_sim::Component`] over the message type
-//! [`Packet`]. The crate provides every switch service model the paper
-//! evaluates:
+//! [`Packet`]. A fabric is [`Switch`]es joined by [`Queue`]s — one `Queue`
+//! per directional link, carrying the serializer, the wire and the
+//! counters — and what distinguishes the architectures the paper compares
+//! is only the [`Discipline`] each link is built with:
 //!
-//! * [`queue::Policy::DropTail`] — classic FIFO, optional ECN marking
-//!   (DCTCP / DCQCN fabrics, pHost fabrics);
-//! * [`queue::Policy::Ndp`] — the paper's contribution at the switch: two
+//! * [`Discipline::droptail`] — classic FIFO, optional ECN marking
+//!   (DCTCP / MPTCP / pHost fabrics);
+//! * [`Discipline::ndp`] — the paper's contribution at the switch: two
 //!   queues per port (small data queue + priority header queue), packet
 //!   trimming on data-queue overflow with a 50 % coin flip between the
 //!   arriving packet and the tail of the queue, 10:1 weighted round robin
 //!   between header and data queues, and return-to-sender when the header
 //!   queue itself overflows (§3.1, §3.2.4);
-//! * [`queue::Policy::Cp`] — Cut Payload as originally proposed: a single
+//! * [`Discipline::cp`] — Cut Payload as originally proposed: a single
 //!   FIFO that trims into itself (used for Figure 2's collapse comparison);
-//! * [`queue::Policy::Lossless`] — PFC-style pausing with Xoff/Xon
+//! * [`Discipline::lossless`] — PFC-style pausing with Xoff/Xon
 //!   thresholds and pause cascades (the DCQCN fabric).
 //!
 //! Hosts own transport endpoints (state machines implementing
@@ -22,18 +24,18 @@
 //! connections terminating at a host: the single pull queue and its pacer.
 
 pub mod completion;
+pub mod discipline;
 pub mod flight;
 pub mod host;
 pub mod p4;
 pub mod packet;
-pub mod pipe;
 pub mod queue;
 pub mod switch;
 
 pub use completion::{CompletionSink, FlowDone};
+pub use discipline::Discipline;
 pub use flight::{FlightFilter, FlightHook, FlightRecorder, HopKind, HopRecord};
 pub use host::{Endpoint, EndpointCtx, Host, HostLatency, PullPriority};
 pub use packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
-pub use pipe::Pipe;
-pub use queue::{LinkClass, Policy, Queue, QueueStats};
+pub use queue::{LinkClass, Queue, QueueStats};
 pub use switch::{Router, Switch};

@@ -17,7 +17,7 @@
 //!   normal queue.
 //!
 //! Unit tests check this pipeline is decision-equivalent to the behavioural
-//! [`crate::queue::Policy::Ndp`] switch for the enqueue path it models (the
+//! [`crate::discipline::NdpQueues`] port for the enqueue path it models (the
 //! P4 prototype, like the NetFPGA one, omits the random tail-trim — the
 //! paper notes a full implementation should add it).
 
@@ -181,7 +181,7 @@ mod tests {
         // byte-capacity interpretation of the NDP queue enqueue rule with
         // tail-trim randomization disabled; the per-packet
         // enqueue/trim decisions must match. The behavioural model here is
-        // a byte-counting mirror of Policy::Ndp's "incoming is trimmed"
+        // a byte-counting mirror of NdpQueues' "incoming is trimmed"
         // branch.
         let cap = 12 * 1024u64;
         let mut p4 = P4Pipeline::new(cap);

@@ -1,39 +1,40 @@
-//! Egress queues: every switch service model evaluated in the paper.
+//! The link: one egress port's serializer, its wire, and its counters.
 //!
-//! A [`Queue`] serializes packets onto a link at a fixed [`Speed`] and then
-//! hands them to the link's [`crate::pipe::Pipe`]. The enqueue/dequeue
-//! *policy* is what distinguishes the architectures under test:
+//! A [`Queue`] is every directional link of every fabric. It serializes
+//! packets at a fixed [`Speed`] and delivers each to the next component
+//! after the wire's propagation delay. *Which* packet it buffers, trims,
+//! marks, refuses and serves next is the business of its
+//! [`Discipline`] (see [`crate::discipline`]); everything the disciplines
+//! share lives here, once:
 //!
-//! * **DropTail** (+ optional ECN marking) — the fabric for TCP, DCTCP,
-//!   MPTCP and pHost.
-//! * **Ndp** — §3.1's switch: a short data queue (counted in packets, eight
-//!   by default) and a header/control queue sized to the same number of
-//!   bytes. Overflowing data packets are *trimmed* to 64-byte headers; with
-//!   50 % probability the victim is the arriving packet, otherwise the tail
-//!   of the data queue (this breaks the phase effects of Figure 2). The two
-//!   queues are served by 10:1 weighted round robin so headers get early
-//!   feedback without starving data (avoiding CP's congestion collapse).
-//!   When the header queue itself overflows the header is returned to the
-//!   sender (§3.2.4) by swapping addresses and re-injecting it into the
-//!   switch.
-//! * **Cp** — Cut Payload as proposed in [9]: one FIFO, trim into the same
-//!   FIFO, no priority, no randomization. Kept as a baseline for Figure 2.
-//! * **Lossless** — PFC: when occupancy crosses Xoff the queue pauses every
-//!   upstream transmitter that can feed it; transmitters resume at Xon.
-//!   Pause frames cascade, reproducing DCQCN's collateral damage. (Real PFC
-//!   pauses per ingress buffer; pausing all feeders of the congested switch
-//!   is the standard egress-queue simplification and errs on the side of
-//!   *more* collateral damage — see DESIGN.md.)
+//! * the TX clock — `in_service` plus the TX-done wake;
+//! * pause state, and the PFC Xoff/Xon edge: when a lossless discipline's
+//!   occupancy crosses Xoff the link pauses every upstream transmitter that
+//!   can feed it until Xon; pause frames cascade, reproducing DCQCN's
+//!   collateral damage. (Real PFC pauses per ingress buffer; pausing all
+//!   feeders is the standard egress-queue simplification and errs on the
+//!   side of *more* collateral damage);
+//! * down / flush / restore and rate renegotiation (fabric chaos);
+//! * return-to-sender (§3.2.4): a header the discipline refused, or a data
+//!   packet arriving at a dead port, is re-injected into the owning switch
+//!   with its addresses swapped;
+//! * the wire: propagation delay and corruption loss;
+//! * one [`Tap`], through which every trim, mark, drop, bounce and
+//!   forwarded packet bumps its [`QueueStats`] counter and reaches the
+//!   flight recorder.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
 use ndp_sim::{Component, ComponentId, Ctx, Event, Speed, Time};
 use rand::Rng;
 
-use crate::packet::{Packet, PacketKind, HEADER_BYTES};
+use crate::discipline::Discipline;
+use crate::flight::{FlightHook, HopKind};
+use crate::packet::{Packet, PacketKind};
 
 const TX_DONE: u64 = 1;
+/// Delay for a PFC pause frame to reach the upstream transmitter.
+const PAUSE_DELAY: Time = Time::from_ns(500);
 
 /// Where in the topology a queue sits — used for the paper's
 /// trim-location statistics (§3.2.4: almost all trims happen at ToR
@@ -69,155 +70,39 @@ pub struct QueueStats {
     pub dropped_down: u64,
 }
 
-/// The queueing discipline of one egress port.
-pub enum Policy {
-    DropTail {
-        q: VecDeque<Packet>,
-        cap_bytes: u64,
-        bytes: u64,
-        /// Mark CE on arriving ECT packets when occupancy exceeds this.
-        ecn_thresh_bytes: Option<u64>,
-    },
-    Ndp {
-        data: VecDeque<Packet>,
-        hdr: VecDeque<Packet>,
-        data_cap_pkts: usize,
-        hdr_cap_bytes: u64,
-        hdr_bytes: u64,
-        /// Bytes in `data` — maintained incrementally so per-packet
-        /// occupancy accounting stays O(1).
-        data_bytes: u64,
-        /// Consecutive header-queue services while data waits (WRR state).
-        hdr_run: u32,
-        /// WRR ratio: serve up to this many headers per data packet (10).
-        wrr_ratio: u32,
-        /// Where to re-inject a bounced (return-to-sender) header: the
-        /// owning switch. `None` disables RTS (headers are dropped instead,
-        /// as in the NetFPGA implementation).
-        bounce_to: Option<ComponentId>,
-    },
-    Cp {
-        q: VecDeque<Packet>,
-        /// Data packets arriving beyond this occupancy get trimmed.
-        trim_thresh_bytes: u64,
-        /// Physical buffer bound (threshold + header headroom).
-        cap_bytes: u64,
-        bytes: u64,
-    },
-    Lossless {
-        q: VecDeque<Packet>,
-        cap_bytes: u64,
-        bytes: u64,
-        xoff_bytes: u64,
-        xon_bytes: u64,
-        ecn_thresh_bytes: Option<u64>,
-        /// Egress queues one hop upstream that we pause/resume.
-        upstreams: Vec<ComponentId>,
-        xoff_active: bool,
-        /// Delay for pause frames to reach the upstream transmitter.
-        pause_delay: Time,
-    },
-}
+/// The link's single observation point: every per-packet [`QueueStats`]
+/// counter is bumped here and nowhere else, and the same call feeds the
+/// opt-in flight recorder (`None` — the default — costs one branch and
+/// never posts events or draws RNG, so a hook cannot move a golden trace).
+pub(crate) struct Tap<'a>(&'a mut QueueStats, Option<&'a FlightHook>, Time);
 
-impl Policy {
-    pub fn droptail(cap_bytes: u64) -> Policy {
-        Policy::DropTail {
-            q: VecDeque::new(),
-            cap_bytes,
-            bytes: 0,
-            ecn_thresh_bytes: None,
+impl Tap<'_> {
+    #[inline]
+    pub(crate) fn note(&mut self, kind: HopKind, pkt: &Packet) {
+        let Tap(st, flight, now) = self;
+        match kind {
+            HopKind::Dequeue => {
+                st.forwarded_pkts += 1;
+                st.forwarded_bytes += pkt.size as u64;
+                if pkt.kind == PacketKind::Data && !pkt.is_trimmed() {
+                    st.payload_bytes += pkt.payload as u64;
+                }
+            }
+            HopKind::Trim => st.trimmed += 1,
+            HopKind::Bounce => st.bounced += 1,
+            HopKind::EcnMark => st.ecn_marked += 1,
+            HopKind::DropDown => st.dropped_down += 1,
+            HopKind::Drop if pkt.is_control() => st.dropped_ctrl += 1,
+            HopKind::Drop => st.dropped_data += 1,
+            HopKind::Enqueue | HopKind::Reroute => {}
         }
-    }
-
-    pub fn droptail_ecn(cap_bytes: u64, ecn_thresh_bytes: u64) -> Policy {
-        Policy::DropTail {
-            q: VecDeque::new(),
-            cap_bytes,
-            bytes: 0,
-            ecn_thresh_bytes: Some(ecn_thresh_bytes),
-        }
-    }
-
-    /// The NDP switch queue: `data_cap_pkts` full packets plus a header
-    /// queue holding the same number of bytes (8 × 9 KB = 72 KB ≈ 1125
-    /// headers, the figure §3.2.4 quotes).
-    pub fn ndp(data_cap_pkts: usize, mtu: u32) -> Policy {
-        Policy::Ndp {
-            data: VecDeque::new(),
-            hdr: VecDeque::new(),
-            data_cap_pkts,
-            hdr_cap_bytes: data_cap_pkts as u64 * mtu as u64,
-            hdr_bytes: 0,
-            data_bytes: 0,
-            hdr_run: 0,
-            wrr_ratio: 10,
-            bounce_to: None,
-        }
-    }
-
-    /// CP queue: trim when the data region (`trim_thresh_bytes`) is full;
-    /// the physical buffer is twice that, leaving room for queued headers
-    /// (mirroring the NDP queue's header budget so Figure 2 compares switch
-    /// *policies*, not buffer sizes).
-    pub fn cp(trim_thresh_bytes: u64) -> Policy {
-        Policy::Cp {
-            q: VecDeque::new(),
-            trim_thresh_bytes,
-            cap_bytes: trim_thresh_bytes * 2,
-            bytes: 0,
-        }
-    }
-
-    pub fn lossless(cap_bytes: u64, xoff_bytes: u64, xon_bytes: u64) -> Policy {
-        assert!(xon_bytes <= xoff_bytes && xoff_bytes <= cap_bytes);
-        Policy::Lossless {
-            q: VecDeque::new(),
-            cap_bytes,
-            bytes: 0,
-            xoff_bytes,
-            xon_bytes,
-            ecn_thresh_bytes: None,
-            upstreams: Vec::new(),
-            xoff_active: false,
-            pause_delay: Time::from_ns(500),
-        }
-    }
-
-    pub fn lossless_ecn(cap_bytes: u64, xoff: u64, xon: u64, ecn: u64) -> Policy {
-        match Policy::lossless(cap_bytes, xoff, xon) {
-            Policy::Lossless {
-                q,
-                cap_bytes,
-                bytes,
-                xoff_bytes,
-                xon_bytes,
-                upstreams,
-                xoff_active,
-                pause_delay,
-                ..
-            } => Policy::Lossless {
-                q,
-                cap_bytes,
-                bytes,
-                xoff_bytes,
-                xon_bytes,
-                ecn_thresh_bytes: Some(ecn),
-                upstreams,
-                xoff_active,
-                pause_delay,
-            },
-            _ => unreachable!(),
+        if let Some(h) = flight {
+            h.record(kind, *now, pkt);
         }
     }
 }
 
-/// One egress port: policy + serializer.
-///
-/// In *fused* form ([`Queue::fused`]) the queue also models the wire: the
-/// TX-done post carries the downstream propagation delay directly, so a
-/// packet crossing a hop costs one scheduled event instead of the
-/// queue→[`crate::pipe::Pipe`]→next pair. The standalone `Pipe` remains for
-/// raw-injection tests and paths without an upstream serializer.
+/// One egress port: link mechanics around a [`Discipline`].
 pub struct Queue {
     rate: Speed,
     /// Cached exact picoseconds-per-byte of `rate` (0 when inexact):
@@ -229,31 +114,47 @@ pub struct Queue {
     nominal: Speed,
     /// Administratively down: nothing serializes, buffered packets were
     /// flushed at the failure instant, and new arrivals are dropped — or,
-    /// on an RTS-capable NDP queue, trimmed and returned to their sender so
+    /// on an RTS-capable port, trimmed and returned to their sender so
     /// multipath sources re-spray around the dead link immediately.
     down: bool,
     next: ComponentId,
     class: LinkClass,
-    policy: Policy,
+    disc: Discipline,
     /// Packet currently being serialized (removed from the queue so that
     /// tail-trimming can never touch a packet already on the wire).
     in_service: Option<Packet>,
     /// Number of outstanding Xoff pauses applied to *us* by downstream.
     paused: u32,
-    /// Fused-hop propagation delay (ZERO = deliver same-tick, the unfused
-    /// behaviour where a separate `Pipe` models the wire).
+    /// Egress queues one hop upstream that a lossless port pauses/resumes,
+    /// and whether it currently holds them paused.
+    upstreams: Vec<ComponentId>,
+    xoff_active: bool,
+    /// The owning switch, where a returned-to-sender header is re-injected.
+    /// `None` disables RTS (headers are dropped instead, as in the NetFPGA
+    /// implementation).
+    bounce_to: Option<ComponentId>,
+    /// Propagation delay of the wire (ZERO = hand over in the same tick).
     wire_delay: Time,
-    /// Fused-hop corruption probability (mirrors `Pipe::with_corruption`).
+    /// Probability that a transmitted packet is corrupted and lost.
     wire_corrupt_prob: f64,
     pub wire_corrupted: u64,
     pub stats: QueueStats,
-    /// Opt-in flight recorder hook (see [`crate::flight`]): `None` — the
-    /// default — costs one branch per record site and never posts events.
-    flight: Option<crate::flight::FlightHook>,
+    flight: Option<FlightHook>,
 }
 
 impl Queue {
-    pub fn new(rate: Speed, next: ComponentId, class: LinkClass, policy: Policy) -> Queue {
+    /// A link: `disc` in front of a serializer at `rate`, whose packets
+    /// arrive at `next` after `wire_delay` as one scheduled event. (The
+    /// name dates from when a second wiring put a separate wire component
+    /// behind the queue; it is kept because the frozen benchmark package
+    /// under `examples/benchmark` calls it.)
+    pub fn fused(
+        rate: Speed,
+        next: ComponentId,
+        wire_delay: Time,
+        class: LinkClass,
+        disc: Discipline,
+    ) -> Queue {
         Queue {
             rate,
             ppb: rate.ps_per_byte_exact(),
@@ -261,10 +162,13 @@ impl Queue {
             down: false,
             next,
             class,
-            policy,
+            disc,
             in_service: None,
             paused: 0,
-            wire_delay: Time::ZERO,
+            upstreams: Vec::new(),
+            xoff_active: false,
+            bounce_to: None,
+            wire_delay,
             wire_corrupt_prob: 0.0,
             wire_corrupted: 0,
             stats: QueueStats::default(),
@@ -273,30 +177,15 @@ impl Queue {
     }
 
     /// Attach (or detach, with `None`) a flight-recorder hook. Purely
-    /// observational: hooks post no events and draw no RNG, so attaching
-    /// one cannot change a run's golden trace.
-    pub fn set_flight_hook(&mut self, hook: Option<crate::flight::FlightHook>) {
+    /// observational — see [`Tap`].
+    pub fn set_flight_hook(&mut self, hook: Option<FlightHook>) {
         self.flight = hook;
     }
 
-    /// A queue with the wire folded in: transmitted packets arrive at
-    /// `next` after `wire_delay` as a single scheduled event, with no
-    /// intermediate `Pipe` dispatch.
-    pub fn fused(
-        rate: Speed,
-        next: ComponentId,
-        wire_delay: Time,
-        class: LinkClass,
-        policy: Policy,
-    ) -> Queue {
-        let mut q = Queue::new(rate, next, class, policy);
-        q.wire_delay = wire_delay;
-        q
-    }
-
-    /// Enable fault injection on the fused wire: drop each transmitted
-    /// packet with probability `p` (the fused analogue of
-    /// [`crate::pipe::Pipe::with_corruption`]).
+    /// Enable fault injection on the wire: lose each transmitted packet
+    /// with probability `p`. Exercises the transports' retransmission
+    /// timeouts — per §3.2, with trimming an RTO should only ever fire for
+    /// corrupted (truly lost) packets.
     pub fn with_wire_corruption(mut self, p: f64) -> Queue {
         assert!((0.0..=1.0).contains(&p));
         self.wire_corrupt_prob = p;
@@ -325,8 +214,7 @@ impl Queue {
         self.nominal
     }
 
-    /// The downstream component transmitted packets are handed to (the
-    /// owning switch's neighbour when fused, the link's `Pipe` otherwise).
+    /// The component transmitted packets arrive at.
     pub fn next_hop(&self) -> ComponentId {
         self.next
     }
@@ -336,17 +224,18 @@ impl Queue {
     }
 
     /// Hard-fail or revive the link. Going down flushes every buffered
-    /// packet (the buffer dies with the port) and the packet currently on
-    /// the wire is lost at its TX-done instant; while down, arrivals are
-    /// dropped or bounced (see [`Queue`] field docs). Coming back up leaves
+    /// packet (counted, but not flight-recorded: there is no clock outside
+    /// an event) and the packet on the wire is lost at its TX-done instant;
+    /// while down, arrivals are dropped or bounced. Coming back up leaves
     /// the rate untouched — use [`Queue::restore`] for full recovery. A
     /// lossless queue that paused its upstreams keeps them paused until the
     /// first packet transits the revived link (the Xon check lives on the
     /// dequeue path), which errs on the side of more collateral damage.
     pub fn set_down(&mut self, down: bool) {
         if down && !self.down {
-            while self.pop_next().is_some() {
-                self.stats.dropped_down += 1;
+            let mut tap = Tap(&mut self.stats, None, Time::ZERO);
+            while let Some(p) = self.disc.pop() {
+                tap.note(HopKind::DropDown, &p);
             }
         }
         self.down = down;
@@ -355,140 +244,59 @@ impl Queue {
     /// Full recovery: link up at its construction-time rate.
     pub fn restore(&mut self) {
         self.down = false;
-        self.rate = self.nominal;
-        self.ppb = self.nominal.ps_per_byte_exact();
+        self.set_rate(self.nominal);
     }
 
-    /// Enable return-to-sender on header-queue overflow (NDP software
-    /// switch behaviour, §3.2.4).
+    /// Enable return-to-sender (NDP software switch behaviour, §3.2.4):
+    /// `switch` is the port's owner.
     pub fn set_bounce_to(&mut self, switch: ComponentId) {
-        if let Policy::Ndp { bounce_to, .. } = &mut self.policy {
-            *bounce_to = Some(switch);
-        } else {
-            panic!("bounce_to only applies to NDP queues");
-        }
+        assert!(
+            matches!(self.disc, Discipline::Ndp(_)),
+            "bounce_to only applies to NDP queues"
+        );
+        self.bounce_to = Some(switch);
     }
 
     /// Register the upstream transmitters this (lossless) queue may pause.
     pub fn set_upstreams(&mut self, ups: Vec<ComponentId>) {
-        if let Policy::Lossless { upstreams, .. } = &mut self.policy {
-            *upstreams = ups;
-        } else {
-            panic!("upstreams only apply to lossless queues");
-        }
+        assert!(
+            self.disc.pfc().is_some(),
+            "upstreams only apply to lossless queues"
+        );
+        self.upstreams = ups;
     }
 
     /// Bytes currently waiting (not counting the packet on the wire).
     pub fn occupancy_bytes(&self) -> u64 {
-        match &self.policy {
-            Policy::DropTail { bytes, .. }
-            | Policy::Cp { bytes, .. }
-            | Policy::Lossless { bytes, .. } => *bytes,
-            Policy::Ndp {
-                data_bytes,
-                hdr_bytes,
-                ..
-            } => data_bytes + hdr_bytes,
-        }
+        self.disc.occupancy_bytes()
     }
 
     pub fn queued_packets(&self) -> usize {
-        match &self.policy {
-            Policy::DropTail { q, .. } | Policy::Cp { q, .. } | Policy::Lossless { q, .. } => {
-                q.len()
-            }
-            Policy::Ndp { data, hdr, .. } => data.len() + hdr.len(),
-        }
+        self.disc.queued_packets()
     }
 
-    /// Track the high-water occupancy. Enqueue arms pass the occupancy
-    /// they just computed, so the hot path never re-matches the policy.
-    #[inline]
-    fn note_occupancy(&mut self, occ: u64) {
-        if occ > self.stats.max_occupancy_bytes {
-            self.stats.max_occupancy_bytes = occ;
-        }
+    fn tap(&mut self, now: Time) -> Tap<'_> {
+        Tap(&mut self.stats, self.flight.as_ref(), now)
     }
 
-    /// Pick the next packet to serialize according to the policy.
-    fn pop_next(&mut self) -> Option<Packet> {
-        match &mut self.policy {
-            Policy::DropTail { q, bytes, .. }
-            | Policy::Cp { q, bytes, .. }
-            | Policy::Lossless { q, bytes, .. } => {
-                let p = q.pop_front()?;
-                *bytes -= p.size as u64;
-                Some(p)
-            }
-            Policy::Ndp {
-                data,
-                hdr,
-                hdr_bytes,
-                data_bytes,
-                hdr_run,
-                wrr_ratio,
-                ..
-            } => {
-                // Weighted round robin, headers preferred: serve the header
-                // queue unless we've already served `wrr_ratio` headers in a
-                // row while data was waiting.
-                let serve_hdr = if hdr.is_empty() {
-                    false
-                } else if data.is_empty() {
-                    true
-                } else {
-                    *hdr_run < *wrr_ratio
-                };
-                if serve_hdr {
-                    let p = hdr.pop_front().expect("hdr non-empty");
-                    *hdr_bytes -= p.size as u64;
-                    if !data.is_empty() {
-                        *hdr_run += 1;
-                    }
-                    Some(p)
-                } else {
-                    let p = data.pop_front()?;
-                    *data_bytes -= p.size as u64;
-                    *hdr_run = 0;
-                    Some(p)
+    /// A packet this port cannot carry. Data on an RTS port goes back to
+    /// its sender through the owning switch, trimmed, unless it is already
+    /// on its way back (bounced once only); anything else is lost as
+    /// `loss` (`Drop` or `DropDown`).
+    fn turn_away(&mut self, mut pkt: Packet, loss: HopKind, ctx: &mut Ctx<'_, Packet>) {
+        let bounce_to = self.bounce_to;
+        let mut tap = self.tap(ctx.now());
+        match bounce_to {
+            Some(sw) if pkt.kind == PacketKind::Data && !pkt.is_rts() => {
+                if !pkt.is_trimmed() {
+                    pkt.trim();
+                    tap.note(HopKind::Trim, &pkt);
                 }
+                pkt.bounce_to_sender();
+                tap.note(HopKind::Bounce, &pkt);
+                ctx.forward(sw, pkt);
             }
-        }
-    }
-
-    /// Down-link admission: data packets on an RTS-capable NDP queue are
-    /// trimmed and returned to their sender (the same §3.2.4 mechanism as a
-    /// header-queue overflow, so the source's path penalty reacts at RTT
-    /// timescales); everything else is dropped.
-    #[inline(never)]
-    fn drop_or_bounce_down(&mut self, pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
-        if let Policy::Ndp {
-            bounce_to: Some(sw),
-            ..
-        } = &self.policy
-        {
-            if pkt.kind == PacketKind::Data && !pkt.is_rts() {
-                let sw = *sw;
-                let mut b = pkt;
-                if !b.is_trimmed() {
-                    b.trim();
-                    self.stats.trimmed += 1;
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::Trim, ctx.now(), &b);
-                    }
-                }
-                b.bounce_to_sender();
-                self.stats.bounced += 1;
-                if let Some(h) = &self.flight {
-                    h.record(crate::flight::HopKind::Bounce, ctx.now(), &b);
-                }
-                ctx.forward(sw, b);
-                return;
-            }
-        }
-        self.stats.dropped_down += 1;
-        if let Some(h) = &self.flight {
-            h.record(crate::flight::HopKind::DropDown, ctx.now(), &pkt);
+            _ => tap.note(loss, &pkt),
         }
     }
 
@@ -505,11 +313,33 @@ impl Queue {
         }
     }
 
+    /// The PFC edge of a lossless port: Xoff is checked as occupancy rises
+    /// (after an admit), Xon as it falls (after a dequeue).
+    fn pfc_edge(&mut self, rising: bool, ctx: &mut Ctx<'_, Packet>) {
+        let Some((xoff, xon)) = self.disc.pfc() else {
+            return;
+        };
+        let occ = self.disc.occupancy_bytes();
+        let crossed = if rising {
+            !self.xoff_active && occ > xoff
+        } else {
+            self.xoff_active && occ <= xon
+        };
+        if crossed {
+            self.xoff_active = rising;
+            self.stats.xoff_sent += rising as u64;
+            for &up in &self.upstreams {
+                let frame = Packet::control(0, 0, 0, PacketKind::Pause { xoff: rising });
+                ctx.send(up, frame, PAUSE_DELAY);
+            }
+        }
+    }
+
     fn start_tx_if_possible(&mut self, ctx: &mut Ctx<'_, Packet>) {
         if self.in_service.is_some() || self.paused > 0 || self.down {
             return;
         }
-        if let Some(pkt) = self.pop_next() {
+        if let Some(pkt) = self.disc.pop() {
             // Exact-rate links (all standard speeds) serialize with one
             // multiply; the division only runs for renegotiated oddballs.
             let t = if self.ppb != 0 {
@@ -522,226 +352,47 @@ impl Queue {
         }
     }
 
-    fn enqueue(&mut self, mut pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
-        if let Some(h) = &self.flight {
-            h.record(crate::flight::HopKind::Enqueue, ctx.now(), &pkt);
-        }
+    fn enqueue(&mut self, pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
+        // Built in place: `tap` and `disc` are borrowed side by side below.
+        let mut tap = Tap(&mut self.stats, self.flight.as_ref(), ctx.now());
+        tap.note(HopKind::Enqueue, &pkt);
         if self.down {
-            self.drop_or_bounce_down(pkt, ctx);
-            return;
+            // Down-link admission: data on an RTS-capable port goes back to
+            // its sender (the same §3.2.4 mechanism as a header-queue
+            // overflow, so the source's path penalty reacts at RTT
+            // timescales); everything else is lost.
+            return self.turn_away(pkt, HopKind::DropDown, ctx);
         }
-        let occ = match &mut self.policy {
-            Policy::DropTail {
-                q,
-                cap_bytes,
-                bytes,
-                ecn_thresh_bytes,
-            } => {
-                if *bytes + pkt.size as u64 > *cap_bytes {
-                    if pkt.is_control() {
-                        self.stats.dropped_ctrl += 1;
-                    } else {
-                        self.stats.dropped_data += 1;
-                    }
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::Drop, ctx.now(), &pkt);
-                    }
-                    return;
-                }
-                if let Some(k) = ecn_thresh_bytes {
-                    if *bytes > *k && pkt.flags.has(crate::packet::Flags::ECT) {
-                        pkt.flags = pkt.flags.with(crate::packet::Flags::CE);
-                        self.stats.ecn_marked += 1;
-                        if let Some(h) = &self.flight {
-                            h.record(crate::flight::HopKind::EcnMark, ctx.now(), &pkt);
-                        }
-                    }
-                }
-                *bytes += pkt.size as u64;
-                q.push_back(pkt);
-                *bytes
-            }
-            Policy::Cp {
-                q,
-                trim_thresh_bytes,
-                cap_bytes,
-                bytes,
-            } => {
-                if pkt.kind == PacketKind::Data
-                    && !pkt.is_trimmed()
-                    && *bytes + pkt.size as u64 > *trim_thresh_bytes
-                {
-                    pkt.trim();
-                    self.stats.trimmed += 1;
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::Trim, ctx.now(), &pkt);
-                    }
-                }
-                if *bytes + pkt.size as u64 > *cap_bytes {
-                    if pkt.is_control() {
-                        self.stats.dropped_ctrl += 1;
-                    } else {
-                        self.stats.dropped_data += 1;
-                    }
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::Drop, ctx.now(), &pkt);
-                    }
-                    return;
-                }
-                *bytes += pkt.size as u64;
-                q.push_back(pkt);
-                *bytes
-            }
-            Policy::Ndp {
-                data,
-                hdr,
-                data_cap_pkts,
-                hdr_cap_bytes,
-                hdr_bytes,
-                data_bytes,
-                bounce_to,
-                ..
-            } => {
-                let mut to_hdr: Option<Packet> = None;
-                if pkt.ndp_priority() {
-                    to_hdr = Some(pkt);
-                } else if data.len() < *data_cap_pkts {
-                    *data_bytes += pkt.size as u64;
-                    data.push_back(pkt);
-                } else {
-                    // Data queue full: trim. Decide with 50% probability
-                    // whether the victim is the arriving packet or the one
-                    // at the tail of the data queue (§3.1, breaks phase
-                    // effects).
-                    let trim_incoming = ctx.rng().gen::<bool>();
-                    let mut victim = if trim_incoming {
-                        pkt
-                    } else {
-                        let tail = data.pop_back().expect("data queue full implies non-empty");
-                        *data_bytes = *data_bytes - tail.size as u64 + pkt.size as u64;
-                        data.push_back(pkt);
-                        tail
-                    };
-                    victim.trim();
-                    self.stats.trimmed += 1;
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::Trim, ctx.now(), &victim);
-                    }
-                    to_hdr = Some(victim);
-                }
-                if let Some(h) = to_hdr {
-                    if *hdr_bytes + h.size as u64 <= *hdr_cap_bytes {
-                        *hdr_bytes += h.size as u64;
-                        hdr.push_back(h);
-                    } else if let (Some(sw), true, false) =
-                        (*bounce_to, h.kind == PacketKind::Data, h.is_rts())
-                    {
-                        // Header queue overflow: return the header to its
-                        // sender by re-injecting it into the switch with
-                        // src/dst swapped (§3.2.4). Only data headers are
-                        // bounced, and only once.
-                        let mut b = h;
-                        b.bounce_to_sender();
-                        self.stats.bounced += 1;
-                        if let Some(fh) = &self.flight {
-                            fh.record(crate::flight::HopKind::Bounce, ctx.now(), &b);
-                        }
-                        ctx.forward(sw, b);
-                    } else {
-                        if h.is_control() {
-                            self.stats.dropped_ctrl += 1;
-                        } else {
-                            self.stats.dropped_data += 1;
-                        }
-                        if let Some(fh) = &self.flight {
-                            fh.record(crate::flight::HopKind::Drop, ctx.now(), &h);
-                        }
-                    }
-                }
-                *data_bytes + *hdr_bytes
-            }
-            Policy::Lossless {
-                q,
-                cap_bytes,
-                bytes,
-                xoff_bytes,
-                ecn_thresh_bytes,
-                upstreams,
-                xoff_active,
-                pause_delay,
-                ..
-            } => {
-                if *bytes + pkt.size as u64 > *cap_bytes {
-                    // With correctly-sized skid buffers this cannot happen;
-                    // counted so tests can assert losslessness.
-                    self.stats.dropped_data += 1;
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::Drop, ctx.now(), &pkt);
-                    }
-                    return;
-                }
-                if let Some(k) = ecn_thresh_bytes {
-                    if *bytes > *k && pkt.flags.has(crate::packet::Flags::ECT) {
-                        pkt.flags = pkt.flags.with(crate::packet::Flags::CE);
-                        self.stats.ecn_marked += 1;
-                        if let Some(h) = &self.flight {
-                            h.record(crate::flight::HopKind::EcnMark, ctx.now(), &pkt);
-                        }
-                    }
-                }
-                *bytes += pkt.size as u64;
-                q.push_back(pkt);
-                if *bytes > *xoff_bytes && !*xoff_active {
-                    *xoff_active = true;
-                    self.stats.xoff_sent += 1;
-                    let d = *pause_delay;
-                    for &up in upstreams.iter() {
-                        let pause = Packet::control(0, 0, 0, PacketKind::Pause { xoff: true });
-                        ctx.send(up, pause, d);
-                    }
-                }
-                *bytes
-            }
-        };
-        self.note_occupancy(occ);
+        if let Some(refused) = self.disc.admit(pkt, ctx.rng(), &mut tap) {
+            self.turn_away(refused, HopKind::Drop, ctx);
+        }
+        self.pfc_edge(true, ctx);
+        let occ = self.disc.occupancy_bytes();
+        if occ > self.stats.max_occupancy_bytes {
+            self.stats.max_occupancy_bytes = occ;
+        }
         self.start_tx_if_possible(ctx);
     }
 
-    /// Hand a transmitted packet to the downstream component. The corrupt
-    /// check runs first and with the same draw condition as `Pipe`'s, so a
-    /// fused hop consumes the RNG stream exactly like the queue+pipe pair
-    /// it replaces (no draw at all when corruption is disabled).
-    fn deliver_downstream(&mut self, pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
-        if self.wire_corrupt_prob > 0.0 && ctx.rng().gen::<f64>() < self.wire_corrupt_prob {
-            self.wire_corrupted += 1;
+    /// TX-done: the packet leaves the serializer and crosses the wire. The
+    /// corruption coin is drawn only when corruption is enabled, so a
+    /// healthy link consumes no RNG.
+    fn transmit(&mut self, pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
+        if self.down {
+            // The wire died while this packet was on it.
+            self.tap(ctx.now()).note(HopKind::DropDown, &pkt);
             return;
         }
-        if self.wire_delay.is_zero() {
+        self.tap(ctx.now()).note(HopKind::Dequeue, &pkt);
+        if self.wire_corrupt_prob > 0.0 && ctx.rng().gen::<f64>() < self.wire_corrupt_prob {
+            self.wire_corrupted += 1;
+        } else if self.wire_delay.is_zero() {
             ctx.forward(self.next, pkt);
         } else {
             ctx.send(self.next, pkt, self.wire_delay);
         }
-    }
-
-    fn after_dequeue(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        if let Policy::Lossless {
-            bytes,
-            xon_bytes,
-            upstreams,
-            xoff_active,
-            pause_delay,
-            ..
-        } = &mut self.policy
-        {
-            if *xoff_active && *bytes <= *xon_bytes {
-                *xoff_active = false;
-                let d = *pause_delay;
-                for &up in upstreams.iter() {
-                    let resume = Packet::control(0, 0, 0, PacketKind::Pause { xoff: false });
-                    ctx.send(up, resume, d);
-                }
-            }
-        }
+        self.pfc_edge(false, ctx);
+        self.start_tx_if_possible(ctx);
     }
 }
 
@@ -761,25 +412,7 @@ impl Component<Packet> for Queue {
                     .in_service
                     .take()
                     .expect("TX_DONE without packet in service");
-                if self.down {
-                    // The wire died while this packet was on it.
-                    self.stats.dropped_down += 1;
-                    if let Some(h) = &self.flight {
-                        h.record(crate::flight::HopKind::DropDown, ctx.now(), &pkt);
-                    }
-                    return;
-                }
-                self.stats.forwarded_pkts += 1;
-                self.stats.forwarded_bytes += pkt.size as u64;
-                if pkt.kind == PacketKind::Data && !pkt.is_trimmed() {
-                    self.stats.payload_bytes += pkt.payload as u64;
-                }
-                if let Some(h) = &self.flight {
-                    h.record(crate::flight::HopKind::Dequeue, ctx.now(), &pkt);
-                }
-                self.deliver_downstream(pkt, ctx);
-                self.after_dequeue(ctx);
-                self.start_tx_if_possible(ctx);
+                self.transmit(pkt, ctx);
             }
             Event::Wake(t) => unknown_wake(t),
         }
@@ -801,24 +434,25 @@ fn unknown_wake(t: u64) -> ! {
     panic!("unknown queue wake token {t}")
 }
 
-/// Convenience: size of a trimmed header on the wire.
-pub const TRIMMED_BYTES: u32 = HEADER_BYTES;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Flags;
+    use crate::packet::{Flags, HEADER_BYTES};
     use ndp_sim::World;
 
     struct Sink {
         got: Vec<Packet>,
         times: Vec<Time>,
+        /// One draw from the world's RNG per arrival: two runs with equal
+        /// `draws` consumed the stream identically upstream of the sink.
+        draws: Vec<u64>,
     }
     impl Sink {
         fn new() -> Sink {
             Sink {
                 got: vec![],
                 times: vec![],
+                draws: vec![],
             }
         }
     }
@@ -827,6 +461,7 @@ mod tests {
             if let Event::Msg(p) = ev {
                 self.got.push(p);
                 self.times.push(ctx.now());
+                self.draws.push(ctx.rng().gen());
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -837,16 +472,21 @@ mod tests {
         }
     }
 
-    fn world_with_queue(policy: Policy) -> (World<Packet>, ComponentId, ComponentId) {
+    /// A 10 Gb/s link with a zero-delay wire into `next`.
+    fn link(next: ComponentId, disc: Discipline) -> Queue {
+        Queue::fused(Speed::gbps(10), next, Time::ZERO, LinkClass::Other, disc)
+    }
+
+    fn world_with_queue(disc: Discipline) -> (World<Packet>, ComponentId, ComponentId) {
         let mut w: World<Packet> = World::new(5);
         let sink = w.add(Sink::new());
-        let q = w.add(Queue::new(Speed::gbps(10), sink, LinkClass::Other, policy));
+        let q = w.add(link(sink, disc));
         (w, q, sink)
     }
 
     #[test]
     fn droptail_serializes_back_to_back() {
-        let (mut w, q, sink) = world_with_queue(Policy::droptail(100 * 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::droptail(100 * 9000, None));
         for i in 0..3 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -865,7 +505,7 @@ mod tests {
 
     #[test]
     fn droptail_drops_when_full() {
-        let (mut w, q, sink) = world_with_queue(Policy::droptail(8 * 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::droptail(8 * 9000, None));
         for i in 0..20 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -877,7 +517,7 @@ mod tests {
 
     #[test]
     fn ecn_marks_ect_packets_over_threshold() {
-        let (mut w, q, sink) = world_with_queue(Policy::droptail_ecn(200 * 9000, 3 * 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::droptail(200 * 9000, Some(3 * 9000)));
         for i in 0..10 {
             let p = Packet::data(0, 1, 0, i, 9000).with_flags(Flags::ECT);
             w.post(Time::ZERO, q, p);
@@ -897,7 +537,7 @@ mod tests {
 
     #[test]
     fn non_ect_packets_never_marked() {
-        let (mut w, q, sink) = world_with_queue(Policy::droptail_ecn(200 * 9000, 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::droptail(200 * 9000, Some(9000)));
         for i in 0..10 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -911,7 +551,7 @@ mod tests {
 
     #[test]
     fn ndp_trims_on_overflow_and_prioritizes_headers() {
-        let (mut w, q, sink) = world_with_queue(Policy::ndp(8, 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::ndp(8, 9000));
         // 1 in service + 8 queued + 4 trimmed.
         for i in 0..13 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
@@ -935,7 +575,7 @@ mod tests {
     fn ndp_tail_trim_probability_is_about_half() {
         // Fill the data queue, then send many more; about half the trims
         // should hit the arriving packet (seq >= 9) and half the tail.
-        let (mut w, q, sink) = world_with_queue(Policy::ndp(8, 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::ndp(8, 9000));
         let n = 2000;
         for i in 0..n {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
@@ -962,7 +602,7 @@ mod tests {
     fn ndp_wrr_bounds_header_bandwidth() {
         // Saturate both queues and check the dequeue pattern: at most 10
         // headers between data packets.
-        let (mut w, q, sink) = world_with_queue(Policy::ndp(8, 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::ndp(8, 9000));
         for i in 0..500 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -991,7 +631,7 @@ mod tests {
 
     #[test]
     fn ndp_control_packets_join_header_queue() {
-        let (mut w, q, sink) = world_with_queue(Policy::ndp(8, 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::ndp(8, 9000));
         for i in 0..9 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -1007,28 +647,12 @@ mod tests {
 
     #[test]
     fn ndp_header_overflow_bounces_to_switch() {
-        // A tiny header queue via tiny mtu scaling: data_cap 2 , mtu 9000
-        // gives hdr cap 18000 bytes = 281 headers; instead use direct
-        // construction for a 2-header cap.
+        // The header queue holds data_cap x mtu bytes; an "mtu" of one
+        // header makes that a 2-header cap.
         let mut w: World<Packet> = World::new(5);
         let sink = w.add(Sink::new());
         let swid = w.add(Sink::new()); // stands in for the switch
-        let mut qq = Queue::new(
-            Speed::gbps(10),
-            sink,
-            LinkClass::TorDown,
-            Policy::Ndp {
-                data: VecDeque::new(),
-                hdr: VecDeque::new(),
-                data_cap_pkts: 2,
-                hdr_cap_bytes: 2 * HEADER_BYTES as u64,
-                hdr_bytes: 0,
-                data_bytes: 0,
-                hdr_run: 0,
-                wrr_ratio: 10,
-                bounce_to: None,
-            },
-        );
+        let mut qq = link(sink, Discipline::ndp(2, HEADER_BYTES));
         qq.set_bounce_to(swid);
         let q = w.add(qq);
         for i in 0..10 {
@@ -1050,7 +674,7 @@ mod tests {
 
     #[test]
     fn cp_trims_into_same_fifo_without_priority() {
-        let (mut w, q, sink) = world_with_queue(Policy::cp(8 * 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::cp(8 * 9000));
         for i in 0..13 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -1064,22 +688,23 @@ mod tests {
 
     #[test]
     fn lossless_pauses_upstream_and_resumes() {
-        // upstream queue -> pipe -> downstream lossless queue -> sink
+        // upstream link -> downstream lossless link -> sink
         let mut w: World<Packet> = World::new(5);
         let sink = w.add(Sink::new());
         // Downstream drains at 1 Gb/s (slow), upstream feeds at 10 Gb/s.
-        let down = w.add(Queue::new(
+        let down = w.add(Queue::fused(
             Speed::gbps(1),
             sink,
+            Time::ZERO,
             LinkClass::Other,
-            Policy::lossless(40 * 9000, 10 * 9000, 5 * 9000),
+            Discipline::lossless(40 * 9000, 10 * 9000, 5 * 9000, None),
         ));
-        let pipe = w.add(crate::pipe::Pipe::new(Time::from_ns(500), down));
-        let up = w.add(Queue::new(
+        let up = w.add(Queue::fused(
             Speed::gbps(10),
-            pipe,
+            down,
+            Time::from_ns(500),
             LinkClass::Other,
-            Policy::droptail(1000 * 9000),
+            Discipline::droptail(1000 * 9000, None),
         ));
         w.get_mut::<Queue>(down).set_upstreams(vec![up]);
         for i in 0..100 {
@@ -1101,12 +726,7 @@ mod tests {
     fn paused_queue_does_not_transmit() {
         let mut w: World<Packet> = World::new(5);
         let sink = w.add(Sink::new());
-        let q = w.add(Queue::new(
-            Speed::gbps(10),
-            sink,
-            LinkClass::Other,
-            Policy::droptail(100 * 9000),
-        ));
+        let q = w.add(link(sink, Discipline::droptail(100 * 9000, None)));
         w.post(
             Time::ZERO,
             q,
@@ -1125,94 +745,101 @@ mod tests {
         assert_eq!(s.times[0], Time::from_us(100) + Time::from_ns(7_200));
     }
 
+    /// The link's timing contract (what the deleted queue-then-wire pair
+    /// produced): packets leave back to back, each arriving one
+    /// serialization time after its predecessor plus the wire delay, in
+    /// order, for one scheduled event per packet beyond the TX-done wake.
     #[test]
     fn fused_hop_matches_queue_plus_pipe_timing() {
         let delay = Time::from_us(1);
-        // Reference: queue -> pipe -> sink.
-        let mut wa: World<Packet> = World::new(5);
-        let sink_a = wa.add(Sink::new());
-        let pipe = wa.add(crate::pipe::Pipe::new(delay, sink_a));
-        let qa = wa.add(Queue::new(
+        let tx = Time::from_ns(7_200); // 9 KB at 10 Gb/s
+        let mut w: World<Packet> = World::new(5);
+        let sink = w.add(Sink::new());
+        let q = w.add(Queue::fused(
             Speed::gbps(10),
-            pipe,
-            LinkClass::Other,
-            Policy::droptail(100 * 9000),
-        ));
-        // Fused: queue carries the wire delay itself.
-        let mut wb: World<Packet> = World::new(5);
-        let sink_b = wb.add(Sink::new());
-        let qb = wb.add(Queue::fused(
-            Speed::gbps(10),
-            sink_b,
+            sink,
             delay,
             LinkClass::Other,
-            Policy::droptail(100 * 9000),
+            Discipline::droptail(100 * 9000, None),
         ));
         for i in 0..5 {
-            wa.post(Time::ZERO, qa, Packet::data(0, 1, 0, i, 9000));
-            wb.post(Time::ZERO, qb, Packet::data(0, 1, 0, i, 9000));
+            w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
-        wa.run_until_idle();
-        wb.run_until_idle();
-        let sa = wa.get::<Sink>(sink_a);
-        let sb = wb.get::<Sink>(sink_b);
-        assert_eq!(sa.times, sb.times, "fused hop must preserve arrival times");
-        let seqs_a: Vec<u32> = sa.got.iter().map(|p| p.seq).collect();
-        let seqs_b: Vec<u32> = sb.got.iter().map(|p| p.seq).collect();
-        assert_eq!(seqs_a, seqs_b, "fused hop must preserve arrival order");
-        // Fused run dispatched fewer events (no pipe hops).
-        assert!(wb.events_processed() < wa.events_processed());
+        // A lone packet on an idle link: exact propagation on top of TX.
+        w.post(Time::from_us(100), q, Packet::data(0, 1, 0, 5, 9000));
+        w.run_until_idle();
+        let s = w.get::<Sink>(sink);
+        let seqs: Vec<u32> = s.got.iter().map(|p| p.seq).collect();
+        assert_eq!(seqs, (0..6).collect::<Vec<_>>(), "arrival order");
+        for i in 0..5u64 {
+            assert_eq!(s.times[i as usize], tx * (i + 1) + delay, "packet {i}");
+        }
+        assert_eq!(s.times[5], Time::from_us(100) + tx + delay);
+        // Per packet: arrival at the queue, TX-done wake, arrival at the sink.
+        assert_eq!(w.events_processed(), 6 * 3);
     }
 
+    /// Wire corruption: every transmitted packet is either delivered or
+    /// counted, the loss rate is the configured one, survivors keep the
+    /// link's timing and order — and a healthy wire draws no RNG at all.
     #[test]
     fn fused_corruption_matches_pipe_corruption_exactly() {
-        // Same seed, same draw condition and order => the fused wire must
-        // corrupt the exact same packets as a trailing Pipe would.
         let delay = Time::from_ns(500);
-        let p = 0.25;
-        let mut wa: World<Packet> = World::new(11);
-        let sink_a = wa.add(Sink::new());
-        let pipe = wa.add(crate::pipe::Pipe::new(delay, sink_a).with_corruption(p));
-        let qa = wa.add(Queue::new(
-            Speed::gbps(10),
-            pipe,
-            LinkClass::Other,
-            Policy::droptail(10_000 * 9000),
-        ));
-        let mut wb: World<Packet> = World::new(11);
-        let sink_b = wb.add(Sink::new());
-        let qb = wb.add(
-            Queue::fused(
-                Speed::gbps(10),
-                sink_b,
-                delay,
-                LinkClass::Other,
-                Policy::droptail(10_000 * 9000),
-            )
-            .with_wire_corruption(p),
-        );
-        for i in 0..2_000 {
-            wa.post(Time::from_ns(i), qa, Packet::data(0, 1, 0, i, 1500));
-            wb.post(Time::from_ns(i), qb, Packet::data(0, 1, 0, i, 1500));
+        let tx = Speed::gbps(10).tx_time(1500);
+        let n = 10_000u64;
+        let run = |p: f64| {
+            let mut w: World<Packet> = World::new(11);
+            let sink = w.add(Sink::new());
+            let q = w.add(
+                Queue::fused(
+                    Speed::gbps(10),
+                    sink,
+                    delay,
+                    LinkClass::Other,
+                    Discipline::droptail(n * 9000, None),
+                )
+                .with_wire_corruption(p),
+            );
+            for i in 0..n {
+                w.post(Time::from_ns(i), q, Packet::data(0, 1, 0, i, 1500));
+            }
+            w.run_until_idle();
+            (w, q, sink)
+        };
+        let (w, q, sink) = run(0.25);
+        let s = w.get::<Sink>(sink);
+        let lost = w.get::<Queue>(q).wire_corrupted;
+        assert_eq!(w.get::<Queue>(q).stats.forwarded_pkts, n);
+        assert_eq!(s.got.len() as u64 + lost, n, "delivered or counted");
+        let share = lost as f64 / n as f64;
+        assert!((share - 0.25).abs() < 0.02, "corrupted fraction {share}");
+        for (p, &at) in s.got.iter().zip(&s.times) {
+            // Packet i finishes serializing at (i+1)·tx whether or not its
+            // predecessors survived the wire.
+            assert_eq!(at, tx * (p.seq as u64 + 1) + delay, "seq {}", p.seq);
         }
-        wa.run_until_idle();
-        wb.run_until_idle();
-        let sa = wa.get::<Sink>(sink_a);
-        let sb = wb.get::<Sink>(sink_b);
-        let seqs_a: Vec<u32> = sa.got.iter().map(|p| p.seq).collect();
-        let seqs_b: Vec<u32> = sb.got.iter().map(|p| p.seq).collect();
-        assert_eq!(seqs_a, seqs_b, "same survivors in the same order");
-        assert_eq!(sa.times, sb.times);
+        assert!(s.got.windows(2).all(|w| w[0].seq < w[1].seq), "in order");
+
+        // p = 0 draws nothing: the sink's own draws are the seed's first n,
+        // exactly what it sees with no link in front of it.
+        let (w, q, sink) = run(0.0);
+        assert_eq!(w.get::<Queue>(q).wire_corrupted, 0);
+        let mut bare: World<Packet> = World::new(11);
+        let bare_sink = bare.add(Sink::new());
+        for i in 0..n {
+            bare.post(Time::from_ns(i), bare_sink, Packet::data(0, 1, 0, i, 1500));
+        }
+        bare.run_until_idle();
         assert_eq!(
-            wa.get::<crate::pipe::Pipe>(pipe).corrupted,
-            wb.get::<Queue>(qb).wire_corrupted
+            w.get::<Sink>(sink).draws,
+            bare.get::<Sink>(bare_sink).draws,
+            "a healthy wire must not consume the RNG stream"
         );
-        assert!(wb.get::<Queue>(qb).wire_corrupted > 0);
     }
 
     #[test]
     fn down_link_loses_buffered_and_in_flight_packets() {
-        let (mut w, q, sink) = world_with_queue(Policy::droptail(100 * 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::droptail(100 * 9000, None));
         for i in 0..3 {
             w.post(Time::ZERO, q, Packet::data(0, 1, 0, i, 9000));
         }
@@ -1231,7 +858,7 @@ mod tests {
 
     #[test]
     fn restored_link_comes_back_at_nominal_rate() {
-        let (mut w, q, sink) = world_with_queue(Policy::droptail(100 * 9000));
+        let (mut w, q, sink) = world_with_queue(Discipline::droptail(100 * 9000, None));
         {
             let qq = w.get_mut::<Queue>(q);
             qq.set_rate(Speed::gbps(1)); // degraded...
@@ -1251,12 +878,7 @@ mod tests {
         let mut w: World<Packet> = World::new(5);
         let sink = w.add(Sink::new());
         let swid = w.add(Sink::new()); // stands in for the owning switch
-        let mut qq = Queue::new(
-            Speed::gbps(10),
-            sink,
-            LinkClass::TorDown,
-            Policy::ndp(8, 9000),
-        );
+        let mut qq = link(sink, Discipline::ndp(8, 9000));
         qq.set_bounce_to(swid);
         qq.set_down(true);
         let q = w.add(qq);
@@ -1279,12 +901,7 @@ mod tests {
     fn rate_change_applies_to_next_packet() {
         let mut w: World<Packet> = World::new(5);
         let sink = w.add(Sink::new());
-        let q = w.add(Queue::new(
-            Speed::gbps(10),
-            sink,
-            LinkClass::Other,
-            Policy::droptail(100 * 9000),
-        ));
+        let q = w.add(link(sink, Discipline::droptail(100 * 9000, None)));
         w.post(Time::ZERO, q, Packet::data(0, 1, 0, 0, 9000));
         w.run_until_idle();
         w.get_mut::<Queue>(q).set_rate(Speed::gbps(1));

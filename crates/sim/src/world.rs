@@ -1,6 +1,6 @@
 //! The component arena and event scheduler.
 //!
-//! A [`World`] owns every network element (queue, pipe, switch, host) as a
+//! A [`World`] owns every network element (queue, switch, host) as a
 //! boxed [`Component`]. Components never hold references to each other; they
 //! interact only by posting timestamped events through the [`Ctx`] handed to
 //! them during dispatch. Events at equal timestamps are delivered in posting
@@ -12,7 +12,7 @@
 //! Two scheduler implementations share that ordering contract:
 //!
 //! * [`SchedulerKind::TwoTier`] (default) — the hot path. Zero-delay
-//!   handoffs (`Ctx::forward`, the queue→pipe→switch→host chains that
+//!   handoffs (`Ctx::forward`, the switch→queue and queue→host chains that
 //!   dominate event counts) go to a plain FIFO "fast lane" and never touch
 //!   an ordered structure; timers at a workload's hot delays
 //!   (serialization, propagation, pacing) ride per-exact-delay FIFO lanes
@@ -95,7 +95,7 @@ pub enum Event<M> {
     Wake(u64),
 }
 
-/// A simulation actor: a queue, pipe, switch, or host.
+/// A simulation actor: a queue, switch, or host.
 ///
 /// `as_any`/`as_any_mut` enable post-run harvesting of statistics by
 /// downcasting — the experiment harness reads results out of components

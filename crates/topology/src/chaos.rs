@@ -26,7 +26,6 @@
 use std::any::Any;
 
 use ndp_net::packet::Packet;
-use ndp_net::pipe::Pipe;
 use ndp_net::queue::{LinkClass, Queue};
 use ndp_net::switch::Switch;
 use ndp_sim::{Component, ComponentId, Ctx, Event, Speed, Time, World};
@@ -119,16 +118,6 @@ pub struct ChaosController {
     pub tally: ChaosTally,
 }
 
-/// Follow a queue to the component its packets arrive at: the fused
-/// downstream directly, or through the explicit `Pipe` on unfused wiring.
-fn downstream_of(world: &World<Packet>, queue: ComponentId) -> ComponentId {
-    let next = world.get::<Queue>(queue).next_hop();
-    match world.try_get::<Pipe>(next) {
-        Some(pipe) => pipe.next_hop(),
-        None => next,
-    }
-}
-
 impl ChaosController {
     /// Resolve the schedule against a built topology and arm the first
     /// event. The schedule is stably sorted by time; events already in the
@@ -189,7 +178,7 @@ impl ChaosController {
                 let n_ports = world.get::<Switch>(up).ports().len();
                 for port in 0..n_ports {
                     let q = world.get::<Switch>(up).ports()[port];
-                    if downstream_of(world, q) == switch {
+                    if world.get::<Queue>(q).next_hop() == switch {
                         feeders.push((up, port));
                     }
                 }

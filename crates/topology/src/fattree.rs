@@ -17,7 +17,6 @@
 
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
-use ndp_net::pipe::Pipe;
 use ndp_net::queue::{LinkClass, Queue};
 use ndp_net::switch::{Router, Switch};
 use ndp_sim::{ComponentId, Speed, Time, World};
@@ -57,11 +56,6 @@ pub struct FatTreeCfg {
     /// Return-to-sender on header-queue overflow (NDP only, §3.2.4).
     pub rts: bool,
     pub host_latency: HostLatency,
-    /// Fold wire propagation into each queue's TX-done post (one scheduled
-    /// event per hop instead of queue→`Pipe`→next). Identical timing and
-    /// RNG behaviour; disable to reproduce the seed's explicit-`Pipe`
-    /// event schedule (golden traces, A/B comparisons).
-    pub fused: bool,
 }
 
 impl FatTreeCfg {
@@ -79,18 +73,11 @@ impl FatTreeCfg {
             route_mode: RouteMode::SourceTag,
             rts: true,
             host_latency: HostLatency::default(),
-            fused: true,
         }
     }
 
     pub fn with_fabric(mut self, fabric: QueueSpec) -> FatTreeCfg {
         self.fabric = fabric;
-        self
-    }
-
-    /// Wire explicit `Pipe` components instead of fused hops.
-    pub fn unfused(mut self) -> FatTreeCfg {
-        self.fused = false;
         self
     }
 
@@ -328,34 +315,18 @@ impl FatTree {
         let aggs: Vec<ComponentId> = (0..n_aggs).map(|_| world.reserve()).collect();
         let cores: Vec<ComponentId> = (0..n_cores).map(|_| world.reserve()).collect();
 
-        let mk_link =
-            |world: &mut World<Packet>, to: ComponentId, class: LinkClass, cfg: &FatTreeCfg| {
-                let policy = if class == LinkClass::HostNic {
-                    cfg.fabric.build_host_nic(cfg.mtu)
-                } else {
-                    cfg.fabric.build(cfg.mtu)
-                };
-                if cfg.fused {
-                    world.add(Queue::fused(
-                        cfg.link_speed,
-                        to,
-                        cfg.link_delay,
-                        class,
-                        policy,
-                    ))
-                } else {
-                    let pipe = world.add(Pipe::new(cfg.link_delay, to));
-                    world.add(Queue::new(cfg.link_speed, pipe, class, policy))
-                }
-            };
+        let mk_link = |world: &mut World<Packet>, to: ComponentId, class: LinkClass| {
+            cfg.fabric
+                .link(world, to, class, cfg.link_speed, cfg.link_delay, cfg.mtu)
+        };
 
         // Host <-> ToR links.
         let mut host_nic = Vec::with_capacity(n_hosts);
         let mut tor_down = vec![Vec::with_capacity(hpt); n_tors];
         for (h, &host) in hosts.iter().enumerate() {
             let tor = ix.pod_of(h as HostId) * half + ix.tor_in_pod_of(h as HostId);
-            host_nic.push(mk_link(world, tors[tor], LinkClass::HostNic, &cfg));
-            tor_down[tor].push(mk_link(world, host, LinkClass::TorDown, &cfg));
+            host_nic.push(mk_link(world, tors[tor], LinkClass::HostNic));
+            tor_down[tor].push(mk_link(world, host, LinkClass::TorDown));
         }
 
         // ToR <-> Agg links (within each pod).
@@ -366,14 +337,14 @@ impl FatTree {
                 let tor = pod * half + t;
                 for a in 0..half {
                     let agg = pod * half + a;
-                    tor_up[tor].push(mk_link(world, aggs[agg], LinkClass::TorUp, &cfg));
+                    tor_up[tor].push(mk_link(world, aggs[agg], LinkClass::TorUp));
                 }
             }
             for a in 0..half {
                 let agg = pod * half + a;
                 for t in 0..half {
                     let tor = pod * half + t;
-                    agg_down[agg].push(mk_link(world, tors[tor], LinkClass::AggDown, &cfg));
+                    agg_down[agg].push(mk_link(world, tors[tor], LinkClass::AggDown));
                 }
             }
         }
@@ -389,8 +360,8 @@ impl FatTree {
                 let agg = pod * half + a;
                 for m in 0..half {
                     let core = a * half + m;
-                    agg_up[agg].push(mk_link(world, cores[core], LinkClass::AggUp, &cfg));
-                    core_down[core][pod] = mk_link(world, aggs[agg], LinkClass::CoreDown, &cfg);
+                    agg_up[agg].push(mk_link(world, cores[core], LinkClass::AggUp));
+                    core_down[core][pod] = mk_link(world, aggs[agg], LinkClass::CoreDown);
                 }
             }
         }
@@ -691,8 +662,7 @@ mod tests {
             // get() panics on vacated slots; try all known types.
             let ok = w.try_get::<Host>(id).is_some()
                 || w.try_get::<Switch>(id).is_some()
-                || w.try_get::<Queue>(id).is_some()
-                || w.try_get::<Pipe>(id).is_some();
+                || w.try_get::<Queue>(id).is_some();
             assert!(ok, "component {id} not installed");
         }
     }

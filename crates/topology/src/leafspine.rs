@@ -17,7 +17,6 @@
 
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
-use ndp_net::pipe::Pipe;
 use ndp_net::queue::{LinkClass, Queue};
 use ndp_net::switch::Switch;
 use ndp_sim::{ComponentId, Speed, Time, World};
@@ -45,9 +44,6 @@ pub struct LeafSpineCfg {
     /// Return-to-sender on header-queue overflow (NDP only).
     pub rts: bool,
     pub host_latency: HostLatency,
-    /// Fold wire propagation into each queue's TX-done post (see
-    /// [`crate::fattree::FatTreeCfg::fused`]).
-    pub fused: bool,
 }
 
 impl LeafSpineCfg {
@@ -66,18 +62,11 @@ impl LeafSpineCfg {
             fabric: QueueSpec::ndp_default(),
             rts: true,
             host_latency: HostLatency::default(),
-            fused: true,
         }
     }
 
     pub fn with_fabric(mut self, fabric: QueueSpec) -> LeafSpineCfg {
         self.fabric = fabric;
-        self
-    }
-
-    /// Wire explicit `Pipe` components instead of fused hops.
-    pub fn unfused(mut self) -> LeafSpineCfg {
-        self.fused = false;
         self
     }
 
@@ -128,22 +117,9 @@ impl LeafSpine {
         let tors: Vec<ComponentId> = (0..cfg.n_tors).map(|_| world.reserve()).collect();
         let spines: Vec<ComponentId> = (0..cfg.n_spines).map(|_| world.reserve()).collect();
 
-        let mk = |world: &mut World<Packet>,
-                  to: ComponentId,
-                  class: LinkClass,
-                  speed: Speed,
-                  cfg: &LeafSpineCfg| {
-            let policy = if class == LinkClass::HostNic {
-                cfg.fabric.build_host_nic(cfg.mtu)
-            } else {
-                cfg.fabric.build(cfg.mtu)
-            };
-            if cfg.fused {
-                world.add(Queue::fused(speed, to, cfg.link_delay, class, policy))
-            } else {
-                let pipe = world.add(Pipe::new(cfg.link_delay, to));
-                world.add(Queue::new(speed, pipe, class, policy))
-            }
+        let mk = |world: &mut World<Packet>, to: ComponentId, class: LinkClass, speed: Speed| {
+            cfg.fabric
+                .link(world, to, class, speed, cfg.link_delay, cfg.mtu)
         };
 
         let mut host_nic = Vec::with_capacity(n_hosts);
@@ -152,23 +128,17 @@ impl LeafSpine {
         let mut spine_down = vec![Vec::with_capacity(cfg.n_tors); cfg.n_spines];
         for (h, &host) in hosts.iter().enumerate() {
             let tor = h / hpt;
-            host_nic.push(mk(
-                world,
-                tors[tor],
-                LinkClass::HostNic,
-                cfg.host_speed,
-                &cfg,
-            ));
-            tor_down[tor].push(mk(world, host, LinkClass::TorDown, cfg.host_speed, &cfg));
+            host_nic.push(mk(world, tors[tor], LinkClass::HostNic, cfg.host_speed));
+            tor_down[tor].push(mk(world, host, LinkClass::TorDown, cfg.host_speed));
         }
         for up in tor_up.iter_mut() {
             for &spine in &spines {
-                up.push(mk(world, spine, LinkClass::TorUp, cfg.uplink_speed, &cfg));
+                up.push(mk(world, spine, LinkClass::TorUp, cfg.uplink_speed));
             }
         }
         for down in spine_down.iter_mut() {
             for &tor in &tors {
-                down.push(mk(world, tor, LinkClass::AggDown, cfg.uplink_speed, &cfg));
+                down.push(mk(world, tor, LinkClass::AggDown, cfg.uplink_speed));
             }
         }
 

@@ -12,10 +12,11 @@
 //! no routing tables, no per-packet route vectors.
 //!
 //! Every builder wires real [`ndp_net`] components into a
-//! [`ndp_sim::World`]: per-direction egress queues, propagation pipes, and
-//! switch components, and returns a handle with the component ids needed
-//! by experiments (hosts for endpoint registration, queues for statistics
-//! harvesting and failure injection).
+//! [`ndp_sim::World`]: one egress [`ndp_net::Queue`] per directional link
+//! (made by [`QueueSpec::link`], the only place a link is constructed) and
+//! the switch components, and returns a handle with the component ids
+//! needed by experiments (hosts for endpoint registration, queues for
+//! statistics harvesting and failure injection).
 
 pub mod chaos;
 pub mod fattree;

@@ -5,7 +5,6 @@
 
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
-use ndp_net::pipe::Pipe;
 use ndp_net::queue::{LinkClass, Queue};
 use ndp_net::switch::{Router, Switch};
 use ndp_sim::{ComponentId, Speed, Time, World};
@@ -34,47 +33,10 @@ impl BackToBack {
         fabric: QueueSpec,
         latency: HostLatency,
     ) -> BackToBack {
-        Self::build_wired(world, link_speed, link_delay, mtu, fabric, latency, true)
-    }
-
-    /// [`BackToBack::build`] with explicit `Pipe` components instead of
-    /// fused hops (A/B comparisons against the seed's event schedule).
-    pub fn build_unfused(
-        world: &mut World<Packet>,
-        link_speed: Speed,
-        link_delay: Time,
-        mtu: u32,
-        fabric: QueueSpec,
-        latency: HostLatency,
-    ) -> BackToBack {
-        Self::build_wired(world, link_speed, link_delay, mtu, fabric, latency, false)
-    }
-
-    fn build_wired(
-        world: &mut World<Packet>,
-        link_speed: Speed,
-        link_delay: Time,
-        mtu: u32,
-        fabric: QueueSpec,
-        latency: HostLatency,
-        fused: bool,
-    ) -> BackToBack {
         let h0 = world.reserve();
         let h1 = world.reserve();
         let mk = |world: &mut World<Packet>, to: ComponentId| {
-            let policy = fabric.build_host_nic(mtu);
-            if fused {
-                world.add(Queue::fused(
-                    link_speed,
-                    to,
-                    link_delay,
-                    LinkClass::HostNic,
-                    policy,
-                ))
-            } else {
-                let pipe = world.add(Pipe::new(link_delay, to));
-                world.add(Queue::new(link_speed, pipe, LinkClass::HostNic, policy))
-            }
+            fabric.link(world, to, LinkClass::HostNic, link_speed, link_delay, mtu)
         };
         let nic0 = mk(world, h1);
         let nic1 = mk(world, h0);
@@ -151,9 +113,6 @@ pub struct TwoTierCfg {
     pub fabric: QueueSpec,
     pub rts: bool,
     pub host_latency: HostLatency,
-    /// Fold wire propagation into each queue's TX-done post (see
-    /// [`crate::fattree::FatTreeCfg::fused`]).
-    pub fused: bool,
 }
 
 impl TwoTierCfg {
@@ -170,7 +129,6 @@ impl TwoTierCfg {
             fabric: QueueSpec::ndp_default(),
             rts: true,
             host_latency: HostLatency::default(),
-            fused: true,
         }
     }
 
@@ -203,12 +161,6 @@ impl TwoTierCfg {
         self.fabric = fabric;
         self
     }
-
-    /// Wire explicit `Pipe` components instead of fused hops.
-    pub fn unfused(mut self) -> TwoTierCfg {
-        self.fused = false;
-        self
-    }
 }
 
 /// A two-tier leaf/spine network.
@@ -234,26 +186,10 @@ impl TwoTier {
         let tors: Vec<ComponentId> = (0..cfg.n_tors).map(|_| world.reserve()).collect();
         let spines: Vec<ComponentId> = (0..cfg.n_spines).map(|_| world.reserve()).collect();
 
-        let mk =
-            |world: &mut World<Packet>, to: ComponentId, class: LinkClass, cfg: &TwoTierCfg| {
-                let policy = if class == LinkClass::HostNic {
-                    cfg.fabric.build_host_nic(cfg.mtu)
-                } else {
-                    cfg.fabric.build(cfg.mtu)
-                };
-                if cfg.fused {
-                    world.add(Queue::fused(
-                        cfg.link_speed,
-                        to,
-                        cfg.link_delay,
-                        class,
-                        policy,
-                    ))
-                } else {
-                    let pipe = world.add(Pipe::new(cfg.link_delay, to));
-                    world.add(Queue::new(cfg.link_speed, pipe, class, policy))
-                }
-            };
+        let mk = |world: &mut World<Packet>, to: ComponentId, class: LinkClass| {
+            cfg.fabric
+                .link(world, to, class, cfg.link_speed, cfg.link_delay, cfg.mtu)
+        };
 
         let mut host_nic = Vec::new();
         let mut tor_down = vec![Vec::new(); cfg.n_tors];
@@ -261,17 +197,17 @@ impl TwoTier {
         let mut spine_down = vec![Vec::new(); cfg.n_spines];
         for (h, &host) in hosts.iter().enumerate() {
             let tor = h / hpt;
-            host_nic.push(mk(world, tors[tor], LinkClass::HostNic, &cfg));
-            tor_down[tor].push(mk(world, host, LinkClass::TorDown, &cfg));
+            host_nic.push(mk(world, tors[tor], LinkClass::HostNic));
+            tor_down[tor].push(mk(world, host, LinkClass::TorDown));
         }
         for up in tor_up.iter_mut() {
             for &spine in &spines {
-                up.push(mk(world, spine, LinkClass::TorUp, &cfg));
+                up.push(mk(world, spine, LinkClass::TorUp));
             }
         }
         for down in spine_down.iter_mut() {
             for &tor in &tors {
-                down.push(mk(world, tor, LinkClass::AggDown, &cfg));
+                down.push(mk(world, tor, LinkClass::AggDown));
             }
         }
 
@@ -445,13 +381,10 @@ impl SingleBottleneck {
     ) -> SingleBottleneck {
         let receiver = world.reserve();
         let sw = world.reserve();
-        let rx_pipe = world.add(Pipe::new(link_delay, receiver));
-        let bottleneck = world.add(Queue::new(
-            link_speed,
-            rx_pipe,
-            LinkClass::TorDown,
-            fabric.build(mtu),
-        ));
+        let mk = |world: &mut World<Packet>, to: ComponentId, class: LinkClass| {
+            fabric.link(world, to, class, link_speed, link_delay, mtu)
+        };
+        let bottleneck = mk(world, receiver, LinkClass::TorDown);
         if fabric.is_ndp() {
             world.get_mut::<Queue>(bottleneck).set_bounce_to(sw);
         }
@@ -459,45 +392,23 @@ impl SingleBottleneck {
         let mut sender_nic = Vec::new();
         for i in 0..n_senders {
             let h = world.reserve();
-            let pipe = world.add(Pipe::new(link_delay, sw));
-            let nic = world.add(Queue::new(
-                link_speed,
-                pipe,
-                LinkClass::HostNic,
-                fabric.build_host_nic(mtu),
-            ));
+            let nic = mk(world, sw, LinkClass::HostNic);
             world.install(h, Host::new(i as HostId, nic, link_speed, mtu));
             senders.push(h);
             sender_nic.push(nic);
         }
-        // The receiver's own NIC (for ACK/pull traffic back): wire a reverse
-        // path directly to a broadcast-ish return switch. For simplicity the
-        // receiver NIC connects back through per-sender pipes via a return
-        // switch that routes on dst.
+        // The receiver's own NIC carries ACK/pull traffic back through a
+        // return switch with one port per sender, routed by dst id.
         let ret_sw = world.reserve();
-        let ret_pipe = world.add(Pipe::new(link_delay, ret_sw));
-        let rx_nic = world.add(Queue::new(
-            link_speed,
-            ret_pipe,
-            LinkClass::HostNic,
-            fabric.build_host_nic(mtu),
-        ));
+        let rx_nic = mk(world, ret_sw, LinkClass::HostNic);
         world.install(
             receiver,
             Host::new(n_senders as HostId, rx_nic, link_speed, mtu),
         );
-        // Return switch: one port per sender, routed by dst id.
-        let mut ret_ports = Vec::new();
-        for &s in &senders {
-            let pipe = world.add(Pipe::new(link_delay, s));
-            let q = world.add(Queue::new(
-                link_speed,
-                pipe,
-                LinkClass::TorDown,
-                fabric.build(mtu),
-            ));
-            ret_ports.push(q);
-        }
+        let ret_ports = senders
+            .iter()
+            .map(|&s| mk(world, s, LinkClass::TorDown))
+            .collect();
         struct ByDst;
         impl Router for ByDst {
             fn route(&self, pkt: &Packet, _rng: &mut SmallRng) -> usize {

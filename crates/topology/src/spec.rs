@@ -1,6 +1,10 @@
-//! Queue-policy specifications shared by all topology builders.
+//! Queue-discipline specifications, and the one place a topology link is
+//! built from them.
 
-use ndp_net::queue::Policy;
+use ndp_net::packet::Packet;
+use ndp_net::queue::{LinkClass, Queue};
+use ndp_net::Discipline;
+use ndp_sim::{ComponentId, Speed, Time, World};
 
 /// Which switch service model the fabric uses. Capacities are expressed in
 /// MTU-sized packets, the unit the paper uses throughout ("8 packet output
@@ -66,37 +70,38 @@ impl QueueSpec {
         }
     }
 
-    /// Materialize the policy for a fabric queue with the given MTU.
-    pub fn build(self, mtu: u32) -> Policy {
+    /// Materialize the discipline for a fabric queue with the given MTU.
+    /// A zero capacity is rejected here, at configuration time: such a
+    /// link would drop every packet (or, for NDP, have no tail to trim)
+    /// and every flow would idle to the horizon.
+    pub fn build(self, mtu: u32) -> Discipline {
         let b = mtu as u64;
+        let (field, cap) = match self {
+            QueueSpec::Ndp { data_cap_pkts } => ("data_cap_pkts", data_cap_pkts),
+            QueueSpec::DropTail { cap_pkts, .. } | QueueSpec::Lossless { cap_pkts, .. } => {
+                ("cap_pkts", cap_pkts)
+            }
+            QueueSpec::Cp { thresh_pkts } => ("thresh_pkts", thresh_pkts),
+        };
+        assert!(cap > 0, "{self:?}: {field} must be at least 1");
         match self {
-            QueueSpec::Ndp { data_cap_pkts } => Policy::ndp(data_cap_pkts, mtu),
+            QueueSpec::Ndp { data_cap_pkts } => Discipline::ndp(data_cap_pkts, mtu),
             QueueSpec::DropTail {
                 cap_pkts,
                 ecn_thresh_pkts,
-            } => match ecn_thresh_pkts {
-                Some(k) => Policy::droptail_ecn(cap_pkts as u64 * b, k as u64 * b),
-                None => Policy::droptail(cap_pkts as u64 * b),
-            },
-            QueueSpec::Cp { thresh_pkts } => Policy::cp(thresh_pkts as u64 * b),
+            } => Discipline::droptail(cap_pkts as u64 * b, ecn_thresh_pkts.map(|k| k as u64 * b)),
+            QueueSpec::Cp { thresh_pkts } => Discipline::cp(thresh_pkts as u64 * b),
             QueueSpec::Lossless {
                 cap_pkts,
                 xoff_pkts,
                 xon_pkts,
                 ecn_thresh_pkts,
-            } => match ecn_thresh_pkts {
-                Some(k) => Policy::lossless_ecn(
-                    cap_pkts as u64 * b,
-                    xoff_pkts as u64 * b,
-                    xon_pkts as u64 * b,
-                    k as u64 * b,
-                ),
-                None => Policy::lossless(
-                    cap_pkts as u64 * b,
-                    xoff_pkts as u64 * b,
-                    xon_pkts as u64 * b,
-                ),
-            },
+            } => Discipline::lossless(
+                cap_pkts as u64 * b,
+                xoff_pkts as u64 * b,
+                xon_pkts as u64 * b,
+                ecn_thresh_pkts.map(|k| k as u64 * b),
+            ),
         }
     }
 
@@ -132,14 +137,35 @@ impl QueueSpec {
         }
     }
 
-    /// Host NIC policy matching this fabric. NDP NICs keep the priority
-    /// (header-first) behaviour but with a deep data queue — hosts never
-    /// trim their own traffic; other fabrics get a deep drop-tail NIC.
-    pub fn build_host_nic(self, mtu: u32) -> Policy {
+    /// Host NIC discipline matching this fabric. NDP NICs keep the
+    /// priority (header-first) behaviour but with a deep data queue — hosts
+    /// never trim their own traffic; other fabrics get a deep drop-tail NIC.
+    pub fn build_host_nic(self, mtu: u32) -> Discipline {
         match self {
-            QueueSpec::Ndp { .. } | QueueSpec::Cp { .. } => Policy::ndp(4096, mtu),
-            _ => Policy::droptail(4096 * mtu as u64),
+            QueueSpec::Ndp { .. } | QueueSpec::Cp { .. } => Discipline::ndp(4096, mtu),
+            _ => Discipline::droptail(4096 * mtu as u64, None),
         }
+    }
+
+    /// Wire one directional link of this fabric into `world`: a [`Queue`]
+    /// at `speed` delivering to `to` after `delay`, with the host-NIC
+    /// discipline on [`LinkClass::HostNic`] links and the fabric discipline
+    /// everywhere else. Every topology builder makes its links here.
+    pub fn link(
+        self,
+        world: &mut World<Packet>,
+        to: ComponentId,
+        class: LinkClass,
+        speed: Speed,
+        delay: Time,
+        mtu: u32,
+    ) -> ComponentId {
+        let disc = if class == LinkClass::HostNic {
+            self.build_host_nic(mtu)
+        } else {
+            self.build(mtu)
+        };
+        world.add(Queue::fused(speed, to, delay, class, disc))
     }
 
     pub fn is_lossless(self) -> bool {
@@ -190,6 +216,30 @@ mod tests {
             }
             other => panic!("lossless stayed lossless, got {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "Ndp { data_cap_pkts: 0 }: data_cap_pkts must be at least 1")]
+    fn zero_capacity_ndp_fails_at_the_door() {
+        QueueSpec::Ndp { data_cap_pkts: 0 }.build(9000);
+    }
+
+    #[test]
+    #[should_panic(expected = "DropTail { cap_pkts: 0, ecn_thresh_pkts: Some(0) }: cap_pkts must")]
+    fn zero_capacity_droptail_fails_at_the_door() {
+        QueueSpec::dctcp_default().with_data_cap(0).build(9000);
+    }
+
+    #[test]
+    #[should_panic(expected = "Cp { thresh_pkts: 0 }: thresh_pkts must be at least 1")]
+    fn zero_capacity_cp_fails_at_the_door() {
+        QueueSpec::Cp { thresh_pkts: 0 }.build(9000);
+    }
+
+    #[test]
+    #[should_panic(expected = "Lossless { cap_pkts: 0, xoff_pkts: 0, xon_pkts: 0")]
+    fn zero_capacity_lossless_fails_at_the_door() {
+        QueueSpec::dcqcn_default().with_data_cap(0).build(9000);
     }
 
     #[test]

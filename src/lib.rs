@@ -5,7 +5,8 @@
 //! downstream users can depend on a single crate:
 //!
 //! * [`sim`] — deterministic discrete-event simulation engine
-//! * [`net`] — packets, queues (including the NDP trimming switch), pipes, hosts
+//! * [`net`] — packets, links and their service disciplines (including the
+//!   NDP trimming switch), switches, hosts
 //! * [`topology`] — FatTree/Clos builders, path math, failure injection
 //! * [`transport`] — the pluggable `Transport` trait every protocol implements
 //! * [`core`] — the NDP receiver-driven transport protocol itself

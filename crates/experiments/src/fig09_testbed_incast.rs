@@ -9,7 +9,7 @@
 use ndp_metrics::{Cdf, Table};
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Speed, Time, World};
-use ndp_topology::{TwoTier, TwoTierCfg};
+use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
 use crate::harness::{attach_generic, completion_time, FlowSpec, Proto, Scale};
 
@@ -36,9 +36,9 @@ pub struct Report {
 /// fabric the registry hands back — no per-protocol dispatch here.
 fn trial(proto: Proto, size: u64, seed: u64) -> Time {
     let fabric = proto.fabric().with_data_cap(8);
-    let cfg = TwoTierCfg::testbed().with_fabric(fabric);
+    let cfg = LeafSpineCfg::testbed().with_fabric(fabric);
     let mut world: World<Packet> = World::new(seed);
-    let tt = TwoTier::build(&mut world, cfg);
+    let tt = LeafSpine::build(&mut world, cfg);
     // Frontend is host 0; workers are hosts 1..8. The request leg is one
     // base RTT, folded into the optimum rather than simulated.
     for w in 1..8usize {

@@ -7,7 +7,7 @@
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{TwoTier, TwoTierCfg};
+use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
 use crate::harness::{attach_generic, completion_time, FlowSpec, Proto, Scale, LONG_FLOW};
 
@@ -19,9 +19,9 @@ pub struct Report {
 }
 
 fn trial(size: u64, prio: bool, background: bool, seed: u64) -> Time {
-    let cfg = TwoTierCfg::testbed();
+    let cfg = LeafSpineCfg::testbed();
     let mut world: World<Packet> = World::new(seed);
-    let tt = TwoTier::build(&mut world, cfg);
+    let tt = LeafSpine::build(&mut world, cfg);
     // Receiver host 0; short flow from host 1; long flows from hosts 2..8.
     if background {
         for s in 2..8usize {

@@ -101,21 +101,26 @@ pub fn run(scale: Scale) -> Report {
 }
 
 impl Report {
+    /// Median probe FCT in ms; NaN when the protocol is absent or none of
+    /// its probes completed inside the horizon.
     pub fn median(&self, proto: Proto) -> f64 {
         self.cdfs
             .iter()
             .find(|(p, _)| *p == proto)
-            .map(|(_, c)| c.median())
-            .unwrap_or(f64::NAN)
+            .map_or(f64::NAN, |(_, c)| c.percentile_or_nan(0.5))
     }
 
     pub fn headline(&self) -> String {
+        let ms = |proto| match self.median(proto) {
+            m if m.is_finite() => format!("{m:.2}ms"),
+            _ => "-".to_string(),
+        };
         format!(
-            "median 90KB FCT: NDP {:.2}ms, DCTCP {:.2}ms, DCQCN {:.2}ms, MPTCP {:.2}ms",
-            self.median(Proto::Ndp),
-            self.median(Proto::Dctcp),
-            self.median(Proto::Dcqcn),
-            self.median(Proto::Mptcp)
+            "median 90KB FCT: NDP {}, DCTCP {}, DCQCN {}, MPTCP {}",
+            ms(Proto::Ndp),
+            ms(Proto::Dctcp),
+            ms(Proto::Dcqcn),
+            ms(Proto::Mptcp)
         )
     }
 }
@@ -195,6 +200,31 @@ impl crate::registry::Report for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A protocol whose probes all starve (quick-scale DCQCN completes 0 of
+    /// 15) renders as `-` / an empty array everywhere, never a panic.
+    #[test]
+    fn a_protocol_with_no_samples_renders_as_a_dash() {
+        let rep = Report {
+            cdfs: vec![
+                (Proto::Ndp, Cdf::from_samples([0.15, 0.16, 0.17])),
+                (Proto::Dcqcn, Cdf::new()),
+            ],
+        };
+        assert_eq!(
+            rep.headline(),
+            "median 90KB FCT: NDP 0.16ms, DCTCP -, DCQCN -, MPTCP -"
+        );
+        let table = rep.to_string();
+        assert!(table.contains("NDP") && table.contains("0.160"), "{table}");
+        let dcqcn = table.lines().find(|l| l.contains("DCQCN")).expect("row");
+        assert_eq!(dcqcn.matches('-').count(), 3, "{dcqcn}");
+        let json = crate::registry::Report::to_json(&rep).render();
+        assert!(
+            json.contains(r#"{"proto":"DCQCN","samples":0,"fct":[]}"#),
+            "{json}"
+        );
+    }
 
     #[test]
     fn ndp_beats_dctcp_beats_mptcp() {

@@ -12,7 +12,7 @@ use ndp_metrics::{Table, TimeSeries};
 use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{TwoTier, TwoTierCfg};
+use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
 use crate::harness::{attach_generic, FlowSpec, Proto, Scale, LONG_FLOW};
 
@@ -36,9 +36,9 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
         Scale::Quick => 32,
     };
     // Victim rack (hosts 0, 1) + sender racks, two hosts each.
-    let cfg = TwoTierCfg::collateral(n_incast / 2 + 1).with_fabric(proto.fabric());
+    let cfg = LeafSpineCfg::collateral(n_incast / 2 + 1).with_fabric(proto.fabric());
     let mut world: World<Packet> = World::new(seed);
-    let tt = TwoTier::build(&mut world, cfg);
+    let tt = LeafSpine::build(&mut world, cfg);
     let bucket = Time::from_ms(1);
     world.get_mut::<Host>(tt.hosts[0]).enable_rx_trace(bucket);
     world.get_mut::<Host>(tt.hosts[1]).enable_rx_trace(bucket);

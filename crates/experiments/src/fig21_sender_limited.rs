@@ -9,7 +9,7 @@
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{TwoTier, TwoTierCfg};
+use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
 use crate::harness::{attach_generic, delivered_bytes, FlowSpec, Proto, Scale, LONG_FLOW};
 
@@ -22,9 +22,9 @@ pub struct Report {
 
 pub fn run(scale: Scale) -> Report {
     // A=0 B=1 C=2 | D=3 E=4 F=5.
-    let cfg = TwoTierCfg::sender_limited();
+    let cfg = LeafSpineCfg::sender_limited();
     let mut world: World<Packet> = World::new(77);
-    let tt = TwoTier::build(&mut world, cfg);
+    let tt = LeafSpine::build(&mut world, cfg);
     let pairs: [(&str, usize, usize); 5] = [
         ("A->B", 0, 1),
         ("A->C", 0, 2),

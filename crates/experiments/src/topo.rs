@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ndp_net::packet::Packet;
 use ndp_sim::{Speed, World};
-use ndp_topology::{FatTreeCfg, LeafSpineCfg, QueueSpec, Topology, TwoTierCfg};
+use ndp_topology::{FatTreeCfg, LeafSpineCfg, QueueSpec, Topology};
 
 use crate::harness::Scale;
 
@@ -100,20 +100,6 @@ impl TopoSpec {
             n_hosts: cfg.n_hosts(),
             build: Arc::new(move |w, fabric| {
                 Box::new(ndp_topology::LeafSpine::build(
-                    w,
-                    cfg.clone().with_fabric(fabric),
-                ))
-            }),
-        }
-    }
-
-    /// The two-tier testbed replica.
-    pub fn twotier(cfg: TwoTierCfg) -> TopoSpec {
-        TopoSpec {
-            name: "twotier",
-            n_hosts: cfg.n_hosts(),
-            build: Arc::new(move |w, fabric| {
-                Box::new(ndp_topology::TwoTier::build(
                     w,
                     cfg.clone().with_fabric(fabric),
                 ))
@@ -213,7 +199,7 @@ pub static TOPOLOGIES: &[TopoEntry] = &[
     TopoEntry {
         name: "testbed",
         describe: "the paper's 8-server two-tier NetFPGA testbed replica",
-        mk: |_scale| TopoSpec::twotier(TwoTierCfg::testbed()).named("testbed"),
+        mk: |_scale| TopoSpec::leafspine(LeafSpineCfg::testbed()).named("testbed"),
     },
     TopoEntry {
         name: "backtoback",
@@ -252,6 +238,7 @@ pub fn topo_from_env() -> Result<Option<&'static TopoEntry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndp_net::queue::Queue;
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -281,6 +268,50 @@ mod tests {
             assert_eq!(topo.n_hosts(), spec.n_hosts(), "{}", e.name);
             assert!(topo.n_hosts() >= 2, "{}", e.name);
             assert!(!topo.links().is_empty(), "{}", e.name);
+        }
+    }
+
+    /// The derived switch back-references (RTS bounce target, PFC upstream
+    /// list and its order) of every registered fabric equal what the
+    /// hand-indexed per-builder wiring produced: the constants were rendered
+    /// at the last commit that had it (c00d46e). Hash per `links()` entry:
+    /// link index, bounce switch (component index), upstreams as link
+    /// indices in pause order.
+    #[test]
+    fn wiring_matches_the_hand_indexed_builders() {
+        // [NDP, DCQCN] fabric per `TOPOLOGIES` entry, in registry order.
+        const EXPECT: [[u64; 2]; 6] = [
+            [0x142f_ec5e_61a9_87e5, 0xf07b_457a_7d5a_1da5], // fattree
+            [0xbb8f_0acf_927a_36a5, 0xbbdf_e38f_3ee9_daa5], // leafspine
+            [0x45fa_dc88_088b_27a5, 0xd760_de53_2995_3925], // oversubscribed
+            [0xf136_a82b_333f_4ea5, 0xc1ee_79e9_7dce_3825], // leafspine-oversub
+            [0xf204_7a1a_e203_ac65, 0x90a0_eaca_bbb2_08a5], // testbed
+            [0x6eaa_79d2_014d_0274, 0x6eaa_79d2_014d_0274], // backtoback
+        ];
+        let fabrics = [QueueSpec::ndp_default(), QueueSpec::dcqcn_default()];
+        for (e, hashes) in TOPOLOGIES.iter().zip(EXPECT) {
+            for (fabric, want) in fabrics.into_iter().zip(hashes) {
+                let mut w: World<Packet> = World::new(1);
+                let links = e.spec(Scale::Quick).build(&mut w, fabric).links();
+                let mut words = Vec::new();
+                for (i, l) in links.iter().enumerate() {
+                    let q = w.get::<Queue>(l.queue);
+                    words.push(i as u64);
+                    words.push(q.bounce_to().map_or(u64::MAX, |sw| sw.index() as u64));
+                    words.push(q.upstreams().len() as u64);
+                    words.extend(q.upstreams().iter().map(|up| {
+                        links.iter().position(|l| l.queue == *up).expect("a link") as u64
+                    }));
+                }
+                // FNV-1a over the little-endian bytes.
+                let got = words
+                    .iter()
+                    .flat_map(|w| w.to_le_bytes())
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    });
+                assert_eq!(got, want, "{} over {fabric:?}", e.name);
+            }
         }
     }
 

@@ -266,6 +266,17 @@ impl Queue {
         self.upstreams = ups;
     }
 
+    /// The owning switch a turned-away data packet is bounced through, if
+    /// return-to-sender is enabled on this port.
+    pub fn bounce_to(&self) -> Option<ComponentId> {
+        self.bounce_to
+    }
+
+    /// The upstream transmitters this queue pauses, in pause order.
+    pub fn upstreams(&self) -> &[ComponentId] {
+        &self.upstreams
+    }
+
     /// Bytes currently waiting (not counting the packet on the wire).
     pub fn occupancy_bytes(&self) -> u64 {
         self.disc.occupancy_bytes()

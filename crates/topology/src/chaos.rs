@@ -33,6 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::topology::{LinkRef, Topology};
+use crate::wiring::Wiring;
 
 /// The controller's only wake token (it owns no flows, so any constant
 /// works; `u64::MAX` matches the request driver's convention).
@@ -87,25 +88,6 @@ impl ChaosTally {
     }
 }
 
-/// A link with its owning switch port resolved at install time, so event
-/// application is O(1) instead of an arena walk.
-#[derive(Clone)]
-struct ResolvedLink {
-    queue: ComponentId,
-    /// `(switch, port)` owning this egress queue; `None` for host NICs.
-    owner: Option<(ComponentId, usize)>,
-}
-
-/// A switch's blast radius, resolved at install time.
-#[derive(Clone)]
-struct SwitchPorts {
-    /// Its own egress queues (go down with the switch).
-    egress: Vec<ComponentId>,
-    /// `(switch, port)` pairs one hop upstream whose links feed it (their
-    /// masks flip so neighbours stop forwarding into the dead switch).
-    feeders: Vec<(ComponentId, usize)>,
-}
-
 /// The component that executes a [`FabricEvent`] schedule in simulated
 /// time. Install with [`ChaosController::install_into`]; harvest
 /// [`ChaosController::tally`] after the run. Runs with an *empty* schedule
@@ -113,8 +95,11 @@ struct SwitchPorts {
 pub struct ChaosController {
     schedule: Vec<FabricEvent>,
     next: usize,
-    links: Vec<ResolvedLink>,
-    switches: Vec<(ComponentId, SwitchPorts)>,
+    /// The queue of each [`Topology::links`] entry, by schedule index.
+    links: Vec<ComponentId>,
+    /// Owner/feeder relations read once at install time, so applying an
+    /// event is a lookup instead of an arena walk.
+    wiring: Wiring,
     pub tally: ChaosTally,
 }
 
@@ -128,69 +113,27 @@ impl ChaosController {
         mut schedule: Vec<FabricEvent>,
     ) -> ComponentId {
         schedule.sort_by_key(|ev| ev.at);
-        // queue id -> (switch, port) over every switch in the arena.
-        // Arena iteration order is the deterministic build order.
-        let switch_ids: Vec<ComponentId> = world
-            .ids()
-            .filter(|&id| world.try_get::<Switch>(id).is_some())
-            .collect();
-        let owner_of = |world: &World<Packet>, q: ComponentId| {
-            switch_ids.iter().find_map(|&sw| {
-                world
-                    .get::<Switch>(sw)
-                    .ports()
-                    .iter()
-                    .position(|&p| p == q)
-                    .map(|port| (sw, port))
-            })
-        };
-        let links: Vec<ResolvedLink> = topo
-            .links()
-            .iter()
-            .map(|l| ResolvedLink {
-                queue: l.queue,
-                owner: owner_of(world, l.queue),
-            })
-            .collect();
+        let links: Vec<ComponentId> = topo.links().iter().map(|l| l.queue).collect();
         for ev in &schedule {
-            if let FabricOp::LinkDown { link }
-            | FabricOp::LinkUp { link }
-            | FabricOp::LinkDegrade { link, .. } = ev.op
-            {
-                assert!(link < links.len(), "chaos schedule names unknown link");
-            }
-        }
-        // Resolve the blast radius of every switch the schedule touches.
-        let mut switches: Vec<(ComponentId, SwitchPorts)> = Vec::new();
-        for ev in &schedule {
-            let (FabricOp::SwitchDown { switch } | FabricOp::SwitchUp { switch }) = ev.op else {
-                continue;
-            };
-            if switches.iter().any(|(id, _)| *id == switch) {
-                continue;
-            }
-            let egress = world.get::<Switch>(switch).ports().to_vec();
-            let mut feeders = Vec::new();
-            for &up in &switch_ids {
-                if up == switch {
-                    continue;
+            match ev.op {
+                FabricOp::LinkDown { link }
+                | FabricOp::LinkUp { link }
+                | FabricOp::LinkDegrade { link, .. } => {
+                    assert!(link < links.len(), "chaos schedule names unknown link")
                 }
-                let n_ports = world.get::<Switch>(up).ports().len();
-                for port in 0..n_ports {
-                    let q = world.get::<Switch>(up).ports()[port];
-                    if world.get::<Queue>(q).next_hop() == switch {
-                        feeders.push((up, port));
-                    }
-                }
+                FabricOp::SwitchDown { switch } | FabricOp::SwitchUp { switch } => assert!(
+                    world.try_get::<Switch>(switch).is_some(),
+                    "chaos schedule names unknown switch"
+                ),
             }
-            switches.push((switch, SwitchPorts { egress, feeders }));
         }
         let first = schedule.first().map(|ev| ev.at);
+        let wiring = Wiring::of(world);
         let id = world.add(ChaosController {
             schedule,
             next: 0,
             links,
-            switches,
+            wiring,
             tally: ChaosTally::default(),
         });
         if let Some(at) = first {
@@ -199,68 +142,52 @@ impl ChaosController {
         id
     }
 
-    fn blast_radius(&self, switch: ComponentId) -> &SwitchPorts {
-        self.switches
-            .iter()
-            .find_map(|(id, t)| (*id == switch).then_some(t))
-            .expect("switch resolved at install")
-    }
-
-    /// Apply one due operation through the deferred world-op queue.
+    /// Apply one due operation through the deferred world-op queue: the
+    /// egress queues that go down (or come back) and the switch ports whose
+    /// live-mask bits flip with them.
     fn apply(&mut self, op: FabricOp, ctx: &mut Ctx<'_, Packet>) {
-        match op {
-            FabricOp::LinkDown { link } => {
-                self.tally.link_down += 1;
-                let l = self.links[link].clone();
-                ctx.defer(move |w| {
-                    w.get_mut::<Queue>(l.queue).set_down(true);
-                    if let Some((sw, p)) = l.owner {
-                        w.get_mut::<Switch>(sw).set_port_up(p, false);
-                    }
-                });
-            }
-            FabricOp::LinkUp { link } => {
-                self.tally.link_up += 1;
-                let l = self.links[link].clone();
-                ctx.defer(move |w| {
-                    w.get_mut::<Queue>(l.queue).restore();
-                    if let Some((sw, p)) = l.owner {
-                        w.get_mut::<Switch>(sw).set_port_up(p, true);
-                    }
-                });
+        let t = &mut self.tally;
+        *match op {
+            FabricOp::LinkDown { .. } => &mut t.link_down,
+            FabricOp::LinkUp { .. } => &mut t.link_up,
+            FabricOp::LinkDegrade { .. } => &mut t.link_degrade,
+            FabricOp::SwitchDown { .. } => &mut t.switch_down,
+            FabricOp::SwitchUp { .. } => &mut t.switch_up,
+        } += 1;
+        let wiring = &self.wiring;
+        let (queues, ports): (Vec<_>, Vec<_>) = match op {
+            FabricOp::LinkDown { link } | FabricOp::LinkUp { link } => {
+                let queue = self.links[link];
+                (vec![queue], wiring.owner(queue).into_iter().collect())
             }
             FabricOp::LinkDegrade { link, speed } => {
-                self.tally.link_degrade += 1;
-                let queue = self.links[link].queue;
-                ctx.defer(move |w| {
-                    w.get_mut::<Queue>(queue).set_rate(speed);
-                });
+                let queue = self.links[link];
+                return ctx.defer(move |w| w.get_mut::<Queue>(queue).set_rate(speed));
             }
-            FabricOp::SwitchDown { switch } => {
-                self.tally.switch_down += 1;
-                let t = self.blast_radius(switch).clone();
-                ctx.defer(move |w| {
-                    for q in t.egress {
-                        w.get_mut::<Queue>(q).set_down(true);
-                    }
-                    for (sw, p) in t.feeders {
-                        w.get_mut::<Switch>(sw).set_port_up(p, false);
-                    }
-                });
+            // A switch takes its egress links with it, and every port one
+            // hop upstream that feeds it is masked so neighbours stop
+            // forwarding into it (host NICs sit on no port: nothing to mask).
+            FabricOp::SwitchDown { switch } | FabricOp::SwitchUp { switch } => (
+                wiring.egress(switch).to_vec(),
+                (wiring.feeders(switch).iter())
+                    .filter_map(|&q| wiring.owner(q))
+                    .collect(),
+            ),
+        };
+        let up = matches!(op, FabricOp::LinkUp { .. } | FabricOp::SwitchUp { .. });
+        ctx.defer(move |w| {
+            for q in queues {
+                let q = w.get_mut::<Queue>(q);
+                if up {
+                    q.restore();
+                } else {
+                    q.set_down(true);
+                }
             }
-            FabricOp::SwitchUp { switch } => {
-                self.tally.switch_up += 1;
-                let t = self.blast_radius(switch).clone();
-                ctx.defer(move |w| {
-                    for q in t.egress {
-                        w.get_mut::<Queue>(q).restore();
-                    }
-                    for (sw, p) in t.feeders {
-                        w.get_mut::<Switch>(sw).set_port_up(p, true);
-                    }
-                });
+            for (sw, port) in ports {
+                w.get_mut::<Switch>(sw).set_port_up(port, up);
             }
-        }
+        });
     }
 }
 

@@ -17,7 +17,7 @@
 
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
-use ndp_net::queue::{LinkClass, Queue};
+use ndp_net::queue::LinkClass;
 use ndp_net::switch::{Router, Switch};
 use ndp_sim::{ComponentId, Speed, Time, World};
 use rand::rngs::SmallRng;
@@ -26,6 +26,7 @@ use rand::Rng;
 use crate::routes::TableRouter;
 use crate::spec::QueueSpec;
 use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology};
+use crate::wiring::wire_back_refs;
 
 /// How switches pick uplinks for packets heading up the tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,16 +54,13 @@ pub struct FatTreeCfg {
     pub mtu: u32,
     pub fabric: QueueSpec,
     pub route_mode: RouteMode,
-    /// Return-to-sender on header-queue overflow (NDP only, §3.2.4).
-    pub rts: bool,
     pub host_latency: HostLatency,
 }
 
 impl FatTreeCfg {
     /// Paper defaults: 10 Gb/s links, 9 KB jumbograms, NDP switches with
-    /// eight-packet queues, sender-chosen paths, RTS enabled.
+    /// eight-packet queues, sender-chosen paths.
     pub fn new(k: usize) -> FatTreeCfg {
-        assert!(k >= 2 && k.is_multiple_of(2), "k must be even");
         FatTreeCfg {
             k,
             hosts_per_tor: k / 2,
@@ -71,7 +69,6 @@ impl FatTreeCfg {
             mtu: 9000,
             fabric: QueueSpec::ndp_default(),
             route_mode: RouteMode::SourceTag,
-            rts: true,
             host_latency: HostLatency::default(),
         }
     }
@@ -298,9 +295,18 @@ pub struct FatTree {
 }
 
 impl FatTree {
-    /// Wire a FatTree into `world`.
+    /// Wire a FatTree into `world`. Panics on a degenerate shape (odd or
+    /// zero `k`, host-less ToRs) before anything is built.
     pub fn build(world: &mut World<Packet>, cfg: FatTreeCfg) -> FatTree {
         let k = cfg.k;
+        assert!(
+            k >= 2 && k.is_multiple_of(2),
+            "{cfg:?}: k must be even and at least 2"
+        );
+        assert!(
+            cfg.hosts_per_tor >= 1,
+            "{cfg:?}: hosts_per_tor must be at least 1"
+        );
         let half = k / 2;
         let hpt = cfg.hosts_per_tor;
         let n_hosts = cfg.n_hosts();
@@ -410,7 +416,8 @@ impl FatTree {
             world.install(hosts[h], host);
         }
 
-        let ft = FatTree {
+        wire_back_refs(world, cfg.fabric);
+        FatTree {
             cfg,
             hosts,
             host_nic,
@@ -422,69 +429,6 @@ impl FatTree {
             agg_down,
             agg_up,
             core_down,
-        };
-        ft.finish_wiring(world);
-        ft
-    }
-
-    /// Post-install wiring: RTS bounce targets and PFC upstream lists.
-    fn finish_wiring(&self, world: &mut World<Packet>) {
-        let k = self.cfg.k;
-        let half = k / 2;
-        let hpt = self.cfg.hosts_per_tor;
-        if self.cfg.fabric.is_ndp() && self.cfg.rts {
-            for tor in 0..self.tors.len() {
-                for &q in self.tor_down[tor].iter().chain(self.tor_up[tor].iter()) {
-                    world.get_mut::<Queue>(q).set_bounce_to(self.tors[tor]);
-                }
-            }
-            for agg in 0..self.aggs.len() {
-                for &q in self.agg_down[agg].iter().chain(self.agg_up[agg].iter()) {
-                    world.get_mut::<Queue>(q).set_bounce_to(self.aggs[agg]);
-                }
-            }
-            for c in 0..self.cores.len() {
-                for &q in &self.core_down[c] {
-                    world.get_mut::<Queue>(q).set_bounce_to(self.cores[c]);
-                }
-            }
-        }
-        if self.cfg.fabric.is_lossless() {
-            // Feeders of each switch pause when any of its egress queues
-            // crosses Xoff (egress-queue PFC approximation, DESIGN.md §2).
-            for tor in 0..self.tors.len() {
-                let pod = tor / half;
-                let t = tor % half;
-                let mut feeders: Vec<ComponentId> =
-                    (0..hpt).map(|i| self.host_nic[tor * hpt + i]).collect();
-                for a in 0..half {
-                    feeders.push(self.agg_down[pod * half + a][t]);
-                }
-                for &q in self.tor_down[tor].iter().chain(self.tor_up[tor].iter()) {
-                    world.get_mut::<Queue>(q).set_upstreams(feeders.clone());
-                }
-            }
-            for agg in 0..self.aggs.len() {
-                let pod = agg / half;
-                let a = agg % half;
-                let mut feeders: Vec<ComponentId> =
-                    (0..half).map(|t| self.tor_up[pod * half + t][a]).collect();
-                for m in 0..half {
-                    feeders.push(self.core_down[a * half + m][pod]);
-                }
-                for &q in self.agg_down[agg].iter().chain(self.agg_up[agg].iter()) {
-                    world.get_mut::<Queue>(q).set_upstreams(feeders.clone());
-                }
-            }
-            for c in 0..self.cores.len() {
-                let a = c / half;
-                let m = c % half;
-                let feeders: Vec<ComponentId> =
-                    (0..k).map(|pod| self.agg_up[pod * half + a][m]).collect();
-                for &q in &self.core_down[c] {
-                    world.get_mut::<Queue>(q).set_upstreams(feeders.clone());
-                }
-            }
         }
     }
 
@@ -548,10 +492,6 @@ impl FatTree {
 }
 
 impl Topology for FatTree {
-    fn label(&self) -> &'static str {
-        "fattree"
-    }
-
     fn n_hosts(&self) -> usize {
         self.hosts.len()
     }
@@ -605,6 +545,7 @@ impl Topology for FatTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndp_net::queue::Queue;
 
     #[test]
     fn host_counts_match_paper_topologies() {
@@ -613,6 +554,18 @@ mod tests {
         assert_eq!(FatTreeCfg::new(32).n_hosts(), 8192);
         // Oversubscribed Fig-23 variant.
         assert_eq!(FatTreeCfg::new(8).with_hosts_per_tor(16).n_hosts(), 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be even and at least 2")]
+    fn odd_k_fails_at_the_door() {
+        FatTree::build(&mut World::new(1), FatTreeCfg::new(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "hosts_per_tor must be at least 1")]
+    fn host_less_tors_fail_at_the_door() {
+        FatTree::build(&mut World::new(1), FatTreeCfg::new(4).with_hosts_per_tor(0));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Two-tier leaf-spine fabric with an explicit oversubscription knob —
 //! the rack-scale network shape FatPaths/PL2-style evaluations demand
-//! alongside three-tier FatTrees.
+//! alongside three-tier FatTrees, and the shape of the paper's own small
+//! setups: the eight-host NetFPGA testbed (Figure 9), the six-host
+//! sender-limited rig (Figure 21) and the collateral-damage racks
+//! (Figure 19) are [`LeafSpineCfg`] constructors.
 //!
-//! Unlike the fixed-shape testbed replica in [`crate::TwoTier`], every
-//! dimension is configurable: leaf (ToR) count, hosts per leaf, spine
+//! Every dimension is configurable: leaf (ToR) count, hosts per leaf, spine
 //! count, and — the distinguishing knob — a **separate uplink speed**, so
 //! a 4:1 oversubscribed fabric can be expressed either by scarce spines
 //! (few uplinks at host speed) or by slow uplinks (one per spine at a
@@ -17,14 +19,14 @@
 
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
-use ndp_net::queue::{LinkClass, Queue};
+use ndp_net::queue::LinkClass;
 use ndp_net::switch::Switch;
 use ndp_sim::{ComponentId, Speed, Time, World};
 
 use crate::routes::{LeafRouter, TableRouter};
-
 use crate::spec::QueueSpec;
 use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology};
+use crate::wiring::wire_back_refs;
 
 /// Configuration for [`LeafSpine::build`].
 #[derive(Clone, Debug)]
@@ -41,16 +43,13 @@ pub struct LeafSpineCfg {
     pub link_delay: Time,
     pub mtu: u32,
     pub fabric: QueueSpec,
-    /// Return-to-sender on header-queue overflow (NDP only).
-    pub rts: bool,
     pub host_latency: HostLatency,
 }
 
 impl LeafSpineCfg {
     /// Paper-style defaults: 10 Gb/s everywhere, 1 us links, 9 KB
-    /// jumbograms, NDP switches, RTS enabled.
+    /// jumbograms, NDP switches.
     pub fn new(n_tors: usize, hosts_per_tor: usize, n_spines: usize) -> LeafSpineCfg {
-        assert!(n_tors >= 1 && hosts_per_tor >= 1 && n_spines >= 1);
         LeafSpineCfg {
             n_tors,
             hosts_per_tor,
@@ -60,9 +59,27 @@ impl LeafSpineCfg {
             link_delay: Time::from_us(1),
             mtu: 9000,
             fabric: QueueSpec::ndp_default(),
-            rts: true,
             host_latency: HostLatency::default(),
         }
+    }
+
+    /// The paper's testbed: 8 servers, four 4-port ToRs (2 down/2 up),
+    /// two spines — built from six switches total (§5.1).
+    pub fn testbed() -> LeafSpineCfg {
+        LeafSpineCfg::new(4, 2, 2)
+    }
+
+    /// Figure 21's sender-limited topology: two ToRs of three hosts under
+    /// a pair of spines. Hosts: A=0 B=1 C=2 | D=3 E=4 F=5.
+    pub fn sender_limited() -> LeafSpineCfg {
+        LeafSpineCfg::new(2, 3, 2)
+    }
+
+    /// Figure 18/19's collateral-damage setup: one ToR with two hosts plus
+    /// many sender racks — modelled as `n` two-host racks feeding two
+    /// spines (aggregation switches).
+    pub fn collateral(n_sender_racks: usize) -> LeafSpineCfg {
+        LeafSpineCfg::new(1 + n_sender_racks, 2, 2)
     }
 
     pub fn with_fabric(mut self, fabric: QueueSpec) -> LeafSpineCfg {
@@ -109,8 +126,16 @@ pub struct LeafSpine {
 }
 
 impl LeafSpine {
-    /// Wire a leaf-spine fabric into `world`.
+    /// Wire a leaf-spine fabric into `world`. Panics on an empty tier
+    /// before anything is built.
     pub fn build(world: &mut World<Packet>, cfg: LeafSpineCfg) -> LeafSpine {
+        for (field, n) in [
+            ("n_tors", cfg.n_tors),
+            ("hosts_per_tor", cfg.hosts_per_tor),
+            ("n_spines", cfg.n_spines),
+        ] {
+            assert!(n >= 1, "{cfg:?}: {field} must be at least 1");
+        }
         let n_hosts = cfg.n_hosts();
         let hpt = cfg.hosts_per_tor;
         let hosts: Vec<ComponentId> = (0..n_hosts).map(|_| world.reserve()).collect();
@@ -170,7 +195,8 @@ impl LeafSpine {
             );
         }
 
-        let ls = LeafSpine {
+        wire_back_refs(world, cfg.fabric);
+        LeafSpine {
             cfg,
             hosts,
             host_nic,
@@ -179,44 +205,6 @@ impl LeafSpine {
             tor_down,
             tor_up,
             spine_down,
-        };
-        ls.finish_wiring(world);
-        ls
-    }
-
-    /// Post-install wiring: RTS bounce targets and PFC upstream lists.
-    fn finish_wiring(&self, world: &mut World<Packet>) {
-        if self.cfg.fabric.is_ndp() && self.cfg.rts {
-            for tor in 0..self.tors.len() {
-                for &q in self.tor_down[tor].iter().chain(self.tor_up[tor].iter()) {
-                    world.get_mut::<Queue>(q).set_bounce_to(self.tors[tor]);
-                }
-            }
-            for s in 0..self.spines.len() {
-                for &q in &self.spine_down[s] {
-                    world.get_mut::<Queue>(q).set_bounce_to(self.spines[s]);
-                }
-            }
-        }
-        if self.cfg.fabric.is_lossless() {
-            let hpt = self.cfg.hosts_per_tor;
-            for tor in 0..self.tors.len() {
-                let mut feeders: Vec<ComponentId> =
-                    (0..hpt).map(|i| self.host_nic[tor * hpt + i]).collect();
-                for s in 0..self.spines.len() {
-                    feeders.push(self.spine_down[s][tor]);
-                }
-                for &q in self.tor_down[tor].iter().chain(self.tor_up[tor].iter()) {
-                    world.get_mut::<Queue>(q).set_upstreams(feeders.clone());
-                }
-            }
-            for s in 0..self.spines.len() {
-                let feeders: Vec<ComponentId> =
-                    (0..self.tors.len()).map(|t| self.tor_up[t][s]).collect();
-                for &q in &self.spine_down[s] {
-                    world.get_mut::<Queue>(q).set_upstreams(feeders.clone());
-                }
-            }
         }
     }
 
@@ -227,10 +215,6 @@ impl LeafSpine {
 }
 
 impl Topology for LeafSpine {
-    fn label(&self) -> &'static str {
-        "leafspine"
-    }
-
     fn n_hosts(&self) -> usize {
         self.hosts.len()
     }
@@ -318,6 +302,65 @@ mod tests {
         // 4:1 via scarce spines.
         let scarce = LeafSpineCfg::new(4, 8, 2);
         assert!((scarce.oversub_ratio() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn testbed_shape() {
+        let cfg = LeafSpineCfg::testbed();
+        assert_eq!(cfg.n_hosts(), 8);
+        let mut w: World<Packet> = World::new(1);
+        let tt = LeafSpine::build(&mut w, cfg);
+        assert_eq!(tt.tors.len() + tt.spines.len(), 6, "six 4-port switches");
+        assert_eq!(tt.n_paths(0, 1), 1);
+        assert_eq!(tt.n_paths(0, 2), 2);
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)] // src/dst index pairs are the point
+    fn two_tier_routes_all_pairs() {
+        let mut w: World<Packet> = World::new(1);
+        let tt = LeafSpine::build(&mut w, LeafSpineCfg::testbed());
+        let n = tt.hosts.len();
+        let mut expected = vec![0u64; n];
+        for src in 0..n {
+            for dst in 0..n {
+                if src == dst {
+                    continue;
+                }
+                for tag in 0..tt.n_paths(src as u32, dst as u32) {
+                    let pkt = Packet::data(src as u32, dst as u32, (src * n + dst) as u64, 0, 1500)
+                        .with_path(tag);
+                    w.post(Time::ZERO, tt.host_nic[src], pkt);
+                    expected[dst] += 1;
+                }
+            }
+        }
+        w.run_until_idle();
+        for dst in 0..n {
+            assert_eq!(
+                w.get::<Host>(tt.hosts[dst]).stats().unknown_flow_drops,
+                expected[dst],
+                "host {dst}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_tors must be at least 1")]
+    fn no_tors_fails_at_the_door() {
+        LeafSpine::build(&mut World::new(1), LeafSpineCfg::new(0, 2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "hosts_per_tor must be at least 1")]
+    fn host_less_racks_fail_at_the_door() {
+        LeafSpine::build(&mut World::new(1), LeafSpineCfg::new(4, 0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "n_spines must be at least 1")]
+    fn no_spines_fails_at_the_door() {
+        LeafSpine::build(&mut World::new(1), LeafSpineCfg::new(4, 2, 0));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation is a matrix of transports × scenarios, and a
 //! scenario is above all a fabric shape. Every builder in this crate —
-//! the three-tier [`crate::FatTree`], the testbed [`crate::TwoTier`], the
-//! rack-scale [`crate::LeafSpine`] and the calibration
+//! the three-tier [`crate::FatTree`], the two-tier [`crate::LeafSpine`]
+//! (rack-scale fabrics and the paper's testbed) and the calibration
 //! [`crate::BackToBack`] pair — implements one object-safe [`Topology`]
 //! trait: how many hosts it wires, how source-routed path tags map to
 //! path counts, what an unloaded flow's ideal completion time is, and how
@@ -28,6 +28,8 @@ use ndp_net::queue::{LinkClass, Queue, QueueStats};
 use ndp_net::switch::Switch;
 use ndp_sim::{ComponentId, Speed, Time, World};
 
+use crate::wiring::Wiring;
+
 /// One hop of a path: the link's speed and one-way propagation delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hop {
@@ -47,22 +49,12 @@ pub struct LinkRef {
 
 /// Flip the live-mask bit for `queue`'s port on its owning switch, if a
 /// switch owns it (host-NIC queues have no owner — nothing can reroute
-/// around a dead NIC). Walks the arena, so it is O(world); fine for rare
-/// failure events, while the scheduled-campaign path
-/// ([`crate::ChaosController`]) resolves owners once at install time.
+/// around a dead NIC). Derives the owner from the arena, so it is
+/// O(world); fine for rare failure events, while the scheduled-campaign
+/// path ([`crate::ChaosController`]) resolves owners once at install time.
 pub fn mask_link(world: &mut World<Packet>, queue: ComponentId, up: bool) {
-    let switches: Vec<ComponentId> = world
-        .ids()
-        .filter(|&id| world.try_get::<Switch>(id).is_some())
-        .collect();
-    for id in switches {
-        let port = world
-            .try_get::<Switch>(id)
-            .and_then(|sw| sw.ports().iter().position(|&q| q == queue));
-        if let Some(p) = port {
-            world.get_mut::<Switch>(id).set_port_up(p, up);
-            return;
-        }
+    if let Some((sw, port)) = Wiring::of(world).owner(queue) {
+        world.get_mut::<Switch>(sw).set_port_up(port, up);
     }
 }
 
@@ -108,12 +100,9 @@ pub fn ideal_fct_over(hops: &[Hop], bulk: Speed, mtu: u32, bytes: u64) -> Time {
 /// component owns it across the run).
 ///
 /// Implementations are the builder handles themselves (`FatTree`,
-/// `TwoTier`, `LeafSpine`, `BackToBack`): they already carry every
-/// component id the trait needs, so implementing it is pure arithmetic.
+/// `LeafSpine`, `BackToBack`): they already carry every component id the
+/// trait needs, so implementing it is pure arithmetic.
 pub trait Topology: Send + Sync {
-    /// Short fabric-shape name used in tables and reports.
-    fn label(&self) -> &'static str;
-
     /// Number of hosts wired into the world.
     fn n_hosts(&self) -> usize;
 
@@ -209,14 +198,9 @@ pub trait Topology: Send + Sync {
     }
 }
 
-/// Fold one queue's stats into a per-class accumulator (shared by the
-/// trait's [`Topology::stats_by_class`] and `FatTree`'s world-walking
-/// variant).
-pub(crate) fn accumulate_stats(
-    acc: &mut Vec<(LinkClass, QueueStats)>,
-    class: LinkClass,
-    st: &QueueStats,
-) {
+/// Fold one queue's stats into [`Topology::stats_by_class`]'s per-class
+/// accumulator.
+fn accumulate_stats(acc: &mut Vec<(LinkClass, QueueStats)>, class: LinkClass, st: &QueueStats) {
     let slot = match acc.iter_mut().find(|(c, _)| *c == class) {
         Some((_, s)) => s,
         None => {

@@ -14,11 +14,12 @@
 //! schedulers diverged.
 
 use ndp::baselines::tcp::{attach_tcp_flow, TcpCfg};
+use ndp::baselines::{attach_dcqcn_flow, DcqcnCfg};
 use ndp::core::{attach_flow, NdpFlowCfg};
-use ndp::net::Packet;
+use ndp::net::{Packet, Queue};
 use ndp::sim::world::SchedulerKind;
 use ndp::sim::{Time, World};
-use ndp::topology::{FatTree, FatTreeCfg};
+use ndp::topology::{FatTree, FatTreeCfg, LeafSpine, LeafSpineCfg, QueueSpec, Topology};
 
 /// The pinned trace of `mixed_world` (hash, dispatched-event count):
 /// ascending `(time, posting-seq)` over every dispatched event, one
@@ -60,6 +61,82 @@ fn mixed_world(kind: SchedulerKind) -> (u64, u64) {
     }
     w.run_until(Time::from_ms(20));
     w.trace_hash()
+}
+
+/// Pinned trace of `testbed_incast`: rendered at c00d46e, the last commit
+/// whose builders wired RTS bounce targets by hand.
+const GOLDEN_TESTBED_INCAST: (u64, u64) = (0xDF32_B373_8454_95EA, 16_894);
+
+/// Pinned trace of `dcqcn_permutation`, rendered at c00d46e from the
+/// hand-indexed PFC upstream lists. A pausing queue signals its upstreams
+/// in list order, so this is the trace that holds the *order* of the
+/// derived feeder relation.
+const GOLDEN_DCQCN_PERMUTATION: (u64, u64) = (0x2C4F_9FFC_CC0A_5250, 37_194);
+
+/// NDP 7:1 incast on the paper's two-tier testbed: every host sends 450 KB
+/// to host 0, sprayed over both spines.
+fn testbed_incast(kind: SchedulerKind) -> (u64, u64) {
+    let mut w: World<Packet> = World::with_scheduler(5, kind);
+    w.enable_trace();
+    let tb = LeafSpine::build(&mut w, LeafSpineCfg::testbed());
+    for src in 1..8u32 {
+        let cfg = NdpFlowCfg {
+            n_paths: tb.n_paths(src, 0),
+            ..NdpFlowCfg::new(450_000)
+        };
+        attach_flow(
+            &mut w,
+            src as u64,
+            (tb.hosts[src as usize], src),
+            (tb.hosts[0], 0),
+            cfg,
+            Time::ZERO,
+        );
+    }
+    w.run_until(Time::from_ms(20));
+    w.trace_hash()
+}
+
+/// DCQCN cross-pod permutation (host `i` to `i + 4`) on a lossless k=4
+/// FatTree with every flow on path 0: each pod's four flows share one
+/// agg→core link, so queues cross Xoff and PFC pauses propagate.
+fn dcqcn_permutation(kind: SchedulerKind) -> (u64, u64) {
+    let mut w: World<Packet> = World::with_scheduler(7, kind);
+    w.enable_trace();
+    let ft = FatTree::build(
+        &mut w,
+        FatTreeCfg::new(4).with_fabric(QueueSpec::dcqcn_default()),
+    );
+    for src in 0..16u32 {
+        let dst = (src + 4) % 16;
+        attach_dcqcn_flow(
+            &mut w,
+            src as u64 + 1,
+            (ft.hosts[src as usize], src),
+            (ft.hosts[dst as usize], dst),
+            DcqcnCfg::new(1_000_000),
+            Time::ZERO,
+        );
+    }
+    w.run_until(Time::from_ms(5));
+    let paused: u64 = (ft.links().iter())
+        .map(|l| w.get::<Queue>(l.queue).stats.xoff_sent)
+        .sum();
+    assert!(paused > 0, "the trace must exercise PFC pause");
+    w.trace_hash()
+}
+
+#[test]
+fn wiring_traces_match_their_parent_rendered_hashes_on_both_schedulers() {
+    for kind in [SchedulerKind::TwoTier, SchedulerKind::Classic] {
+        let (incast, perm) = (testbed_incast(kind), dcqcn_permutation(kind));
+        if std::env::var("NDP_PRINT_TRACE_HASH").is_ok() {
+            println!("testbed incast: (0x{:016X}, {})", incast.0, incast.1);
+            println!("dcqcn permutation: (0x{:016X}, {})", perm.0, perm.1);
+        }
+        assert_eq!(incast, GOLDEN_TESTBED_INCAST, "{kind:?} testbed incast");
+        assert_eq!(perm, GOLDEN_DCQCN_PERMUTATION, "{kind:?} DCQCN permutation");
+    }
 }
 
 #[test]

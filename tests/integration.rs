@@ -6,7 +6,7 @@ use ndp::core::{attach_flow, NdpFlowCfg, NdpSender};
 use ndp::net::{Host, Packet, Queue};
 use ndp::sim::{Speed, Time, World};
 use ndp::topology::{
-    FatTree, FatTreeCfg, QueueSpec, SingleBottleneck, Topology, TwoTier, TwoTierCfg,
+    FatTree, FatTreeCfg, LeafSpine, LeafSpineCfg, QueueSpec, SingleBottleneck, Topology,
 };
 
 /// §3.1 / Figure 3: priority-forwarded headers let a retransmission arrive
@@ -245,7 +245,7 @@ fn metadata_is_lossless_with_rts() {
 #[test]
 fn testbed_incast_is_near_ideal() {
     let mut w: World<Packet> = World::new(4);
-    let tt = TwoTier::build(&mut w, TwoTierCfg::testbed());
+    let tt = LeafSpine::build(&mut w, LeafSpineCfg::testbed());
     let size = 450_000u64;
     for s in 1..8usize {
         let cfg = NdpFlowCfg {

@@ -772,7 +772,7 @@ mod scheduler_ab {
     use ndp::experiments::harness::{incast_run, permutation_run};
     use ndp::experiments::{Proto, TopoSpec};
     use ndp::sim::{set_default_scheduler, SchedulerKind, Speed, Time};
-    use ndp::topology::{FatTreeCfg, LeafSpineCfg, TwoTierCfg};
+    use ndp::topology::{FatTreeCfg, LeafSpineCfg};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
@@ -787,7 +787,7 @@ mod scheduler_ab {
             1 => TopoSpec::leafspine(LeafSpineCfg::new(4, 4, 4)),
             2 => TopoSpec::fattree(FatTreeCfg::new(4).with_hosts_per_tor(8)),
             3 => TopoSpec::leafspine(LeafSpineCfg::new(4, 4, 4).with_uplink_speed(Speed::gbps(5))),
-            4 => TopoSpec::twotier(TwoTierCfg::testbed()),
+            4 => TopoSpec::leafspine(LeafSpineCfg::testbed()),
             _ => TopoSpec::backtoback(),
         }
     }

@@ -1132,12 +1132,12 @@ mod tests {
         h.add_endpoint(7, Box::new(Once));
         let host = w.add(h);
         let syn = Packet::data(1, 0, 7, 0, 9000).with_flags(Flags::SYN);
-        w.post(Time::ZERO, host, syn);
+        w.post(Time::ZERO, host, syn.clone());
         w.run_until_idle();
         // Remove the endpoint's flow by simulating a fresh duplicate SYN for
         // the same (now closed) connection id.
         w.get_mut::<Host>(host).endpoints.remove(&7);
-        w.post(Time::from_us(10), host, syn);
+        w.post(Time::from_us(10), host, syn.clone());
         w.run_until_idle();
         assert_eq!(w.get::<Host>(host).stats().timewait_rejects, 1);
         // After one MSL the id may be reused.

@@ -1,10 +1,14 @@
 //! The on-wire packet model.
 //!
-//! Packets are small `Copy` structs (no heap allocation on the hot path).
-//! A trimmed packet is the same struct with [`Flags::TRIMMED`] set and its
-//! wire `size` cut to [`HEADER_BYTES`]; the `payload` field still records
-//! how many payload bytes the original carried so receivers can account for
-//! goodput precisely.
+//! A [`Packet`] is an 8-byte handle to a heap-allocated [`PacketBody`]: the
+//! body is written once, by the sender that builds the packet, and every hop
+//! after that moves the handle and reads the fields in place. The one
+//! allocation per packet is visible in the source — [`Packet::data`],
+//! [`Packet::control`] and an explicit `.clone()` are the only places a body
+//! is made. A trimmed packet is the same body with [`Flags::TRIMMED`] set
+//! and its wire `size` cut to [`HEADER_BYTES`]; the `payload` field still
+//! records how many payload bytes the original carried so receivers can
+//! account for goodput precisely.
 //!
 //! Multipath forwarding uses a [`PathTag`]: in a Clos topology the complete
 //! path between two hosts is determined by which uplinks are chosen on the
@@ -82,16 +86,15 @@ impl Flags {
     }
 }
 
-/// A packet (or control message) traversing the simulated network.
+/// The fields of a packet (or control message) traversing the simulated
+/// network. Lives on the heap behind a [`Packet`] handle.
 ///
-/// Layout contract: the whole struct fits one cache line (≤ 64 bytes,
-/// statically asserted below). Every hop copies the packet by value, so
-/// its footprint is the per-event memory traffic floor — which is why
-/// `seq`/`ack` are 32-bit on the wire (checked narrowing via
+/// Layout contract: exactly 56 bytes (statically asserted below), which
+/// is why `seq`/`ack` are 32-bit on the wire (checked narrowing via
 /// [`Packet::seq32`]/[`Packet::ack32`]) and the bookkeeping fields are
-/// packed small.
-#[derive(Clone, Copy, Debug)]
-pub struct Packet {
+/// packed small; 7 bytes of padding are spare.
+#[derive(Clone, Debug)]
+pub struct PacketBody {
     pub src: HostId,
     pub dst: HostId,
     pub flow: FlowId,
@@ -114,10 +117,47 @@ pub struct Packet {
     pub sent: Time,
 }
 
-/// One cache line per packet: the event queue, the TX trains and every
-/// hop handoff move `Packet` by value, so this bound is hot-path memory
-/// bandwidth, not style.
-const _: () = assert!(std::mem::size_of::<Packet>() <= 64);
+/// A packet in flight: an owning 8-byte handle to its [`PacketBody`].
+///
+/// The event queue, the TX trains, every queue slot and every hop handoff
+/// move the handle; the body stays where its sender wrote it and is read
+/// (and trimmed, marked, bounced) in place through `Deref`/`DerefMut`.
+/// Not `Copy`: duplicating a packet allocates a second body, so it takes
+/// an explicit `.clone()`.
+#[derive(Clone, Debug)]
+pub struct Packet(Box<PacketBody>);
+
+impl std::ops::Deref for Packet {
+    type Target = PacketBody;
+    #[inline]
+    fn deref(&self) -> &PacketBody {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Packet {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut PacketBody {
+        &mut self.0
+    }
+}
+
+// The layout is the hot path's memory traffic, so it is a contract, not a
+// bound. What moves per scheduler entry, queue slot and train element is
+// the 8-byte handle (`Option<Packet>` uses the null niche); what a sender
+// allocates is a 56-byte body — a 64-byte malloc chunk. Two measured dead
+// ends on `permutation_k8` `wall_s`, so nobody re-walks them:
+//
+// * `#[repr(align(64))]` on the body (one cache line each): **+28%** —
+//   an over-aligned allocation leaves malloc's small-bin fast path.
+// * A 64-byte body (what widening `seq`/`ack` to `u64` would make it;
+//   the malloc chunk goes 64 → 80 bytes): **+7%**. So sequence numbers
+//   stay 32-bit on the wire and an overflowing flow is refused at
+//   [`Packet::seq32`], and any new per-packet field (an ingress index,
+//   say) must fit the 7 spare bytes.
+const _: () = assert!(std::mem::size_of::<Packet>() == 8);
+const _: () = assert!(std::mem::size_of::<Option<Packet>>() == 8);
+const _: () = assert!(std::mem::size_of::<PacketBody>() == 56);
 
 #[cold]
 #[inline(never)]
@@ -154,7 +194,7 @@ impl Packet {
 
     /// A full data packet of `size` wire bytes (including protocol headers).
     pub fn data(src: HostId, dst: HostId, flow: FlowId, seq: u64, size: u32) -> Packet {
-        Packet {
+        Packet(Box::new(PacketBody {
             src,
             dst,
             flow,
@@ -167,12 +207,12 @@ impl Packet {
             subflow: 0,
             flags: Flags::default(),
             sent: Time::ZERO,
-        }
+        }))
     }
 
     /// A 64-byte control packet of the given kind.
     pub fn control(src: HostId, dst: HostId, flow: FlowId, kind: PacketKind) -> Packet {
-        Packet {
+        Packet(Box::new(PacketBody {
             src,
             dst,
             flow,
@@ -185,7 +225,7 @@ impl Packet {
             subflow: 0,
             flags: Flags::default(),
             sent: Time::ZERO,
-        }
+        }))
     }
 
     /// True for anything that is not a data packet (trimmed headers are
@@ -210,7 +250,8 @@ impl Packet {
     /// Return-to-sender: swap src/dst and mark, so switches route the header
     /// back to its origin (§3.2.4).
     pub fn bounce_to_sender(&mut self) {
-        std::mem::swap(&mut self.src, &mut self.dst);
+        let body = &mut *self.0;
+        std::mem::swap(&mut body.src, &mut body.dst);
         self.flags = self.flags.with(Flags::RTS);
     }
 
@@ -298,10 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn packet_is_small_enough_to_copy() {
-        // One cache line; the compile-time assert next to the struct is the
-        // real guard, this keeps the bound visible in test output.
-        assert!(std::mem::size_of::<Packet>() <= 64);
+    fn packet_layout_is_the_contract() {
+        // The compile-time asserts next to the struct are the real guard;
+        // this keeps the numbers visible in test output.
+        assert_eq!(std::mem::size_of::<Packet>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Packet>>(), 8);
+        assert_eq!(std::mem::size_of::<PacketBody>(), 56);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! posting order, the clock only reaches an instant `t` after every event
 //! scheduled *for* `t` from earlier instants is already in a lane or the
 //! heap, and every event posted *at* `t` for `t` lands behind them in the
-//! FIFO. So draining "due timed batch, then fast lane" is exactly ascending
-//! `(time, seq)` order — what the classic heap produces.
+//! FIFO. So serving "the instant's timed events by ascending seq, then the
+//! fast lane" is exactly ascending `(time, seq)` order — what the classic
+//! heap produces.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -212,6 +213,20 @@ fn default_scheduler() -> SchedulerKind {
     }
 }
 
+/// A harness-level post (`World::post`, `post_wake`, `post_train`) names an
+/// absolute time, so it is the one place an event can be aimed at the past
+/// — which would file it in the fast lane and drag the clock backwards at
+/// dispatch. Refused here, in release builds too; `Ctx` posts are
+/// `now + delay` (`Ctx::wake_at` is debug-checked) and stay unchecked on
+/// the hot path.
+#[inline]
+fn assert_not_past(at: Time, now: Time) {
+    assert!(
+        at >= now,
+        "cannot schedule in the past: at = {at} is before now = {now}"
+    );
+}
+
 /// Out-of-line panic for events addressed to a vacated (reserved or
 /// never-installed) slot, keeping the dispatch loop's hot body small.
 #[cold]
@@ -236,44 +251,53 @@ const LANE_MAX_DELAY_PS: u64 = 10_000_000_000;
 const LANE_CANDIDATES: usize = 8;
 
 struct TwoTier<M> {
-    /// Events due at the current instant, drained before everything else
-    /// (ascending `seq`; staged by the refill as one batch).
-    due: VecDeque<Scheduled<M>>,
     /// Zero-delay posts made *at* the current instant (FIFO == seq order;
-    /// all seqs here are larger than anything in `due`).
+    /// all seqs here are larger than any timed event at this instant).
     fast: VecDeque<Scheduled<M>>,
     /// Every timed event that missed a lane, ordered by `(at, seq)`.
     heap: BinaryHeap<Reverse<Scheduled<M>>>,
     /// Per-exact-delay FIFO lanes (registered on a delay's second sighting,
     /// at most [`MAX_LANES`]). Each lane is sorted by `(at, seq)` by
     /// construction — see [`TwoTier::push_timed`]. The lane *keys* live in
-    /// the two packed side arrays below so the per-post scan and the
-    /// per-refill min scan touch a couple of cache lines instead of
+    /// the packed side arrays below so the per-post scan and the
+    /// per-instant min scan touch a couple of cache lines instead of
     /// pointer-chasing into every queue's heap buffer.
     lanes: Vec<VecDeque<Scheduled<M>>>,
     /// `lane_delays[i]` is lane i's exact delay (ps); slots past
     /// `lanes.len()` are unregistered.
     lane_delays: [u64; MAX_LANES],
     /// `lane_fronts[i]` caches lane i's front timestamp (`u64::MAX` when
-    /// the lane is empty), maintained on every lane push and pop. The
-    /// refill's earliest-instant scan reads only this array.
+    /// the lane is empty), maintained on every lane push and pop.
+    /// [`TwoTier::advance`]'s earliest-instant scan reads only this array.
     lane_fronts: [u64; MAX_LANES],
+    /// `lane_seqs[i]` caches lane i's front seq (meaningless while the lane
+    /// is empty): what [`TwoTier::pop_current`] compares when lanes tie.
+    lane_seqs: [u64; MAX_LANES],
+    /// The instant being served: bit i is set while lane i's front is at
+    /// it, `cur_heap` while the heap's top is. Both are clear between
+    /// instants (and so between `run_until` calls).
+    cur_lanes: u32,
+    cur_heap: bool,
     /// Ring of recently-missed lane-eligible delays (promotion candidates).
     lane_cand: [u64; LANE_CANDIDATES],
     lane_cand_idx: usize,
 }
+
+const _: () = assert!(MAX_LANES <= u32::BITS as usize);
 
 impl<M> TwoTier<M> {
     fn new() -> TwoTier<M> {
         TwoTier {
             // Seeded at the shrink_idle floor: the first burst grows from a
             // warm base instead of doubling up from an empty buffer.
-            due: VecDeque::with_capacity(32),
             fast: VecDeque::with_capacity(32),
             heap: BinaryHeap::new(),
             lanes: Vec::new(),
             lane_delays: [u64::MAX; MAX_LANES],
             lane_fronts: [u64::MAX; MAX_LANES],
+            lane_seqs: [0; MAX_LANES],
+            cur_lanes: 0,
+            cur_heap: false,
             lane_cand: [u64::MAX; LANE_CANDIDATES],
             lane_cand_idx: 0,
         }
@@ -293,6 +317,7 @@ impl<M> TwoTier<M> {
                 debug_assert!(q.back().is_none_or(|b| (b.at, b.seq) < (s.at, s.seq)));
                 if q.is_empty() {
                     self.lane_fronts[i] = s.at.as_ps();
+                    self.lane_seqs[i] = s.seq;
                 }
                 q.push_back(s);
                 return;
@@ -303,6 +328,7 @@ impl<M> TwoTier<M> {
                 // Second sighting: promote to a lane.
                 self.lane_delays[n] = delay;
                 self.lane_fronts[n] = s.at.as_ps();
+                self.lane_seqs[n] = s.seq;
                 let mut q = VecDeque::with_capacity(32);
                 q.push_back(s);
                 self.lanes.push(q);
@@ -314,179 +340,126 @@ impl<M> TwoTier<M> {
         self.heap.push(Reverse(s));
     }
 
-    /// Advance to the earliest timed batch, if it is due by `horizon`:
-    /// return its first event and stage the rest (if any) in `due`, so
-    /// nothing posted *at* that instant can jump ahead of it. Leaves all
-    /// state untouched when the next event lies beyond the horizon, so
-    /// interrupted runs can resume consistently.
-    ///
-    /// The earliest instant is the minimum over the packed lane-front cache
-    /// and the heap top. The winner serves the whole batch at that instant:
-    /// lane runs are pre-sorted by seq, the heap pops in `(at, seq)` order,
-    /// and an exact tie merges every same-instant run by seq (two tied
-    /// lanes via [`TwoTier::merge_two_lanes`], anything wider or involving
-    /// the heap via [`TwoTier::merge_tied_batch`]) — so dispatch order
-    /// stays exactly ascending `(time, seq)`.
-    fn refill_pop(&mut self, horizon: Time) -> Option<Scheduled<M>> {
-        // Earliest lane front, and how many lanes tie at that instant.
-        // Reads only the packed front-timestamp cache — empty lanes carry
-        // `u64::MAX`, which can never win (nothing is ever scheduled at
-        // `Time::MAX` through a ≤10 ms lane delay).
-        let mut t_lane_ps = u64::MAX;
-        let mut lane_first = usize::MAX;
-        let mut lane_second = usize::MAX;
-        let mut lane_ties = 0u32;
+    /// Find the earliest timed instant and, if it is due by `horizon`,
+    /// make it current: record which lanes front it (`cur_lanes`) and
+    /// whether the heap's top is at it (`cur_heap`). Nothing is moved — the
+    /// events are served out of their lanes in place by
+    /// [`TwoTier::pop_current`] — and nothing is committed when the instant
+    /// lies beyond the horizon, so an interrupted run resumes consistently
+    /// whatever the harness posts in between.
+    #[inline]
+    fn advance(&mut self, horizon: Time) -> bool {
+        debug_assert!(self.cur_lanes == 0 && !self.cur_heap);
+        // Reads only the packed front cache. Empty lanes carry `u64::MAX`
+        // and collect mask bits while nothing earlier has been seen;
+        // nothing is ever scheduled at `Time::MAX` through a ≤10 ms lane
+        // delay, so a minimum of `u64::MAX` means "no lane has an event".
+        let mut t_lane = u64::MAX;
+        let mut mask = 0u32;
         for (i, &f) in self.lane_fronts[..self.lanes.len()].iter().enumerate() {
-            if f < t_lane_ps {
-                t_lane_ps = f;
-                lane_first = i;
-                lane_second = usize::MAX;
-                lane_ties = 1;
-            } else if f == t_lane_ps {
-                if lane_ties == 1 {
-                    lane_second = i;
-                }
-                lane_ties += 1;
+            if f < t_lane {
+                t_lane = f;
+                mask = 1 << i;
+            } else if f == t_lane {
+                mask |= 1 << i;
             }
         }
-        let t_lane = Time::from_ps(t_lane_ps);
-        let have_lane = lane_first != usize::MAX;
-
-        if !have_lane && self.heap.is_empty() {
-            return None;
+        if t_lane == u64::MAX {
+            mask = 0;
         }
-        // An empty heap compares as `Time::MAX`, which no lane front reaches.
-        let t_heap = self.heap.peek().map_or(Time::MAX, |Reverse(top)| top.at);
-        let t_min = t_lane.min(t_heap);
-        if t_min > horizon {
-            return None;
+        let t_heap = match self.heap.peek() {
+            Some(Reverse(top)) => top.at.as_ps(),
+            None if mask == 0 => return false,
+            // An empty heap compares as `Time::MAX`, which no lane reaches.
+            None => u64::MAX,
+        };
+        if t_lane.min(t_heap) > horizon.as_ps() {
+            return false;
         }
+        self.cur_lanes = if t_lane <= t_heap { mask } else { 0 };
+        self.cur_heap = t_heap <= t_lane;
+        true
+    }
 
-        if have_lane && t_lane <= t_heap {
-            if t_lane < t_heap {
-                if lane_ties == 1 {
-                    // The hot path: one lane owns the earliest instant
-                    // outright. Its front is the next event; the rest of a
-                    // same-instant run (ascending seq by construction) is
-                    // staged in `due`.
-                    let lane = &mut self.lanes[lane_first];
-                    let s = lane.pop_front();
-                    while lane.front().is_some_and(|f| f.at == t_lane) {
-                        let e = lane.pop_front().expect("peeked");
-                        self.due.push_back(e);
-                    }
-                    self.lane_fronts[lane_first] = lane.front().map_or(u64::MAX, |f| f.at.as_ps());
-                    return s;
-                }
-                if lane_ties == 2 {
-                    return self.merge_two_lanes(t_lane, lane_first, lane_second);
+    /// Hand out the lowest-seq event of the current instant, straight from
+    /// its lane (or the heap). Each source yields its same-instant run in
+    /// ascending seq, so picking the smallest front seq each time is the
+    /// exact global posting order. Nothing posted while the instant is
+    /// served can join it — a timed post lands strictly later, a zero-delay
+    /// one in `fast` — so the mask only ever loses bits.
+    #[inline]
+    fn pop_current(&mut self) -> Scheduled<M> {
+        let mask = self.cur_lanes;
+        let lane = if !self.cur_heap && mask & (mask - 1) == 0 {
+            // The hot path: one lane owns the instant outright.
+            mask.trailing_zeros() as usize
+        } else {
+            let mut best = usize::MAX;
+            let mut best_seq = match self.heap.peek() {
+                Some(Reverse(top)) if self.cur_heap => top.seq,
+                _ => u64::MAX,
+            };
+            let mut m = mask;
+            while m != 0 {
+                let i = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if self.lane_seqs[i] < best_seq {
+                    best_seq = self.lane_seqs[i];
+                    best = i;
                 }
             }
-            // Three or more lanes — or lanes and the heap — tie.
-            return self.merge_tied_batch(t_min);
+            if best == usize::MAX {
+                let Reverse(s) = self.heap.pop().expect("cur_heap says the top is due");
+                self.cur_heap = self.heap.peek().is_some_and(|Reverse(top)| top.at == s.at);
+                return s;
+            }
+            best
+        };
+        let q = &mut self.lanes[lane];
+        let s = q.pop_front().expect("cur_lanes says the lane is due");
+        match q.front() {
+            Some(f) => {
+                self.lane_fronts[lane] = f.at.as_ps();
+                self.lane_seqs[lane] = f.seq;
+                if f.at != s.at {
+                    self.cur_lanes &= !(1 << lane);
+                }
+            }
+            None => {
+                self.lane_fronts[lane] = u64::MAX;
+                self.cur_lanes &= !(1 << lane);
+            }
         }
-
-        // The heap owns the earliest instant outright.
-        let s = self.heap.pop().map(|Reverse(s)| s);
-        self.stage_heap_run(t_min);
         s
     }
 
-    /// Move the heap's events at instant `t` (none, if its top is later)
-    /// into `due`; the heap yields them in ascending seq.
     #[inline]
-    fn stage_heap_run(&mut self, t: Time) {
-        while self.heap.peek().is_some_and(|Reverse(top)| top.at == t) {
-            let Reverse(e) = self.heap.pop().expect("peeked");
-            self.due.push_back(e);
-        }
-    }
-
-    /// Serve an instant owned by exactly two lanes (two hot delays landing
-    /// on one instant). Each lane's same-instant run ascends in seq, so a
-    /// two-pointer merge restores the exact global posting order without
-    /// the generic path's full lane rescan and sort.
-    fn merge_two_lanes(&mut self, t: Time, a: usize, b: usize) -> Option<Scheduled<M>> {
-        debug_assert!(self.due.is_empty());
-        debug_assert!(a < b);
-        let (la, lb) = self.lanes.split_at_mut(b);
-        let (qa, qb) = (&mut la[a], &mut lb[0]);
-        loop {
-            let pick_a = match (qa.front(), qb.front()) {
-                (Some(x), Some(y)) if x.at == t && y.at == t => x.seq < y.seq,
-                (Some(x), _) if x.at == t => true,
-                (_, Some(y)) if y.at == t => false,
-                _ => break,
-            };
-            let e = if pick_a {
-                qa.pop_front()
-            } else {
-                qb.pop_front()
-            };
-            self.due.push_back(e.expect("peeked"));
-        }
-        self.lane_fronts[a] = qa.front().map_or(u64::MAX, |f| f.at.as_ps());
-        self.lane_fronts[b] = qb.front().map_or(u64::MAX, |f| f.at.as_ps());
-        debug_assert!(self.due.len() >= 2, "a two-lane tie has two events");
-        debug_assert!(self
-            .due
-            .iter()
-            .zip(self.due.iter().skip(1))
-            .all(|(x, y)| x.seq < y.seq));
-        self.due.pop_front()
-    }
-
-    /// Serve an instant `t` owned by three or more lanes, or by lanes and
-    /// the heap. Each source contributes an ascending-seq
-    /// run, so sorting the merged batch by seq restores the exact global
-    /// posting order. Not rare — on a line-rate permutation it serves more
-    /// instants than [`TwoTier::merge_two_lanes`] — but its batches are a
-    /// handful of events, where a sort beats a k-way merge.
-    #[inline(never)]
-    fn merge_tied_batch(&mut self, t: Time) -> Option<Scheduled<M>> {
-        debug_assert!(self.due.is_empty());
-        self.stage_heap_run(t);
-        for i in 0..self.lanes.len() {
-            if self.lane_fronts[i] != t.as_ps() {
-                continue;
-            }
-            let q = &mut self.lanes[i];
-            while q.front().is_some_and(|f| f.at == t) {
-                let e = q.pop_front().expect("peeked");
-                self.due.push_back(e);
-            }
-            self.lane_fronts[i] = q.front().map_or(u64::MAX, |f| f.at.as_ps());
-        }
-        self.due.make_contiguous().sort_unstable_by_key(|s| s.seq);
-        debug_assert!(self.due.iter().all(|s| s.at == t));
-        self.due.pop_front()
-    }
-
     fn pop_due(&mut self, horizon: Time) -> Option<Scheduled<M>> {
-        if let Some(s) = self.due.pop_front() {
-            return Some(s);
-        }
-        if let Some(front) = self.fast.front() {
-            if front.at <= horizon {
-                return self.fast.pop_front();
+        loop {
+            if self.cur_lanes != 0 || self.cur_heap {
+                return Some(self.pop_current());
             }
-            return None;
+            if let Some(front) = self.fast.front() {
+                if front.at <= horizon {
+                    return self.fast.pop_front();
+                }
+                return None;
+            }
+            if !self.advance(horizon) {
+                return None;
+            }
         }
-        self.refill_pop(horizon)
     }
 
     fn is_empty(&self) -> bool {
-        self.due.is_empty()
-            && self.fast.is_empty()
-            && self.heap.is_empty()
-            && self.lanes.iter().all(|q| q.is_empty())
+        self.fast.is_empty() && self.heap.is_empty() && self.lanes.iter().all(|q| q.is_empty())
     }
 
     /// Release burst-sized capacity held since the last traffic peak.
     ///
-    /// During a run the lanes and the `due`/`fast` queues deliberately
-    /// never shrink — reusing their allocations is what keeps steady-state
-    /// refills allocation-free. The flip side is that one incast burst pins
+    /// During a run the lanes and the `fast` queue deliberately never
+    /// shrink — reusing their allocations is what keeps the steady state
+    /// allocation-free. The flip side is that one incast burst pins
     /// its high-water allocation for the rest of the process, which matters
     /// for long sweep campaigns running many worlds. Called between sweep
     /// points (see `World::shrink_idle`), this trims everything back to a
@@ -495,7 +468,6 @@ impl<M> TwoTier<M> {
         // Floor keeps the common steady-state capacity so the next burst
         // doesn't start from zero.
         const KEEP: usize = 32;
-        self.due.shrink_to(KEEP);
         self.fast.shrink_to(KEEP);
         self.heap.shrink_to(KEEP);
         // Delay lanes keep their registration (the hot delays of the next
@@ -981,18 +953,24 @@ impl<M: 'static> World<M> {
     }
 
     /// Post a message to a component at an absolute time (harness-level).
+    /// Panics if `at` is before [`World::now`].
     pub fn post(&mut self, at: Time, to: ComponentId, msg: M) {
+        assert_not_past(at, self.now);
         self.queue.post(self.now, at, to, Event::Msg(msg));
     }
 
     /// Post a wake token to a component at an absolute time (harness-level).
+    /// Panics if `at` is before [`World::now`].
     pub fn post_wake(&mut self, at: Time, to: ComponentId, token: u64) {
+        assert_not_past(at, self.now);
         self.queue.post(self.now, at, to, Event::Wake(token));
     }
 
     /// Post a same-instant message train to a component at an absolute time
     /// as one scheduler entry (harness-level [`Ctx::send_train`]).
+    /// Panics if `at` is before [`World::now`].
     pub fn post_train(&mut self, at: Time, to: ComponentId, msgs: Vec<M>) {
+        assert_not_past(at, self.now);
         self.queue.post_train(self.now, at, to, msgs);
     }
 
@@ -1020,7 +998,7 @@ impl<M: 'static> World<M> {
     /// Release burst-sized scheduler capacity accumulated since the last
     /// traffic peak, keeping all pending events. The scheduler's queues
     /// intentionally never shrink during a run (capacity reuse is what
-    /// keeps refills allocation-free); call this between sweep points so a
+    /// keeps the steady state allocation-free); call this between sweep points so a
     /// long campaign doesn't hold peak-burst memory.
     pub fn shrink_idle(&mut self) {
         self.queue.shrink_idle();
@@ -1797,6 +1775,143 @@ mod tests {
         }
         w.run_until_idle();
         assert_eq!(w.get::<Counter>(id).msgs.len(), 27);
+    }
+
+    /// Register `delays` (ns) as lanes: a delay is promoted on its second
+    /// sighting, so post each twice from `now` and drain.
+    fn world_with_lanes(kind: SchedulerKind, delays: &[u64]) -> (World<u32>, ComponentId) {
+        let mut w: World<u32> = World::with_scheduler(1, kind);
+        let id = w.add(counter());
+        for &d in delays {
+            w.post(Time::from_ns(d), id, 0);
+            w.post(Time::from_ns(d), id, 0);
+        }
+        w.run_until_idle();
+        w.get_mut::<Counter>(id).msgs.clear();
+        if let QueueImpl::TwoTier(t) = &w.queue.imp {
+            assert_eq!(t.lanes.len(), delays.len());
+        }
+        (w, id)
+    }
+
+    fn delivered(w: &World<u32>, id: ComponentId) -> Vec<u32> {
+        w.get::<Counter>(id).msgs.iter().map(|m| m.1).collect()
+    }
+
+    #[test]
+    fn scheduled_entry_is_48_bytes_around_a_boxed_message() {
+        // What moves per post and per pop. `Box<u8>` stands for the network
+        // crates' 8-byte packet handle.
+        assert!(std::mem::size_of::<Scheduled<Box<u8>>>() <= 48);
+    }
+
+    /// Move the clock to `at` exactly (`run_until` only advances an idle
+    /// world's clock): a wake the counter tallies apart from its messages.
+    fn walk_clock_to(w: &mut World<u32>, id: ComponentId, at: Time) {
+        w.post_wake(at, id, 0);
+        w.run_until(at);
+        assert_eq!(w.now(), at);
+    }
+
+    #[test]
+    fn three_lanes_and_the_heap_tied_at_one_instant_deliver_in_posting_order() {
+        for kind in both_kinds() {
+            let (mut w, id) = world_with_lanes(kind, &[100, 250, 450]);
+            // Every post below is for the one instant `t`; which source it
+            // rides is decided by the clock reading it is posted from. The
+            // heap's run is split around a lane's, so the instant cannot
+            // be served source by source.
+            let t = w.now() + Time::from_ms(20);
+            let mut v = 0u32;
+            let mut post_run = |w: &mut World<u32>, n: u32| {
+                for _ in 0..n {
+                    w.post(t, id, v);
+                    v += 1;
+                }
+            };
+            post_run(&mut w, 2); // 20 ms: lane-ineligible, heap
+            walk_clock_to(&mut w, id, t - Time::from_ns(450));
+            post_run(&mut w, 3); // lane 450
+            walk_clock_to(&mut w, id, t - Time::from_ns(320));
+            post_run(&mut w, 1); // a one-shot delay: heap again
+            walk_clock_to(&mut w, id, t - Time::from_ns(250));
+            post_run(&mut w, 3); // lane 250
+            walk_clock_to(&mut w, id, t - Time::from_ns(100));
+            post_run(&mut w, 3); // lane 100
+            if let QueueImpl::TwoTier(tt) = &w.queue.imp {
+                assert_eq!(tt.heap.len(), 3);
+                assert_eq!(tt.lanes.len(), 3);
+                assert!(tt.lanes.iter().all(|q| q.len() == 3));
+                assert!(tt.lane_fronts[..3].iter().all(|&f| f == t.as_ps()));
+            }
+            w.run_until_idle();
+            assert_eq!(delivered(&w, id), (0..12).collect::<Vec<_>>(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn an_interrupted_run_commits_nothing_to_the_next_instant() {
+        for kind in both_kinds() {
+            let (mut w, id) = world_with_lanes(kind, &[100, 250]);
+            // The pending instant `t` is fronted by the heap and a lane.
+            let t = w.now() + Time::from_us(10);
+            w.post(t, id, 90); // one-shot 10 µs delay: heap
+            walk_clock_to(&mut w, id, t - Time::from_ns(250));
+            let now = w.now();
+            w.post(t, id, 91); // lane 250
+                               // A horizon short of `t`: the run returns with nothing served
+                               // and nothing committed to `t`.
+            assert_eq!(w.run_until(now + Time::from_ns(50)), 0);
+            if let QueueImpl::TwoTier(tt) = &w.queue.imp {
+                assert_eq!((tt.cur_lanes, tt.cur_heap), (0, false));
+            }
+            // The harness then posts one event *earlier* than `t` (it rides
+            // a lane) and, after it, one at `now` (fast lane): the next run
+            // serves both before `t`, in (time, seq) order.
+            w.post(now + Time::from_ns(100), id, 2);
+            w.post(now, id, 1);
+            w.run_until_idle();
+            assert_eq!(delivered(&w, id), vec![1, 2, 90, 91], "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_heap_event_at_time_max_is_not_sixteen_empty_lanes() {
+        // Empty lanes cache their front as u64::MAX — the very instant of a
+        // `Time::MAX` heap event. The instant belongs to the heap alone.
+        let (mut w, id) = world_with_lanes(SchedulerKind::TwoTier, &[100, 250, 400]);
+        w.post(Time::MAX, id, 7);
+        w.post(Time::MAX, id, 8);
+        {
+            let QueueImpl::TwoTier(tt) = &mut w.queue.imp else {
+                panic!("two-tier world")
+            };
+            assert!(tt.advance(Time::MAX));
+            assert_eq!((tt.cur_lanes, tt.cur_heap), (0, true));
+        }
+        w.run_until_idle();
+        assert_eq!(delivered(&w, id), vec![7, 8]);
+        assert_eq!(w.now(), Time::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule in the past: at = 1us is before now = 5us")]
+    fn posting_into_the_past_is_refused_two_tier() {
+        post_into_the_past(SchedulerKind::TwoTier);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule in the past: at = 1us is before now = 5us")]
+    fn posting_into_the_past_is_refused_classic() {
+        post_into_the_past(SchedulerKind::Classic);
+    }
+
+    fn post_into_the_past(kind: SchedulerKind) {
+        let mut w: World<u32> = World::with_scheduler(1, kind);
+        let id = w.add(counter());
+        w.post(Time::from_us(5), id, 0);
+        w.run_until_idle();
+        w.post_wake(Time::from_us(1), id, 0);
     }
 
     #[test]

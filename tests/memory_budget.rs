@@ -4,23 +4,27 @@
 //! these are the exact, repeatable byte counts behind them, so a footprint
 //! regression fails here with a number instead of as a drifting `peak_rss_mb`.
 //!
-//! The counter is process-global, so every measurement serializes on one
-//! mutex. `realloc` is deliberately left at `GlobalAlloc`'s default
+//! The counters are process-global, so every test holds one mutex for its
+//! whole body: nothing another test builds, frees or prints (a panic's
+//! backtrace) is charged to it. `realloc` is deliberately left at `GlobalAlloc`'s default
 //! (allocate, copy, free): a growing buffer is then charged old + new at
 //! each growth whatever the system allocator could have done in place,
 //! which makes the counts an upper bound that does not depend on the libc.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use ndp::core::{NdpFlowCfg, NdpSender};
-use ndp::experiments::harness::permutation_run;
+use ndp::experiments::harness::{attach_on, delivered_bytes, permutation_run, LONG_FLOW};
 use ndp::experiments::{Proto, TopoSpec};
 use ndp::net::flight::{HopKind, HopRecord};
-use ndp::sim::Time;
+use ndp::net::{Packet, HEADER_BYTES};
+use ndp::sim::{Time, World};
 use ndp::telemetry::{write_chrome_trace, FlowSpan, Gauge, PointTelemetry, RequestSpan};
 use ndp::topology::FatTreeCfg;
+use ndp::transport::FlowSpec;
+use rand::{rngs::SmallRng, SeedableRng};
 
 struct Counting;
 
@@ -64,11 +68,12 @@ struct Heap {
     peak: usize,
 }
 
+/// First line of every test here (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn measure<R>(f: impl FnOnce() -> R) -> (R, Heap) {
-    let _guard = match ONE_AT_A_TIME.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
     let allocated = ALLOCATED.load(Relaxed);
@@ -88,6 +93,7 @@ const MB: usize = 1 << 20;
 /// at 615 MB before the first packet.
 #[test]
 fn attaching_a_terabyte_flow_allocates_a_window() {
+    let _serial = serial();
     let cfg = NdpFlowCfg {
         n_paths: 16,
         ..NdpFlowCfg::new(1 << 40)
@@ -103,18 +109,57 @@ fn attaching_a_terabyte_flow_allocates_a_window() {
 
 /// The benchmark's `permutation_k8` point, shortened: 128 line-rate
 /// 1 GiB flows on a k=8 FatTree. The fabric, its queues and the event
-/// queue peak at 11.4 MB; 128 dense 600 KB sender arrays put the parent
-/// of this test at 82.8 MB.
+/// queue peak at 1.10 MB (1.67 MB while every queue slot and scheduler
+/// entry held a 56-byte packet by value); 128 dense 600 KB sender arrays
+/// would add 77 MB.
 #[test]
-fn a_permutation_of_long_flows_fits_in_16_mb() {
+fn a_permutation_of_long_flows_fits_in_1500_kb() {
+    let _serial = serial();
     let topo = TopoSpec::fattree(FatTreeCfg::new(8));
     let (r, heap) = measure(|| permutation_run(Proto::Ndp, topo, Time::from_ms(2), 7, None));
     assert_eq!(r.per_flow_gbps.len(), 128);
     assert!(r.utilization > 0.5, "flows must actually run");
     assert!(
-        heap.peak < 16 * MB,
-        "permutation peaked at {:.1} MB of live heap",
+        heap.peak < 1500 * KB,
+        "permutation peaked at {:.2} MB of live heap",
         heap.peak as f64 / MB as f64
+    );
+}
+
+/// A hop allocates nothing. The same permutation, built by hand so that
+/// `run_until` can be counted apart from the build: a delivered data packet
+/// costs three 56-byte packet bodies (the data packet, its ACK, the PULL
+/// that clocks out the next one; 3.11 with trimmed first-RTT packets and
+/// what is still in flight at 2 ms) plus its share of train and queue
+/// growth — 229 B in all. Every hop moves the 8-byte handle; a stray
+/// `clone()` per hop would add a body at each of the six hops of an
+/// inter-pod path, 6 x 56 = 336 B on its own — which is the bound, 1.47x
+/// what a run allocates today.
+#[test]
+fn a_packet_hop_allocates_nothing() {
+    let _serial = serial();
+    let proto = Proto::Ndp;
+    let mut world: World<Packet> = World::new(7);
+    let topo = TopoSpec::fattree(FatTreeCfg::new(8)).build(&mut world, proto.fabric());
+    let dsts = ndp::workloads::permutation(topo.n_hosts(), &mut SmallRng::seed_from_u64(7));
+    let flows = || {
+        let pairs = dsts.iter().enumerate();
+        pairs.map(|(src, &dst)| (src as u64 + 1, src as u32, dst as u32))
+    };
+    for (flow, src, dst) in flows() {
+        let spec = FlowSpec::new(flow, src, dst, LONG_FLOW);
+        attach_on(&mut world, topo.as_ref(), proto, &spec);
+    }
+    let (_, heap) = measure(|| world.run_until(Time::from_ms(2)));
+    let bytes: u64 = flows()
+        .map(|(flow, _, dst)| delivered_bytes(&world, topo.host(dst), flow, proto))
+        .sum();
+    let delivered = bytes / u64::from(topo.mtu() - HEADER_BYTES);
+    assert!(delivered > 20_000, "flows must actually run: {delivered}");
+    let per_packet = heap.allocated as f64 / delivered as f64;
+    assert!(
+        per_packet < 336.0,
+        "run_until allocated {per_packet:.0} B per delivered data packet"
     );
 }
 
@@ -177,6 +222,7 @@ fn sample_point(i: u64) -> PointTelemetry {
 /// document — the writer this test was added against — measured 7.72x.
 #[test]
 fn a_chrome_trace_is_rendered_in_one_buffer() {
+    let _serial = serial();
     let points: Vec<PointTelemetry> = (0..20_000).map(sample_point).collect();
     let (text, heap) = measure(|| write_chrome_trace(&points));
     assert!(text.len() > 10 * MB, "input too small to say anything");

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change A/B of one benchmark workload.
+
+    tools/ab.py <parent-target-dir> <change-target-dir> <workload> --pairs N [--seed S]
+
+Builds nothing: each target dir must already hold `release/benchmark`
+(`CARGO_TARGET_DIR=<dir> cargo build --release --manifest-path
+examples/benchmark/Cargo.toml`). Runs N pairs of `benchmark --one <workload>
+--seed S --rep i`, both sides of a pair on the same rep (i cycles 0..11), the
+side that goes first alternating pair by pair, every child pinned to one CPU
+with `taskset` when it exists. A pair whose two sides disagree on `events`,
+`fingerprint` or the warm-up witness is a behaviour change, not a timing: the
+tool stops with exit status 1. Prints, for `wall_s` and `setup_s`, each side's
+min / quartiles, the median and IQR of the per-pair change÷parent ratio, the
+pairs the change won, and the ratio of the two minima; then the `peak_rss_mb`
+medians.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+
+REPS = 12  # `--rep` cycles over the suite's twelve sub-seeds
+WITNESSES = ("events", "fingerprint", "warmup", "attempted", "failed")
+# Knobs that would make the child a different program (as `spawn_rep` does).
+KNOBS = ("NDP_SCHED", "NDP_LANES", "NDP_SCALE", "NDP_TOPO")
+
+
+def run_one(target_dir, workload, seed, rep, cpu):
+    exe = os.path.join(target_dir, "release", "benchmark")
+    cmd = [exe, "--one", workload, "--seed", str(seed), "--rep", str(rep)]
+    if cpu is not None:
+        cmd = ["taskset", "-c", str(cpu)] + cmd
+    env = {k: v for k, v in os.environ.items() if k not in KNOBS}
+    env["NDP_THREADS"] = "1"
+    out = subprocess.run(cmd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True)
+    return json.loads(out.stdout.decode().strip().splitlines()[-1])
+
+
+def quartiles(xs):
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
+    return q1, q2, q3
+
+
+def side_line(label, xs):
+    q1, q2, q3 = quartiles(xs)
+    return f"  {label:<7} min {min(xs):.4f}  q1 {q1:.4f}  median {q2:.4f}  q3 {q3:.4f}  max {max(xs):.4f}"
+
+
+def report(metric, parent, change):
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(c < p for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    print(f"{metric}:")
+    print(side_line("parent", parent))
+    print(side_line("change", change))
+    print(
+        f"  pair ratio change/parent: median {q2:.4f}  IQR {q1:.4f}..{q3:.4f}  "
+        f"wins {wins}/{len(ratios)} (ties {ties})  ratio of minima {min(change) / min(parent):.4f}"
+    )
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", help="CARGO_TARGET_DIR of the parent build")
+    ap.add_argument("change", help="CARGO_TARGET_DIR of the change build (the same dir gives a self-pair)")
+    ap.add_argument("workload")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--cpu", type=int, default=None, help="CPU to pin to (default: the last one this process may use)")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+
+    cpu = args.cpu
+    if shutil.which("taskset") is None:
+        cpu = None
+        print("note: no taskset on PATH, children run unpinned", file=sys.stderr)
+    elif cpu is None:
+        cpu = max(os.sched_getaffinity(0))
+
+    print(f"# ab: {args.workload} seed {args.seed} pairs {args.pairs} cpu {cpu}")
+    print(f"# parent {args.parent}")
+    print(f"# change {args.change}")
+    sides = {"parent": [], "change": []}
+    dirs = {"parent": args.parent, "change": args.change}
+    for i in range(args.pairs):
+        rep = i % REPS
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {side: run_one(dirs[side], args.workload, args.seed, rep, cpu) for side in order}
+        p, c = got["parent"], got["change"]
+        for key in WITNESSES:
+            if p[key] != c[key]:
+                print(f"MISMATCH pair {i} rep {rep}: {key} parent {p[key]!r} change {c[key]!r}")
+                return 1
+        print(
+            f"pair {i:2} rep {rep:2} first {order[0]:<6} wall_s {p['wall_s']:.4f} {c['wall_s']:.4f} "
+            f"ratio {c['wall_s'] / p['wall_s']:.4f}  events {p['events']}  {p['fingerprint']}"
+        )
+        sides["parent"].append(p)
+        sides["change"].append(c)
+
+    print(f"witnesses equal on all {args.pairs} pairs ({', '.join(WITNESSES)})")
+    for metric in ("wall_s", "setup_s"):
+        report(metric, [r[metric] for r in sides["parent"]], [r[metric] for r in sides["change"]])
+    rss = {s: statistics.median(r["peak_rss_mb"] for r in rs) for s, rs in sides.items()}
+    print(f"peak_rss_mb medians: parent {rss['parent']:.2f}  change {rss['change']:.2f}  ratio {rss['change'] / rss['parent']:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

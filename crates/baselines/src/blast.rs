@@ -8,10 +8,11 @@
 
 use std::any::Any;
 
-use ndp_net::host::{Endpoint, EndpointCtx};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_net::Host;
 use ndp_sim::{ComponentId, Speed, Time, World};
+use ndp_transport::attach_endpoints;
 
 const TICK: u8 = 1;
 
@@ -105,6 +106,12 @@ impl Endpoint for CountSink {
     fn as_any(&self) -> &dyn Any {
         self
     }
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.payload_bytes,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// Attach an unresponsive blast flow.
@@ -117,20 +124,16 @@ pub fn attach_blast(
     rate: Speed,
     start: Time,
 ) {
-    world
-        .get_mut::<Host>(src.0)
-        .add_endpoint(flow, Box::new(BlastSender::new(flow, dst.1, mtu, rate)));
-    world
-        .get_mut::<Host>(dst.0)
-        .add_endpoint(flow, Box::new(CountSink::new()));
-    world.post_wake(start, src.0, flow << 8);
+    let (sender, sink) = (BlastSender::new(flow, dst.1, mtu, rate), CountSink::new());
+    attach_endpoints(world, flow, (src.0, sender), (dst.0, sink), start);
 }
 
 /// blast's [`ndp_transport::Transport`] adapter: an unresponsive CBR
 /// sender clocking MTU packets at its host's line rate until it has
 /// pushed `spec.size` bytes of payload, counted by a [`CountSink`].
-/// There is no completion handshake — `completion_time` is always `None`;
-/// the interesting quantity is delivered goodput under overload.
+/// There is no completion handshake — the harvest's `completion_time` is
+/// always `None`; the interesting quantity is delivered goodput under
+/// overload.
 pub struct BlastTransport;
 
 pub static BLAST: BlastTransport = BlastTransport;
@@ -157,44 +160,8 @@ impl ndp_transport::Transport for BlastTransport {
         let per = (mtu - HEADER_BYTES) as u64;
         let limit = spec.size.div_ceil(per).max(1);
         let sender = BlastSender::new(spec.flow, dst.1, mtu, rate).with_limit(limit);
-        world
-            .get_mut::<Host>(src.0)
-            .add_endpoint(spec.flow, Box::new(sender));
-        world
-            .get_mut::<Host>(dst.0)
-            .add_endpoint(spec.flow, Box::new(CountSink::new()));
-        world.post_wake(spec.start, src.0, spec.flow << 8);
-    }
-
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64 {
-        world
-            .get::<Host>(host)
-            .endpoint::<CountSink>(flow)
-            .payload_bytes
-    }
-
-    fn completion_time(
-        &self,
-        _world: &World<Packet>,
-        _host: ComponentId,
-        _flow: FlowId,
-    ) -> Option<Time> {
-        None
-    }
-
-    fn detach(
-        &self,
-        world: &mut World<Packet>,
-        src_host: ComponentId,
-        dst_host: ComponentId,
-        flow: FlowId,
-    ) -> ndp_transport::FlowHarvest {
-        ndp_transport::detach_endpoints::<CountSink>(world, src_host, dst_host, flow, |_, r| {
-            ndp_transport::FlowHarvest {
-                delivered_bytes: r.payload_bytes,
-                ..Default::default()
-            }
-        })
+        let sink = CountSink::new();
+        attach_endpoints(world, spec.flow, (src.0, sender), (dst.0, sink), spec.start);
     }
 }
 

@@ -12,10 +12,10 @@
 
 use std::any::Any;
 
-use ndp_net::host::{Endpoint, EndpointCtx};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
-use ndp_net::Host;
 use ndp_sim::{ComponentId, Speed, Time, World};
+use ndp_transport::attach_endpoints;
 use rand::Rng;
 
 const TICK: u8 = 1;
@@ -271,10 +271,6 @@ impl DcqcnReceiver {
         self.notify = Some((comp, token));
         self
     }
-
-    pub fn is_done(&self) -> bool {
-        self.completion_time.is_some()
-    }
 }
 
 impl Endpoint for DcqcnReceiver {
@@ -317,6 +313,15 @@ impl Endpoint for DcqcnReceiver {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.payload_bytes,
+            completion_time: self.completion_time,
+            first_data: self.first_arrival,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// Attach a DCQCN flow (requires a lossless fabric to be loss-free).
@@ -335,13 +340,7 @@ pub fn attach_dcqcn_flow(
     if let Some((comp, tok)) = notify {
         receiver = receiver.with_notify(comp, tok);
     }
-    world
-        .get_mut::<Host>(src.0)
-        .add_endpoint(flow, Box::new(sender));
-    world
-        .get_mut::<Host>(dst.0)
-        .add_endpoint(flow, Box::new(receiver));
-    world.post_wake(start, src.0, flow << 8);
+    attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
 /// DCQCN's [`Transport`] adapter: rate-based RoCE congestion control over
@@ -374,47 +373,12 @@ impl ndp_transport::Transport for DcqcnTransport {
         cfg.notify = spec.notify;
         attach_dcqcn_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
-
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64 {
-        world
-            .get::<Host>(host)
-            .endpoint::<DcqcnReceiver>(flow)
-            .payload_bytes
-    }
-
-    fn completion_time(
-        &self,
-        world: &World<Packet>,
-        host: ComponentId,
-        flow: FlowId,
-    ) -> Option<Time> {
-        world
-            .get::<Host>(host)
-            .endpoint::<DcqcnReceiver>(flow)
-            .completion_time
-    }
-
-    fn detach(
-        &self,
-        world: &mut World<Packet>,
-        src_host: ComponentId,
-        dst_host: ComponentId,
-        flow: FlowId,
-    ) -> ndp_transport::FlowHarvest {
-        ndp_transport::detach_endpoints::<DcqcnReceiver>(world, src_host, dst_host, flow, |_, r| {
-            ndp_transport::FlowHarvest {
-                delivered_bytes: r.payload_bytes,
-                completion_time: r.completion_time,
-                first_data: r.first_arrival,
-                ..Default::default()
-            }
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndp_net::Host;
     use ndp_sim::Speed;
     use ndp_topology::{QueueSpec, SingleBottleneck};
 

@@ -16,10 +16,10 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use ndp_net::host::{Endpoint, EndpointCtx};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
-use ndp_net::Host;
 use ndp_sim::{ComponentId, Time, World};
+use ndp_transport::attach_endpoints;
 use rand::Rng;
 
 const RTO_TOKEN_BASE: u8 = 1; // token = base + subflow index
@@ -139,10 +139,6 @@ impl MptcpSender {
             done: false,
             stats: MptcpStats::default(),
         }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     pub fn subflow_cwnds(&self) -> Vec<u64> {
@@ -350,6 +346,14 @@ impl Endpoint for MptcpSender {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            retransmissions: self.stats.fast_retransmits + self.stats.timeouts,
+            timeouts: self.stats.timeouts,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// RFC 6356 congestion-avoidance increment for one subflow:
@@ -392,10 +396,6 @@ impl MptcpReceiver {
     pub fn with_notify(mut self, comp: ComponentId, token: u64) -> MptcpReceiver {
         self.notify = Some((comp, token));
         self
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.completion_time.is_some()
     }
 }
 
@@ -462,6 +462,15 @@ impl Endpoint for MptcpReceiver {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.payload_bytes,
+            completion_time: self.completion_time,
+            first_data: self.first_arrival,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// Attach an MPTCP flow.
@@ -481,13 +490,7 @@ pub fn attach_mptcp_flow(
     if let Some((comp, tok)) = notify {
         receiver = receiver.with_notify(comp, tok);
     }
-    world
-        .get_mut::<Host>(src.0)
-        .add_endpoint(flow, Box::new(sender));
-    world
-        .get_mut::<Host>(dst.0)
-        .add_endpoint(flow, Box::new(receiver));
-    world.post_wake(start, src.0, flow << 8);
+    attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
 /// MPTCP's [`Transport`] adapter: 8 subflows on distinct paths, coupled
@@ -519,56 +522,12 @@ impl ndp_transport::Transport for MptcpTransport {
         cfg.notify = spec.notify;
         attach_mptcp_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
-
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64 {
-        world
-            .get::<Host>(host)
-            .endpoint::<MptcpReceiver>(flow)
-            .payload_bytes
-    }
-
-    fn completion_time(
-        &self,
-        world: &World<Packet>,
-        host: ComponentId,
-        flow: FlowId,
-    ) -> Option<Time> {
-        world
-            .get::<Host>(host)
-            .endpoint::<MptcpReceiver>(flow)
-            .completion_time
-    }
-
-    fn detach(
-        &self,
-        world: &mut World<Packet>,
-        src_host: ComponentId,
-        dst_host: ComponentId,
-        flow: FlowId,
-    ) -> ndp_transport::FlowHarvest {
-        ndp_transport::detach_endpoints::<MptcpReceiver>(
-            world,
-            src_host,
-            dst_host,
-            flow,
-            |tx, r| {
-                let s = tx.get::<MptcpSender>();
-                ndp_transport::FlowHarvest {
-                    delivered_bytes: r.payload_bytes,
-                    completion_time: r.completion_time,
-                    first_data: r.first_arrival,
-                    retransmissions: s.map_or(0, |s| s.stats.fast_retransmits + s.stats.timeouts),
-                    timeouts: s.map_or(0, |s| s.stats.timeouts),
-                    ..Default::default()
-                }
-            },
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndp_net::Host;
     use ndp_topology::{FatTree, FatTreeCfg, QueueSpec};
 
     #[test]

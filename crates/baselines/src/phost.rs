@@ -14,11 +14,10 @@
 
 use std::any::Any;
 
-use ndp_net::host::{Endpoint, EndpointCtx, PullPriority};
+use ndp_net::host::{start_token, Endpoint, EndpointCtx, FlowHarvest, PullPriority};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
-use ndp_net::Host;
 use ndp_sim::{ComponentId, Time, World};
-use ndp_transport::SeqWindow;
+use ndp_transport::{attach_endpoints, SeqWindow};
 use rand::Rng;
 
 const TIMEOUT_TOKEN: u8 = 1;
@@ -96,10 +95,6 @@ impl PHostSender {
             done: false,
             stats: PHostStats::default(),
         }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     fn wire_size(&self, seq: u64) -> u32 {
@@ -190,6 +185,13 @@ impl Endpoint for PHostSender {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            retransmissions: self.stats.retransmissions,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// The pHost receiver: ACK per packet, token per arrival, timeout-driven
@@ -232,10 +234,6 @@ impl PHostReceiver {
     pub fn with_notify(mut self, comp: ComponentId, token: u64) -> PHostReceiver {
         self.notify = Some((comp, token));
         self
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     fn mark(&mut self, seq: u64) -> bool {
@@ -325,6 +323,18 @@ impl Endpoint for PHostReceiver {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    /// pHost's only timer is the receiver's token timeout, so its
+    /// `timeouts` tally lives here, not on the sender.
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.payload_bytes,
+            completion_time: self.completion_time,
+            first_data: self.first_arrival,
+            timeouts: self.timeout_credits,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// Attach a pHost flow (use a small drop-tail fabric).
@@ -343,15 +353,9 @@ pub fn attach_phost_flow(
     if let Some((comp, tok)) = notify {
         receiver = receiver.with_notify(comp, tok);
     }
-    world
-        .get_mut::<Host>(src.0)
-        .add_endpoint(flow, Box::new(sender));
-    world
-        .get_mut::<Host>(dst.0)
-        .add_endpoint(flow, Box::new(receiver));
-    world.post_wake(start, src.0, flow << 8);
+    attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
     // Start the receiver's token-timeout clock (models pHost's RTS).
-    world.post_wake(start, dst.0, flow << 8);
+    world.post_wake(start, dst.0, start_token(flow));
 }
 
 /// pHost's [`Transport`] adapter: receiver-driven credits *without* packet
@@ -383,56 +387,12 @@ impl ndp_transport::Transport for PHostTransport {
         cfg.notify = spec.notify;
         attach_phost_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
-
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64 {
-        world
-            .get::<Host>(host)
-            .endpoint::<PHostReceiver>(flow)
-            .payload_bytes
-    }
-
-    fn completion_time(
-        &self,
-        world: &World<Packet>,
-        host: ComponentId,
-        flow: FlowId,
-    ) -> Option<Time> {
-        world
-            .get::<Host>(host)
-            .endpoint::<PHostReceiver>(flow)
-            .completion_time
-    }
-
-    fn detach(
-        &self,
-        world: &mut World<Packet>,
-        src_host: ComponentId,
-        dst_host: ComponentId,
-        flow: FlowId,
-    ) -> ndp_transport::FlowHarvest {
-        ndp_transport::detach_endpoints::<PHostReceiver>(
-            world,
-            src_host,
-            dst_host,
-            flow,
-            |tx, r| {
-                let s = tx.get::<PHostSender>();
-                ndp_transport::FlowHarvest {
-                    delivered_bytes: r.payload_bytes,
-                    completion_time: r.completion_time,
-                    first_data: r.first_arrival,
-                    retransmissions: s.map_or(0, |s| s.stats.retransmissions),
-                    timeouts: r.timeout_credits,
-                    ..Default::default()
-                }
-            },
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndp_net::Host;
     use ndp_sim::Speed;
     use ndp_topology::{QueueSpec, SingleBottleneck};
 
@@ -459,7 +419,7 @@ mod tests {
         w.run_until(Time::from_ms(100));
         let rx = w.get::<Host>(sb.receiver).endpoint::<PHostReceiver>(1);
         assert_eq!(rx.payload_bytes, size);
-        assert!(rx.is_done());
+        assert!(rx.harvest().completion_time.is_some());
     }
 
     #[test]
@@ -490,7 +450,10 @@ mod tests {
         let mut timeout_credits = 0;
         for s in 0..n as u64 {
             let rx = w.get::<Host>(sb.receiver).endpoint::<PHostReceiver>(s + 1);
-            assert!(rx.is_done(), "flow {s} incomplete");
+            assert!(
+                rx.harvest().completion_time.is_some(),
+                "flow {s} incomplete"
+            );
             last = last.max(rx.completion_time.unwrap());
             timeout_credits += rx.timeout_credits;
         }

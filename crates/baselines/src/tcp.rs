@@ -15,10 +15,10 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use ndp_net::host::{Endpoint, EndpointCtx};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
-use ndp_net::Host;
 use ndp_sim::{ComponentId, Time, World};
+use ndp_transport::attach_endpoints;
 
 const RTO_TOKEN: u8 = 1;
 
@@ -166,10 +166,6 @@ impl TcpSender {
             done: false,
             stats: TcpStats::default(),
         }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     pub fn cwnd(&self) -> u64 {
@@ -434,6 +430,14 @@ impl Endpoint for TcpSender {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            retransmissions: self.stats.fast_retransmits + self.stats.timeouts,
+            timeouts: self.stats.timeouts,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// The TCP receiver: cumulative ACKs with out-of-order buffering and
@@ -446,7 +450,6 @@ pub struct TcpReceiver {
     /// Out-of-order segments: start -> end.
     ooo: BTreeMap<u64, u64>,
     total: Option<u64>,
-    handshake_done: bool,
     pub payload_bytes: u64,
     pub completion_time: Option<Time>,
     pub first_arrival: Option<Time>,
@@ -461,7 +464,6 @@ impl TcpReceiver {
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             total: None,
-            handshake_done: false,
             payload_bytes: 0,
             completion_time: None,
             first_arrival: None,
@@ -472,10 +474,6 @@ impl TcpReceiver {
     pub fn with_notify(mut self, comp: ComponentId, token: u64) -> TcpReceiver {
         self.notify = Some((comp, token));
         self
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.completion_time.is_some()
     }
 
     fn absorb(&mut self, start: u64, end: u64) {
@@ -525,9 +523,6 @@ impl Endpoint for TcpReceiver {
         }
         if pkt.flags.has(Flags::SYN) && pkt.payload == 0 {
             // Bare SYN of a three-way handshake: reply SYN-ACK.
-            if !self.handshake_done {
-                self.handshake_done = true;
-            }
             let mut synack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
             synack.flags = Flags::SYN;
             synack.path = self.path;
@@ -565,10 +560,18 @@ impl Endpoint for TcpReceiver {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.payload_bytes,
+            completion_time: self.completion_time,
+            first_data: self.first_arrival,
+            ..FlowHarvest::default()
+        }
+    }
 }
 
 /// Attach a TCP (or DCTCP) flow between two hosts.
-#[allow(clippy::too_many_arguments)]
 pub fn attach_tcp_flow(
     world: &mut World<Packet>,
     flow: FlowId,
@@ -584,13 +587,7 @@ pub fn attach_tcp_flow(
     if let Some((comp, tok)) = notify {
         receiver = receiver.with_notify(comp, tok);
     }
-    world
-        .get_mut::<Host>(src.0)
-        .add_endpoint(flow, Box::new(sender));
-    world
-        .get_mut::<Host>(dst.0)
-        .add_endpoint(flow, Box::new(receiver));
-    world.post_wake(start, src.0, flow << 8);
+    attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
 /// TCP's [`Transport`] adapter; DCTCP is the same adapter with the ECN
@@ -641,51 +638,13 @@ impl ndp_transport::Transport for TcpTransport {
         cfg.notify = spec.notify;
         attach_tcp_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
-
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64 {
-        world
-            .get::<Host>(host)
-            .endpoint::<TcpReceiver>(flow)
-            .payload_bytes
-    }
-
-    fn completion_time(
-        &self,
-        world: &World<Packet>,
-        host: ComponentId,
-        flow: FlowId,
-    ) -> Option<Time> {
-        world
-            .get::<Host>(host)
-            .endpoint::<TcpReceiver>(flow)
-            .completion_time
-    }
-
-    fn detach(
-        &self,
-        world: &mut World<Packet>,
-        src_host: ComponentId,
-        dst_host: ComponentId,
-        flow: FlowId,
-    ) -> ndp_transport::FlowHarvest {
-        ndp_transport::detach_endpoints::<TcpReceiver>(world, src_host, dst_host, flow, |tx, r| {
-            let s = tx.get::<TcpSender>();
-            ndp_transport::FlowHarvest {
-                delivered_bytes: r.payload_bytes,
-                completion_time: r.completion_time,
-                first_data: r.first_arrival,
-                retransmissions: s.map_or(0, |s| s.stats.fast_retransmits + s.stats.timeouts),
-                timeouts: s.map_or(0, |s| s.stats.timeouts),
-                ..Default::default()
-            }
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ndp_net::host::HostLatency;
+    use ndp_net::Host;
     use ndp_sim::Speed;
     use ndp_topology::{BackToBack, QueueSpec, SingleBottleneck};
 

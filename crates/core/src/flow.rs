@@ -3,6 +3,7 @@
 use ndp_net::host::{Host, PullPriority};
 use ndp_net::packet::{FlowId, HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
+use ndp_transport::attach_endpoints;
 
 use crate::receiver::NdpReceiver;
 pub use crate::sender::NdpFlowCfg;
@@ -11,7 +12,6 @@ use crate::sender::NdpSender;
 /// Register sender and receiver endpoints for one flow and schedule its
 /// start. `src`/`dst` are (host component id, host id) pairs as returned by
 /// the topology builders.
-#[allow(clippy::too_many_arguments)]
 pub fn attach_flow(
     world: &mut World<Packet>,
     flow: FlowId,
@@ -30,17 +30,11 @@ pub fn attach_flow(
     if let Some((comp, tok)) = cfg.notify {
         receiver = receiver.with_notify(comp, tok);
     }
-    world
-        .get_mut::<Host>(src.0)
-        .add_endpoint(flow, Box::new(sender));
-    world
-        .get_mut::<Host>(dst.0)
-        .add_endpoint(flow, Box::new(receiver));
-    // Token 0 == flow start on the sender host.
-    world.post_wake(start, src.0, flow << 8);
+    attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
-/// Convenience accessors for post-run harvesting.
+/// NDP-specific counters, for callers that need more than the
+/// protocol-neutral [`Host::harvest`].
 pub fn sender_stats(
     world: &World<Packet>,
     host: ComponentId,

@@ -13,7 +13,7 @@
 
 use std::any::Any;
 
-use ndp_net::host::{Endpoint, EndpointCtx, PullPriority};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, PullPriority};
 use ndp_net::packet::{Flags, HostId, Packet, PacketKind};
 use ndp_sim::{ComponentId, Time};
 use ndp_transport::SeqWindow;
@@ -80,10 +80,6 @@ impl NdpReceiver {
     pub fn with_latency_trace(mut self) -> NdpReceiver {
         self.trace_latency = true;
         self
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Flow completion time measured at the receiver (first arrival →
@@ -179,5 +175,15 @@ impl Endpoint for NdpReceiver {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.stats.payload_bytes,
+            completion_time: self.stats.completion_time,
+            first_data: self.stats.first_arrival,
+            trimmed_headers: self.stats.headers,
+            ..FlowHarvest::default()
+        }
     }
 }

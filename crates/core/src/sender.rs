@@ -10,7 +10,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use ndp_net::host::{Endpoint, EndpointCtx};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, FxHashSet, Time};
 use ndp_transport::SeqWindow;
@@ -480,6 +480,15 @@ impl Endpoint for NdpSender {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            retransmissions: self.stats.retransmissions,
+            timeouts: self.stats.rtx_rto,
+            rts_events: self.stats.rts_received,
+            ..FlowHarvest::default()
+        }
     }
 }
 

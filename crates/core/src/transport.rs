@@ -4,12 +4,10 @@
 //! The Figure 22 ablation (path penalty disabled, §3.2.3) is a configured
 //! instance of the same adapter, not a separate protocol.
 
-use ndp_net::host::Host;
-use ndp_net::packet::{FlowId, HostId, Packet};
-use ndp_sim::{ComponentId, Time, World};
-use ndp_transport::{FlowHarvest, FlowSpec, QueueSpec, Transport};
+use ndp_net::packet::{HostId, Packet};
+use ndp_sim::{ComponentId, World};
+use ndp_transport::{FlowSpec, QueueSpec, Transport};
 
-use crate::receiver::NdpReceiver;
 use crate::{attach_flow, NdpFlowCfg};
 
 /// NDP over the trimming fabric, with the §3.2.3 path scoreboard on or off.
@@ -59,47 +57,5 @@ impl Transport for NdpTransport {
             cfg.iw_pkts = iw;
         }
         attach_flow(world, spec.flow, src, dst, cfg, spec.start);
-    }
-
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64 {
-        world
-            .get::<Host>(host)
-            .endpoint::<NdpReceiver>(flow)
-            .stats
-            .payload_bytes
-    }
-
-    fn completion_time(
-        &self,
-        world: &World<Packet>,
-        host: ComponentId,
-        flow: FlowId,
-    ) -> Option<Time> {
-        world
-            .get::<Host>(host)
-            .endpoint::<NdpReceiver>(flow)
-            .stats
-            .completion_time
-    }
-
-    fn detach(
-        &self,
-        world: &mut World<Packet>,
-        src_host: ComponentId,
-        dst_host: ComponentId,
-        flow: FlowId,
-    ) -> FlowHarvest {
-        ndp_transport::detach_endpoints::<NdpReceiver>(world, src_host, dst_host, flow, |tx, r| {
-            let s = tx.get::<crate::sender::NdpSender>();
-            FlowHarvest {
-                delivered_bytes: r.stats.payload_bytes,
-                completion_time: r.stats.completion_time,
-                first_data: r.stats.first_arrival,
-                retransmissions: s.map_or(0, |s| s.stats.retransmissions),
-                timeouts: s.map_or(0, |s| s.stats.rtx_rto),
-                trimmed_headers: r.stats.headers,
-                rts_events: s.map_or(0, |s| s.stats.rts_received),
-            }
-        })
     }
 }

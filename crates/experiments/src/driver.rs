@@ -40,6 +40,7 @@ use ndp_sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
 use ndp_telemetry::span::{push_request, push_span};
 use ndp_telemetry::{FlowSpan, RequestSpan, TelemetryConfig};
 use ndp_topology::Topology;
+use ndp_transport::detach_endpoints;
 use ndp_workloads::{FlowEvent, FlowLeg, RpcRequest, RpcWorkload};
 
 use crate::harness::{FlowSpec, Proto};
@@ -445,7 +446,6 @@ impl RpcDriver {
             return; // duplicate notify — already retired
         };
         self.publish_live();
-        let proto = self.proto;
         let src = self.topo.host(fr.src);
         let dst = self.topo.host(fr.dst);
         let ideal = self.topo.ideal_fct(fr.src, fr.dst, fr.bytes);
@@ -453,7 +453,7 @@ impl RpcDriver {
         let spans = self.spans.clone();
         let tagged = self.requests_log.is_some();
         ctx.defer(move |w| {
-            let harvest = proto.transport().detach(w, src, dst, flow);
+            let harvest = detach_endpoints(w, src, dst, flow);
             if let Some(log) = spans {
                 let mut span = fr.span(flow, tagged);
                 span.slowdown = slowdown;
@@ -727,10 +727,7 @@ pub(crate) fn run_driven(
         "sink reports must account for every non-straggler flow"
     );
     for (flow, fr) in flows {
-        let harvest =
-            spec.proto
-                .transport()
-                .detach(&mut world, topo.host(fr.src), topo.host(fr.dst), flow);
+        let harvest = detach_endpoints(&mut world, topo.host(fr.src), topo.host(fr.dst), flow);
         if let Some(log) = &spans {
             let mut span = fr.span(flow, requests.is_some());
             span.stuck = true;

@@ -8,7 +8,7 @@
 //! mean decays as headers eat the link and its worst-10 % collapses from
 //! phase effects.
 
-use ndp_baselines::blast::{attach_blast, fair_share_fraction, CountSink};
+use ndp_baselines::blast::{attach_blast, fair_share_fraction};
 use ndp_metrics::{mean, worst_fraction_mean, Table};
 use ndp_net::host::Host;
 use ndp_net::packet::Packet;
@@ -58,7 +58,7 @@ fn one_run(fabric: QueueSpec, n: usize, span: Time, seed: u64) -> Vec<f64> {
     let host = world.get::<Host>(sb.receiver);
     (1..=n as u64)
         .map(|f| {
-            let bytes = host.endpoint::<CountSink>(f).payload_bytes;
+            let bytes = host.harvest(f).delivered_bytes;
             100.0 * fair_share_fraction(bytes, n, Speed::gbps(10), 9000, span)
         })
         .collect()

@@ -13,6 +13,7 @@ use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
 use ndp_topology::{FatTree, FatTreeCfg};
+use ndp_transport::attach_endpoints;
 
 use crate::harness::{FlowSpec, Scale};
 
@@ -72,13 +73,8 @@ fn attach_with_trace(world: &mut World<Packet>, ft: &FatTree, spec: &FlowSpec) {
     }
     let sender = NdpSender::new(spec.flow, spec.dst, cfg);
     let receiver = NdpReceiver::new(spec.src).with_latency_trace();
-    world
-        .get_mut::<Host>(ft.hosts[spec.src as usize])
-        .add_endpoint(spec.flow, Box::new(sender));
-    world
-        .get_mut::<Host>(ft.hosts[spec.dst as usize])
-        .add_endpoint(spec.flow, Box::new(receiver));
-    world.post_wake(spec.start, ft.hosts[spec.src as usize], spec.flow << 8);
+    let (src, dst) = (ft.hosts[spec.src as usize], ft.hosts[spec.dst as usize]);
+    attach_endpoints(world, spec.flow, (src, sender), (dst, receiver), spec.start);
 }
 
 fn incast_traced(scale: Scale, size: u64, seed: u64) -> Cdf {

@@ -7,6 +7,7 @@
 //! MPTCP greedily fills the 200-packet buffers.
 
 use ndp_metrics::{Cdf, Table};
+use ndp_net::host::start_token;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_topology::{FatTree, FatTreeCfg};
@@ -62,7 +63,7 @@ fn probe_fcts(proto: Proto, scale: Scale, seed: u64) -> Cdf {
             trigger.on(
                 flow,
                 Time::from_us(100),
-                vec![(ft.hosts[probe_a], (flow + 1) << 8)],
+                vec![(ft.hosts[probe_a], start_token(flow + 1))],
             );
         }
     }

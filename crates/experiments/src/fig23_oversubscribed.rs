@@ -9,6 +9,7 @@
 //! collapse: packets that clear the ToR almost always reach the receiver.
 
 use ndp_metrics::{Cdf, Table};
+use ndp_net::host::start_token;
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
 use ndp_sim::{ComponentId, Time, World};
@@ -71,7 +72,7 @@ fn trial(proto: Proto, scale: Scale, conns_per_host: usize, seed: u64) -> LoadRe
                 let origin = match prev {
                     None => Ok(spec.start),
                     Some(p) => {
-                        trigger.on(p, gap, vec![(ft.hosts[host], flow_id << 8)]);
+                        trigger.on(p, gap, vec![(ft.hosts[host], start_token(flow_id))]);
                         Err((p, gap))
                     }
                 };

@@ -10,6 +10,7 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use ndp_net::packet::{FlowId, Packet};
+use ndp_net::Host;
 use ndp_sim::{Component, ComponentId, Ctx, Event, Speed, Time, World};
 use ndp_topology::Topology;
 
@@ -111,24 +112,27 @@ pub fn attach_generic(
         .attach(world, spec, src, dst, n_paths, mtu);
 }
 
-/// Receiver-side delivered payload bytes for any protocol.
+/// Receiver-side delivered payload bytes for any protocol. `proto` is no
+/// longer read — every endpoint reports through [`Host::harvest`] — and
+/// stays in the signature because the frozen benchmark package calls this.
 pub fn delivered_bytes(
     world: &World<Packet>,
     host: ComponentId,
     flow: FlowId,
-    proto: Proto,
+    _proto: Proto,
 ) -> u64 {
-    proto.transport().delivered_bytes(world, host, flow)
+    world.get::<Host>(host).harvest(flow).delivered_bytes
 }
 
-/// Receiver-side completion time (absolute) for any protocol.
+/// Receiver-side completion time (absolute) for any protocol; `proto` is
+/// unused, as for [`delivered_bytes`].
 pub fn completion_time(
     world: &World<Packet>,
     host: ComponentId,
     flow: FlowId,
-    proto: Proto,
+    _proto: Proto,
 ) -> Option<Time> {
-    proto.transport().completion_time(world, host, flow)
+    world.get::<Host>(host).harvest(flow).completion_time
 }
 
 /// A completion-driven sequencer: when woken with a registered token it

@@ -4,13 +4,17 @@
 //!
 //! Adding a transport to the evaluation is two steps:
 //!
-//! 1. implement [`Transport`] next to the new sender/receiver (see
+//! 1. next to the new sender/receiver, override `Endpoint::harvest` on
+//!    each (the receiver reports delivery, the sender its recovery
+//!    tallies) and implement [`Transport`]'s `label`/`fabric`/`attach`,
+//!    the last ending in one `ndp_transport::attach_endpoints` call (see
 //!    `ndp_baselines::phost` for a template, or `ndp_core::transport` for
 //!    a multi-variant one), exposed as a `static`;
 //! 2. add a `Proto` variant and one line to [`TRANSPORTS`].
 //!
-//! No harness or figure module needs to change: they all dispatch through
-//! [`Proto::transport`].
+//! No harness or figure module needs to change: they attach through
+//! [`Proto::transport`] and read or retire any flow through
+//! `Host::harvest` / `ndp_transport::detach_endpoints`.
 
 pub use ndp_transport::{flow_hash_path, FlowHarvest, FlowSpec, QueueSpec, Transport};
 
@@ -113,46 +117,103 @@ mod tests {
         assert_eq!(keys[0], Proto::Ndp);
     }
 
+    /// Attach one `size`-byte flow per `(flow, src)` to host 15 of a k=4
+    /// FatTree on `proto`'s fabric through the registry adapter, run to
+    /// `horizon`, then retire every flow. Checks each detach result equals
+    /// `rx.harvest().merge(tx.harvest())` read just before it, that a second
+    /// detach is an empty no-op and that no endpoint is left behind.
+    /// Returns each flow's detach harvest.
+    fn run_and_detach(
+        proto: Proto,
+        flows: &[(u64, u32)],
+        size: u64,
+        horizon: ndp_sim::Time,
+    ) -> Vec<FlowHarvest> {
+        use ndp_net::{Host, Packet};
+        use ndp_sim::World;
+        use ndp_topology::{FatTree, FatTreeCfg};
+        use ndp_transport::detach_endpoints;
+        let cfg = FatTreeCfg::new(4).with_fabric(proto.fabric());
+        let mut w: World<Packet> = World::new(7);
+        let ft = FatTree::build(&mut w, cfg);
+        let (dst, t) = (ft.hosts[15], proto.transport());
+        for &(flow, src) in flows {
+            let spec = FlowSpec::new(flow, src, 15, size);
+            let n_paths = ft.n_paths(src, 15);
+            let src_host = (ft.hosts[src as usize], src);
+            t.attach(&mut w, &spec, src_host, (dst, 15), n_paths, ft.cfg.mtu);
+        }
+        w.run_until(horizon);
+        let mut harvests = Vec::new();
+        for &(flow, src) in flows {
+            let src = ft.hosts[src as usize];
+            let halves = w.get::<Host>(dst).harvest(flow);
+            let halves = halves.merge(w.get::<Host>(src).harvest(flow));
+            let h = detach_endpoints(&mut w, src, dst, flow);
+            assert_eq!(h, halves, "{proto:?} flow {flow}: detach = rx + tx");
+            // Detaching again is a harmless no-op with an empty harvest.
+            let again = t.detach(&mut w, src, dst, flow);
+            assert_eq!(again, FlowHarvest::default(), "{proto:?} re-detach");
+            harvests.push(h);
+        }
+        for host in &ft.hosts {
+            assert_eq!(w.get::<Host>(*host).n_endpoints(), 0, "{proto:?}");
+        }
+        harvests
+    }
+
     #[test]
     fn every_transport_detaches_and_harvests() {
-        use ndp_net::{Host, Packet};
-        use ndp_sim::{Time, World};
-        use ndp_topology::{FatTree, FatTreeCfg};
-        // Every registered protocol must free its endpoint state on detach
-        // and hand back the same results the read-only accessors reported.
+        use ndp_sim::Time;
         for proto in Proto::all() {
-            let cfg = FatTreeCfg::new(4).with_fabric(proto.fabric());
-            let mut w: World<Packet> = World::new(7);
-            let ft = FatTree::build(&mut w, cfg);
-            let spec = FlowSpec::new(1, 0, 15, 90_000);
-            let t = proto.transport();
-            t.attach(
-                &mut w,
-                &spec,
-                (ft.hosts[0], 0),
-                (ft.hosts[15], 15),
-                ft.n_paths(0, 15),
-                ft.cfg.mtu,
-            );
-            w.run_until(Time::from_ms(50));
-            let delivered = t.delivered_bytes(&w, ft.hosts[15], 1);
-            let done = t.completion_time(&w, ft.hosts[15], 1);
+            // Input 1: one 90 KB flow across an idle fabric.
+            let h = run_and_detach(proto, &[(1, 0)], 90_000, Time::from_ms(50))[0];
             if proto == Proto::Blast {
                 // CBR blast rounds the size up to whole MTU packets and has
                 // no completion handshake.
-                assert!(delivered >= 90_000, "blast delivered {delivered}");
+                assert!(h.delivered_bytes >= 90_000, "blast delivered {h:?}");
             } else {
-                assert_eq!(delivered, 90_000, "{proto:?} must deliver the flow");
-                assert!(done.is_some(), "{proto:?} must record completion");
+                assert_eq!(h.delivered_bytes, 90_000, "{proto:?} must deliver the flow");
+                assert!(
+                    h.completion_time.is_some(),
+                    "{proto:?} must record completion"
+                );
             }
-            let h = t.detach(&mut w, ft.hosts[0], ft.hosts[15], 1);
-            assert_eq!(h.delivered_bytes, delivered, "{proto:?} harvest bytes");
-            assert_eq!(h.completion_time, done, "{proto:?} harvest fct");
-            assert_eq!(w.get::<Host>(ft.hosts[0]).n_endpoints(), 0, "{proto:?}");
-            assert_eq!(w.get::<Host>(ft.hosts[15]).n_endpoints(), 0, "{proto:?}");
-            // Detaching again is a harmless no-op with an empty harvest.
-            let again = t.detach(&mut w, ft.hosts[0], ft.hosts[15], 1);
-            assert_eq!(again, FlowHarvest::default(), "{proto:?} re-detach");
+
+            // Input 2 (lossy): a 30:1 incast, two 450 KB flows from each of
+            // the other 15 hosts. The first windows alone overflow the
+            // receiver's downlink — 30 x 10-packet TCP/DCTCP IWs (30 x 16
+            // for MPTCP's 8 subflows) against a 200-packet drop-tail
+            // buffer, 30 x 30-packet NDP/pHost bursts against 8-packet
+            // trimming and small drop-tail queues — so every sender-side
+            // recovery tally is exercised, and a sender harvest that
+            // silently returned defaults fails here. TCP's 200 ms MinRTO
+            // repairs the tail one hole per RTO: its last flow finishes at
+            // 10.6 s (the rest inside 0.3 s).
+            const SIZE: u64 = 450_000;
+            let flows: Vec<(u64, u32)> = (1..=30).map(|f| (f, ((f - 1) % 15) as u32)).collect();
+            let hs = run_and_detach(proto, &flows, SIZE, Time::from_secs(20));
+            if proto != Proto::Blast {
+                // (Blast is unresponsive: what the fabric trims is lost.)
+                for (&(flow, _), h) in flows.iter().zip(&hs) {
+                    assert_eq!(
+                        h.delivered_bytes, SIZE,
+                        "{proto:?} must deliver flow {flow}"
+                    );
+                    assert!(
+                        h.completion_time.is_some(),
+                        "{proto:?} must complete {flow}"
+                    );
+                }
+            }
+            let retransmissions: u64 = hs.iter().map(|h| h.retransmissions).sum();
+            let trimmed: u64 = hs.iter().map(|h| h.trimmed_headers).sum();
+            if !matches!(proto, Proto::Dcqcn | Proto::Blast) {
+                assert!(retransmissions > 0, "{proto:?}: incast must retransmit");
+            }
+            if matches!(proto, Proto::Ndp | Proto::NdpNoPenalty) {
+                assert!(trimmed > 0, "{proto:?}: incast must trim");
+            }
         }
     }
 }

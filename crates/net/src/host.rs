@@ -24,6 +24,20 @@ use crate::packet::{Flags, FlowId, HostId, Packet, PacketKind};
 /// Timer token endpoints may use (0 is reserved for flow start).
 pub const TOKEN_START: u8 = 0;
 
+/// A host wake token is `flow << TOKEN_BITS | endpoint timer token`.
+const TOKEN_BITS: u32 = 8;
+
+/// The host wake token that fires endpoint timer `token` of `flow`.
+pub fn flow_token(flow: FlowId, token: u8) -> u64 {
+    (flow << TOKEN_BITS) | u64::from(token)
+}
+
+/// The host wake token that starts `flow` on its sender host — what a
+/// harness posts, or a trigger fires, to begin a transfer.
+pub fn start_token(flow: FlowId) -> u64 {
+    flow_token(flow, TOKEN_START)
+}
+
 const WAKE_PACER: u64 = u64::MAX;
 const WAKE_PROC: u64 = u64::MAX - 1;
 
@@ -47,6 +61,64 @@ pub trait Endpoint: Send {
     /// A timer set through [`EndpointCtx::timer_in`] fired.
     fn on_timer(&mut self, token: u8, ctx: &mut EndpointCtx<'_, '_>);
     fn as_any(&self) -> &dyn Any;
+    /// This side's half of the flow's accounting: a receiver fills what
+    /// it saw arrive, a sender its recovery tallies. Protocol-neutral, so
+    /// a harness reads any flow without knowing the endpoint's type.
+    fn harvest(&self) -> FlowHarvest {
+        FlowHarvest::default()
+    }
+}
+
+/// Per-flow accounting every transport reports the same way, read through
+/// [`Endpoint::harvest`] / [`Host::harvest`] and merged over both sides at
+/// detach. A transport without a given notion leaves the field at its
+/// default (`None`/0).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FlowHarvest {
+    /// Payload bytes delivered in order to the receiving application.
+    pub delivered_bytes: u64,
+    /// Absolute completion instant, `None` if the flow never finished
+    /// (or the transport has no completion notion, e.g. blast).
+    pub completion_time: Option<Time>,
+    /// Absolute instant the receiver first saw the flow (data or header).
+    pub first_data: Option<Time>,
+    /// Sender retransmissions, however the protocol triggers them
+    /// (NACK/RTS/RTO for NDP, dupACK fast retransmit for TCP-family,
+    /// re-issued credits for pHost).
+    pub retransmissions: u64,
+    /// The subset of recovery events driven by a timer expiry — the
+    /// slowest, tail-defining recovery path.
+    pub timeouts: u64,
+    /// Trimmed headers the receiver saw (NDP fabrics; 0 elsewhere).
+    pub trimmed_headers: u64,
+    /// Return-to-sender headers the sender saw (NDP §3.2.4; 0 elsewhere).
+    pub rts_events: u64,
+}
+
+impl FlowHarvest {
+    /// Combine two sides' halves field-wise. Every field has one owning
+    /// side, so debug builds reject a field set on both.
+    pub fn merge(self, other: FlowHarvest) -> FlowHarvest {
+        fn one<T: Default + PartialEq>(field: &str, a: T, b: T) -> T {
+            let unset = T::default();
+            debug_assert!(a == unset || b == unset, "`{field}` set on both sides");
+            if a == unset {
+                b
+            } else {
+                a
+            }
+        }
+        let (a, b) = (self, other);
+        FlowHarvest {
+            delivered_bytes: one("delivered_bytes", a.delivered_bytes, b.delivered_bytes),
+            completion_time: one("completion_time", a.completion_time, b.completion_time),
+            first_data: one("first_data", a.first_data, b.first_data),
+            retransmissions: one("retransmissions", a.retransmissions, b.retransmissions),
+            timeouts: one("timeouts", a.timeouts, b.timeouts),
+            trimmed_headers: one("trimmed_headers", a.trimmed_headers, b.trimmed_headers),
+            rts_events: one("rts_events", a.rts_events, b.rts_events),
+        }
+    }
 }
 
 /// Piecewise-linear inverse-CDF for sampling pull-spacing multipliers
@@ -415,7 +487,7 @@ impl<'a, 'b> EndpointCtx<'a, 'b> {
     pub fn timer_in(&mut self, delay: Time, token: u8) {
         debug_assert!(token != TOKEN_START, "token 0 is reserved for start");
         self.core.flush_tx(self.sim);
-        self.sim.wake_in(delay, (self.flow << 8) | token as u64);
+        self.sim.wake_in(delay, flow_token(self.flow, token));
     }
 
     /// Queue a PULL towards `peer` for this flow (the host pacer sends it).
@@ -588,11 +660,21 @@ impl Host {
         self.endpoints.len()
     }
 
-    /// Downcast an endpoint for post-run harvesting.
-    pub fn endpoint<T: 'static>(&self, flow: FlowId) -> &T {
+    fn live_endpoint(&self, flow: FlowId) -> &dyn Endpoint {
         self.endpoints
             .get(&flow)
             .unwrap_or_else(|| panic!("no endpoint for flow {flow}"))
+            .as_ref()
+    }
+
+    /// This host's endpoint's half of `flow`'s [`FlowHarvest`].
+    pub fn harvest(&self, flow: FlowId) -> FlowHarvest {
+        self.live_endpoint(flow).harvest()
+    }
+
+    /// Downcast an endpoint to read protocol-specific state.
+    pub fn endpoint<T: 'static>(&self, flow: FlowId) -> &T {
+        self.live_endpoint(flow)
             .as_any()
             .downcast_ref::<T>()
             .unwrap_or_else(|| panic!("endpoint for flow {flow} has unexpected type"))
@@ -703,9 +785,8 @@ impl Component<Packet> for Host {
                 self.core.arm_pacer(ctx);
             }
             Event::Wake(tok) => {
-                let flow = tok >> 8;
-                let token = (tok & 0xff) as u8;
-                if token == TOKEN_START as u64 as u8 {
+                let (flow, token) = (tok >> TOKEN_BITS, tok as u8);
+                if token == TOKEN_START {
                     self.dispatch(flow, ctx, |ep, c| ep.on_start(c));
                 } else {
                     self.dispatch(flow, ctx, |ep, c| ep.on_timer(token, c));
@@ -1145,5 +1226,36 @@ mod tests {
         w.run_until_idle();
         assert_eq!(w.get::<Host>(host).stats().timewait_rejects, 1);
         assert_eq!(w.get::<Host>(host).stats().unknown_flow_drops, 1);
+    }
+
+    #[test]
+    fn merge_takes_each_field_from_its_owning_side() {
+        let rx = FlowHarvest {
+            delivered_bytes: 9,
+            completion_time: Some(Time::from_us(3)),
+            trimmed_headers: 2,
+            ..FlowHarvest::default()
+        };
+        let tx = FlowHarvest {
+            retransmissions: 4,
+            rts_events: 1,
+            ..FlowHarvest::default()
+        };
+        let both = rx.merge(tx);
+        assert_eq!(both, tx.merge(rx), "merge is symmetric");
+        assert_eq!((both.delivered_bytes, both.retransmissions), (9, 4));
+        assert_eq!((both.trimmed_headers, both.rts_events), (2, 1));
+        assert_eq!(both.completion_time, Some(Time::from_us(3)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "`retransmissions` set on both sides")]
+    fn merge_rejects_a_field_set_on_both_sides() {
+        let side = FlowHarvest {
+            retransmissions: 1,
+            ..FlowHarvest::default()
+        };
+        side.merge(side);
     }
 }

@@ -35,7 +35,7 @@ pub mod switch;
 pub use completion::{CompletionSink, FlowDone};
 pub use discipline::Discipline;
 pub use flight::{FlightFilter, FlightHook, FlightRecorder, HopKind, HopRecord};
-pub use host::{Endpoint, EndpointCtx, Host, HostLatency, PullPriority};
+pub use host::{Endpoint, EndpointCtx, FlowHarvest, Host, HostLatency, PullPriority};
 pub use packet::{Flags, FlowId, HostId, Packet, PacketBody, PacketKind, PathTag, HEADER_BYTES};
 pub use queue::{LinkClass, Queue, QueueStats};
 pub use switch::{Router, Switch};

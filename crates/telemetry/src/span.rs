@@ -4,14 +4,15 @@
 //! A span opens when the request driver starts a flow and closes when
 //! the flow's endpoints are detached (normally at completion; at
 //! shutdown for stragglers, which are marked `stuck`). The tallies come
-//! from [`ndp_transport::FlowHarvest`], so every transport that can
-//! report retransmissions or trimmed headers feeds them for free.
+//! from the detach-time [`FlowHarvest`] — the merge of the two endpoints'
+//! `Endpoint::harvest` halves — so every transport that reports
+//! retransmissions or trimmed headers there feeds them for free.
 
 use std::sync::{Arc, Mutex};
 
+use ndp_net::host::FlowHarvest;
 use ndp_net::packet::{FlowId, HostId};
 use ndp_sim::Time;
-use ndp_transport::FlowHarvest;
 
 /// One flow's recorded lifetime.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,9 +2,11 @@
 //!
 //! The paper's evaluation is a matrix of transports × scenarios. Every
 //! transport under test — NDP itself and each baseline — implements one
-//! object-safe [`Transport`] trait: which fabric it runs over, how to
-//! attach a flow described by a [`FlowSpec`], and how to harvest
-//! receiver-side results. Experiment harnesses hold `&dyn Transport` and
+//! object-safe [`Transport`] trait: its label, which fabric it runs over,
+//! and how to attach a flow described by a [`FlowSpec`]. Results need no
+//! per-protocol code: each endpoint reports its half of a [`FlowHarvest`]
+//! through `Endpoint::harvest`, and [`detach_endpoints`] retires a flow
+//! and merges the halves. Experiment harnesses hold `&dyn Transport` and
 //! never know which protocol they are driving, so adding a protocol is a
 //! single impl next to its sender/receiver plus one registry line in
 //! `ndp-experiments` — no cross-cutting `match` edits.
@@ -15,11 +17,13 @@
 //! the same reason it also holds [`SeqWindow`], the per-sequence store
 //! both crates' endpoints keep their ack/receive state in.
 
+use ndp_net::host::{start_token, Endpoint, Host};
 use ndp_net::packet::{FlowId, HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
 
 mod seq_window;
 
+pub use ndp_net::host::FlowHarvest;
 pub use ndp_topology::QueueSpec;
 pub use seq_window::SeqWindow;
 
@@ -72,80 +76,50 @@ pub fn flow_hash_path(flow: FlowId) -> u32 {
     (flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
 }
 
-/// Final per-flow accounting, returned by [`Transport::detach`] as the
-/// endpoints are freed. The first two fields are receiver-side goodput;
-/// the rest are the span tallies the telemetry layer attributes tail
-/// flows with. A transport without a given notion leaves the field at
-/// its default (`None`/0).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlowHarvest {
-    pub delivered_bytes: u64,
-    /// Absolute completion instant, `None` if the flow never finished
-    /// (or the transport has no completion notion, e.g. blast).
-    pub completion_time: Option<Time>,
-    /// Absolute instant the receiver first saw the flow (data or header).
-    pub first_data: Option<Time>,
-    /// Sender retransmissions, however the protocol triggers them
-    /// (NACK/RTS/RTO for NDP, dupACK fast retransmit for TCP-family,
-    /// re-issued credits for pHost).
-    pub retransmissions: u64,
-    /// The subset of recovery events driven by a timer expiry — the
-    /// slowest, tail-defining recovery path.
-    pub timeouts: u64,
-    /// Trimmed headers the receiver saw (NDP fabrics; 0 elsewhere).
-    pub trimmed_headers: u64,
-    /// Return-to-sender headers the sender saw (NDP §3.2.4; 0 elsewhere).
-    pub rts_events: u64,
+/// Register `sender` on host component `src` and `receiver` on `dst` for
+/// `flow`, and post the flow's start on the sender host at `start` — the
+/// attach half every [`Transport::attach`] shares once it has built its
+/// two endpoints. [`detach_endpoints`] is the inverse.
+pub fn attach_endpoints(
+    world: &mut World<Packet>,
+    flow: FlowId,
+    (src, sender): (ComponentId, impl Endpoint + 'static),
+    (dst, receiver): (ComponentId, impl Endpoint + 'static),
+    start: Time,
+) {
+    world
+        .get_mut::<Host>(src)
+        .add_endpoint(flow, Box::new(sender));
+    world
+        .get_mut::<Host>(dst)
+        .add_endpoint(flow, Box::new(receiver));
+    world.post_wake(start, src, start_token(flow));
 }
 
-/// Read-only access to the sender endpoint being detached, handed to the
-/// harvest closure so transports can fold sender-side tallies
-/// (retransmissions, RTS arrivals) into the [`FlowHarvest`]. Wraps an
-/// `Option` because detach is idempotent and either side may already be
-/// gone.
-pub struct SenderSide<'a>(Option<&'a dyn ndp_net::Endpoint>);
-
-impl SenderSide<'_> {
-    /// Downcast to the transport's concrete sender type; `None` when the
-    /// sender endpoint no longer exists *or* is some other type (a
-    /// mis-wired transport shows up as missing tallies, not a panic —
-    /// detach must stay usable on half-torn-down flows).
-    pub fn get<S: 'static>(&self) -> Option<&S> {
-        self.0.and_then(|ep| ep.as_any().downcast_ref::<S>())
-    }
-}
-
-/// The shared body of every [`Transport::detach`]: remove the sender's
-/// endpoint, remove the receiver's, and harvest both — the receiver as
-/// `R`, the sender through the [`SenderSide`] accessor.
-///
-/// A missing flow (already detached) yields the default (empty) harvest —
-/// detach is idempotent. A receiver that exists but is not an `R` panics
-/// loudly, matching `Host::endpoint`'s behaviour: that is a mis-wired
-/// transport, not a recoverable condition.
-pub fn detach_endpoints<R: 'static>(
+/// Retire a flow: free the sender's endpoint on `src_host`, then the
+/// receiver's on `dst_host`, and return both sides' [`FlowHarvest`]s
+/// merged. This is what keeps a long open-loop run's live state bounded by
+/// the flows in flight rather than the flows ever offered. Idempotent: a
+/// flow whose receiver is already gone yields the default harvest.
+pub fn detach_endpoints(
     world: &mut World<Packet>,
     src_host: ComponentId,
     dst_host: ComponentId,
     flow: FlowId,
-    harvest: impl FnOnce(SenderSide<'_>, &R) -> FlowHarvest,
 ) -> FlowHarvest {
-    use ndp_net::Host;
-    let sender = world.get_mut::<Host>(src_host).remove_endpoint(flow);
+    let tx = world.get_mut::<Host>(src_host).remove_endpoint(flow);
     match world.get_mut::<Host>(dst_host).remove_endpoint(flow) {
         None => FlowHarvest::default(),
-        Some(ep) => {
-            let r = ep
-                .as_any()
-                .downcast_ref::<R>()
-                .unwrap_or_else(|| panic!("receiver for flow {flow} has unexpected type"));
-            harvest(SenderSide(sender.as_deref()), r)
-        }
+        Some(rx) => rx
+            .harvest()
+            .merge(tx.map_or_else(FlowHarvest::default, |tx| tx.harvest())),
     }
 }
 
-/// A transport under evaluation: attach flows, pick the fabric it runs
-/// over, harvest results. Object-safe — harnesses drive `&dyn Transport`.
+/// A transport under evaluation: the fabric it runs over and how to attach
+/// a flow. Object-safe — harnesses drive `&dyn Transport`. Reading and
+/// retiring a flow need no protocol knowledge ([`Host::harvest`],
+/// [`detach_endpoints`]), so they are not part of the trait.
 ///
 /// Implementations live next to their sender/receiver (`ndp_core` for NDP,
 /// one file per baseline in `ndp_baselines`) and are exposed as `static`
@@ -162,7 +136,8 @@ pub trait Transport: Sync {
     fn fabric(&self) -> QueueSpec;
 
     /// Register sender/receiver endpoints for `spec` between explicit
-    /// host components and schedule the flow start.
+    /// host components and schedule the flow start. May run mid-run
+    /// (typically from a deferred world op at the flow's arrival instant).
     fn attach(
         &self,
         world: &mut World<Packet>,
@@ -172,34 +147,20 @@ pub trait Transport: Sync {
         n_paths: u32,
         mtu: u32,
     );
+}
 
-    /// Receiver-side delivered payload bytes.
-    fn delivered_bytes(&self, world: &World<Packet>, host: ComponentId, flow: FlowId) -> u64;
-
-    /// Receiver-side completion time (absolute), if the flow finished.
-    fn completion_time(
-        &self,
-        world: &World<Packet>,
-        host: ComponentId,
-        flow: FlowId,
-    ) -> Option<Time>;
-
-    /// Harvest the flow's final results and free both endpoints' state
-    /// (sender on `src_host`, receiver on `dst_host`).
-    ///
-    /// This is the retirement half of the lifecycle: [`Transport::attach`]
-    /// can be called mid-run (typically from a deferred world op at the
-    /// flow's arrival instant) and `detach` frees everything the attach
-    /// registered — so a long open-loop run's live state is bounded by the
-    /// flows in flight, not the flows ever offered. Idempotent: detaching
-    /// an unknown flow returns a default (empty) harvest.
-    fn detach(
+impl dyn Transport {
+    /// [`detach_endpoints`]; `self` plays no part. Kept as a method only
+    /// because the frozen benchmark package calls `transport.detach(..)`.
+    pub fn detach(
         &self,
         world: &mut World<Packet>,
         src_host: ComponentId,
         dst_host: ComponentId,
         flow: FlowId,
-    ) -> FlowHarvest;
+    ) -> FlowHarvest {
+        detach_endpoints(world, src_host, dst_host, flow)
+    }
 }
 
 #[cfg(test)]

@@ -395,9 +395,10 @@ mod topology_invariants {
                 topo.mtu(),
             );
             w.run_until(Time::from_secs(5));
-            let done = proto
-                .transport()
-                .completion_time(&w, topo.host(dst), 1)
+            let done = w
+                .get::<ndp::net::Host>(topo.host(dst))
+                .harvest(1)
+                .completion_time
                 .expect("unloaded flow must complete");
             let ideal = topo.ideal_fct(src, dst, size);
             prop_assert!(

@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Bit-identity sweep of registry documents, parent build against change build.
+
+    tools/parity.py <parent-target-dir> <change-target-dir> [ids...] [--trace]
+
+Builds nothing: each target dir must already hold `release/ndp`
+(`CARGO_TARGET_DIR=<dir> cargo build --release -p ndp-experiments --bin ndp`).
+For every id, runs each side's `ndp run <id> --scale quick --json` under
+NDP_THREADS=1 and then 7, drops the two wall-clock fields (`run.wall_ms`,
+`run.events_per_sec`) and prints one line per document: its sha256 digest on
+each side. With `--trace` every run also writes `--trace <tmp>.ndjson`, the
+document carries its `telemetry` block, and the NDJSON export gets a digest
+line of its own. Exits 1 naming every document or export whose digests
+differ, 0 when all match. The same dir twice is a self-pair (CI runs one).
+
+The default ids are every experiment both sides' `ndp list` registers, minus
+SLOW (those over 60 s at quick scale); an id only one side registers is named
+in a `#` line and skipped. Seconds per run on the PR 25 box (release build,
+one side, NDP_THREADS=1):
+
+    fig02 0.1    fig04 0.5    fig08 0.0    fig09 0.0    fig10 2.0
+    fig10_sweep 2.9           fig11 0.0    fig12 0.0    fig13 0.1
+    fig14 0.9    fig16 0.1    fig17 0.9    fig19 0.1    fig20 0.0
+    fig21 0.0    fig22 0.2    fig23 1.5    load_websearch 0.2
+    load_datamining 0.1       oversub_load 0.5          topo_matrix 0.7
+    failure_matrix 0.2        rpc_sweep 0.8             rpc_tenant_mix 0.8
+    inline 1.3   quickstart 0.0
+
+Left out: fig15 (over 70 s; its horizon is set by DCQCN never finishing,
+ROADMAP item 2). Name it explicitly to include it.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SLOW = {"fig15"}
+THREADS = (1, 7)
+WALL_FIELDS = ("wall_ms", "events_per_sec")
+# Knobs that would make the child a different program.
+KNOBS = ("NDP_SCHED", "NDP_SCALE", "NDP_TOPO")
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def normalise(doc):
+    """The document minus its wall-clock fields, as canonical bytes."""
+    for d in doc if isinstance(doc, list) else [doc]:
+        for key in WALL_FIELDS:
+            d.get("run", {}).pop(key, None)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def registered(target_dir):
+    """The ids `ndp list` prints (its first column), in registry order."""
+    out = subprocess.run([os.path.join(target_dir, "release", "ndp"), "list"],
+                         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True, text=True)
+    return [line.split()[0] for line in out.stdout.splitlines() if line.strip()]
+
+
+def render(target_dir, exp, threads, trace_path):
+    """Digests of one run: {"doc": ..., "trace": ...} (trace only if asked)."""
+    cmd = [os.path.join(target_dir, "release", "ndp"), "run", exp, "--scale", "quick", "--json"]
+    if trace_path:
+        cmd += ["--trace", trace_path]
+    env = {k: v for k, v in os.environ.items() if k not in KNOBS}
+    env["NDP_THREADS"] = str(threads)
+    out = subprocess.run(cmd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True)
+    got = {"doc": digest(normalise(json.loads(out.stdout)))}
+    if trace_path:
+        with open(trace_path, "rb") as f:
+            got["trace"] = digest(f.read())
+    return got
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", help="CARGO_TARGET_DIR of the parent build")
+    ap.add_argument("change", help="CARGO_TARGET_DIR of the change build (the same dir gives a self-pair)")
+    ap.add_argument("ids", nargs="*", help="experiment ids (default: every registered id but SLOW)")
+    ap.add_argument("--trace", action="store_true", help="also digest each run's NDJSON trace export")
+    args = ap.parse_args()
+    ids, one_sided = args.ids, []
+    if not ids:
+        parent_ids = set(registered(args.parent))
+        change_ids = registered(args.change)
+        ids = [i for i in change_ids if i in parent_ids and i not in SLOW]
+        one_sided = sorted(parent_ids.symmetric_difference(change_ids))
+
+    print(f"# parity: {len(ids)} ids x NDP_THREADS {'/'.join(map(str, THREADS))}, quick scale"
+          f"{', --trace' if args.trace else ''}; {', '.join(WALL_FIELDS)} dropped")
+    print(f"# parent {args.parent}")
+    print(f"# change {args.change}")
+    if one_sided:
+        print(f"# registered on one side only, skipped: {' '.join(one_sided)}")
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for exp in ids:
+            for threads in THREADS:
+                got = {}
+                for side in ("parent", "change"):
+                    trace = os.path.join(tmp, f"{side}.ndjson") if args.trace else None
+                    got[side] = render(getattr(args, side), exp, threads, trace)
+                for kind in got["parent"]:
+                    p, c = got["parent"][kind], got["change"][kind]
+                    name = f"{exp} {kind} NDP_THREADS={threads}"
+                    verdict = "same" if p == c else "DIFFERS"
+                    print(f"{name:<40} parent {p}  change {c}  {verdict}", flush=True)
+                    if p != c:
+                        differ.append(name)
+    if differ:
+        print(f"{len(differ)} differ: {'; '.join(differ)}")
+        return 1
+    n = len(ids) * len(THREADS) * (2 if args.trace else 1)
+    print(f"all {n} digests equal")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

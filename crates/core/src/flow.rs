@@ -62,10 +62,12 @@ pub fn receiver_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndp_net::host::HostLatency;
+    use ndp_net::host::{Endpoint, EndpointCtx, HostLatency};
+    use ndp_net::packet::PacketKind;
     use ndp_net::queue::{LinkClass, Queue};
     use ndp_sim::Speed;
     use ndp_topology::{BackToBack, FatTree, FatTreeCfg, QueueSpec, SingleBottleneck};
+    use std::any::Any;
 
     fn b2b(seed: u64) -> (World<Packet>, BackToBack) {
         let mut w: World<Packet> = World::new(seed);
@@ -295,25 +297,26 @@ mod tests {
         );
     }
 
+    /// A silent receiver that records the seq of every packet it gets;
+    /// tests hand-feed the sender whatever feedback they need.
+    struct Recorder {
+        sent: Vec<u32>,
+    }
+    impl Endpoint for Recorder {
+        fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
+        fn on_packet(&mut self, p: Packet, _c: &mut EndpointCtx<'_, '_>) {
+            self.sent.push(p.seq);
+        }
+        fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
     #[test]
     fn pull_counter_gap_sends_multiple_packets() {
         // §3.2.1: if a PULL is delayed and the next one (sent on another
         // path) arrives first, its counter pulls two packets.
-        use ndp_net::host::{Endpoint, EndpointCtx};
-        use std::any::Any;
-        struct Recorder {
-            sent: Vec<u32>,
-        }
-        impl Endpoint for Recorder {
-            fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
-            fn on_packet(&mut self, p: Packet, _c: &mut EndpointCtx<'_, '_>) {
-                self.sent.push(p.seq);
-            }
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
         let (mut w, b) = b2b(7);
         let cfg = NdpFlowCfg {
             iw_pkts: 1,
@@ -346,77 +349,121 @@ mod tests {
         assert_eq!(s.stats.data_sent, 4, "stale pull ignored");
     }
 
-    use ndp_net::packet::PacketKind;
-
     #[test]
-    fn lost_tail_pull_stalls_stock_sender_but_liveness_net_recovers() {
-        // A NACKed packet leaves the RTO's jurisdiction (nothing is
-        // outstanding) and waits for a PULL. If that pull — the last one
-        // the receiver owes — is lost, the stock sender stalls forever:
-        // `pull_liveness` is the opt-in net that self-clocks after a full
-        // RTO of silence.
-        use ndp_net::host::{Endpoint, EndpointCtx};
-        use std::any::Any;
-        struct Recorder {
-            data_seqs: Vec<u32>,
-        }
-        impl Endpoint for Recorder {
-            fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
-            fn on_packet(&mut self, p: Packet, _c: &mut EndpointCtx<'_, '_>) {
-                if p.kind == PacketKind::Data {
-                    self.data_seqs.push(p.seq);
+    fn lost_only_pull_is_repeated_by_the_receiver_host() {
+        // The flow's one pull is lost. The sender is owed it, so it stays
+        // quiet; only the receiver's host knows the pull went unanswered,
+        // and its sweep repeats it after an RTO of quiet.
+        struct DropFirstPull(NdpSender, bool);
+        impl Endpoint for DropFirstPull {
+            fn on_start(&mut self, c: &mut EndpointCtx<'_, '_>) {
+                self.0.on_start(c);
+            }
+            fn on_packet(&mut self, p: Packet, c: &mut EndpointCtx<'_, '_>) {
+                if p.kind == PacketKind::Pull && !self.1 {
+                    self.1 = true;
+                } else {
+                    self.0.on_packet(p, c);
                 }
             }
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
+            fn on_timer(&mut self, t: u8, c: &mut EndpointCtx<'_, '_>) {
+                self.0.on_timer(t, c);
+            }
             fn as_any(&self) -> &dyn Any {
                 self
             }
         }
-        for liveness in [false, true] {
-            let (mut w, b) = b2b(8);
+        let (mut w, b) = b2b(8);
+        let cfg = NdpFlowCfg {
+            iw_pkts: 1,
+            n_paths: 1,
+            ..NdpFlowCfg::new(2 * 8936)
+        };
+        let sender = DropFirstPull(NdpSender::new(1, 1, cfg), false);
+        attach_endpoints(
+            &mut w,
+            1,
+            (b.hosts[0], sender),
+            (b.hosts[1], NdpReceiver::new(0)),
+            Time::ZERO,
+        );
+        w.run_until(Time::from_ms(20));
+        let tx: &DropFirstPull = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert!(tx.1, "the pull was dropped");
+        assert!(tx.0.is_done(), "the flow must complete");
+        assert_eq!(tx.0.stats.rtx_rto, 0, "no data was lost, so no RTO");
+        assert_eq!(w.get::<Host>(b.hosts[1]).stats().repulls, 1);
+    }
+
+    #[test]
+    fn sender_owed_no_pull_self_clocks_after_one_rto() {
+        // The flow's pull overtakes the NACK it answers: it finds nothing
+        // to send, then the NACK queues a retransmission. The sender has
+        // work, nothing outstanding and no pull owed, so no one else will
+        // restart the clock.
+        let (mut w, b) = b2b(9);
+        let cfg = NdpFlowCfg {
+            iw_pkts: 1,
+            n_paths: 1,
+            ..NdpFlowCfg::new(100)
+        };
+        w.get_mut::<Host>(b.hosts[0])
+            .add_endpoint(1, Box::new(NdpSender::new(1, 1, cfg)));
+        w.get_mut::<Host>(b.hosts[1])
+            .add_endpoint(1, Box::new(Recorder { sent: vec![] }));
+        w.post_wake(Time::ZERO, b.hosts[0], 1 << 8);
+        let mut pull = Packet::control(1, 0, 1, PacketKind::Pull);
+        pull.ack = 1;
+        w.post(Time::from_us(60), b.hosts[0], pull);
+        let mut nack = Packet::control(1, 0, 1, PacketKind::Nack);
+        nack.seq = 0;
+        w.post(Time::from_us(61), b.hosts[0], nack);
+        w.run_until(Time::from_us(1050));
+        let r: &Recorder = w.get::<Host>(b.hosts[1]).endpoint(1);
+        assert_eq!(r.sent, vec![0], "nothing before a full RTO of silence");
+        w.run_until(Time::from_us(1500));
+        let r: &Recorder = w.get::<Host>(b.hosts[1]).endpoint(1);
+        assert_eq!(r.sent, vec![0, 0], "seq 0 self-clocked once");
+        let mut ack = Packet::control(1, 0, 1, PacketKind::Ack);
+        ack.seq = 0;
+        w.post(Time::from_us(1500), b.hosts[0], ack);
+        w.run_until(Time::from_ms(5));
+        let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert!(s.is_done());
+        assert_eq!(s.stats.rtx_rto, 1);
+    }
+
+    #[test]
+    fn deep_pull_queue_fires_neither_net() {
+        // 24 senders into a 1 Gb/s receiver: its pacer serves each flow a
+        // pull every 24 x 72 us = 1.7 ms, longer than the RTO. Every flow
+        // is owed a pull for that whole gap, so the sender net must stay
+        // quiet, and every flow has one pending, so the sweep must too.
+        let n = 24usize;
+        let mut w: World<Packet> = World::new(10);
+        let sb = SingleBottleneck::build(
+            &mut w,
+            n,
+            Speed::gbps(1),
+            Time::from_us(1),
+            9000,
+            QueueSpec::ndp_default(),
+        );
+        for s in 0..n {
             let cfg = NdpFlowCfg {
-                iw_pkts: 2,
                 n_paths: 1,
-                pull_liveness: liveness,
-                ..NdpFlowCfg::new(2 * 8936)
+                ..NdpFlowCfg::new(20 * 8936)
             };
-            let sender = NdpSender::new(1, 1, cfg);
-            w.get_mut::<Host>(b.hosts[0])
-                .add_endpoint(1, Box::new(sender));
-            w.get_mut::<Host>(b.hosts[1])
-                .add_endpoint(1, Box::new(Recorder { data_seqs: vec![] }));
-            w.post_wake(Time::ZERO, b.hosts[0], 1 << 8);
-            w.run_until(Time::from_us(50));
-            // Hand-feed the feedback the silent Recorder never sends:
-            // seq 1 ACKed, seq 0 trimmed (NACK). The pull that the NACK
-            // implies is "lost" — no pull ever arrives.
-            let mut ack = Packet::control(1, 0, 1, PacketKind::Ack);
-            ack.seq = 1;
-            w.post(Time::from_us(60), b.hosts[0], ack);
-            let mut nack = Packet::control(1, 0, 1, PacketKind::Nack);
-            nack.seq = 0;
-            w.post(Time::from_us(61), b.hosts[0], nack);
-            w.run_until(Time::from_ms(20));
-            let h = w.get::<Host>(b.hosts[0]);
-            let s: &NdpSender = h.endpoint(1);
-            if liveness {
-                assert!(
-                    s.stats.rtx_rto >= 1,
-                    "liveness net must fire for the lost pull"
-                );
-                let r: &Recorder = w.get::<Host>(b.hosts[1]).endpoint(1);
-                assert!(
-                    r.data_seqs.iter().skip(2).any(|&q| q == 0),
-                    "seq 0 must be retransmitted, got {:?}",
-                    r.data_seqs
-                );
-            } else {
-                assert_eq!(
-                    s.stats.retransmissions, 0,
-                    "stock sender has no recovery path for a lost tail pull"
-                );
-            }
+            let (src, dst) = ((sb.senders[s], s as HostId), (sb.receiver, n as HostId));
+            attach_flow(&mut w, s as u64 + 1, src, dst, cfg, Time::ZERO);
         }
+        w.run_until(Time::from_ms(200));
+        for s in 0..n {
+            let tx = sender_stats(&w, sb.senders[s], s as u64 + 1);
+            assert!(tx.completion_time.is_some(), "sender {s} incomplete");
+            assert_eq!(tx.rtx_rto, 0, "sender {s} fired in a deep pull queue");
+        }
+        assert_eq!(w.get::<Host>(sb.receiver).stats().repulls, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, NDP_RTO};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, FxHashSet, Time};
 use ndp_transport::SeqWindow;
@@ -61,28 +61,12 @@ pub struct NdpFlowCfg {
     /// default, §6.2).
     pub iw_pkts: u64,
     pub mtu: u32,
-    /// Retransmission timeout (1 ms is safe given the 400 µs worst-case
-    /// RTT, §3.2.4).
-    pub rto: Time,
     /// Number of sender-selectable paths to the destination.
     pub n_paths: u32,
     /// Path-scoreboard outlier exclusion (§3.2.3). Fig 22 ablates this.
     pub path_penalty: bool,
     /// Receiver pulls this flow with strict priority.
     pub high_priority: bool,
-    /// Opt-in recovery net for lost PULL packets. The stock RTO (§3.2.4)
-    /// only tracks *outstanding* data: once every sent packet has ACK or
-    /// NACK feedback, all remaining transmissions wait on the receiver's
-    /// pull clock. Pulls carry a cumulative counter, so a lost pull is
-    /// normally repaired by the next one — but if the *last* pull the
-    /// receiver owed us is lost, no later pull exists, the receiver has no
-    /// timer, and the flow stalls forever. With this flag set, a full RTO
-    /// of total silence with work still queued self-clocks one packet to
-    /// restart the feedback loop. Off by default: the net can fire
-    /// spuriously when a pull queue is more than an RTO deep (massive
-    /// incast), so only request-serving workloads that need every leg to
-    /// complete opt in.
-    pub pull_liveness: bool,
     /// Completion notification: (component, token) woken when done.
     pub notify: Option<(ComponentId, u64)>,
 }
@@ -93,11 +77,9 @@ impl NdpFlowCfg {
             size_bytes,
             iw_pkts: 30,
             mtu: 9000,
-            rto: Time::from_ms(1),
             n_paths: 1,
             path_penalty: true,
             high_priority: false,
-            pull_liveness: false,
             notify: None,
         }
     }
@@ -142,7 +124,7 @@ pub struct NdpSender {
     recent: VecDeque<bool>,
     paths: PathSet,
     rto_armed: bool,
-    /// Time of the most recent feedback (ACK/NACK/PULL/RTS) or send. The
+    /// Time of the most recent feedback (ACK/NACK/new PULL/RTS) or send. The
     /// RTO is a reliability net for *corrupted* packets (§3.2): it fires
     /// only when the flow has been completely silent for a full RTO, never
     /// merely because a burst's tail is still being serialized or pulled.
@@ -258,7 +240,7 @@ impl NdpSender {
     fn arm_rto(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         if !self.rto_armed && self.outstanding_count > 0 {
             self.rto_armed = true;
-            ctx.timer_in(self.cfg.rto, RTO_TOKEN);
+            ctx.timer_in(NDP_RTO, RTO_TOKEN);
         }
     }
 
@@ -374,23 +356,22 @@ impl NdpSender {
         }
     }
 
-    /// RTO expiry with nothing outstanding. Stock behaviour: stay quiet —
-    /// every remaining transmission is the pull clock's job. With
-    /// [`NdpFlowCfg::pull_liveness`] set, a full RTO of total silence with
-    /// work still queued means the pull clock itself died (the tail pull
-    /// was lost); self-clock one packet so feedback starts flowing again.
-    /// The packet goes out via [`NdpSender::send_data`], becomes
-    /// outstanding, and re-arms the regular RTO, so repeated losses keep
-    /// being retried.
-    fn pull_liveness_timer(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if !self.cfg.pull_liveness {
+    /// RTO expiry with nothing outstanding: the sender's half of the
+    /// liveness net. While a pull is owed (feedback beyond the pull
+    /// counter), stay quiet — the pull may sit in a deep receiver queue,
+    /// and if it was lost the receiver's sweep repeats it. With no pull
+    /// owed and work still queued, no one else will restart the clock, so
+    /// after a full RTO of silence self-clock one packet (rtx first). It
+    /// goes out via [`NdpSender::send_data`] and re-arms the regular RTO.
+    fn restart_pull_clock(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        if self.feedback > self.pull_ctr {
             return;
         }
         if self.rtx_q.is_empty() && self.next_new >= self.total_pkts {
             return;
         }
         let now = ctx.now();
-        let deadline = self.last_activity + self.cfg.rto;
+        let deadline = self.last_activity + NDP_RTO;
         if now < deadline {
             // Feedback flowed more recently than a full RTO ago: the pull
             // may simply be queued. Keep the net armed and check again.
@@ -429,11 +410,16 @@ impl Endpoint for NdpSender {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+        // A stale (repeated or reordered) pull grants nothing, so it is
+        // not activity either: it must not push back a data RTO.
+        if pkt.kind == PacketKind::Pull && u64::from(pkt.ack) <= self.pull_ctr {
+            return;
+        }
         self.last_activity = ctx.now();
         match pkt.kind {
             PacketKind::Ack => self.on_ack(pkt, ctx),
             PacketKind::Nack => self.on_nack(pkt, ctx),
-            PacketKind::Pull if u64::from(pkt.ack) > self.pull_ctr => {
+            PacketKind::Pull => {
                 let n = u64::from(pkt.ack) - self.pull_ctr;
                 self.pull_ctr = u64::from(pkt.ack);
                 self.stats.pulls += n;
@@ -453,11 +439,11 @@ impl Endpoint for NdpSender {
             return;
         }
         if self.outstanding_count == 0 {
-            self.pull_liveness_timer(ctx);
+            self.restart_pull_clock(ctx);
             return;
         }
         let now = ctx.now();
-        let deadline = self.last_activity + self.cfg.rto;
+        let deadline = self.last_activity + NDP_RTO;
         if now < deadline {
             // Feedback is still flowing: the flow isn't stalled, so nothing
             // is presumed lost. Re-arm for the remaining silence window.

@@ -216,8 +216,6 @@ pub struct RpcDriver {
     proto: Proto,
     topo: Arc<dyn Topology>,
     source: Box<dyn RequestSource>,
-    /// Arm `FlowSpec::liveness` on every leg.
-    liveness: bool,
     /// Next open-loop arrival, pulled from the stream but not yet due.
     pending_open: Option<RpcRequest>,
     /// Closed-loop follow-ups not yet due, in the source's merge order.
@@ -247,17 +245,13 @@ pub struct RpcDriver {
 impl RpcDriver {
     /// Install a driver over a request source and arm its first wake.
     /// Seeds every closed-loop tenant's initial chains, then pulls the
-    /// open-loop stream lazily. `liveness` arms the transport's
-    /// stall-recovery net (NDP: the lost-PULL liveness timer) on every
-    /// leg: a request tree only completes when *every* leg does, so one
-    /// stuck leg would otherwise wedge the whole request.
+    /// open-loop stream lazily.
     pub fn install_into(
         world: &mut World<Packet>,
         proto: Proto,
         topo: Arc<dyn Topology>,
         mut source: Box<dyn RequestSource>,
         warmup: Time,
-        liveness: bool,
     ) -> ComponentId {
         let pending_closed: BinaryHeap<_> = source
             .initial_closed_loop()
@@ -273,7 +267,6 @@ impl RpcDriver {
             proto,
             topo,
             source,
-            liveness,
             pending_open,
             pending_closed,
             next_flow: 1,
@@ -421,7 +414,6 @@ impl RpcDriver {
         let mut spec = FlowSpec::new(flow, fl.src, fl.dst, fl.bytes);
         spec.start = start;
         spec.notify = Some((ctx.self_id(), flow));
-        spec.liveness = self.liveness;
         match &self.attach {
             Some(f) => {
                 let f = Arc::clone(f);
@@ -551,8 +543,8 @@ pub(crate) struct DrivenSpec<'a> {
     /// The window the world is stepped in eighths of (1 ms at least). The
     /// run ends at a chunk boundary, so this decides `events_processed`.
     pub chunk_of: Time,
-    /// The source yields request trees, not bare flows: legs are armed
-    /// with `FlowSpec::liveness` and request spans are recorded.
+    /// The source yields request trees, not bare flows: request spans are
+    /// recorded.
     pub request_trees: bool,
     /// What tells the point from the others of its sweep on the same
     /// fabric and protocol ("" if nothing): the session orders points by
@@ -627,14 +619,7 @@ pub(crate) fn run_driven(
     let live_components_baseline = world.live_components();
     let tele = ndp_telemetry::session::active();
     let (source, inst) = setup(&mut world, &topo, tele);
-    let drv = RpcDriver::install_into(
-        &mut world,
-        spec.proto,
-        topo.clone(),
-        source,
-        spec.warmup,
-        spec.request_trees,
-    );
+    let drv = RpcDriver::install_into(&mut world, spec.proto, topo.clone(), source, spec.warmup);
 
     // Telemetry wiring (opt-in, gated on an active session): flow and
     // request spans from the driver plus a sampling probe over the live

@@ -132,7 +132,6 @@ fn run_stack(stack: Stack, n_rpcs: usize) -> Cdf {
         topo,
         Box::new(workload),
         Time::ZERO,
-        true,
     );
     if stack.proto() != Proto::Ndp {
         // Kernel-stack variants: same driver, but legs attach as TCP

@@ -624,7 +624,6 @@ mod tests {
             topo.clone(),
             Box::new(Flows::new(std::iter::once(arrival))),
             Time::ZERO,
-            false,
         );
         // Before the arrival instant nothing exists for the flow.
         w.run_until(Time::from_us(49));

@@ -888,7 +888,6 @@ mod tests {
             topo.clone(),
             Box::new(workload),
             point.warmup,
-            true,
         );
         let spans = ndp_telemetry::span::span_log();
         let requests = ndp_telemetry::span::request_log();
@@ -996,7 +995,7 @@ mod tests {
         // fan-out 8) used to leave 47 NDP flows permanently wedged — every
         // packet had NACK feedback, so the stock RTO never re-armed, and
         // the dropped pull meant no event would ever touch the flow again.
-        // The driver arms `FlowSpec::liveness`, so every request must now
+        // Every NDP flow now runs the liveness net, so every request must
         // complete within the drain window.
         let mut point = quick_point(Proto::Ndp, 0);
         point.seed = 0xE400 + 37 + 8;

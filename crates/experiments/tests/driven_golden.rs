@@ -6,7 +6,10 @@
 //! stragglers, same percentile bits.
 //!
 //! To re-render after an intended behaviour change, run with
-//! `-- --nocapture` and copy the printed rows.
+//! `-- --nocapture` and copy the printed rows. PR 26 re-rendered the NDP
+//! and pHost rows for the receivers' tail-pull sweep: every row gains the
+//! sweep's wakes, and only the NDP failure cell, whose dead link eats
+//! pulls, moves in its tails and `dropped_down`.
 
 use ndp_experiments::failure_matrix;
 use ndp_experiments::openloop::{openloop_run, DistKind};
@@ -175,7 +178,7 @@ fn two_tenant_rpc_point_matches_the_parent_render() {
 }
 
 const OPENLOOP_NDP_7: OpenLoopRow = (
-    [3300262, 481, 400, 0, 797188318, 45],
+    [3301301, 481, 400, 0, 797188318, 45],
     [
         4612021251640298561,
         4627583007124562737,
@@ -191,7 +194,7 @@ const OPENLOOP_DCTCP_23: OpenLoopRow = (
     ],
 );
 const OPENLOOP_PHOST_1234: OpenLoopRow = (
-    [3144038, 523, 452, 0, 774615849, 47],
+    [3145302, 523, 452, 0, 774615849, 47],
     [
         4611634318137431557,
         4627045700815142011,
@@ -199,7 +202,7 @@ const OPENLOOP_PHOST_1234: OpenLoopRow = (
     ],
 );
 const FAILURE_NDP: FailureRow = (
-    [1097646, 145, 132, 0, 21, 384, 256],
+    [1097864, 145, 132, 0, 21, 384, 253],
     [
         [
             4608510245161125936,
@@ -207,14 +210,14 @@ const FAILURE_NDP: FailureRow = (
             4621474253539025120,
         ],
         [
-            4611358701638164013,
+            4611412821335774839,
             4637491294121703948,
             4637491294121703948,
         ],
         [
-            4608242852903667018,
-            4630759466033930268,
-            4630759466033930268,
+            4608103846330894016,
+            4630660364140100253,
+            4630660364140100253,
         ],
     ],
 );
@@ -239,7 +242,7 @@ const FAILURE_DCTCP: FailureRow = (
     ],
 );
 const RPC_TWO_TENANT: RpcRow = (
-    [770687, 2474, 2134, 124, 55],
+    [770911, 2474, 2134, 124, 55],
     [
         [1972, 1972, 0, 6216555067664645652],
         [162, 162, 0, 13835384127944133113],

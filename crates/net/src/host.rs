@@ -40,9 +40,14 @@ pub fn start_token(flow: FlowId) -> u64 {
 
 const WAKE_PACER: u64 = u64::MAX;
 const WAKE_PROC: u64 = u64::MAX - 1;
+const WAKE_REPULL: u64 = u64::MAX - 2;
 
 /// Maximum segment lifetime for the time-wait table (§3.2.2: "under 1 ms").
 pub const MSL: Time = Time::from_ms(1);
+
+/// NDP's retransmission timeout (1 ms is safe given the 400 µs worst-case
+/// RTT, §3.2.4), shared by the sender's RTO and the tail-pull sweep.
+pub const NDP_RTO: Time = Time::from_ms(1);
 
 /// Priority class for the receiver's pull queue (§3.2: fair by default,
 /// strict prioritization on request).
@@ -249,6 +254,8 @@ struct FlowPull {
     prio: PullPriority,
     in_rr: bool,
     cancelled: bool,
+    /// Last request or emission for this flow.
+    quiet_since: Time,
 }
 
 /// The single per-host pull queue shared by every connection (§3.2).
@@ -263,7 +270,7 @@ struct PullQueue {
 }
 
 impl PullQueue {
-    fn request(&mut self, flow: FlowId, peer: HostId, prio: PullPriority) {
+    fn request(&mut self, flow: FlowId, peer: HostId, prio: PullPriority, now: Time) {
         let e = self.flows.entry(flow).or_insert(FlowPull {
             pending: 0,
             ctr: 0,
@@ -271,9 +278,11 @@ impl PullQueue {
             prio,
             in_rr: false,
             cancelled: false,
+            quiet_since: now,
         });
         e.cancelled = false;
         e.prio = prio;
+        e.quiet_since = now;
         e.pending += 1;
         self.pending_total += 1;
         if !e.in_rr {
@@ -312,7 +321,7 @@ impl PullQueue {
 
     /// Next pull to emit: (flow, peer, counter-value). Round robin within
     /// the highest non-empty priority class.
-    fn pop(&mut self) -> Option<(FlowId, HostId, u64)> {
+    fn pop(&mut self, now: Time) -> Option<(FlowId, HostId, u64)> {
         for class in 0..2 {
             while let Some(flow) = self.rr[class].pop_front() {
                 let e = self.flows.get_mut(&flow).expect("rr entry without flow");
@@ -323,6 +332,7 @@ impl PullQueue {
                 e.pending -= 1;
                 self.pending_total -= 1;
                 e.ctr += 1;
+                e.quiet_since = now;
                 let out = (flow, e.peer, e.ctr);
                 if e.pending > 0 {
                     self.rr[class].push_back(flow);
@@ -342,6 +352,8 @@ pub struct HostStats {
     pub delivered_pkts: u64,
     pub delivered_payload_bytes: u64,
     pub pulls_sent: u64,
+    /// Last pulls repeated by the tail-pull sweep (not in `pulls_sent`).
+    pub repulls: u64,
     pub unknown_flow_drops: u64,
     pub timewait_rejects: u64,
     /// Timestamps (ps) of pull emissions, recorded when tracing is enabled
@@ -362,6 +374,7 @@ struct HostCore {
     latency: HostLatency,
     pull: PullQueue,
     pacer_armed: bool,
+    repull_armed: bool,
     next_pull_at: Time,
     last_rx: Time,
     trace_pulls: bool,
@@ -390,15 +403,19 @@ impl HostCore {
         self.pull_tick
     }
 
-    fn emit_pull(&mut self, sim: &mut Ctx<'_, Packet>) {
-        let Some((flow, peer, ctr)) = self.pull.pop() else {
-            return;
-        };
+    fn send_pull(&mut self, (flow, peer, ctr): (FlowId, HostId, u64), sim: &mut Ctx<'_, Packet>) {
         let mut p = Packet::control(self.id, peer, flow, PacketKind::Pull);
         p.ack = Packet::ack32(ctr);
         // Spray pulls across paths; routers reduce the tag modulo fan-out.
         p.path = sim.rng().gen();
         sim.send(self.nic, p, self.latency.tx_delay);
+    }
+
+    fn emit_pull(&mut self, sim: &mut Ctx<'_, Packet>) {
+        let Some(pull) = self.pull.pop(sim.now()) else {
+            return;
+        };
+        self.send_pull(pull, sim);
         self.stats.pulls_sent += 1;
         if self.trace_pulls {
             self.stats.pull_times.push(sim.now().as_ps());
@@ -440,6 +457,35 @@ impl HostCore {
         self.pacer_armed = true;
         let at = self.next_pull_at.max(sim.now());
         sim.wake_at(at, WAKE_PACER);
+    }
+
+    fn arm_repull(&mut self, sim: &mut Ctx<'_, Packet>) {
+        if !std::mem::replace(&mut self.repull_armed, true) {
+            sim.wake_in(NDP_RTO, WAKE_REPULL);
+        }
+    }
+
+    /// The receiver's half of the liveness net, once per [`NDP_RTO`] while
+    /// any flow is live here: a flow quiet for an RTO with no pull pending
+    /// may have lost its last pull, and only this side can know. Resend
+    /// that cumulative pull unchanged, in flow-id order; if the original
+    /// did arrive, the repeat grants nothing.
+    fn sweep_tail_pulls(&mut self, sim: &mut Ctx<'_, Packet>) {
+        self.repull_armed = false;
+        let now = sim.now();
+        let mut due: Vec<_> = (self.pull.flows.iter())
+            .filter(|(_, e)| !e.cancelled && e.pending == 0 && e.ctr > 0)
+            .filter(|(_, e)| now - e.quiet_since >= NDP_RTO)
+            .map(|(&flow, e)| (flow, e.peer, e.ctr))
+            .collect();
+        due.sort_unstable();
+        for pull in due {
+            self.send_pull(pull, sim);
+            self.stats.repulls += 1;
+        }
+        if self.pull.flows.values().any(|e| !e.cancelled) {
+            self.arm_repull(sim);
+        }
     }
 }
 
@@ -493,8 +539,10 @@ impl<'a, 'b> EndpointCtx<'a, 'b> {
     /// Queue a PULL towards `peer` for this flow (the host pacer sends it).
     pub fn pull_request(&mut self, peer: HostId, prio: PullPriority) {
         self.core.flush_tx(self.sim);
-        self.core.pull.request(self.flow, peer, prio);
+        let now = self.sim.now();
+        self.core.pull.request(self.flow, peer, prio, now);
         self.core.arm_pacer(self.sim);
+        self.core.arm_repull(self.sim);
     }
 
     /// Cancel all queued pulls for this flow (§3.2 last-packet behaviour).
@@ -585,6 +633,7 @@ impl Host {
                 latency: HostLatency::default(),
                 pull: PullQueue::default(),
                 pacer_armed: false,
+                repull_armed: false,
                 next_pull_at: Time::ZERO,
                 last_rx: Time::ZERO,
                 trace_pulls: false,
@@ -784,6 +833,7 @@ impl Component<Packet> for Host {
                 self.core.emit_pull(ctx);
                 self.core.arm_pacer(ctx);
             }
+            Event::Wake(WAKE_REPULL) => self.core.sweep_tail_pulls(ctx),
             Event::Wake(tok) => {
                 let (flow, token) = (tok >> TOKEN_BITS, tok as u8);
                 if token == TOKEN_START {
@@ -898,7 +948,7 @@ mod tests {
     fn pacer_spaces_pulls_at_link_rate() {
         let (mut w, host, nic) = setup(5);
         w.post_wake(Time::ZERO, host, 7 << 8);
-        w.run_until_idle();
+        w.run_until(Time::from_us(100));
         let sink = w.get::<NicSink>(nic);
         let pulls: Vec<Time> = sink
             .got
@@ -966,7 +1016,7 @@ mod tests {
         let host = w.add(h);
         w.post_wake(Time::ZERO, host, 1 << 8);
         w.post_wake(Time::ZERO, host, 2 << 8);
-        w.run_until_idle();
+        w.run_until(Time::from_us(100));
         let flows: Vec<FlowId> = w
             .get::<NicSink>(nic)
             .got
@@ -1020,7 +1070,7 @@ mod tests {
         // Normal flow queues its pulls first...
         w.post_wake(Time::ZERO, host, 1 << 8);
         w.post_wake(Time::from_ns(1), host, 2 << 8);
-        w.run_until_idle();
+        w.run_until(Time::from_us(100));
         let flows: Vec<FlowId> = w
             .get::<NicSink>(nic)
             .got
@@ -1091,6 +1141,26 @@ mod tests {
     }
 
     #[test]
+    fn quiet_flow_repeats_its_last_pull_until_retired() {
+        let (mut w, host, nic) = setup(2);
+        w.post_wake(Time::ZERO, host, 7 << 8);
+        w.run_until(Time::from_us(3500));
+        let ctrs = |w: &World<Packet>| -> Vec<u32> {
+            let got = &w.get::<NicSink>(nic).got;
+            got.iter().map(|(_, p)| p.ack).collect()
+        };
+        // Pulls 1 and 2 leave at 0 and 7.2 us. The 1 ms sweep is 7.2 us
+        // short of an RTO of quiet; the 2 and 3 ms sweeps repeat pull 2.
+        assert_eq!(ctrs(&w), vec![1, 2, 2, 2]);
+        assert_eq!(w.get::<Host>(host).stats().repulls, 2);
+        assert_eq!(w.get::<Host>(host).stats().pulls_sent, 2);
+        // With no flow left to watch the sweep disarms, so the world idles.
+        w.get_mut::<Host>(host).remove_endpoint(7);
+        w.run_until_idle();
+        assert_eq!(ctrs(&w).len(), 4);
+    }
+
+    #[test]
     fn reattached_flow_id_gets_a_single_clean_rr_slot() {
         // Retire a flow while its round-robin slot is still queued, then
         // reuse the id: the new flow must hold exactly one rr slot (no
@@ -1114,7 +1184,7 @@ mod tests {
         h.add_endpoint(8, Box::new(b));
         w.post_wake(Time::from_us(1), host, 7 << 8);
         w.post_wake(Time::from_us(1), host, 8 << 8);
-        w.run_until_idle();
+        w.run_until(Time::from_us(100));
         let flows: Vec<FlowId> = w
             .get::<NicSink>(nic)
             .got

@@ -45,14 +45,6 @@ pub struct FlowSpec {
     /// Override the transport's initial window in packets (None = its
     /// default; NDP's paper default is 30).
     pub iw: Option<u64>,
-    /// Arm the transport's stall-recovery net, if it has one. Request
-    /// serving cares about *every* leg completing, so drivers that book
-    /// end-to-end request latency set this; open-loop FCT sweeps leave it
-    /// off so the paper experiments' event streams are unchanged. For NDP
-    /// this covers the lost-PULL hole (see `NdpFlowCfg::pull_liveness`);
-    /// transports whose reliability already covers all state (TCP-family
-    /// RTO) ignore it.
-    pub liveness: bool,
 }
 
 impl FlowSpec {
@@ -66,7 +58,6 @@ impl FlowSpec {
             prio: false,
             notify: None,
             iw: None,
-            liveness: false,
         }
     }
 }
@@ -180,6 +171,6 @@ mod tests {
     fn flow_spec_defaults() {
         let s = FlowSpec::new(1, 2, 3, 100);
         assert_eq!(s.start, Time::ZERO);
-        assert!(!s.prio && s.notify.is_none() && s.iw.is_none() && !s.liveness);
+        assert!(!s.prio && s.notify.is_none() && s.iw.is_none());
     }
 }

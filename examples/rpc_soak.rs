@@ -13,8 +13,8 @@
 //! * peak in-flight *requests* likewise stay far below requests offered;
 //! * the component arena returns to its pre-traffic baseline after the
 //!   drain (every endpoint was freed);
-//! * no request is left incomplete: the NDP legs run with the lost-PULL
-//!   liveness net armed, so a dropped tail pull cannot wedge a tree.
+//! * no request is left incomplete: like every NDP flow, the legs run
+//!   the liveness net, so a dropped tail pull cannot wedge a tree.
 //!
 //! ```sh
 //! cargo run --release --example rpc_soak

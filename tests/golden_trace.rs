@@ -25,8 +25,9 @@ use ndp::topology::{FatTree, FatTreeCfg, LeafSpine, LeafSpineCfg, QueueSpec, Top
 /// ascending `(time, posting-seq)` over every dispatched event, one
 /// scheduled delivery per packet hop. (The name dates from when a second
 /// wiring, with a separate wire component behind every queue, had a
-/// constant of its own; the value has not moved since hop fusion landed.)
-const GOLDEN_FUSED: (u64, u64) = (0xA11C_6039_EE14_D5C6, 6_788);
+/// constant of its own.) Re-rendered in PR 26: the receivers' tail-pull
+/// sweep adds 3 host wakes, which repeat no pull (was 6 788 events).
+const GOLDEN_FUSED: (u64, u64) = (0x9B43_CA67_75AD_B9AE, 6_791);
 
 fn mixed_world(kind: SchedulerKind) -> (u64, u64) {
     let mut w: World<Packet> = World::with_scheduler(11, kind);
@@ -64,8 +65,9 @@ fn mixed_world(kind: SchedulerKind) -> (u64, u64) {
 }
 
 /// Pinned trace of `testbed_incast`: rendered at c00d46e, the last commit
-/// whose builders wired RTS bounce targets by hand.
-const GOLDEN_TESTBED_INCAST: (u64, u64) = (0xDF32_B373_8454_95EA, 16_894);
+/// whose builders wired RTS bounce targets by hand, then re-rendered in
+/// PR 26 for 3 tail-pull sweep wakes at host 0 (was 16 894 events).
+const GOLDEN_TESTBED_INCAST: (u64, u64) = (0x1B2E_BF18_F225_384D, 16_897);
 
 /// Pinned trace of `dcqcn_permutation`, rendered at c00d46e from the
 /// hand-indexed PFC upstream lists. A pausing queue signals its upstreams

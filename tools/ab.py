@@ -9,11 +9,13 @@ examples/benchmark/Cargo.toml`). Runs N pairs of `benchmark --one <workload>
 --seed S --rep i`, both sides of a pair on the same rep (i cycles 0..11), the
 side that goes first alternating pair by pair, every child pinned to one CPU
 with `taskset` when it exists. A pair whose two sides disagree on `events`,
-`fingerprint` or the warm-up witness is a behaviour change, not a timing: the
-tool stops with exit status 1. Prints, for `wall_s` and `setup_s`, each side's
-min / quartiles, the median and IQR of the per-pair change÷parent ratio, the
-pairs the change won, and the ratio of the two minima; then the `peak_rss_mb`
-medians.
+`fingerprint`, the warm-up witness or the attempted/failed counts is a
+behaviour change, not a timing: the pair line names the witnesses that
+differ, and the tool exits with status 1 once every pair has run. Prints, for
+`wall_s` and `setup_s`, each side's min / quartiles, the median and IQR of the
+per-pair change÷parent ratio, the pairs the change won, and the ratio of the
+two minima; then the `peak_rss_mb` medians, and each side's mean `tail_ratio`
+(the `sim_tail_ratio` metric), total `failed` and median `events`.
 """
 
 import argparse
@@ -89,28 +91,36 @@ def main():
     print(f"# change {args.change}")
     sides = {"parent": [], "change": []}
     dirs = {"parent": args.parent, "change": args.change}
+    changed = 0
     for i in range(args.pairs):
         rep = i % REPS
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {side: run_one(dirs[side], args.workload, args.seed, rep, cpu) for side in order}
         p, c = got["parent"], got["change"]
-        for key in WITNESSES:
-            if p[key] != c[key]:
-                print(f"MISMATCH pair {i} rep {rep}: {key} parent {p[key]!r} change {c[key]!r}")
-                return 1
+        differ = [key for key in WITNESSES if p[key] != c[key]]
+        changed += bool(differ)
+        tail = f"events {p['events']} {c['events']}  differs: {', '.join(differ)}" if differ else f"events {p['events']}  {p['fingerprint']}"
         print(
             f"pair {i:2} rep {rep:2} first {order[0]:<6} wall_s {p['wall_s']:.4f} {c['wall_s']:.4f} "
-            f"ratio {c['wall_s'] / p['wall_s']:.4f}  events {p['events']}  {p['fingerprint']}"
+            f"ratio {c['wall_s'] / p['wall_s']:.4f}  {tail}"
         )
         sides["parent"].append(p)
         sides["change"].append(c)
 
-    print(f"witnesses equal on all {args.pairs} pairs ({', '.join(WITNESSES)})")
+    if changed:
+        print(f"BEHAVIOUR CHANGE: witnesses differ on {changed}/{args.pairs} pairs")
+    else:
+        print(f"witnesses equal on all {args.pairs} pairs ({', '.join(WITNESSES)})")
     for metric in ("wall_s", "setup_s"):
         report(metric, [r[metric] for r in sides["parent"]], [r[metric] for r in sides["change"]])
     rss = {s: statistics.median(r["peak_rss_mb"] for r in rs) for s, rs in sides.items()}
     print(f"peak_rss_mb medians: parent {rss['parent']:.2f}  change {rss['change']:.2f}  ratio {rss['change'] / rss['parent']:.4f}")
-    return 0
+    for side, rs in sides.items():
+        print(
+            f"{side}: tail_ratio mean {statistics.mean(r['tail_ratio'] for r in rs):.4f}  "
+            f"failed {sum(r['failed'] for r in rs)}  events median {statistics.median(r['events'] for r in rs):.0f}"
+        )
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

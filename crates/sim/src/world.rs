@@ -108,23 +108,31 @@ pub trait Component<M>: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// One scheduler entry, five plain words for a one-word message: a wake
+/// (`msg` is `None`, `arg` its token), a message (`arg` 0), or a
+/// same-instant train coalesced into one entry ([`Ctx::send_train`]: `msg`
+/// is its first message, `arg` is 1 + the [`EventQueue::trains`] slot
+/// holding the rest). Components never see the train form — dispatch
+/// expands it into consecutive [`Event::Msg`] deliveries, each counted and
+/// traced exactly as if it had been posted individually, so a train is
+/// indistinguishable from the back-to-back posts it replaces (same trace
+/// hash, same event count).
 struct Scheduled<M> {
     at: Time,
     seq: u64,
     to: ComponentId,
-    payload: Payload<M>,
+    msg: Option<M>,
+    arg: u64,
 }
 
-/// What a [`Scheduled`] entry carries: a single event, or a same-instant
-/// train of messages coalesced into one scheduler entry ([`Ctx::send_train`]).
-/// Components never see the train form — dispatch expands it into
-/// consecutive [`Event::Msg`] deliveries, each counted and traced exactly as
-/// if it had been posted individually, so a train is indistinguishable from
-/// the back-to-back posts it replaces (same trace hash, same event count).
-enum Payload<M> {
-    One(Event<M>),
-    Train(Vec<M>),
-}
+// What every post writes and every pop reads. An `Event`-in-an-enum payload
+// (48 bytes) was written as 8-byte fields and copied into its lane as
+// 16-byte loads: the store could not be forwarded, and that one `movups`
+// held 12.4% of `permutation_k8` and 9.6% of `openloop_ndp` samples (a
+// 50 µs sampling profile on a 2-vCPU x86-64 box). Plain scalars —
+// `Option<Packet>` is one word, by the null niche — are written straight
+// into the slot. `Box<u8>` stands for the 8-byte packet handle.
+const _: () = assert!(std::mem::size_of::<Scheduled<Box<u8>>>() == 40);
 
 impl<M> PartialEq for Scheduled<M> {
     fn eq(&self, other: &Self) -> bool {
@@ -266,13 +274,17 @@ struct TwoTier<M> {
     /// `lane_delays[i]` is lane i's exact delay (ps); slots past
     /// `lanes.len()` are unregistered.
     lane_delays: [u64; MAX_LANES],
-    /// `lane_fronts[i]` caches lane i's front timestamp (`u64::MAX` when
+    /// `lane_fronts[i]` caches lane i's front timestamp (meaningless while
     /// the lane is empty), maintained on every lane push and pop.
     /// [`TwoTier::advance`]'s earliest-instant scan reads only this array.
     lane_fronts: [u64; MAX_LANES],
     /// `lane_seqs[i]` caches lane i's front seq (meaningless while the lane
     /// is empty): what [`TwoTier::pop_current`] compares when lanes tie.
     lane_seqs: [u64; MAX_LANES],
+    /// Bit i is set while lane i holds an event. Most registered lanes
+    /// belong to one-off delays and sit empty, so [`TwoTier::advance`]
+    /// walks these bits instead of every lane front.
+    occupied: u32,
     /// The instant being served: bit i is set while lane i's front is at
     /// it, `cur_heap` while the heap's top is. Both are clear between
     /// instants (and so between `run_until` calls).
@@ -296,6 +308,7 @@ impl<M> TwoTier<M> {
             lane_delays: [u64::MAX; MAX_LANES],
             lane_fronts: [u64::MAX; MAX_LANES],
             lane_seqs: [0; MAX_LANES],
+            occupied: 0,
             cur_lanes: 0,
             cur_heap: false,
             lane_cand: [u64::MAX; LANE_CANDIDATES],
@@ -305,39 +318,45 @@ impl<M> TwoTier<M> {
 
     #[inline]
     fn push_timed(&mut self, now: Time, s: Scheduled<M>) {
-        let delay = s.at.as_ps() - now.as_ps();
+        // The heap push stays inline: out of line (`inline(never)`) it cost
+        // the post/pop kernel a quarter of its rate and bought nothing end
+        // to end.
+        let Some(i) = self.lane_for(s.at.as_ps() - now.as_ps()) else {
+            return self.heap.push(Reverse(s));
+        };
+        let q = &mut self.lanes[i];
+        // Monotone clock + fixed delay + monotone seq: the lane stays
+        // sorted by `(at, seq)` with plain appends.
+        debug_assert!(q.back().is_none_or(|b| (b.at, b.seq) < (s.at, s.seq)));
+        if q.is_empty() {
+            self.lane_fronts[i] = s.at.as_ps();
+            self.lane_seqs[i] = s.seq;
+            self.occupied |= 1 << i;
+        }
+        q.push_back(s);
+    }
+
+    /// The lane of `delay`, registering one on the delay's second sighting;
+    /// `None` sends the post to the heap. Packed key scan: all registered
+    /// delays fit in two cache lines, so the common hit never touches a
+    /// queue it won't use.
+    #[inline]
+    fn lane_for(&mut self, delay: u64) -> Option<usize> {
         let n = self.lanes.len();
-        // Packed key scan: all registered delays fit in two cache lines, so
-        // the common hit never touches a queue it won't use.
-        for i in 0..n {
-            if self.lane_delays[i] == delay {
-                let q = &mut self.lanes[i];
-                // Monotone clock + fixed delay + monotone seq: the lane
-                // stays sorted by `(at, seq)` with plain appends.
-                debug_assert!(q.back().is_none_or(|b| (b.at, b.seq) < (s.at, s.seq)));
-                if q.is_empty() {
-                    self.lane_fronts[i] = s.at.as_ps();
-                    self.lane_seqs[i] = s.seq;
-                }
-                q.push_back(s);
-                return;
-            }
+        if let Some(i) = self.lane_delays[..n].iter().position(|&d| d == delay) {
+            return Some(i);
         }
-        if delay <= LANE_MAX_DELAY_PS && n < MAX_LANES {
-            if self.lane_cand.contains(&delay) {
-                // Second sighting: promote to a lane.
-                self.lane_delays[n] = delay;
-                self.lane_fronts[n] = s.at.as_ps();
-                self.lane_seqs[n] = s.seq;
-                let mut q = VecDeque::with_capacity(32);
-                q.push_back(s);
-                self.lanes.push(q);
-                return;
-            }
-            self.lane_cand[self.lane_cand_idx] = delay;
-            self.lane_cand_idx = (self.lane_cand_idx + 1) % LANE_CANDIDATES;
+        if delay > LANE_MAX_DELAY_PS || n == MAX_LANES {
+            return None;
         }
-        self.heap.push(Reverse(s));
+        if self.lane_cand.contains(&delay) {
+            self.lane_delays[n] = delay;
+            self.lanes.push(VecDeque::with_capacity(32));
+            return Some(n);
+        }
+        self.lane_cand[self.lane_cand_idx] = delay;
+        self.lane_cand_idx = (self.lane_cand_idx + 1) % LANE_CANDIDATES;
+        None
     }
 
     /// Find the earliest timed instant and, if it is due by `horizon`,
@@ -350,22 +369,20 @@ impl<M> TwoTier<M> {
     #[inline]
     fn advance(&mut self, horizon: Time) -> bool {
         debug_assert!(self.cur_lanes == 0 && !self.cur_heap);
-        // Reads only the packed front cache. Empty lanes carry `u64::MAX`
-        // and collect mask bits while nothing earlier has been seen;
-        // nothing is ever scheduled at `Time::MAX` through a ≤10 ms lane
-        // delay, so a minimum of `u64::MAX` means "no lane has an event".
+        // Reads only the packed front cache of the occupied lanes.
         let mut t_lane = u64::MAX;
         let mut mask = 0u32;
-        for (i, &f) in self.lane_fronts[..self.lanes.len()].iter().enumerate() {
+        let mut m = self.occupied;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let f = self.lane_fronts[i];
             if f < t_lane {
                 t_lane = f;
                 mask = 1 << i;
             } else if f == t_lane {
                 mask |= 1 << i;
             }
-        }
-        if t_lane == u64::MAX {
-            mask = 0;
         }
         let t_heap = match self.heap.peek() {
             Some(Reverse(top)) => top.at.as_ps(),
@@ -426,7 +443,7 @@ impl<M> TwoTier<M> {
                 }
             }
             None => {
-                self.lane_fronts[lane] = u64::MAX;
+                self.occupied &= !(1 << lane);
                 self.cur_lanes &= !(1 << lane);
             }
         }
@@ -452,7 +469,7 @@ impl<M> TwoTier<M> {
     }
 
     fn is_empty(&self) -> bool {
-        self.fast.is_empty() && self.heap.is_empty() && self.lanes.iter().all(|q| q.is_empty())
+        self.fast.is_empty() && self.heap.is_empty() && self.occupied == 0
     }
 
     /// Release burst-sized capacity held since the last traffic peak.
@@ -529,6 +546,11 @@ struct EventQueue<M> {
     /// `events_posted = seq + train_extra` keeps counting individual events.
     train_extra: u64,
     kinds: EventKindCounts,
+    /// Messages 2..n of each pending train, by slot; a slot is emptied
+    /// (its Vec handed to dispatch) and listed in `train_free` when the
+    /// train's entry is popped.
+    trains: Vec<Vec<M>>,
+    train_free: Vec<usize>,
     imp: QueueImpl<M>,
 }
 
@@ -551,6 +573,8 @@ impl<M> EventQueue<M> {
             seq: 0,
             train_extra: 0,
             kinds: EventKindCounts::default(),
+            trains: Vec::new(),
+            train_free: Vec::new(),
             imp,
         }
     }
@@ -562,22 +586,16 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Post a message (`msg` is `Some`, `arg` 0) or a wake (`None`, `arg`
+    /// its token).
     #[inline]
-    fn post(&mut self, now: Time, at: Time, to: ComponentId, ev: Event<M>) {
-        debug_assert!(at >= now, "cannot schedule in the past");
-        match &ev {
-            Event::Wake(_) => self.kinds.wake += 1,
-            Event::Msg(_) if at <= now => self.kinds.forward += 1,
-            Event::Msg(_) => self.kinds.timed_msg += 1,
+    fn post(&mut self, now: Time, at: Time, to: ComponentId, msg: Option<M>, arg: u64) {
+        match msg {
+            None => self.kinds.wake += 1,
+            Some(_) if at <= now => self.kinds.forward += 1,
+            Some(_) => self.kinds.timed_msg += 1,
         }
-        self.seq += 1;
-        let s = Scheduled {
-            at,
-            seq: self.seq,
-            to,
-            payload: Payload::One(ev),
-        };
-        self.push_scheduled(now, s);
+        self.push(now, at, to, msg, arg);
     }
 
     /// Post a same-instant message train as one scheduler entry. The train
@@ -588,17 +606,14 @@ impl<M> EventQueue<M> {
     /// expanding the train in order reproduces the reference delivery
     /// sequence bit-for-bit.
     fn post_train(&mut self, now: Time, at: Time, to: ComponentId, mut msgs: Vec<M>) {
-        match msgs.len() {
-            0 => return,
+        if msgs.len() <= 1 {
             // A one-element train is posted as a plain message so the
             // degenerate case stays byte-identical to an unbatched post.
-            1 => {
-                let m = msgs.pop().expect("len checked");
-                return self.post(now, at, to, Event::Msg(m));
+            if let Some(m) = msgs.pop() {
+                self.post(now, at, to, Some(m), 0);
             }
-            _ => {}
+            return;
         }
-        debug_assert!(at >= now, "cannot schedule in the past");
         let n = msgs.len() as u64;
         if at <= now {
             self.kinds.forward += n;
@@ -606,18 +621,34 @@ impl<M> EventQueue<M> {
             self.kinds.timed_msg += n;
         }
         self.train_extra += n - 1;
+        let first = msgs.remove(0);
+        let slot = self.train_free.pop().unwrap_or_else(|| {
+            self.trains.push(Vec::new());
+            self.trains.len() - 1
+        });
+        self.trains[slot] = msgs;
+        self.push(now, at, to, Some(first), slot as u64 + 1);
+    }
+
+    /// The rest of the train whose entry carried `arg` (its slot + 1),
+    /// freeing the slot for the next train.
+    fn take_train(&mut self, arg: u64) -> Vec<M> {
+        let slot = (arg - 1) as usize;
+        self.train_free.push(slot);
+        std::mem::take(&mut self.trains[slot])
+    }
+
+    #[inline(always)]
+    fn push(&mut self, now: Time, at: Time, to: ComponentId, msg: Option<M>, arg: u64) {
+        debug_assert!(at >= now, "cannot schedule in the past");
         self.seq += 1;
         let s = Scheduled {
             at,
             seq: self.seq,
             to,
-            payload: Payload::Train(msgs),
+            msg,
+            arg,
         };
-        self.push_scheduled(now, s);
-    }
-
-    #[inline(always)]
-    fn push_scheduled(&mut self, now: Time, s: Scheduled<M>) {
         match &mut self.imp {
             QueueImpl::TwoTier(t) => {
                 if s.at <= now {
@@ -700,7 +731,8 @@ impl<M> Ctx<'_, M> {
     /// Deliver `msg` to component `to` after `delay` (zero-delay handoff is
     /// the normal way to "call" a neighbouring component).
     pub fn send(&mut self, to: ComponentId, msg: M, delay: Time) {
-        self.post_at(self.now + delay, to, Event::Msg(msg));
+        self.queue
+            .post(self.now, self.now + delay, to, Some(msg), 0);
     }
 
     /// Deliver `msg` to `to` immediately. Under the two-tier scheduler this
@@ -728,23 +760,19 @@ impl<M> Ctx<'_, M> {
 
     /// Set a timer on the current component.
     pub fn wake_in(&mut self, delay: Time, token: u64) {
-        self.post_at(self.now + delay, self.self_id, Event::Wake(token));
+        self.wake_other(self.self_id, delay, token);
     }
 
     /// Set a timer on the current component at an absolute time.
     pub fn wake_at(&mut self, at: Time, token: u64) {
         debug_assert!(at >= self.now, "cannot schedule in the past");
-        self.post_at(at, self.self_id, Event::Wake(token));
+        self.queue.post(self.now, at, self.self_id, None, token);
     }
 
     /// Wake a *different* component (used by harness-level triggers, e.g. an
     /// application starting a flow on another host).
     pub fn wake_other(&mut self, to: ComponentId, delay: Time, token: u64) {
-        self.post_at(self.now + delay, to, Event::Wake(token));
-    }
-
-    fn post_at(&mut self, at: Time, to: ComponentId, ev: Event<M>) {
-        self.queue.post(self.now, at, to, ev);
+        self.queue.post(self.now, self.now + delay, to, None, token);
     }
 
     /// Request a structural world mutation (attach or retire component
@@ -825,6 +853,7 @@ pub struct World<M> {
     peak_live: usize,
     stale_dropped: u64,
     deferred: Vec<WorldOp<M>>,
+    deferred_spare: Vec<WorldOp<M>>,
     queue: EventQueue<M>,
     now: Time,
     rng: SmallRng,
@@ -848,6 +877,7 @@ impl<M: 'static> World<M> {
             peak_live: 0,
             stale_dropped: 0,
             deferred: Vec::new(),
+            deferred_spare: Vec::new(),
             queue: EventQueue::new(kind),
             now: Time::ZERO,
             rng: SmallRng::seed_from_u64(seed),
@@ -956,14 +986,14 @@ impl<M: 'static> World<M> {
     /// Panics if `at` is before [`World::now`].
     pub fn post(&mut self, at: Time, to: ComponentId, msg: M) {
         assert_not_past(at, self.now);
-        self.queue.post(self.now, at, to, Event::Msg(msg));
+        self.queue.post(self.now, at, to, Some(msg), 0);
     }
 
     /// Post a wake token to a component at an absolute time (harness-level).
     /// Panics if `at` is before [`World::now`].
     pub fn post_wake(&mut self, at: Time, to: ComponentId, token: u64) {
         assert_not_past(at, self.now);
-        self.queue.post(self.now, at, to, Event::Wake(token));
+        self.queue.post(self.now, at, to, None, token);
     }
 
     /// Post a same-instant message train to a component at an absolute time
@@ -1008,22 +1038,18 @@ impl<M: 'static> World<M> {
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, horizon: Time) -> u64 {
         let start = self.events_processed;
-        while let Some(sched) = self.queue.pop_due(horizon) {
-            debug_assert!(sched.at >= self.now, "time went backwards");
-            self.now = sched.at;
-            match sched.payload {
-                Payload::One(ev) => self.dispatch_one(sched.to, ev),
-                // A coalesced train: expand into consecutive deliveries at
-                // this instant. Per-element generation checks and deferred
-                // drains keep this bit-identical to the individual posts it
-                // replaces (a component retired mid-train drops the rest as
-                // stale, exactly as separate events would have).
-                Payload::Train(msgs) => {
-                    for m in msgs {
-                        self.dispatch_one(sched.to, Event::Msg(m));
-                    }
+        while let Some(s) = self.queue.pop_due(horizon) {
+            debug_assert!(s.at >= self.now, "time went backwards");
+            self.now = s.at;
+            let ev = match s.msg {
+                None => Event::Wake(s.arg),
+                Some(m) if s.arg == 0 => Event::Msg(m),
+                Some(first) => {
+                    self.dispatch_train(s.to, first, s.arg);
+                    continue;
                 }
-            }
+            };
+            self.dispatch_one(s.to, ev);
         }
         // Advance the clock to the horizon only if we drained everything
         // before it; otherwise the clock stays at the last dispatched event.
@@ -1035,9 +1061,8 @@ impl<M: 'static> World<M> {
 
     /// Deliver one event to one component at the current instant — the
     /// shared hot path of [`World::run_until`] for single events and
-    /// expanded train elements. `inline(always)`: this is the old loop body
-    /// factored out for the train arm, and it must stay merged into both
-    /// call sites — an outlined call would move the (large) `Event` by
+    /// expanded train elements. `inline(always)`: it must stay merged into
+    /// the dispatch loop — an outlined call would move the `Event` by
     /// value once more per dispatched event.
     #[inline(always)]
     fn dispatch_one(&mut self, to: ComponentId, ev: Event<M>) {
@@ -1072,17 +1097,38 @@ impl<M: 'static> World<M> {
         }
     }
 
+    /// Expand a coalesced train into consecutive deliveries at this
+    /// instant. Per-element generation checks and deferred drains keep
+    /// this bit-identical to the individual posts it replaces (a component
+    /// retired mid-train drops the rest as stale, exactly as separate
+    /// events would have). The train's slot is free before its first
+    /// delivery, for the trains that delivery posts.
+    #[inline(never)]
+    fn dispatch_train(&mut self, to: ComponentId, first: M, arg: u64) {
+        let rest = self.queue.take_train(arg);
+        self.dispatch_one(to, Event::Msg(first));
+        for m in rest {
+            self.dispatch_one(to, Event::Msg(m));
+        }
+    }
+
     /// Drain deferred world ops before the next dispatch: attach / retire
     /// requests made mid-handler run here, with full `&mut World`, at the
     /// current instant. Ops an op defers run in the same drain. Out of
     /// line: the dispatch loop only pays a length check per event.
+    ///
+    /// The batch being run swaps places with `deferred_spare`, so both
+    /// buffers keep their capacity and a steady `Ctx::defer` allocates
+    /// only the boxed op.
     #[inline(never)]
     fn drain_deferred(&mut self) {
         while !self.deferred.is_empty() {
-            let ops = std::mem::take(&mut self.deferred);
-            for op in ops {
+            let mut ops = std::mem::take(&mut self.deferred_spare);
+            std::mem::swap(&mut ops, &mut self.deferred);
+            for op in ops.drain(..) {
                 op(self);
             }
+            self.deferred_spare = ops;
         }
     }
 
@@ -1798,13 +1844,6 @@ mod tests {
         w.get::<Counter>(id).msgs.iter().map(|m| m.1).collect()
     }
 
-    #[test]
-    fn scheduled_entry_is_48_bytes_around_a_boxed_message() {
-        // What moves per post and per pop. `Box<u8>` stands for the network
-        // crates' 8-byte packet handle.
-        assert!(std::mem::size_of::<Scheduled<Box<u8>>>() <= 48);
-    }
-
     /// Move the clock to `at` exactly (`run_until` only advances an idle
     /// world's clock): a wake the counter tallies apart from its messages.
     fn walk_clock_to(w: &mut World<u32>, id: ComponentId, at: Time) {
@@ -1877,8 +1916,8 @@ mod tests {
 
     #[test]
     fn a_heap_event_at_time_max_is_not_sixteen_empty_lanes() {
-        // Empty lanes cache their front as u64::MAX — the very instant of a
-        // `Time::MAX` heap event. The instant belongs to the heap alone.
+        // Empty lanes' front caches start at u64::MAX — the very instant of
+        // a `Time::MAX` heap event. The instant belongs to the heap alone.
         let (mut w, id) = world_with_lanes(SchedulerKind::TwoTier, &[100, 250, 400]);
         w.post(Time::MAX, id, 7);
         w.post(Time::MAX, id, 8);
@@ -1892,6 +1931,63 @@ mod tests {
         w.run_until_idle();
         assert_eq!(delivered(&w, id), vec![7, 8]);
         assert_eq!(w.now(), Time::MAX);
+    }
+
+    #[test]
+    fn occupied_names_the_nonempty_lanes_through_a_tie_with_the_heap() {
+        // Sixteen lanes, all but one drained by the instant `t`, where the
+        // last lane's event ties with two heap events — one posted before
+        // it, one after. Delivery must match Classic's, and `occupied` must
+        // name exactly the non-empty lanes after every pop, an interrupted
+        // run and a shrink.
+        fn check_occupied(w: &World<u32>) {
+            if let QueueImpl::TwoTier(tt) = &w.queue.imp {
+                let nonempty = (0..tt.lanes.len())
+                    .filter(|&i| !tt.lanes[i].is_empty())
+                    .fold(0u32, |m, i| m | 1 << i);
+                assert_eq!(tt.occupied, nonempty);
+            }
+        }
+        /// Pop (without dispatching) everything due by `horizon`.
+        fn pop_until(w: &mut World<u32>, horizon: Time) -> Vec<(u64, Option<u32>)> {
+            let mut got = Vec::new();
+            while let Some(s) = w.queue.pop_due(horizon) {
+                check_occupied(w);
+                got.push((s.at.as_ps(), s.msg));
+            }
+            got
+        }
+        let delays: Vec<u64> = (0..16).map(|i| 100 + 50 * i).collect();
+        let run = |kind| {
+            let (mut w, id) = world_with_lanes(kind, &delays);
+            let t = w.now() + Time::from_ms(20);
+            w.post(t, id, 0); // lane-ineligible: heap
+            let from = t - Time::from_ns(850);
+            walk_clock_to(&mut w, id, from);
+            for (v, &d) in (1..).zip(&delays) {
+                w.post(from + Time::from_ns(d), id, v); // lane v-1; v = 16 lands at t
+            }
+            // An interrupted run drains lanes 0..=8.
+            walk_clock_to(&mut w, id, t - Time::from_ns(333));
+            check_occupied(&w);
+            w.post(t, id, 17); // a one-shot delay: heap, after the lane's seq
+            let mut got = pop_until(&mut w, t - Time::from_ns(1));
+            w.shrink_idle();
+            check_occupied(&w);
+            if let QueueImpl::TwoTier(tt) = &w.queue.imp {
+                assert_eq!(
+                    (tt.occupied, tt.cur_lanes, tt.cur_heap),
+                    (1 << 15, 0, false)
+                );
+            }
+            got.extend(pop_until(&mut w, Time::MAX));
+            (delivered(&w, id), got)
+        };
+        let two_tier = run(SchedulerKind::TwoTier);
+        assert_eq!(two_tier.0, (1..=9).collect::<Vec<_>>());
+        let tail: Vec<Option<u32>> = two_tier.1.iter().map(|&(_, m)| m).collect();
+        assert_eq!(tail, [10, 11, 12, 13, 14, 15, 0, 16, 17].map(Some));
+        assert_eq!(two_tier, run(SchedulerKind::Classic));
     }
 
     #[test]

@@ -88,10 +88,13 @@ pub fn ideal_fct_over(hops: &[Hop], bulk: Speed, mtu: u32, bytes: u64) -> Time {
     // packet when the size divides evenly) plus its header.
     let last = ((bytes - 1) % per) + 1 + HEADER_BYTES as u64;
     let prop: Time = hops.iter().map(|h| h.delay).sum();
-    let mut tail: Vec<Time> = hops.iter().map(|h| h.speed.tx_time(last)).collect();
-    tail.sort_unstable();
-    let tail: Time = tail[..tail.len() - 1].iter().copied().sum();
-    bulk.tx_time(wire) + tail + prop
+    let (total, max) = hops
+        .iter()
+        .fold((Time::ZERO, Time::ZERO), |(total, max), h| {
+            let t = h.speed.tx_time(last);
+            (total + t, max.max(t))
+        });
+    bulk.tx_time(wire) + (total - max) + prop
 }
 
 /// A fabric under evaluation: host/path arithmetic, ideal-FCT lower

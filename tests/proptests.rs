@@ -607,8 +607,8 @@ mod chaos_invariants {
 // Scheduler delay-lane equivalence: the TwoTier scheduler with per-delay FIFO
 // lanes must deliver in exactly the Classic heap's (time, posting-seq) order
 // under arbitrary interleavings of hot repeated delays (more of them than
-// there are lanes), same-instant trains, zero-delay forwards, partial drains,
-// and retirement churn.
+// there are lanes), same-instant trains (and trains posted while one is being
+// expanded), zero-delay forwards, partial drains, and retirement churn.
 
 mod scheduler_lanes {
     use ndp::sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
@@ -627,6 +627,42 @@ mod scheduler_lanes {
                 self.log.push((ctx.now(), v));
                 if let Some(p) = self.peer {
                     ctx.send(p, v, Time::ZERO);
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Logs every arrival and answers it with two bursts of its own to
+    /// `peer`: one at zero delay, one at a hot lane delay. As trains
+    /// (`batch`), fed a train, it posts new trains while its own is still
+    /// being expanded, reusing the train slots that expansion just freed.
+    struct Relay {
+        peer: ComponentId,
+        batch: bool,
+        log: Vec<(Time, u64)>,
+    }
+    impl Component<u64> for Relay {
+        fn handle(&mut self, ev: Event<u64>, ctx: &mut Ctx<'_, u64>) {
+            if let Event::Msg(v) = ev {
+                self.log.push((ctx.now(), v));
+                let bursts = [
+                    (vec![v * 10, v * 10 + 1], Time::ZERO),
+                    (vec![v * 10 + 2, v * 10 + 3, v * 10 + 4], hot_delay(v % 4)),
+                ];
+                for (msgs, delay) in bursts {
+                    if self.batch {
+                        ctx.send_train(self.peer, msgs, delay);
+                    } else {
+                        for m in msgs {
+                            ctx.send(self.peer, m, delay);
+                        }
+                    }
                 }
             }
         }
@@ -667,7 +703,20 @@ mod scheduler_lanes {
     /// count, and the stale-drop count.
     type Outcome = (Vec<Vec<(Time, u64)>>, (u64, u64), u64, u64);
 
-    fn run(kind: SchedulerKind, ops: &[u16]) -> Outcome {
+    /// A same-instant burst: one train when `batch`, else the individual
+    /// posts it stands for.
+    fn post_burst(w: &mut World<u64>, batch: bool, at: Time, to: ComponentId, msgs: Vec<u64>) {
+        if batch {
+            w.post_train(at, to, msgs);
+        } else {
+            for m in msgs {
+                w.post(at, to, m);
+            }
+        }
+    }
+
+    /// Runs the op script; `batch` posts every burst as a train.
+    fn run(kind: SchedulerKind, ops: &[u16], batch: bool) -> Outcome {
         let mut w: World<u64> = World::with_scheduler(7, kind);
         w.enable_trace();
         let sink = w.add(Echo {
@@ -678,13 +727,24 @@ mod scheduler_lanes {
             peer: Some(sink),
             log: vec![],
         });
+        let relay = w.add(Relay {
+            peer: fwd,
+            batch,
+            log: vec![],
+        });
         let mut retired: Vec<ComponentId> = Vec::new();
         let mut base = Time::ZERO;
         let mut tag = 0u64;
         for &x in ops {
             tag += 1;
-            let (op, r) = (x % 13, (x / 13) as u64);
+            let (op, r) = (x % 14, (x / 14) as u64);
             match op {
+                // A train to the relay, which answers every element with
+                // trains of its own while this one is being expanded.
+                13 => {
+                    let msgs: Vec<u64> = (0..r % 3 + 2).map(|i| tag * 1000 + i).collect();
+                    post_burst(&mut w, batch, base + delay(r), relay, msgs);
+                }
                 0..=2 => w.post(base + delay(r), sink, tag),
                 // Through the forwarder: arrival triggers a zero-delay hop
                 // from inside dispatch.
@@ -694,7 +754,7 @@ mod scheduler_lanes {
                 5 | 6 => {
                     let to = if op == 6 { fwd } else { sink };
                     let msgs: Vec<u64> = (0..r % 4 + 1).map(|i| tag * 1000 + i).collect();
-                    w.post_train(base + delay(r), to, msgs);
+                    post_burst(&mut w, batch, base + delay(r), to, msgs);
                 }
                 // Spawn-and-retire churn: the pre-retire post goes stale.
                 7 => {
@@ -737,6 +797,7 @@ mod scheduler_lanes {
         let logs = vec![
             w.get::<Echo>(sink).log.clone(),
             w.get::<Echo>(fwd).log.clone(),
+            w.get::<Relay>(relay).log.clone(),
         ];
         (
             logs,
@@ -751,13 +812,17 @@ mod scheduler_lanes {
 
         /// Classic and TwoTier fed the same op script must agree on every
         /// delivery (time and order), the trace hash, the event count and
-        /// the stale count.
+        /// the stale count — with each other, and with Classic posting
+        /// every burst as individual messages (the train slots are shared
+        /// by both schedulers, so only that reference can see them).
         #[test]
         fn lanes_preserve_exact_delivery_order(
             ops in proptest::collection::vec(0u16..u16::MAX, 1..160),
         ) {
-            let classic = run(SchedulerKind::Classic, &ops);
-            let two_tier = run(SchedulerKind::TwoTier, &ops);
+            let reference = run(SchedulerKind::Classic, &ops, false);
+            let classic = run(SchedulerKind::Classic, &ops, true);
+            let two_tier = run(SchedulerKind::TwoTier, &ops, true);
+            prop_assert_eq!(&classic, &reference, "trains diverged from individual posts");
             prop_assert_eq!(&two_tier, &classic, "TwoTier diverged from Classic");
         }
     }

@@ -45,7 +45,6 @@ pub struct DcqcnCfg {
     pub rhai: Speed,
     /// Per-flow ECMP path tag.
     pub path: u32,
-    pub notify: Option<(ComponentId, u64)>,
 }
 
 impl DcqcnCfg {
@@ -63,7 +62,6 @@ impl DcqcnCfg {
             rai: Speed::mbps(40),
             rhai: Speed::mbps(400),
             path: 0,
-            notify: None,
         }
     }
 
@@ -249,7 +247,6 @@ pub struct DcqcnReceiver {
     pub completion_time: Option<Time>,
     pub first_arrival: Option<Time>,
     pub cnps_sent: u64,
-    notify: Option<(ComponentId, u64)>,
 }
 
 impl DcqcnReceiver {
@@ -263,13 +260,7 @@ impl DcqcnReceiver {
             completion_time: None,
             first_arrival: None,
             cnps_sent: 0,
-            notify: None,
         }
-    }
-
-    pub fn with_notify(mut self, comp: ComponentId, token: u64) -> DcqcnReceiver {
-        self.notify = Some((comp, token));
-        self
     }
 }
 
@@ -300,11 +291,7 @@ impl Endpoint for DcqcnReceiver {
         }
         if self.payload_bytes >= self.total && self.completion_time.is_none() {
             self.completion_time = Some(ctx.now());
-            let fct = self.first_arrival.map_or(Time::ZERO, |t| ctx.now() - t);
-            ctx.complete(self.payload_bytes, fct);
-            if let Some((comp, tok)) = self.notify {
-                ctx.notify(comp, tok);
-            }
+            ctx.complete();
         }
     }
 
@@ -333,13 +320,8 @@ pub fn attach_dcqcn_flow(
     cfg: DcqcnCfg,
     start: Time,
 ) {
-    let notify = cfg.notify;
-    let total = cfg.size_bytes;
+    let receiver = DcqcnReceiver::new(src.1, cfg.size_bytes);
     let sender = DcqcnSender::new(flow, dst.1, cfg);
-    let mut receiver = DcqcnReceiver::new(src.1, total);
-    if let Some((comp, tok)) = notify {
-        receiver = receiver.with_notify(comp, tok);
-    }
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
@@ -370,7 +352,6 @@ impl ndp_transport::Transport for DcqcnTransport {
         let mut cfg = DcqcnCfg::new(spec.size);
         cfg.mtu = mtu;
         cfg.path = ndp_transport::flow_hash_path(spec.flow).max(1);
-        cfg.notify = spec.notify;
         attach_dcqcn_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
 }

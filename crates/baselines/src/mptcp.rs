@@ -14,13 +14,14 @@
 //! subflow simply stops claiming bytes.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
 use rand::Rng;
+
+use crate::tcp::Reassembly;
 
 const RTO_TOKEN_BASE: u8 = 1; // token = base + subflow index
 
@@ -34,7 +35,6 @@ pub struct MptcpCfg {
     pub min_rto: Time,
     /// Path tags, one per subflow (filled randomly if empty).
     pub paths: Vec<PathTag>,
-    pub notify: Option<(ComponentId, u64)>,
 }
 
 impl MptcpCfg {
@@ -46,7 +46,6 @@ impl MptcpCfg {
             init_cwnd_pkts: 2,
             min_rto: Time::from_ms(10),
             paths: Vec::new(),
-            notify: None,
         }
     }
 
@@ -287,9 +286,7 @@ impl MptcpSender {
         if !self.done && self.total_acked >= self.cfg.size_bytes {
             self.done = true;
             self.stats.completion_time = Some(ctx.now());
-            if let Some((comp, tok)) = self.cfg.notify {
-                ctx.notify(comp, tok);
-            }
+            ctx.complete();
         }
     }
 }
@@ -368,34 +365,23 @@ pub fn lia_increment(alpha: f64, newly: u64, mss: u64, total_cwnd: u64, cwnd: u6
 /// Per-subflow cumulative-ACK receiver.
 pub struct MptcpReceiver {
     peer: HostId,
-    n_subflows: usize,
-    rcv_nxt: Vec<u64>,
-    ooo: Vec<BTreeMap<u64, u64>>,
+    subflows: Vec<Reassembly>,
     pub payload_bytes: u64,
     pub completion_time: Option<Time>,
     pub first_arrival: Option<Time>,
     total: u64,
-    notify: Option<(ComponentId, u64)>,
 }
 
 impl MptcpReceiver {
     pub fn new(peer: HostId, n_subflows: usize, total: u64) -> MptcpReceiver {
         MptcpReceiver {
             peer,
-            n_subflows,
-            rcv_nxt: vec![0; n_subflows],
-            ooo: vec![BTreeMap::new(); n_subflows],
+            subflows: vec![Reassembly::default(); n_subflows],
             payload_bytes: 0,
             completion_time: None,
             first_arrival: None,
             total,
-            notify: None,
         }
-    }
-
-    pub fn with_notify(mut self, comp: ComponentId, token: u64) -> MptcpReceiver {
-        self.notify = Some((comp, token));
-        self
     }
 }
 
@@ -406,40 +392,21 @@ impl Endpoint for MptcpReceiver {
         if pkt.kind != PacketKind::Data {
             return;
         }
-        let sf = pkt.subflow as usize;
-        if sf >= self.n_subflows {
+        let Some(stream) = self.subflows.get_mut(pkt.subflow as usize) else {
             return;
-        }
+        };
         if self.first_arrival.is_none() {
             self.first_arrival = Some(ctx.now());
         }
         let start = u64::from(pkt.seq);
-        let end = start + pkt.payload as u64;
-        let nxt = &mut self.rcv_nxt[sf];
-        let ooo = &mut self.ooo[sf];
-        let before = *nxt;
-        if end > *nxt {
-            let s = start.max(*nxt);
-            let e = ooo.get(&s).copied().unwrap_or(0).max(end);
-            ooo.insert(s, e);
-            while let Some((&s0, &e0)) = ooo.first_key_value() {
-                if s0 <= *nxt {
-                    ooo.pop_first();
-                    if e0 > *nxt {
-                        *nxt = e0;
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
-        let delivered = *nxt - before;
+        let delivered = stream.absorb(start, start + pkt.payload as u64);
+        let rcv_nxt = stream.rcv_nxt();
         if delivered > 0 {
             self.payload_bytes += delivered;
             ctx.account_delivered(delivered);
         }
         let mut ack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
-        ack.ack = Packet::ack32(self.rcv_nxt[sf]);
+        ack.ack = Packet::ack32(rcv_nxt);
         ack.subflow = pkt.subflow;
         ack.path = pkt.path;
         ack.sent = pkt.sent;
@@ -449,11 +416,7 @@ impl Endpoint for MptcpReceiver {
         ctx.send(ack);
         if self.payload_bytes >= self.total && self.completion_time.is_none() {
             self.completion_time = Some(ctx.now());
-            let fct = self.first_arrival.map_or(Time::ZERO, |t| ctx.now() - t);
-            ctx.complete(self.payload_bytes, fct);
-            if let Some((comp, tok)) = self.notify {
-                ctx.notify(comp, tok);
-            }
+            ctx.complete();
         }
     }
 
@@ -482,14 +445,8 @@ pub fn attach_mptcp_flow(
     cfg: MptcpCfg,
     start: Time,
 ) {
-    let notify = cfg.notify;
-    let n_subflows = cfg.n_subflows;
-    let total = cfg.size_bytes;
+    let receiver = MptcpReceiver::new(src.1, cfg.n_subflows, cfg.size_bytes);
     let sender = MptcpSender::new(flow, dst.1, cfg);
-    let mut receiver = MptcpReceiver::new(src.1, n_subflows, total);
-    if let Some((comp, tok)) = notify {
-        receiver = receiver.with_notify(comp, tok);
-    }
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
@@ -519,7 +476,6 @@ impl ndp_transport::Transport for MptcpTransport {
     ) {
         let mut cfg = MptcpCfg::new(spec.size);
         cfg.mtu = mtu;
-        cfg.notify = spec.notify;
         attach_mptcp_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
 }

@@ -31,7 +31,6 @@ pub struct PHostCfg {
     pub iw_pkts: u64,
     /// Receiver-side token timeout: re-issue credits if the flow stalls.
     pub token_timeout: Time,
-    pub notify: Option<(ComponentId, u64)>,
 }
 
 impl PHostCfg {
@@ -41,7 +40,6 @@ impl PHostCfg {
             mtu: 9000,
             iw_pkts: 30,
             token_timeout: Time::from_us(500),
-            notify: None,
         }
     }
 
@@ -205,7 +203,6 @@ pub struct PHostReceiver {
     token_timeout: Time,
     timer_armed: bool,
     done: bool,
-    notify: Option<(ComponentId, u64)>,
     pub payload_bytes: u64,
     pub completion_time: Option<Time>,
     pub first_arrival: Option<Time>,
@@ -223,17 +220,11 @@ impl PHostReceiver {
             token_timeout,
             timer_armed: false,
             done: false,
-            notify: None,
             payload_bytes: 0,
             completion_time: None,
             first_arrival: None,
             timeout_credits: 0,
         }
-    }
-
-    pub fn with_notify(mut self, comp: ComponentId, token: u64) -> PHostReceiver {
-        self.notify = Some((comp, token));
-        self
     }
 
     fn mark(&mut self, seq: u64) -> bool {
@@ -285,11 +276,7 @@ impl Endpoint for PHostReceiver {
                 self.done = true;
                 self.completion_time = Some(ctx.now());
                 ctx.pull_cancel();
-                let fct = self.first_arrival.map_or(Time::ZERO, |t| ctx.now() - t);
-                ctx.complete(self.payload_bytes, fct);
-                if let Some((comp, tok)) = self.notify {
-                    ctx.notify(comp, tok);
-                }
+                ctx.complete();
                 return;
             }
         }
@@ -346,13 +333,8 @@ pub fn attach_phost_flow(
     cfg: PHostCfg,
     start: Time,
 ) {
-    let notify = cfg.notify;
-    let timeout = cfg.token_timeout;
+    let receiver = PHostReceiver::new(src.1, cfg.token_timeout);
     let sender = PHostSender::new(flow, dst.1, cfg);
-    let mut receiver = PHostReceiver::new(src.1, timeout);
-    if let Some((comp, tok)) = notify {
-        receiver = receiver.with_notify(comp, tok);
-    }
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
     // Start the receiver's token-timeout clock (models pHost's RTS).
     world.post_wake(start, dst.0, start_token(flow));
@@ -384,7 +366,6 @@ impl ndp_transport::Transport for PHostTransport {
     ) {
         let mut cfg = PHostCfg::new(spec.size);
         cfg.mtu = mtu;
-        cfg.notify = spec.notify;
         attach_phost_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
 }

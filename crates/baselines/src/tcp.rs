@@ -50,7 +50,6 @@ pub struct TcpCfg {
     /// Fixed per-flow ECMP path tag (hash-equivalent: chosen randomly by
     /// the harness; collisions are the point of Fig 14).
     pub path: PathTag,
-    pub notify: Option<(ComponentId, u64)>,
 }
 
 impl TcpCfg {
@@ -64,7 +63,6 @@ impl TcpCfg {
             dctcp: false,
             dctcp_g: 1.0 / 16.0,
             path: 0,
-            notify: None,
         }
     }
 
@@ -225,6 +223,15 @@ impl TcpSender {
         }
     }
 
+    /// Send the bare SYN of a three-way handshake.
+    fn send_syn(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        let mut syn = Packet::control(ctx.host(), self.dst, self.flow, PacketKind::Data);
+        syn.flags = Flags::SYN;
+        syn.path = self.cfg.path;
+        ctx.send(syn);
+        self.arm_rto(ctx);
+    }
+
     fn update_rtt(&mut self, sample: Time) {
         match self.srtt {
             None => {
@@ -311,26 +318,15 @@ impl TcpSender {
                     let seq = self.snd_una;
                     self.send_segment(seq, ctx);
                 }
-            } else if !ece || !self.cfg.dctcp {
-                if self.cwnd < self.ssthresh {
-                    self.cwnd += newly.min(self.mss());
-                } else {
-                    self.cwnd += (self.mss() * self.mss() / self.cwnd).max(1);
-                }
+            } else if self.cwnd < self.ssthresh {
+                self.cwnd += newly.min(self.mss());
             } else {
-                // DCTCP still grows outside mark events.
-                if self.cwnd < self.ssthresh {
-                    self.cwnd += newly.min(self.mss());
-                } else {
-                    self.cwnd += (self.mss() * self.mss() / self.cwnd).max(1);
-                }
+                self.cwnd += (self.mss() * self.mss() / self.cwnd).max(1);
             }
             if self.snd_una >= self.cfg.size_bytes && !self.done {
                 self.done = true;
                 self.stats.completion_time = Some(ctx.now());
-                if let Some((comp, tok)) = self.cfg.notify {
-                    ctx.notify(comp, tok);
-                }
+                ctx.complete();
                 return;
             }
             self.send_available(ctx);
@@ -360,15 +356,7 @@ impl Endpoint for TcpSender {
         match self.cfg.handshake {
             Handshake::ThreeWay => {
                 self.state = State::SynSent;
-                let mut syn = Packet::control(ctx.host(), self.dst, self.flow, PacketKind::Data);
-                syn.kind = PacketKind::Data;
-                syn.size = HEADER_BYTES;
-                syn.payload = 0;
-                syn.flags = Flags::SYN;
-                syn.path = self.cfg.path;
-                syn.sent = ctx.now();
-                ctx.send(syn);
-                self.arm_rto(ctx);
+                self.send_syn(ctx);
             }
             Handshake::Tfo | Handshake::None => {
                 self.state = State::Established;
@@ -395,15 +383,7 @@ impl Endpoint for TcpSender {
             // Retransmit the SYN.
             self.backoff = (self.backoff * 2).min(64);
             self.stats.timeouts += 1;
-            let mut syn = Packet::control(ctx.host(), self.dst, self.flow, PacketKind::Data);
-            syn.kind = PacketKind::Data;
-            syn.size = HEADER_BYTES;
-            syn.payload = 0;
-            syn.flags = Flags::SYN;
-            syn.path = self.cfg.path;
-            syn.sent = ctx.now();
-            ctx.send(syn);
-            self.arm_rto(ctx);
+            self.send_syn(ctx);
             return;
         }
         if self.flight() == 0 {
@@ -440,47 +420,29 @@ impl Endpoint for TcpSender {
     }
 }
 
-/// The TCP receiver: cumulative ACKs with out-of-order buffering and
-/// per-packet DCTCP mark echo.
-pub struct TcpReceiver {
-    peer: HostId,
-    path: PathTag,
+/// One byte stream's reassembly buffer: the contiguous prefix received
+/// and the out-of-order segments above it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Reassembly {
     /// Highest contiguous byte received.
     rcv_nxt: u64,
     /// Out-of-order segments: start -> end.
     ooo: BTreeMap<u64, u64>,
-    total: Option<u64>,
-    pub payload_bytes: u64,
-    pub completion_time: Option<Time>,
-    pub first_arrival: Option<Time>,
-    notify: Option<(ComponentId, u64)>,
 }
 
-impl TcpReceiver {
-    pub fn new(peer: HostId, path: PathTag) -> TcpReceiver {
-        TcpReceiver {
-            peer,
-            path,
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            total: None,
-            payload_bytes: 0,
-            completion_time: None,
-            first_arrival: None,
-            notify: None,
-        }
+impl Reassembly {
+    pub(crate) fn rcv_nxt(&self) -> u64 {
+        self.rcv_nxt
     }
 
-    pub fn with_notify(mut self, comp: ComponentId, token: u64) -> TcpReceiver {
-        self.notify = Some((comp, token));
-        self
-    }
-
-    fn absorb(&mut self, start: u64, end: u64) {
-        if end <= self.rcv_nxt {
-            return;
+    /// Take segment `start..end`; returns how many bytes it made
+    /// contiguous.
+    pub(crate) fn absorb(&mut self, start: u64, end: u64) -> u64 {
+        let before = self.rcv_nxt;
+        if end <= before {
+            return 0;
         }
-        let start = start.max(self.rcv_nxt);
+        let start = start.max(before);
         self.ooo
             .insert(start, self.ooo.get(&start).copied().unwrap_or(0).max(end));
         // Advance rcv_nxt over any now-contiguous segments.
@@ -494,11 +456,38 @@ impl TcpReceiver {
                 break;
             }
         }
+        self.rcv_nxt - before
+    }
+}
+
+/// The TCP receiver: cumulative ACKs with out-of-order buffering and
+/// per-packet DCTCP mark echo.
+pub struct TcpReceiver {
+    peer: HostId,
+    path: PathTag,
+    stream: Reassembly,
+    total: Option<u64>,
+    pub payload_bytes: u64,
+    pub completion_time: Option<Time>,
+    pub first_arrival: Option<Time>,
+}
+
+impl TcpReceiver {
+    pub fn new(peer: HostId, path: PathTag) -> TcpReceiver {
+        TcpReceiver {
+            peer,
+            path,
+            stream: Reassembly::default(),
+            total: None,
+            payload_bytes: 0,
+            completion_time: None,
+            first_arrival: None,
+        }
     }
 
     fn send_ack(&mut self, data: &Packet, ctx: &mut EndpointCtx<'_, '_>) {
         let mut ack = Packet::control(ctx.host(), self.peer, data.flow, PacketKind::Ack);
-        ack.ack = Packet::ack32(self.rcv_nxt);
+        ack.ack = Packet::ack32(self.stream.rcv_nxt());
         ack.seq = data.seq;
         ack.subflow = data.subflow;
         ack.path = self.path;
@@ -532,10 +521,8 @@ impl Endpoint for TcpReceiver {
         }
         let start = u64::from(pkt.seq);
         let end = start + pkt.payload as u64;
-        let before = self.rcv_nxt;
-        self.absorb(start, end);
-        if self.rcv_nxt > before {
-            let delivered = self.rcv_nxt - before;
+        let delivered = self.stream.absorb(start, end);
+        if delivered > 0 {
             self.payload_bytes += delivered;
             ctx.account_delivered(delivered);
         }
@@ -544,13 +531,9 @@ impl Endpoint for TcpReceiver {
         }
         self.send_ack(&pkt, ctx);
         if let Some(total) = self.total {
-            if self.rcv_nxt >= total && self.completion_time.is_none() {
+            if self.stream.rcv_nxt() >= total && self.completion_time.is_none() {
                 self.completion_time = Some(ctx.now());
-                let fct = self.first_arrival.map_or(Time::ZERO, |t| ctx.now() - t);
-                ctx.complete(self.payload_bytes, fct);
-                if let Some((comp, tok)) = self.notify {
-                    ctx.notify(comp, tok);
-                }
+                ctx.complete();
             }
         }
     }
@@ -580,13 +563,8 @@ pub fn attach_tcp_flow(
     cfg: TcpCfg,
     start: Time,
 ) {
-    let path = cfg.path;
-    let notify = cfg.notify;
+    let receiver = TcpReceiver::new(src.1, cfg.path);
     let sender = TcpSender::new(flow, dst.1, cfg);
-    let mut receiver = TcpReceiver::new(src.1, path);
-    if let Some((comp, tok)) = notify {
-        receiver = receiver.with_notify(comp, tok);
-    }
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
@@ -635,7 +613,6 @@ impl ndp_transport::Transport for TcpTransport {
         };
         cfg.mtu = mtu;
         cfg.path = ndp_transport::flow_hash_path(spec.flow);
-        cfg.notify = spec.notify;
         attach_tcp_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
 }
@@ -869,17 +846,17 @@ mod tests {
 
     #[test]
     fn receiver_reassembles_out_of_order() {
-        let mut r = TcpReceiver::new(0, 0);
+        let mut r = Reassembly::default();
         r.absorb(8936, 17872);
-        assert_eq!(r.rcv_nxt, 0);
+        assert_eq!(r.rcv_nxt(), 0);
         r.absorb(0, 8936);
-        assert_eq!(r.rcv_nxt, 17872);
+        assert_eq!(r.rcv_nxt(), 17872);
         r.absorb(26808, 35744);
         r.absorb(17872, 26808);
-        assert_eq!(r.rcv_nxt, 35744);
+        assert_eq!(r.rcv_nxt(), 35744);
         // Duplicate and overlapping segments are harmless.
         r.absorb(0, 8936);
         r.absorb(30000, 35744);
-        assert_eq!(r.rcv_nxt, 35744);
+        assert_eq!(r.rcv_nxt(), 35744);
     }
 }

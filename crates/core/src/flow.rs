@@ -26,10 +26,7 @@ pub fn attach_flow(
     } else {
         PullPriority::Normal
     };
-    let mut receiver = NdpReceiver::new(src.1).with_priority(prio);
-    if let Some((comp, tok)) = cfg.notify {
-        receiver = receiver.with_notify(comp, tok);
-    }
+    let receiver = NdpReceiver::new(src.1).with_priority(prio);
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 

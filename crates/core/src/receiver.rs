@@ -15,7 +15,7 @@ use std::any::Any;
 
 use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, PullPriority};
 use ndp_net::packet::{Flags, HostId, Packet, PacketKind};
-use ndp_sim::{ComponentId, Time};
+use ndp_sim::Time;
 use ndp_transport::SeqWindow;
 
 /// Receiver-side counters.
@@ -43,7 +43,6 @@ pub struct NdpReceiver {
     received: SeqWindow<bool>,
     received_count: u64,
     done: bool,
-    notify: Option<(ComponentId, u64)>,
     trace_latency: bool,
     pub stats: NdpReceiverStats,
 }
@@ -57,7 +56,6 @@ impl NdpReceiver {
             received: SeqWindow::new(false, true, 0),
             received_count: 0,
             done: false,
-            notify: None,
             trace_latency: false,
             stats: NdpReceiverStats::default(),
         }
@@ -71,21 +69,10 @@ impl NdpReceiver {
         self
     }
 
-    pub fn with_notify(mut self, comp: ComponentId, token: u64) -> NdpReceiver {
-        self.notify = Some((comp, token));
-        self
-    }
-
     /// Record per-packet delivery latencies (Figure 4).
     pub fn with_latency_trace(mut self) -> NdpReceiver {
         self.trace_latency = true;
         self
-    }
-
-    /// Flow completion time measured at the receiver (first arrival →
-    /// all data received).
-    pub fn fct(&self) -> Option<Time> {
-        Some(self.stats.completion_time? - self.stats.first_arrival?)
     }
 
     fn mark(&mut self, seq: u64) -> bool {
@@ -105,14 +92,7 @@ impl NdpReceiver {
         // connection id into time-wait (§3.2.2 at-most-once semantics).
         ctx.pull_cancel();
         ctx.enter_time_wait();
-        let fct = self
-            .stats
-            .first_arrival
-            .map_or(Time::ZERO, |t| ctx.now() - t);
-        ctx.complete(self.stats.payload_bytes, fct);
-        if let Some((comp, tok)) = self.notify {
-            ctx.notify(comp, tok);
-        }
+        ctx.complete();
     }
 
     fn reply(&self, kind: PacketKind, data: &Packet, ctx: &mut EndpointCtx<'_, '_>) {

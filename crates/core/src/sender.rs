@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, NDP_RTO};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
-use ndp_sim::{ComponentId, FxHashSet, Time};
+use ndp_sim::{FxHashSet, Time};
 use ndp_transport::SeqWindow;
 
 use crate::path::PathSet;
@@ -67,8 +67,6 @@ pub struct NdpFlowCfg {
     pub path_penalty: bool,
     /// Receiver pulls this flow with strict priority.
     pub high_priority: bool,
-    /// Completion notification: (component, token) woken when done.
-    pub notify: Option<(ComponentId, u64)>,
 }
 
 impl NdpFlowCfg {
@@ -80,7 +78,6 @@ impl NdpFlowCfg {
             n_paths: 1,
             path_penalty: true,
             high_priority: false,
-            notify: None,
         }
     }
 
@@ -296,9 +293,7 @@ impl NdpSender {
             if self.acked_count == self.total_pkts && !self.done {
                 self.done = true;
                 self.stats.completion_time = Some(ctx.now());
-                if let Some((comp, tok)) = self.cfg.notify {
-                    ctx.notify(comp, tok);
-                }
+                ctx.complete();
             }
         }
     }
@@ -393,7 +388,7 @@ impl NdpSender {
 impl Endpoint for NdpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         // Idempotent: trigger chains can deliver duplicate start wakes
-        // (both ends of the predecessor flow notify its completion). The
+        // (both ends of the predecessor flow report its completion). The
         // initial window is already out; restarting would push `next_new`
         // past `total_pkts` and send phantom sequences.
         if self.stats.start_time.is_some() {

@@ -51,7 +51,6 @@ impl Transport for NdpTransport {
         cfg.n_paths = n_paths;
         cfg.path_penalty = self.path_penalty;
         cfg.high_priority = spec.prio;
-        cfg.notify = spec.notify;
         if let Some(iw) = spec.iw {
             cfg.iw_pkts = iw;
         }

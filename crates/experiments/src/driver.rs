@@ -11,17 +11,17 @@
 //! [`RpcDriver`] walks the source *inside* simulated time on one self-wake
 //! chain: at a request's arrival instant it attaches every shard leg
 //! through the engine's deferred-op queue (a flow costs nothing before it
-//! arrives), each leg's `FlowSpec.notify` points back at the driver, and a
-//! finished leg is detached on the spot, so live state is O(requests in
+//! arrives). It watches every host, so a leg's `complete()` wakes it, and
+//! a finished leg is detached on the spot, so live state is O(requests in
 //! flight), never O(requests ever offered). A request is done when its
 //! *last* flow is — optionally after a sequential response flow — and
 //! closed-loop tenants are self-clocked: each completion asks the source
 //! for the chain's next request.
 //!
-//! `run_driven` is the one point runner: seeded world, fabric, a
-//! totals-only completion sink on every host, the caller's set-up hook,
-//! the driver, opt-in telemetry, then the world stepped in chunks with
-//! each chunk's measured completions streamed to the caller's batch sink.
+//! `run_driven` is the one point runner: seeded world, fabric, the
+//! caller's set-up hook, the driver, opt-in telemetry, then the world
+//! stepped in chunks with each chunk's measured completions streamed to
+//! the caller's batch sink.
 //! A run has three phases — `warmup` (arrivals happen unmeasured while
 //! queues reach steady state), measurement up to `arrivals_end`, and a
 //! `drain` that is a cap, not a horizon: the run ends as soon as the
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use ndp_net::flight::FlightRecorder;
 use ndp_net::packet::{FlowId, HostId, Packet};
-use ndp_net::{CompletionSink, Host};
+use ndp_net::Host;
 use ndp_sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
 use ndp_telemetry::span::{push_request, push_span};
 use ndp_telemetry::{FlowSpan, RequestSpan, TelemetryConfig};
@@ -235,6 +235,10 @@ pub struct RpcDriver {
     pub measured_per_tenant: Vec<u64>,
     pub peak_live_requests: usize,
     pub peak_live_flows: usize,
+    /// Flows finished so far, and the payload bytes their detach harvests
+    /// reported.
+    finished: u64,
+    delivered_bytes: u64,
     /// Attach override; `None` = the generic per-protocol path.
     attach: Option<AttachFn>,
     spans: Option<ndp_telemetry::SpanLog>,
@@ -243,9 +247,10 @@ pub struct RpcDriver {
 }
 
 impl RpcDriver {
-    /// Install a driver over a request source and arm its first wake.
-    /// Seeds every closed-loop tenant's initial chains, then pulls the
-    /// open-loop stream lazily.
+    /// Install a driver over a request source, make it the watcher of
+    /// every host of `topo`, and arm its first wake. Seeds every
+    /// closed-loop tenant's initial chains, then pulls the open-loop
+    /// stream lazily.
     pub fn install_into(
         world: &mut World<Packet>,
         proto: Proto,
@@ -263,6 +268,9 @@ impl RpcDriver {
             .chain(pending_closed.peek().map(|Reverse(r)| r))
             .map(|r| r.start_ps)
             .min();
+        let hosts: Vec<_> = (0..topo.n_hosts())
+            .map(|h| topo.host(h as HostId))
+            .collect();
         let id = world.add(RpcDriver {
             proto,
             topo,
@@ -280,11 +288,16 @@ impl RpcDriver {
             measured_per_tenant: Vec::new(),
             peak_live_requests: 0,
             peak_live_flows: 0,
+            finished: 0,
+            delivered_bytes: 0,
             attach: None,
             spans: None,
             requests_log: None,
             live_gauge: None,
         });
+        for host in hosts {
+            world.get_mut::<Host>(host).set_watcher(id);
+        }
         if let Some(at) = first {
             world.post_wake(Time::from_ps(at), id, SPAWN_TICK);
         }
@@ -413,7 +426,6 @@ impl RpcDriver {
         self.publish_live();
         let mut spec = FlowSpec::new(flow, fl.src, fl.dst, fl.bytes);
         spec.start = start;
-        spec.notify = Some((ctx.self_id(), flow));
         match &self.attach {
             Some(f) => {
                 let f = Arc::clone(f);
@@ -435,8 +447,9 @@ impl RpcDriver {
     /// One of a request's flows completed: detach it, advance the fan-in.
     fn finish(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Packet>) {
         let Some(fr) = self.flows.remove(&flow) else {
-            return; // duplicate notify — already retired
+            return; // the flow's other end finished it already
         };
+        self.finished += 1;
         self.publish_live();
         let src = self.topo.host(fr.src);
         let dst = self.topo.host(fr.dst);
@@ -444,8 +457,10 @@ impl RpcDriver {
         let slowdown = (ctx.now() - fr.start).as_ps() as f64 / ideal.as_ps() as f64;
         let spans = self.spans.clone();
         let tagged = self.requests_log.is_some();
+        let me = ctx.self_id();
         ctx.defer(move |w| {
             let harvest = detach_endpoints(w, src, dst, flow);
+            w.get_mut::<RpcDriver>(me).delivered_bytes += harvest.delivered_bytes;
             if let Some(log) = spans {
                 let mut span = fr.span(flow, tagged);
                 span.slowdown = slowdown;
@@ -574,7 +589,7 @@ pub(crate) struct Driven {
     pub measured_per_tenant: Vec<u64>,
     /// Tenant of each measured request still live at the drain cap.
     pub stuck: Vec<u32>,
-    /// Payload bytes of completed flows, from the world-level sink.
+    /// Payload bytes of completed flows, summed from their detach harvests.
     pub delivered_bytes: u64,
     pub peak_live_flows: usize,
     pub peak_live_requests: usize,
@@ -607,15 +622,6 @@ pub(crate) fn run_driven(
         None => World::new(spec.seed),
     };
     let topo: Arc<dyn Topology> = Arc::from(spec.topo.build(&mut world, spec.proto.fabric()));
-    // Totals-only: the runner consumes the sink's delivered-bytes
-    // accounting, while per-flow samples come from the driver — no
-    // per-record buffer to churn.
-    let sink = world.add(CompletionSink::totals_only());
-    for h in 0..topo.n_hosts() {
-        world
-            .get_mut::<Host>(topo.host(h as HostId))
-            .set_completion_sink(sink);
-    }
     let live_components_baseline = world.live_components();
     let tele = ndp_telemetry::session::active();
     let (source, inst) = setup(&mut world, &topo, tele);
@@ -679,11 +685,6 @@ pub(crate) fn run_driven(
         // memory through the whole measure + drain tail.
         world.shrink_idle();
     }
-    let (completed_flows, delivered_bytes) = {
-        let s = world.get::<CompletionSink>(sink);
-        (s.total_flows, s.total_bytes)
-    };
-
     // Whatever is still live at the cap is incomplete: detach the flows
     // (as `stuck` spans) so the world drains back to its pre-traffic
     // component population, and log the requests as never completed —
@@ -701,15 +702,15 @@ pub(crate) fn run_driven(
         measured: d.measured_arrivals,
         measured_per_tenant: std::mem::take(&mut d.measured_per_tenant),
         stuck: Vec::new(),
-        delivered_bytes,
+        delivered_bytes: d.delivered_bytes,
         peak_live_flows: d.peak_live_flows,
         peak_live_requests: d.peak_live_requests,
         live_components_baseline,
     };
     debug_assert_eq!(
-        completed_flows + flows.len() as u64,
+        d.finished + flows.len() as u64,
         d.next_flow - 1,
-        "sink reports must account for every non-straggler flow"
+        "every started flow must have finished or be a straggler"
     );
     for (flow, fr) in flows {
         let harvest = detach_endpoints(&mut world, topo.host(fr.src), topo.host(fr.dst), flow);

@@ -143,7 +143,6 @@ fn run_stack(stack: Stack, n_rpcs: usize) -> Cdf {
                 let mut cfg = ndp_baselines::tcp::TcpCfg::new(spec.size);
                 cfg.mtu = 1500;
                 cfg.handshake = handshake;
-                cfg.notify = spec.notify;
                 ndp_baselines::tcp::attach_tcp_flow(
                     w,
                     spec.flow,

@@ -7,7 +7,7 @@
 //! MPTCP greedily fills the 200-packet buffers.
 
 use ndp_metrics::{Cdf, Table};
-use ndp_net::host::start_token;
+use ndp_net::host::{start_token, Host};
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_topology::{FatTree, FatTreeCfg};
@@ -51,12 +51,16 @@ fn probe_fcts(proto: Proto, scale: Scale, seed: u64) -> Cdf {
         Scale::Paper => 60,
         Scale::Quick => 15,
     };
+    // Only the probe hosts are watched: background flows that finish
+    // inside the horizon must not wake the trigger.
     let trig: ComponentId = world.reserve();
+    for probe in [probe_a, probe_b] {
+        world.get_mut::<Host>(ft.hosts[probe]).set_watcher(trig);
+    }
     let mut trigger = Trigger::new();
     for i in 0..n_probes {
         let flow = i as u64 + 1;
         let mut spec = FlowSpec::new(flow, probe_a as HostId, probe_b as HostId, 90_000);
-        spec.notify = Some((trig, flow));
         spec.start = if i == 0 { Time::from_ms(1) } else { Time::MAX };
         attach_on(&mut world, &ft, proto, &spec);
         if i + 1 < n_probes {

@@ -9,7 +9,7 @@
 //! collapse: packets that clear the ToR almost always reach the receiver.
 
 use ndp_metrics::{Cdf, Table};
-use ndp_net::host::start_token;
+use ndp_net::host::{start_token, Host};
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
 use ndp_sim::{ComponentId, Time, World};
@@ -48,6 +48,9 @@ fn trial(proto: Proto, scale: Scale, conns_per_host: usize, seed: u64) -> LoadRe
         Scale::Quick => 6,
     };
     let trig: ComponentId = world.reserve();
+    for &host in &ft.hosts {
+        world.get_mut::<Host>(host).set_watcher(trig);
+    }
     let mut trigger = Trigger::new();
     let mut flow_id = 1u64;
     // (flow, dst, Ok(first start) | Err((predecessor, gap)))
@@ -62,7 +65,6 @@ fn trial(proto: Proto, scale: Scale, conns_per_host: usize, seed: u64) -> LoadRe
                 let size = dist.sample(&mut rng).max(64);
                 let gap = Time::from_ps(closed_loop_gap_ps(1_000_000_000, &mut rng));
                 let mut spec = FlowSpec::new(flow_id, host as HostId, dst as HostId, size);
-                spec.notify = Some((trig, flow_id));
                 spec.start = if j == 0 {
                     Time::from_ps(rand::Rng::gen_range(&mut rng, 0..1_000_000_000u64))
                 } else {

@@ -826,8 +826,7 @@ impl crate::registry::Experiment for RpcTenantMix {
 mod tests {
     use super::*;
     use crate::driver::RpcDriver;
-    use ndp_net::packet::{HostId, Packet};
-    use ndp_net::{CompletionSink, Host};
+    use ndp_net::packet::Packet;
     use ndp_sim::World;
     use std::sync::Arc;
 
@@ -873,12 +872,6 @@ mod tests {
         let mut world: World<Packet> = World::new(point.seed);
         let topo: Arc<dyn Topology> = Arc::from(point.topo.build(&mut world, point.proto.fabric()));
         let n = topo.n_hosts();
-        let sink = world.add(CompletionSink::totals_only());
-        for h in 0..n {
-            world
-                .get_mut::<Host>(topo.host(h as HostId))
-                .set_completion_sink(sink);
-        }
         let arrivals_end = point.warmup + point.measure;
         let mix = resolve_mix(&point.tenants, topo.as_ref());
         let workload = RpcWorkload::new(n, mix, point.seed ^ 0x52BC, arrivals_end.as_ps());

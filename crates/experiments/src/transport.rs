@@ -6,7 +6,8 @@
 //!
 //! 1. next to the new sender/receiver, override `Endpoint::harvest` on
 //!    each (the receiver reports delivery, the sender its recovery
-//!    tallies) and implement [`Transport`]'s `label`/`fabric`/`attach`,
+//!    tallies), call `ctx.complete()` once when the flow is done, and
+//!    implement [`Transport`]'s `label`/`fabric`/`attach`,
 //!    the last ending in one `ndp_transport::attach_endpoints` call (see
 //!    `ndp_baselines::phost` for a template, or `ndp_core::transport` for
 //!    a multi-variant one), exposed as a `static`;
@@ -118,17 +119,20 @@ mod tests {
     }
 
     /// Attach one `size`-byte flow per `(flow, src)` to host 15 of a k=4
-    /// FatTree on `proto`'s fabric through the registry adapter, run to
-    /// `horizon`, then retire every flow. Checks each detach result equals
-    /// `rx.harvest().merge(tx.harvest())` read just before it, that a second
-    /// detach is an empty no-op and that no endpoint is left behind.
-    /// Returns each flow's detach harvest.
+    /// FatTree on `proto`'s fabric through the registry adapter, with one
+    /// `Trigger` watching every host, run to `horizon`, then retire every
+    /// flow. Checks each detach result equals `rx.harvest().merge(tx.harvest())`
+    /// read just before it, that the watcher first fired for the flow at its
+    /// `completion_time` (and, for blast, never), that a second detach is an
+    /// empty no-op and that no endpoint is left behind. Returns each flow's
+    /// detach harvest.
     fn run_and_detach(
         proto: Proto,
         flows: &[(u64, u32)],
         size: u64,
         horizon: ndp_sim::Time,
     ) -> Vec<FlowHarvest> {
+        use crate::harness::Trigger;
         use ndp_net::{Host, Packet};
         use ndp_sim::World;
         use ndp_topology::{FatTree, FatTreeCfg};
@@ -136,6 +140,10 @@ mod tests {
         let cfg = FatTreeCfg::new(4).with_fabric(proto.fabric());
         let mut w: World<Packet> = World::new(7);
         let ft = FatTree::build(&mut w, cfg);
+        let watcher = w.add(Trigger::new());
+        for host in &ft.hosts {
+            w.get_mut::<Host>(*host).set_watcher(watcher);
+        }
         let (dst, t) = (ft.hosts[15], proto.transport());
         for &(flow, src) in flows {
             let spec = FlowSpec::new(flow, src, 15, size);
@@ -151,6 +159,10 @@ mod tests {
             let halves = halves.merge(w.get::<Host>(src).harvest(flow));
             let h = detach_endpoints(&mut w, src, dst, flow);
             assert_eq!(h, halves, "{proto:?} flow {flow}: detach = rx + tx");
+            let fired = w.get::<Trigger>(watcher).fired_at(flow);
+            let msg = format!("{proto:?} flow {flow}: first watcher wake");
+            assert_eq!(fired, h.completion_time, "{msg}");
+            assert_eq!(fired.is_some(), proto != Proto::Blast, "{msg}");
             // Detaching again is a harmless no-op with an empty harvest.
             let again = t.detach(&mut w, src, dst, flow);
             assert_eq!(again, FlowHarvest::default(), "{proto:?} re-detach");

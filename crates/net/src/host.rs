@@ -385,9 +385,8 @@ struct HostCore {
     time_wait_order: VecDeque<(FlowId, Time)>,
     /// Optional goodput trace: (bucket width, delivered bytes per bucket).
     rx_trace: Option<(Time, Vec<u64>)>,
-    /// World-level [`crate::completion::CompletionSink`], if the harness
-    /// registered one; completing endpoints report through it.
-    completion_sink: Option<ComponentId>,
+    /// The component [`EndpointCtx::complete`] wakes, if any.
+    watcher: Option<ComponentId>,
     /// Same-tick transmit burst being assembled during one endpoint
     /// dispatch. All packets share the NIC target and `tx_delay`, so the
     /// whole window goes out as one scheduler train instead of one post
@@ -562,33 +561,13 @@ impl<'a, 'b> EndpointCtx<'a, 'b> {
         }
     }
 
-    /// Completion (or other milestone) notification to a harness component.
-    pub fn notify(&mut self, target: ComponentId, token: u64) {
+    /// This endpoint's flow is done: wake the host's watcher, if it has
+    /// one, now, with the flow id as the token.
+    pub fn complete(&mut self) {
         self.core.flush_tx(self.sim);
-        self.sim.wake_other(target, Time::ZERO, token);
-    }
-
-    /// Report this flow as finished to the world-level
-    /// [`crate::completion::CompletionSink`], if the harness registered
-    /// one (no-op otherwise). `fct` is the receiver-measured completion
-    /// time; the record lands in the sink through the engine's deferred-op
-    /// queue, immediately after the current dispatch.
-    pub fn complete(&mut self, delivered_bytes: u64, fct: Time) {
-        self.core.flush_tx(self.sim);
-        let Some(sink) = self.core.completion_sink else {
-            return;
-        };
-        let rec = crate::completion::FlowDone {
-            flow: self.flow,
-            host: self.core.id,
-            completed_at: self.sim.now(),
-            fct,
-            delivered_bytes,
-        };
-        self.sim.defer(move |w| {
-            w.get_mut::<crate::completion::CompletionSink>(sink)
-                .record(rec);
-        });
+        if let Some(watcher) = self.core.watcher {
+            self.sim.wake_other(watcher, Time::ZERO, self.flow);
+        }
     }
 
     /// Enter time-wait: reject duplicate connection attempts for one MSL
@@ -640,7 +619,7 @@ impl Host {
                 time_wait: FxHashMap::default(),
                 time_wait_order: VecDeque::new(),
                 rx_trace: None,
-                completion_sink: None,
+                watcher: None,
                 tx_train: Vec::new(),
                 stats: HostStats::default(),
             },
@@ -683,10 +662,9 @@ impl Host {
         &self.core.stats
     }
 
-    /// Route completion reports from this host's endpoints to a
-    /// world-level [`crate::completion::CompletionSink`].
-    pub fn set_completion_sink(&mut self, sink: ComponentId) {
-        self.core.completion_sink = Some(sink);
+    /// Have [`EndpointCtx::complete`] wake `watcher` with the flow id.
+    pub fn set_watcher(&mut self, watcher: ComponentId) {
+        self.core.watcher = Some(watcher);
     }
 
     pub fn add_endpoint(&mut self, flow: FlowId, ep: Box<dyn Endpoint>) {
@@ -1198,36 +1176,55 @@ mod tests {
     }
 
     #[test]
-    fn completion_reports_reach_the_world_sink() {
-        use crate::completion::CompletionSink;
+    fn complete_flushes_sends_then_wakes_the_watcher() {
+        /// Logs what reaches it in delivery order: `None` for a packet,
+        /// `Some(token)` for a wake. Serves as both NIC and watcher.
+        #[derive(Default)]
+        struct Log(Vec<(Time, Option<u64>)>);
+        impl Component<Packet> for Log {
+            fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
+                let tok = match ev {
+                    Event::Msg(_) => None,
+                    Event::Wake(tok) => Some(tok),
+                };
+                self.0.push((ctx.now(), tok));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
         struct Finisher;
         impl Endpoint for Finisher {
             fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
             fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
-                ctx.complete(pkt.payload as u64, Time::from_us(3));
+                ctx.send(Packet::control(4, pkt.src, pkt.flow, PacketKind::Ack));
+                ctx.complete();
             }
             fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
             fn as_any(&self) -> &dyn Any {
                 self
             }
         }
-        let mut w: World<Packet> = World::new(9);
-        let nic = w.add(NicSink { got: vec![] });
-        let sink = w.add(CompletionSink::new());
-        let mut h = Host::new(4, nic, Speed::gbps(10), 9000);
-        h.set_completion_sink(sink);
-        h.add_endpoint(7, Box::new(Finisher));
-        let host = w.add(h);
-        w.post(Time::from_us(1), host, Packet::data(1, 4, 7, 0, 9000));
-        w.run_until_idle();
-        let s = w.get::<CompletionSink>(sink);
-        assert_eq!(s.total_flows, 1);
-        let recs = w.get_mut::<CompletionSink>(sink).take_done();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].flow, 7);
-        assert_eq!(recs[0].host, 4);
-        assert_eq!(recs[0].completed_at, Time::from_us(1));
-        assert_eq!(recs[0].fct, Time::from_us(3));
+        let run = |watched: bool| {
+            let mut w: World<Packet> = World::new(9);
+            let log = w.add(Log::default());
+            let mut h = Host::new(4, log, Speed::gbps(10), 9000);
+            if watched {
+                h.set_watcher(log);
+            }
+            h.add_endpoint(7, Box::new(Finisher));
+            let host = w.add(h);
+            w.post(Time::from_us(1), host, Packet::data(1, 4, 7, 0, 9000));
+            w.run_until_idle();
+            w.get::<Log>(log).0.clone()
+        };
+        let t = Time::from_us(1);
+        // The ACK sent just before `complete()` reaches the NIC first.
+        assert_eq!(run(true), vec![(t, None), (t, Some(7))]);
+        assert_eq!(run(false), vec![(t, None)], "unwatched: no wake");
     }
 
     #[test]

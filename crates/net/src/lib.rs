@@ -22,8 +22,9 @@
 //! Hosts own transport endpoints (state machines implementing
 //! [`host::Endpoint`]) plus the NDP receiver machinery that is shared by all
 //! connections terminating at a host: the single pull queue and its pacer.
+//! An endpoint says its flow is done with [`EndpointCtx::complete`], which
+//! wakes the host's watcher component, if one is set, with the flow id.
 
-pub mod completion;
 pub mod discipline;
 pub mod flight;
 pub mod host;
@@ -32,7 +33,6 @@ pub mod packet;
 pub mod queue;
 pub mod switch;
 
-pub use completion::{CompletionSink, FlowDone};
 pub use discipline::Discipline;
 pub use flight::{FlightFilter, FlightHook, FlightRecorder, HopKind, HopRecord};
 pub use host::{Endpoint, EndpointCtx, FlowHarvest, Host, HostLatency, PullPriority};

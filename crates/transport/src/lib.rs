@@ -4,9 +4,11 @@
 //! transport under test — NDP itself and each baseline — implements one
 //! object-safe [`Transport`] trait: its label, which fabric it runs over,
 //! and how to attach a flow described by a [`FlowSpec`]. Results need no
-//! per-protocol code: each endpoint reports its half of a [`FlowHarvest`]
-//! through `Endpoint::harvest`, and [`detach_endpoints`] retires a flow
-//! and merges the halves. Experiment harnesses hold `&dyn Transport` and
+//! per-protocol code: an endpoint calls `EndpointCtx::complete` when its
+//! flow is done, which wakes its host's watcher with the flow id; each
+//! endpoint reports its half of a [`FlowHarvest`] through
+//! `Endpoint::harvest`, and [`detach_endpoints`] retires a flow and merges
+//! the halves. Experiment harnesses hold `&dyn Transport` and
 //! never know which protocol they are driving, so adding a protocol is a
 //! single impl next to its sender/receiver plus one registry line in
 //! `ndp-experiments` — no cross-cutting `match` edits.
@@ -40,8 +42,6 @@ pub struct FlowSpec {
     pub start: Time,
     /// Receiver-side pull prioritization (NDP §3.2.2).
     pub prio: bool,
-    /// Wake `(component, token)` when the flow completes.
-    pub notify: Option<(ComponentId, u64)>,
     /// Override the transport's initial window in packets (None = its
     /// default; NDP's paper default is 30).
     pub iw: Option<u64>,
@@ -56,7 +56,6 @@ impl FlowSpec {
             size,
             start: Time::ZERO,
             prio: false,
-            notify: None,
             iw: None,
         }
     }
@@ -171,6 +170,6 @@ mod tests {
     fn flow_spec_defaults() {
         let s = FlowSpec::new(1, 2, 3, 100);
         assert_eq!(s.start, Time::ZERO);
-        assert!(!s.prio && s.notify.is_none() && s.iw.is_none());
+        assert!(!s.prio && s.iw.is_none());
     }
 }

@@ -10,8 +10,11 @@ NDP_THREADS=1 and then 7, drops the two wall-clock fields (`run.wall_ms`,
 `run.events_per_sec`) and prints one line per document: its sha256 digest on
 each side. With `--trace` every run also writes `--trace <tmp>.ndjson`, the
 document carries its `telemetry` block, and the NDJSON export gets a digest
-line of its own. Exits 1 naming every document or export whose digests
-differ, 0 when all match. The same dir twice is a self-pair (CI runs one).
+line of its own. Under each document or export whose digests differ it
+prints up to 20 `path: parent → change` lines, the JSON paths whose leaf
+values differ (an NDJSON export is compared line by line, `[i]` being line
+i). Exits 1 naming every document or export whose digests differ, 0 when all
+match. The same dir twice is a self-pair (CI runs one).
 
 The default ids are every experiment both sides' `ndp list` registers, minus
 SLOW (those over 60 s at quick scale); an id only one side registers is named
@@ -41,6 +44,7 @@ import tempfile
 SLOW = {"fig15"}
 THREADS = (1, 7)
 WALL_FIELDS = ("wall_ms", "events_per_sec")
+MOVED_LINES = 20
 # Knobs that would make the child a different program.
 KNOBS = ("NDP_SCHED", "NDP_SCALE", "NDP_TOPO")
 
@@ -57,6 +61,28 @@ def normalise(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
+def leaves(value, path=""):
+    """(path, canonical JSON) of every leaf of a JSON value, depth first."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(value)
+
+
+def moved(parent, change):
+    """`path: parent → change` for every leaf that differs; a leaf only
+    one side has reads `<absent>` on the other."""
+    p, c = dict(leaves(parent)), dict(leaves(change))
+    paths = list(p) + [k for k in c if k not in p]
+    absent = "<absent>"
+    return [f"{k}: {p.get(k, absent)} → {c.get(k, absent)}"
+            for k in paths if p.get(k) != c.get(k)]
+
+
 def registered(target_dir):
     """The ids `ndp list` prints (its first column), in registry order."""
     out = subprocess.run([os.path.join(target_dir, "release", "ndp"), "list"],
@@ -65,17 +91,20 @@ def registered(target_dir):
 
 
 def render(target_dir, exp, threads, trace_path):
-    """Digests of one run: {"doc": ..., "trace": ...} (trace only if asked)."""
+    """One run's {"doc": ..., "trace": ...} (trace only if asked), each a
+    (digest, parsed JSON) pair; the trace parses to its list of lines."""
     cmd = [os.path.join(target_dir, "release", "ndp"), "run", exp, "--scale", "quick", "--json"]
     if trace_path:
         cmd += ["--trace", trace_path]
     env = {k: v for k, v in os.environ.items() if k not in KNOBS}
     env["NDP_THREADS"] = str(threads)
     out = subprocess.run(cmd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True)
-    got = {"doc": digest(normalise(json.loads(out.stdout)))}
+    doc = json.loads(out.stdout)
+    got = {"doc": (digest(normalise(doc)), doc)}
     if trace_path:
         with open(trace_path, "rb") as f:
-            got["trace"] = digest(f.read())
+            data = f.read()
+        got["trace"] = (digest(data), [json.loads(line) for line in data.splitlines() if line.strip()])
     return got
 
 
@@ -108,12 +137,17 @@ def main():
                     trace = os.path.join(tmp, f"{side}.ndjson") if args.trace else None
                     got[side] = render(getattr(args, side), exp, threads, trace)
                 for kind in got["parent"]:
-                    p, c = got["parent"][kind], got["change"][kind]
+                    (p, p_json), (c, c_json) = got["parent"][kind], got["change"][kind]
                     name = f"{exp} {kind} NDP_THREADS={threads}"
                     verdict = "same" if p == c else "DIFFERS"
                     print(f"{name:<40} parent {p}  change {c}  {verdict}", flush=True)
                     if p != c:
                         differ.append(name)
+                        lines = moved(p_json, c_json)
+                        for line in lines[:MOVED_LINES]:
+                            print(f"    {line}")
+                        if len(lines) > MOVED_LINES:
+                            print(f"    ... and {len(lines) - MOVED_LINES} more")
     if differ:
         print(f"{len(differ)} differ: {'; '.join(differ)}")
         return 1

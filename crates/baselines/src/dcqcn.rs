@@ -22,27 +22,32 @@ const TICK: u8 = 1;
 const ALPHA_TIMER: u8 = 2;
 const INCREASE_TIMER: u8 = 3;
 
-/// DCQCN parameters (DCQCN paper defaults scaled to 10 Gb/s).
+// DCQCN's parameters: the DCQCN paper's defaults, scaled to 10 Gb/s.
+
+/// The RP's start and ceiling rate: the 10 Gb/s line rate.
+const LINE_RATE: Speed = Speed::gbps(10);
+/// The RP's rate floor.
+const MIN_RATE: Speed = Speed::mbps(10);
+/// EWMA gain for `alpha`.
+const G: f64 = 1.0 / 16.0;
+/// NP-side minimum CNP spacing.
+const CNP_INTERVAL: Time = Time::from_us(50);
+/// RP-side alpha decay timer period.
+const ALPHA_INTERVAL: Time = Time::from_us(55);
+/// RP-side rate increase timer period.
+const INCREASE_INTERVAL: Time = Time::from_us(300);
+/// Fast-recovery stages before additive increase.
+const STAGES: u32 = 5;
+/// Additive increase step.
+const RAI: Speed = Speed::mbps(40);
+/// Hyper increase step (after `STAGES` further stages).
+const RHAI: Speed = Speed::mbps(400);
+
+/// A DCQCN flow.
 #[derive(Clone, Debug)]
 pub struct DcqcnCfg {
     pub size_bytes: u64,
     pub mtu: u32,
-    pub line_rate: Speed,
-    pub min_rate: Speed,
-    /// EWMA gain for alpha.
-    pub g: f64,
-    /// NP-side minimum CNP spacing.
-    pub cnp_interval: Time,
-    /// RP-side alpha decay timer.
-    pub alpha_timer: Time,
-    /// RP-side rate increase timer.
-    pub increase_timer: Time,
-    /// Fast-recovery stages before additive increase.
-    pub stages: u32,
-    /// Additive increase step.
-    pub rai: Speed,
-    /// Hyper increase step (after 5 further stages).
-    pub rhai: Speed,
     /// Per-flow ECMP path tag.
     pub path: u32,
 }
@@ -52,15 +57,6 @@ impl DcqcnCfg {
         DcqcnCfg {
             size_bytes,
             mtu: 9000,
-            line_rate: Speed::gbps(10),
-            min_rate: Speed::mbps(10),
-            g: 1.0 / 16.0,
-            cnp_interval: Time::from_us(50),
-            alpha_timer: Time::from_us(55),
-            increase_timer: Time::from_us(300),
-            stages: 5,
-            rai: Speed::mbps(40),
-            rhai: Speed::mbps(400),
             path: 0,
         }
     }
@@ -97,7 +93,7 @@ pub struct DcqcnSender {
 
 impl DcqcnSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: DcqcnCfg) -> DcqcnSender {
-        let rc = cfg.line_rate.as_bps() as f64;
+        let rc = LINE_RATE.as_bps() as f64;
         DcqcnSender {
             flow,
             dst,
@@ -114,13 +110,8 @@ impl DcqcnSender {
         }
     }
 
-    pub fn current_rate(&self) -> Speed {
-        Speed::bps(self.rc as u64)
-    }
-
     fn gap(&self) -> Time {
-        Speed::bps(self.rc.max(self.cfg.min_rate.as_bps() as f64) as u64)
-            .tx_time(self.cfg.mtu as u64)
+        Speed::bps(self.rc.max(MIN_RATE.as_bps() as f64) as u64).tx_time(self.cfg.mtu as u64)
     }
 
     fn send_one(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
@@ -158,28 +149,36 @@ impl DcqcnSender {
         self.stats.cnps_received += 1;
         self.cnp_since_alpha_timer = true;
         self.rt = self.rc;
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.rc *= 1.0 - self.alpha / 2.0;
-        let min = self.cfg.min_rate.as_bps() as f64;
+        let min = MIN_RATE.as_bps() as f64;
         if self.rc < min {
             self.rc = min;
         }
         self.stage = 0;
     }
 
+    /// Alpha timer: decay `alpha` unless a CNP arrived since the last tick.
+    fn on_alpha_timer(&mut self) {
+        if !self.cnp_since_alpha_timer {
+            self.alpha *= 1.0 - G;
+        }
+        self.cnp_since_alpha_timer = false;
+    }
+
     fn on_increase_timer(&mut self) {
         self.stage += 1;
-        if self.stage <= self.cfg.stages {
+        if self.stage <= STAGES {
             // Fast recovery towards the rate before the cut.
             self.rc = (self.rc + self.rt) / 2.0;
-        } else if self.stage <= 2 * self.cfg.stages {
-            self.rt += self.cfg.rai.as_bps() as f64;
+        } else if self.stage <= 2 * STAGES {
+            self.rt += RAI.as_bps() as f64;
             self.rc = (self.rc + self.rt) / 2.0;
         } else {
-            self.rt += self.cfg.rhai.as_bps() as f64;
+            self.rt += RHAI.as_bps() as f64;
             self.rc = (self.rc + self.rt) / 2.0;
         }
-        let max = self.cfg.line_rate.as_bps() as f64;
+        let max = LINE_RATE.as_bps() as f64;
         if self.rc > max {
             self.rc = max;
         }
@@ -196,8 +195,8 @@ impl Endpoint for DcqcnSender {
             self.cfg.path = ctx.rng().gen();
         }
         self.running = true;
-        ctx.timer_in(self.cfg.alpha_timer, ALPHA_TIMER);
-        ctx.timer_in(self.cfg.increase_timer, INCREASE_TIMER);
+        ctx.timer_in(ALPHA_INTERVAL, ALPHA_TIMER);
+        ctx.timer_in(INCREASE_INTERVAL, INCREASE_TIMER);
         self.send_one(ctx);
     }
 
@@ -211,12 +210,9 @@ impl Endpoint for DcqcnSender {
         match token {
             TICK => self.send_one(ctx),
             ALPHA_TIMER => {
-                if !self.cnp_since_alpha_timer {
-                    self.alpha *= 1.0 - self.cfg.g;
-                }
-                self.cnp_since_alpha_timer = false;
+                self.on_alpha_timer();
                 if self.sent_bytes < self.cfg.size_bytes {
-                    ctx.timer_in(self.cfg.alpha_timer, ALPHA_TIMER);
+                    ctx.timer_in(ALPHA_INTERVAL, ALPHA_TIMER);
                 }
             }
             INCREASE_TIMER => {
@@ -225,7 +221,7 @@ impl Endpoint for DcqcnSender {
                     .rate_samples
                     .push((ctx.now().as_ps(), self.rc as u64));
                 if self.sent_bytes < self.cfg.size_bytes {
-                    ctx.timer_in(self.cfg.increase_timer, INCREASE_TIMER);
+                    ctx.timer_in(INCREASE_INTERVAL, INCREASE_TIMER);
                 }
             }
             _ => {}
@@ -242,7 +238,6 @@ pub struct DcqcnReceiver {
     peer: HostId,
     total: u64,
     last_cnp: Option<Time>,
-    cnp_interval: Time,
     pub payload_bytes: u64,
     pub completion_time: Option<Time>,
     pub first_arrival: Option<Time>,
@@ -255,7 +250,6 @@ impl DcqcnReceiver {
             peer,
             total,
             last_cnp: None,
-            cnp_interval: Time::from_us(50),
             payload_bytes: 0,
             completion_time: None,
             first_arrival: None,
@@ -279,7 +273,7 @@ impl Endpoint for DcqcnReceiver {
         if pkt.flags.has(Flags::CE) {
             let due = match self.last_cnp {
                 None => true,
-                Some(t) => ctx.now() - t >= self.cnp_interval,
+                Some(t) => ctx.now() - t >= CNP_INTERVAL,
             };
             if due {
                 self.last_cnp = Some(ctx.now());
@@ -438,22 +432,90 @@ mod tests {
         let mut s = DcqcnSender::new(1, 1, DcqcnCfg::new(1_000_000));
         s.on_cnp();
         let a0 = s.alpha;
-        // Simulate alpha timer without CNPs.
+        // The first tick after a CNP holds alpha; quiet ticks decay it.
+        s.on_alpha_timer();
+        assert_eq!(s.alpha, a0, "a CNP since the last tick holds alpha");
         for _ in 0..10 {
-            s.cnp_since_alpha_timer = false;
-            s.alpha *= 1.0 - s.cfg.g;
+            s.on_alpha_timer();
         }
         assert!(s.alpha < a0 / 1.5);
+    }
+
+    /// Sends `left` CE-marked 1 KB packets `gap` apart and logs when each
+    /// CNP comes back.
+    struct MarkedSource {
+        gap: Time,
+        left: u32,
+        cnps: Vec<Time>,
+    }
+
+    impl MarkedSource {
+        fn send(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+            let mut pkt = Packet::data(ctx.host(), 1, 1, 0, 1000);
+            pkt.flags = Flags::CE;
+            ctx.send(pkt);
+            self.left -= 1;
+            if self.left > 0 {
+                ctx.timer_in(self.gap, TICK);
+            }
+        }
+    }
+
+    impl Endpoint for MarkedSource {
+        fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+            self.send(ctx);
+        }
+
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+            if pkt.kind == PacketKind::Cnp {
+                self.cnps.push(ctx.now());
+            }
+        }
+
+        fn on_timer(&mut self, _token: u8, ctx: &mut EndpointCtx<'_, '_>) {
+            self.send(ctx);
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn receiver_spaces_cnps_by_the_cnp_interval() {
+        let mut w: World<Packet> = World::new(3);
+        let b = ndp_topology::BackToBack::build(
+            &mut w,
+            Speed::gbps(10),
+            Time::from_us(1),
+            9000,
+            QueueSpec::dcqcn_default(),
+            ndp_net::host::HostLatency::default(),
+        );
+        let src = MarkedSource {
+            gap: Time::from_us(5),
+            left: 100,
+            cnps: Vec::new(),
+        };
+        let rx = DcqcnReceiver::new(0, u64::MAX);
+        attach_endpoints(&mut w, 1, (b.hosts[0], src), (b.hosts[1], rx), Time::ZERO);
+        w.run_until(Time::from_ms(1));
+        let cnps = &w.get::<Host>(b.hosts[0]).endpoint::<MarkedSource>(1).cnps;
+        // 100 marked packets over 495 us: one CNP every 50 us.
+        assert_eq!(cnps.len(), 10, "{cnps:?}");
+        for pair in cnps.windows(2) {
+            assert_eq!(pair[1] - pair[0], CNP_INTERVAL, "{cnps:?}");
+        }
     }
 
     #[test]
     fn rate_cut_and_fast_recovery() {
         let mut s = DcqcnSender::new(1, 1, DcqcnCfg::new(1_000_000));
-        let line = s.cfg.line_rate.as_bps() as f64;
+        let line = LINE_RATE.as_bps() as f64;
         s.on_cnp();
         assert!(s.rc < line, "CNP must cut the rate");
         let after_cut = s.rc;
-        for _ in 0..s.cfg.stages {
+        for _ in 0..STAGES {
             s.on_increase_timer();
         }
         assert!(s.rc > after_cut, "fast recovery must restore rate");

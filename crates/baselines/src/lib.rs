@@ -1,17 +1,24 @@
 //! Baseline transports the paper compares NDP against (§5/§6):
 //!
-//! * [`tcp`] — TCP NewReno with per-flow ECMP, Linux-like MinRTO, optional
-//!   three-way handshake / TFO modelling, and the DCTCP extension (ECN
-//!   fraction estimator + proportional window reduction).
+//! * [`tcp`] — TCP NewReno with per-flow ECMP, Linux-like 200 ms MinRTO,
+//!   optional three-way handshake / TFO modelling, and the DCTCP extension
+//!   (ECN fraction estimator with g = 1/16, proportional window reduction,
+//!   10 ms MinRTO).
 //! * [`mptcp`] — Multipath TCP with 8 subflows on distinct paths coupled by
 //!   the LIA increase (RFC 6356), the high-throughput baseline of Fig 14.
 //! * [`dcqcn`] — DCQCN rate-based congestion control for RoCE over the
 //!   lossless (PFC) fabric: per-CNP multiplicative decrease with the α
-//!   estimator, timer-driven fast-recovery/additive-increase.
+//!   estimator, timer-driven fast-recovery/additive-increase, at the
+//!   DCQCN paper's defaults.
 //! * [`phost`] — pHost, the receiver-driven transport *without* packet
 //!   trimming (§6.2 "Who needs packet trimming?").
 //! * [`blast`] — unresponsive constant-bit-rate senders and counting sinks
 //!   for the Figure 2 switch-service comparison.
+//!
+//! Each baseline runs at the one setting the paper evaluates. Those
+//! settings are named constants beside the code that reads them. A flow's
+//! inputs are its size and MTU, plus a path tag for TCP and DCQCN and the
+//! handshake and DCTCP flavour for TCP.
 //!
 //! Every sender/receiver is an [`ndp_net::host::Endpoint`]; attach helpers
 //! mirror `ndp_core::attach_flow`. Each protocol file also exposes its
@@ -27,6 +34,6 @@ pub mod tcp;
 
 pub use blast::{attach_blast, BlastSender, CountSink, BLAST};
 pub use dcqcn::{attach_dcqcn_flow, DcqcnCfg, DcqcnReceiver, DcqcnSender, DCQCN};
-pub use mptcp::{attach_mptcp_flow, MptcpCfg, MptcpReceiver, MptcpSender, MPTCP};
-pub use phost::{attach_phost_flow, PHostCfg, PHostReceiver, PHostSender, PHOST};
+pub use mptcp::{attach_mptcp_flow, MptcpReceiver, MptcpSender, MPTCP};
+pub use phost::{attach_phost_flow, PHostReceiver, PHostSender, PHOST};
 pub use tcp::{attach_tcp_flow, Handshake, TcpCfg, TcpReceiver, TcpSender, DCTCP, TCP};

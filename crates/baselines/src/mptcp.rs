@@ -25,34 +25,14 @@ use crate::tcp::Reassembly;
 
 const RTO_TOKEN_BASE: u8 = 1; // token = base + subflow index
 
-/// MPTCP configuration.
-#[derive(Clone, Debug)]
-pub struct MptcpCfg {
-    pub size_bytes: u64,
-    pub mtu: u32,
-    pub n_subflows: usize,
-    pub init_cwnd_pkts: u32,
-    pub min_rto: Time,
-    /// Path tags, one per subflow (filled randomly if empty).
-    pub paths: Vec<PathTag>,
-}
+/// Subflows per connection (the paper's MPTCP runs eight).
+const N_SUBFLOWS: usize = 8;
 
-impl MptcpCfg {
-    pub fn new(size_bytes: u64) -> MptcpCfg {
-        MptcpCfg {
-            size_bytes,
-            mtu: 9000,
-            n_subflows: 8,
-            init_cwnd_pkts: 2,
-            min_rto: Time::from_ms(10),
-            paths: Vec::new(),
-        }
-    }
+/// Each subflow's initial congestion window, in segments.
+const INIT_CWND_PKTS: u64 = 2;
 
-    pub fn mss(&self) -> u64 {
-        (self.mtu - HEADER_BYTES) as u64
-    }
-}
+/// Each subflow's RTO floor.
+const MIN_RTO: Time = Time::from_ms(10);
 
 struct Subflow {
     path: PathTag,
@@ -98,7 +78,8 @@ impl MptcpStats {
 pub struct MptcpSender {
     flow: FlowId,
     dst: HostId,
-    cfg: MptcpCfg,
+    size_bytes: u64,
+    mss: u64,
     subs: Vec<Subflow>,
     /// Bytes of the transfer not yet claimed by any subflow.
     pool: u64,
@@ -108,15 +89,16 @@ pub struct MptcpSender {
 }
 
 impl MptcpSender {
-    pub fn new(flow: FlowId, dst: HostId, cfg: MptcpCfg) -> MptcpSender {
-        let mss = cfg.mss();
-        let subs = (0..cfg.n_subflows)
-            .map(|i| Subflow {
-                path: cfg.paths.get(i).copied().unwrap_or(i as PathTag),
+    pub fn new(flow: FlowId, dst: HostId, size_bytes: u64, mtu: u32) -> MptcpSender {
+        let mss = (mtu - HEADER_BYTES) as u64;
+        let subs = (0..N_SUBFLOWS)
+            .map(|_| Subflow {
+                // Drawn per subflow in `on_start`.
+                path: 0,
                 snd_una: 0,
                 snd_nxt: 0,
                 claimed: 0,
-                cwnd: cfg.init_cwnd_pkts as u64 * mss,
+                cwnd: INIT_CWND_PKTS * mss,
                 ssthresh: u64::MAX / 2,
                 dupacks: 0,
                 in_recovery: false,
@@ -127,25 +109,17 @@ impl MptcpSender {
                 una_time: Time::ZERO,
             })
             .collect();
-        let pool = cfg.size_bytes;
         MptcpSender {
             flow,
             dst,
-            cfg,
+            size_bytes,
+            mss,
             subs,
-            pool,
+            pool: size_bytes,
             total_acked: 0,
             done: false,
             stats: MptcpStats::default(),
         }
-    }
-
-    pub fn subflow_cwnds(&self) -> Vec<u64> {
-        self.subs.iter().map(|s| s.cwnd).collect()
-    }
-
-    fn mss(&self) -> u64 {
-        self.cfg.mss()
     }
 
     /// RFC 6356 coupled-increase coefficient.
@@ -172,7 +146,7 @@ impl MptcpSender {
             let s = &self.subs[idx];
             (s.path, s.claimed)
         };
-        let payload = (claimed - seq).min(self.mss());
+        let payload = (claimed - seq).min(self.mss);
         let mut pkt = Packet::data(
             ctx.host(),
             self.dst,
@@ -195,7 +169,7 @@ impl MptcpSender {
         let s = &mut self.subs[idx];
         if !s.rto_armed {
             s.rto_armed = true;
-            let t = self.cfg.min_rto * s.backoff as u64;
+            let t = MIN_RTO * s.backoff as u64;
             ctx.timer_in(t, RTO_TOKEN_BASE + idx as u8);
         }
     }
@@ -211,7 +185,7 @@ impl MptcpSender {
             }
             // Claim more bytes from the shared pool if needed.
             if nxt >= claimed {
-                let want = self.mss().min(self.pool);
+                let want = self.mss.min(self.pool);
                 if want == 0 {
                     break;
                 }
@@ -219,7 +193,7 @@ impl MptcpSender {
                 self.subs[idx].claimed += want;
             }
             let s = &mut self.subs[idx];
-            let payload = (s.claimed - s.snd_nxt).min(self.cfg.mss());
+            let payload = (s.claimed - s.snd_nxt).min(self.mss);
             let seq = s.snd_nxt;
             s.snd_nxt += payload;
             self.send_segment(idx, seq, ctx);
@@ -234,7 +208,7 @@ impl MptcpSender {
         let ack = u64::from(pkt.ack);
         let alpha = self.lia_alpha();
         let total_cwnd: u64 = self.subs.iter().map(|s| s.cwnd).sum();
-        let mss = self.mss();
+        let mss = self.mss;
         let s = &mut self.subs[idx];
         if ack > s.snd_una {
             let newly = ack - s.snd_una;
@@ -283,7 +257,7 @@ impl MptcpSender {
     }
 
     fn check_done(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if !self.done && self.total_acked >= self.cfg.size_bytes {
+        if !self.done && self.total_acked >= self.size_bytes {
             self.done = true;
             self.stats.completion_time = Some(ctx.now());
             ctx.complete();
@@ -294,11 +268,9 @@ impl MptcpSender {
 impl Endpoint for MptcpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         self.stats.start_time = Some(ctx.now());
-        if self.cfg.paths.is_empty() {
-            // Independent random path per subflow (per-flow ECMP hashing).
-            for s in &mut self.subs {
-                s.path = ctx.rng().gen();
-            }
+        // Independent random path per subflow (per-flow ECMP hashing).
+        for s in &mut self.subs {
+            s.path = ctx.rng().gen();
         }
         for idx in 0..self.subs.len() {
             self.send_available(idx, ctx);
@@ -321,7 +293,7 @@ impl Endpoint for MptcpSender {
             return;
         }
         let s = &self.subs[idx];
-        let deadline = s.una_time + self.cfg.min_rto * s.backoff as u64;
+        let deadline = s.una_time + MIN_RTO * s.backoff as u64;
         if ctx.now() < deadline {
             self.subs[idx].rto_armed = true;
             let remaining = deadline - ctx.now();
@@ -329,7 +301,7 @@ impl Endpoint for MptcpSender {
             return;
         }
         self.stats.timeouts += 1;
-        let mss = self.mss();
+        let mss = self.mss;
         let s = &mut self.subs[idx];
         s.ssthresh = (s.flight() / 2).max(2 * mss);
         s.cwnd = mss;
@@ -442,11 +414,12 @@ pub fn attach_mptcp_flow(
     flow: FlowId,
     src: (ComponentId, HostId),
     dst: (ComponentId, HostId),
-    cfg: MptcpCfg,
+    size_bytes: u64,
+    mtu: u32,
     start: Time,
 ) {
-    let receiver = MptcpReceiver::new(src.1, cfg.n_subflows, cfg.size_bytes);
-    let sender = MptcpSender::new(flow, dst.1, cfg);
+    let receiver = MptcpReceiver::new(src.1, N_SUBFLOWS, size_bytes);
+    let sender = MptcpSender::new(flow, dst.1, size_bytes, mtu);
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
@@ -474,9 +447,7 @@ impl ndp_transport::Transport for MptcpTransport {
         _n_paths: u32,
         mtu: u32,
     ) {
-        let mut cfg = MptcpCfg::new(spec.size);
-        cfg.mtu = mtu;
-        attach_mptcp_flow(world, spec.flow, src, dst, cfg, spec.start);
+        attach_mptcp_flow(world, spec.flow, src, dst, spec.size, mtu, spec.start);
     }
 }
 
@@ -497,7 +468,8 @@ mod tests {
             1,
             (ft.hosts[0], 0),
             (ft.hosts[15], 15),
-            MptcpCfg::new(size),
+            size,
+            9000,
             Time::ZERO,
         );
         w.run_until(Time::from_ms(200));
@@ -514,7 +486,7 @@ mod tests {
 
     #[test]
     fn lia_alpha_is_one_for_identical_subflows() {
-        let mut s = MptcpSender::new(1, 1, MptcpCfg::new(1_000_000));
+        let mut s = MptcpSender::new(1, 1, 1_000_000, 9000);
         for sub in &mut s.subs {
             sub.cwnd = 100_000;
             sub.srtt = Some(Time::from_us(100));

@@ -22,35 +22,12 @@ use rand::Rng;
 
 const TIMEOUT_TOKEN: u8 = 1;
 
-/// pHost flow configuration.
-#[derive(Clone, Debug)]
-pub struct PHostCfg {
-    pub size_bytes: u64,
-    pub mtu: u32,
-    /// First-RTT free window (line-rate burst).
-    pub iw_pkts: u64,
-    /// Receiver-side token timeout: re-issue credits if the flow stalls.
-    pub token_timeout: Time,
-}
+/// First-RTT free window in packets: the line-rate burst a flow sends
+/// before any token.
+const IW_PKTS: u64 = 30;
 
-impl PHostCfg {
-    pub fn new(size_bytes: u64) -> PHostCfg {
-        PHostCfg {
-            size_bytes,
-            mtu: 9000,
-            iw_pkts: 30,
-            token_timeout: Time::from_us(500),
-        }
-    }
-
-    pub fn payload_per_pkt(&self) -> u64 {
-        (self.mtu - HEADER_BYTES) as u64
-    }
-
-    pub fn total_pkts(&self) -> u64 {
-        self.size_bytes.div_ceil(self.payload_per_pkt()).max(1)
-    }
-}
+/// Receiver-side token timeout: re-issue credits if the flow stalls.
+const TOKEN_TIMEOUT: Time = Time::from_us(500);
 
 /// pHost sender statistics.
 #[derive(Clone, Debug, Default)]
@@ -65,7 +42,8 @@ pub struct PHostStats {
 pub struct PHostSender {
     flow: FlowId,
     dst: HostId,
-    cfg: PHostCfg,
+    size_bytes: u64,
+    payload_per_pkt: u64,
     total_pkts: u64,
     next_new: u64,
     acked: SeqWindow<bool>,
@@ -77,13 +55,15 @@ pub struct PHostSender {
 }
 
 impl PHostSender {
-    pub fn new(flow: FlowId, dst: HostId, cfg: PHostCfg) -> PHostSender {
-        let total_pkts = cfg.total_pkts();
-        let acked = SeqWindow::new(false, true, total_pkts.min(cfg.iw_pkts) as usize);
+    pub fn new(flow: FlowId, dst: HostId, size_bytes: u64, mtu: u32) -> PHostSender {
+        let payload_per_pkt = (mtu - HEADER_BYTES) as u64;
+        let total_pkts = size_bytes.div_ceil(payload_per_pkt).max(1);
+        let acked = SeqWindow::new(false, true, total_pkts.min(IW_PKTS) as usize);
         PHostSender {
             flow,
             dst,
-            cfg,
+            size_bytes,
+            payload_per_pkt,
             total_pkts,
             next_new: 0,
             acked,
@@ -96,13 +76,8 @@ impl PHostSender {
     }
 
     fn wire_size(&self, seq: u64) -> u32 {
-        let per = self.cfg.payload_per_pkt();
-        let payload = self
-            .cfg
-            .size_bytes
-            .saturating_sub(seq * per)
-            .min(per)
-            .max(1) as u32;
+        let per = self.payload_per_pkt;
+        let payload = self.size_bytes.saturating_sub(seq * per).min(per).max(1) as u32;
         payload + HEADER_BYTES
     }
 
@@ -149,7 +124,7 @@ impl PHostSender {
 impl Endpoint for PHostSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         self.stats.start_time = Some(ctx.now());
-        let burst = self.cfg.iw_pkts.min(self.total_pkts);
+        let burst = IW_PKTS.min(self.total_pkts);
         for _ in 0..burst {
             let seq = self.next_new;
             self.next_new += 1;
@@ -200,7 +175,6 @@ pub struct PHostReceiver {
     received: SeqWindow<bool>,
     received_count: u64,
     last_arrival: Time,
-    token_timeout: Time,
     timer_armed: bool,
     done: bool,
     pub payload_bytes: u64,
@@ -210,14 +184,13 @@ pub struct PHostReceiver {
 }
 
 impl PHostReceiver {
-    pub fn new(peer: HostId, token_timeout: Time) -> PHostReceiver {
+    pub fn new(peer: HostId) -> PHostReceiver {
         PHostReceiver {
             peer,
             total: None,
             received: SeqWindow::new(false, true, 0),
             received_count: 0,
             last_arrival: Time::ZERO,
-            token_timeout,
             timer_armed: false,
             done: false,
             payload_bytes: 0,
@@ -236,7 +209,7 @@ impl PHostReceiver {
     fn arm_timer(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         if !self.timer_armed && !self.done {
             self.timer_armed = true;
-            ctx.timer_in(self.token_timeout, TIMEOUT_TOKEN);
+            ctx.timer_in(TOKEN_TIMEOUT, TIMEOUT_TOKEN);
         }
     }
 }
@@ -292,7 +265,7 @@ impl Endpoint for PHostReceiver {
         if self.done {
             return;
         }
-        if ctx.now().saturating_sub(self.last_arrival) >= self.token_timeout {
+        if ctx.now().saturating_sub(self.last_arrival) >= TOKEN_TIMEOUT {
             // The flow stalled: whatever tokens were out are presumed lost
             // along with their data. Issue a fresh batch of credits.
             let missing = match self.total {
@@ -330,11 +303,12 @@ pub fn attach_phost_flow(
     flow: FlowId,
     src: (ComponentId, HostId),
     dst: (ComponentId, HostId),
-    cfg: PHostCfg,
+    size_bytes: u64,
+    mtu: u32,
     start: Time,
 ) {
-    let receiver = PHostReceiver::new(src.1, cfg.token_timeout);
-    let sender = PHostSender::new(flow, dst.1, cfg);
+    let receiver = PHostReceiver::new(src.1);
+    let sender = PHostSender::new(flow, dst.1, size_bytes, mtu);
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
     // Start the receiver's token-timeout clock (models pHost's RTS).
     world.post_wake(start, dst.0, start_token(flow));
@@ -364,9 +338,7 @@ impl ndp_transport::Transport for PHostTransport {
         _n_paths: u32,
         mtu: u32,
     ) {
-        let mut cfg = PHostCfg::new(spec.size);
-        cfg.mtu = mtu;
-        attach_phost_flow(world, spec.flow, src, dst, cfg, spec.start);
+        attach_phost_flow(world, spec.flow, src, dst, spec.size, mtu, spec.start);
     }
 }
 
@@ -394,7 +366,8 @@ mod tests {
             1,
             (sb.senders[0], 0),
             (sb.receiver, 1),
-            PHostCfg::new(size),
+            size,
+            9000,
             Time::ZERO,
         );
         w.run_until(Time::from_ms(100));
@@ -422,7 +395,8 @@ mod tests {
                 s + 1,
                 (sb.senders[s as usize], s as u32),
                 (sb.receiver, n as u32),
-                PHostCfg::new(size),
+                size,
+                9000,
                 Time::ZERO,
             );
         }

@@ -2,9 +2,9 @@
 //!
 //! A byte-sequence TCP in the style of htsim's: slow start, congestion
 //! avoidance, duplicate-ACK fast retransmit with NewReno partial-ACK
-//! recovery, exponential-backoff RTO with a configurable MinRTO (200 ms
-//! Linux-like by default — the paper attributes TCP's terrible incast tail
-//! exactly to this), and optional connection-establishment modelling
+//! recovery, exponential-backoff RTO with a Linux-like 200 ms MinRTO (the
+//! paper attributes TCP's terrible incast tail exactly to this; DCTCP
+//! runs a 10 ms MinRTO), and optional connection-establishment modelling
 //! (three-way handshake vs TFO vs pre-established).
 //!
 //! DCTCP (Alizadeh et al. [4]) rides on the same machinery: data packets
@@ -21,6 +21,12 @@ use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
 
 const RTO_TOKEN: u8 = 1;
+
+/// Initial congestion window in segments (RFC 6928).
+const INIT_CWND_PKTS: u64 = 10;
+
+/// DCTCP's `alpha` estimation gain g (Alizadeh et al. [4]).
+const DCTCP_G: f64 = 1.0 / 16.0;
 
 /// Connection-establishment behaviour (Figure 8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,14 +45,9 @@ pub enum Handshake {
 pub struct TcpCfg {
     pub size_bytes: u64,
     pub mtu: u32,
-    /// Initial congestion window in segments (RFC 6928 default).
-    pub init_cwnd_pkts: u32,
-    pub min_rto: Time,
     pub handshake: Handshake,
     /// ECN-capable + DCTCP control law.
     pub dctcp: bool,
-    /// DCTCP estimation gain.
-    pub dctcp_g: f64,
     /// Fixed per-flow ECMP path tag (hash-equivalent: chosen randomly by
     /// the harness; collisions are the point of Fig 14).
     pub path: PathTag,
@@ -57,11 +58,8 @@ impl TcpCfg {
         TcpCfg {
             size_bytes,
             mtu: 9000,
-            init_cwnd_pkts: 10,
-            min_rto: Time::from_ms(200),
             handshake: Handshake::None,
             dctcp: false,
-            dctcp_g: 1.0 / 16.0,
             path: 0,
         }
     }
@@ -69,8 +67,16 @@ impl TcpCfg {
     pub fn dctcp(size_bytes: u64) -> TcpCfg {
         TcpCfg {
             dctcp: true,
-            min_rto: Time::from_ms(10),
             ..TcpCfg::new(size_bytes)
+        }
+    }
+
+    /// The RTO floor: Linux's 200 ms for TCP, 10 ms for DCTCP.
+    pub fn min_rto(&self) -> Time {
+        if self.dctcp {
+            Time::from_ms(10)
+        } else {
+            Time::from_ms(200)
         }
     }
 
@@ -136,8 +142,8 @@ pub struct TcpSender {
 impl TcpSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: TcpCfg) -> TcpSender {
         let mss = cfg.mss();
-        let cwnd = cfg.init_cwnd_pkts as u64 * mss;
-        let rto = cfg.min_rto;
+        let cwnd = INIT_CWND_PKTS * mss;
+        let rto = cfg.min_rto();
         TcpSender {
             flow,
             dst,
@@ -245,7 +251,7 @@ impl TcpSender {
             }
         }
         let candidate = self.srtt.unwrap() + self.rttvar * 4;
-        self.rto = candidate.max(self.cfg.min_rto);
+        self.rto = candidate.max(self.cfg.min_rto());
     }
 
     /// DCTCP per-window alpha update and proportional cut.
@@ -261,7 +267,7 @@ impl TcpSender {
             } else {
                 self.bytes_marked_win as f64 / self.bytes_acked_win as f64
             };
-            self.alpha = (1.0 - self.cfg.dctcp_g) * self.alpha + self.cfg.dctcp_g * f;
+            self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
             self.stats.final_alpha = self.alpha;
             self.bytes_acked_win = 0;
             self.bytes_marked_win = 0;
@@ -734,11 +740,9 @@ mod tests {
         w.install(h0, Host::new(0, nic0, speed, 9000));
         w.install(h1, Host::new(1, nic1, speed, 9000));
         let size = 20_000_000u64;
-        let cfg = TcpCfg {
-            min_rto: Time::from_ms(10),
-            ..TcpCfg::new(size)
-        };
-        attach_tcp_flow(&mut w, 1, (h0, 0), (h1, 1), cfg, Time::ZERO);
+        // DCTCP for its 10 ms MinRTO; a drop-tail NIC never CE-marks, so
+        // its control law stays idle.
+        attach_tcp_flow(&mut w, 1, (h0, 0), (h1, 1), TcpCfg::dctcp(size), Time::ZERO);
         w.run_until(Time::from_secs(20));
         let tx = tcp_stats(&w, h0, 1);
         assert!(tx.completion_time.is_some(), "long flow incomplete");

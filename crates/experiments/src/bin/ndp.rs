@@ -178,7 +178,7 @@ fn run(args: &[String]) {
         // that experiment's envelope block, then accumulate (in registry
         // order) into the session-wide trace files.
         if trace.is_some() {
-            ndp_telemetry::session::begin(TelemetryConfig::default());
+            ndp_telemetry::session::begin(TelemetryConfig);
         }
         let started = std::time::Instant::now();
         let report = exp.run(scale, topo);

@@ -38,7 +38,7 @@ use ndp_net::packet::{FlowId, HostId, Packet};
 use ndp_net::Host;
 use ndp_sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
 use ndp_telemetry::span::{push_request, push_span};
-use ndp_telemetry::{FlowSpan, RequestSpan, TelemetryConfig};
+use ndp_telemetry::{FlowSpan, RequestSpan};
 use ndp_topology::Topology;
 use ndp_transport::detach_endpoints;
 use ndp_workloads::{FlowEvent, FlowLeg, RpcRequest, RpcWorkload};
@@ -49,6 +49,12 @@ use crate::topo::TopoSpec;
 /// The driver's self-wake token. Completion wakes carry the flow id, and
 /// flow ids start at 1 and count up, so `u64::MAX` can never collide.
 const SPAWN_TICK: u64 = u64::MAX;
+
+/// A traced point's gauge sampling period.
+const PROBE_TICK: Time = Time::from_us(100);
+
+/// A traced point's gauge ring capacity.
+const GAUGE_CAPACITY: usize = 16384;
 
 /// Where the driver's requests come from: one time-sorted open-loop
 /// stream plus, for self-clocked tenants, chains fed by completions.
@@ -605,15 +611,16 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// executions are independent and bit-reproducible regardless of
 /// `NDP_THREADS`. `setup` runs on the built fabric *before* the driver is
 /// installed (a `ChaosController` keeps its arena slot and first-wake
-/// seq) and returns the point's request source; `on_measured` sees every
-/// measured completion, chunk by chunk. Returns the counters and the
-/// finished world (driver and probe retired) for point-specific harvesting.
+/// seq), is told whether a telemetry session is active, and returns the
+/// point's request source; `on_measured` sees every measured completion,
+/// chunk by chunk. Returns the counters and the finished world (driver
+/// and probe retired) for point-specific harvesting.
 pub(crate) fn run_driven(
     spec: &DrivenSpec<'_>,
     setup: impl FnOnce(
         &mut World<Packet>,
         &Arc<dyn Topology>,
-        Option<TelemetryConfig>,
+        bool,
     ) -> (Box<dyn RequestSource>, Instruments),
     mut on_measured: impl FnMut(&CompletedRequest),
 ) -> (Driven, World<Packet>) {
@@ -623,8 +630,8 @@ pub(crate) fn run_driven(
     };
     let topo: Arc<dyn Topology> = Arc::from(spec.topo.build(&mut world, spec.proto.fabric()));
     let live_components_baseline = world.live_components();
-    let tele = ndp_telemetry::session::active();
-    let (source, inst) = setup(&mut world, &topo, tele);
+    let traced = ndp_telemetry::session::active().is_some();
+    let (source, inst) = setup(&mut world, &topo, traced);
     let drv = RpcDriver::install_into(&mut world, spec.proto, topo.clone(), source, spec.warmup);
 
     // Telemetry wiring (opt-in, gated on an active session): flow and
@@ -632,13 +639,11 @@ pub(crate) fn run_driven(
     // flow gauge and the caller's targets. With no session none of this
     // exists — the event stream and golden hashes are untouched.
     let mut probe = None;
-    if let Some(cfg) = tele {
+    if traced {
         let live_gauge = Arc::new(AtomicU64::new(0));
         let d = world.get_mut::<RpcDriver>(drv);
-        if cfg.spans {
-            d.spans = Some(ndp_telemetry::span::span_log());
-            d.requests_log = spec.request_trees.then(ndp_telemetry::span::request_log);
-        }
+        d.spans = Some(ndp_telemetry::span::span_log());
+        d.requests_log = spec.request_trees.then(ndp_telemetry::span::request_log);
         d.set_live_gauge(Arc::clone(&live_gauge));
         // Sample through the measured windows only: the drain tail is
         // near-constant, and letting it tick would evict the measured
@@ -647,9 +652,9 @@ pub(crate) fn run_driven(
         probe = Some(ndp_telemetry::Probe::install_into(
             &mut world,
             ndp_telemetry::ProbeSpec {
-                tick: cfg.probe_tick,
+                tick: PROBE_TICK,
                 until: spec.arrivals_end,
-                capacity: cfg.gauge_capacity,
+                capacity: GAUGE_CAPACITY,
                 queues: inst.queues,
                 switches: inst.switches,
                 live_flows: Some(live_gauge),

@@ -27,13 +27,12 @@ use ndp_net::packet::Packet;
 use ndp_net::queue::Queue;
 use ndp_net::switch::Switch;
 use ndp_sim::{SchedulerKind, Time, World};
-use ndp_telemetry::TelemetryConfig;
 use ndp_topology::{link_index, ChaosController, ChaosTally, FabricEvent, FabricOp, Topology};
 
 use crate::driver::{run_driven, DrivenSpec, Instruments};
 use crate::harness::{Proto, Scale};
 use crate::openloop::{flow_source, DistKind, SWEEP_PROTOS};
-use crate::sweep::SweepSpec;
+use crate::sweep;
 use crate::topo::{registered, TopoEntry, TopoSpec};
 
 /// The default topology axis: one three-tier and one two-tier fabric, so
@@ -154,7 +153,7 @@ pub(crate) fn failure_world_run(point: &FailurePoint) -> FailureResult {
     };
     let (d, world) = run_driven(
         &spec,
-        |world, topo, tele| {
+        |world, topo, traced| {
             let victims = victim_links(topo.as_ref());
             failed_links = victims.len();
             let mut schedule = Vec::with_capacity(victims.len() * 2);
@@ -170,9 +169,11 @@ pub(crate) fn failure_world_run(point: &FailurePoint) -> FailureResult {
             }
             ctrl = (!schedule.is_empty())
                 .then(|| ChaosController::install_into(world, topo.as_ref(), schedule));
-            let inst = tele.map_or_else(Instruments::default, |cfg| {
-                instrument(world, topo.as_ref(), &victims, cfg)
-            });
+            let inst = if traced {
+                instrument(world, topo.as_ref(), &victims)
+            } else {
+                Instruments::default()
+            };
             let source = flow_source(
                 topo.as_ref(),
                 point.dist,
@@ -221,27 +222,23 @@ pub(crate) fn failure_world_run(point: &FailurePoint) -> FailureResult {
     }
 }
 
+/// A traced cell's flight-recorder ring capacity.
+const FLIGHT_CAPACITY: usize = 65536;
+
 /// A cell's telemetry targets: a flight recorder on the victim queues
 /// plus reroute hooks on every switch, and the same components as probe
 /// targets.
-fn instrument(
-    world: &mut World<Packet>,
-    topo: &dyn Topology,
-    victims: &[usize],
-    cfg: TelemetryConfig,
-) -> Instruments {
+fn instrument(world: &mut World<Packet>, topo: &dyn Topology, victims: &[usize]) -> Instruments {
     let links = topo.links();
-    let recorder = Arc::new(Mutex::new(FlightRecorder::new(cfg.flight_capacity)));
+    let recorder = Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY)));
     let mut inst = Instruments::default();
     for &li in victims {
         let l = &links[li];
         let tag = inst.tags.len() as u32;
         inst.tags.push(l.label.clone());
         inst.queues.push((l.queue, tag));
-        if cfg.flight {
-            let hook = FlightHook::new(Arc::clone(&recorder), tag);
-            world.get_mut::<Queue>(l.queue).set_flight_hook(Some(hook));
-        }
+        let hook = FlightHook::new(Arc::clone(&recorder), tag);
+        world.get_mut::<Queue>(l.queue).set_flight_hook(Some(hook));
     }
     let ids: Vec<_> = world.ids().collect();
     for id in ids {
@@ -251,10 +248,8 @@ fn instrument(
         let tag = inst.tags.len() as u32;
         inst.tags.push(format!("switch[{}]", inst.switches.len()));
         inst.switches.push((id, tag));
-        if cfg.flight {
-            let hook = FlightHook::new(Arc::clone(&recorder), tag);
-            world.get_mut::<Switch>(id).set_flight_hook(Some(hook));
-        }
+        let hook = FlightHook::new(Arc::clone(&recorder), tag);
+        world.get_mut::<Switch>(id).set_flight_hook(Some(hook));
     }
     inst.recorder = Some(recorder);
     inst
@@ -320,7 +315,7 @@ pub fn run(scale: Scale, topo: Option<&'static TopoEntry>) -> Report {
             })
         })
         .collect();
-    let cells = SweepSpec::new("failure_matrix", points).run(failure_world_run);
+    let cells = sweep::run(&points, failure_world_run);
     Report { load, cells }
 }
 
@@ -583,14 +578,11 @@ mod tests {
             quick_point("fattree", Proto::Ndp, 7),
             quick_point("leafspine", Proto::Dctcp, 7),
         ];
-        let spec = SweepSpec::new("det", points.clone());
-        let serial: Vec<_> = spec
-            .run_with_threads(1, failure_world_run)
+        let serial: Vec<_> = sweep::run_with_threads(&points, 1, failure_world_run)
             .iter()
             .map(fingerprint)
             .collect();
-        let threaded: Vec<_> = spec
-            .run_with_threads(7, failure_world_run)
+        let threaded: Vec<_> = sweep::run_with_threads(&points, 7, failure_world_run)
             .iter()
             .map(fingerprint)
             .collect();

@@ -16,7 +16,7 @@ use ndp_sim::{Speed, Time, World};
 use ndp_topology::{BackToBack, QueueSpec};
 
 use crate::harness::Scale;
-use crate::sweep::SweepSpec;
+use crate::sweep;
 
 pub struct Report {
     /// (iw, perfect Gb/s, experimental Gb/s)
@@ -72,14 +72,12 @@ pub fn run(scale: Scale) -> Report {
     // Sweep (iw × host-model) as one grid, then fold the host-model axis
     // back into (perfect, experimental) columns by walking the grid points
     // alongside their results.
-    let spec = SweepSpec::grid(
-        "fig11: IW x host model",
-        iws,
-        &[false, true],
-        |&iw, &host| (iw, host),
-    );
-    let tputs = spec.run(|&(iw, host_delay)| throughput(iw, host_delay));
-    let mut cells = spec.points.iter().zip(tputs);
+    let points: Vec<(u64, bool)> = iws
+        .iter()
+        .flat_map(|&iw| [(iw, false), (iw, true)])
+        .collect();
+    let tputs = sweep::run(&points, |&(iw, host_delay)| throughput(iw, host_delay));
+    let mut cells = points.iter().zip(tputs);
     let rows = iws
         .iter()
         .map(|&iw| {

@@ -10,8 +10,8 @@ use ndp_metrics::Table;
 use ndp_sim::Time;
 use ndp_topology::FatTreeCfg;
 
-use crate::harness::{PermutationResult, Proto, Scale};
-use crate::sweep::{sweep_permutation, PermutationPoint, SweepSpec};
+use crate::harness::{permutation_world_run, PermutationResult, Proto, Scale};
+use crate::sweep::{self, PermutationPoint};
 use crate::topo::{TopoEntry, TopoSpec};
 
 pub struct Report {
@@ -30,21 +30,21 @@ pub fn run(scale: Scale, topo: Option<&'static TopoEntry>) -> Report {
         None => TopoSpec::fattree(FatTreeCfg::new(scale.big_k())),
     };
     let protos = [Proto::Ndp, Proto::Mptcp, Proto::Dctcp, Proto::Dcqcn];
-    let spec = SweepSpec::new(
-        "fig14: permutation x protocol",
-        protos
-            .iter()
-            .map(|&proto| PermutationPoint {
-                proto,
-                topo: fabric.clone(),
-                duration,
-                seed: 7,
-                iw: None,
-            })
-            .collect(),
-    );
+    let points: Vec<_> = protos
+        .iter()
+        .map(|&proto| PermutationPoint {
+            proto,
+            topo: fabric.clone(),
+            duration,
+            seed: 7,
+            iw: None,
+        })
+        .collect();
     Report {
-        results: protos.into_iter().zip(sweep_permutation(&spec)).collect(),
+        results: protos
+            .into_iter()
+            .zip(sweep::run(&points, permutation_world_run))
+            .collect(),
     }
 }
 

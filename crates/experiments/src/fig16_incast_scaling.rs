@@ -10,8 +10,8 @@ use ndp_metrics::Table;
 use ndp_sim::{Speed, Time};
 use ndp_topology::FatTreeCfg;
 
-use crate::harness::{incast_ideal, Proto, Scale};
-use crate::sweep::{sweep_incast, IncastPoint, SweepSpec};
+use crate::harness::{incast_ideal, incast_world_run, Proto, Scale};
+use crate::sweep::{self, IncastPoint};
 use crate::topo::TopoSpec;
 
 pub struct Row {
@@ -38,24 +38,23 @@ pub fn run(scale: Scale) -> Report {
         .iter()
         .map(|&n| (n, incast_ideal(n, size, Speed::gbps(10), 9000).as_ms()))
         .collect();
-    let spec = SweepSpec::grid(
-        "fig16: incast size x protocol",
-        counts,
-        &protos,
-        |&n, &proto| IncastPoint {
-            proto,
-            topo: TopoSpec::fattree(FatTreeCfg::new(scale.big_k())),
-            n_senders: n,
-            size,
-            iw: None,
-            seed: 3,
-            horizon: Time::from_secs(30),
-        },
-    );
-    let rows = spec
-        .points
+    let points: Vec<IncastPoint> = counts
         .iter()
-        .zip(sweep_incast(&spec))
+        .flat_map(|&n| {
+            protos.iter().map(move |&proto| IncastPoint {
+                proto,
+                topo: TopoSpec::fattree(FatTreeCfg::new(scale.big_k())),
+                n_senders: n,
+                size,
+                iw: None,
+                seed: 3,
+                horizon: Time::from_secs(30),
+            })
+        })
+        .collect();
+    let rows = points
+        .iter()
+        .zip(sweep::run(&points, incast_world_run))
         .map(|(point, r)| Row {
             n: point.n_senders,
             proto: point.proto,

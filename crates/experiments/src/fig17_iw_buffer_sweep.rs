@@ -11,8 +11,8 @@ use ndp_metrics::Table;
 use ndp_sim::Time;
 use ndp_topology::{FatTreeCfg, QueueSpec};
 
-use crate::harness::{Proto, Scale};
-use crate::sweep::{sweep_permutation, PermutationPoint, SweepSpec};
+use crate::harness::{permutation_world_run, Proto, Scale};
+use crate::sweep::{self, PermutationPoint};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Variant {
@@ -58,34 +58,32 @@ pub fn run(scale: Scale) -> Report {
         Scale::Paper => 8,
         Scale::Quick => 4,
     };
-    let cells = SweepSpec::grid("fig17: buffer/mtu x IW", &variants, iws, |&v, &iw| (v, iw));
-    let spec = SweepSpec::new(
-        cells.label,
-        cells
-            .points
-            .iter()
-            .map(|&(v, iw)| {
-                let cfg = FatTreeCfg::new(k)
-                    .with_mtu(v.mtu)
-                    .with_fabric(QueueSpec::Ndp {
-                        data_cap_pkts: v.buffer_pkts,
-                    });
-                PermutationPoint {
-                    proto: Proto::Ndp,
-                    // Pinned: the buffer size IS the scenario knob, so the
-                    // transport's default fabric must not override it.
-                    topo: crate::topo::TopoSpec::fattree_pinned(cfg),
-                    duration,
-                    seed: 23,
-                    iw: Some(iw),
-                }
-            })
-            .collect(),
-    );
-    let rows = cells
-        .points
+    let cells: Vec<_> = variants
         .iter()
-        .zip(sweep_permutation(&spec))
+        .flat_map(|&v| iws.iter().map(move |&iw| (v, iw)))
+        .collect();
+    let points: Vec<_> = cells
+        .iter()
+        .map(|&(v, iw)| {
+            let cfg = FatTreeCfg::new(k)
+                .with_mtu(v.mtu)
+                .with_fabric(QueueSpec::Ndp {
+                    data_cap_pkts: v.buffer_pkts,
+                });
+            PermutationPoint {
+                proto: Proto::Ndp,
+                // Pinned: the buffer size IS the scenario knob, so the
+                // transport's default fabric must not override it.
+                topo: crate::topo::TopoSpec::fattree_pinned(cfg),
+                duration,
+                seed: 23,
+                iw: Some(iw),
+            }
+        })
+        .collect();
+    let rows = cells
+        .iter()
+        .zip(sweep::run(&points, permutation_world_run))
         .map(|(&(v, iw), r)| (v, iw, r.utilization))
         .collect();
     Report { rows }

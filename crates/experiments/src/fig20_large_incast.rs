@@ -18,7 +18,7 @@ use ndp_sim::{Speed, Time, World};
 use ndp_topology::{FatTree, FatTreeCfg};
 
 use crate::harness::{attach_on, completion_time, incast_ideal, FlowSpec, Proto, Scale};
-use crate::sweep::SweepSpec;
+use crate::sweep;
 
 pub struct Row {
     pub iw: u64,
@@ -80,9 +80,12 @@ pub fn run(scale: Scale) -> Report {
         Scale::Paper => &[23, 10, 1],
         Scale::Quick => &[23, 1],
     };
-    let spec = SweepSpec::grid("fig20: IW x incast size", iws, counts, |&iw, &n| (iw, n));
+    let points: Vec<(u64, usize)> = iws
+        .iter()
+        .flat_map(|&iw| counts.iter().map(move |&n| (iw, n)))
+        .collect();
     Report {
-        rows: spec.run(|&(iw, n)| trial(scale, n, iw, 7)),
+        rows: sweep::run(&points, |&(iw, n)| trial(scale, n, iw, 7)),
     }
 }
 

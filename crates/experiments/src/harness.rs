@@ -190,8 +190,7 @@ pub struct PermutationResult {
 }
 
 /// Run a permutation matrix of long-running flows for `duration` and
-/// measure per-flow goodput. One-shot entry point: routes through the
-/// parallel sweep harness as a single-point grid.
+/// measure per-flow goodput.
 pub fn permutation_run(
     proto: Proto,
     topo: TopoSpec,
@@ -199,16 +198,13 @@ pub fn permutation_run(
     seed: u64,
     iw: Option<u64>,
 ) -> PermutationResult {
-    let point = crate::sweep::PermutationPoint {
+    permutation_world_run(&crate::sweep::PermutationPoint {
         proto,
         topo,
         duration,
         seed,
         iw,
-    };
-    crate::sweep::sweep_permutation(&crate::sweep::SweepSpec::single("permutation", point))
-        .pop()
-        .expect("single-point sweep")
+    })
 }
 
 /// The simulation behind one [`crate::sweep::PermutationPoint`]: builds its
@@ -272,8 +268,6 @@ impl IncastResult {
 }
 
 /// Run an N:1 incast of `size`-byte responses on the point's topology.
-/// One-shot entry
-/// point: routes through the parallel sweep harness as a single-point grid.
 pub fn incast_run(
     proto: Proto,
     topo: TopoSpec,
@@ -283,7 +277,7 @@ pub fn incast_run(
     seed: u64,
     horizon: Time,
 ) -> IncastResult {
-    let point = crate::sweep::IncastPoint {
+    incast_world_run(&crate::sweep::IncastPoint {
         proto,
         topo,
         n_senders,
@@ -291,10 +285,7 @@ pub fn incast_run(
         iw,
         seed,
         horizon,
-    };
-    crate::sweep::sweep_incast(&crate::sweep::SweepSpec::single("incast", point))
-        .pop()
-        .expect("single-point sweep")
+    })
 }
 
 /// The simulation behind one [`crate::sweep::IncastPoint`].

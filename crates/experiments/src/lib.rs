@@ -53,6 +53,5 @@ pub mod inline_results;
 
 pub use harness::{Proto, Scale};
 pub use registry::{Experiment, Report};
-pub use sweep::SweepSpec;
 pub use topo::{find_topo, topo_from_env, TopoEntry, TopoSpec, TOPOLOGIES};
 pub use transport::{Transport, TRANSPORTS};

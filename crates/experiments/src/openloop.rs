@@ -23,7 +23,7 @@ use ndp_workloads::{ArrivalProcess, DynamicWorkload, EmpiricalCdf};
 
 use crate::driver::{run_driven, DrivenSpec, Flows, Instruments, RequestSource};
 use crate::harness::{Proto, Scale};
-use crate::sweep::{sweep_openloop, OpenLoopPoint, SweepSpec};
+use crate::sweep::{self, OpenLoopPoint};
 use crate::topo::{registered, TopoEntry, TopoSpec};
 
 /// Which embedded flow-size distribution a load sweep draws from.
@@ -61,8 +61,8 @@ pub struct OpenLoopResult {
     pub incomplete: usize,
     /// All flows offered (warmup + measured).
     pub offered: usize,
-    /// Payload bytes delivered by completed flows, as reported through
-    /// the world-level completion sink.
+    /// Payload bytes delivered by completed flows, summed from the
+    /// harvests the driver takes as it detaches them.
     pub delivered_bytes: u64,
     /// Engine events dispatched (bench fuel).
     pub events_processed: u64,
@@ -81,12 +81,9 @@ pub struct OpenLoopResult {
     pub peak_live_components: usize,
 }
 
-/// Run one open-loop point. One-shot entry point (benches, ad-hoc runs):
-/// routes through the parallel sweep harness as a single-point grid.
+/// Run one open-loop point (benches, ad-hoc runs).
 pub fn openloop_run(point: OpenLoopPoint) -> OpenLoopResult {
-    sweep_openloop(&SweepSpec::single("openloop", point))
-        .pop()
-        .expect("single-point sweep")
+    openloop_world_run(&point)
 }
 
 /// The open-loop flow stream of one point as a request source. It is a
@@ -210,7 +207,7 @@ fn run_grid(
             });
         }
     }
-    sweep_openloop(&SweepSpec::new("openloop", points))
+    sweep::run(&points, openloop_world_run)
 }
 
 /// A finished load sweep: one row per (protocol, load).
@@ -566,7 +563,6 @@ mod tests {
             quick_point(Proto::Ndp, 0.3, 9),
             quick_point(Proto::Dctcp, 0.3, 9),
         ];
-        let spec = SweepSpec::new("det", points);
         let fingerprint = |rs: &[OpenLoopResult]| -> Vec<(usize, usize, u64, u64)> {
             rs.iter()
                 .map(|r| {
@@ -583,9 +579,9 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = fingerprint(&spec.run_with_threads(1, openloop_world_run));
-        let threaded = fingerprint(&spec.run_with_threads(4, openloop_world_run));
-        let again = fingerprint(&spec.run_with_threads(4, openloop_world_run));
+        let serial = fingerprint(&sweep::run_with_threads(&points, 1, openloop_world_run));
+        let threaded = fingerprint(&sweep::run_with_threads(&points, 4, openloop_world_run));
+        let again = fingerprint(&sweep::run_with_threads(&points, 4, openloop_world_run));
         assert_eq!(serial, threaded, "thread count changed results");
         assert_eq!(threaded, again, "repeated runs diverged");
     }
@@ -705,10 +701,11 @@ mod tests {
             r.live_components_baseline + 1,
             "only the driver joins the arena during traffic"
         );
-        // The world-level sink accounted for the completed flows' payload.
+        // The driver's detach harvests accounted for the completed flows'
+        // payload.
         assert!(
             r.delivered_bytes > 0,
-            "completion sink must report delivered bytes"
+            "detach harvests must report delivered bytes"
         );
     }
 }

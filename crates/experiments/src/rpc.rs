@@ -36,7 +36,7 @@ use ndp_workloads::{ArrivalProcess, EmpiricalCdf, RpcProfile, RpcWorkload, Tenan
 use crate::driver::{run_driven, DrivenSpec, Instruments};
 use crate::harness::{Proto, Scale};
 use crate::openloop::SWEEP_PROTOS;
-use crate::sweep::SweepSpec;
+use crate::sweep;
 use crate::topo::{registered, TopoEntry, TopoSpec};
 
 /// How a tenant's request arrivals are declared — loads, not rates, so a
@@ -268,11 +268,6 @@ pub fn rpc_world_run(point: &RpcPoint) -> RpcPointResult {
     }
 }
 
-/// Run an RPC sweep; element `i` of the result matches point `i`.
-pub fn sweep_rpc(spec: &SweepSpec<RpcPoint>) -> Vec<RpcPointResult> {
-    spec.run(rpc_world_run)
-}
-
 // ---------------------------------------------------------------------------
 // Shared experiment plumbing
 // ---------------------------------------------------------------------------
@@ -403,10 +398,8 @@ impl RpcSweepReport {
                 }
             }
         }
-        let spec_pts = SweepSpec::new("rpc_sweep", points);
-        let results = sweep_rpc(&spec_pts);
-        let rows = spec_pts
-            .points
+        let results = sweep::run(&points, rpc_world_run);
+        let rows = points
             .iter()
             .zip(results)
             .map(|(p, result)| SweepCell {
@@ -630,8 +623,7 @@ impl RpcTenantMixReport {
                 });
             }
         }
-        let spec_pts = SweepSpec::new("rpc_tenant_mix", points);
-        let mut results = sweep_rpc(&spec_pts).into_iter();
+        let mut results = sweep::run(&points, rpc_world_run).into_iter();
         let mut rows = Vec::new();
         for &proto in SWEEP_PROTOS {
             let mix = results.next().expect("mix row");
@@ -922,12 +914,11 @@ mod tests {
         let mut twotier = base.clone();
         twotier.sched = Some(SchedulerKind::TwoTier);
         let points = vec![base, classic, twotier];
-        let spec = SweepSpec::new("det", points);
         let fp = |rs: &[RpcPointResult]| -> Vec<u64> {
             rs.iter().map(|r| r.tenants[0].fingerprint).collect()
         };
-        let serial = fp(&spec.run_with_threads(1, rpc_world_run));
-        let threaded = fp(&spec.run_with_threads(7, rpc_world_run));
+        let serial = fp(&sweep::run_with_threads(&points, 1, rpc_world_run));
+        let threaded = fp(&sweep::run_with_threads(&points, 7, rpc_world_run));
         assert_eq!(serial, threaded, "thread count changed results");
         assert_eq!(
             serial[0], serial[1],

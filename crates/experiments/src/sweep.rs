@@ -5,11 +5,11 @@
 //! topology builder, same traffic generator, different protocol, knob or
 //! seed. The engine deliberately forbids parallelism *inside* a world (that
 //! is what keeps runs bit-reproducible), so the way to paper-scale runs is
-//! to run many deterministic worlds side by side. A [`SweepSpec`] names the
-//! grid; [`SweepSpec::run`] executes each point in its own `World` on a
-//! worker pool and returns results **in grid order**, so a parallel sweep
-//! is indistinguishable from the serial loop it replaced — same seeds, same
-//! results, different wall-clock.
+//! to run many deterministic worlds side by side. [`run`] executes each
+//! point of a slice in its own `World` on a worker pool and returns results
+//! **in point order**, so a parallel sweep is indistinguishable from the
+//! serial loop it replaced — same seeds, same results, different
+//! wall-clock.
 //!
 //! Worker count: `NDP_THREADS` if set, otherwise the machine's available
 //! parallelism. `NDP_THREADS=1` forces the serial path (useful for
@@ -19,8 +19,8 @@ use ndp_sim::Time;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::harness::{IncastResult, PermutationResult, Proto};
-use crate::openloop::{DistKind, OpenLoopResult};
+use crate::harness::Proto;
+use crate::openloop::DistKind;
 use crate::topo::TopoSpec;
 
 /// Number of sweep workers.
@@ -36,63 +36,16 @@ pub fn worker_threads() -> usize {
     }
 }
 
-/// A declarative sweep: a label (for logs) plus the list of grid points.
-///
-/// Build points with plain iterators/loops — the spec is just data, which
-/// keeps the grid inspectable and its order (and therefore result order)
-/// explicit.
-#[derive(Clone, Debug)]
-pub struct SweepSpec<P> {
-    pub label: &'static str,
-    pub points: Vec<P>,
+/// Execute `job` on every point on [`worker_threads`] workers, returning
+/// results in point order. `job` must be a pure function of its point
+/// (every experiment builds its own seeded `World`, so this holds by
+/// construction throughout the crate).
+pub fn run<P: Sync, R: Send>(points: &[P], job: impl Fn(&P) -> R + Sync) -> Vec<R> {
+    run_with_threads(points, worker_threads(), job)
 }
 
-impl<P: Send + Sync> SweepSpec<P> {
-    pub fn new(label: &'static str, points: Vec<P>) -> SweepSpec<P> {
-        SweepSpec { label, points }
-    }
-
-    /// A single-point "sweep" — how the one-shot entry points
-    /// (`permutation_run`, `incast_run`) route through the harness.
-    pub fn single(label: &'static str, point: P) -> SweepSpec<P> {
-        SweepSpec {
-            label,
-            points: vec![point],
-        }
-    }
-
-    /// The cartesian product of two axes (row-major: `a` is the slow axis).
-    pub fn grid<A, B>(
-        label: &'static str,
-        a: &[A],
-        b: &[B],
-        mk: impl Fn(&A, &B) -> P,
-    ) -> SweepSpec<P> {
-        let points = a.iter().flat_map(|x| b.iter().map(|y| mk(x, y))).collect();
-        SweepSpec { label, points }
-    }
-
-    /// Execute `job` on every point, in parallel, returning results in
-    /// point order. `job` must be a pure function of its point (every
-    /// experiment builds its own seeded `World`, so this holds by
-    /// construction throughout the crate).
-    pub fn run<R: Send>(&self, job: impl Fn(&P) -> R + Sync) -> Vec<R> {
-        run_parallel(&self.points, worker_threads(), job)
-    }
-
-    /// [`SweepSpec::run`] with an explicit worker count (the default comes
-    /// from `NDP_THREADS` / available parallelism).
-    pub fn run_with_threads<R: Send>(
-        &self,
-        threads: usize,
-        job: impl Fn(&P) -> R + Sync,
-    ) -> Vec<R> {
-        run_parallel(&self.points, threads, job)
-    }
-}
-
-/// Order-preserving parallel map over independent simulation points.
-fn run_parallel<P: Sync, R: Send>(
+/// [`run`] with an explicit worker count.
+pub fn run_with_threads<P: Sync, R: Send>(
     points: &[P],
     threads: usize,
     job: impl Fn(&P) -> R + Sync,
@@ -134,11 +87,6 @@ pub struct PermutationPoint {
     pub iw: Option<u64>,
 }
 
-/// Run a permutation sweep; element `i` of the result matches point `i`.
-pub fn sweep_permutation(spec: &SweepSpec<PermutationPoint>) -> Vec<PermutationResult> {
-    spec.run(crate::harness::permutation_world_run)
-}
-
 /// One N:1 incast simulation.
 #[derive(Clone, Debug)]
 pub struct IncastPoint {
@@ -149,11 +97,6 @@ pub struct IncastPoint {
     pub iw: Option<u64>,
     pub seed: u64,
     pub horizon: Time,
-}
-
-/// Run an incast sweep; element `i` of the result matches point `i`.
-pub fn sweep_incast(spec: &SweepSpec<IncastPoint>) -> Vec<IncastResult> {
-    spec.run(crate::harness::incast_world_run)
 }
 
 /// One open-loop dynamic-traffic simulation: protocol, topology, size
@@ -171,30 +114,19 @@ pub struct OpenLoopPoint {
     pub drain: Time,
 }
 
-/// Run an open-loop sweep; element `i` of the result matches point `i`.
-pub fn sweep_openloop(spec: &SweepSpec<OpenLoopPoint>) -> Vec<OpenLoopResult> {
-    spec.run(crate::openloop::openloop_world_run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{incast_run, permutation_run};
+    use crate::harness::{incast_run, incast_world_run, permutation_run, permutation_world_run};
 
     #[test]
     fn results_preserve_grid_order() {
-        let spec = SweepSpec::new("order", (0u64..32).collect());
-        let out = spec.run(|&x| x * 2);
+        let points: Vec<u64> = (0..32).collect();
+        let out = run(&points, |&x| x * 2);
         assert_eq!(out, (0u64..32).map(|x| x * 2).collect::<Vec<_>>());
         // Force the threaded path regardless of this machine's core count.
-        let threaded = spec.run_with_threads(4, |&x| x * 2);
+        let threaded = run_with_threads(&points, 4, |&x| x * 2);
         assert_eq!(threaded, out);
-    }
-
-    #[test]
-    fn grid_is_row_major() {
-        let spec = SweepSpec::grid("grid", &[10, 20], &[1, 2, 3], |a, b| a + b);
-        assert_eq!(spec.points, vec![11, 12, 13, 21, 22, 23]);
     }
 
     #[test]
@@ -209,9 +141,9 @@ mod tests {
             seed,
             iw: Some(30),
         };
-        let spec = SweepSpec::new("perm", vec![mk(1), mk(2)]);
-        let par = sweep_permutation(&spec);
-        for (point, got) in spec.points.iter().zip(&par) {
+        let points = vec![mk(1), mk(2)];
+        let par = run_with_threads(&points, 2, permutation_world_run);
+        for (point, got) in points.iter().zip(&par) {
             let serial = permutation_run(
                 point.proto,
                 point.topo.clone(),
@@ -230,27 +162,29 @@ mod tests {
 
     #[test]
     fn parallel_incast_matches_serial_exactly() {
-        let point = IncastPoint {
+        let mk = |seed: u64| IncastPoint {
             proto: Proto::Ndp,
             topo: crate::topo::registered("fattree").spec(crate::harness::Scale::Quick),
             n_senders: 6,
             size: 90_000,
             iw: None,
-            seed: 5,
+            seed,
             horizon: Time::from_secs(2),
         };
-        let spec = SweepSpec::single("incast", point.clone());
-        let par = sweep_incast(&spec);
-        let serial = incast_run(
-            point.proto,
-            point.topo.clone(),
-            point.n_senders,
-            point.size,
-            point.iw,
-            point.seed,
-            point.horizon,
-        );
-        assert_eq!(par[0].fcts, serial.fcts);
-        assert_eq!(par[0].incomplete, serial.incomplete);
+        let points = vec![mk(5), mk(6)];
+        let par = run_with_threads(&points, 2, incast_world_run);
+        for (point, got) in points.iter().zip(&par) {
+            let serial = incast_run(
+                point.proto,
+                point.topo.clone(),
+                point.n_senders,
+                point.size,
+                point.iw,
+                point.seed,
+                point.horizon,
+            );
+            assert_eq!(got.fcts, serial.fcts, "seed {}", point.seed);
+            assert_eq!(got.incomplete, serial.incomplete);
+        }
     }
 }

@@ -22,11 +22,11 @@
 use ndp_metrics::{Table, SLOWDOWN_BIN_LABELS};
 use ndp_sim::Time;
 
+use crate::harness::{incast_world_run, permutation_world_run};
 use crate::harness::{Proto, Scale};
+use crate::openloop::openloop_world_run;
 use crate::openloop::{DistKind, OpenLoopResult, SWEEP_PROTOS};
-use crate::sweep::{
-    sweep_incast, sweep_openloop, sweep_permutation, IncastPoint, OpenLoopPoint, SweepSpec,
-};
+use crate::sweep::{self, IncastPoint, OpenLoopPoint, PermutationPoint};
 use crate::topo::{registered, TopoEntry};
 
 /// The default topology axis: the full-bisection three-tier fabric, the
@@ -80,56 +80,47 @@ pub fn run(scale: Scale, topo: Option<&'static TopoEntry>) -> Report {
         .flat_map(|(ti, _)| protos.iter().map(move |&p| (ti, p)))
         .collect();
 
-    let perm = SweepSpec::new(
-        "topo_matrix: permutation",
-        cells
-            .iter()
-            .map(|&(ti, proto)| crate::sweep::PermutationPoint {
-                proto,
-                topo: entries[ti].spec(scale),
-                duration: perm_duration,
-                seed: 71,
-                iw: None,
-            })
-            .collect(),
-    );
-    let incast = SweepSpec::new(
-        "topo_matrix: incast",
-        cells
-            .iter()
-            .map(|&(ti, proto)| IncastPoint {
-                proto,
-                topo: entries[ti].spec(scale),
-                n_senders: incast_senders.min(entries[ti].spec(scale).n_hosts() - 1),
-                size: incast_size,
-                iw: None,
-                seed: 72,
-                horizon: Time::from_secs(10),
-            })
-            .collect(),
-    );
-    let openloop = SweepSpec::new(
-        "topo_matrix: openloop websearch",
-        cells
-            .iter()
-            .map(|&(ti, proto)| OpenLoopPoint {
-                proto,
-                topo: entries[ti].spec(scale),
-                dist: DistKind::WebSearch,
-                load,
-                // One seed per topology, shared across protocols: paired
-                // arrival sequences within each fabric column.
-                seed: 0xD400 + ti as u64,
-                warmup,
-                measure,
-                drain,
-            })
-            .collect(),
-    );
+    let perm: Vec<_> = cells
+        .iter()
+        .map(|&(ti, proto)| PermutationPoint {
+            proto,
+            topo: entries[ti].spec(scale),
+            duration: perm_duration,
+            seed: 71,
+            iw: None,
+        })
+        .collect();
+    let incast: Vec<_> = cells
+        .iter()
+        .map(|&(ti, proto)| IncastPoint {
+            proto,
+            topo: entries[ti].spec(scale),
+            n_senders: incast_senders.min(entries[ti].spec(scale).n_hosts() - 1),
+            size: incast_size,
+            iw: None,
+            seed: 72,
+            horizon: Time::from_secs(10),
+        })
+        .collect();
+    let openloop: Vec<_> = cells
+        .iter()
+        .map(|&(ti, proto)| OpenLoopPoint {
+            proto,
+            topo: entries[ti].spec(scale),
+            dist: DistKind::WebSearch,
+            load,
+            // One seed per topology, shared across protocols: paired
+            // arrival sequences within each fabric column.
+            seed: 0xD400 + ti as u64,
+            warmup,
+            measure,
+            drain,
+        })
+        .collect();
 
-    let perm_results = sweep_permutation(&perm);
-    let incast_results = sweep_incast(&incast);
-    let openloop_results = sweep_openloop(&openloop);
+    let perm_results = sweep::run(&perm, permutation_world_run);
+    let incast_results = sweep::run(&incast, incast_world_run);
+    let openloop_results = sweep::run(&openloop, openloop_world_run);
 
     let rows = cells
         .iter()

@@ -19,10 +19,6 @@ impl TimeSeries {
         }
     }
 
-    pub fn bucket_width(&self) -> Time {
-        self.bucket
-    }
-
     pub fn add(&mut self, at: Time, bytes: u64) {
         let idx = (at.as_ps() / self.bucket.as_ps()) as usize;
         if self.buckets.len() <= idx {

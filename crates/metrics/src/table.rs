@@ -24,10 +24,6 @@ impl Table {
         self
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     pub fn render(&self) -> String {
         let ncol = self.headers.len();
         let mut width = vec![0usize; ncol];
@@ -61,16 +57,6 @@ impl Table {
         sep(&mut out);
         out
     }
-}
-
-/// Format a float with 2 decimal places (common cell helper).
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Format picoseconds as microseconds with 1 decimal.
-pub fn ps_as_us(ps: u64) -> String {
-    format!("{:.1}", ps as f64 / 1e6)
 }
 
 #[cfg(test)]

@@ -76,30 +76,11 @@ pub struct HopRecord {
     pub size: u32,
 }
 
-/// Record admission filter. Default: keep everything. Restricting by
-/// flow/host bounds what a busy victim queue writes into the ring.
-#[derive(Clone, Debug, Default)]
-pub struct FlightFilter {
-    /// Keep only these flows (empty = all flows).
-    pub flows: Vec<FlowId>,
-    /// Keep only records whose src *or* dst is one of these hosts
-    /// (empty = all hosts).
-    pub hosts: Vec<HostId>,
-}
-
-impl FlightFilter {
-    fn admits(&self, r: &HopRecord) -> bool {
-        (self.flows.is_empty() || self.flows.contains(&r.flow))
-            && (self.hosts.is_empty() || self.hosts.contains(&r.src) || self.hosts.contains(&r.dst))
-    }
-}
-
 /// The bounded ring itself.
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: VecDeque<HopRecord>,
     capacity: usize,
-    filter: FlightFilter,
     /// Records pushed out of the ring to make room (reported so a
     /// truncated trace never masquerades as a complete one).
     pub evicted: u64,
@@ -110,21 +91,11 @@ impl FlightRecorder {
         FlightRecorder {
             ring: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
-            filter: FlightFilter::default(),
             evicted: 0,
         }
     }
 
-    pub fn with_filter(capacity: usize, filter: FlightFilter) -> FlightRecorder {
-        let mut r = FlightRecorder::new(capacity);
-        r.filter = filter;
-        r
-    }
-
     pub fn push(&mut self, r: HopRecord) {
-        if !self.filter.admits(&r) {
-            return;
-        }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.evicted += 1;
@@ -208,13 +179,13 @@ mod tests {
     use super::*;
     use crate::packet::Packet;
 
-    fn rec(flow: FlowId, src: HostId) -> HopRecord {
+    fn rec(flow: FlowId) -> HopRecord {
         HopRecord {
             at: Time::from_us(1),
             tag: 0,
             kind: HopKind::Enqueue,
             flow,
-            src,
+            src: 0,
             dst: 9,
             seq: 0,
             size: 1500,
@@ -225,7 +196,7 @@ mod tests {
     fn ring_bounds_and_counts_evictions() {
         let mut r = FlightRecorder::new(3);
         for i in 0..5 {
-            r.push(rec(i, 0));
+            r.push(rec(i));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.evicted, 2);
@@ -234,35 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_flow_and_host() {
-        let mut r = FlightRecorder::with_filter(
-            16,
-            FlightFilter {
-                flows: vec![7],
-                hosts: Vec::new(),
-            },
-        );
-        r.push(rec(7, 0));
-        r.push(rec(8, 0));
-        assert_eq!(r.len(), 1);
-
-        let mut h = FlightRecorder::with_filter(
-            16,
-            FlightFilter {
-                flows: Vec::new(),
-                hosts: vec![3],
-            },
-        );
-        h.push(rec(1, 3)); // src matches
-        h.push(rec(2, 0)); // dst 9, no match
-        assert_eq!(h.len(), 1);
-    }
-
-    #[test]
     fn per_flow_dump_preserves_order() {
         let mut r = FlightRecorder::new(16);
         for (i, flow) in [(0u64, 1u64), (1, 2), (2, 1), (3, 1)] {
-            let mut h = rec(flow, 0);
+            let mut h = rec(flow);
             h.seq = i;
             r.push(h);
         }

@@ -215,38 +215,6 @@ impl Default for HostLatency {
     }
 }
 
-impl HostLatency {
-    /// A DPDK-style polling host: small constant per-packet cost, no sleep.
-    pub fn dpdk() -> HostLatency {
-        HostLatency {
-            rx_delay: Time::from_us(2),
-            tx_delay: Time::from_us(2),
-            ..Default::default()
-        }
-    }
-
-    /// An interrupt-driven kernel stack with deep sleep states enabled
-    /// (Fig. 8's default TCP/TFO curves).
-    pub fn kernel_deep_sleep() -> HostLatency {
-        HostLatency {
-            rx_delay: Time::from_us(10),
-            tx_delay: Time::from_us(5),
-            wake_latency: Time::from_us(160),
-            sleep_after: Time::from_us(50),
-            pull_jitter: None,
-        }
-    }
-
-    /// Kernel stack with C-states capped at C1 (Fig. 8's "no sleep" curves).
-    pub fn kernel_no_sleep() -> HostLatency {
-        HostLatency {
-            rx_delay: Time::from_us(10),
-            tx_delay: Time::from_us(5),
-            ..Default::default()
-        }
-    }
-}
-
 struct FlowPull {
     pending: u32,
     ctr: u64,

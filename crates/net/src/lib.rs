@@ -34,7 +34,7 @@ pub mod queue;
 pub mod switch;
 
 pub use discipline::Discipline;
-pub use flight::{FlightFilter, FlightHook, FlightRecorder, HopKind, HopRecord};
+pub use flight::{FlightHook, FlightRecorder, HopKind, HopRecord};
 pub use host::{Endpoint, EndpointCtx, FlowHarvest, Host, HostLatency, PullPriority};
 pub use packet::{Flags, FlowId, HostId, Packet, PacketBody, PacketKind, PathTag, HEADER_BYTES};
 pub use queue::{LinkClass, Queue, QueueStats};

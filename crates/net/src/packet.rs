@@ -274,12 +274,6 @@ impl Packet {
         self.flags = self.flags.with(f);
         self
     }
-
-    #[must_use]
-    pub fn with_sent(mut self, t: Time) -> Packet {
-        self.sent = t;
-        self
-    }
 }
 
 #[cfg(test)]

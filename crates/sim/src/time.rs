@@ -48,9 +48,6 @@ impl Time {
     pub const fn as_ps(self) -> u64 {
         self.0
     }
-    pub fn as_ns(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1e6
     }

@@ -579,13 +579,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    fn kind(&self) -> SchedulerKind {
-        match self.imp {
-            QueueImpl::TwoTier(_) => SchedulerKind::TwoTier,
-            QueueImpl::Classic(_) => SchedulerKind::Classic,
-        }
-    }
-
     /// Post a message (`msg` is `Some`, `arg` 0) or a wake (`None`, `arg`
     /// its token).
     #[inline]
@@ -884,11 +877,6 @@ impl<M: 'static> World<M> {
             events_processed: 0,
             trace: None,
         }
-    }
-
-    /// Which scheduler this world runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Start hashing the `(time, component, kind)` trace of every

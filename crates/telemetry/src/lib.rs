@@ -15,7 +15,9 @@
 //! A process-wide [`session`] collects one [`session::PointTelemetry`]
 //! per experiment point (possibly produced on worker threads) and sorts
 //! them by key, so the [`export`] byte streams are identical regardless
-//! of `NDP_THREADS` or scheduler choice.
+//! of `NDP_THREADS` or scheduler choice. A session has no settings: it is
+//! on or off, and a traced point records all three primitives at its
+//! runner's fixed probe tick and ring sizes.
 //!
 //! **Zero-cost when off**: nothing here posts events or draws RNG, and
 //! every hook is an `Option` that defaults to `None`, so golden-trace

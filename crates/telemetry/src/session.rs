@@ -1,7 +1,7 @@
 //! Process-wide telemetry session.
 //!
 //! The CLI begins a session before running experiments; experiment
-//! runners check [`active`] and, when a config is present, instrument
+//! runners check [`active`] and, when a session is on, instrument
 //! their worlds and [`submit`] one [`PointTelemetry`] per sweep point.
 //! Worker threads may submit in any order — [`end`] sorts points by key
 //! so exported bytes are identical across `NDP_THREADS` settings.
@@ -9,37 +9,15 @@
 use std::sync::Mutex;
 
 use ndp_net::flight::HopRecord;
-use ndp_sim::Time;
 
 use crate::probe::Gauge;
 use crate::span::{FlowSpan, RequestSpan};
 
-/// Knobs for an active telemetry session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Sampling period for the gauge probe.
-    pub probe_tick: Time,
-    /// Gauge ring capacity per point.
-    pub gauge_capacity: usize,
-    /// Flight-recorder ring capacity per point.
-    pub flight_capacity: usize,
-    /// Record per-flow spans.
-    pub spans: bool,
-    /// Attach flight-recorder hooks.
-    pub flight: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            probe_tick: Time::from_us(100),
-            gauge_capacity: 16384,
-            flight_capacity: 65536,
-            spans: true,
-            flight: true,
-        }
-    }
-}
+/// An active session's settings. There are none: a session is on or off,
+/// and every traced point records spans, gauges and flight hops at its
+/// runner's fixed tick and ring sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TelemetryConfig;
 
 /// Everything one experiment point recorded.
 #[derive(Debug, Default)]
@@ -127,7 +105,7 @@ mod tests {
         });
         assert!(end().is_none());
 
-        begin(TelemetryConfig::default());
+        begin(TelemetryConfig);
         assert!(active().is_some());
         for key in ["b/late", "a/early", "b/early"] {
             submit(PointTelemetry {
@@ -136,7 +114,7 @@ mod tests {
             });
         }
         let (cfg, points) = end().unwrap();
-        assert_eq!(cfg, TelemetryConfig::default());
+        assert_eq!(cfg, TelemetryConfig);
         let keys: Vec<&str> = points.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(keys, ["a/early", "b/early", "b/late"]);
         assert!(active().is_none());

@@ -19,13 +19,13 @@ use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
 use ndp_net::switch::{Router, Switch};
-use ndp_sim::{ComponentId, Speed, Time, World};
+use ndp_sim::{ComponentId, Speed, World};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::routes::TableRouter;
 use crate::spec::QueueSpec;
-use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology};
+use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology, LINK_DELAY};
 use crate::wiring::wire_back_refs;
 
 /// How switches pick uplinks for packets heading up the tree.
@@ -49,8 +49,6 @@ pub struct FatTreeCfg {
     /// paper's 4:1 oversubscribed 512-host network).
     pub hosts_per_tor: usize,
     pub link_speed: Speed,
-    /// One-way propagation delay of every link.
-    pub link_delay: Time,
     pub mtu: u32,
     pub fabric: QueueSpec,
     pub route_mode: RouteMode,
@@ -65,7 +63,6 @@ impl FatTreeCfg {
             k,
             hosts_per_tor: k / 2,
             link_speed: Speed::gbps(10),
-            link_delay: Time::from_us(1),
             mtu: 9000,
             fabric: QueueSpec::ndp_default(),
             route_mode: RouteMode::SourceTag,
@@ -323,7 +320,7 @@ impl FatTree {
 
         let mk_link = |world: &mut World<Packet>, to: ComponentId, class: LinkClass| {
             cfg.fabric
-                .link(world, to, class, cfg.link_speed, cfg.link_delay, cfg.mtu)
+                .link(world, to, class, cfg.link_speed, LINK_DELAY, cfg.mtu)
         };
 
         // Host <-> ToR links.
@@ -524,7 +521,7 @@ impl Topology for FatTree {
         vec![
             Hop {
                 speed: self.cfg.link_speed,
-                delay: self.cfg.link_delay,
+                delay: LINK_DELAY,
             };
             FatTree::n_hops(self, src, dst) as usize
         ]
@@ -546,6 +543,7 @@ impl Topology for FatTree {
 mod tests {
     use super::*;
     use ndp_net::queue::Queue;
+    use ndp_sim::Time;
 
     #[test]
     fn host_counts_match_paper_topologies() {

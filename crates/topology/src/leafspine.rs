@@ -17,15 +17,15 @@
 //! Path tags work exactly as everywhere else in the crate: cross-rack
 //! tag `t` selects spine `t % n_spines`; same-rack pairs have one path.
 
-use ndp_net::host::{Host, HostLatency};
+use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
 use ndp_net::switch::Switch;
-use ndp_sim::{ComponentId, Speed, Time, World};
+use ndp_sim::{ComponentId, Speed, World};
 
 use crate::routes::{LeafRouter, TableRouter};
 use crate::spec::QueueSpec;
-use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology};
+use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology, LINK_DELAY};
 use crate::wiring::wire_back_refs;
 
 /// Configuration for [`LeafSpine::build`].
@@ -39,11 +39,8 @@ pub struct LeafSpineCfg {
     /// ToR↔spine link speed; below `host_speed` this oversubscribes the
     /// fabric even with plentiful spines.
     pub uplink_speed: Speed,
-    /// One-way propagation delay of every link.
-    pub link_delay: Time,
     pub mtu: u32,
     pub fabric: QueueSpec,
-    pub host_latency: HostLatency,
 }
 
 impl LeafSpineCfg {
@@ -56,10 +53,8 @@ impl LeafSpineCfg {
             n_spines,
             host_speed: Speed::gbps(10),
             uplink_speed: Speed::gbps(10),
-            link_delay: Time::from_us(1),
             mtu: 9000,
             fabric: QueueSpec::ndp_default(),
-            host_latency: HostLatency::default(),
         }
     }
 
@@ -144,7 +139,7 @@ impl LeafSpine {
 
         let mk = |world: &mut World<Packet>, to: ComponentId, class: LinkClass, speed: Speed| {
             cfg.fabric
-                .link(world, to, class, speed, cfg.link_delay, cfg.mtu)
+                .link(world, to, class, speed, LINK_DELAY, cfg.mtu)
         };
 
         let mut host_nic = Vec::with_capacity(n_hosts);
@@ -190,8 +185,7 @@ impl LeafSpine {
         for h in 0..n_hosts {
             world.install(
                 hosts[h],
-                Host::new(h as HostId, host_nic[h], cfg.host_speed, cfg.mtu)
-                    .with_latency(cfg.host_latency.clone()),
+                Host::new(h as HostId, host_nic[h], cfg.host_speed, cfg.mtu),
             );
         }
 
@@ -246,11 +240,11 @@ impl Topology for LeafSpine {
     fn path_profile(&self, src: HostId, dst: HostId) -> Vec<Hop> {
         let access = Hop {
             speed: self.cfg.host_speed,
-            delay: self.cfg.link_delay,
+            delay: LINK_DELAY,
         };
         let uplink = Hop {
             speed: self.cfg.uplink_speed,
-            delay: self.cfg.link_delay,
+            delay: LINK_DELAY,
         };
         if self.same_rack(src, dst) {
             vec![access, access]

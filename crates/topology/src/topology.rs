@@ -30,6 +30,10 @@ use ndp_sim::{ComponentId, Speed, Time, World};
 
 use crate::wiring::Wiring;
 
+/// One-way propagation delay of every FatTree and leaf-spine link (1 µs,
+/// the paper's simulated fabrics).
+pub const LINK_DELAY: Time = Time::from_us(1);
+
 /// One hop of a path: the link's speed and one-way propagation delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hop {

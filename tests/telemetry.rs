@@ -131,7 +131,7 @@ fn flight_recorder_sees_every_forwarded_packet() {
 fn capture_ndjson(threads: &str, kind: SchedulerKind) -> (String, String) {
     std::env::set_var("NDP_THREADS", threads);
     set_default_scheduler(kind);
-    session::begin(TelemetryConfig::default());
+    session::begin(TelemetryConfig);
     let report = failure_matrix::run(Scale::Quick, None);
     let (_, points) = session::end().expect("session was active");
     std::env::remove_var("NDP_THREADS");
@@ -167,7 +167,7 @@ fn tracing_does_not_change_experiment_results() {
     let _g = serialize();
     std::env::set_var("NDP_THREADS", "2");
     let plain = failure_matrix::run(Scale::Quick, None).headline();
-    session::begin(TelemetryConfig::default());
+    session::begin(TelemetryConfig);
     let traced = failure_matrix::run(Scale::Quick, None).headline();
     let (_, points) = session::end().expect("session was active");
     std::env::remove_var("NDP_THREADS");
@@ -187,7 +187,7 @@ fn traced_load_sweep_submits_every_point_and_keeps_its_headline() {
     let _g = serialize();
     let exp = registry::find("load_websearch").expect("registered");
     let plain = exp.run(Scale::Quick, None).headline();
-    session::begin(TelemetryConfig::default());
+    session::begin(TelemetryConfig);
     let traced = exp.run(Scale::Quick, None).headline();
     let (_, points) = session::end().expect("session was active");
     assert_eq!(
@@ -220,7 +220,7 @@ fn stragglers_export_in_ascending_flow_order_run_after_run() {
     // live; their `stuck` spans used to come out in `HashMap` order, which
     // differs from map to map even inside one process.
     let stuck_flows = || {
-        session::begin(TelemetryConfig::default());
+        session::begin(TelemetryConfig);
         let r = openloop_run(OpenLoopPoint {
             proto: Proto::Dctcp,
             topo: find_topo("leafspine")

@@ -29,7 +29,7 @@ import sys
 REPS = 12  # `--rep` cycles over the suite's twelve sub-seeds
 WITNESSES = ("events", "fingerprint", "warmup", "attempted", "failed")
 # Knobs that would make the child a different program (as `spawn_rep` does).
-KNOBS = ("NDP_SCHED", "NDP_LANES", "NDP_SCALE", "NDP_TOPO")
+KNOBS = ("NDP_SCHED", "NDP_SCALE", "NDP_TOPO")
 
 
 def run_one(target_dir, workload, seed, rep, cpu):

@@ -16,21 +16,8 @@ values differ (an NDJSON export is compared line by line, `[i]` being line
 i). Exits 1 naming every document or export whose digests differ, 0 when all
 match. The same dir twice is a self-pair (CI runs one).
 
-The default ids are every experiment both sides' `ndp list` registers, minus
-SLOW (those over 60 s at quick scale); an id only one side registers is named
-in a `#` line and skipped. Seconds per run on the PR 25 box (release build,
-one side, NDP_THREADS=1):
-
-    fig02 0.1    fig04 0.5    fig08 0.0    fig09 0.0    fig10 2.0
-    fig10_sweep 2.9           fig11 0.0    fig12 0.0    fig13 0.1
-    fig14 0.9    fig16 0.1    fig17 0.9    fig19 0.1    fig20 0.0
-    fig21 0.0    fig22 0.2    fig23 1.5    load_websearch 0.2
-    load_datamining 0.1       oversub_load 0.5          topo_matrix 0.7
-    failure_matrix 0.2        rpc_sweep 0.8             rpc_tenant_mix 0.8
-    inline 1.3   quickstart 0.0
-
-Left out: fig15 (over 70 s; its horizon is set by DCQCN never finishing,
-ROADMAP item 2). Name it explicitly to include it.
+The default ids are every experiment both sides' `ndp list` registers; an id
+only one side registers is named in a `#` line and skipped.
 """
 
 import argparse
@@ -41,7 +28,6 @@ import subprocess
 import sys
 import tempfile
 
-SLOW = {"fig15"}
 THREADS = (1, 7)
 WALL_FIELDS = ("wall_ms", "events_per_sec")
 MOVED_LINES = 20
@@ -112,14 +98,14 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", help="CARGO_TARGET_DIR of the parent build")
     ap.add_argument("change", help="CARGO_TARGET_DIR of the change build (the same dir gives a self-pair)")
-    ap.add_argument("ids", nargs="*", help="experiment ids (default: every registered id but SLOW)")
+    ap.add_argument("ids", nargs="*", help="experiment ids (default: every registered id)")
     ap.add_argument("--trace", action="store_true", help="also digest each run's NDJSON trace export")
     args = ap.parse_args()
     ids, one_sided = args.ids, []
     if not ids:
         parent_ids = set(registered(args.parent))
         change_ids = registered(args.change)
-        ids = [i for i in change_ids if i in parent_ids and i not in SLOW]
+        ids = [i for i in change_ids if i in parent_ids]
         one_sided = sorted(parent_ids.symmetric_difference(change_ids))
 
     print(f"# parity: {len(ids)} ids x NDP_THREADS {'/'.join(map(str, THREADS))}, quick scale"

@@ -16,7 +16,7 @@
 //! Exit codes: 0 success, 2 usage error.
 
 use ndp_experiments::json::Json;
-use ndp_experiments::registry::{self, Experiment};
+use ndp_experiments::registry::{self, Experiment, EXPERIMENTS};
 use ndp_experiments::topo::{self, TopoEntry};
 use ndp_experiments::Scale;
 use ndp_telemetry::{PointTelemetry, TelemetryConfig};
@@ -61,13 +61,9 @@ fn main() {
 }
 
 fn list() {
-    let width = registry::all()
-        .iter()
-        .map(|e| e.id().len())
-        .max()
-        .unwrap_or(0);
-    for exp in registry::all() {
-        println!("{:width$}  {}", exp.id(), exp.description());
+    let width = EXPERIMENTS.iter().map(|e| e.id.len()).max().unwrap_or(0);
+    for exp in EXPERIMENTS {
+        println!("{:width$}  {}", exp.id, exp.about.unwrap_or(exp.title));
     }
 }
 
@@ -138,38 +134,37 @@ fn run(args: &[String]) {
     let Some(target) = target else {
         usage_error("run needs an experiment id (or 'all')");
     };
-    let selected: Vec<&'static dyn Experiment> = if target == "all" {
-        registry::all().to_vec()
+    let selected: &[Experiment] = if target == "all" {
+        EXPERIMENTS
     } else {
         match registry::find(target) {
-            Some(e) => vec![e],
+            Some(e) => std::slice::from_ref(e),
             None => usage_error(&format!("unknown experiment '{target}' (see 'ndp list')")),
         }
     };
     // An explicit --topo on a fixed-shape experiment is a usage error; the
     // NDP_TOPO *default* merely doesn't apply to fixed-shape experiments
     // (so `ndp run all` under NDP_TOPO still works).
-    if let (Some(entry), [single]) = (topo_flag, selected.as_slice()) {
-        if !single.supports_topo() {
+    if let (Some(entry), [single]) = (topo_flag, selected) {
+        if !single.topo {
             usage_error(&format!(
                 "experiment '{}' has a fixed topology and does not accept --topo {}",
-                single.id(),
-                entry.name
+                single.id, entry.name
             ));
         }
     }
     let mut documents = Vec::new();
     let mut trace_points: Vec<PointTelemetry> = Vec::new();
-    for exp in &selected {
-        let topo = topo_flag.or(topo_env).filter(|_| exp.supports_topo());
+    for exp in selected {
+        let topo = topo_flag.or(topo_env).filter(|_| exp.topo);
         if !json {
             let suffix = topo
                 .map(|t| format!(" --topo {}", t.name))
                 .unwrap_or_default();
             eprintln!(
                 "== {} — {} [{}{}] ==",
-                exp.id(),
-                exp.title(),
+                exp.id,
+                exp.title,
                 scale.name(),
                 suffix
             );
@@ -181,7 +176,7 @@ fn run(args: &[String]) {
             ndp_telemetry::session::begin(TelemetryConfig);
         }
         let started = std::time::Instant::now();
-        let report = exp.run(scale, topo);
+        let report = (exp.run)(scale, topo);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let points = if trace.is_some() {
             ndp_telemetry::session::end().map_or(Vec::new(), |(_, p)| p)
@@ -191,7 +186,7 @@ fn run(args: &[String]) {
         if json {
             let tele = trace.map(|_| telemetry_json(&points));
             documents.push(registry::document_with_telemetry(
-                *exp,
+                exp,
                 scale,
                 topo,
                 report.as_ref(),

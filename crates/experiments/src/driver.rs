@@ -121,7 +121,7 @@ impl<I: Iterator<Item = FlowEvent> + Send> RequestSource for Flows<I> {
 
 /// Pluggable flow-attach hook: how the driver turns a due [`FlowSpec`]
 /// into live endpoints. `None` uses the standard
-/// [`crate::harness::attach_generic`] path; the Figure 8 port substitutes
+/// [`ndp_transport::Transport::attach`] path; the Figure 8 port substitutes
 /// its handshake-variant TCP attach here.
 pub type AttachFn = Arc<dyn Fn(&mut World<Packet>, &FlowSpec) + Send + Sync>;
 
@@ -444,7 +444,7 @@ impl RpcDriver {
                 let n_paths = self.topo.n_paths(fl.src, fl.dst);
                 let mtu = self.topo.mtu();
                 ctx.defer(move |w| {
-                    crate::harness::attach_generic(w, proto, &spec, src, dst, n_paths, mtu);
+                    proto.transport().attach(w, &spec, src, dst, n_paths, mtu);
                 });
             }
         }

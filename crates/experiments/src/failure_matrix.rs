@@ -21,7 +21,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use ndp_metrics::{SlowdownBins, Table};
+use ndp_metrics::{fmt_or_dash, SlowdownBins, Table};
 use ndp_net::flight::{FlightHook, FlightRecorder};
 use ndp_net::packet::Packet;
 use ndp_net::queue::Queue;
@@ -319,14 +319,6 @@ pub fn run(scale: Scale, topo: Option<&'static TopoEntry>) -> Report {
     Report { load, cells }
 }
 
-fn fmt_or_dash(x: f64, prec: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.prec$}")
-    } else {
-        "-".into()
-    }
-}
-
 impl Report {
     /// One cell's phase p99, NaN when missing.
     pub fn p99(&self, topo: &str, proto: Proto, phase: usize) -> f64 {
@@ -343,35 +335,6 @@ impl Report {
             .find(|c| c.topo == topo && c.proto == proto)
             .map(|c| c.stuck_flows)
             .unwrap_or(usize::MAX)
-    }
-
-    pub fn headline(&self) -> String {
-        let topos: Vec<&str> = {
-            let mut seen = Vec::new();
-            for c in &self.cells {
-                if !seen.contains(&c.topo) {
-                    seen.push(c.topo);
-                }
-            }
-            seen
-        };
-        let per_topo: Vec<String> = topos
-            .iter()
-            .map(|&t| {
-                format!(
-                    "{t}: NDP p99 {}→{}→{}, {} stuck",
-                    fmt_or_dash(self.p99(t, Proto::Ndp, 0), 1),
-                    fmt_or_dash(self.p99(t, Proto::Ndp, 1), 1),
-                    fmt_or_dash(self.p99(t, Proto::Ndp, 2), 1),
-                    self.stuck(t, Proto::Ndp),
-                )
-            })
-            .collect();
-        format!(
-            "link failure mid-run @{:.0}% load, pre→during→post slowdown — {}",
-            self.load * 100.0,
-            per_topo.join("; ")
-        )
     }
 }
 
@@ -417,53 +380,50 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct FailureMatrix;
-
-impl crate::registry::Experiment for FailureMatrix {
-    fn id(&self) -> &'static str {
-        "failure_matrix"
-    }
-    fn title(&self) -> &'static str {
-        "Transport x topology matrix through a scheduled link failure"
-    }
-    fn description(&self) -> &'static str {
-        "Open-loop websearch traffic while a core-tier link pair dies and \
-         recovers mid-run; per-phase (pre/during/post) p50/p99/p999 \
-         slowdown, stuck flows and reroute counts for NDP vs DCTCP vs \
-         pHost across {fattree, leafspine} (or the fabric named by --topo)"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale, topo))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let topos: Vec<&str> = {
+            let mut seen = Vec::new();
+            for c in &self.cells {
+                if !seen.contains(&c.topo) {
+                    seen.push(c.topo);
+                }
+            }
+            seen
+        };
+        let per_topo: Vec<String> = topos
+            .iter()
+            .map(|&t| {
+                format!(
+                    "{t}: NDP p99 {}→{}→{}, {} stuck",
+                    fmt_or_dash(self.p99(t, Proto::Ndp, 0), 1),
+                    fmt_or_dash(self.p99(t, Proto::Ndp, 1), 1),
+                    fmt_or_dash(self.p99(t, Proto::Ndp, 2), 1),
+                    self.stuck(t, Proto::Ndp),
+                )
+            })
+            .collect();
+        format!(
+            "link failure mid-run @{:.0}% load, pre→during→post slowdown — {}",
+            self.load * 100.0,
+            per_topo.join("; ")
+        )
     }
 
     fn run_stats(&self) -> crate::registry::RunStats {
         crate::registry::RunStats {
-            events_processed: Some(self.cells.iter().map(|c| c.events_processed).sum()),
-            event_kinds: Some(self.cells.iter().map(|c| c.event_kinds).sum()),
-            peak_live_components: self
-                .cells
-                .iter()
-                .map(|c| c.peak_live_components as u64)
-                .max(),
-            peak_live_flows: self.cells.iter().map(|c| c.peak_live_flows as u64).max(),
             link_events_applied: Some(self.cells.iter().map(|c| c.tally.applied()).sum()),
             reroutes: Some(self.cells.iter().map(|c| c.reroutes).sum()),
             stuck_flows: Some(self.cells.iter().map(|c| c.stuck_flows as u64).sum()),
             dropped_down: Some(self.cells.iter().map(|c| c.dropped_down).sum()),
+            ..crate::registry::RunStats::over_worlds(self.cells.iter().map(|c| {
+                (
+                    c.events_processed,
+                    c.event_kinds,
+                    c.peak_live_components,
+                    c.peak_live_flows,
+                )
+            }))
         }
     }
 

@@ -90,16 +90,6 @@ pub fn run(scale: Scale) -> Report {
     Report { rows }
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        let last = self.rows.last().expect("rows");
-        format!(
-            "at {} flows: NDP mean {:.0}% / worst-10% {:.0}%; CP mean {:.0}% / worst-10% {:.0}%",
-            last.n_flows, last.ndp_mean, last.ndp_worst10, last.cp_mean, last.cp_worst10
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new([
@@ -126,28 +116,13 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig02;
-
-impl crate::registry::Experiment for Fig02 {
-    fn id(&self) -> &'static str {
-        "fig02"
-    }
-    fn title(&self) -> &'static str {
-        "CP congestion collapse and phase effects vs the NDP switch"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let last = self.rows.last().expect("rows");
+        format!(
+            "at {} flows: NDP mean {:.0}% / worst-10% {:.0}%; CP mean {:.0}% / worst-10% {:.0}%",
+            last.n_flows, last.ndp_mean, last.ndp_worst10, last.cp_mean, last.cp_worst10
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

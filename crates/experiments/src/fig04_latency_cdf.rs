@@ -112,18 +112,6 @@ pub fn run(scale: Scale) -> Report {
     }
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        format!(
-            "median delivery latency: permutation {:.0}us, random {:.0}us, incast-135K {:.0}us, incast-1350K {:.0}us",
-            self.permutation.median(),
-            self.random.median(),
-            self.incast_135k.median(),
-            self.incast_1350k.median()
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new([
@@ -146,28 +134,15 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig04;
-
-impl crate::registry::Experiment for Fig04 {
-    fn id(&self) -> &'static str {
-        "fig04"
-    }
-    fn title(&self) -> &'static str {
-        "Per-packet delivery latency CDFs (permutation/random/incast)"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "median delivery latency: permutation {:.0}us, random {:.0}us, incast-135K {:.0}us, incast-1350K {:.0}us",
+            self.permutation.median(),
+            self.random.median(),
+            self.incast_135k.median(),
+            self.incast_1350k.median()
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -194,17 +194,6 @@ impl Report {
             .map(|(_, c)| c.median())
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        format!(
-            "median 1KB RPC: NDP {:.0}us, TFO(no sleep) {:.0}us, TCP(no sleep) {:.0}us, TFO {:.0}us, TCP {:.0}us",
-            self.median(Stack::Ndp),
-            self.median(Stack::TfoNoSleep),
-            self.median(Stack::TcpNoSleep),
-            self.median(Stack::Tfo),
-            self.median(Stack::Tcp)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -223,28 +212,16 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig08;
-
-impl crate::registry::Experiment for Fig08 {
-    fn id(&self) -> &'static str {
-        "fig08"
-    }
-    fn title(&self) -> &'static str {
-        "1KB RPC latency: NDP vs TCP/TFO, with and without deep sleep"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "median 1KB RPC: NDP {:.0}us, TFO(no sleep) {:.0}us, TCP(no sleep) {:.0}us, TFO {:.0}us, TCP {:.0}us",
+            self.median(Stack::Ndp),
+            self.median(Stack::TfoNoSleep),
+            self.median(Stack::TcpNoSleep),
+            self.median(Stack::Tfo),
+            self.median(Stack::Tcp)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -11,7 +11,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
-use crate::harness::{attach_generic, completion_time, FlowSpec, Proto, Scale};
+use crate::harness::{completion_time, FlowSpec, Proto, Scale};
 
 pub struct Row {
     pub size: u64,
@@ -43,9 +43,8 @@ fn trial(proto: Proto, size: u64, seed: u64) -> Time {
     // base RTT, folded into the optimum rather than simulated.
     for w in 1..8usize {
         let spec = FlowSpec::new(w as u64, w as HostId, 0, size);
-        attach_generic(
+        proto.transport().attach(
             &mut world,
-            proto,
             &spec,
             (tt.hosts[w], w as HostId),
             (tt.hosts[0], 0),
@@ -99,19 +98,6 @@ pub fn run(scale: Scale) -> Report {
     Report { rows }
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        let r = self.rows.last().expect("rows");
-        format!(
-            "at {} KB: NDP median {:.1} ms (optimum {:.1} ms), TCP median {:.1} ms",
-            r.size / 1000,
-            r.ndp_median_ms,
-            r.optimum_ms,
-            r.tcp_median_ms
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new([
@@ -140,28 +126,16 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig09;
-
-impl crate::registry::Experiment for Fig09 {
-    fn id(&self) -> &'static str {
-        "fig09"
-    }
-    fn title(&self) -> &'static str {
-        "Testbed 7:1 incast completion vs response size (NDP/TCP/optimum)"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let r = self.rows.last().expect("rows");
+        format!(
+            "at {} KB: NDP median {:.1} ms (optimum {:.1} ms), TCP median {:.1} ms",
+            r.size / 1000,
+            r.ndp_median_ms,
+            r.optimum_ms,
+            r.tcp_median_ms
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -9,7 +9,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
-use crate::harness::{attach_generic, completion_time, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{completion_time, FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     pub size: u64,
@@ -26,9 +26,8 @@ fn trial(size: u64, prio: bool, background: bool, seed: u64) -> Time {
     if background {
         for s in 2..8usize {
             let spec = FlowSpec::new(s as u64, s as HostId, 0, LONG_FLOW);
-            attach_generic(
+            Proto::Ndp.transport().attach(
                 &mut world,
-                Proto::Ndp,
                 &spec,
                 (tt.hosts[s], s as HostId),
                 (tt.hosts[0], 0),
@@ -39,9 +38,8 @@ fn trial(size: u64, prio: bool, background: bool, seed: u64) -> Time {
     }
     let mut spec = FlowSpec::new(1, 1, 0, size);
     spec.prio = prio;
-    attach_generic(
+    Proto::Ndp.transport().attach(
         &mut world,
-        Proto::Ndp,
         &spec,
         (tt.hosts[1], 1),
         (tt.hosts[0], 0),
@@ -75,19 +73,6 @@ pub fn sweep(scale: Scale) -> Vec<(u64, Time, Time)> {
         .collect()
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        format!(
-            "200KB short flow FCT: idle {:.0}us, prioritized {:.0}us (+{:.0}us), unprioritized {:.0}us (+{:.0}us)",
-            self.idle.as_us(),
-            self.with_prio.as_us(),
-            (self.with_prio - self.idle).as_us(),
-            self.without_prio.as_us(),
-            (self.without_prio - self.idle).as_us()
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new(["scenario", "FCT (us)", "delta vs idle (us)"]);
@@ -114,28 +99,16 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig10;
-
-impl crate::registry::Experiment for Fig10 {
-    fn id(&self) -> &'static str {
-        "fig10"
-    }
-    fn title(&self) -> &'static str {
-        "Short-flow prioritization vs six long flows at one receiver"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "200KB short flow FCT: idle {:.0}us, prioritized {:.0}us (+{:.0}us), unprioritized {:.0}us (+{:.0}us)",
+            self.idle.as_us(),
+            self.with_prio.as_us(),
+            (self.with_prio - self.idle).as_us(),
+            self.without_prio.as_us(),
+            (self.without_prio - self.idle).as_us()
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
@@ -154,17 +127,6 @@ impl crate::registry::Report for Report {
 pub struct SweepReport {
     /// (size, idle FCT, prioritized-under-load FCT)
     pub rows: Vec<(u64, Time, Time)>,
-}
-
-impl SweepReport {
-    pub fn headline(&self) -> String {
-        let worst = self
-            .rows
-            .iter()
-            .map(|&(_, idle, prio)| (prio - idle).as_us())
-            .fold(0.0, f64::max);
-        format!("worst prioritized-vs-idle FCT gap across 10KB..1MB: {worst:.0}us")
-    }
 }
 
 impl std::fmt::Display for SweepReport {
@@ -188,7 +150,12 @@ impl std::fmt::Display for SweepReport {
 
 impl crate::registry::Report for SweepReport {
     fn headline(&self) -> String {
-        self.headline()
+        let worst = self
+            .rows
+            .iter()
+            .map(|&(_, idle, prio)| (prio - idle).as_us())
+            .fold(0.0, f64::max);
+        format!("worst prioritized-vs-idle FCT gap across 10KB..1MB: {worst:.0}us")
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
@@ -202,25 +169,6 @@ impl crate::registry::Report for SweepReport {
                 ])
             })),
         )])
-    }
-}
-
-/// Registry entry for the size sweep.
-pub struct Fig10Sweep;
-
-impl crate::registry::Experiment for Fig10Sweep {
-    fn id(&self) -> &'static str {
-        "fig10_sweep"
-    }
-    fn title(&self) -> &'static str {
-        "Prioritization gap across flow sizes (10KB..1MB)"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(SweepReport { rows: sweep(scale) })
     }
 }
 

@@ -94,15 +94,6 @@ impl Report {
     pub fn at(&self, iw: u64) -> Option<&(u64, f64, f64)> {
         self.rows.iter().find(|r| r.0 == iw)
     }
-
-    pub fn headline(&self) -> String {
-        let lo = self.rows.first().unwrap();
-        let hi = self.rows.last().unwrap();
-        format!(
-            "IW {}: perfect {:.2} Gb/s, experimental {:.2} Gb/s -> IW {}: perfect {:.2}, experimental {:.2}",
-            lo.0, lo.1, lo.2, hi.0, hi.1, hi.2
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -119,28 +110,14 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig11;
-
-impl crate::registry::Experiment for Fig11 {
-    fn id(&self) -> &'static str {
-        "fig11"
-    }
-    fn title(&self) -> &'static str {
-        "Back-to-back throughput vs NDP initial window"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let lo = self.rows.first().unwrap();
+        let hi = self.rows.last().unwrap();
+        format!(
+            "IW {}: perfect {:.2} Gb/s, experimental {:.2} Gb/s -> IW {}: perfect {:.2}, experimental {:.2}",
+            lo.0, lo.1, lo.2, hi.0, hi.1, hi.2
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -72,16 +72,6 @@ pub fn run(scale: Scale) -> Report {
     }
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        format!(
-            "median pull spacing: 1500B {:.2}us (target 1.2), 9000B {:.2}us (target 7.2)",
-            self.spacing_1500.median(),
-            self.spacing_9000.median()
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new(["percentile", "1500B gap (us)", "9000B gap (us)"]);
@@ -96,28 +86,13 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig12;
-
-impl crate::registry::Experiment for Fig12 {
-    fn id(&self) -> &'static str {
-        "fig12"
-    }
-    fn title(&self) -> &'static str {
-        "PULL spacing at the sender (1500B vs 9000B packets)"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "median pull spacing: 1500B {:.2}us (target 1.2), 9000B {:.2}us (target 7.2)",
+            self.spacing_1500.median(),
+            self.spacing_9000.median()
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

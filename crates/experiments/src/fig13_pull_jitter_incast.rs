@@ -69,20 +69,6 @@ pub fn run(scale: Scale) -> Report {
     }
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        let max_rel: f64 = self
-            .rows
-            .iter()
-            .map(|(_, p, j)| ((j - p) / p).abs())
-            .fold(0.0, f64::max);
-        format!(
-            "max relative FCT difference perfect vs measured pulls: {:.1}%",
-            max_rel * 100.0
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new([
@@ -101,28 +87,17 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig13;
-
-impl crate::registry::Experiment for Fig13 {
-    fn id(&self) -> &'static str {
-        "fig13"
-    }
-    fn title(&self) -> &'static str {
-        "200:1 incast FCT, perfect vs measured pull spacing"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let max_rel: f64 = self
+            .rows
+            .iter()
+            .map(|(_, p, j)| ((j - p) / p).abs())
+            .fold(0.0, f64::max);
+        format!(
+            "max relative FCT difference perfect vs measured pulls: {:.1}%",
+            max_rel * 100.0
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

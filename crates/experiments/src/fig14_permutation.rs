@@ -64,17 +64,6 @@ impl Report {
             .and_then(|(_, r)| r.per_flow_gbps.first().copied())
             .unwrap_or(0.0)
     }
-
-    pub fn headline(&self) -> String {
-        format!(
-            "utilization: NDP {:.0}%, MPTCP {:.0}%, DCTCP {:.0}%, DCQCN {:.0}%; slowest NDP flow {:.1} Gb/s",
-            100.0 * self.utilization(Proto::Ndp),
-            100.0 * self.utilization(Proto::Mptcp),
-            100.0 * self.utilization(Proto::Dctcp),
-            100.0 * self.utilization(Proto::Dcqcn),
-            self.min_gbps(Proto::Ndp)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -107,31 +96,16 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig14;
-
-impl crate::registry::Experiment for Fig14 {
-    fn id(&self) -> &'static str {
-        "fig14"
-    }
-    fn title(&self) -> &'static str {
-        "Permutation per-flow throughput (NDP vs MPTCP/DCTCP/DCQCN)"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale, topo))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "utilization: NDP {:.0}%, MPTCP {:.0}%, DCTCP {:.0}%, DCQCN {:.0}%; slowest NDP flow {:.1} Gb/s",
+            100.0 * self.utilization(Proto::Ndp),
+            100.0 * self.utilization(Proto::Mptcp),
+            100.0 * self.utilization(Proto::Dctcp),
+            100.0 * self.utilization(Proto::Dcqcn),
+            self.min_gbps(Proto::Ndp)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -123,20 +123,6 @@ impl Report {
             .find(|(p, _)| *p == proto)
             .map_or(f64::NAN, |(_, c)| c.percentile_or_nan(0.5))
     }
-
-    pub fn headline(&self) -> String {
-        let ms = |proto| match self.median(proto) {
-            m if m.is_finite() => format!("{m:.2}ms"),
-            _ => "-".to_string(),
-        };
-        format!(
-            "median 90KB FCT: NDP {}, DCTCP {}, DCQCN {}, MPTCP {}",
-            ms(Proto::Ndp),
-            ms(Proto::Dctcp),
-            ms(Proto::Dcqcn),
-            ms(Proto::Mptcp)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -169,28 +155,19 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig15;
-
-impl crate::registry::Experiment for Fig15 {
-    fn id(&self) -> &'static str {
-        "fig15"
-    }
-    fn title(&self) -> &'static str {
-        "90KB FCTs under background load (standing-queue test)"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let ms = |proto| match self.median(proto) {
+            m if m.is_finite() => format!("{m:.2}ms"),
+            _ => "-".to_string(),
+        };
+        format!(
+            "median 90KB FCT: NDP {}, DCTCP {}, DCQCN {}, MPTCP {}",
+            ms(Proto::Ndp),
+            ms(Proto::Dctcp),
+            ms(Proto::Dcqcn),
+            ms(Proto::Mptcp)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
@@ -214,6 +191,7 @@ impl crate::registry::Report for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Report as _;
 
     /// A protocol whose probes all starve (quick-scale DCQCN completes 0 of
     /// 15) renders as `-` / an empty array everywhere, never a panic.

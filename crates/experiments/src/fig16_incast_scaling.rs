@@ -85,19 +85,6 @@ impl Report {
             .map(|(_, i)| *i)
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        let n = self.ideal_ms.last().unwrap().0;
-        format!(
-            "at {}:1 (450KB): ideal {:.1}ms, NDP {:.1}ms, DCQCN {:.1}ms, DCTCP {:.1}ms, MPTCP {:.1}ms",
-            n,
-            self.ideal(n),
-            self.last_ms(Proto::Ndp, n),
-            self.last_ms(Proto::Dcqcn, n),
-            self.last_ms(Proto::Dctcp, n),
-            self.last_ms(Proto::Mptcp, n)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -128,28 +115,18 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig16;
-
-impl crate::registry::Experiment for Fig16 {
-    fn id(&self) -> &'static str {
-        "fig16"
-    }
-    fn title(&self) -> &'static str {
-        "Incast completion vs number of senders (450KB responses)"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let n = self.ideal_ms.last().unwrap().0;
+        format!(
+            "at {}:1 (450KB): ideal {:.1}ms, NDP {:.1}ms, DCQCN {:.1}ms, DCTCP {:.1}ms, MPTCP {:.1}ms",
+            n,
+            self.ideal(n),
+            self.last_ms(Proto::Ndp, n),
+            self.last_ms(Proto::Dcqcn, n),
+            self.last_ms(Proto::Dctcp, n),
+            self.last_ms(Proto::Mptcp, n)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

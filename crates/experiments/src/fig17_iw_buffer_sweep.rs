@@ -97,14 +97,6 @@ impl Report {
             .map(|(_, _, u)| *u)
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        let best = self.rows.iter().map(|r| r.2).fold(0.0, f64::max);
-        format!(
-            "peak permutation utilization {:.1}% (8-pkt buffers)",
-            best * 100.0
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -126,28 +118,13 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig17;
-
-impl crate::registry::Experiment for Fig17 {
-    fn id(&self) -> &'static str {
-        "fig17"
-    }
-    fn title(&self) -> &'static str {
-        "Permutation utilization vs initial window and buffer size"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let best = self.rows.iter().map(|r| r.2).fold(0.0, f64::max);
+        format!(
+            "peak permutation utilization {:.1}% (8-pkt buffers)",
+            best * 100.0
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

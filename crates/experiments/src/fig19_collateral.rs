@@ -14,7 +14,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
-use crate::harness::{attach_generic, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Trace {
     pub proto: Proto,
@@ -45,9 +45,8 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
     // Long flow into host 0 from the last sender host.
     let long_src = tt.hosts.len() - 1;
     let spec = FlowSpec::new(1, long_src as HostId, 0, LONG_FLOW);
-    attach_generic(
+    proto.transport().attach(
         &mut world,
-        proto,
         &spec,
         (tt.hosts[long_src], long_src as HostId),
         (tt.hosts[0], 0),
@@ -62,9 +61,8 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
         assert!(src < long_src);
         let mut s = FlowSpec::new(10 + i as u64, src as HostId, 1, 900_000);
         s.start = incast_start;
-        attach_generic(
+        proto.transport().attach(
             &mut world,
-            proto,
             &s,
             (tt.hosts[src], src as HostId),
             (tt.hosts[1], 1),
@@ -119,15 +117,6 @@ impl Report {
             .map(|t| t.long_flow_depressed_ms)
             .unwrap_or(usize::MAX)
     }
-
-    pub fn headline(&self) -> String {
-        format!(
-            "long-flow depressed buckets (<5Gb/s, 1ms each): DCTCP {}, DCQCN {}, NDP {}",
-            self.depressed_ms(Proto::Dctcp),
-            self.depressed_ms(Proto::Dcqcn),
-            self.depressed_ms(Proto::Ndp)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -158,28 +147,14 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig19;
-
-impl crate::registry::Experiment for Fig19 {
-    fn id(&self) -> &'static str {
-        "fig19"
-    }
-    fn title(&self) -> &'static str {
-        "Collateral damage of a same-ToR incast on a long flow"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "long-flow depressed buckets (<5Gb/s, 1ms each): DCTCP {}, DCQCN {}, NDP {}",
+            self.depressed_ms(Proto::Dctcp),
+            self.depressed_ms(Proto::Dcqcn),
+            self.depressed_ms(Proto::Ndp)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

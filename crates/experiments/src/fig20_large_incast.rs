@@ -97,19 +97,6 @@ impl Report {
             .map(|r| r.overhead_pct)
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        let worst = self
-            .rows
-            .iter()
-            .filter(|r| r.iw == 23 && r.n >= 8)
-            .map(|r| r.overhead_pct)
-            .fold(0.0, f64::max);
-        format!(
-            "IW 23: worst completion overhead over optimal {:.1}% (n >= 8)",
-            worst
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -138,28 +125,18 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig20;
-
-impl crate::registry::Experiment for Fig20 {
-    fn id(&self) -> &'static str {
-        "fig20"
-    }
-    fn title(&self) -> &'static str {
-        "Large-incast overhead and retransmission mechanisms"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let worst = self
+            .rows
+            .iter()
+            .filter(|r| r.iw == 23 && r.n >= 8)
+            .map(|r| r.overhead_pct)
+            .fold(0.0, f64::max);
+        format!(
+            "IW 23: worst completion overhead over optimal {:.1}% (n >= 8)",
+            worst
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

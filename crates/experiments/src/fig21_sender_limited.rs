@@ -11,7 +11,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
 
-use crate::harness::{attach_generic, delivered_bytes, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{delivered_bytes, FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     /// (label, Gb/s)
@@ -34,9 +34,8 @@ pub fn run(scale: Scale) -> Report {
     ];
     for (i, &(_, src, dst)) in pairs.iter().enumerate() {
         let spec = FlowSpec::new(i as u64 + 1, src as HostId, dst as HostId, LONG_FLOW);
-        attach_generic(
+        Proto::Ndp.transport().attach(
             &mut world,
-            Proto::Ndp,
             &spec,
             (tt.hosts[src], src as HostId),
             (tt.hosts[dst], dst as HostId),
@@ -78,19 +77,6 @@ impl Report {
             .map(|(_, g)| *g)
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        format!(
-            "A->B {:.2}, A->C {:.2}, A->D {:.2}, A->E {:.2}, F->E {:.2} Gb/s; from A {:.2}, to E {:.2}",
-            self.gbps("A->B"),
-            self.gbps("A->C"),
-            self.gbps("A->D"),
-            self.gbps("A->E"),
-            self.gbps("F->E"),
-            self.total_from_a,
-            self.total_to_e
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -112,28 +98,18 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig21;
-
-impl crate::registry::Experiment for Fig21 {
-    fn id(&self) -> &'static str {
-        "fig21"
-    }
-    fn title(&self) -> &'static str {
-        "Sender-limited traffic: pull fair-queuing fills both bottlenecks"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "A->B {:.2}, A->C {:.2}, A->D {:.2}, A->E {:.2}, F->E {:.2} Gb/s; from A {:.2}, to E {:.2}",
+            self.gbps("A->B"),
+            self.gbps("A->C"),
+            self.gbps("A->D"),
+            self.gbps("A->E"),
+            self.gbps("F->E"),
+            self.total_from_a,
+            self.total_to_e
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

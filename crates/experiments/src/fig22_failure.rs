@@ -102,16 +102,6 @@ impl Report {
             .map(|(_, v)| v.iter().sum::<f64>() / v.len() as f64)
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        format!(
-            "slowest flow with degraded core link: NDP {:.1} Gb/s, NDP-no-penalty {:.1}, MPTCP {:.1}, DCTCP {:.1}",
-            self.min(Proto::Ndp),
-            self.min(Proto::NdpNoPenalty),
-            self.min(Proto::Mptcp),
-            self.min(Proto::Dctcp)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -134,28 +124,15 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig22;
-
-impl crate::registry::Experiment for Fig22 {
-    fn id(&self) -> &'static str {
-        "fig22"
-    }
-    fn title(&self) -> &'static str {
-        "Permutation with one core link degraded to 1 Gb/s"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "slowest flow with degraded core link: NDP {:.1} Gb/s, NDP-no-penalty {:.1}, MPTCP {:.1}, DCTCP {:.1}",
+            self.min(Proto::Ndp),
+            self.min(Proto::NdpNoPenalty),
+            self.min(Proto::Mptcp),
+            self.min(Proto::Dctcp)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -162,18 +162,6 @@ impl Report {
             .map(|r| r.tor_up_trim_fraction)
             .unwrap_or(f64::NAN)
     }
-
-    pub fn headline(&self) -> String {
-        format!(
-            "median FCT moderate load: NDP {:.2}ms vs DCTCP {:.2}ms (trim {:.0}%); high load: NDP {:.2}ms vs DCTCP {:.2}ms (trim {:.0}%)",
-            self.median(Proto::Ndp, 5),
-            self.median(Proto::Dctcp, 5),
-            100.0 * self.trim_fraction(5),
-            self.median(Proto::Ndp, 10),
-            self.median(Proto::Dctcp, 10),
-            100.0 * self.trim_fraction(10)
-        )
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -209,28 +197,17 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Fig23;
-
-impl crate::registry::Experiment for Fig23 {
-    fn id(&self) -> &'static str {
-        "fig23"
-    }
-    fn title(&self) -> &'static str {
-        "Facebook web workload on a 4:1 oversubscribed fabric"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "median FCT moderate load: NDP {:.2}ms vs DCTCP {:.2}ms (trim {:.0}%); high load: NDP {:.2}ms vs DCTCP {:.2}ms (trim {:.0}%)",
+            self.median(Proto::Ndp, 5),
+            self.median(Proto::Dctcp, 5),
+            100.0 * self.trim_fraction(5),
+            self.median(Proto::Ndp, 10),
+            self.median(Proto::Dctcp, 10),
+            100.0 * self.trim_fraction(10)
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

@@ -93,20 +93,6 @@ pub fn attach_on(world: &mut World<Packet>, topo: &dyn Topology, proto: Proto, s
     let n_paths = topo.n_paths(spec.src, spec.dst);
     let src = (topo.host(spec.src), spec.src);
     let dst = (topo.host(spec.dst), spec.dst);
-    attach_generic(world, proto, spec, src, dst, n_paths, mtu);
-}
-
-/// Attach `spec` between explicit host components.
-#[allow(clippy::too_many_arguments)]
-pub fn attach_generic(
-    world: &mut World<Packet>,
-    proto: Proto,
-    spec: &FlowSpec,
-    src: (ComponentId, u32),
-    dst: (ComponentId, u32),
-    n_paths: u32,
-    mtu: u32,
-) {
     proto
         .transport()
         .attach(world, spec, src, dst, n_paths, mtu);

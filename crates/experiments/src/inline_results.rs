@@ -200,20 +200,6 @@ fn side_effects(proto: Proto, scale: Scale, seed: u64) -> f64 {
     total as f64 * 8.0 / duration.as_secs() / 1e9 / (n as f64 * 10.0)
 }
 
-impl Report {
-    pub fn headline(&self) -> String {
-        format!(
-            "uplink trims: source-LB {:.3}% vs random ECMP {:.3}%; pHost 432-ish:1 incast {:.0}ms vs NDP {:.0}ms; perm util pHost {:.0}% vs NDP {:.0}%",
-            self.lb_source_trim_pct,
-            self.lb_random_trim_pct,
-            self.phost_incast_ms,
-            self.ndp_incast_ms,
-            100.0 * self.phost_perm_util,
-            100.0 * self.ndp_perm_util
-        )
-    }
-}
-
 impl std::fmt::Display for Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut t = Table::new(["claim", "value"]);
@@ -262,28 +248,17 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct Inline;
-
-impl crate::registry::Experiment for Inline {
-    fn id(&self) -> &'static str {
-        "inline"
-    }
-    fn title(&self) -> &'static str {
-        "Inline (non-figure) claims: §3.1.1 LB, §6.1.1 side effects, §6.2 scaling/pHost"
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "uplink trims: source-LB {:.3}% vs random ECMP {:.3}%; pHost 432-ish:1 incast {:.0}ms vs NDP {:.0}ms; perm util pHost {:.0}% vs NDP {:.0}%",
+            self.lb_source_trim_pct,
+            self.lb_random_trim_pct,
+            self.phost_incast_ms,
+            self.ndp_incast_ms,
+            100.0 * self.phost_perm_util,
+            100.0 * self.ndp_perm_util
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

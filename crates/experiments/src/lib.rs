@@ -1,10 +1,10 @@
 //! One runnable experiment per table/figure of the paper.
 //!
-//! Every module exposes `run(scale) -> Report` plus a unit struct
-//! implementing [`registry::Experiment`]; reports implement
-//! [`registry::Report`] (`Display` prints the same rows/series the paper's
-//! figure shows, `headline()` summarizes the qualitative claim,
-//! `to_json()` is the machine-readable payload). The single `ndp` binary
+//! Every module exposes `run(scale) -> Report` and has one row in
+//! [`registry::EXPERIMENTS`]; reports implement [`registry::Report`]
+//! (`Display` prints the same rows/series the paper's figure shows,
+//! `headline()` summarizes the qualitative claim, `to_json()` is the
+//! machine-readable payload). The single `ndp` binary
 //! drives the registry:
 //!
 //! ```sh

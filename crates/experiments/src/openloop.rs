@@ -16,7 +16,7 @@
 //! the [`crate::topo`] registry, so the same sweep runs on any registered
 //! shape via `ndp run <id> --topo <name>`.
 
-use ndp_metrics::{SlowdownBins, Table, SLOWDOWN_BIN_LABELS};
+use ndp_metrics::{fmt_or_dash, SlowdownBins, Table, SLOWDOWN_BIN_LABELS};
 use ndp_sim::{EventKindCounts, Time};
 use ndp_topology::Topology;
 use ndp_workloads::{ArrivalProcess, DynamicWorkload, EmpiricalCdf};
@@ -222,16 +222,8 @@ pub struct LoadSweepReport {
     pub rows: Vec<OpenLoopResult>,
 }
 
-fn fmt_or_dash(x: f64, prec: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.prec$}")
-    } else {
-        "-".into()
-    }
-}
-
 impl LoadSweepReport {
-    fn run(
+    pub(crate) fn run(
         dist: DistKind,
         oversub: bool,
         scale: Scale,
@@ -271,24 +263,6 @@ impl LoadSweepReport {
             .find(|r| r.proto == proto && r.load == load)
             .map(|r| r.slowdown.overall().percentile_or_nan(0.99))
             .unwrap_or(f64::NAN)
-    }
-
-    pub fn headline(&self) -> String {
-        let &top = self.loads.last().expect("at least one load point");
-        let per_proto: Vec<String> = SWEEP_PROTOS
-            .iter()
-            .map(|&p| format!("{} {}", p.label(), fmt_or_dash(self.p99(p, top), 1)))
-            .collect();
-        format!(
-            "{}{}{} @{:.0}% load: p99 FCT slowdown {}",
-            self.dist.label(),
-            if self.oversub { " (4:1 oversub)" } else { "" },
-            self.topo_override
-                .map(|t| format!(" on {t}"))
-                .unwrap_or_default(),
-            top * 100.0,
-            per_proto.join(", ")
-        )
     }
 }
 
@@ -346,21 +320,32 @@ impl std::fmt::Display for LoadSweepReport {
 
 impl crate::registry::Report for LoadSweepReport {
     fn headline(&self) -> String {
-        self.headline()
+        let &top = self.loads.last().expect("at least one load point");
+        let per_proto: Vec<String> = SWEEP_PROTOS
+            .iter()
+            .map(|&p| format!("{} {}", p.label(), fmt_or_dash(self.p99(p, top), 1)))
+            .collect();
+        format!(
+            "{}{}{} @{:.0}% load: p99 FCT slowdown {}",
+            self.dist.label(),
+            if self.oversub { " (4:1 oversub)" } else { "" },
+            self.topo_override
+                .map(|t| format!(" on {t}"))
+                .unwrap_or_default(),
+            top * 100.0,
+            per_proto.join(", ")
+        )
     }
 
     fn run_stats(&self) -> crate::registry::RunStats {
-        crate::registry::RunStats {
-            events_processed: Some(self.rows.iter().map(|r| r.events_processed).sum()),
-            event_kinds: Some(self.rows.iter().map(|r| r.event_kinds).sum()),
-            peak_live_components: self
-                .rows
-                .iter()
-                .map(|r| r.peak_live_components as u64)
-                .max(),
-            peak_live_flows: self.rows.iter().map(|r| r.peak_live_flows as u64).max(),
-            ..Default::default()
-        }
+        crate::registry::RunStats::over_worlds(self.rows.iter().map(|r| {
+            (
+                r.events_processed,
+                r.event_kinds,
+                r.peak_live_components,
+                r.peak_live_flows,
+            )
+        }))
     }
 
     fn to_json(&self) -> crate::json::Json {
@@ -411,98 +396,6 @@ impl crate::registry::Report for LoadSweepReport {
                 })),
             ),
         ])
-    }
-}
-
-/// Registry entries.
-pub struct LoadWebsearch;
-pub struct LoadDatamining;
-pub struct OversubLoad;
-
-impl crate::registry::Experiment for LoadWebsearch {
-    fn id(&self) -> &'static str {
-        "load_websearch"
-    }
-    fn title(&self) -> &'static str {
-        "FCT slowdown vs. offered load, web-search flow sizes"
-    }
-    fn description(&self) -> &'static str {
-        "Open-loop Poisson arrivals from the DCTCP web-search size CDF; \
-         NDP vs DCTCP vs pHost, p50/p99 slowdown per size bin per load"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(LoadSweepReport::run(
-            DistKind::WebSearch,
-            false,
-            scale,
-            0xA100,
-            topo,
-        ))
-    }
-}
-
-impl crate::registry::Experiment for LoadDatamining {
-    fn id(&self) -> &'static str {
-        "load_datamining"
-    }
-    fn title(&self) -> &'static str {
-        "FCT slowdown vs. offered load, data-mining flow sizes"
-    }
-    fn description(&self) -> &'static str {
-        "Open-loop Poisson arrivals from the VL2 data-mining size CDF \
-         (half single-packet, ~13 MB mean); NDP vs DCTCP vs pHost slowdown"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(LoadSweepReport::run(
-            DistKind::DataMining,
-            false,
-            scale,
-            0xB200,
-            topo,
-        ))
-    }
-}
-
-impl crate::registry::Experiment for OversubLoad {
-    fn id(&self) -> &'static str {
-        "oversub_load"
-    }
-    fn title(&self) -> &'static str {
-        "FCT slowdown vs. load on a 4:1 oversubscribed fabric"
-    }
-    fn description(&self) -> &'static str {
-        "Web-search load sweep on the Figure-23 style 4:1 oversubscribed \
-         fabric: slowdown under scarce core capacity, NDP vs DCTCP vs pHost"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(LoadSweepReport::run(
-            DistKind::WebSearch,
-            true,
-            scale,
-            0xC300,
-            topo,
-        ))
     }
 }
 

@@ -49,18 +49,6 @@ pub fn two_host_transfer(bytes: u64) -> TransferReport {
     }
 }
 
-impl TransferReport {
-    pub fn headline(&self) -> String {
-        format!(
-            "{} MB over back-to-back 10G NDP: FCT {:.2} ms, goodput {:.2} Gb/s, {} rtx",
-            self.bytes / 1_000_000,
-            self.fct.as_ms(),
-            self.goodput_gbps,
-            self.retransmissions
-        )
-    }
-}
-
 impl std::fmt::Display for TransferReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "Quickstart — two-host NDP transfer")?;
@@ -71,32 +59,15 @@ impl std::fmt::Display for TransferReport {
     }
 }
 
-/// Registry entry: the crate's hello-world as a runnable experiment.
-pub struct Quickstart;
-
-impl crate::registry::Experiment for Quickstart {
-    fn id(&self) -> &'static str {
-        "quickstart"
-    }
-    fn title(&self) -> &'static str {
-        "Two-host NDP transfer hello-world (sanity check)"
-    }
-    fn run(
-        &self,
-        scale: crate::harness::Scale,
-        _topo: Option<&'static crate::topo::TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        let bytes = match scale {
-            crate::harness::Scale::Paper => 100_000_000,
-            crate::harness::Scale::Quick => 10_000_000,
-        };
-        Box::new(two_host_transfer(bytes))
-    }
-}
-
 impl crate::registry::Report for TransferReport {
     fn headline(&self) -> String {
-        self.headline()
+        format!(
+            "{} MB over back-to-back 10G NDP: FCT {:.2} ms, goodput {:.2} Gb/s, {} rtx",
+            self.bytes / 1_000_000,
+            self.fct.as_ms(),
+            self.goodput_gbps,
+            self.retransmissions
+        )
     }
     fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;

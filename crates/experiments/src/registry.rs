@@ -1,14 +1,23 @@
-//! The experiment registry: every figure/table of the paper is one
-//! self-registering [`Experiment`] returning a machine-readable
-//! [`Report`], and the single `ndp` CLI drives them all.
+//! The experiment registry: every figure/table of the paper is one row
+//! in [`EXPERIMENTS`] whose `run` returns a machine-readable [`Report`],
+//! and the single `ndp` CLI drives them all.
 //!
-//! Adding a scenario is one module exposing a unit struct that implements
-//! [`Experiment`], plus one line in [`EXPERIMENTS`] — no new binary, no
-//! harness edits. `ndp list` / `ndp run <id>` pick it up automatically.
+//! Adding a scenario is one module exposing its entry point and report,
+//! plus one row in [`EXPERIMENTS`] — no new binary, no harness edits.
+//! `ndp list` / `ndp run <id>` pick it up automatically.
 
 use crate::harness::Scale;
 use crate::json::Json;
+use crate::openloop::{DistKind, LoadSweepReport};
+use crate::rpc::{RpcSweepReport, RpcTenantMixReport};
 use crate::topo::TopoEntry;
+use crate::{
+    failure_matrix, fig02_cp_collapse, fig04_latency_cdf, fig08_rpc_latency, fig09_testbed_incast,
+    fig10_prioritization, fig11_iw_throughput, fig12_pull_spacing, fig13_pull_jitter_incast,
+    fig14_permutation, fig15_short_flow_fct, fig16_incast_scaling, fig17_iw_buffer_sweep,
+    fig19_collateral, fig20_large_incast, fig21_sender_limited, fig22_failure,
+    fig23_oversubscribed, inline_results, quick, topo_matrix,
+};
 
 /// Run observability an experiment can expose alongside its data: engine
 /// fuel burned and the live-state gauges of the flow-lifecycle machinery.
@@ -38,6 +47,31 @@ pub struct RunStats {
     pub dropped_down: Option<u64>,
 }
 
+impl RunStats {
+    /// A multi-world run's stats from each world's `(events, event kinds,
+    /// peak live components, peak live flows)`: events and kinds are
+    /// summed, the peaks maxed (`None` when no world ran).
+    pub fn over_worlds(
+        worlds: impl Iterator<Item = (u64, ndp_sim::EventKindCounts, usize, usize)>,
+    ) -> RunStats {
+        let (mut events, mut kinds) = (0, ndp_sim::EventKindCounts::default());
+        let (mut components, mut flows) = (None, None);
+        for (e, k, c, f) in worlds {
+            events += e;
+            kinds = kinds + k;
+            components = components.max(Some(c as u64));
+            flows = flows.max(Some(f as u64));
+        }
+        RunStats {
+            events_processed: Some(events),
+            event_kinds: Some(kinds),
+            peak_live_components: components,
+            peak_live_flows: flows,
+            ..Default::default()
+        }
+    }
+}
+
 /// What every experiment returns: human-readable (`Display` prints the
 /// paper's rows/series, `headline` compresses the qualitative claim) and
 /// machine-readable (`to_json`).
@@ -55,79 +89,287 @@ pub trait Report: std::fmt::Display {
     }
 }
 
-/// One runnable experiment (a paper figure, table or inline claim).
-pub trait Experiment: Sync {
+/// One runnable experiment (a paper figure, table or inline claim): a row
+/// of [`EXPERIMENTS`], shaped like a [`crate::topo::TopoEntry`].
+pub struct Experiment {
     /// Short stable identifier (`fig14`, `inline`, ...) used by
     /// `ndp run <id>`.
-    fn id(&self) -> &'static str;
-
-    /// Human-readable one-liner for `ndp list`.
-    fn title(&self) -> &'static str;
-
-    /// One-line description of what the experiment measures and its main
-    /// knobs, printed by `ndp list`. Defaults to the title; experiments
-    /// with non-obvious parameter grids override it.
-    fn description(&self) -> &'static str {
-        self.title()
-    }
-
+    pub id: &'static str,
+    /// Human-readable one-liner, the banner and the JSON envelope's title.
+    pub title: &'static str,
+    /// What the experiment measures and its main knobs, printed by
+    /// `ndp list` in place of the title when the grid is not obvious.
+    pub about: Option<&'static str>,
     /// Does this experiment accept a topology override? Topology-neutral
     /// experiments (the load sweeps, the permutation matrix, the
     /// transport × topology matrix) run on any registered fabric;
     /// fixed-shape figures (the testbed replicas, back-to-back
-    /// calibrations) ignore overrides and return `false` here so the CLI
-    /// can reject an explicit `--topo` instead of silently no-opping.
-    fn supports_topo(&self) -> bool {
-        false
-    }
-
-    /// Run at `scale`, optionally on an overridden topology from the
+    /// calibrations) say `false` so the CLI can reject an explicit
+    /// `--topo` instead of silently no-opping.
+    pub topo: bool,
+    /// Run at a scale, optionally on an overridden topology from the
     /// [`crate::topo::TOPOLOGIES`] registry (`None` = the experiment's
-    /// default fabric; ignored when [`Experiment::supports_topo`] is
-    /// false).
-    fn run(&self, scale: Scale, topo: Option<&'static TopoEntry>) -> Box<dyn Report>;
+    /// default fabric; ignored when `topo` is false).
+    pub run: fn(Scale, Option<&'static TopoEntry>) -> Box<dyn Report>,
 }
 
-/// Every registered experiment, in presentation order. One line per
-/// experiment; the impl lives in the figure's own module.
-pub static EXPERIMENTS: &[&dyn Experiment] = &[
-    &crate::fig02_cp_collapse::Fig02,
-    &crate::fig04_latency_cdf::Fig04,
-    &crate::fig08_rpc_latency::Fig08,
-    &crate::fig09_testbed_incast::Fig09,
-    &crate::fig10_prioritization::Fig10,
-    &crate::fig10_prioritization::Fig10Sweep,
-    &crate::fig11_iw_throughput::Fig11,
-    &crate::fig12_pull_spacing::Fig12,
-    &crate::fig13_pull_jitter_incast::Fig13,
-    &crate::fig14_permutation::Fig14,
-    &crate::fig15_short_flow_fct::Fig15,
-    &crate::fig16_incast_scaling::Fig16,
-    &crate::fig17_iw_buffer_sweep::Fig17,
-    &crate::fig19_collateral::Fig19,
-    &crate::fig20_large_incast::Fig20,
-    &crate::fig21_sender_limited::Fig21,
-    &crate::fig22_failure::Fig22,
-    &crate::fig23_oversubscribed::Fig23,
-    &crate::openloop::LoadWebsearch,
-    &crate::openloop::LoadDatamining,
-    &crate::openloop::OversubLoad,
-    &crate::topo_matrix::TopoMatrix,
-    &crate::failure_matrix::FailureMatrix,
-    &crate::rpc::RpcSweep,
-    &crate::rpc::RpcTenantMix,
-    &crate::inline_results::Inline,
-    &crate::quick::Quickstart,
+/// Every registered experiment, in presentation order. One row per
+/// experiment; the report and its entry point live in the figure's own
+/// module.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "fig02",
+        title: "CP congestion collapse and phase effects vs the NDP switch",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig02_cp_collapse::run(scale)),
+    },
+    Experiment {
+        id: "fig04",
+        title: "Per-packet delivery latency CDFs (permutation/random/incast)",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig04_latency_cdf::run(scale)),
+    },
+    Experiment {
+        id: "fig08",
+        title: "1KB RPC latency: NDP vs TCP/TFO, with and without deep sleep",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig08_rpc_latency::run(scale)),
+    },
+    Experiment {
+        id: "fig09",
+        title: "Testbed 7:1 incast completion vs response size (NDP/TCP/optimum)",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig09_testbed_incast::run(scale)),
+    },
+    Experiment {
+        id: "fig10",
+        title: "Short-flow prioritization vs six long flows at one receiver",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig10_prioritization::run(scale)),
+    },
+    Experiment {
+        id: "fig10_sweep",
+        title: "Prioritization gap across flow sizes (10KB..1MB)",
+        about: None,
+        topo: false,
+        run: |scale, _| {
+            Box::new(fig10_prioritization::SweepReport {
+                rows: fig10_prioritization::sweep(scale),
+            })
+        },
+    },
+    Experiment {
+        id: "fig11",
+        title: "Back-to-back throughput vs NDP initial window",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig11_iw_throughput::run(scale)),
+    },
+    Experiment {
+        id: "fig12",
+        title: "PULL spacing at the sender (1500B vs 9000B packets)",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig12_pull_spacing::run(scale)),
+    },
+    Experiment {
+        id: "fig13",
+        title: "200:1 incast FCT, perfect vs measured pull spacing",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig13_pull_jitter_incast::run(scale)),
+    },
+    Experiment {
+        id: "fig14",
+        title: "Permutation per-flow throughput (NDP vs MPTCP/DCTCP/DCQCN)",
+        about: None,
+        topo: true,
+        run: |scale, topo| Box::new(fig14_permutation::run(scale, topo)),
+    },
+    Experiment {
+        id: "fig15",
+        title: "90KB FCTs under background load (standing-queue test)",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig15_short_flow_fct::run(scale)),
+    },
+    Experiment {
+        id: "fig16",
+        title: "Incast completion vs number of senders (450KB responses)",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig16_incast_scaling::run(scale)),
+    },
+    Experiment {
+        id: "fig17",
+        title: "Permutation utilization vs initial window and buffer size",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig17_iw_buffer_sweep::run(scale)),
+    },
+    Experiment {
+        id: "fig19",
+        title: "Collateral damage of a same-ToR incast on a long flow",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig19_collateral::run(scale)),
+    },
+    Experiment {
+        id: "fig20",
+        title: "Large-incast overhead and retransmission mechanisms",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig20_large_incast::run(scale)),
+    },
+    Experiment {
+        id: "fig21",
+        title: "Sender-limited traffic: pull fair-queuing fills both bottlenecks",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig21_sender_limited::run(scale)),
+    },
+    Experiment {
+        id: "fig22",
+        title: "Permutation with one core link degraded to 1 Gb/s",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig22_failure::run(scale)),
+    },
+    Experiment {
+        id: "fig23",
+        title: "Facebook web workload on a 4:1 oversubscribed fabric",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(fig23_oversubscribed::run(scale)),
+    },
+    Experiment {
+        id: "load_websearch",
+        title: "FCT slowdown vs. offered load, web-search flow sizes",
+        about: Some(
+            "Open-loop Poisson arrivals from the DCTCP web-search size CDF; \
+             NDP vs DCTCP vs pHost, p50/p99 slowdown per size bin per load",
+        ),
+        topo: true,
+        run: |scale, topo| {
+            Box::new(LoadSweepReport::run(
+                DistKind::WebSearch,
+                false,
+                scale,
+                0xA100,
+                topo,
+            ))
+        },
+    },
+    Experiment {
+        id: "load_datamining",
+        title: "FCT slowdown vs. offered load, data-mining flow sizes",
+        about: Some(
+            "Open-loop Poisson arrivals from the VL2 data-mining size CDF \
+             (half single-packet, ~13 MB mean); NDP vs DCTCP vs pHost slowdown",
+        ),
+        topo: true,
+        run: |scale, topo| {
+            Box::new(LoadSweepReport::run(
+                DistKind::DataMining,
+                false,
+                scale,
+                0xB200,
+                topo,
+            ))
+        },
+    },
+    Experiment {
+        id: "oversub_load",
+        title: "FCT slowdown vs. load on a 4:1 oversubscribed fabric",
+        about: Some(
+            "Web-search load sweep on the Figure-23 style 4:1 oversubscribed \
+             fabric: slowdown under scarce core capacity, NDP vs DCTCP vs pHost",
+        ),
+        topo: true,
+        run: |scale, topo| {
+            Box::new(LoadSweepReport::run(
+                DistKind::WebSearch,
+                true,
+                scale,
+                0xC300,
+                topo,
+            ))
+        },
+    },
+    Experiment {
+        id: "topo_matrix",
+        title: "Transport x topology matrix (permutation/incast/open-loop per fabric shape)",
+        about: Some(
+            "Permutation goodput, N:1 incast completion and open-loop websearch \
+             slowdown for NDP vs DCTCP vs pHost across {fattree, leafspine, \
+             oversubscribed} (or just the fabric named by --topo)",
+        ),
+        topo: true,
+        run: |scale, topo| Box::new(topo_matrix::run(scale, topo)),
+    },
+    Experiment {
+        id: "failure_matrix",
+        title: "Transport x topology matrix through a scheduled link failure",
+        about: Some(
+            "Open-loop websearch traffic while a core-tier link pair dies and \
+             recovers mid-run; per-phase (pre/during/post) p50/p99/p999 \
+             slowdown, stuck flows and reroute counts for NDP vs DCTCP vs \
+             pHost across {fattree, leafspine} (or the fabric named by --topo)",
+        ),
+        topo: true,
+        run: |scale, topo| Box::new(failure_matrix::run(scale, topo)),
+    },
+    Experiment {
+        id: "rpc_sweep",
+        title: "End-to-end RPC request latency vs. client load and fan-out",
+        about: Some(
+            "Fan-out/fan-in request trees (N shard answers converging on the \
+             client NIC) swept over offered client load and fan-out degree; \
+             NDP vs DCTCP vs pHost request p50/p99/p999 and SLO attainment",
+        ),
+        topo: true,
+        run: |scale, topo| Box::new(RpcSweepReport::run(scale, 0xE400, topo)),
+    },
+    Experiment {
+        id: "rpc_tenant_mix",
+        title: "Multi-tenant RPC mix: per-tenant SLO attainment shared vs. alone",
+        about: Some(
+            "A web-search RPC tier, a data-mining bulk tenant and a bursty \
+             background tenant sharing one fabric; per-tenant request-latency \
+             SLO attainment and cross-tenant interference per protocol",
+        ),
+        topo: true,
+        run: |scale, topo| Box::new(RpcTenantMixReport::run(scale, 0xF500, topo)),
+    },
+    Experiment {
+        id: "inline",
+        title: "Inline (non-figure) claims: §3.1.1 LB, §6.1.1 side effects, §6.2 scaling/pHost",
+        about: None,
+        topo: false,
+        run: |scale, _| Box::new(inline_results::run(scale)),
+    },
+    Experiment {
+        id: "quickstart",
+        title: "Two-host NDP transfer hello-world (sanity check)",
+        about: None,
+        topo: false,
+        run: |scale, _| {
+            Box::new(quick::two_host_transfer(match scale {
+                Scale::Paper => 100_000_000,
+                Scale::Quick => 10_000_000,
+            }))
+        },
+    },
 ];
 
-/// All experiments in registration order.
-pub fn all() -> &'static [&'static dyn Experiment] {
-    EXPERIMENTS
-}
-
 /// Look an experiment up by id (exact match).
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    EXPERIMENTS.iter().copied().find(|e| e.id() == id)
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
 /// Percentile summary of a CDF as `[{"p":0.5,"v":...},...]`; an empty CDF
@@ -151,21 +393,11 @@ pub const CDF_POINTS: &[f64] = &[0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99,
 /// `topo` is the resolved `--topo`/`NDP_TOPO` override (`null` when the
 /// experiment ran on its own default fabric) — without it, archived
 /// documents from different fabrics would be indistinguishable.
-pub fn document(
-    exp: &dyn Experiment,
-    scale: Scale,
-    topo: Option<&'static TopoEntry>,
-    report: &dyn Report,
-    wall_ms: f64,
-) -> Json {
-    document_with_telemetry(exp, scale, topo, report, wall_ms, None)
-}
-
-/// [`document`] with an optional `telemetry` block (the `--trace`
-/// session summary). `None` renders as `"telemetry": null`, so the
-/// envelope schema is stable whether or not a trace was captured.
+/// `telemetry` is the `--trace` session summary; `None` renders as
+/// `"telemetry": null`, so the envelope schema is stable whether or not a
+/// trace was captured.
 pub fn document_with_telemetry(
-    exp: &dyn Experiment,
+    exp: &Experiment,
     scale: Scale,
     topo: Option<&'static TopoEntry>,
     report: &dyn Report,
@@ -188,8 +420,8 @@ pub fn document_with_telemetry(
         ])
     });
     Json::obj([
-        ("id", Json::str(exp.id())),
-        ("title", Json::str(exp.title())),
+        ("id", Json::str(exp.id)),
+        ("title", Json::str(exp.title)),
         ("scale", Json::str(scale.name())),
         ("topo", topo.map_or(Json::Null, |t| Json::str(t.name))),
         ("headline", Json::str(report.headline())),
@@ -220,15 +452,15 @@ mod tests {
     #[test]
     fn twenty_seven_experiments_with_unique_ids() {
         assert_eq!(EXPERIMENTS.len(), 27);
-        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id()).collect();
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         let before = ids.len();
         ids.dedup();
         assert_eq!(before, ids.len(), "duplicate experiment ids: {ids:?}");
         for e in EXPERIMENTS {
-            assert!(!e.title().is_empty(), "{} has no title", e.id());
-            assert!(!e.description().is_empty(), "{} has no description", e.id());
-            assert_eq!(find(e.id()).map(|f| f.id()), Some(e.id()));
+            assert!(!e.title.is_empty(), "{} has no title", e.id);
+            assert!(e.about != Some(""), "{} has an empty description", e.id);
+            assert_eq!(find(e.id).map(|f| f.id), Some(e.id));
         }
     }
 
@@ -237,9 +469,11 @@ mod tests {
         for id in ["load_websearch", "load_datamining", "oversub_load"] {
             let e = find(id).unwrap_or_else(|| panic!("{id} not registered"));
             // The load sweeps describe their grid beyond the bare title.
-            assert_ne!(e.description(), e.title(), "{id} needs a description");
+            let about = e
+                .about
+                .unwrap_or_else(|| panic!("{id} needs a description"));
             assert!(
-                e.description().contains("NDP"),
+                about.contains("NDP"),
                 "{id} description should name the contending protocols"
             );
         }
@@ -258,11 +492,11 @@ mod tests {
             "rpc_tenant_mix",
         ] {
             let e = find(id).unwrap_or_else(|| panic!("{id} not registered"));
-            assert!(e.supports_topo(), "{id} should accept --topo");
+            assert!(e.topo, "{id} should accept --topo");
         }
         // Fixed-shape figures reject overrides so the CLI can error.
         for id in ["fig09", "fig11", "fig21"] {
-            assert!(!find(id).unwrap().supports_topo(), "{id} is fixed-shape");
+            assert!(!find(id).unwrap().topo, "{id} is fixed-shape");
         }
     }
 
@@ -270,8 +504,8 @@ mod tests {
     fn quick_report_json_round_trips_through_parser() {
         // fig21 is the cheapest multi-flow figure: one 15 ms world.
         let exp = find("fig21").expect("fig21 registered");
-        let report = exp.run(Scale::Quick, None);
-        let doc = document(exp, Scale::Quick, None, report.as_ref(), 12.5);
+        let report = (exp.run)(Scale::Quick, None);
+        let doc = document_with_telemetry(exp, Scale::Quick, None, report.as_ref(), 12.5, None);
         let text = doc.render();
         let back = crate::json::parse(&text).expect("valid JSON");
         assert_eq!(back.get("id").and_then(Json::as_str), Some("fig21"));

@@ -322,14 +322,14 @@ fn tenant_json(t: &TenantSummary) -> crate::json::Json {
     ])
 }
 
-fn sum_stats(rows: &[&RpcPointResult]) -> crate::registry::RunStats {
-    crate::registry::RunStats {
-        events_processed: Some(rows.iter().map(|r| r.events_processed).sum()),
-        event_kinds: Some(rows.iter().map(|r| r.event_kinds).sum()),
-        peak_live_components: rows.iter().map(|r| r.peak_live_components as u64).max(),
-        peak_live_flows: rows.iter().map(|r| r.peak_live_flows as u64).max(),
-        ..Default::default()
-    }
+/// One world's share of [`crate::registry::RunStats::over_worlds`].
+fn world_stats(r: &RpcPointResult) -> (u64, EventKindCounts, usize, usize) {
+    (
+        r.events_processed,
+        r.event_kinds,
+        r.peak_live_components,
+        r.peak_live_flows,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ fn sweep_tenant(load: f64, fanout: usize) -> TenantSpec {
 }
 
 impl RpcSweepReport {
-    fn run(scale: Scale, seed: u64, topo: Option<&'static TopoEntry>) -> RpcSweepReport {
+    pub(crate) fn run(scale: Scale, seed: u64, topo: Option<&'static TopoEntry>) -> RpcSweepReport {
         let (loads, fanouts): (Vec<f64>, Vec<usize>) = match scale {
             Scale::Paper => (vec![0.2, 0.4, 0.6], vec![4, 16, 32]),
             Scale::Quick => (vec![0.2, 0.5], vec![4, 8]),
@@ -489,7 +489,7 @@ impl crate::registry::Report for RpcSweepReport {
     }
 
     fn run_stats(&self) -> crate::registry::RunStats {
-        sum_stats(&self.rows.iter().map(|c| &c.result).collect::<Vec<_>>())
+        crate::registry::RunStats::over_worlds(self.rows.iter().map(|c| world_stats(&c.result)))
     }
 
     fn to_json(&self) -> crate::json::Json {
@@ -582,7 +582,11 @@ pub struct RpcTenantMixReport {
 }
 
 impl RpcTenantMixReport {
-    fn run(scale: Scale, seed: u64, topo: Option<&'static TopoEntry>) -> RpcTenantMixReport {
+    pub(crate) fn run(
+        scale: Scale,
+        seed: u64,
+        topo: Option<&'static TopoEntry>,
+    ) -> RpcTenantMixReport {
         let (warmup, measure, drain) = match scale {
             Scale::Paper => (Time::from_ms(2), Time::from_ms(40), Time::from_ms(60)),
             Scale::Quick => (Time::from_ms(1), Time::from_ms(16), Time::from_ms(30)),
@@ -715,12 +719,11 @@ impl crate::registry::Report for RpcTenantMixReport {
     }
 
     fn run_stats(&self) -> crate::registry::RunStats {
-        let mut all: Vec<&RpcPointResult> = Vec::new();
-        for r in &self.rows {
-            all.push(&r.mix);
-            all.extend(r.solo.iter());
-        }
-        sum_stats(&all)
+        let worlds = self
+            .rows
+            .iter()
+            .flat_map(|r| std::iter::once(&r.mix).chain(&r.solo));
+        crate::registry::RunStats::over_worlds(worlds.map(world_stats))
     }
 
     fn to_json(&self) -> crate::json::Json {
@@ -759,58 +762,6 @@ impl crate::registry::Report for RpcTenantMixReport {
                 })),
             ),
         ])
-    }
-}
-
-/// Registry entries.
-pub struct RpcSweep;
-pub struct RpcTenantMix;
-
-impl crate::registry::Experiment for RpcSweep {
-    fn id(&self) -> &'static str {
-        "rpc_sweep"
-    }
-    fn title(&self) -> &'static str {
-        "End-to-end RPC request latency vs. client load and fan-out"
-    }
-    fn description(&self) -> &'static str {
-        "Fan-out/fan-in request trees (N shard answers converging on the \
-         client NIC) swept over offered client load and fan-out degree; \
-         NDP vs DCTCP vs pHost request p50/p99/p999 and SLO attainment"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(RpcSweepReport::run(scale, 0xE400, topo))
-    }
-}
-
-impl crate::registry::Experiment for RpcTenantMix {
-    fn id(&self) -> &'static str {
-        "rpc_tenant_mix"
-    }
-    fn title(&self) -> &'static str {
-        "Multi-tenant RPC mix: per-tenant SLO attainment shared vs. alone"
-    }
-    fn description(&self) -> &'static str {
-        "A web-search RPC tier, a data-mining bulk tenant and a bursty \
-         background tenant sharing one fabric; per-tenant request-latency \
-         SLO attainment and cross-tenant interference per protocol"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(RpcTenantMixReport::run(scale, 0xF500, topo))
     }
 }
 

@@ -19,7 +19,7 @@
 //! [`crate::transport::TRANSPORTS`] grows this report with zero edits
 //! here beyond the axis lists.
 
-use ndp_metrics::{Table, SLOWDOWN_BIN_LABELS};
+use ndp_metrics::{fmt_or_dash, Table, SLOWDOWN_BIN_LABELS};
 use ndp_sim::Time;
 
 use crate::harness::{incast_world_run, permutation_world_run};
@@ -141,14 +141,6 @@ pub fn run(scale: Scale, topo: Option<&'static TopoEntry>) -> Report {
     Report { load, cells: rows }
 }
 
-fn fmt_or_dash(x: f64, prec: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.prec$}")
-    } else {
-        "-".into()
-    }
-}
-
 impl Report {
     /// Overall p99 slowdown of one cell, NaN when nothing completed.
     pub fn p99(&self, topo: &str, proto: Proto) -> f64 {
@@ -171,35 +163,6 @@ impl Report {
             .find(|c| c.topo == topo && c.proto == proto)
             .map(|c| c.perm_utilization)
             .unwrap_or(f64::NAN)
-    }
-
-    pub fn headline(&self) -> String {
-        let topos: Vec<&str> = {
-            let mut seen = Vec::new();
-            for c in &self.cells {
-                if !seen.contains(&c.topo) {
-                    seen.push(c.topo);
-                }
-            }
-            seen
-        };
-        let per_topo: Vec<String> = topos
-            .iter()
-            .map(|&t| {
-                format!(
-                    "{t}: NDP util {:.0}%/p99 {}",
-                    100.0 * self.utilization(t, Proto::Ndp),
-                    fmt_or_dash(self.p99(t, Proto::Ndp), 1)
-                )
-            })
-            .collect();
-        format!(
-            "{} topologies x {} protocols @{:.0}% load — {}",
-            topos.len(),
-            SWEEP_PROTOS.len(),
-            self.load * 100.0,
-            per_topo.join("; ")
-        )
     }
 }
 
@@ -255,54 +218,46 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Registry entry.
-pub struct TopoMatrix;
-
-impl crate::registry::Experiment for TopoMatrix {
-    fn id(&self) -> &'static str {
-        "topo_matrix"
-    }
-    fn title(&self) -> &'static str {
-        "Transport x topology matrix (permutation/incast/open-loop per fabric shape)"
-    }
-    fn description(&self) -> &'static str {
-        "Permutation goodput, N:1 incast completion and open-loop websearch \
-         slowdown for NDP vs DCTCP vs pHost across {fattree, leafspine, \
-         oversubscribed} (or just the fabric named by --topo)"
-    }
-    fn supports_topo(&self) -> bool {
-        true
-    }
-    fn run(
-        &self,
-        scale: Scale,
-        topo: Option<&'static TopoEntry>,
-    ) -> Box<dyn crate::registry::Report> {
-        Box::new(run(scale, topo))
-    }
-}
-
 impl crate::registry::Report for Report {
     fn headline(&self) -> String {
-        self.headline()
+        let topos: Vec<&str> = {
+            let mut seen = Vec::new();
+            for c in &self.cells {
+                if !seen.contains(&c.topo) {
+                    seen.push(c.topo);
+                }
+            }
+            seen
+        };
+        let per_topo: Vec<String> = topos
+            .iter()
+            .map(|&t| {
+                format!(
+                    "{t}: NDP util {:.0}%/p99 {}",
+                    100.0 * self.utilization(t, Proto::Ndp),
+                    fmt_or_dash(self.p99(t, Proto::Ndp), 1)
+                )
+            })
+            .collect();
+        format!(
+            "{} topologies x {} protocols @{:.0}% load — {}",
+            topos.len(),
+            SWEEP_PROTOS.len(),
+            self.load * 100.0,
+            per_topo.join("; ")
+        )
     }
 
     fn run_stats(&self) -> crate::registry::RunStats {
-        crate::registry::RunStats {
-            events_processed: Some(self.cells.iter().map(|c| c.openloop.events_processed).sum()),
-            event_kinds: Some(self.cells.iter().map(|c| c.openloop.event_kinds).sum()),
-            peak_live_components: self
-                .cells
-                .iter()
-                .map(|c| c.openloop.peak_live_components as u64)
-                .max(),
-            peak_live_flows: self
-                .cells
-                .iter()
-                .map(|c| c.openloop.peak_live_flows as u64)
-                .max(),
-            ..Default::default()
-        }
+        crate::registry::RunStats::over_worlds(self.cells.iter().map(|c| {
+            let o = &c.openloop;
+            (
+                o.events_processed,
+                o.event_kinds,
+                o.peak_live_components,
+                o.peak_live_flows,
+            )
+        }))
     }
 
     fn to_json(&self) -> crate::json::Json {

@@ -18,7 +18,7 @@ pub use percentile::{percentile, percentile_checked};
 pub use rpc::TenantDigest;
 pub use series::TimeSeries;
 pub use slowdown::{size_bin, SlowdownBins, SLOWDOWN_BIN_EDGES, SLOWDOWN_BIN_LABELS};
-pub use table::Table;
+pub use table::{fmt_or_dash, Table};
 
 /// Jain's fairness index: 1.0 = perfectly fair.
 pub fn jain_fairness(xs: &[f64]) -> f64 {

@@ -59,6 +59,16 @@ impl Table {
     }
 }
 
+/// A table cell for a value that may be missing: `x` at `prec` decimals,
+/// or `-` when it is NaN or infinite (nothing completed, say).
+pub fn fmt_or_dash(x: f64, prec: usize) -> String {
+    if x.is_finite() {
+        format!("{x:.prec$}")
+    } else {
+        "-".into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use ndp::core::{attach_flow, NdpFlowCfg};
 use ndp::experiments::openloop::{openloop_run, DistKind, SWEEP_PROTOS};
 use ndp::experiments::sweep::OpenLoopPoint;
-use ndp::experiments::{failure_matrix, find_topo, registry, Proto, Scale};
+use ndp::experiments::{failure_matrix, find_topo, registry, Proto, Report as _, Scale};
 use ndp::net::flight::{FlightHook, FlightRecorder, HopKind};
 use ndp::net::queue::Queue;
 use ndp::net::switch::Switch;
@@ -186,9 +186,9 @@ fn tracing_does_not_change_experiment_results() {
 fn traced_load_sweep_submits_every_point_and_keeps_its_headline() {
     let _g = serialize();
     let exp = registry::find("load_websearch").expect("registered");
-    let plain = exp.run(Scale::Quick, None).headline();
+    let plain = (exp.run)(Scale::Quick, None).headline();
     session::begin(TelemetryConfig);
-    let traced = exp.run(Scale::Quick, None).headline();
+    let traced = (exp.run)(Scale::Quick, None).headline();
     let (_, points) = session::end().expect("session was active");
     assert_eq!(
         plain, traced,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bit-identity sweep of registry documents, parent build against change build.
+"""Bit-identity sweep of registry output, parent build against change build.
 
     tools/parity.py <parent-target-dir> <change-target-dir> [ids...] [--trace]
 
@@ -8,16 +8,20 @@ Builds nothing: each target dir must already hold `release/ndp`
 For every id, runs each side's `ndp run <id> --scale quick --json` under
 NDP_THREADS=1 and then 7, drops the two wall-clock fields (`run.wall_ms`,
 `run.events_per_sec`) and prints one line per document: its sha256 digest on
-each side. With `--trace` every run also writes `--trace <tmp>.ndjson`, the
-document carries its `telemetry` block, and the NDJSON export gets a digest
-line of its own. Under each document or export whose digests differ it
-prints up to 20 `path: parent → change` lines, the JSON paths whose leaf
-values differ (an NDJSON export is compared line by line, `[i]` being line
-i). Exits 1 naming every document or export whose digests differ, 0 when all
-match. The same dir twice is a self-pair (CI runs one).
+each side. Each run also digests the human-readable stdout of
+`ndp run <id> --scale quick` (the tables and the `headline:` line; it holds
+no wall-clock field) on a `text` line of its own. With `--trace` every JSON
+run also writes `--trace <tmp>.ndjson`, the document carries its
+`telemetry` block, and the NDJSON export gets a digest line of its own.
+Under each document, text or export whose digests differ it prints up to 20
+`path: parent → change` lines, the JSON paths whose leaf values differ (text
+and an NDJSON export are compared line by line, `[i]` being line i). Exits 1
+naming everything whose digests differ, 0 when all match. The same dir
+twice is a self-pair (CI runs one).
 
 The default ids are every experiment both sides' `ndp list` registers; an id
-only one side registers is named in a `#` line and skipped.
+only one side registers is named in a `#` line and skipped. With the ids
+defaulted the full `ndp list` output of both sides is compared as well.
 """
 
 import argparse
@@ -69,24 +73,34 @@ def moved(parent, change):
             for k in paths if p.get(k) != c.get(k)]
 
 
-def registered(target_dir):
-    """The ids `ndp list` prints (its first column), in registry order."""
+def listing(target_dir):
+    """`ndp list`'s stdout, one experiment a line in registry order."""
     out = subprocess.run([os.path.join(target_dir, "release", "ndp"), "list"],
-                         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True, text=True)
-    return [line.split()[0] for line in out.stdout.splitlines() if line.strip()]
+                         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True)
+    return out.stdout
+
+
+def ids_of(listing_bytes):
+    """The ids a listing names (its first column)."""
+    return [line.split()[0] for line in listing_bytes.decode().splitlines() if line.strip()]
 
 
 def render(target_dir, exp, threads, trace_path):
-    """One run's {"doc": ..., "trace": ...} (trace only if asked), each a
-    (digest, parsed JSON) pair; the trace parses to its list of lines."""
-    cmd = [os.path.join(target_dir, "release", "ndp"), "run", exp, "--scale", "quick", "--json"]
-    if trace_path:
-        cmd += ["--trace", trace_path]
+    """One run's {"doc": ..., "text": ..., "trace": ...} (trace only if
+    asked), each a (digest, parsed JSON) pair; text and trace parse to
+    their lists of lines."""
+    cmd = [os.path.join(target_dir, "release", "ndp"), "run", exp, "--scale", "quick"]
     env = {k: v for k, v in os.environ.items() if k not in KNOBS}
     env["NDP_THREADS"] = str(threads)
-    out = subprocess.run(cmd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True)
-    doc = json.loads(out.stdout)
-    got = {"doc": (digest(normalise(doc)), doc)}
+
+    def stdout(extra, stderr=None):
+        return subprocess.run(cmd + extra, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              stderr=stderr, check=True).stdout
+
+    doc = json.loads(stdout(["--json"] + (["--trace", trace_path] if trace_path else [])))
+    # The text run's stderr is the banner; its stdout is what is compared.
+    text = stdout([], stderr=subprocess.DEVNULL)
+    got = {"doc": (digest(normalise(doc)), doc), "text": (digest(text), text.decode().splitlines())}
     if trace_path:
         with open(trace_path, "rb") as f:
             data = f.read()
@@ -101,10 +115,11 @@ def main():
     ap.add_argument("ids", nargs="*", help="experiment ids (default: every registered id)")
     ap.add_argument("--trace", action="store_true", help="also digest each run's NDJSON trace export")
     args = ap.parse_args()
-    ids, one_sided = args.ids, []
+    ids, one_sided, lists = args.ids, [], None
     if not ids:
-        parent_ids = set(registered(args.parent))
-        change_ids = registered(args.change)
+        lists = {side: listing(getattr(args, side)) for side in ("parent", "change")}
+        parent_ids = set(ids_of(lists["parent"]))
+        change_ids = ids_of(lists["change"])
         ids = [i for i in change_ids if i in parent_ids]
         one_sided = sorted(parent_ids.symmetric_difference(change_ids))
 
@@ -114,7 +129,25 @@ def main():
     print(f"# change {args.change}")
     if one_sided:
         print(f"# registered on one side only, skipped: {' '.join(one_sided)}")
-    differ = []
+    differ, n = [], 0
+
+    def compare(name, parent, change):
+        """One digest line for a (digest, parsed) pair per side."""
+        nonlocal n
+        n += 1
+        (p, p_json), (c, c_json) = parent, change
+        verdict = "same" if p == c else "DIFFERS"
+        print(f"{name:<40} parent {p}  change {c}  {verdict}", flush=True)
+        if p != c:
+            differ.append(name)
+            lines = moved(p_json, c_json)
+            for line in lines[:MOVED_LINES]:
+                print(f"    {line}")
+            if len(lines) > MOVED_LINES:
+                print(f"    ... and {len(lines) - MOVED_LINES} more")
+
+    if lists:
+        compare("ndp list", *((digest(b), b.decode().splitlines()) for b in lists.values()))
     with tempfile.TemporaryDirectory() as tmp:
         for exp in ids:
             for threads in THREADS:
@@ -123,21 +156,10 @@ def main():
                     trace = os.path.join(tmp, f"{side}.ndjson") if args.trace else None
                     got[side] = render(getattr(args, side), exp, threads, trace)
                 for kind in got["parent"]:
-                    (p, p_json), (c, c_json) = got["parent"][kind], got["change"][kind]
-                    name = f"{exp} {kind} NDP_THREADS={threads}"
-                    verdict = "same" if p == c else "DIFFERS"
-                    print(f"{name:<40} parent {p}  change {c}  {verdict}", flush=True)
-                    if p != c:
-                        differ.append(name)
-                        lines = moved(p_json, c_json)
-                        for line in lines[:MOVED_LINES]:
-                            print(f"    {line}")
-                        if len(lines) > MOVED_LINES:
-                            print(f"    ... and {len(lines) - MOVED_LINES} more")
+                    compare(f"{exp} {kind} NDP_THREADS={threads}", got["parent"][kind], got["change"][kind])
     if differ:
         print(f"{len(differ)} differ: {'; '.join(differ)}")
         return 1
-    n = len(ids) * len(THREADS) * (2 if args.trace else 1)
     print(f"all {n} digests equal")
     return 0
 

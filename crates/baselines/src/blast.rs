@@ -150,12 +150,11 @@ impl ndp_transport::Transport for BlastTransport {
     fn attach(
         &self,
         world: &mut World<Packet>,
+        topo: &dyn ndp_transport::Topology,
         spec: &ndp_transport::FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        _n_paths: u32,
-        mtu: u32,
     ) {
+        let [src, dst] = spec.ends(topo);
+        let mtu = topo.mtu();
         let rate = world.get::<Host>(src.0).link_rate();
         let per = (mtu - HEADER_BYTES) as u64;
         let limit = spec.size.div_ceil(per).max(1);

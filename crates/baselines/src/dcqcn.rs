@@ -71,7 +71,6 @@ impl DcqcnCfg {
 pub struct DcqcnStats {
     pub start_time: Option<Time>,
     pub cnps_received: u64,
-    pub packets_sent: u64,
     pub rate_samples: Vec<(u64, u64)>,
 }
 
@@ -135,7 +134,6 @@ impl DcqcnSender {
         }
         self.seq += 1;
         self.sent_bytes += payload;
-        self.stats.packets_sent += 1;
         ctx.send(pkt);
         if self.sent_bytes < self.cfg.size_bytes {
             let g = self.gap();
@@ -337,14 +335,12 @@ impl ndp_transport::Transport for DcqcnTransport {
     fn attach(
         &self,
         world: &mut World<Packet>,
+        topo: &dyn ndp_transport::Topology,
         spec: &ndp_transport::FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        _n_paths: u32,
-        mtu: u32,
     ) {
+        let [src, dst] = spec.ends(topo);
         let mut cfg = DcqcnCfg::new(spec.size);
-        cfg.mtu = mtu;
+        cfg.mtu = topo.mtu();
         cfg.path = ndp_transport::flow_hash_path(spec.flow).max(1);
         attach_dcqcn_flow(world, spec.flow, src, dst, cfg, spec.start);
     }

@@ -65,7 +65,6 @@ pub struct MptcpStats {
     pub completion_time: Option<Time>,
     pub fast_retransmits: u64,
     pub timeouts: u64,
-    pub packets_sent: u64,
 }
 
 impl MptcpStats {
@@ -157,7 +156,6 @@ impl MptcpSender {
         pkt.path = path;
         pkt.subflow = idx as u16;
         pkt.sent = ctx.now();
-        self.stats.packets_sent += 1;
         if seq == self.subs[idx].snd_una {
             self.subs[idx].una_time = ctx.now();
         }
@@ -441,12 +439,11 @@ impl ndp_transport::Transport for MptcpTransport {
     fn attach(
         &self,
         world: &mut World<Packet>,
+        topo: &dyn ndp_transport::Topology,
         spec: &ndp_transport::FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        _n_paths: u32,
-        mtu: u32,
     ) {
+        let [src, dst] = spec.ends(topo);
+        let mtu = topo.mtu();
         attach_mptcp_flow(world, spec.flow, src, dst, spec.size, mtu, spec.start);
     }
 }

@@ -34,7 +34,6 @@ const TOKEN_TIMEOUT: Time = Time::from_us(500);
 pub struct PHostStats {
     pub start_time: Option<Time>,
     pub completion_time: Option<Time>,
-    pub packets_sent: u64,
     pub retransmissions: u64,
 }
 
@@ -93,7 +92,6 @@ impl PHostSender {
             pkt.flags = pkt.flags.with(Flags::RTX);
             self.stats.retransmissions += 1;
         }
-        self.stats.packets_sent += 1;
         ctx.send(pkt);
     }
 
@@ -332,12 +330,11 @@ impl ndp_transport::Transport for PHostTransport {
     fn attach(
         &self,
         world: &mut World<Packet>,
+        topo: &dyn ndp_transport::Topology,
         spec: &ndp_transport::FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        _n_paths: u32,
-        mtu: u32,
     ) {
+        let [src, dst] = spec.ends(topo);
+        let mtu = topo.mtu();
         attach_phost_flow(world, spec.flow, src, dst, spec.size, mtu, spec.start);
     }
 }

@@ -92,9 +92,7 @@ pub struct TcpStats {
     pub completion_time: Option<Time>,
     pub fast_retransmits: u64,
     pub timeouts: u64,
-    pub packets_sent: u64,
     pub marks_echoed: u64,
-    pub final_alpha: f64,
 }
 
 impl TcpStats {
@@ -205,7 +203,6 @@ impl TcpSender {
         if seq + payload >= self.cfg.size_bytes {
             pkt.flags = pkt.flags.with(Flags::FIN);
         }
-        self.stats.packets_sent += 1;
         if seq == self.snd_una {
             self.una_time = ctx.now();
         }
@@ -268,7 +265,6 @@ impl TcpSender {
                 self.bytes_marked_win as f64 / self.bytes_acked_win as f64
             };
             self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
-            self.stats.final_alpha = self.alpha;
             self.bytes_acked_win = 0;
             self.bytes_marked_win = 0;
             self.win_end = self.snd_nxt;
@@ -606,18 +602,16 @@ impl ndp_transport::Transport for TcpTransport {
     fn attach(
         &self,
         world: &mut World<Packet>,
+        topo: &dyn ndp_transport::Topology,
         spec: &ndp_transport::FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        _n_paths: u32,
-        mtu: u32,
     ) {
+        let [src, dst] = spec.ends(topo);
         let mut cfg = if self.dctcp {
             TcpCfg::dctcp(spec.size)
         } else {
             TcpCfg::new(spec.size)
         };
-        cfg.mtu = mtu;
+        cfg.mtu = topo.mtu();
         cfg.path = ndp_transport::flow_hash_path(spec.flow);
         attach_tcp_flow(world, spec.flow, src, dst, cfg, spec.start);
     }

@@ -63,7 +63,7 @@ mod tests {
     use ndp_net::packet::PacketKind;
     use ndp_net::queue::{LinkClass, Queue};
     use ndp_sim::Speed;
-    use ndp_topology::{BackToBack, FatTree, FatTreeCfg, QueueSpec, SingleBottleneck};
+    use ndp_topology::{BackToBack, FatTree, FatTreeCfg, QueueSpec, SingleBottleneck, Topology};
     use std::any::Any;
 
     fn b2b(seed: u64) -> (World<Packet>, BackToBack) {

@@ -4,9 +4,9 @@
 //! The Figure 22 ablation (path penalty disabled, §3.2.3) is a configured
 //! instance of the same adapter, not a separate protocol.
 
-use ndp_net::packet::{HostId, Packet};
-use ndp_sim::{ComponentId, World};
-use ndp_transport::{FlowSpec, QueueSpec, Transport};
+use ndp_net::packet::Packet;
+use ndp_sim::World;
+use ndp_transport::{FlowSpec, QueueSpec, Topology, Transport};
 
 use crate::{attach_flow, NdpFlowCfg};
 
@@ -37,18 +37,11 @@ impl Transport for NdpTransport {
         QueueSpec::ndp_default()
     }
 
-    fn attach(
-        &self,
-        world: &mut World<Packet>,
-        spec: &FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        n_paths: u32,
-        mtu: u32,
-    ) {
+    fn attach(&self, world: &mut World<Packet>, topo: &dyn Topology, spec: &FlowSpec) {
+        let [src, dst] = spec.ends(topo);
         let mut cfg = NdpFlowCfg::new(spec.size);
-        cfg.mtu = mtu;
-        cfg.n_paths = n_paths;
+        cfg.mtu = topo.mtu();
+        cfg.n_paths = topo.n_paths(spec.src, spec.dst);
         cfg.path_penalty = self.path_penalty;
         cfg.high_priority = spec.prio;
         if let Some(iw) = spec.iw {

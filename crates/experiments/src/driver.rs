@@ -120,8 +120,8 @@ impl<I: Iterator<Item = FlowEvent> + Send> RequestSource for Flows<I> {
 }
 
 /// Pluggable flow-attach hook: how the driver turns a due [`FlowSpec`]
-/// into live endpoints. `None` uses the standard
-/// [`ndp_transport::Transport::attach`] path; the Figure 8 port substitutes
+/// into live endpoints. The default is the protocol's
+/// [`ndp_transport::Transport::attach`]; the Figure 8 port substitutes
 /// its handshake-variant TCP attach here.
 pub type AttachFn = Arc<dyn Fn(&mut World<Packet>, &FlowSpec) + Send + Sync>;
 
@@ -219,7 +219,6 @@ pub struct CompletedRequest {
 /// Drives request trees through their whole lifecycle inside simulated
 /// time (see the module docs).
 pub struct RpcDriver {
-    proto: Proto,
     topo: Arc<dyn Topology>,
     source: Box<dyn RequestSource>,
     /// Next open-loop arrival, pulled from the stream but not yet due.
@@ -245,8 +244,7 @@ pub struct RpcDriver {
     /// reported.
     finished: u64,
     delivered_bytes: u64,
-    /// Attach override; `None` = the generic per-protocol path.
-    attach: Option<AttachFn>,
+    attach: AttachFn,
     spans: Option<ndp_telemetry::SpanLog>,
     requests_log: Option<ndp_telemetry::RequestLog>,
     live_gauge: Option<Arc<AtomicU64>>,
@@ -277,8 +275,9 @@ impl RpcDriver {
         let hosts: Vec<_> = (0..topo.n_hosts())
             .map(|h| topo.host(h as HostId))
             .collect();
+        let fabric = Arc::clone(&topo);
+        let attach: AttachFn = Arc::new(move |w, spec| proto.transport().attach(w, &*fabric, spec));
         let id = world.add(RpcDriver {
-            proto,
             topo,
             source,
             pending_open,
@@ -296,7 +295,7 @@ impl RpcDriver {
             peak_live_flows: 0,
             finished: 0,
             delivered_bytes: 0,
-            attach: None,
+            attach,
             spans: None,
             requests_log: None,
             live_gauge: None,
@@ -315,9 +314,9 @@ impl RpcDriver {
         self.flows.len()
     }
 
-    /// Replace the generic attach path (the Figure 8 handshake variants).
+    /// Replace the protocol's attach (the Figure 8 handshake variants).
     pub fn set_attach(&mut self, attach: AttachFn) {
-        self.attach = Some(attach);
+        self.attach = attach;
     }
 
     /// Record a [`FlowSpan`] for every flow this driver detaches — tagged
@@ -432,22 +431,8 @@ impl RpcDriver {
         self.publish_live();
         let mut spec = FlowSpec::new(flow, fl.src, fl.dst, fl.bytes);
         spec.start = start;
-        match &self.attach {
-            Some(f) => {
-                let f = Arc::clone(f);
-                ctx.defer(move |w| f(w, &spec));
-            }
-            None => {
-                let proto = self.proto;
-                let src = (self.topo.host(fl.src), fl.src);
-                let dst = (self.topo.host(fl.dst), fl.dst);
-                let n_paths = self.topo.n_paths(fl.src, fl.dst);
-                let mtu = self.topo.mtu();
-                ctx.defer(move |w| {
-                    proto.transport().attach(w, &spec, src, dst, n_paths, mtu);
-                });
-            }
-        }
+        let attach = Arc::clone(&self.attach);
+        ctx.defer(move |w| attach(w, &spec));
     }
 
     /// One of a request's flows completed: detach it, advance the fan-in.

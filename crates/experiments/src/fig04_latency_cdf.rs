@@ -12,7 +12,7 @@ use ndp_metrics::{Cdf, Table};
 use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{FatTree, FatTreeCfg};
+use ndp_topology::{FatTree, FatTreeCfg, Topology};
 use ndp_transport::attach_endpoints;
 
 use crate::harness::{FlowSpec, Scale};

@@ -9,7 +9,7 @@
 use ndp_metrics::{Cdf, Table};
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Speed, Time, World};
-use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
+use ndp_topology::{LeafSpine, LeafSpineCfg};
 
 use crate::harness::{completion_time, FlowSpec, Proto, Scale};
 
@@ -43,14 +43,7 @@ fn trial(proto: Proto, size: u64, seed: u64) -> Time {
     // base RTT, folded into the optimum rather than simulated.
     for w in 1..8usize {
         let spec = FlowSpec::new(w as u64, w as HostId, 0, size);
-        proto.transport().attach(
-            &mut world,
-            &spec,
-            (tt.hosts[w], w as HostId),
-            (tt.hosts[0], 0),
-            tt.n_paths(w as u32, 0),
-            9000,
-        );
+        proto.transport().attach(&mut world, &tt, &spec);
     }
     world.run_until(Time::from_secs(30));
     let mut last = Time::ZERO;

@@ -7,7 +7,7 @@
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
+use ndp_topology::{LeafSpine, LeafSpineCfg};
 
 use crate::harness::{completion_time, FlowSpec, Proto, Scale, LONG_FLOW};
 
@@ -26,26 +26,12 @@ fn trial(size: u64, prio: bool, background: bool, seed: u64) -> Time {
     if background {
         for s in 2..8usize {
             let spec = FlowSpec::new(s as u64, s as HostId, 0, LONG_FLOW);
-            Proto::Ndp.transport().attach(
-                &mut world,
-                &spec,
-                (tt.hosts[s], s as HostId),
-                (tt.hosts[0], 0),
-                tt.n_paths(s as u32, 0),
-                9000,
-            );
+            Proto::Ndp.transport().attach(&mut world, &tt, &spec);
         }
     }
     let mut spec = FlowSpec::new(1, 1, 0, size);
     spec.prio = prio;
-    Proto::Ndp.transport().attach(
-        &mut world,
-        &spec,
-        (tt.hosts[1], 1),
-        (tt.hosts[0], 0),
-        tt.n_paths(1, 0),
-        9000,
-    );
+    Proto::Ndp.transport().attach(&mut world, &tt, &spec);
     world.run_until(Time::from_secs(5));
     completion_time(&world, tt.hosts[0], 1, Proto::Ndp).expect("short flow must complete")
 }

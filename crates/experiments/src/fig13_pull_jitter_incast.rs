@@ -10,7 +10,7 @@ use ndp_metrics::Table;
 use ndp_net::host::{Host, HostLatency, JitterDist};
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{FatTree, FatTreeCfg};
+use ndp_topology::{FatTree, FatTreeCfg, Topology};
 
 use crate::harness::{attach_on, completion_time, FlowSpec, Proto, Scale};
 

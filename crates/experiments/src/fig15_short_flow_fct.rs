@@ -10,7 +10,7 @@ use ndp_metrics::{Cdf, Table};
 use ndp_net::host::{start_token, Host};
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
-use ndp_topology::{FatTree, FatTreeCfg};
+use ndp_topology::{FatTree, FatTreeCfg, Topology};
 
 use crate::harness::{attach_on, completion_time, FlowSpec, Proto, Scale, Trigger, LONG_FLOW};
 

@@ -12,7 +12,7 @@ use ndp_metrics::{Table, TimeSeries};
 use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
+use ndp_topology::{LeafSpine, LeafSpineCfg};
 
 use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
 
@@ -45,14 +45,7 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
     // Long flow into host 0 from the last sender host.
     let long_src = tt.hosts.len() - 1;
     let spec = FlowSpec::new(1, long_src as HostId, 0, LONG_FLOW);
-    proto.transport().attach(
-        &mut world,
-        &spec,
-        (tt.hosts[long_src], long_src as HostId),
-        (tt.hosts[0], 0),
-        tt.n_paths(long_src as u32, 0),
-        9000,
-    );
+    proto.transport().attach(&mut world, &tt, &spec);
     // 64:1 incast of 900KB into host 1 starting at t=50ms, from hosts 2..,
     // skipping the long-flow source.
     let incast_start = Time::from_ms(50);
@@ -61,14 +54,7 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
         assert!(src < long_src);
         let mut s = FlowSpec::new(10 + i as u64, src as HostId, 1, 900_000);
         s.start = incast_start;
-        proto.transport().attach(
-            &mut world,
-            &s,
-            (tt.hosts[src], src as HostId),
-            (tt.hosts[1], 1),
-            tt.n_paths(src as u32, 1),
-            9000,
-        );
+        proto.transport().attach(&mut world, &tt, &s);
     }
     let horizon = match proto {
         Proto::Dctcp => Time::from_ms(400),

@@ -15,7 +15,7 @@ use ndp_metrics::Table;
 use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Speed, Time, World};
-use ndp_topology::{FatTree, FatTreeCfg};
+use ndp_topology::{FatTree, FatTreeCfg, Topology};
 
 use crate::harness::{attach_on, completion_time, incast_ideal, FlowSpec, Proto, Scale};
 use crate::sweep;

@@ -9,7 +9,7 @@
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
-use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
+use ndp_topology::{LeafSpine, LeafSpineCfg};
 
 use crate::harness::{delivered_bytes, FlowSpec, Proto, Scale, LONG_FLOW};
 
@@ -34,14 +34,7 @@ pub fn run(scale: Scale) -> Report {
     ];
     for (i, &(_, src, dst)) in pairs.iter().enumerate() {
         let spec = FlowSpec::new(i as u64 + 1, src as HostId, dst as HostId, LONG_FLOW);
-        Proto::Ndp.transport().attach(
-            &mut world,
-            &spec,
-            (tt.hosts[src], src as HostId),
-            (tt.hosts[dst], dst as HostId),
-            tt.n_paths(src as u32, dst as u32),
-            9000,
-        );
+        Proto::Ndp.transport().attach(&mut world, &tt, &spec);
     }
     let duration = match scale {
         Scale::Paper => Time::from_ms(50),

@@ -89,13 +89,7 @@ pub const LONG_FLOW: u64 = 1 << 30;
 /// Attach `spec` using protocol `proto` on any topology: the path count,
 /// host components and MTU all come from the [`Topology`] surface.
 pub fn attach_on(world: &mut World<Packet>, topo: &dyn Topology, proto: Proto, spec: &FlowSpec) {
-    let mtu = topo.mtu();
-    let n_paths = topo.n_paths(spec.src, spec.dst);
-    let src = (topo.host(spec.src), spec.src);
-    let dst = (topo.host(spec.dst), spec.dst);
-    proto
-        .transport()
-        .attach(world, spec, src, dst, n_paths, mtu);
+    proto.transport().attach(world, topo, spec);
 }
 
 /// Receiver-side delivered payload bytes for any protocol. `proto` is no

@@ -7,8 +7,10 @@
 //! 1. next to the new sender/receiver, override `Endpoint::harvest` on
 //!    each (the receiver reports delivery, the sender its recovery
 //!    tallies), call `ctx.complete()` once when the flow is done, and
-//!    implement [`Transport`]'s `label`/`fabric`/`attach`,
-//!    the last ending in one `ndp_transport::attach_endpoints` call (see
+//!    implement [`Transport`]'s `label`/`fabric`/`attach`; `attach`
+//!    reads its hosts (`FlowSpec::ends`), MTU and path count off the
+//!    `&dyn Topology` it is given and ends in one
+//!    `ndp_transport::attach_endpoints` call (see
 //!    `ndp_baselines::phost` for a template, or `ndp_core::transport` for
 //!    a multi-variant one), exposed as a `static`;
 //! 2. add a `Proto` variant and one line to [`TRANSPORTS`].
@@ -146,10 +148,7 @@ mod tests {
         }
         let (dst, t) = (ft.hosts[15], proto.transport());
         for &(flow, src) in flows {
-            let spec = FlowSpec::new(flow, src, 15, size);
-            let n_paths = ft.n_paths(src, 15);
-            let src_host = (ft.hosts[src as usize], src);
-            t.attach(&mut w, &spec, src_host, (dst, 15), n_paths, ft.cfg.mtu);
+            t.attach(&mut w, &ft, &FlowSpec::new(flow, src, 15, size));
         }
         w.run_until(horizon);
         let mut harvests = Vec::new();
@@ -172,6 +171,44 @@ mod tests {
             assert_eq!(w.get::<Host>(*host).n_endpoints(), 0, "{proto:?}");
         }
         harvests
+    }
+
+    /// Every transport sizes its packets by the MTU of the topology it is
+    /// attached on: a 90 KB flow over a 1500-byte leaf-spine leaves its
+    /// source NIC as at least ⌈90000 / (1500 − header)⌉ data packets, none
+    /// larger than the MTU.
+    #[test]
+    fn every_transport_takes_its_mtu_from_the_topology() {
+        use ndp_net::{FlightHook, FlightRecorder, HopKind, Packet, Queue, HEADER_BYTES};
+        use ndp_sim::{Time, World};
+        use ndp_topology::{LeafSpine, LeafSpineCfg, Topology};
+        use std::sync::{Arc, Mutex};
+        const MTU: u32 = 1500;
+        for proto in Proto::all() {
+            let cfg = LeafSpineCfg::new(2, 2, 2).with_mtu(MTU);
+            let mut w: World<Packet> = World::new(7);
+            let topo = LeafSpine::build(&mut w, cfg.with_fabric(proto.fabric()));
+            let rec = Arc::new(Mutex::new(FlightRecorder::new(10_000)));
+            let hook = FlightHook::new(Arc::clone(&rec), 0);
+            w.get_mut::<Queue>(topo.host_nic(0))
+                .set_flight_hook(Some(hook));
+            proto
+                .transport()
+                .attach(&mut w, &topo, &FlowSpec::new(1, 0, 3, 90_000));
+            w.run_until(Time::from_ms(50));
+            let rec = rec.lock().unwrap();
+            let data: Vec<u32> = (rec.records())
+                .filter(|r| r.kind == HopKind::Dequeue && r.size > HEADER_BYTES)
+                .map(|r| r.size)
+                .collect();
+            let want = 90_000u64.div_ceil((MTU - HEADER_BYTES) as u64);
+            assert!(
+                data.len() as u64 >= want,
+                "{proto:?}: {} data packets, want ≥ {want}",
+                data.len()
+            );
+            assert!(data.iter().all(|&s| s <= MTU), "{proto:?}: {data:?}");
+        }
     }
 
     #[test]

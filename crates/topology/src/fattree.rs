@@ -18,26 +18,13 @@
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
-use ndp_net::switch::{Router, Switch};
+use ndp_net::switch::Switch;
 use ndp_sim::{ComponentId, Speed, World};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
-use crate::routes::TableRouter;
+use crate::routes::{RouteMode, Step, TreeRouter};
 use crate::spec::QueueSpec;
 use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology, LINK_DELAY};
 use crate::wiring::wire_back_refs;
-
-/// How switches pick uplinks for packets heading up the tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteMode {
-    /// Senders choose the path: switches obey the packet's path tag
-    /// (NDP's source-based load balancing, §3.1.1).
-    SourceTag,
-    /// Per-packet random ECMP: every switch picks a uniformly random
-    /// uplink (§3.1.1's baseline; ~10 % worse at small buffers).
-    RandomUplinks,
-}
 
 /// Configuration for [`FatTree::build`].
 #[derive(Clone, Debug)]
@@ -91,178 +78,105 @@ impl FatTreeCfg {
     }
 
     pub fn n_hosts(&self) -> usize {
-        self.k * (self.k / 2) * self.hosts_per_tor
+        self.index().n_hosts()
+    }
+
+    pub(crate) fn index(&self) -> FtIndex {
+        FtIndex {
+            half: self.k / 2,
+            hpt: self.hosts_per_tor,
+        }
     }
 }
 
-/// Integer helpers shared by the routers.
+/// The fabric's index arithmetic, and the router of each switch tier.
 #[derive(Clone, Copy, Debug)]
-struct FtIndex {
+pub(crate) struct FtIndex {
     half: usize,
     hpt: usize,
 }
 
+/// A ToR's uplink rule towards its own pod: the tag picks the agg,
+/// `tag % half`.
+const INTRA: usize = 0;
+/// A ToR's uplink rule towards another pod: the tag is the core index,
+/// reached through agg `tag / half`.
+const INTER: usize = 1;
+
 impl FtIndex {
-    fn pod_of(self, h: HostId) -> usize {
-        h as usize / (self.hpt * self.half)
+    fn n_hosts(self) -> usize {
+        2 * self.half * self.half * self.hpt
     }
-    fn tor_in_pod_of(self, h: HostId) -> usize {
-        (h as usize / self.hpt) % self.half
+    fn pod_of(self, h: usize) -> usize {
+        h / (self.hpt * self.half)
     }
-    fn idx_in_tor(self, h: HostId) -> usize {
-        h as usize % self.hpt
+    fn tor_in_pod_of(self, h: usize) -> usize {
+        (h / self.hpt) % self.half
     }
-}
+    fn idx_in_tor(self, h: usize) -> usize {
+        h % self.hpt
+    }
 
-/// Table marker: destination is in this pod but under another ToR.
-const INTRA: u16 = u16::MAX - 1;
-/// Table marker: destination is in another pod.
-const INTER: u16 = u16::MAX;
+    /// How many switch tiers a packet from `a` to `b` climbs: 0 under one
+    /// ToR, 1 within a pod, 2 across pods.
+    fn climb(self, a: HostId, b: HostId) -> u32 {
+        let (a, b) = (a as usize, b as usize);
+        if self.pod_of(a) != self.pod_of(b) {
+            2
+        } else if self.tor_in_pod_of(a) != self.tor_in_pod_of(b) {
+            1
+        } else {
+            0
+        }
+    }
 
-/// ToR router with the dst → decision precomputed: a local destination's
-/// downlink port, or which tag → uplink rule applies. One table load
-/// replaces the three per-packet integer divisions of the arithmetic form
-/// (see `crate::routes` for the rationale).
-struct TorRouter {
-    ix: FtIndex,
-    mode: RouteMode,
-    /// dst → downlink port, or [`INTRA`] / [`INTER`].
-    table: Vec<u16>,
-    /// Source tag → agg offset for intra-pod tags (`tag % half`), covering
-    /// the fabric's tag space `[0, half²)`; larger tags fall back to the
-    /// arithmetic.
-    up_intra: Vec<u16>,
-    /// Source tag → agg offset for inter-pod tags (`(tag / half) % half`).
-    up_inter: Vec<u16>,
-}
+    /// A `tag → f(tag)` rule over the fabric's tag space `[0, half²)`.
+    fn rule(self, f: impl Fn(usize) -> usize) -> Vec<u16> {
+        (0..self.half * self.half).map(|t| f(t) as u16).collect()
+    }
 
-impl TorRouter {
-    fn new(
-        ix: FtIndex,
-        n_hosts: usize,
-        pod: usize,
-        tor_in_pod: usize,
-        mode: RouteMode,
-    ) -> TorRouter {
-        crate::routes::check_table_range(n_hosts);
-        let table = (0..n_hosts as HostId)
-            .map(|d| {
-                if ix.pod_of(d) != pod {
-                    INTER
-                } else if ix.tor_in_pod_of(d) != tor_in_pod {
-                    INTRA
+    /// ToR `t` of `pod`: its hosts on ports `0..hpt`, aggs on `hpt..hpt+half`.
+    pub(crate) fn tor_router(self, pod: usize, t: usize, mode: RouteMode) -> TreeRouter {
+        let half = self.half;
+        TreeRouter::new(
+            self.n_hosts(),
+            |d| {
+                if self.pod_of(d) != pod {
+                    Step::Up(INTER)
+                } else if self.tor_in_pod_of(d) != t {
+                    Step::Up(INTRA)
                 } else {
-                    ix.idx_in_tor(d) as u16
+                    Step::Port(self.idx_in_tor(d))
                 }
-            })
-            .collect();
-        let tags = ix.half * ix.half;
-        let up_intra = (0..tags).map(|t| (t % ix.half) as u16).collect();
-        let up_inter = (0..tags)
-            .map(|t| ((t / ix.half) % ix.half) as u16)
-            .collect();
-        TorRouter {
-            ix,
+            },
+            self.hpt..self.hpt + half,
+            vec![self.rule(|t| t % half), self.rule(|t| t / half)],
             mode,
-            table,
-            up_intra,
-            up_inter,
-        }
+        )
     }
-}
 
-impl Router for TorRouter {
-    fn route(&self, pkt: &Packet, rng: &mut SmallRng) -> usize {
-        let e = self.table[pkt.dst as usize];
-        if e < INTRA {
-            return e as usize;
-        }
-        let up = match self.mode {
-            RouteMode::RandomUplinks => rng.gen_range(0..self.ix.half),
-            RouteMode::SourceTag => {
-                let tag = pkt.path as usize;
-                if e == INTRA {
-                    // Intra-pod: tag in [0, half) picks the aggregation switch.
-                    match self.up_intra.get(tag) {
-                        Some(&v) => v as usize,
-                        None => tag % self.ix.half,
-                    }
+    /// An agg of `pod`: the pod's ToRs on ports `0..half`, its cores on
+    /// `half..2·half`, picked by `tag % half`.
+    pub(crate) fn agg_router(self, pod: usize, mode: RouteMode) -> TreeRouter {
+        let half = self.half;
+        TreeRouter::new(
+            self.n_hosts(),
+            |d| {
+                if self.pod_of(d) == pod {
+                    Step::Port(self.tor_in_pod_of(d))
                 } else {
-                    // Inter-pod: tag is the core index; agg = tag / half.
-                    match self.up_inter.get(tag) {
-                        Some(&v) => v as usize,
-                        None => (tag / self.ix.half) % self.ix.half,
-                    }
+                    Step::Up(0)
                 }
-            }
-        };
-        self.ix.hpt + up
-    }
-
-    fn reroute(&self, _pkt: &Packet, chosen: usize, up: &[bool]) -> Option<usize> {
-        // Any aggregation switch reaches every pod (and every in-pod ToR),
-        // so a dead uplink's traffic can take any live one.
-        crate::routes::next_live_uplink(chosen, self.ix.hpt, self.ix.half, up)
-    }
-}
-
-/// Aggregation router: pod-local destinations map straight to their ToR
-/// port; anything else takes uplink `half + tag % half`.
-struct AggRouter {
-    ix: FtIndex,
-    mode: RouteMode,
-    /// dst → ToR port, or [`INTER`].
-    table: Vec<u16>,
-    /// Source tag → uplink offset (`tag % half`) over `[0, half²)`.
-    up: Vec<u16>,
-}
-
-impl AggRouter {
-    fn new(ix: FtIndex, n_hosts: usize, pod: usize, mode: RouteMode) -> AggRouter {
-        crate::routes::check_table_range(n_hosts);
-        let table = (0..n_hosts as HostId)
-            .map(|d| {
-                if ix.pod_of(d) == pod {
-                    ix.tor_in_pod_of(d) as u16
-                } else {
-                    INTER
-                }
-            })
-            .collect();
-        let up = (0..ix.half * ix.half)
-            .map(|t| (t % ix.half) as u16)
-            .collect();
-        AggRouter {
-            ix,
+            },
+            half..2 * half,
+            vec![self.rule(|t| t % half)],
             mode,
-            table,
-            up,
-        }
-    }
-}
-
-impl Router for AggRouter {
-    fn route(&self, pkt: &Packet, rng: &mut SmallRng) -> usize {
-        let e = self.table[pkt.dst as usize];
-        if e != INTER {
-            return e as usize;
-        }
-        let up = match self.mode {
-            RouteMode::RandomUplinks => rng.gen_range(0..self.ix.half),
-            RouteMode::SourceTag => {
-                let tag = pkt.path as usize;
-                match self.up.get(tag) {
-                    Some(&v) => v as usize,
-                    None => tag % self.ix.half,
-                }
-            }
-        };
-        self.ix.half + up
+        )
     }
 
-    fn reroute(&self, _pkt: &Packet, chosen: usize, up: &[bool]) -> Option<usize> {
-        // Every core switch connects to every pod: uplinks are equivalent.
-        crate::routes::next_live_uplink(chosen, self.ix.half, self.ix.half, up)
+    /// A core: port `p` leads down to pod `p`.
+    pub(crate) fn core_router(self) -> TreeRouter {
+        TreeRouter::by_dst(self.n_hosts(), |d| self.pod_of(d))
     }
 }
 
@@ -310,7 +224,7 @@ impl FatTree {
         let n_tors = k * half;
         let n_aggs = k * half;
         let n_cores = half * half;
-        let ix = FtIndex { half, hpt };
+        let ix = cfg.index();
 
         // Reserve endpoints of all links first.
         let hosts: Vec<ComponentId> = (0..n_hosts).map(|_| world.reserve()).collect();
@@ -327,7 +241,7 @@ impl FatTree {
         let mut host_nic = Vec::with_capacity(n_hosts);
         let mut tor_down = vec![Vec::with_capacity(hpt); n_tors];
         for (h, &host) in hosts.iter().enumerate() {
-            let tor = ix.pod_of(h as HostId) * half + ix.tor_in_pod_of(h as HostId);
+            let tor = ix.pod_of(h) * half + ix.tor_in_pod_of(h);
             host_nic.push(mk_link(world, tors[tor], LinkClass::HostNic));
             tor_down[tor].push(mk_link(world, host, LinkClass::TorDown));
         }
@@ -375,35 +289,20 @@ impl FatTree {
                 let tor = pod * half + t;
                 let mut ports = tor_down[tor].clone();
                 ports.extend(tor_up[tor].iter().copied());
-                world.install(
-                    tors[tor],
-                    Switch::new(
-                        ports,
-                        Box::new(TorRouter::new(ix, n_hosts, pod, t, cfg.route_mode)),
-                    ),
-                );
+                let router = ix.tor_router(pod, t, cfg.route_mode);
+                world.install(tors[tor], Switch::new(ports, Box::new(router)));
             }
             for a in 0..half {
                 let agg = pod * half + a;
                 let mut ports = agg_down[agg].clone();
                 ports.extend(agg_up[agg].iter().copied());
-                world.install(
-                    aggs[agg],
-                    Switch::new(
-                        ports,
-                        Box::new(AggRouter::new(ix, n_hosts, pod, cfg.route_mode)),
-                    ),
-                );
+                let router = ix.agg_router(pod, cfg.route_mode);
+                world.install(aggs[agg], Switch::new(ports, Box::new(router)));
             }
         }
         for c in 0..n_cores {
-            world.install(
-                cores[c],
-                Switch::new(
-                    core_down[c].clone(),
-                    Box::new(TableRouter::new(n_hosts, |d| ix.pod_of(d as HostId))),
-                ),
-            );
+            let router = Box::new(ix.core_router());
+            world.install(cores[c], Switch::new(core_down[c].clone(), router));
         }
 
         // Install hosts.
@@ -426,45 +325,6 @@ impl FatTree {
             agg_down,
             agg_up,
             core_down,
-        }
-    }
-
-    pub fn n_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Number of distinct sender-selectable paths between two hosts.
-    pub fn n_paths(&self, src: HostId, dst: HostId) -> u32 {
-        let half = self.cfg.k / 2;
-        let ix = FtIndex {
-            half,
-            hpt: self.cfg.hosts_per_tor,
-        };
-        if ix.pod_of(src) == ix.pod_of(dst) {
-            if ix.tor_in_pod_of(src) == ix.tor_in_pod_of(dst) {
-                1
-            } else {
-                half as u32
-            }
-        } else {
-            (half * half) as u32
-        }
-    }
-
-    /// Number of links a packet crosses from `src` to `dst`: 2 under the
-    /// same ToR (NIC + ToR-down), 4 within a pod, 6 across pods. The
-    /// unloaded-latency lower bound behind FCT-slowdown reporting.
-    pub fn n_hops(&self, src: HostId, dst: HostId) -> u32 {
-        let ix = FtIndex {
-            half: self.cfg.k / 2,
-            hpt: self.cfg.hosts_per_tor,
-        };
-        if ix.pod_of(src) != ix.pod_of(dst) {
-            6
-        } else if ix.tor_in_pod_of(src) != ix.tor_in_pod_of(dst) {
-            4
-        } else {
-            2
         }
     }
 
@@ -509,12 +369,18 @@ impl Topology for FatTree {
         self.cfg.link_speed
     }
 
+    /// Each tier climbed multiplies the choices by `half`: 1 path under
+    /// one ToR, `half` within a pod (the tag picks the agg), `half²`
+    /// across pods (the tag is the core index).
     fn n_paths(&self, src: HostId, dst: HostId) -> u32 {
-        FatTree::n_paths(self, src, dst)
+        let ix = self.cfg.index();
+        (ix.half as u32).pow(ix.climb(src, dst))
     }
 
+    /// 2 links under one ToR (NIC + ToR-down), 4 within a pod, 6 across
+    /// pods.
     fn n_hops(&self, src: HostId, dst: HostId) -> u32 {
-        FatTree::n_hops(self, src, dst)
+        2 + 2 * self.cfg.index().climb(src, dst)
     }
 
     fn path_profile(&self, src: HostId, dst: HostId) -> Vec<Hop> {
@@ -523,7 +389,7 @@ impl Topology for FatTree {
                 speed: self.cfg.link_speed,
                 delay: LINK_DELAY,
             };
-            FatTree::n_hops(self, src, dst) as usize
+            self.n_hops(src, dst) as usize
         ]
     }
 

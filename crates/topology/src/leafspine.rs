@@ -23,7 +23,7 @@ use ndp_net::queue::LinkClass;
 use ndp_net::switch::Switch;
 use ndp_sim::{ComponentId, Speed, World};
 
-use crate::routes::{LeafRouter, TableRouter};
+use crate::routes::{RouteMode, Step, TreeRouter};
 use crate::spec::QueueSpec;
 use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology, LINK_DELAY};
 use crate::wiring::wire_back_refs;
@@ -102,6 +102,30 @@ impl LeafSpineCfg {
         (self.hosts_per_tor as f64 * self.host_speed.as_bps() as f64)
             / (self.n_spines as f64 * self.uplink_speed.as_bps() as f64)
     }
+
+    /// Leaf `tor`: its hosts on ports `0..hpt`; everything else takes
+    /// uplink `hpt + tag % n_spines`.
+    pub(crate) fn leaf_router(&self, tor: usize) -> TreeRouter {
+        let hpt = self.hosts_per_tor;
+        TreeRouter::new(
+            self.n_hosts(),
+            |d| {
+                if d / hpt == tor {
+                    Step::Port(d % hpt)
+                } else {
+                    Step::Up(0)
+                }
+            },
+            hpt..hpt + self.n_spines,
+            vec![(0..self.n_spines as u16).collect()],
+            RouteMode::SourceTag,
+        )
+    }
+
+    /// A spine: port `p` leads down to leaf `p`.
+    pub(crate) fn spine_router(&self) -> TreeRouter {
+        TreeRouter::by_dst(self.n_hosts(), |d| d / self.hosts_per_tor)
+    }
 }
 
 /// A built leaf-spine fabric: component ids for hosts, switches and every
@@ -165,22 +189,12 @@ impl LeafSpine {
         for tor in 0..cfg.n_tors {
             let mut ports = tor_down[tor].clone();
             ports.extend(tor_up[tor].iter().copied());
-            world.install(
-                tors[tor],
-                Switch::new(
-                    ports,
-                    Box::new(LeafRouter::new(n_hosts, hpt, tor, cfg.n_spines)),
-                ),
-            );
+            let router = Box::new(cfg.leaf_router(tor));
+            world.install(tors[tor], Switch::new(ports, router));
         }
         for s in 0..cfg.n_spines {
-            world.install(
-                spines[s],
-                Switch::new(
-                    spine_down[s].clone(),
-                    Box::new(TableRouter::new(n_hosts, |d| d / hpt)),
-                ),
-            );
+            let router = Box::new(cfg.spine_router());
+            world.install(spines[s], Switch::new(spine_down[s].clone(), router));
         }
         for h in 0..n_hosts {
             world.install(

@@ -8,8 +8,10 @@
 //! The central trick (DESIGN.md §5): in a folded Clos the complete path
 //! between two hosts is determined by the uplink choices made on the way
 //! up, so a single integer *path tag* chosen by the sender fully encodes a
-//! source route. Switches map the tag to an output port arithmetically —
-//! no routing tables, no per-packet route vectors.
+//! source route. Every switch maps `(dst, tag)` to an output port through
+//! one router type, the private `routes::TreeRouter`, whose small tables
+//! are computed from the shape at build time — no per-packet route
+//! vectors.
 //!
 //! Every builder wires real [`ndp_net`] components into a
 //! [`ndp_sim::World`]: one egress [`ndp_net::Queue`] per directional link
@@ -32,8 +34,9 @@ mod wiring;
 pub use chaos::{
     link_index, poisson_campaign, CampaignCfg, ChaosController, ChaosTally, FabricEvent, FabricOp,
 };
-pub use fattree::{FatTree, FatTreeCfg, RouteMode};
+pub use fattree::{FatTree, FatTreeCfg};
 pub use leafspine::{LeafSpine, LeafSpineCfg};
+pub use routes::{flow_hash_path, RouteMode};
 pub use small::{BackToBack, SingleBottleneck};
 pub use spec::QueueSpec;
 pub use topology::{ideal_fct_over, mask_link, Hop, LinkRef, Topology};

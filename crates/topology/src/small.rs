@@ -5,10 +5,10 @@
 use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
-use ndp_net::switch::{Router, Switch};
+use ndp_net::switch::Switch;
 use ndp_sim::{ComponentId, Speed, Time, World};
-use rand::rngs::SmallRng;
 
+use crate::routes::TreeRouter;
 use crate::spec::QueueSpec;
 use crate::topology::{push_links_1d, Hop, LinkRef, Topology};
 use crate::wiring::wire_back_refs;
@@ -105,13 +105,6 @@ pub struct SingleBottleneck {
     pub switch: ComponentId,
 }
 
-struct AllToPortZero;
-impl Router for AllToPortZero {
-    fn route(&self, _pkt: &Packet, _rng: &mut SmallRng) -> usize {
-        0
-    }
-}
-
 impl SingleBottleneck {
     /// Sender i is host id `i`; the receiver is host id `n_senders`.
     pub fn build(
@@ -149,14 +142,10 @@ impl SingleBottleneck {
             .iter()
             .map(|&s| mk(world, s, LinkClass::TorDown))
             .collect();
-        struct ByDst;
-        impl Router for ByDst {
-            fn route(&self, pkt: &Packet, _rng: &mut SmallRng) -> usize {
-                pkt.dst as usize
-            }
-        }
-        world.install(ret_sw, Switch::new(ret_ports, Box::new(ByDst)));
-        world.install(sw, Switch::new(vec![bottleneck], Box::new(AllToPortZero)));
+        let by_dst = TreeRouter::by_dst(n_senders, |d| d);
+        world.install(ret_sw, Switch::new(ret_ports, Box::new(by_dst)));
+        let all_to_receiver = TreeRouter::by_dst(n_senders + 1, |_| 0);
+        world.install(sw, Switch::new(vec![bottleneck], Box::new(all_to_receiver)));
         wire_back_refs(world, fabric);
         SingleBottleneck {
             senders,

@@ -3,7 +3,9 @@
 //! The paper's evaluation is a matrix of transports × scenarios. Every
 //! transport under test — NDP itself and each baseline — implements one
 //! object-safe [`Transport`] trait: its label, which fabric it runs over,
-//! and how to attach a flow described by a [`FlowSpec`]. Results need no
+//! and how to attach a flow described by a [`FlowSpec`] on a
+//! [`Topology`], which answers the fabric's questions (host components,
+//! MTU, path count) so no caller passes them by hand. Results need no
 //! per-protocol code: an endpoint calls `EndpointCtx::complete` when its
 //! flow is done, which wakes its host's watcher with the flow id; each
 //! endpoint reports its half of a [`FlowHarvest`] through
@@ -17,7 +19,9 @@
 //! `ndp-topology`, below every protocol crate) so `ndp-core` and
 //! `ndp-baselines` can both implement it without a dependency cycle. For
 //! the same reason it also holds [`SeqWindow`], the per-sequence store
-//! both crates' endpoints keep their ack/receive state in.
+//! both crates' endpoints keep their ack/receive state in, and re-exports
+//! [`Topology`] and [`flow_hash_path`], the path tag single-path senders
+//! carry.
 
 use ndp_net::host::{start_token, Endpoint, Host};
 use ndp_net::packet::{FlowId, HostId, Packet};
@@ -26,7 +30,7 @@ use ndp_sim::{ComponentId, Time, World};
 mod seq_window;
 
 pub use ndp_net::host::FlowHarvest;
-pub use ndp_topology::QueueSpec;
+pub use ndp_topology::{flow_hash_path, QueueSpec, Topology};
 pub use seq_window::SeqWindow;
 
 /// One flow to set up, in protocol-neutral terms.
@@ -59,11 +63,11 @@ impl FlowSpec {
             iw: None,
         }
     }
-}
 
-/// Deterministic per-flow "ECMP hash" for single-path transports.
-pub fn flow_hash_path(flow: FlowId) -> u32 {
-    (flow.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+    /// The flow's `(host component, host id)` ends on `topo`.
+    pub fn ends(&self, topo: &dyn Topology) -> [(ComponentId, HostId); 2] {
+        [self.src, self.dst].map(|h| (topo.host(h), h))
+    }
 }
 
 /// Register `sender` on host component `src` and `receiver` on `dst` for
@@ -125,18 +129,11 @@ pub trait Transport: Sync {
     /// DCQCN lossless+ECN).
     fn fabric(&self) -> QueueSpec;
 
-    /// Register sender/receiver endpoints for `spec` between explicit
-    /// host components and schedule the flow start. May run mid-run
-    /// (typically from a deferred world op at the flow's arrival instant).
-    fn attach(
-        &self,
-        world: &mut World<Packet>,
-        spec: &FlowSpec,
-        src: (ComponentId, HostId),
-        dst: (ComponentId, HostId),
-        n_paths: u32,
-        mtu: u32,
-    );
+    /// Register sender/receiver endpoints for `spec` on the hosts of
+    /// `topo`, sized by its MTU and path count, and schedule the flow
+    /// start. May run mid-run (typically from a deferred world op at the
+    /// flow's arrival instant).
+    fn attach(&self, world: &mut World<Packet>, topo: &dyn Topology, spec: &FlowSpec);
 }
 
 impl dyn Transport {

@@ -10,7 +10,7 @@
 use ndp::core::{attach_flow, NdpFlowCfg, NdpSender};
 use ndp::net::{Host, Packet};
 use ndp::sim::{Speed, Time, World};
-use ndp::topology::{FatTree, FatTreeCfg};
+use ndp::topology::{FatTree, FatTreeCfg, Topology};
 
 fn main() {
     let mut world: World<Packet> = World::new(3);

@@ -14,7 +14,7 @@ use ndp::core::{attach_flow, NdpFlowCfg};
 use ndp::metrics::Table;
 use ndp::net::Packet;
 use ndp::sim::{Time, World};
-use ndp::topology::{FatTree, FatTreeCfg};
+use ndp::topology::{FatTree, FatTreeCfg, Topology};
 use rand::SeedableRng;
 
 fn main() {

@@ -7,7 +7,7 @@
 use ndp::core::{attach_flow, NdpFlowCfg};
 use ndp::net::Packet;
 use ndp::sim::{Time, World};
-use ndp::topology::{FatTree, FatTreeCfg};
+use ndp::topology::{FatTree, FatTreeCfg, Topology};
 
 fn main() {
     // A 16-host FatTree (k=4) with the paper's defaults: 10 Gb/s links,

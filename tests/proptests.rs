@@ -386,14 +386,7 @@ mod topology_invariants {
             let (mut w, topo) = build(entry, proto.fabric());
             let (src, dst) = pair(topo.n_hosts(), seed);
             let spec = FlowSpec::new(1, src, dst, size);
-            proto.transport().attach(
-                &mut w,
-                &spec,
-                (topo.host(src), src),
-                (topo.host(dst), dst),
-                topo.n_paths(src, dst),
-                topo.mtu(),
-            );
+            proto.transport().attach(&mut w, topo.as_ref(), &spec);
             w.run_until(Time::from_secs(5));
             let done = w
                 .get::<ndp::net::Host>(topo.host(dst))

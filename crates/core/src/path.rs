@@ -95,49 +95,54 @@ impl PathSet {
         }
     }
 
+    /// Path `i`'s NACK ratio, once it has enough feedback to judge.
+    fn nack_ratio(&self, i: usize) -> Option<f64> {
+        let total = self.acks[i] + self.nacks[i];
+        (total >= 8).then(|| self.nacks[i] as f64 / total as f64)
+    }
+
+    /// Runs once per permutation round, so it allocates nothing: one pass
+    /// sums the scoreboard, and whether a path is an outlier is a pure
+    /// function of its own counters and those sums, asked again where it
+    /// is needed rather than stored.
     fn recompute_exclusions(&mut self) {
         let n = self.n as usize;
         // NACK-ratio per path, compared against the *other* paths' mean:
         // during a legitimate incast every path NACKs heavily, so a path is
         // only an outlier if it NACKs markedly more than its peers.
-        let mut ratios: Vec<Option<f64>> = vec![None; n];
-        for (i, ratio) in ratios.iter_mut().enumerate() {
-            let total = self.acks[i] + self.nacks[i];
-            if total >= 8 {
-                *ratio = Some(self.nacks[i] as f64 / total as f64);
+        let (mut sampled, mut sum, mut total_loss) = (0usize, 0.0f64, 0u64);
+        for i in 0..n {
+            if let Some(r) = self.nack_ratio(i) {
+                sampled += 1;
+                sum += r;
             }
+            total_loss += self.losses[i];
         }
-        let sampled: Vec<(usize, f64)> = ratios
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.map(|v| (i, v)))
-            .collect();
-        let total_loss: u64 = self.losses.iter().sum();
-        let mut newly = vec![false; n];
-        if sampled.len() >= 2 {
-            let sum: f64 = sampled.iter().map(|s| s.1).sum();
-            for &(i, r) in &sampled {
-                let mean_other = (sum - r) / (sampled.len() - 1) as f64;
-                if r > 0.20 + 2.0 * mean_other {
-                    newly[i] = true;
-                }
-            }
-        }
-        for (flag, &loss) in newly.iter_mut().zip(&self.losses) {
+        let outlier = |ps: &PathSet, i: usize| {
+            let nack_outlier = sampled >= 2
+                && ps.nack_ratio(i).is_some_and(|r| {
+                    let mean_other = (sum - r) / (sampled - 1) as f64;
+                    r > 0.20 + 2.0 * mean_other
+                });
+            let loss = ps.losses[i];
             let mean_other_loss = (total_loss - loss) as f64 / (n - 1).max(1) as f64;
-            if loss >= 3 && loss as f64 > 4.0 * mean_other_loss.max(0.25) {
-                *flag = true;
-            }
-        }
+            nack_outlier || (loss >= 3 && loss as f64 > 4.0 * mean_other_loss.max(0.25))
+        };
         // Never exclude everything.
-        let excluded_after = (0..n).filter(|&i| newly[i] || self.cooldown[i] > 0).count();
+        let excluded_after = (0..n)
+            .filter(|&i| self.cooldown[i] > 0 || outlier(self, i))
+            .count();
         if excluded_after < n {
-            for (i, _) in newly.iter().enumerate().filter(|(_, &new)| new) {
-                self.cooldown[i] = EXCLUSION_ROUNDS;
-                // Forget the bad history so re-probing starts clean.
-                self.acks[i] = 0;
-                self.nacks[i] = 0;
-                self.losses[i] = 0;
+            for i in 0..n {
+                // Zeroing path i's counters leaves every later path's
+                // verdict alone: each reads only its own and the sums.
+                if outlier(self, i) {
+                    self.cooldown[i] = EXCLUSION_ROUNDS;
+                    // Forget the bad history so re-probing starts clean.
+                    self.acks[i] = 0;
+                    self.nacks[i] = 0;
+                    self.losses[i] = 0;
+                }
             }
         }
     }

@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
-use ndp::core::{NdpFlowCfg, NdpSender};
+use ndp::core::{NdpFlowCfg, NdpSender, PathSet};
 use ndp::experiments::harness::{attach_on, delivered_bytes, permutation_run, LONG_FLOW};
 use ndp::experiments::{Proto, TopoSpec};
 use ndp::net::flight::{HopKind, HopRecord};
@@ -161,6 +161,39 @@ fn a_packet_hop_allocates_nothing() {
         per_packet < 336.0,
         "run_until allocated {per_packet:.0} B per delivered data packet"
     );
+}
+
+/// A path reshuffle allocates nothing. Every penalizing NDP flow re-permutes
+/// its path list once per `n_paths` packets and re-judges every path's
+/// NACK and loss counts as it does, so an allocation there is paid every
+/// few packets of every flow. One path here NACKs, another loses packets,
+/// and the rest are clean, so every branch of the judgement runs, and
+/// both outliers are excluded.
+#[test]
+fn a_path_reshuffle_allocates_nothing() {
+    let _serial = serial();
+    let mut paths = PathSet::new(16, true);
+    let mut rng = SmallRng::seed_from_u64(7);
+    for p in 0..16 {
+        for _ in 0..20 {
+            paths.on_ack(p);
+        }
+    }
+    for _ in 0..20 {
+        paths.on_nack(3);
+    }
+    for _ in 0..5 {
+        paths.on_loss(9);
+    }
+    // The first `next` permutes, and the 20 after it cross into a second
+    // round, skipping the two excluded paths.
+    let (_, heap) = measure(|| {
+        for _ in 0..21 {
+            paths.next(&mut rng);
+        }
+    });
+    assert!(paths.is_excluded(3) && paths.is_excluded(9));
+    assert_eq!(heap.allocated, 0, "bytes the reshuffles allocated");
 }
 
 /// The export tests' sample point: one of each record the writers know.

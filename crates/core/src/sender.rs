@@ -19,6 +19,10 @@ use crate::path::PathSet;
 
 const RTO_TOKEN: u8 = 1;
 
+/// Feedback kinds the RTS "mostly ACKed" rule looks back over: the width
+/// of `NdpSender::recent`.
+const RECENT: u32 = u16::BITS;
+
 /// Slot values of the per-seq window: below [`ACKED`], the path the packet
 /// is outstanding on (a path set never approaches 2^32 entries); `IDLE` is
 /// never sent, or fed back (NACK/RTS) and waiting to be pulled again.
@@ -116,9 +120,10 @@ pub struct NdpSender {
     /// First-window sequences returned to sender (RTS echo suppression).
     first_window_rts: FxHashSet<u64>,
     iw_sent: u64,
-    /// Ring of recent feedback kinds (true = ACK) for the RTS "mostly
-    /// ACKed" rule.
-    recent: VecDeque<bool>,
+    /// The last [`RECENT`] feedback kinds for the RTS "mostly ACKed" rule,
+    /// newest in bit 0 (1 = ACK), and how many of those bits are real.
+    recent: u16,
+    recent_len: u32,
     paths: PathSet,
     rto_armed: bool,
     /// Time of the most recent feedback (ACK/NACK/new PULL/RTS) or send. The
@@ -151,7 +156,8 @@ impl NdpSender {
             pull_ctr: 0,
             first_window_rts: FxHashSet::default(),
             iw_sent: 0,
-            recent: VecDeque::new(),
+            recent: 0,
+            recent_len: 0,
             paths,
             rto_armed: false,
             last_activity: Time::ZERO,
@@ -314,10 +320,8 @@ impl NdpSender {
     }
 
     fn push_recent(&mut self, ack: bool) {
-        self.recent.push_back(ack);
-        if self.recent.len() > 16 {
-            self.recent.pop_front();
-        }
+        self.recent = self.recent << 1 | u16::from(ack);
+        self.recent_len = (self.recent_len + 1).min(RECENT);
     }
 
     /// §3.2.4 return-to-sender: resend immediately only if (a) we are not
@@ -341,8 +345,8 @@ impl NdpSender {
         let expecting_pulls = self.feedback > self.pull_ctr;
         let whole_window_returned = self.iw_sent > 0
             && self.first_window_rts.len() as u64 >= self.iw_sent.min(self.total_pkts);
-        let mostly_acked = self.recent.len() >= 8
-            && self.recent.iter().filter(|&&a| a).count() * 4 >= self.recent.len() * 3;
+        let mostly_acked =
+            self.recent_len >= 8 && self.recent.count_ones() * 4 >= self.recent_len * 3;
         if !expecting_pulls || whole_window_returned || mostly_acked {
             self.stats.rtx_rts += 1;
             self.send_data(seq, true, Some(pkt.path), ctx);

@@ -29,14 +29,14 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ndp_net::flight::FlightRecorder;
 use ndp_net::packet::{FlowId, HostId, Packet};
 use ndp_net::Host;
-use ndp_sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
+use ndp_sim::{Component, ComponentId, Ctx, Event, FxHashMap, SchedulerKind, Time, World};
 use ndp_telemetry::span::{push_request, push_span};
 use ndp_telemetry::{FlowSpan, RequestSpan};
 use ndp_topology::Topology;
@@ -228,8 +228,8 @@ pub struct RpcDriver {
     next_flow: FlowId,
     next_req: u64,
     warmup: Time,
-    live: HashMap<u64, LiveRequest>,
-    flows: HashMap<FlowId, FlowRef>,
+    live: FxHashMap<u64, LiveRequest>,
+    flows: FxHashMap<FlowId, FlowRef>,
     /// Completed-request samples since the runner's last drain.
     pub completed: Vec<CompletedRequest>,
     /// Requests spawned so far.
@@ -285,8 +285,8 @@ impl RpcDriver {
             next_flow: 1,
             next_req: 0,
             warmup,
-            live: HashMap::new(),
-            flows: HashMap::new(),
+            live: FxHashMap::default(),
+            flows: FxHashMap::default(),
             completed: Vec::new(),
             started: 0,
             measured_arrivals: 0,
@@ -679,7 +679,7 @@ pub(crate) fn run_driven(
     // (as `stuck` spans) so the world drains back to its pre-traffic
     // component population, and log the requests as never completed —
     // each in ascending id order, so what the point exports of them does
-    // not depend on `HashMap`'s per-process iteration order.
+    // not depend on the maps' iteration order.
     let d = world.get_mut::<RpcDriver>(drv);
     let mut flows: Vec<_> = d.flows.drain().collect();
     let mut reqs: Vec<_> = d.live.drain().collect();

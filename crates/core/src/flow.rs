@@ -392,42 +392,101 @@ mod tests {
         assert_eq!(w.get::<Host>(b.hosts[1]).stats().repulls, 1);
     }
 
-    #[test]
-    fn sender_owed_no_pull_self_clocks_after_one_rto() {
-        // The flow's pull overtakes the NACK it answers: it finds nothing
-        // to send, then the NACK queues a retransmission. The sender has
-        // work, nothing outstanding and no pull owed, so no one else will
-        // restart the clock.
+    /// A flow of `pkts` packets, all sent in the initial window (the last
+    /// one 100 bytes), a silent receiver, and a sender the test hand-feeds.
+    fn hand_fed_flow(pkts: u64) -> (World<Packet>, BackToBack) {
         let (mut w, b) = b2b(9);
-        let cfg = NdpFlowCfg {
-            iw_pkts: 1,
+        let mut cfg = NdpFlowCfg {
+            iw_pkts: pkts,
             n_paths: 1,
-            ..NdpFlowCfg::new(100)
+            ..NdpFlowCfg::new(0)
         };
+        cfg.size_bytes = (pkts - 1) * cfg.payload_per_pkt() + 100;
         w.get_mut::<Host>(b.hosts[0])
             .add_endpoint(1, Box::new(NdpSender::new(1, 1, cfg)));
         w.get_mut::<Host>(b.hosts[1])
             .add_endpoint(1, Box::new(Recorder { sent: vec![] }));
         w.post_wake(Time::ZERO, b.hosts[0], 1 << 8);
-        let mut pull = Packet::control(1, 0, 1, PacketKind::Pull);
-        pull.ack = 1;
-        w.post(Time::from_us(60), b.hosts[0], pull);
-        let mut nack = Packet::control(1, 0, 1, PacketKind::Nack);
-        nack.seq = 0;
-        w.post(Time::from_us(61), b.hosts[0], nack);
+        (w, b)
+    }
+
+    fn feedback(w: &mut World<Packet>, b: &BackToBack, at_us: u64, kind: PacketKind, n: u32) {
+        let mut pkt = Packet::control(1, 0, 1, kind);
+        match kind {
+            PacketKind::Pull => pkt.ack = n,
+            _ => pkt.seq = n,
+        }
+        w.post(Time::from_us(at_us), b.hosts[0], pkt);
+    }
+
+    #[test]
+    fn overtaken_pull_is_banked_and_spent_by_its_nack() {
+        // The flow's pull overtakes the NACK it answers and finds nothing
+        // to send. It is banked, and the NACK spends it: seq 0 goes out
+        // again when the NACK arrives, not one RTO later.
+        let (mut w, b) = hand_fed_flow(1);
+        feedback(&mut w, &b, 60, PacketKind::Pull, 1);
+        feedback(&mut w, &b, 61, PacketKind::Nack, 0);
+        w.run_until(Time::from_us(61));
+        let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert_eq!(s.stats.data_sent, 2, "seq 0 resent at the NACK instant");
+        assert_eq!(s.stats.wasted_pulls, 0, "the pull was banked");
+        w.run_until(Time::from_us(70));
+        let r: &Recorder = w.get::<Host>(b.hosts[1]).endpoint(1);
+        assert_eq!(r.sent, vec![0, 0]);
+        feedback(&mut w, &b, 70, PacketKind::Ack, 0);
+        w.run_until(Time::from_ms(5));
+        let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert!(s.is_done());
+        assert_eq!(s.stats.rtx_nack, 1);
+        assert_eq!(s.stats.rtx_rto, 0, "no RTO: the bank paid for the resend");
+    }
+
+    #[test]
+    fn sender_owed_no_pull_self_clocks_after_one_rto() {
+        // A pull worth two credits arrives while one packet is
+        // outstanding: one credit is banked, and the bound clamps the
+        // other away. The first NACK spends the bank. A second NACK for
+        // the resent copy then queues work with nothing outstanding, no
+        // credit and no pull owed, so no one else will restart the clock:
+        // the sender self-clocks after a full RTO of silence.
+        let (mut w, b) = hand_fed_flow(1);
+        feedback(&mut w, &b, 60, PacketKind::Pull, 2);
+        feedback(&mut w, &b, 61, PacketKind::Nack, 0);
+        feedback(&mut w, &b, 62, PacketKind::Nack, 0);
         w.run_until(Time::from_us(1050));
         let r: &Recorder = w.get::<Host>(b.hosts[1]).endpoint(1);
-        assert_eq!(r.sent, vec![0], "nothing before a full RTO of silence");
+        assert_eq!(r.sent, vec![0, 0], "nothing before a full RTO of silence");
+        let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert_eq!(s.stats.wasted_pulls, 1, "one credit was clamped away");
         w.run_until(Time::from_us(1500));
         let r: &Recorder = w.get::<Host>(b.hosts[1]).endpoint(1);
-        assert_eq!(r.sent, vec![0, 0], "seq 0 self-clocked once");
-        let mut ack = Packet::control(1, 0, 1, PacketKind::Ack);
-        ack.seq = 0;
-        w.post(Time::from_us(1500), b.hosts[0], ack);
+        assert_eq!(r.sent, vec![0, 0, 0], "seq 0 self-clocked once");
+        feedback(&mut w, &b, 1500, PacketKind::Ack, 0);
         w.run_until(Time::from_ms(5));
         let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
         assert!(s.is_done());
         assert_eq!(s.stats.rtx_rto, 1);
+    }
+
+    #[test]
+    fn the_bank_never_outgrows_the_outstanding_packets() {
+        // Three credits for two outstanding packets: two are banked, one
+        // is clamped away. An ACK retires a packet, and its credit goes
+        // too. The one left pays for one resend, and a second NACK finds
+        // the bank empty.
+        let (mut w, b) = hand_fed_flow(2);
+        feedback(&mut w, &b, 60, PacketKind::Pull, 3);
+        feedback(&mut w, &b, 61, PacketKind::Ack, 1);
+        feedback(&mut w, &b, 62, PacketKind::Nack, 0);
+        feedback(&mut w, &b, 63, PacketKind::Nack, 0);
+        w.run_until(Time::from_us(100));
+        let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
+        assert_eq!(
+            s.stats.wasted_pulls, 2,
+            "one credit over the bound, one retired"
+        );
+        assert_eq!(s.stats.data_sent, 3, "the initial window and one resend");
     }
 
     #[test]

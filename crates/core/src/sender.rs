@@ -3,7 +3,8 @@
 //! Lifecycle (§3.2): push `min(IW, total)` packets immediately at line rate
 //! (all carrying SYN and their sequence offset), then go quiescent. Every
 //! subsequent transmission is triggered by a PULL (retransmissions queued
-//! by NACKs go first, then new data), a returned header (return-to-sender,
+//! by NACKs go first, then new data; a pull that finds nothing to send is
+//! banked for the NACK it overtook), a returned header (return-to-sender,
 //! with the anti-incast-echo rules of §3.2.4), or — only for genuinely lost
 //! packets, i.e. corruption — the retransmission timeout.
 
@@ -44,7 +45,9 @@ pub struct NdpSenderStats {
     pub nacks: u64,
     pub pulls: u64,
     pub rts_received: u64,
-    /// Pulls that arrived when there was nothing left to send.
+    /// Pull credits that found nothing to send and could not be banked:
+    /// the bank was full, or an ACK retired the packet a credit was held
+    /// for.
     pub wasted_pulls: u64,
     pub start_time: Option<Time>,
     pub completion_time: Option<Time>,
@@ -113,6 +116,11 @@ pub struct NdpSender {
     window: SeqWindow<u32>,
     acked_count: u64,
     outstanding_count: u64,
+    /// Pull credits that found nothing to send, held for the NACK or
+    /// returned header they overtook (pulls and feedback take different
+    /// paths). Never more than `outstanding_count`: a credit can only be
+    /// spent on a packet that can still be NACKed or bounced.
+    banked: u64,
     /// Total ACK+NACK feedback received (each queues a pull at the rx).
     feedback: u64,
     /// Highest pull counter honoured.
@@ -152,6 +160,7 @@ impl NdpSender {
             window,
             acked_count: 0,
             outstanding_count: 0,
+            banked: 0,
             feedback: 0,
             pull_ctr: 0,
             first_window_rts: FxHashSet::default(),
@@ -263,8 +272,9 @@ impl NdpSender {
         None
     }
 
-    /// Send up to `n` packets in response to pulls: retransmissions first,
-    /// then new data (§3.2).
+    /// Send up to `n` packets in response to pull credits: retransmissions
+    /// first, then new data (§3.2). A credit that finds nothing to send is
+    /// banked for the NACK it overtook.
     fn pump(&mut self, n: u64, ctx: &mut EndpointCtx<'_, '_>) {
         for _ in 0..n {
             if let Some(seq) = self.pop_rtx() {
@@ -274,10 +284,42 @@ impl NdpSender {
                 let seq = self.next_new;
                 self.next_new += 1;
                 self.send_data(seq, false, None, ctx);
+            } else if self.banked < self.outstanding_count {
+                self.banked += 1;
             } else {
                 self.stats.wasted_pulls += 1;
             }
         }
+    }
+
+    /// A retransmission was just queued: pay for it with a banked pull
+    /// now rather than wait for the next pull (or, if none is coming, an
+    /// RTO).
+    fn spend_banked(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        if self.banked > 0 {
+            self.banked -= 1;
+            self.pump(1, ctx);
+        }
+    }
+
+    /// Debug builds check, after every event, that the bank holds no more
+    /// credits than there are packets to spend them on, and that every
+    /// packet sent after the initial window was paid for exactly once: by
+    /// a pull credit (on arrival or from the bank), an immediate RTS
+    /// resend or an RTO / self-clock resend.
+    fn check_pull_ledger(&self) {
+        debug_assert!(
+            self.banked <= self.outstanding_count,
+            "{} pulls banked for {} outstanding packets",
+            self.banked,
+            self.outstanding_count
+        );
+        let s = &self.stats;
+        debug_assert_eq!(
+            s.data_sent,
+            self.iw_sent + (s.pulls - s.wasted_pulls - self.banked) + s.rtx_rts + s.rtx_rto,
+            "a packet sent without a credit, or a credit spent twice"
+        );
     }
 
     fn on_ack(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
@@ -292,6 +334,10 @@ impl NdpSender {
         let prev = self.window.get(seq);
         if prev < ACKED {
             self.outstanding_count -= 1;
+            if self.banked > self.outstanding_count {
+                self.banked -= 1;
+                self.stats.wasted_pulls += 1;
+            }
         }
         if prev != ACKED {
             self.window.set(seq, ACKED);
@@ -304,7 +350,7 @@ impl NdpSender {
         }
     }
 
-    fn on_nack(&mut self, pkt: Packet, _ctx: &mut EndpointCtx<'_, '_>) {
+    fn on_nack(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         let seq = u64::from(pkt.seq);
         if seq >= self.total_pkts {
             return;
@@ -314,9 +360,11 @@ impl NdpSender {
         self.push_recent(false);
         self.feedback += 1;
         // Feedback received: the packet is known-trimmed, stop RTO-tracking
-        // it (the receiver queued a pull; retransmission will be pulled).
+        // it (the receiver queued a pull; retransmission will be pulled, at
+        // once if that pull overtook this NACK and was banked).
         self.clear_outstanding(seq);
         self.queue_rtx(seq);
+        self.spend_banked(ctx);
     }
 
     fn push_recent(&mut self, ack: bool) {
@@ -352,6 +400,7 @@ impl NdpSender {
             self.send_data(seq, true, Some(pkt.path), ctx);
         } else {
             self.queue_rtx(seq);
+            self.spend_banked(ctx);
         }
     }
 
@@ -362,6 +411,8 @@ impl NdpSender {
     /// owed and work still queued, no one else will restart the clock, so
     /// after a full RTO of silence self-clock one packet (rtx first). It
     /// goes out via [`NdpSender::send_data`] and re-arms the regular RTO.
+    /// A pull that overtook its NACK is banked and spent by that NACK, so
+    /// this is the backstop for a credit the bank's bound clamped away.
     fn restart_pull_clock(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         if self.feedback > self.pull_ctr {
             return;
@@ -386,6 +437,39 @@ impl NdpSender {
             self.next_new += 1;
             self.send_data(seq, false, None, ctx);
         }
+    }
+
+    /// The RTO timer fired: a flow owed no pull restarts its clock, and a
+    /// full RTO of silence with packets outstanding resends the oldest.
+    fn on_rto(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        self.rto_armed = false;
+        if self.done {
+            return;
+        }
+        if self.outstanding_count == 0 {
+            self.restart_pull_clock(ctx);
+            return;
+        }
+        let now = ctx.now();
+        let deadline = self.last_activity + NDP_RTO;
+        if now < deadline {
+            // Feedback is still flowing: the flow isn't stalled, so nothing
+            // is presumed lost. Re-arm for the remaining silence window.
+            self.rto_armed = true;
+            ctx.timer_in(deadline - now, RTO_TOKEN);
+            return;
+        }
+        // Full RTO of silence with packets outstanding: something was
+        // genuinely lost (corruption, or a dropped header). Resend the
+        // oldest outstanding packet on a different path and penalize the
+        // old one (§3.2.3).
+        let oldest = self.window.iter().find(|&(_, p)| p < ACKED);
+        if let Some((seq, path)) = oldest {
+            self.paths.on_loss(path);
+            self.stats.rtx_rto += 1;
+            self.send_data(seq, true, Some(path), ctx);
+        }
+        self.arm_rto(ctx);
     }
 }
 
@@ -427,40 +511,14 @@ impl Endpoint for NdpSender {
             PacketKind::Data if pkt.is_rts() => self.on_rts(pkt, ctx),
             _ => {}
         }
+        self.check_pull_ledger();
     }
 
     fn on_timer(&mut self, token: u8, ctx: &mut EndpointCtx<'_, '_>) {
-        if token != RTO_TOKEN {
-            return;
+        if token == RTO_TOKEN {
+            self.on_rto(ctx);
+            self.check_pull_ledger();
         }
-        self.rto_armed = false;
-        if self.done {
-            return;
-        }
-        if self.outstanding_count == 0 {
-            self.restart_pull_clock(ctx);
-            return;
-        }
-        let now = ctx.now();
-        let deadline = self.last_activity + NDP_RTO;
-        if now < deadline {
-            // Feedback is still flowing: the flow isn't stalled, so nothing
-            // is presumed lost. Re-arm for the remaining silence window.
-            self.rto_armed = true;
-            ctx.timer_in(deadline - now, RTO_TOKEN);
-            return;
-        }
-        // Full RTO of silence with packets outstanding: something was
-        // genuinely lost (corruption, or a dropped header). Resend the
-        // oldest outstanding packet on a different path and penalize the
-        // old one (§3.2.3).
-        let oldest = self.window.iter().find(|&(_, p)| p < ACKED);
-        if let Some((seq, path)) = oldest {
-            self.paths.on_loss(path);
-            self.stats.rtx_rto += 1;
-            self.send_data(seq, true, Some(path), ctx);
-        }
-        self.arm_rto(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {

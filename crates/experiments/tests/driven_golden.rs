@@ -9,7 +9,10 @@
 //! `-- --nocapture` and copy the printed rows. PR 26 re-rendered the NDP
 //! and pHost rows for the receivers' tail-pull sweep: every row gains the
 //! sweep's wakes, and only the NDP failure cell, whose dead link eats
-//! pulls, moves in its tails and `dropped_down`.
+//! pulls, moves in its tails and `dropped_down`. The NDP sender's pull
+//! bank (a pull that overtakes its NACK pays for the resend when the NACK
+//! arrives) re-rendered the three NDP rows; the DCTCP and pHost rows did
+//! not move.
 
 use ndp_experiments::failure_matrix;
 use ndp_experiments::openloop::{openloop_run, DistKind};
@@ -178,11 +181,11 @@ fn two_tenant_rpc_point_matches_the_parent_render() {
 }
 
 const OPENLOOP_NDP_7: OpenLoopRow = (
-    [3301301, 481, 400, 0, 797188318, 45],
+    [3299275, 481, 400, 0, 797188318, 45],
     [
-        4612021251640298561,
-        4627583007124562737,
-        4632477226878820713,
+        4612027622192790191,
+        4628095859203974918,
+        4632601961618230505,
     ],
 );
 const OPENLOOP_DCTCP_23: OpenLoopRow = (
@@ -202,22 +205,22 @@ const OPENLOOP_PHOST_1234: OpenLoopRow = (
     ],
 );
 const FAILURE_NDP: FailureRow = (
-    [1097864, 145, 132, 0, 21, 384, 253],
+    [1097784, 145, 132, 0, 21, 415, 262],
     [
         [
-            4608510245161125936,
+            4608325430656628443,
             4621474253539025120,
             4621474253539025120,
         ],
         [
-            4611412821335774839,
-            4637491294121703948,
-            4637491294121703948,
+            4611257449725550864,
+            4633195690209256271,
+            4633195690209256271,
         ],
         [
-            4608103846330894016,
-            4630660364140100253,
-            4630660364140100253,
+            4608308520228232297,
+            4630429271072404259,
+            4630429271072404259,
         ],
     ],
 );
@@ -242,9 +245,9 @@ const FAILURE_DCTCP: FailureRow = (
     ],
 );
 const RPC_TWO_TENANT: RpcRow = (
-    [770911, 2474, 2134, 124, 55],
+    [782861, 2478, 2137, 123, 55],
     [
-        [1972, 1972, 0, 6216555067664645652],
-        [162, 162, 0, 13835384127944133113],
+        [1972, 1972, 0, 11933723340174198478],
+        [165, 165, 0, 2564451730289709507],
     ],
 );

@@ -20,10 +20,6 @@ use crate::path::PathSet;
 
 const RTO_TOKEN: u8 = 1;
 
-/// Feedback kinds the RTS "mostly ACKed" rule looks back over: the width
-/// of `NdpSender::recent`.
-const RECENT: u32 = u16::BITS;
-
 /// Slot values of the per-seq window: below [`ACKED`], the path the packet
 /// is outstanding on (a path set never approaches 2^32 entries); `IDLE` is
 /// never sent, or fed back (NACK/RTS) and waiting to be pulled again.
@@ -128,8 +124,8 @@ pub struct NdpSender {
     /// First-window sequences returned to sender (RTS echo suppression).
     first_window_rts: FxHashSet<u64>,
     iw_sent: u64,
-    /// The last [`RECENT`] feedback kinds for the RTS "mostly ACKed" rule,
-    /// newest in bit 0 (1 = ACK), and how many of those bits are real.
+    /// The last 16 feedback kinds for the RTS "mostly ACKed" rule, newest
+    /// in bit 0 (1 = ACK), and how many of those bits are real.
     recent: u16,
     recent_len: u32,
     paths: PathSet,
@@ -369,7 +365,7 @@ impl NdpSender {
 
     fn push_recent(&mut self, ack: bool) {
         self.recent = self.recent << 1 | u16::from(ack);
-        self.recent_len = (self.recent_len + 1).min(RECENT);
+        self.recent_len = (self.recent_len + 1).min(u16::BITS);
     }
 
     /// §3.2.4 return-to-sender: resend immediately only if (a) we are not

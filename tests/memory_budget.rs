@@ -131,10 +131,11 @@ fn a_permutation_of_long_flows_fits_in_1500_kb() {
 /// costs three 56-byte packet bodies (the data packet, its ACK, the PULL
 /// that clocks out the next one; 3.11 with trimmed first-RTT packets and
 /// what is still in flight at 2 ms) plus its share of train and queue
-/// growth — 229 B in all. Every hop moves the 8-byte handle; a stray
-/// `clone()` per hop would add a body at each of the six hops of an
-/// inter-pod path, 6 x 56 = 336 B on its own — which is the bound, 1.47x
-/// what a run allocates today.
+/// growth — 196 B in all (229 B while every path reshuffle built three
+/// vectors). Every hop moves the 8-byte handle; a stray `clone()` per hop
+/// would add a body at each of the six hops of an inter-pod path,
+/// 6 x 56 = 336 B on its own — which is the bound, 1.72x what a run
+/// allocates today.
 #[test]
 fn a_packet_hop_allocates_nothing() {
     let _serial = serial();

@@ -13,10 +13,10 @@
 //! is never intentional: it means the engine lost determinism or the
 //! schedulers diverged.
 
-use ndp::baselines::tcp::{attach_tcp_flow, TcpCfg};
-use ndp::baselines::{attach_dcqcn_flow, DcqcnCfg};
+use ndp::baselines::tcp::{attach_tcp_flow, Handshake, TcpCfg};
+use ndp::baselines::{attach_dcqcn_flow, attach_mptcp_flow, DcqcnCfg};
 use ndp::core::{attach_flow, NdpFlowCfg};
-use ndp::net::{Packet, Queue};
+use ndp::net::{Host, Packet, Queue};
 use ndp::sim::world::SchedulerKind;
 use ndp::sim::{Time, World};
 use ndp::topology::{FatTree, FatTreeCfg, LeafSpine, LeafSpineCfg, QueueSpec, Topology};
@@ -126,6 +126,71 @@ fn dcqcn_permutation(kind: SchedulerKind) -> (u64, u64) {
         .sum();
     assert!(paused > 0, "the trace must exercise PFC pause");
     w.trace_hash()
+}
+
+/// Pinned trace of `tcp_family_incast`, rendered while TCP and MPTCP
+/// still kept separate copies of NewReno loss recovery.
+const GOLDEN_TCP_FAMILY_INCAST: (u64, u64) = (0x4895_0FC3_5923_87E8, 58_865);
+
+/// A 15:1 incast on a k=4 FatTree of 200-packet drop-tail queues (which
+/// CE-mark ECT packets above 30): every third sender is a 2.4 MB MPTCP
+/// flow, the rest alternate 300 KB three-way-handshake TCP and DCTCP.
+/// The TCP flows sit in repeated 200 ms RTOs for seconds (ROADMAP item
+/// 9), so 3 s of simulated time covers backed-off expiries too. Returns
+/// the trace and, per family (`[MPTCP, TCP + DCTCP]`), the summed sender
+/// harvests' `(fast retransmits, timeouts)`.
+fn tcp_family_incast(kind: SchedulerKind) -> ((u64, u64), [(u64, u64); 2]) {
+    let mut w: World<Packet> = World::with_scheduler(13, kind);
+    w.enable_trace();
+    let ft = FatTree::build(
+        &mut w,
+        FatTreeCfg::new(4).with_fabric(QueueSpec::dctcp_default()),
+    );
+    let size = 300_000;
+    for src in 1..16u32 {
+        let (from, to) = ((ft.hosts[src as usize], src), (ft.hosts[0], 0));
+        let flow = src as u64;
+        let tcp = |cfg: TcpCfg| TcpCfg { path: src, ..cfg };
+        match src % 3 {
+            0 => attach_mptcp_flow(&mut w, flow, from, to, 8 * size, 9000, Time::ZERO),
+            1 => {
+                let cfg = TcpCfg {
+                    handshake: Handshake::ThreeWay,
+                    ..tcp(TcpCfg::new(size))
+                };
+                attach_tcp_flow(&mut w, flow, from, to, cfg, Time::ZERO)
+            }
+            _ => attach_tcp_flow(&mut w, flow, from, to, tcp(TcpCfg::dctcp(size)), Time::ZERO),
+        }
+    }
+    w.run_until(Time::from_ms(3000));
+    let mut recovery = [(0, 0); 2];
+    for src in 1..16u32 {
+        let h = w.get::<Host>(ft.hosts[src as usize]).harvest(src as u64);
+        let family = &mut recovery[usize::from(src % 3 != 0)];
+        family.0 += h.retransmissions - h.timeouts;
+        family.1 += h.timeouts;
+    }
+    (w.trace_hash(), recovery)
+}
+
+#[test]
+fn tcp_family_incast_matches_its_parent_rendered_hash_on_both_schedulers() {
+    for kind in [SchedulerKind::TwoTier, SchedulerKind::Classic] {
+        let (trace, [mptcp, tcp]) = tcp_family_incast(kind);
+        if std::env::var("NDP_PRINT_TRACE_HASH").is_ok() {
+            println!("tcp family incast: (0x{:016X}, {})", trace.0, trace.1);
+        }
+        assert!(
+            mptcp.0 > 0 && mptcp.1 > 0,
+            "MPTCP (fast rtx, RTOs) {mptcp:?}"
+        );
+        assert!(tcp.0 > 0 && tcp.1 > 0, "TCP/DCTCP (fast rtx, RTOs) {tcp:?}");
+        assert_eq!(
+            trace, GOLDEN_TCP_FAMILY_INCAST,
+            "{kind:?} TCP family incast"
+        );
+    }
 }
 
 #[test]

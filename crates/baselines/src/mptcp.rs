@@ -2,8 +2,9 @@
 //! high-throughput baseline [31].
 //!
 //! Eight subflows per connection, each pinned to a distinct (randomly
-//! chosen) path tag, sharing one transfer. Each subflow runs NewReno
-//! loss recovery over its own sequence space; the *increase* is coupled:
+//! chosen) path tag, sharing one transfer. Each subflow runs TCP's
+//! NewReno loss recovery ([`crate::tcp`]'s shared machine) over its own
+//! sequence space; the *increase* is coupled:
 //!
 //! ```text
 //! per ack:  cwnd_r += min( a · bytes / cwnd_total , bytes / cwnd_r )
@@ -21,7 +22,7 @@ use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
 use rand::Rng;
 
-use crate::tcp::Reassembly;
+use crate::tcp::{Ack, NewReno, Reassembly, TcpStats, Timeout};
 
 const RTO_TOKEN_BASE: u8 = 1; // token = base + subflow index
 
@@ -31,46 +32,15 @@ const N_SUBFLOWS: usize = 8;
 /// Each subflow's initial congestion window, in segments.
 const INIT_CWND_PKTS: u64 = 2;
 
-/// Each subflow's RTO floor.
+/// Each subflow's RTO, fixed rather than TCP's RFC 6298 estimate: the
+/// subflows never adapted theirs (ROADMAP item 9).
 const MIN_RTO: Time = Time::from_ms(10);
 
 struct Subflow {
     path: PathTag,
-    snd_una: u64,
-    snd_nxt: u64,
     /// Bytes claimed from the shared pool (local seq space size so far).
     claimed: u64,
-    cwnd: u64,
-    ssthresh: u64,
-    dupacks: u32,
-    in_recovery: bool,
-    recover: u64,
-    srtt: Option<Time>,
-    rto_armed: bool,
-    backoff: u32,
-    /// Send time of the oldest unacknowledged segment (RTO anchor).
-    una_time: Time,
-}
-
-impl Subflow {
-    fn flight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-}
-
-/// MPTCP sender statistics.
-#[derive(Clone, Debug, Default)]
-pub struct MptcpStats {
-    pub start_time: Option<Time>,
-    pub completion_time: Option<Time>,
-    pub fast_retransmits: u64,
-    pub timeouts: u64,
-}
-
-impl MptcpStats {
-    pub fn fct(&self) -> Option<Time> {
-        Some(self.completion_time? - self.start_time?)
-    }
+    rec: NewReno,
 }
 
 /// The MPTCP sender endpoint.
@@ -84,7 +54,7 @@ pub struct MptcpSender {
     pool: u64,
     total_acked: u64,
     done: bool,
-    pub stats: MptcpStats,
+    pub stats: TcpStats,
 }
 
 impl MptcpSender {
@@ -94,18 +64,8 @@ impl MptcpSender {
             .map(|_| Subflow {
                 // Drawn per subflow in `on_start`.
                 path: 0,
-                snd_una: 0,
-                snd_nxt: 0,
                 claimed: 0,
-                cwnd: INIT_CWND_PKTS * mss,
-                ssthresh: u64::MAX / 2,
-                dupacks: 0,
-                in_recovery: false,
-                recover: 0,
-                srtt: None,
-                rto_armed: false,
-                backoff: 1,
-                una_time: Time::ZERO,
+                rec: NewReno::new(INIT_CWND_PKTS * mss),
             })
             .collect();
         MptcpSender {
@@ -117,22 +77,22 @@ impl MptcpSender {
             pool: size_bytes,
             total_acked: 0,
             done: false,
-            stats: MptcpStats::default(),
+            stats: TcpStats::default(),
         }
     }
 
     /// RFC 6356 coupled-increase coefficient.
     fn lia_alpha(&self) -> f64 {
-        let total: u64 = self.subs.iter().map(|s| s.cwnd).sum();
+        let total: u64 = self.subs.iter().map(|s| s.rec.cwnd).sum();
         if total == 0 {
             return 1.0;
         }
         let mut best = 0.0f64;
         let mut denom = 0.0f64;
         for s in &self.subs {
-            let rtt = s.srtt.unwrap_or(Time::from_us(100)).as_secs().max(1e-9);
-            best = best.max(s.cwnd as f64 / (rtt * rtt));
-            denom += s.cwnd as f64 / rtt;
+            let rtt = s.rec.srtt.unwrap_or(Time::from_us(100)).as_secs().max(1e-9);
+            best = best.max(s.rec.cwnd as f64 / (rtt * rtt));
+            denom += s.rec.cwnd as f64 / rtt;
         }
         if denom <= 0.0 {
             return 1.0;
@@ -141,11 +101,8 @@ impl MptcpSender {
     }
 
     fn send_segment(&mut self, idx: usize, seq: u64, ctx: &mut EndpointCtx<'_, '_>) {
-        let (path, claimed) = {
-            let s = &self.subs[idx];
-            (s.path, s.claimed)
-        };
-        let payload = (claimed - seq).min(self.mss);
+        let s = &mut self.subs[idx];
+        let payload = (s.claimed - seq).min(self.mss);
         let mut pkt = Packet::data(
             ctx.host(),
             self.dst,
@@ -153,47 +110,32 @@ impl MptcpSender {
             seq,
             payload as u32 + HEADER_BYTES,
         );
-        pkt.path = path;
+        pkt.path = s.path;
         pkt.subflow = idx as u16;
         pkt.sent = ctx.now();
-        if seq == self.subs[idx].snd_una {
-            self.subs[idx].una_time = ctx.now();
-        }
         ctx.send(pkt);
-        self.arm_rto(idx, ctx);
-    }
-
-    fn arm_rto(&mut self, idx: usize, ctx: &mut EndpointCtx<'_, '_>) {
-        let s = &mut self.subs[idx];
-        if !s.rto_armed {
-            s.rto_armed = true;
-            let t = MIN_RTO * s.backoff as u64;
-            ctx.timer_in(t, RTO_TOKEN_BASE + idx as u8);
+        if let Some(delay) = s.rec.sent(seq, ctx.now(), MIN_RTO) {
+            ctx.timer_in(delay, RTO_TOKEN_BASE + idx as u8);
         }
     }
 
     fn send_available(&mut self, idx: usize, ctx: &mut EndpointCtx<'_, '_>) {
         loop {
-            let (nxt, una, cwnd, claimed) = {
-                let s = &self.subs[idx];
-                (s.snd_nxt, s.snd_una, s.cwnd, s.claimed)
-            };
-            if nxt - una >= cwnd {
+            let s = &mut self.subs[idx];
+            if s.rec.flight() >= s.rec.cwnd {
                 break;
             }
             // Claim more bytes from the shared pool if needed.
-            if nxt >= claimed {
+            if s.rec.snd_nxt >= s.claimed {
                 let want = self.mss.min(self.pool);
                 if want == 0 {
                     break;
                 }
                 self.pool -= want;
-                self.subs[idx].claimed += want;
+                s.claimed += want;
             }
-            let s = &mut self.subs[idx];
-            let payload = (s.claimed - s.snd_nxt).min(self.mss);
-            let seq = s.snd_nxt;
-            s.snd_nxt += payload;
+            let seq = s.rec.snd_nxt;
+            s.rec.snd_nxt += (s.claimed - seq).min(self.mss);
             self.send_segment(idx, seq, ctx);
         }
     }
@@ -203,54 +145,29 @@ impl MptcpSender {
         if idx >= self.subs.len() {
             return;
         }
-        let ack = u64::from(pkt.ack);
         let alpha = self.lia_alpha();
-        let total_cwnd: u64 = self.subs.iter().map(|s| s.cwnd).sum();
+        let total_cwnd: u64 = self.subs.iter().map(|s| s.rec.cwnd).sum();
         let mss = self.mss;
         let s = &mut self.subs[idx];
-        if ack > s.snd_una {
-            let newly = ack - s.snd_una;
-            s.snd_una = ack;
-            s.una_time = ctx.now();
-            s.dupacks = 0;
-            s.backoff = 1;
-            if pkt.sent > Time::ZERO {
-                let sample = ctx.now() - pkt.sent;
-                s.srtt = Some(match s.srtt {
-                    None => sample,
-                    Some(old) => Time::from_ps((7 * old.as_ps() + sample.as_ps()) / 8),
-                });
-            }
-            self.total_acked += newly;
-            if s.in_recovery {
-                if ack >= s.recover {
-                    s.in_recovery = false;
-                    s.cwnd = s.ssthresh;
-                } else {
-                    let seq = s.snd_una;
-                    self.send_segment(idx, seq, ctx);
-                    self.check_done(ctx);
-                    return;
+        match s.rec.on_ack(u64::from(pkt.ack), pkt.sent, ctx.now(), mss) {
+            Ack::Advanced(newly) => {
+                self.total_acked += newly;
+                let lia = |cwnd| lia_increment(alpha, newly, mss, total_cwnd, cwnd);
+                match s.rec.open(newly, mss, lia) {
+                    // Resend the hole only, not `send_available` as TCP
+                    // does: the subflows never did (ROADMAP item 9).
+                    Some(hole) => self.send_segment(idx, hole, ctx),
+                    None => self.send_available(idx, ctx),
                 }
-            } else if s.cwnd < s.ssthresh {
-                s.cwnd += newly.min(mss);
-            } else {
-                s.cwnd += lia_increment(alpha, newly, mss, total_cwnd, s.cwnd);
+                self.check_done(ctx);
             }
-            self.send_available(idx, ctx);
-            self.check_done(ctx);
-        } else if ack == s.snd_una && s.flight() > 0 {
-            s.dupacks += 1;
-            if s.dupacks == 3 && !s.in_recovery {
+            Ack::FastRetransmit(seq) => {
                 self.stats.fast_retransmits += 1;
-                let s = &mut self.subs[idx];
-                s.ssthresh = (s.flight() / 2).max(2 * mss);
-                s.cwnd = s.ssthresh + 3 * mss;
-                s.in_recovery = true;
-                s.recover = s.snd_nxt;
-                let seq = s.snd_una;
                 self.send_segment(idx, seq, ctx);
             }
+            // No window inflation on dupacks during recovery, unlike TCP:
+            // the subflows never had it (ROADMAP item 9).
+            Ack::Recovering | Ack::Ignored => {}
         }
     }
 
@@ -283,31 +200,17 @@ impl Endpoint for MptcpSender {
 
     fn on_timer(&mut self, token: u8, ctx: &mut EndpointCtx<'_, '_>) {
         let idx = (token - RTO_TOKEN_BASE) as usize;
-        if idx >= self.subs.len() {
+        let Some(s) = self.subs.get_mut(idx) else {
             return;
+        };
+        match s.rec.on_rto(MIN_RTO, self.mss, ctx.now()) {
+            Timeout::Resend(seq) => {
+                self.stats.timeouts += 1;
+                self.send_segment(idx, seq, ctx);
+            }
+            Timeout::Rearm(left) => ctx.timer_in(left, token),
+            Timeout::Idle => {}
         }
-        self.subs[idx].rto_armed = false;
-        if self.done || self.subs[idx].flight() == 0 {
-            return;
-        }
-        let s = &self.subs[idx];
-        let deadline = s.una_time + MIN_RTO * s.backoff as u64;
-        if ctx.now() < deadline {
-            self.subs[idx].rto_armed = true;
-            let remaining = deadline - ctx.now();
-            ctx.timer_in(remaining, RTO_TOKEN_BASE + idx as u8);
-            return;
-        }
-        self.stats.timeouts += 1;
-        let mss = self.mss;
-        let s = &mut self.subs[idx];
-        s.ssthresh = (s.flight() / 2).max(2 * mss);
-        s.cwnd = mss;
-        s.in_recovery = false;
-        s.dupacks = 0;
-        s.backoff = (s.backoff * 2).min(64);
-        let seq = s.snd_una;
-        self.send_segment(idx, seq, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -315,11 +218,7 @@ impl Endpoint for MptcpSender {
     }
 
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            retransmissions: self.stats.fast_retransmits + self.stats.timeouts,
-            timeouts: self.stats.timeouts,
-            ..FlowHarvest::default()
-        }
+        self.stats.harvest()
     }
 }
 
@@ -485,8 +384,8 @@ mod tests {
     fn lia_alpha_is_one_for_identical_subflows() {
         let mut s = MptcpSender::new(1, 1, 1_000_000, 9000);
         for sub in &mut s.subs {
-            sub.cwnd = 100_000;
-            sub.srtt = Some(Time::from_us(100));
+            sub.rec.cwnd = 100_000;
+            sub.rec.srtt = Some(Time::from_us(100));
         }
         let a = s.lia_alpha();
         // For n identical subflows, alpha = total*·(c/r²)/(n·c/r)² = 1/n·...

@@ -85,7 +85,7 @@ impl TcpCfg {
     }
 }
 
-/// Sender-side statistics.
+/// Sender-side statistics, for TCP, DCTCP and MPTCP alike.
 #[derive(Clone, Debug, Default)]
 pub struct TcpStats {
     pub start_time: Option<Time>,
@@ -98,6 +98,15 @@ pub struct TcpStats {
 impl TcpStats {
     pub fn fct(&self) -> Option<Time> {
         Some(self.completion_time? - self.start_time?)
+    }
+
+    /// The sender's half of the flow's [`FlowHarvest`].
+    pub fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            retransmissions: self.fast_retransmits + self.timeouts,
+            timeouts: self.timeouts,
+            ..FlowHarvest::default()
+        }
     }
 }
 
@@ -113,20 +122,7 @@ pub struct TcpSender {
     dst: HostId,
     cfg: TcpCfg,
     state: State,
-    snd_una: u64,
-    snd_nxt: u64,
-    cwnd: u64,
-    ssthresh: u64,
-    dupacks: u32,
-    in_recovery: bool,
-    recover: u64,
-    srtt: Option<Time>,
-    rttvar: Time,
-    rto: Time,
-    rto_armed: bool,
-    backoff: u32,
-    /// Send time of the oldest unacknowledged segment (RTO anchor).
-    una_time: Time,
+    rec: NewReno,
     // DCTCP state.
     alpha: f64,
     bytes_acked_win: u64,
@@ -139,27 +135,13 @@ pub struct TcpSender {
 
 impl TcpSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: TcpCfg) -> TcpSender {
-        let mss = cfg.mss();
-        let cwnd = INIT_CWND_PKTS * mss;
-        let rto = cfg.min_rto();
+        let rec = NewReno::new(INIT_CWND_PKTS * cfg.mss());
         TcpSender {
             flow,
             dst,
             cfg,
             state: State::Closed,
-            snd_una: 0,
-            snd_nxt: 0,
-            cwnd,
-            ssthresh: u64::MAX / 2,
-            dupacks: 0,
-            in_recovery: false,
-            recover: 0,
-            srtt: None,
-            rttvar: Time::ZERO,
-            rto,
-            rto_armed: false,
-            backoff: 1,
-            una_time: Time::ZERO,
+            rec,
             alpha: 0.0,
             bytes_acked_win: 0,
             bytes_marked_win: 0,
@@ -171,7 +153,7 @@ impl TcpSender {
     }
 
     pub fn cwnd(&self) -> u64 {
-        self.cwnd
+        self.rec.cwnd
     }
 
     pub fn alpha(&self) -> f64 {
@@ -182,8 +164,8 @@ impl TcpSender {
         self.cfg.mss()
     }
 
-    fn flight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
+    fn rto(&self) -> Time {
+        self.rec.rfc6298_rto(self.cfg.min_rto())
     }
 
     fn send_segment(&mut self, seq: u64, ctx: &mut EndpointCtx<'_, '_>) {
@@ -203,26 +185,18 @@ impl TcpSender {
         if seq + payload >= self.cfg.size_bytes {
             pkt.flags = pkt.flags.with(Flags::FIN);
         }
-        if seq == self.snd_una {
-            self.una_time = ctx.now();
-        }
         ctx.send(pkt);
-        self.arm_rto(ctx);
+        if let Some(delay) = self.rec.sent(seq, ctx.now(), self.rto()) {
+            ctx.timer_in(delay, RTO_TOKEN);
+        }
     }
 
     fn send_available(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        while self.snd_nxt < self.cfg.size_bytes && self.snd_nxt - self.snd_una < self.cwnd {
-            let seq = self.snd_nxt;
+        while self.rec.snd_nxt < self.cfg.size_bytes && self.rec.flight() < self.rec.cwnd {
+            let seq = self.rec.snd_nxt;
             let payload = (self.cfg.size_bytes - seq).min(self.mss());
-            self.snd_nxt += payload;
+            self.rec.snd_nxt += payload;
             self.send_segment(seq, ctx);
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if !self.rto_armed {
-            self.rto_armed = true;
-            ctx.timer_in(self.rto * self.backoff as u64, RTO_TOKEN);
         }
     }
 
@@ -232,23 +206,9 @@ impl TcpSender {
         syn.flags = Flags::SYN;
         syn.path = self.cfg.path;
         ctx.send(syn);
-        self.arm_rto(ctx);
-    }
-
-    fn update_rtt(&mut self, sample: Time) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample / 2;
-            }
-            Some(s) => {
-                let err = if sample > s { sample - s } else { s - sample };
-                self.rttvar = Time::from_ps((3 * self.rttvar.as_ps() + err.as_ps()) / 4);
-                self.srtt = Some(Time::from_ps((7 * s.as_ps() + sample.as_ps()) / 8));
-            }
+        if let Some(delay) = self.rec.arm(self.rto()) {
+            ctx.timer_in(delay, RTO_TOKEN);
         }
-        let candidate = self.srtt.unwrap() + self.rttvar * 4;
-        self.rto = candidate.max(self.cfg.min_rto());
     }
 
     /// DCTCP per-window alpha update and proportional cut.
@@ -258,7 +218,7 @@ impl TcpSender {
             self.bytes_marked_win += newly;
             self.stats.marks_echoed += 1;
         }
-        if self.snd_una >= self.win_end {
+        if self.rec.snd_una >= self.win_end {
             let f = if self.bytes_acked_win == 0 {
                 0.0
             } else {
@@ -267,14 +227,14 @@ impl TcpSender {
             self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
             self.bytes_acked_win = 0;
             self.bytes_marked_win = 0;
-            self.win_end = self.snd_nxt;
+            self.win_end = self.rec.snd_nxt;
             self.cut_this_window = false;
         }
         if ece && !self.cut_this_window {
             self.cut_this_window = true;
-            let cut = (self.cwnd as f64 * (1.0 - self.alpha / 2.0)) as u64;
-            self.cwnd = cut.max(self.mss());
-            self.ssthresh = self.cwnd;
+            let cut = (self.rec.cwnd as f64 * (1.0 - self.alpha / 2.0)) as u64;
+            self.rec.cwnd = cut.max(self.mss());
+            self.rec.ssthresh = self.rec.cwnd;
         }
     }
 
@@ -282,72 +242,53 @@ impl TcpSender {
         if matches!(self.state, State::SynSent) {
             // SYN-ACK: connection established, start pushing data.
             self.state = State::Established;
-            self.update_rtt(ctx.now() - pkt.sent);
+            self.rec.sample_rtt(ctx.now() - pkt.sent);
             self.send_available(ctx);
             return;
         }
-        let ack = u64::from(pkt.ack);
-        let ece = pkt.flags.has(Flags::CE);
-        if ack > self.snd_una {
-            let newly = ack - self.snd_una;
-            self.snd_una = ack;
-            self.una_time = ctx.now();
-            self.dupacks = 0;
-            self.backoff = 1;
-            if pkt.sent > Time::ZERO {
-                self.update_rtt(ctx.now() - pkt.sent);
-            }
-            if self.cfg.dctcp {
-                self.dctcp_on_ack(newly, ece);
-            } else if ece {
-                // Classic ECN: halve once per window.
-                if !self.cut_this_window {
-                    self.cut_this_window = true;
-                    self.win_end = self.snd_nxt;
-                    self.ssthresh = (self.cwnd / 2).max(2 * self.mss());
-                    self.cwnd = self.ssthresh;
-                } else if self.snd_una >= self.win_end {
-                    self.cut_this_window = false;
+        let mss = self.mss();
+        match self
+            .rec
+            .on_ack(u64::from(pkt.ack), pkt.sent, ctx.now(), mss)
+        {
+            Ack::Advanced(newly) => {
+                let ece = pkt.flags.has(Flags::CE);
+                if self.cfg.dctcp {
+                    self.dctcp_on_ack(newly, ece);
+                } else if ece {
+                    // Classic ECN: halve once per window.
+                    if !self.cut_this_window {
+                        self.cut_this_window = true;
+                        self.win_end = self.rec.snd_nxt;
+                        self.rec.ssthresh = (self.rec.cwnd / 2).max(2 * mss);
+                        self.rec.cwnd = self.rec.ssthresh;
+                    } else if self.rec.snd_una >= self.win_end {
+                        self.cut_this_window = false;
+                    }
                 }
-            }
-            if self.in_recovery {
-                if ack >= self.recover {
-                    // Full recovery.
-                    self.in_recovery = false;
-                    self.cwnd = self.ssthresh;
-                } else {
+                let reno = |cwnd: u64| (mss * mss / cwnd).max(1);
+                if let Some(hole) = self.rec.open(newly, mss, reno) {
                     // NewReno partial ACK: retransmit the next hole.
-                    let seq = self.snd_una;
-                    self.send_segment(seq, ctx);
+                    self.send_segment(hole, ctx);
                 }
-            } else if self.cwnd < self.ssthresh {
-                self.cwnd += newly.min(self.mss());
-            } else {
-                self.cwnd += (self.mss() * self.mss() / self.cwnd).max(1);
-            }
-            if self.snd_una >= self.cfg.size_bytes && !self.done {
-                self.done = true;
-                self.stats.completion_time = Some(ctx.now());
-                ctx.complete();
-                return;
-            }
-            self.send_available(ctx);
-        } else if ack == self.snd_una && self.flight() > 0 {
-            self.dupacks += 1;
-            if self.dupacks == 3 && !self.in_recovery {
-                // Fast retransmit.
-                self.stats.fast_retransmits += 1;
-                self.ssthresh = (self.flight() / 2).max(2 * self.mss());
-                self.cwnd = self.ssthresh + 3 * self.mss();
-                self.in_recovery = true;
-                self.recover = self.snd_nxt;
-                let seq = self.snd_una;
-                self.send_segment(seq, ctx);
-            } else if self.in_recovery {
-                // Inflate during recovery to keep the pipe full.
-                self.cwnd += self.mss();
+                if self.rec.snd_una >= self.cfg.size_bytes && !self.done {
+                    self.done = true;
+                    self.stats.completion_time = Some(ctx.now());
+                    ctx.complete();
+                    return;
+                }
                 self.send_available(ctx);
             }
+            Ack::FastRetransmit(seq) => {
+                self.stats.fast_retransmits += 1;
+                self.send_segment(seq, ctx);
+            }
+            Ack::Recovering => {
+                // Inflate during recovery to keep the pipe full.
+                self.rec.cwnd += mss;
+                self.send_available(ctx);
+            }
+            Ack::Ignored => {}
         }
     }
 }
@@ -377,36 +318,20 @@ impl Endpoint for TcpSender {
         if token != RTO_TOKEN {
             return;
         }
-        self.rto_armed = false;
-        if self.done {
-            return;
+        match self.rec.on_rto(self.rto(), self.mss(), ctx.now()) {
+            Timeout::Resend(seq) => {
+                self.stats.timeouts += 1;
+                self.send_segment(seq, ctx);
+            }
+            Timeout::Rearm(left) => ctx.timer_in(left, RTO_TOKEN),
+            // Nothing in flight: before the SYN-ACK, resend the SYN.
+            Timeout::Idle if matches!(self.state, State::SynSent) => {
+                self.rec.back_off();
+                self.stats.timeouts += 1;
+                self.send_syn(ctx);
+            }
+            Timeout::Idle => {}
         }
-        if matches!(self.state, State::SynSent) {
-            // Retransmit the SYN.
-            self.backoff = (self.backoff * 2).min(64);
-            self.stats.timeouts += 1;
-            self.send_syn(ctx);
-            return;
-        }
-        if self.flight() == 0 {
-            return;
-        }
-        // Timeout only if the oldest unacked segment has been out a full
-        // RTO; otherwise re-arm for the remainder.
-        let deadline = self.una_time + self.rto * self.backoff as u64;
-        if ctx.now() < deadline {
-            self.rto_armed = true;
-            ctx.timer_in(deadline - ctx.now(), RTO_TOKEN);
-            return;
-        }
-        self.stats.timeouts += 1;
-        self.ssthresh = (self.flight() / 2).max(2 * self.mss());
-        self.cwnd = self.mss();
-        self.in_recovery = false;
-        self.dupacks = 0;
-        self.backoff = (self.backoff * 2).min(64);
-        let seq = self.snd_una;
-        self.send_segment(seq, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -414,11 +339,196 @@ impl Endpoint for TcpSender {
     }
 
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            retransmissions: self.stats.fast_retransmits + self.stats.timeouts,
-            timeouts: self.stats.timeouts,
-            ..FlowHarvest::default()
+        self.stats.harvest()
+    }
+}
+
+/// NewReno loss recovery (RFC 5681/6582) for one byte stream: a TCP flow
+/// or one MPTCP subflow. It holds the window, the RTT estimate and the RTO
+/// timer's state; the sender frames packets, sets the timers this machine
+/// asks for, and brings its own increase law and ECN response.
+#[derive(Clone, Debug)]
+pub(crate) struct NewReno {
+    pub(crate) snd_una: u64,
+    pub(crate) snd_nxt: u64,
+    pub(crate) cwnd: u64,
+    pub(crate) ssthresh: u64,
+    dupacks: u32,
+    in_recovery: bool,
+    /// `snd_nxt` when recovery began; an ACK reaching it ends recovery.
+    recover: u64,
+    pub(crate) srtt: Option<Time>,
+    rttvar: Time,
+    rto_armed: bool,
+    backoff: u32,
+    /// Send time of the oldest unacknowledged segment (RTO anchor).
+    una_time: Time,
+}
+
+/// What an ACK asks of the sender.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Ack {
+    /// `snd_una` advanced by this many bytes: apply any ECN response,
+    /// then [`NewReno::open`].
+    Advanced(u64),
+    /// The third duplicate entered recovery: resend this `snd_una`.
+    FastRetransmit(u64),
+    /// A further duplicate during recovery.
+    Recovering,
+    /// A stale ACK, or a duplicate before the third.
+    Ignored,
+}
+
+/// What an RTO timer firing asks of the sender.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Timeout {
+    /// Nothing in flight; the timer stays disarmed.
+    Idle,
+    /// The oldest segment has not been out a full RTO: re-arm for this
+    /// remainder.
+    Rearm(Time),
+    /// Expired: the window is one MSS again; resend this `snd_una`.
+    Resend(u64),
+}
+
+impl NewReno {
+    pub(crate) fn new(cwnd: u64) -> NewReno {
+        NewReno {
+            snd_una: 0,
+            snd_nxt: 0,
+            cwnd,
+            ssthresh: u64::MAX / 2,
+            dupacks: 0,
+            in_recovery: false,
+            recover: 0,
+            srtt: None,
+            rttvar: Time::ZERO,
+            rto_armed: false,
+            backoff: 1,
+            una_time: Time::ZERO,
         }
+    }
+
+    pub(crate) fn flight(&self) -> u64 {
+        self.snd_nxt - self.snd_una
+    }
+
+    /// RFC 6298's `max(srtt + 4·rttvar, floor)`; the floor alone before
+    /// the first sample.
+    pub(crate) fn rfc6298_rto(&self, floor: Time) -> Time {
+        self.srtt
+            .map_or(floor, |srtt| (srtt + self.rttvar * 4).max(floor))
+    }
+
+    pub(crate) fn sample_rtt(&mut self, sample: Time) {
+        match self.srtt {
+            None => {
+                self.srtt = Some(sample);
+                self.rttvar = sample / 2;
+            }
+            Some(s) => {
+                let err = if sample > s { sample - s } else { s - sample };
+                self.rttvar = Time::from_ps((3 * self.rttvar.as_ps() + err.as_ps()) / 4);
+                self.srtt = Some(Time::from_ps((7 * s.as_ps() + sample.as_ps()) / 8));
+            }
+        }
+    }
+
+    /// Arm the RTO unless it is armed: returns the delay to set the timer
+    /// for, `rto` times the backoff.
+    pub(crate) fn arm(&mut self, rto: Time) -> Option<Time> {
+        if self.rto_armed {
+            return None;
+        }
+        self.rto_armed = true;
+        Some(rto * self.backoff as u64)
+    }
+
+    /// The segment at `seq` just left; the oldest unacknowledged one
+    /// anchors the RTO. Returns what [`NewReno::arm`] does.
+    pub(crate) fn sent(&mut self, seq: u64, now: Time, rto: Time) -> Option<Time> {
+        if seq == self.snd_una {
+            self.una_time = now;
+        }
+        self.arm(rto)
+    }
+
+    /// A cumulative ACK for `ack`, echoing a segment sent at `sent`.
+    pub(crate) fn on_ack(&mut self, ack: u64, sent: Time, now: Time, mss: u64) -> Ack {
+        if ack > self.snd_una {
+            let newly = ack - self.snd_una;
+            self.snd_una = ack;
+            self.una_time = now;
+            self.dupacks = 0;
+            self.backoff = 1;
+            if sent > Time::ZERO {
+                self.sample_rtt(now - sent);
+            }
+            return Ack::Advanced(newly);
+        }
+        if ack != self.snd_una || self.flight() == 0 {
+            return Ack::Ignored;
+        }
+        self.dupacks += 1;
+        if self.dupacks == 3 && !self.in_recovery {
+            self.ssthresh = (self.flight() / 2).max(2 * mss);
+            self.cwnd = self.ssthresh + 3 * mss;
+            self.in_recovery = true;
+            self.recover = self.snd_nxt;
+            Ack::FastRetransmit(self.snd_una)
+        } else if self.in_recovery {
+            Ack::Recovering
+        } else {
+            Ack::Ignored
+        }
+    }
+
+    /// After [`Ack::Advanced`]: leave recovery once `recover` is acked,
+    /// return the next hole on a partial ACK, or else grow the window by
+    /// slow start or, above `ssthresh`, by `increase(cwnd)`.
+    pub(crate) fn open(
+        &mut self,
+        newly: u64,
+        mss: u64,
+        increase: impl FnOnce(u64) -> u64,
+    ) -> Option<u64> {
+        if self.in_recovery {
+            if self.snd_una < self.recover {
+                return Some(self.snd_una);
+            }
+            self.in_recovery = false;
+            self.cwnd = self.ssthresh;
+        } else if self.cwnd < self.ssthresh {
+            self.cwnd += newly.min(mss);
+        } else {
+            self.cwnd += increase(self.cwnd);
+        }
+        None
+    }
+
+    /// The RTO timer fired. It expires only once the oldest unacknowledged
+    /// segment has been out a full backed-off `rto`.
+    pub(crate) fn on_rto(&mut self, rto: Time, mss: u64, now: Time) -> Timeout {
+        self.rto_armed = false;
+        if self.flight() == 0 {
+            return Timeout::Idle;
+        }
+        let deadline = self.una_time + rto * self.backoff as u64;
+        if now < deadline {
+            self.rto_armed = true;
+            return Timeout::Rearm(deadline - now);
+        }
+        self.ssthresh = (self.flight() / 2).max(2 * mss);
+        self.cwnd = mss;
+        self.in_recovery = false;
+        self.dupacks = 0;
+        self.back_off();
+        Timeout::Resend(self.snd_una)
+    }
+
+    /// Double the RTO backoff, up to 64×.
+    pub(crate) fn back_off(&mut self) {
+        self.backoff = (self.backoff * 2).min(64);
     }
 }
 
@@ -840,6 +950,95 @@ mod tests {
             last > Time::from_ms(100),
             "tail should be RTO-dominated, got {last}"
         );
+    }
+
+    const MSS: u64 = 1000;
+    const RTO: Time = Time::from_ms(10);
+
+    /// A NewReno machine with `segs` MSS-sized segments sent at time 0.
+    fn in_flight(segs: u64) -> NewReno {
+        let mut r = NewReno::new(10 * MSS);
+        for seq in (0..segs).map(|i| i * MSS) {
+            r.snd_nxt += MSS;
+            r.sent(seq, Time::ZERO, RTO);
+        }
+        r
+    }
+
+    /// A cumulative ACK at `now` that takes no RTT sample.
+    fn ack(r: &mut NewReno, ack: u64) -> Ack {
+        r.on_ack(ack, Time::ZERO, Time::from_us(100), MSS)
+    }
+
+    #[test]
+    fn third_dupack_resends_snd_una_and_enters_recovery() {
+        let mut r = in_flight(10);
+        assert_eq!(ack(&mut r, 2 * MSS), Ack::Advanced(2 * MSS));
+        assert_eq!(ack(&mut r, 2 * MSS), Ack::Ignored);
+        assert_eq!(ack(&mut r, 2 * MSS), Ack::Ignored);
+        assert_eq!(ack(&mut r, 2 * MSS), Ack::FastRetransmit(2 * MSS));
+        // Half the 8 MSS in flight, plus the three segments that left.
+        assert_eq!((r.ssthresh, r.cwnd), (4 * MSS, 7 * MSS));
+        assert_eq!(ack(&mut r, 2 * MSS), Ack::Recovering);
+        // Half of a 3 MSS flight is floored at 2 MSS.
+        let mut r = in_flight(3);
+        for _ in 0..2 {
+            assert_eq!(ack(&mut r, 0), Ack::Ignored);
+        }
+        assert_eq!(ack(&mut r, 0), Ack::FastRetransmit(0));
+        assert_eq!(r.ssthresh, 2 * MSS);
+    }
+
+    #[test]
+    fn partial_acks_resend_each_hole_until_recover_is_acked() {
+        let mut r = in_flight(10);
+        for _ in 0..3 {
+            ack(&mut r, 0);
+        }
+        assert_eq!(r.ssthresh, 5 * MSS);
+        let no_increase = |_| unreachable!("no window growth in recovery");
+        // A partial ACK names the next hole and stays in recovery.
+        assert_eq!(ack(&mut r, 4 * MSS), Ack::Advanced(4 * MSS));
+        assert_eq!(r.open(4 * MSS, MSS, no_increase), Some(4 * MSS));
+        assert_eq!(ack(&mut r, 4 * MSS), Ack::Recovering);
+        // An ACK reaching `recover` (10 MSS) ends it at `ssthresh`.
+        assert_eq!(ack(&mut r, 10 * MSS), Ack::Advanced(6 * MSS));
+        assert_eq!(r.open(6 * MSS, MSS, no_increase), None);
+        assert_eq!(r.cwnd, 5 * MSS);
+        // Out of recovery, above `ssthresh`, the caller's law grows it.
+        assert_eq!(r.open(MSS, MSS, |cwnd| cwnd / 5), None);
+        assert_eq!(r.cwnd, 6 * MSS);
+    }
+
+    #[test]
+    fn rto_before_its_deadline_rearms_for_the_remainder() {
+        let mut r = in_flight(2);
+        assert_eq!(r.arm(RTO), None, "the first send armed it");
+        // The first segment is acked at 4 ms: the anchor moves there.
+        r.on_ack(MSS, Time::ZERO, Time::from_ms(4), MSS);
+        let at_10 = r.on_rto(RTO, MSS, Time::from_ms(10));
+        assert_eq!(at_10, Timeout::Rearm(Time::from_ms(4)));
+        assert_eq!(r.arm(RTO), None, "re-armed");
+        assert_eq!(r.on_rto(RTO, MSS, Time::from_ms(14)), Timeout::Resend(MSS));
+    }
+
+    #[test]
+    fn expiry_collapses_the_window_and_doubles_the_backoff_up_to_64() {
+        let mut r = in_flight(10);
+        let mut now = RTO;
+        let mut backoffs = vec![];
+        for _ in 0..8 {
+            assert_eq!(r.on_rto(RTO, MSS, now), Timeout::Resend(0));
+            assert_eq!((r.cwnd, r.ssthresh), (MSS, 5 * MSS));
+            let delay = r.sent(0, now, RTO).expect("disarmed by expiry");
+            backoffs.push(delay.as_ps() / RTO.as_ps());
+            now += delay;
+        }
+        assert_eq!(backoffs, [2, 4, 8, 16, 32, 64, 64, 64]);
+        // Half of a 3 MSS flight is floored at 2 MSS.
+        let mut r = in_flight(3);
+        assert_eq!(r.on_rto(RTO, MSS, RTO), Timeout::Resend(0));
+        assert_eq!((r.cwnd, r.ssthresh), (MSS, 2 * MSS));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Baseline transports the paper compares NDP against (§5/§6):
 //!
 //! * [`tcp`] — TCP NewReno with per-flow ECMP, Linux-like 200 ms MinRTO,
-//!   optional three-way handshake / TFO modelling, and the DCTCP extension
-//!   (ECN fraction estimator with g = 1/16, proportional window reduction,
+//!   an optional three-way handshake, and the DCTCP extension (ECN
+//!   fraction estimator with g = 1/16, proportional window reduction,
 //!   10 ms MinRTO).
 //! * [`mptcp`] — Multipath TCP with 8 subflows on distinct paths coupled by
 //!   the LIA increase (RFC 6356), the high-throughput baseline of Fig 14.
+//!   Each subflow recovers losses with TCP's NewReno machine.
 //! * [`dcqcn`] — DCQCN rate-based congestion control for RoCE over the
 //!   lossless (PFC) fabric: per-CNP multiplicative decrease with the α
 //!   estimator, timer-driven fast-recovery/additive-increase, at the

@@ -4,8 +4,8 @@
 //! avoidance, duplicate-ACK fast retransmit with NewReno partial-ACK
 //! recovery, exponential-backoff RTO with a Linux-like 200 ms MinRTO (the
 //! paper attributes TCP's terrible incast tail exactly to this; DCTCP
-//! runs a 10 ms MinRTO), and optional connection-establishment modelling
-//! (three-way handshake vs TFO vs pre-established).
+//! runs a 10 ms MinRTO), and an optional three-way handshake before data
+//! (otherwise the connection is pre-established).
 //!
 //! DCTCP (Alizadeh et al. [4]) rides on the same machinery: data packets
 //! are ECT, switches mark CE above threshold, the receiver echoes marks
@@ -36,8 +36,6 @@ pub enum Handshake {
     None,
     /// Classic SYN / SYN-ACK round trip before data.
     ThreeWay,
-    /// TCP Fast Open: data rides on the SYN.
-    Tfo,
 }
 
 /// TCP flow configuration.
@@ -301,7 +299,7 @@ impl Endpoint for TcpSender {
                 self.state = State::SynSent;
                 self.send_syn(ctx);
             }
-            Handshake::Tfo | Handshake::None => {
+            Handshake::None => {
                 self.state = State::Established;
                 self.send_available(ctx);
             }
@@ -811,12 +809,7 @@ mod tests {
             tcp_stats(&w, b.hosts[0], 1).fct().unwrap()
         };
         let plain = run(Handshake::None);
-        let tfo = run(Handshake::Tfo);
         let full = run(Handshake::ThreeWay);
-        assert_eq!(
-            plain, tfo,
-            "TFO == no-handshake when connection data fits the IW"
-        );
         assert!(full > plain, "3WHS must cost extra");
         // The extra cost is about one RTT (2 us propagation + header tx).
         assert!(full - plain < Time::from_us(10));

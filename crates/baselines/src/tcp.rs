@@ -244,11 +244,8 @@ impl TcpSender {
             self.send_available(ctx);
             return;
         }
-        let mss = self.mss();
-        match self
-            .rec
-            .on_ack(u64::from(pkt.ack), pkt.sent, ctx.now(), mss)
-        {
+        let (ack, mss) = (u64::from(pkt.ack), self.mss());
+        match self.rec.on_ack(ack, pkt.sent, ctx.now(), mss) {
             Ack::Advanced(newly) => {
                 let ece = pkt.flags.has(Flags::CE);
                 if self.cfg.dctcp {

@@ -32,8 +32,8 @@ const N_SUBFLOWS: usize = 8;
 /// Each subflow's initial congestion window, in segments.
 const INIT_CWND_PKTS: u64 = 2;
 
-/// Each subflow's RTO, fixed rather than TCP's RFC 6298 estimate: the
-/// subflows never adapted theirs (ROADMAP item 9).
+/// Each subflow's RTO, fixed rather than TCP's RFC 6298 estimate until
+/// ROADMAP item 9 settles MPTCP's recovery.
 const MIN_RTO: Time = Time::from_ms(10);
 
 struct Subflow {
@@ -154,8 +154,8 @@ impl MptcpSender {
                 self.total_acked += newly;
                 let lia = |cwnd| lia_increment(alpha, newly, mss, total_cwnd, cwnd);
                 match s.rec.open(newly, mss, lia) {
-                    // Resend the hole only, not `send_available` as TCP
-                    // does: the subflows never did (ROADMAP item 9).
+                    // Resend the hole only, without TCP's `send_available`,
+                    // until ROADMAP item 9 settles MPTCP's recovery.
                     Some(hole) => self.send_segment(idx, hole, ctx),
                     None => self.send_available(idx, ctx),
                 }
@@ -165,8 +165,8 @@ impl MptcpSender {
                 self.stats.fast_retransmits += 1;
                 self.send_segment(idx, seq, ctx);
             }
-            // No window inflation on dupacks during recovery, unlike TCP:
-            // the subflows never had it (ROADMAP item 9).
+            // No window inflation on dupacks during recovery, unlike TCP,
+            // until ROADMAP item 9 settles MPTCP's recovery.
             Ack::Recovering | Ack::Ignored => {}
         }
     }

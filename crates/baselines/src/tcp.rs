@@ -342,7 +342,6 @@ impl Endpoint for TcpSender {
 /// or one MPTCP subflow. It holds the window, the RTT estimate and the RTO
 /// timer's state; the sender frames packets, sets the timers this machine
 /// asks for, and brings its own increase law and ECN response.
-#[derive(Clone, Debug)]
 pub(crate) struct NewReno {
     pub(crate) snd_una: u64,
     pub(crate) snd_nxt: u64,

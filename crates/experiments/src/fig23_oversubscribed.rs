@@ -9,9 +9,9 @@
 //! collapse: packets that clear the ToR almost always reach the receiver.
 //!
 //! Measured at quick scale, NDP does not collapse: its high-load p90 is
-//! 0.443 ms, well under one `NDP_RTO`, because a pull that overtakes its
+//! 0.334 ms, well under one `NDP_RTO`, because a pull that overtakes its
 //! NACK is banked and pays for the resend when the NACK arrives. It does
-//! not edge DCTCP at high load, though: its median is 0.071 ms against
+//! not edge DCTCP at high load, though: its median is 0.064 ms against
 //! DCTCP's 0.055 ms (ROADMAP item 10).
 
 use ndp_metrics::{Cdf, Table};

@@ -12,7 +12,18 @@
 //! pulls, moves in its tails and `dropped_down`. The NDP sender's pull
 //! bank (a pull that overtakes its NACK pays for the resend when the NACK
 //! arrives) re-rendered the three NDP rows; the DCTCP and pHost rows did
-//! not move.
+//! not move. The NDP host NIC's per-flow round robin re-rendered the same
+//! three rows, and again only those (slowdowns as p50 / p99 / max):
+//!
+//! * `OPENLOOP_NDP_7`: events 3,299,275 → 3,275,434, peak live flows
+//!   45 → 43, slowdown 2.152 / 26.299 / 52.617 → 2.061 / 7.944 / 10.210.
+//! * `FAILURE_NDP`: events 1,097,784 → 1,094,882, reroutes 415 → 392,
+//!   dropped-down 262 → 244; p50 / p99 before the failure 1.254 / 9.387 →
+//!   1.271 / 6.879, during it 1.905 / 56.835 → 1.686 / 108.176, after it
+//!   1.250 / 37.179 → 1.206 / 6.578.
+//! * `RPC_TWO_TENANT`: events 782,861 → 787,022, offered 2,478 → 2,488,
+//!   measured 2,137 → 2,148, peak live flows 123 → 114, peak live requests
+//!   55 → 50; the closed tenant completes 165 → 176 requests.
 
 use ndp_experiments::failure_matrix;
 use ndp_experiments::openloop::{openloop_run, DistKind};
@@ -181,11 +192,11 @@ fn two_tenant_rpc_point_matches_the_parent_render() {
 }
 
 const OPENLOOP_NDP_7: OpenLoopRow = (
-    [3299275, 481, 400, 0, 797188318, 45],
+    [3275434, 481, 400, 0, 797188318, 43],
     [
-        4612027622192790191,
-        4628095859203974918,
-        4632601961618230505,
+        4611824030160816999,
+        4620629617180612678,
+        4621937200914893078,
     ],
 );
 const OPENLOOP_DCTCP_23: OpenLoopRow = (
@@ -205,22 +216,22 @@ const OPENLOOP_PHOST_1234: OpenLoopRow = (
     ],
 );
 const FAILURE_NDP: FailureRow = (
-    [1097784, 145, 132, 0, 21, 415, 262],
+    [1094882, 145, 132, 0, 21, 392, 244],
     [
         [
-            4608325430656628443,
-            4621474253539025120,
-            4621474253539025120,
+            4608401289199814449,
+            4619431005883005135,
+            4619431005883005135,
         ],
         [
-            4611257449725550864,
-            4633195690209256271,
-            4633195690209256271,
+            4610271113481446388,
+            4637312633157264829,
+            4637312633157264829,
         ],
         [
-            4608308520228232297,
-            4630429271072404259,
-            4630429271072404259,
+            4608108073390896582,
+            4619092633409383127,
+            4619092633409383127,
         ],
     ],
 );
@@ -245,9 +256,9 @@ const FAILURE_DCTCP: FailureRow = (
     ],
 );
 const RPC_TWO_TENANT: RpcRow = (
-    [782861, 2478, 2137, 123, 55],
+    [787022, 2488, 2148, 114, 50],
     [
-        [1972, 1972, 0, 11933723340174198478],
-        [165, 165, 0, 2564451730289709507],
+        [1972, 1972, 0, 1941872821678014893],
+        [176, 176, 0, 14289227017752897833],
     ],
 );

@@ -23,6 +23,11 @@
 //!   gives headers early feedback without starving data (avoiding CP's
 //!   collapse). A header that does not fit is refused; the link returns
 //!   it to its sender (§3.2.4) or drops it.
+//! * The NDP host NIC ([`Discipline::ndp_nic`]) is the same port with a
+//!   deep data queue served round-robin over its backlogged flows
+//!   ([`FlowRoundRobin`]): a new flow's first window is sent at line rate
+//!   (§3.2), so in one shared FIFO a short flow would wait behind every
+//!   earlier flow's whole first window, long enough to fire its RTO.
 
 use std::collections::VecDeque;
 
@@ -30,7 +35,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::flight::HopKind;
-use crate::packet::{Flags, Packet, PacketKind};
+use crate::packet::{Flags, FlowId, Packet, PacketKind};
 use crate::queue::Tap;
 
 /// One FIFO; the optional thresholds select DropTail, Cp or Lossless.
@@ -79,9 +84,150 @@ impl Fifo {
     }
 }
 
-/// The NDP port: data queue + priority header queue under 10:1 WRR.
-pub struct NdpQueues {
-    data: VecDeque<Packet>,
+/// The data queue of an NDP port: what [`NdpQueues`] needs of it.
+trait DataQueue {
+    fn len(&self) -> usize;
+    fn push(&mut self, pkt: Packet);
+    fn pop(&mut self) -> Option<Packet>;
+    /// Queue `pkt` in place of the packet an overflow may trim instead of
+    /// it, and return that packet (`pkt` itself when there is none).
+    fn swap_tail(&mut self, pkt: Packet) -> Packet;
+}
+
+/// The switch's data queue: one FIFO; the overflow victim is its tail.
+impl DataQueue for VecDeque<Packet> {
+    fn len(&self) -> usize {
+        VecDeque::len(self)
+    }
+
+    fn push(&mut self, pkt: Packet) {
+        self.push_back(pkt);
+    }
+
+    fn pop(&mut self) -> Option<Packet> {
+        self.pop_front()
+    }
+
+    fn swap_tail(&mut self, pkt: Packet) -> Packet {
+        let tail = self.pop_back().expect("data_cap_pkts >= 1");
+        self.push_back(pkt);
+        tail
+    }
+}
+
+/// The host NIC's data queue: one FIFO lane per backlogged flow, served
+/// one packet per lane per turn. With one backlogged flow it is a FIFO.
+pub struct FlowRoundRobin {
+    /// The first `active` lanes are the backlogged flows in service order
+    /// (the front sends next); the rest are drained lanes kept for their
+    /// capacity, so a steady state allocates nothing.
+    lanes: VecDeque<Lane>,
+    /// `u32`s keep `Discipline` the size its switch variants set, so no
+    /// link grows for the NIC.
+    active: u32,
+    /// Packets over all lanes.
+    len: u32,
+}
+
+struct Lane {
+    flow: FlowId,
+    pkts: VecDeque<Packet>,
+}
+
+impl FlowRoundRobin {
+    /// Room for one lane up front: a host usually sends one flow at a
+    /// time, and then serving it allocates no more than a FIFO would.
+    fn new() -> FlowRoundRobin {
+        FlowRoundRobin {
+            lanes: VecDeque::with_capacity(1),
+            active: 0,
+            len: 0,
+        }
+    }
+
+    /// The backlogged lane of `flow`, if it has one.
+    fn lane(&mut self, flow: FlowId) -> Option<&mut Lane> {
+        let active = self.active as usize;
+        self.lanes.range_mut(..active).find(|l| l.flow == flow)
+    }
+}
+
+impl DataQueue for FlowRoundRobin {
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn push(&mut self, pkt: Packet) {
+        self.len += 1;
+        if let Some(lane) = self.lane(pkt.flow) {
+            lane.pkts.push_back(pkt);
+            return;
+        }
+        // A newly backlogged flow joins the end of the round, in the first
+        // drained lane (or a new one).
+        let active = self.active as usize;
+        if active == self.lanes.len() {
+            self.lanes.push_back(Lane {
+                flow: pkt.flow,
+                pkts: VecDeque::new(),
+            });
+        }
+        let lane = &mut self.lanes[active];
+        lane.flow = pkt.flow;
+        lane.pkts.push_back(pkt);
+        self.active += 1;
+    }
+
+    fn pop(&mut self) -> Option<Packet> {
+        if self.active == 0 {
+            return None;
+        }
+        let front = &mut self.lanes[0];
+        let pkt = front
+            .pkts
+            .pop_front()
+            .expect("a backlogged lane is nonempty");
+        self.len -= 1;
+        let drained = front.pkts.is_empty();
+        if self.active == 1 {
+            // The only backlogged flow: there is no round to rotate.
+            if drained {
+                self.active = 0;
+            }
+        } else {
+            // Rotate the front lane to the back: [rest of the round,
+            // drained lanes, front]. A drained front stays there, among the
+            // drained lanes; a backlogged one trades places with the first
+            // drained lane, so it ends the round.
+            self.lanes.rotate_left(1);
+            if drained {
+                self.active -= 1;
+            } else {
+                let last = self.lanes.len() - 1;
+                self.lanes.swap(self.active as usize - 1, last);
+            }
+        }
+        Some(pkt)
+    }
+
+    /// The victim is the arriving flow's own tail: an overflow never trims
+    /// another flow's packet.
+    fn swap_tail(&mut self, pkt: Packet) -> Packet {
+        match self.lane(pkt.flow) {
+            Some(lane) => {
+                let tail = lane.pkts.pop_back().expect("a backlogged lane is nonempty");
+                lane.pkts.push_back(pkt);
+                tail
+            }
+            None => pkt,
+        }
+    }
+}
+
+/// The NDP port: data queue + priority header queue under 10:1 WRR. The
+/// data queue is a FIFO at a switch and a [`FlowRoundRobin`] at a host NIC.
+pub struct NdpQueues<D = VecDeque<Packet>> {
+    data: D,
     hdr: VecDeque<Packet>,
     data_cap_pkts: usize,
     hdr_cap_bytes: u64,
@@ -95,13 +241,32 @@ pub struct NdpQueues {
     wrr_ratio: u32,
 }
 
-impl NdpQueues {
+// Every method here is private, so the private bound leaks nothing.
+#[allow(private_bounds)]
+impl<D: DataQueue> NdpQueues<D> {
+    fn new(data: D, data_cap_pkts: usize, mtu: u32) -> NdpQueues<D> {
+        assert!(
+            data_cap_pkts > 0,
+            "a zero-packet data queue has no tail to trim"
+        );
+        NdpQueues {
+            data,
+            hdr: VecDeque::new(),
+            data_cap_pkts,
+            hdr_cap_bytes: data_cap_pkts as u64 * mtu as u64,
+            data_bytes: 0,
+            hdr_bytes: 0,
+            hdr_run: 0,
+            wrr_ratio: 10,
+        }
+    }
+
     fn admit(&mut self, pkt: Packet, rng: &mut SmallRng, tap: &mut Tap<'_>) -> Option<Packet> {
         let hdr = if pkt.ndp_priority() {
             pkt
         } else if self.data.len() < self.data_cap_pkts {
             self.data_bytes += pkt.size as u64;
-            self.data.push_back(pkt);
+            self.data.push(pkt);
             return None;
         } else {
             // Data queue full: trim. Decide with 50% probability whether
@@ -110,9 +275,9 @@ impl NdpQueues {
             let mut victim = if rng.gen::<bool>() {
                 pkt
             } else {
-                let tail = self.data.pop_back().expect("data_cap_pkts >= 1");
-                self.data_bytes = self.data_bytes - tail.size as u64 + pkt.size as u64;
-                self.data.push_back(pkt);
+                let size = pkt.size as u64;
+                let tail = self.data.swap_tail(pkt);
+                self.data_bytes = self.data_bytes + size - tail.size as u64;
                 tail
             };
             victim.trim();
@@ -130,21 +295,25 @@ impl NdpQueues {
     /// Weighted round robin, headers preferred: serve the header queue
     /// unless `wrr_ratio` headers in a row were served while data waited.
     fn pop(&mut self) -> Option<Packet> {
-        let serve_hdr =
-            !self.hdr.is_empty() && (self.data.is_empty() || self.hdr_run < self.wrr_ratio);
+        let data_waits = self.data.len() > 0;
+        let serve_hdr = !self.hdr.is_empty() && (!data_waits || self.hdr_run < self.wrr_ratio);
         if serve_hdr {
             let p = self.hdr.pop_front()?;
             self.hdr_bytes -= p.size as u64;
-            if !self.data.is_empty() {
+            if data_waits {
                 self.hdr_run += 1;
             }
             Some(p)
         } else {
-            let p = self.data.pop_front()?;
+            let p = self.data.pop()?;
             self.data_bytes -= p.size as u64;
             self.hdr_run = 0;
             Some(p)
         }
+    }
+
+    fn queued_packets(&self) -> usize {
+        self.data.len() + self.hdr.len()
     }
 }
 
@@ -153,6 +322,7 @@ impl NdpQueues {
 pub enum Discipline {
     Fifo(Fifo),
     Ndp(NdpQueues),
+    NdpNic(NdpQueues<FlowRoundRobin>),
 }
 
 impl Discipline {
@@ -201,20 +371,17 @@ impl Discipline {
     /// queue holding the same number of bytes (8 × 9 KB = 72 KB ≈ 1125
     /// headers, the figure §3.2.4 quotes).
     pub fn ndp(data_cap_pkts: usize, mtu: u32) -> Discipline {
+        Discipline::Ndp(NdpQueues::new(VecDeque::new(), data_cap_pkts, mtu))
+    }
+
+    /// The NDP host NIC: the NDP port with its data queue served
+    /// round-robin over the host's backlogged flows.
+    pub fn ndp_nic(data_cap_pkts: usize, mtu: u32) -> Discipline {
         assert!(
-            data_cap_pkts > 0,
-            "a zero-packet data queue has no tail to trim"
+            u32::try_from(data_cap_pkts).is_ok(),
+            "a NIC counts its packets in a u32"
         );
-        Discipline::Ndp(NdpQueues {
-            data: VecDeque::new(),
-            hdr: VecDeque::new(),
-            data_cap_pkts,
-            hdr_cap_bytes: data_cap_pkts as u64 * mtu as u64,
-            data_bytes: 0,
-            hdr_bytes: 0,
-            hdr_run: 0,
-            wrr_ratio: 10,
-        })
+        Discipline::NdpNic(NdpQueues::new(FlowRoundRobin::new(), data_cap_pkts, mtu))
     }
 
     /// Decide the fate of an arrival. Trims and marks are reported through
@@ -231,6 +398,7 @@ impl Discipline {
         match self {
             Discipline::Fifo(f) => f.admit(pkt, tap),
             Discipline::Ndp(n) => n.admit(pkt, rng, tap),
+            Discipline::NdpNic(n) => n.admit(pkt, rng, tap),
         }
     }
 
@@ -240,6 +408,7 @@ impl Discipline {
         match self {
             Discipline::Fifo(f) => f.pop(),
             Discipline::Ndp(n) => n.pop(),
+            Discipline::NdpNic(n) => n.pop(),
         }
     }
 
@@ -248,13 +417,15 @@ impl Discipline {
         match self {
             Discipline::Fifo(f) => f.bytes,
             Discipline::Ndp(n) => n.data_bytes + n.hdr_bytes,
+            Discipline::NdpNic(n) => n.data_bytes + n.hdr_bytes,
         }
     }
 
     pub fn queued_packets(&self) -> usize {
         match self {
             Discipline::Fifo(f) => f.q.len(),
-            Discipline::Ndp(n) => n.data.len() + n.hdr.len(),
+            Discipline::Ndp(n) => n.queued_packets(),
+            Discipline::NdpNic(n) => n.queued_packets(),
         }
     }
 
@@ -262,7 +433,175 @@ impl Discipline {
     pub(crate) fn pfc(&self) -> Option<(u64, u64)> {
         match self {
             Discipline::Fifo(f) => f.pfc,
-            Discipline::Ndp(_) => None,
+            Discipline::Ndp(_) | Discipline::NdpNic(_) => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::queue::QueueStats;
+
+    const MTU: u32 = 9000;
+
+    /// A port under test: its discipline, the coin's RNG and the counters.
+    struct Port(Discipline, SmallRng, QueueStats);
+
+    impl Port {
+        fn new(d: Discipline) -> Port {
+            Port(d, SmallRng::seed_from_u64(7), QueueStats::default())
+        }
+
+        /// Admit `pkt`; the refused packet, if any.
+        fn admit(&mut self, pkt: Packet) -> Option<Packet> {
+            let Port(d, rng, st) = self;
+            d.admit(pkt, rng, &mut Tap::detached(st))
+        }
+
+        /// Pop `n` packets (fewer if the port empties) as (flow, seq,
+        /// kind, trimmed).
+        fn pop(&mut self, n: usize) -> Vec<(FlowId, u32, PacketKind, bool)> {
+            std::iter::from_fn(|| self.0.pop())
+                .take(n)
+                .map(|p| (p.flow, p.seq, p.kind, p.is_trimmed()))
+                .collect()
+        }
+
+        /// Pop `n` packets as (flow, seq).
+        fn order(&mut self, n: usize) -> Vec<(FlowId, u32)> {
+            self.pop(n).iter().map(|&(f, s, ..)| (f, s)).collect()
+        }
+    }
+
+    fn data(flow: FlowId, seq: u64) -> Packet {
+        Packet::data(0, 1, flow, seq, MTU)
+    }
+
+    fn pull(seq: u64) -> Packet {
+        let mut p = Packet::control(0, 1, 9, PacketKind::Pull);
+        p.seq = Packet::seq32(seq);
+        p
+    }
+
+    /// Drive the switch FIFO and the NIC through the same one-flow script
+    /// of arrivals (`d` data, `h` header) and pops (`.`), on the same coin;
+    /// every served, trimmed or refused packet must match. Returns the
+    /// number of trims.
+    fn same_as_fifo(cap: usize, script: &[u8]) -> u64 {
+        let mut fifo = Port::new(Discipline::ndp(cap, MTU));
+        let mut nic = Port::new(Discipline::ndp_nic(cap, MTU));
+        for (i, &op) in script.iter().enumerate() {
+            let i = i as u64;
+            match op {
+                b'd' => assert_eq!(
+                    fifo.admit(data(1, i)).map(|p| p.seq),
+                    nic.admit(data(1, i)).map(|p| p.seq)
+                ),
+                b'h' => assert!(fifo.admit(pull(i)).is_none() && nic.admit(pull(i)).is_none()),
+                _ => assert_eq!(fifo.pop(1), nic.pop(1)),
+            }
+            assert_eq!(fifo.0.occupancy_bytes(), nic.0.occupancy_bytes());
+        }
+        assert_eq!(fifo.pop(usize::MAX), nic.pop(usize::MAX));
+        assert_eq!(fifo.2.trimmed, nic.2.trimmed);
+        nic.2.trimmed
+    }
+
+    #[test]
+    fn one_flow_is_served_in_the_fifos_exact_order() {
+        let script = b"ddddhdd.d..hhh.dddddddddddddhd.....hhhhhhhhhhhhd...ddd..........d.";
+        assert_eq!(same_as_fifo(4096, script), 0);
+    }
+
+    #[test]
+    fn one_flow_overflow_trims_the_same_victims_as_the_fifo() {
+        // A 3-packet data queue under long bursts: each overflow draws the
+        // coin and trims the arrival or the tail exactly as the FIFO does.
+        // The pops serve the trimmed headers first, so the data queue stays
+        // full and 37 of the 40 arrivals overflow it.
+        let script = b"dddddddddddddddddddd.d.dddd......dddddd.ddddddddd";
+        assert_eq!(same_as_fifo(3, script), 37);
+    }
+
+    #[test]
+    fn a_short_flow_is_served_second_behind_a_first_window() {
+        let mut nic = Port::new(Discipline::ndp_nic(4096, MTU));
+        for seq in 0..30 {
+            nic.admit(data(1, seq));
+        }
+        nic.admit(data(2, 0));
+        let mut want = vec![(1, 0), (2, 0)];
+        want.extend((1..30).map(|s| (1, s)));
+        assert_eq!(nic.order(31), want);
+    }
+
+    #[test]
+    fn backlogged_flows_take_one_packet_a_turn() {
+        let mut nic = Port::new(Discipline::ndp_nic(4096, MTU));
+        for seq in 0..3 {
+            nic.admit(data(1, seq));
+        }
+        for seq in 0..2 {
+            nic.admit(data(2, seq));
+        }
+        assert_eq!(nic.order(2), [(1, 0), (2, 0)]);
+        // A newly backlogged flow joins the end of the round.
+        nic.admit(data(3, 0));
+        assert_eq!(nic.order(usize::MAX), [(1, 1), (2, 1), (3, 0), (1, 2)]);
+        // So does a flow that drained and comes back.
+        nic.admit(data(2, 2));
+        nic.admit(data(1, 3));
+        assert_eq!(nic.order(usize::MAX), [(2, 2), (1, 3)]);
+    }
+
+    #[test]
+    fn headers_pre_empt_data_under_the_ten_to_one_wrr() {
+        let mut nic = Port::new(Discipline::ndp_nic(4096, MTU));
+        for seq in 0..2 {
+            nic.admit(data(1, seq));
+            nic.admit(data(2, seq));
+        }
+        for seq in 0..25 {
+            nic.admit(pull(seq));
+        }
+        let kinds: String = nic
+            .pop(usize::MAX)
+            .iter()
+            .map(|&(_, _, kind, _)| if kind == PacketKind::Data { 'd' } else { 'h' })
+            .collect();
+        assert_eq!(
+            kinds,
+            format!("{0}d{0}d{1}dd", "h".repeat(10), "h".repeat(5))
+        );
+    }
+
+    #[test]
+    fn the_nic_variant_grows_no_link() {
+        // Every link holds a `Discipline`: the NIC must fit in the size the
+        // FIFO and switch variants already set, payload plus tag.
+        use std::mem::size_of;
+        let switch = size_of::<Fifo>().max(size_of::<NdpQueues>()) + 8;
+        assert!(size_of::<Discipline>() <= switch);
+    }
+
+    #[test]
+    fn an_overflow_never_trims_another_flows_packet() {
+        let mut nic = Port::new(Discipline::ndp_nic(4, MTU));
+        for seq in 0..4 {
+            nic.admit(data(1, seq));
+        }
+        // Flow 2 has no tail of its own: its arrival is the victim, whatever
+        // the coin says.
+        for seq in 0..8 {
+            assert!(nic.admit(data(2, seq)).is_none());
+        }
+        assert_eq!(nic.2.trimmed, 8);
+        let served = nic.pop(usize::MAX);
+        let untrimmed: Vec<_> = served.iter().filter(|p| !p.3).map(|p| (p.0, p.1)).collect();
+        assert_eq!(untrimmed, [(1, 0), (1, 1), (1, 2), (1, 3)]);
+        assert!(served.iter().filter(|p| p.3).all(|p| p.0 == 2));
     }
 }

@@ -77,6 +77,12 @@ pub struct QueueStats {
 pub(crate) struct Tap<'a>(&'a mut QueueStats, Option<&'a FlightHook>, Time);
 
 impl Tap<'_> {
+    /// A tap on `stats` alone, for driving a discipline without a link.
+    #[cfg(test)]
+    pub(crate) fn detached(stats: &mut QueueStats) -> Tap<'_> {
+        Tap(stats, None, Time::ZERO)
+    }
+
     #[inline]
     pub(crate) fn note(&mut self, kind: HopKind, pkt: &Packet) {
         let Tap(st, flight, now) = self;

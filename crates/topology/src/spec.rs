@@ -139,10 +139,13 @@ impl QueueSpec {
 
     /// Host NIC discipline matching this fabric. NDP NICs keep the
     /// priority (header-first) behaviour but with a deep data queue — hosts
-    /// never trim their own traffic; other fabrics get a deep drop-tail NIC.
+    /// never trim their own traffic — served round-robin over the host's
+    /// backlogged flows, so a short flow's first packet waits one packet
+    /// per other flow, not behind their whole first windows; other fabrics
+    /// get a deep drop-tail NIC.
     pub fn build_host_nic(self, mtu: u32) -> Discipline {
         match self {
-            QueueSpec::Ndp { .. } | QueueSpec::Cp { .. } => Discipline::ndp(4096, mtu),
+            QueueSpec::Ndp { .. } | QueueSpec::Cp { .. } => Discipline::ndp_nic(4096, mtu),
             _ => Discipline::droptail(4096 * mtu as u64, None),
         }
     }

@@ -305,3 +305,51 @@ fn path_penalty_end_to_end() {
     // Gb/s; the scoreboard should do clearly better.
     assert!(gbps > 8.5, "goodput with degraded path {gbps:.2}");
 }
+
+/// §3.2: a new flow sends its first window at line rate, so a host with
+/// several new flows backlogs its NIC. Five 30-packet flows leave host 0 at
+/// t = 0 and a 1 KB flow at 1 µs. The NIC serves its backlogged flows
+/// round-robin, so the short flow's packet waits one packet per other flow
+/// plus the one on the serializer, and no flow's RTO fires: it finishes in
+/// 44.05 µs against a 1.85 µs ideal FCT, inside the bound of ideal plus six
+/// 7.2 µs packet times. With one FIFO for the whole NIC it waited behind
+/// all 150 packets (≈1.08 ms), past the 1 ms NDP RTO: it finished in
+/// 1.081 ms, 584× its ideal FCT, after one spurious RTO.
+#[test]
+fn a_short_flow_does_not_wait_behind_other_flows_first_windows() {
+    use ndp::experiments::harness::attach_on;
+    use ndp::experiments::{Proto, TopoSpec};
+    use ndp::net::HEADER_BYTES;
+    use ndp::transport::FlowSpec;
+
+    let mut w: World<Packet> = World::new(7);
+    let topo = TopoSpec::backtoback().build(&mut w, Proto::Ndp.fabric());
+    let window = 30 * u64::from(topo.mtu() - HEADER_BYTES);
+    let mut flows: Vec<FlowSpec> = (1..=5).map(|f| FlowSpec::new(f, 0, 1, window)).collect();
+    flows.push(FlowSpec {
+        start: Time::from_us(1),
+        ..FlowSpec::new(6, 0, 1, 1_000)
+    });
+    for spec in &flows {
+        attach_on(&mut w, topo.as_ref(), Proto::Ndp, spec);
+    }
+    w.run_until(Time::from_ms(20));
+    for spec in &flows {
+        let h = w.get::<Host>(topo.host(1)).harvest(spec.flow);
+        let h = h.merge(w.get::<Host>(topo.host(0)).harvest(spec.flow));
+        assert_eq!(h.delivered_bytes, spec.size, "flow {}", spec.flow);
+        assert_eq!(h.timeouts, 0, "flow {}: spurious RTO", spec.flow);
+    }
+    let short = &flows[5];
+    let done = w
+        .get::<Host>(topo.host(1))
+        .harvest(short.flow)
+        .completion_time;
+    let fct = done.expect("the short flow completes") - short.start;
+    let ideal = topo.ideal_fct(0, 1, short.size);
+    let packet = Speed::gbps(10).tx_time(topo.mtu() as u64);
+    assert!(
+        fct <= ideal + packet * 6,
+        "short flow took {fct:?}; ideal {ideal:?} plus six packet times is the bound"
+    );
+}

@@ -96,14 +96,19 @@ proptest! {
     /// arrival is forwarded, dropped, bounced, lost to the dead link, still
     /// buffered or on the serializer — nothing else; everything forwarded
     /// is delivered or counted corrupted; occupancy stays inside the
-    /// discipline's bound. (Grown from the NDP-only, healthy-link
-    /// capacity check whose name it keeps.)
+    /// discipline's bound. The data arrives as bursts of `burst` packets
+    /// from `flows` flows in turn; the NDP host NIC must deliver each
+    /// flow's packets in order and serve every other flow at most once
+    /// while a flow's next packet waits. (Grown from the NDP-only,
+    /// healthy-link capacity check whose name it keeps.)
     #[test]
     fn ndp_queue_never_exceeds_capacity(
-        disc in 0usize..5,
+        disc in 0usize..6,
         n_pkts in 1usize..600,
         flaps in 1u64..3,
         corrupt in 0u8..2,
+        flows in 1u64..5,
+        burst in 1u64..40,
         seed in 0u64..500,
     ) {
         use ndp::net::{Discipline, Flags, LinkClass, PacketKind};
@@ -115,19 +120,32 @@ proptest! {
             fn as_any(&self) -> &dyn std::any::Any { self }
             fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
         }
+        /// Every delivery: (flow, seq, data?, arrival time).
+        struct Log(Vec<(u64, u32, bool, Time)>);
+        impl ndp::sim::Component<Packet> for Log {
+            fn handle(&mut self, ev: ndp::sim::Event<Packet>, ctx: &mut ndp::sim::Ctx<'_, Packet>) {
+                if let ndp::sim::Event::Msg(p) = ev {
+                    self.0.push((p.flow, p.seq, p.kind == PacketKind::Data, ctx.now()));
+                }
+            }
+            fn as_any(&self) -> &dyn std::any::Any { self }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
+        }
         const MTU: u64 = 9000;
         // (discipline, occupancy bound in bytes)
         let (d, bound) = match disc {
             0 | 1 => (Discipline::ndp(8, MTU as u32), 16 * MTU),
             2 => (Discipline::droptail(20 * MTU, Some(5 * MTU)), 20 * MTU),
             3 => (Discipline::cp(8 * MTU), 16 * MTU),
-            _ => (Discipline::lossless(40 * MTU, 10 * MTU, 5 * MTU, Some(3 * MTU)), 40 * MTU),
+            4 => (Discipline::lossless(40 * MTU, 10 * MTU, 5 * MTU, Some(3 * MTU)), 40 * MTU),
+            _ => (Discipline::ndp_nic(4096, MTU as u32), 8192 * MTU),
         };
+        let (speed, delay) = (Speed::gbps(10), Time::from_us(1));
         let mut w: World<Packet> = World::new(seed);
-        let sink = w.add(Count(0));
+        let sink = w.add(Log(Vec::new()));
         // Stands in for the owning switch (bounces) and the paused upstream.
         let side = w.add(Count(0));
-        let mut link = Queue::fused(Speed::gbps(10), sink, Time::from_us(1), LinkClass::TorDown, d)
+        let mut link = Queue::fused(speed, sink, delay, LinkClass::TorDown, d)
             .with_wire_corruption(corrupt as f64 * 0.05);
         match disc {
             1 => link.set_bounce_to(side),
@@ -142,7 +160,7 @@ proptest! {
             let pkt = if i % 7 == 6 {
                 Packet::control(1, 0, 0, PacketKind::Ack)
             } else {
-                Packet::data(0, 1, 0, i, MTU as u32).with_flags(Flags::ECT)
+                Packet::data(0, 1, i / burst % flows, i, MTU as u32).with_flags(Flags::ECT)
             };
             w.post(Time::from_ns(i * gap), q, pkt);
         }
@@ -172,13 +190,44 @@ proptest! {
         w.run_until_idle();
         prop_assert_eq!(law(&w, n_pkts as u64), 0, "idle link holds nothing");
         let qq = w.get::<Queue>(q);
-        prop_assert_eq!(w.get::<Count>(sink).0, qq.stats.forwarded_pkts - qq.wire_corrupted);
+        let log = &w.get::<Log>(sink).0;
+        prop_assert_eq!(log.len() as u64, qq.stats.forwarded_pkts - qq.wire_corrupted);
         prop_assert!(corrupt == 1 || qq.wire_corrupted == 0);
         prop_assert!(qq.stats.max_occupancy_bytes <= bound, "occupancy {}", qq.stats.max_occupancy_bytes);
         match disc {
             1 => prop_assert_eq!(w.get::<Count>(side).0, qq.stats.bounced),
             4 => prop_assert!(w.get::<Count>(side).0 >= qq.stats.xoff_sent),
             _ => prop_assert_eq!(qq.stats.bounced, 0),
+        }
+        if disc == 5 {
+            prop_assert_eq!(qq.stats.trimmed, 0, "the NIC is deep enough never to trim");
+            // Each data delivery as (flow, seq, the instant its service
+            // started, the instant it arrived at the link).
+            let served: Vec<(u64, u32, Time, Time)> = log
+                .iter()
+                .filter(|d| d.2)
+                .map(|&(f, seq, _, t)| (f, seq, t - delay - speed.tx_time(MTU), Time::from_ns(seq as u64 * gap)))
+                .collect();
+            for (k, &(f, seq, _, arrived)) in served.iter().enumerate() {
+                let prev = served[..k].iter().rev().find(|p| p.0 == f);
+                prop_assert!(prev.is_none_or(|p| p.1 < seq), "flow {} out of order at seq {}", f, seq);
+                // A lost delivery (corrupt wire) would hide when this packet
+                // began to wait.
+                if corrupt == 1 {
+                    continue;
+                }
+                // It waited from its arrival or its predecessor's service,
+                // whichever is later; meanwhile every other flow was served
+                // at most once.
+                let waited_from = prev.map_or(arrived, |p| p.2.max(arrived));
+                let mut others = [0u32; 4];
+                for p in &served[..k] {
+                    if p.0 != f && p.2 > waited_from {
+                        others[p.0 as usize] += 1;
+                    }
+                }
+                prop_assert!(others.iter().all(|&n| n <= 1), "flow {} seq {} waited behind {:?}", f, seq, others);
+            }
         }
     }
 

@@ -18,6 +18,13 @@
 //! flows that never completed within the drain cap — the survivability
 //! claim is that NDP has zero), `reroutes` (packets the switches steered
 //! off dead ports), and the controller's per-kind link-event tally.
+//!
+//! Measured at quick scale since every host NIC serves its flows
+//! round-robin: DCTCP's pre-failure p99 slowdown fell 65.0 → 4.6 on
+//! leaf-spine and 11.4 → 2.8 on the FatTree, below NDP's 16.4 and 3.0;
+//! pHost's fell 10.1 → 4.8 and 8.0 → 2.9. NDP's lead in the healthy phase
+//! was the baselines' FIFO NICs. DCTCP still leaves one flow stuck on each
+//! fabric, NDP and pHost none.
 
 use std::sync::{Arc, Mutex};
 

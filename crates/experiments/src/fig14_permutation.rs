@@ -5,6 +5,12 @@
 //! Expected shape: DCTCP/DCQCN suffer per-flow-ECMP collisions (~40 %
 //! utilization, slowest flows ≪ 1 Gb/s); MPTCP reaches ~89 %; NDP ~92 %+
 //! with the tightest distribution (slowest flow ≈ 9 Gb/s).
+//!
+//! Every host here sends one flow and receives another; since every host
+//! NIC serves its flows round-robin, the ACKs and MPTCP's subflows take
+//! turns at it. Measured at quick scale, utilization MPTCP 76.1 → 75.5 %
+//! (slowest flow 3.66 → 4.58 Gb/s), DCTCP 52.6 → 54.1 %; the ordering
+//! holds.
 
 use ndp_metrics::Table;
 use ndp_sim::Time;

@@ -5,6 +5,12 @@
 //! Expected ordering (medians): NDP ≪ DCTCP ≤ DCQCN ≪ MPTCP, because NDP's
 //! in-network buffers are 8 packets while DCTCP's marking holds ~30 and
 //! MPTCP greedily fills the 200-packet buffers.
+//!
+//! Measured at quick scale since every host NIC serves its flows
+//! round-robin: medians NDP 0.155, DCTCP 0.488 → 0.535, MPTCP 0.885 →
+//! 0.659 ms (a probe's packets no longer wait behind its host's four long
+//! flows). NDP ≪ DCTCP < MPTCP holds; DCQCN completes no probe (ROADMAP
+//! item 2).
 
 use ndp_metrics::{Cdf, Table};
 use ndp_net::host::{start_token, Host};

@@ -12,7 +12,8 @@
 //! 0.334 ms, well under one `NDP_RTO`, because a pull that overtakes its
 //! NACK is banked and pays for the resend when the NACK arrives. It does
 //! not edge DCTCP at high load, though: its median is 0.064 ms against
-//! DCTCP's 0.055 ms (ROADMAP item 10).
+//! DCTCP's 0.056 ms (0.055 before DCTCP's host NIC served its flows
+//! round-robin; ROADMAP item 10).
 
 use ndp_metrics::{Cdf, Table};
 use ndp_net::host::{start_token, Host};

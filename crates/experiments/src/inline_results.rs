@@ -9,6 +9,10 @@
 //!   utilization ~70 % vs NDP's 95 %.
 //! * §6.1.1 — long-lived incast beside a permutation: NDP keeps ~92 %
 //!   utilization, DCTCP ~40 %, DCQCN collapses (~17 %).
+//!
+//! Since every host NIC serves its flows round-robin, at quick scale
+//! pHost's permutation utilization reads 0.805 → 0.769 and, beside the
+//! incast, DCTCP's 0.576 → 0.556 and DCQCN's 0.074 → 0.098.
 
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};

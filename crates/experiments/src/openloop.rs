@@ -15,6 +15,21 @@
 //! The whole pipeline is topology-neutral: the default fabric comes from
 //! the [`crate::topo`] registry, so the same sweep runs on any registered
 //! shape via `ndp run <id> --topo <name>`.
+//!
+//! Every host NIC serves its flows round-robin, the baselines' as well as
+//! NDP's. While DCTCP's and pHost's NICs were one FIFO per host, a short
+//! flow waited behind its host's TCP windows, and part of NDP's margin
+//! below was theirs. Measured at quick scale, p99 slowdown before → after
+//! the baselines' NICs became round robins:
+//!
+//! * `load_datamining` at 50% load: DCTCP 3725.9 → 3.4, pHost 30.7 → 3.3,
+//!   against NDP's 3.3. NDP's lead there was the baselines' NICs; it is
+//!   gone.
+//! * `load_websearch` at 50%: DCTCP 29.9 → 18.4, pHost 8.4 → 7.3, NDP 4.5.
+//!   At 30% DCTCP's p99 got worse, 45.0 → 59.1 (its 0–10 KB bin), and
+//!   pHost leaves one flow incomplete, as it already did at 50% (ROADMAP
+//!   item 1(b)).
+//! * `oversub_load` at 20%: DCTCP 80.8 → 51.8, pHost 9.7 → 7.1, NDP 6.0.
 
 use ndp_metrics::{fmt_or_dash, SlowdownBins, Table, SLOWDOWN_BIN_LABELS};
 use ndp_sim::{EventKindCounts, Time};

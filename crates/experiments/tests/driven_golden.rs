@@ -24,6 +24,10 @@
 //! * `RPC_TWO_TENANT`: events 782,861 → 787,022, offered 2,478 → 2,488,
 //!   measured 2,137 → 2,148, peak live flows 123 → 114, peak live requests
 //!   55 → 50; the closed tenant completes 165 → 176 requests.
+//!
+//! The drop-tail host NIC's per-flow round robin (every fabric but NDP's)
+//! re-rendered the DCTCP and pHost rows, and only those; each constant's
+//! doc says what moved.
 
 use ndp_experiments::failure_matrix;
 use ndp_experiments::openloop::{openloop_run, DistKind};
@@ -199,20 +203,31 @@ const OPENLOOP_NDP_7: OpenLoopRow = (
         4621937200914893078,
     ],
 );
+/// Re-rendered when the drop-tail host NIC became a per-flow round robin:
+/// a short flow no longer waits behind its host's TCP windows. Events
+/// 1,905,090 → 1,906,555, incomplete 2 → 1, delivered bytes 762,304,717 →
+/// 764,479,952, peak live flows 68 → 59; slowdown p50 / p99 / max 2.850 /
+/// 149.209 / 630.699 → 2.445 / 50.645 / 1771.614 (the max is the one flow
+/// still live at the drain cap).
 const OPENLOOP_DCTCP_23: OpenLoopRow = (
-    [1905090, 490, 419, 2, 762304717, 68],
+    [1906555, 490, 419, 1, 764479952, 59],
     [
-        4613601000049763776,
-        4639453826847217979,
-        4648758898564768814,
+        4612686964808598478,
+        4632324487867456958,
+        4655506454829933654,
     ],
 );
+/// Re-rendered when the drop-tail host NIC (pHost's fabric takes it too)
+/// became a per-flow round robin: a host's RTS, tokens and data take turns
+/// with its other flows' packets. Events 3,145,302 → 3,141,925, peak live
+/// flows 47 → 50; slowdown p50 / p99 / max 1.989 / 22.569 / 46.984 →
+/// 1.981 / 20.786 / 53.514.
 const OPENLOOP_PHOST_1234: OpenLoopRow = (
-    [3145302, 523, 452, 0, 774615849, 47],
+    [3141925, 523, 452, 0, 774615849, 50],
     [
-        4611634318137431557,
-        4627045700815142011,
-        4631809225670118614,
+        4611598845037861532,
+        4626543860177654799,
+        4632728178421938169,
     ],
 );
 const FAILURE_NDP: FailureRow = (
@@ -235,23 +250,30 @@ const FAILURE_NDP: FailureRow = (
         ],
     ],
 );
+/// Re-rendered when the drop-tail host NIC became a per-flow round robin.
+/// Events 600,051 → 600,478, stuck 3 → 4, peak live flows 27 → 22,
+/// reroutes 10 → 6, dropped-down 29 → 27; p50 / p99 before the failure
+/// 1.297 / 44.180 → 1.264 / 15.453, during it 2.435 / 55.244 → 1.635 /
+/// 27.856, after it 1.499 / 77.396 → 1.315 / 47.711. Which packets reach
+/// the dead link while it is down, and so which flows are left stuck,
+/// moves with the order the NICs send them.
 const FAILURE_DCTCP: FailureRow = (
-    [600051, 145, 132, 3, 27, 10, 29],
+    [600478, 145, 132, 4, 22, 6, 27],
     [
         [
-            4608518067998451751,
-            4631414532121156258,
-            4631414532121156258,
+            4608369781427098243,
+            4624888675069156510,
+            4624888675069156510,
         ],
         [
-            4612665490247357571,
-            4632971722194107164,
-            4632971722194107164,
+            4610042627176919462,
+            4628534100209664616,
+            4628534100209664616,
         ],
         [
-            4609429219448145199,
-            4635146694406350531,
-            4635146694406350531,
+            4608602279001721229,
+            4631911520709308804,
+            4631911520709308804,
         ],
     ],
 );

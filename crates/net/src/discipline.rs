@@ -23,11 +23,14 @@
 //!   gives headers early feedback without starving data (avoiding CP's
 //!   collapse). A header that does not fit is refused; the link returns
 //!   it to its sender (§3.2.4) or drops it.
-//! * The NDP host NIC ([`Discipline::ndp_nic`]) is the same port with a
-//!   deep data queue served round-robin over its backlogged flows
-//!   ([`FlowRoundRobin`]): a new flow's first window is sent at line rate
-//!   (§3.2), so in one shared FIFO a short flow would wait behind every
-//!   earlier flow's whole first window, long enough to fire its RTO.
+//! * Every host NIC serves its backlogged flows round-robin
+//!   ([`FlowRoundRobin`]): in one shared FIFO a short flow, or the ACKs of
+//!   a flow the host receives, would wait behind every other flow's
+//!   window — NDP's first windows go out at line rate (§3.2), and TCP's
+//!   grow into the NIC's buffer. The drop-tail NIC ([`DropTailNic`],
+//!   every fabric but NDP and CP) is a byte-capped round robin with no
+//!   thresholds; the NDP NIC ([`Discipline::ndp_nic`]) is the NDP port
+//!   with a deep round-robin data queue, so it adds the header queue.
 
 use std::collections::VecDeque;
 
@@ -115,12 +118,14 @@ impl DataQueue for VecDeque<Packet> {
     }
 }
 
-/// The host NIC's data queue: one FIFO lane per backlogged flow, served
-/// one packet per lane per turn. With one backlogged flow it is a FIFO.
+/// A host NIC's queue: one FIFO lane per backlogged flow, served one
+/// packet per lane per turn. With one backlogged flow it is a FIFO.
 pub struct FlowRoundRobin {
     /// The first `active` lanes are the backlogged flows in service order
-    /// (the front sends next); the rest are drained lanes kept for their
-    /// capacity, so a steady state allocates nothing.
+    /// (the front sends next); the rest are drained lanes, reused by the
+    /// next flows to arrive. A lane that drains while others stay
+    /// backlogged gives its buffer back, so a NIC that once interleaved
+    /// many flows holds no more than one lane's buffer when it drains.
     lanes: VecDeque<Lane>,
     /// `u32`s keep `Discipline` the size its switch variants set, so no
     /// link grows for the NIC.
@@ -197,12 +202,14 @@ impl DataQueue for FlowRoundRobin {
         } else {
             // Rotate the front lane to the back: [rest of the round,
             // drained lanes, front]. A drained front stays there, among the
-            // drained lanes; a backlogged one trades places with the first
-            // drained lane, so it ends the round.
-            self.lanes.rotate_left(1);
+            // drained lanes, without its buffer; a backlogged one trades
+            // places with the first drained lane, so it ends the round.
             if drained {
+                front.pkts = VecDeque::new();
+                self.lanes.rotate_left(1);
                 self.active -= 1;
             } else {
+                self.lanes.rotate_left(1);
                 let last = self.lanes.len() - 1;
                 self.lanes.swap(self.active as usize - 1, last);
             }
@@ -221,6 +228,32 @@ impl DataQueue for FlowRoundRobin {
             }
             None => pkt,
         }
+    }
+}
+
+/// The drop-tail host NIC: a [`FlowRoundRobin`] behind a byte cap. An
+/// arrival that does not fit is refused; nothing is trimmed, marked or
+/// paused.
+pub struct DropTailNic {
+    lanes: FlowRoundRobin,
+    bytes: u64,
+    cap_bytes: u64,
+}
+
+impl DropTailNic {
+    fn admit(&mut self, pkt: Packet) -> Option<Packet> {
+        if self.bytes + pkt.size as u64 > self.cap_bytes {
+            return Some(pkt);
+        }
+        self.bytes += pkt.size as u64;
+        self.lanes.push(pkt);
+        None
+    }
+
+    fn pop(&mut self) -> Option<Packet> {
+        let p = self.lanes.pop()?;
+        self.bytes -= p.size as u64;
+        Some(p)
     }
 }
 
@@ -323,6 +356,7 @@ pub enum Discipline {
     Fifo(Fifo),
     Ndp(NdpQueues),
     NdpNic(NdpQueues<FlowRoundRobin>),
+    DropTailNic(DropTailNic),
 }
 
 impl Discipline {
@@ -384,6 +418,22 @@ impl Discipline {
         Discipline::NdpNic(NdpQueues::new(FlowRoundRobin::new(), data_cap_pkts, mtu))
     }
 
+    /// The drop-tail host NIC: the host's backlogged flows served
+    /// round-robin out of `cap_bytes` of buffer.
+    pub fn droptail_nic(cap_bytes: u64) -> Discipline {
+        assert!(cap_bytes > 0, "a zero-byte buffer refuses every packet");
+        // Every packet holds at least one byte.
+        assert!(
+            u32::try_from(cap_bytes).is_ok(),
+            "a NIC counts its packets in a u32"
+        );
+        Discipline::DropTailNic(DropTailNic {
+            lanes: FlowRoundRobin::new(),
+            bytes: 0,
+            cap_bytes,
+        })
+    }
+
     /// Decide the fate of an arrival. Trims and marks are reported through
     /// `tap`; a packet that could not be buffered (the arrival, or the
     /// header of the victim it displaced) comes back for the link to
@@ -399,6 +449,7 @@ impl Discipline {
             Discipline::Fifo(f) => f.admit(pkt, tap),
             Discipline::Ndp(n) => n.admit(pkt, rng, tap),
             Discipline::NdpNic(n) => n.admit(pkt, rng, tap),
+            Discipline::DropTailNic(n) => n.admit(pkt),
         }
     }
 
@@ -409,6 +460,7 @@ impl Discipline {
             Discipline::Fifo(f) => f.pop(),
             Discipline::Ndp(n) => n.pop(),
             Discipline::NdpNic(n) => n.pop(),
+            Discipline::DropTailNic(n) => n.pop(),
         }
     }
 
@@ -418,6 +470,7 @@ impl Discipline {
             Discipline::Fifo(f) => f.bytes,
             Discipline::Ndp(n) => n.data_bytes + n.hdr_bytes,
             Discipline::NdpNic(n) => n.data_bytes + n.hdr_bytes,
+            Discipline::DropTailNic(n) => n.bytes,
         }
     }
 
@@ -426,6 +479,7 @@ impl Discipline {
             Discipline::Fifo(f) => f.q.len(),
             Discipline::Ndp(n) => n.queued_packets(),
             Discipline::NdpNic(n) => n.queued_packets(),
+            Discipline::DropTailNic(n) => n.lanes.len(),
         }
     }
 
@@ -433,7 +487,7 @@ impl Discipline {
     pub(crate) fn pfc(&self) -> Option<(u64, u64)> {
         match self {
             Discipline::Fifo(f) => f.pfc,
-            Discipline::Ndp(_) | Discipline::NdpNic(_) => None,
+            Discipline::Ndp(_) | Discipline::NdpNic(_) | Discipline::DropTailNic(_) => None,
         }
     }
 }
@@ -528,14 +582,21 @@ mod tests {
 
     #[test]
     fn a_short_flow_is_served_second_behind_a_first_window() {
-        let mut nic = Port::new(Discipline::ndp_nic(4096, MTU));
-        for seq in 0..30 {
-            nic.admit(data(1, seq));
+        // NDP's first window, or a TCP window in the drop-tail NIC.
+        let nics = [
+            Discipline::ndp_nic(4096, MTU),
+            Discipline::droptail_nic(4096 * MTU as u64),
+        ];
+        for d in nics {
+            let mut nic = Port::new(d);
+            for seq in 0..30 {
+                nic.admit(data(1, seq));
+            }
+            nic.admit(data(2, 0));
+            let mut want = vec![(1, 0), (2, 0)];
+            want.extend((1..30).map(|s| (1, s)));
+            assert_eq!(nic.order(31), want);
         }
-        nic.admit(data(2, 0));
-        let mut want = vec![(1, 0), (2, 0)];
-        want.extend((1..30).map(|s| (1, s)));
-        assert_eq!(nic.order(31), want);
     }
 
     #[test]
@@ -580,11 +641,12 @@ mod tests {
 
     #[test]
     fn the_nic_variant_grows_no_link() {
-        // Every link holds a `Discipline`: the NIC must fit in the size the
+        // Every link holds a `Discipline`: the NICs must fit in the size the
         // FIFO and switch variants already set, payload plus tag.
         use std::mem::size_of;
-        let switch = size_of::<Fifo>().max(size_of::<NdpQueues>()) + 8;
-        assert!(size_of::<Discipline>() <= switch);
+        let switch = size_of::<Fifo>().max(size_of::<NdpQueues>());
+        assert!(size_of::<DropTailNic>() <= switch);
+        assert!(size_of::<Discipline>() <= switch + 8);
     }
 
     #[test]
@@ -603,5 +665,78 @@ mod tests {
         let untrimmed: Vec<_> = served.iter().filter(|p| !p.3).map(|p| (p.0, p.1)).collect();
         assert_eq!(untrimmed, [(1, 0), (1, 1), (1, 2), (1, 3)]);
         assert!(served.iter().filter(|p| p.3).all(|p| p.0 == 2));
+    }
+
+    fn ack(flow: FlowId) -> Packet {
+        Packet::control(1, 0, flow, PacketKind::Ack)
+    }
+
+    /// Drive the drop-tail FIFO and the drop-tail NIC, both `cap_pkts`
+    /// MTUs deep, through the same one-flow script of data (`d`) and ACK
+    /// (`a`) arrivals and pops (`.`): every served or refused packet and
+    /// the occupancy must match. Returns the number of refusals.
+    fn same_as_droptail(cap_pkts: u64, script: &[u8]) -> usize {
+        let cap = cap_pkts * MTU as u64;
+        let mut fifo = Port::new(Discipline::droptail(cap, None));
+        let mut nic = Port::new(Discipline::droptail_nic(cap));
+        let mut refused = 0;
+        for (i, &op) in script.iter().enumerate() {
+            let pkt = match op {
+                b'd' => data(1, i as u64),
+                b'a' => ack(1),
+                _ => {
+                    assert_eq!(fifo.pop(1), nic.pop(1));
+                    continue;
+                }
+            };
+            let want = fifo.admit(pkt.clone()).map(|p| (p.kind, p.seq));
+            assert_eq!(nic.admit(pkt).map(|p| (p.kind, p.seq)), want);
+            refused += want.is_some() as usize;
+            assert_eq!(fifo.0.occupancy_bytes(), nic.0.occupancy_bytes());
+            assert_eq!(fifo.0.queued_packets(), nic.0.queued_packets());
+        }
+        assert_eq!(fifo.pop(usize::MAX), nic.pop(usize::MAX));
+        assert_eq!(nic.0.occupancy_bytes(), 0);
+        refused
+    }
+
+    #[test]
+    fn one_flow_on_the_droptail_nic_is_the_droptail_fifo() {
+        // Five MTUs of buffer: the bursts overflow it, and an ACK still fits
+        // where a data packet no longer does.
+        let script = b"dddddddaa..ddadd.d...ddddddddaaa......adddddda.dd.a........d.";
+        assert_eq!(same_as_droptail(5, script), 19);
+    }
+
+    #[test]
+    fn an_ack_lane_is_not_queued_behind_a_data_backlog() {
+        // A host sending flow 1 and receiving flow 2: flow 2's ACKs take
+        // turns with flow 1's window.
+        let mut nic = Port::new(Discipline::droptail_nic(4096 * MTU as u64));
+        for seq in 0..30 {
+            nic.admit(data(1, seq));
+        }
+        nic.admit(ack(2));
+        nic.admit(ack(2));
+        let kinds: Vec<_> = nic
+            .pop(5)
+            .iter()
+            .map(|&(f, _, kind, _)| (f, kind))
+            .collect();
+        let (d, a) = ((1, PacketKind::Data), (2, PacketKind::Ack));
+        assert_eq!(kinds, [d, a, d, a, d]);
+    }
+
+    #[test]
+    fn an_arrival_past_the_byte_cap_is_refused_and_the_others_stay() {
+        let mut nic = Port::new(Discipline::droptail_nic(4 * MTU as u64));
+        for seq in 0..4 {
+            assert!(nic.admit(data(1, seq)).is_none());
+        }
+        let refused = nic.admit(data(2, 0)).expect("the buffer is full");
+        assert_eq!((refused.flow, refused.seq), (2, 0));
+        assert_eq!(nic.0.occupancy_bytes(), 4 * MTU as u64);
+        assert_eq!(nic.order(usize::MAX), [(1, 0), (1, 1), (1, 2), (1, 3)]);
+        assert_eq!(nic.2.trimmed + nic.2.ecn_marked, 0);
     }
 }

@@ -137,16 +137,17 @@ impl QueueSpec {
         }
     }
 
-    /// Host NIC discipline matching this fabric. NDP NICs keep the
-    /// priority (header-first) behaviour but with a deep data queue — hosts
-    /// never trim their own traffic — served round-robin over the host's
-    /// backlogged flows, so a short flow's first packet waits one packet
-    /// per other flow, not behind their whole first windows; other fabrics
-    /// get a deep drop-tail NIC.
+    /// Host NIC discipline matching this fabric. Every host NIC serves the
+    /// host's backlogged flows round-robin out of a 4096-packet buffer, so
+    /// a short flow's first packet, or an ACK, waits one packet per other
+    /// flow, not behind their whole windows. NDP and CP NICs add the NDP
+    /// port's header queue (header-first, but with a deep data queue —
+    /// hosts never trim their own traffic); other fabrics get a drop-tail
+    /// NIC with no ECN or PFC thresholds.
     pub fn build_host_nic(self, mtu: u32) -> Discipline {
         match self {
             QueueSpec::Ndp { .. } | QueueSpec::Cp { .. } => Discipline::ndp_nic(4096, mtu),
-            _ => Discipline::droptail(4096 * mtu as u64, None),
+            _ => Discipline::droptail_nic(4096 * mtu as u64),
         }
     }
 

@@ -72,8 +72,11 @@ const GOLDEN_TESTBED_INCAST: (u64, u64) = (0x1B2E_BF18_F225_384D, 16_897);
 /// Pinned trace of `dcqcn_permutation`, rendered at c00d46e from the
 /// hand-indexed PFC upstream lists. A pausing queue signals its upstreams
 /// in list order, so this is the trace that holds the *order* of the
-/// derived feeder relation.
-const GOLDEN_DCQCN_PERMUTATION: (u64, u64) = (0x2C4F_9FFC_CC0A_5250, 37_194);
+/// derived feeder relation. Re-rendered (37 194 → 37 022 events) when the
+/// lossless fabric's host NIC became a per-flow round robin: each host here
+/// sends one flow and receives another, so its ACKs and CNPs take turns
+/// with its data instead of queueing behind it.
+const GOLDEN_DCQCN_PERMUTATION: (u64, u64) = (0x3307_3CFB_BAA7_BE17, 37_022);
 
 /// NDP 7:1 incast on the paper's two-tier testbed: every host sends 450 KB
 /// to host 0, sprayed over both spines.

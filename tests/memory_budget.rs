@@ -19,10 +19,10 @@ use ndp::core::{NdpFlowCfg, NdpSender, PathSet};
 use ndp::experiments::harness::{attach_on, delivered_bytes, permutation_run, LONG_FLOW};
 use ndp::experiments::{Proto, TopoSpec};
 use ndp::net::flight::{HopKind, HopRecord};
-use ndp::net::{Packet, HEADER_BYTES};
-use ndp::sim::{Time, World};
+use ndp::net::{LinkClass, Packet, Queue, HEADER_BYTES};
+use ndp::sim::{Component, Ctx, Event, Speed, Time, World};
 use ndp::telemetry::{write_chrome_trace, FlowSpan, Gauge, PointTelemetry, RequestSpan};
-use ndp::topology::FatTreeCfg;
+use ndp::topology::{FatTreeCfg, QueueSpec};
 use ndp::transport::FlowSpec;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -195,6 +195,60 @@ fn a_path_reshuffle_allocates_nothing() {
     });
     assert!(paths.is_excluded(3) && paths.is_excluded(9));
     assert_eq!(heap.allocated, 0, "bytes the reshuffles allocated");
+}
+
+/// Drops every packet it is sent.
+struct Sink;
+
+impl Component<Packet> for Sink {
+    fn handle(&mut self, _ev: Event<Packet>, _ctx: &mut Ctx<'_, Packet>) {}
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A host NIC that interleaved many flows holds one lane's buffer once it
+/// drains: a lane that drains while other lanes stay backlogged gives its
+/// buffer back. 64 flows each post a 32-packet window at once to a TCP
+/// fabric's host NIC, which serves them round-robin, so every lane grows
+/// a 32-packet buffer (256 B of packet handles). The same 64 flows posting
+/// one packet each grow the same ring of lanes, with 4-packet buffers.
+/// Once drained, the two NICs differ by one lane's buffer, 224 B; a NIC
+/// that kept every drained lane's buffer would hold 64 of them, 14 KB.
+#[test]
+fn a_nic_that_interleaved_many_flows_drains_to_one_lanes_buffer() {
+    let _serial = serial();
+    const FLOWS: u64 = 64;
+    const WINDOW: u64 = 32;
+    // The heap a NIC link gives back when it is retired, after `window`
+    // packets of each of the 64 flows, interleaved, have all been sent.
+    let held = |window: u64| {
+        let mut world: World<Packet> = World::new(7);
+        let sink = world.add(Sink);
+        let disc = QueueSpec::dctcp_default().build_host_nic(9000);
+        let link = Queue::fused(Speed::gbps(10), sink, Time::ZERO, LinkClass::HostNic, disc);
+        let nic = world.add(link);
+        for seq in 0..window {
+            for flow in 0..FLOWS {
+                world.post(Time::ZERO, nic, Packet::data(0, 1, flow, seq, 9000));
+            }
+        }
+        world.run_until_idle();
+        assert_eq!(world.get::<Queue>(nic).stats.forwarded_pkts, window * FLOWS);
+        let live = LIVE.load(Relaxed);
+        world.retire(nic);
+        live - LIVE.load(Relaxed)
+    };
+    let lane_buffer = WINDOW as usize * std::mem::size_of::<Packet>();
+    let (one_packet, window) = (held(1), held(WINDOW));
+    assert!(
+        window - one_packet <= lane_buffer,
+        "a drained NIC held {} B more after {WINDOW}-packet windows than after single packets",
+        window - one_packet
+    );
 }
 
 /// The export tests' sample point: one of each record the writers know.

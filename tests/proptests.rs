@@ -97,13 +97,14 @@ proptest! {
     /// buffered or on the serializer — nothing else; everything forwarded
     /// is delivered or counted corrupted; occupancy stays inside the
     /// discipline's bound. The data arrives as bursts of `burst` packets
-    /// from `flows` flows in turn; the NDP host NIC must deliver each
-    /// flow's packets in order and serve every other flow at most once
-    /// while a flow's next packet waits. (Grown from the NDP-only,
-    /// healthy-link capacity check whose name it keeps.)
+    /// from `flows` flows in turn, the ACKs as a flow of their own; each
+    /// host NIC (NDP and drop-tail) must deliver each flow's packets in
+    /// order and serve every other flow at most once while a flow's next
+    /// packet waits. (Grown from the NDP-only, healthy-link capacity check
+    /// whose name it keeps.)
     #[test]
     fn ndp_queue_never_exceeds_capacity(
-        disc in 0usize..6,
+        disc in 0usize..7,
         n_pkts in 1usize..600,
         flaps in 1u64..3,
         corrupt in 0u8..2,
@@ -138,7 +139,9 @@ proptest! {
             2 => (Discipline::droptail(20 * MTU, Some(5 * MTU)), 20 * MTU),
             3 => (Discipline::cp(8 * MTU), 16 * MTU),
             4 => (Discipline::lossless(40 * MTU, 10 * MTU, 5 * MTU, Some(3 * MTU)), 40 * MTU),
-            _ => (Discipline::ndp_nic(4096, MTU as u32), 8192 * MTU),
+            5 => (Discipline::ndp_nic(4096, MTU as u32), 8192 * MTU),
+            // Shallow enough to refuse arrivals under this overload.
+            _ => (Discipline::droptail_nic(20 * MTU), 20 * MTU),
         };
         let (speed, delay) = (Speed::gbps(10), Time::from_us(1));
         let mut w: World<Packet> = World::new(seed);
@@ -153,12 +156,12 @@ proptest! {
             _ => {}
         }
         let q = w.add(link);
-        // 14x overload: a 9 KB packet (every 7th arrival an ACK) each 500 ns
-        // into a 7.2 us serializer.
+        // 14x overload: a 9 KB packet (every 7th arrival an ACK, of a flow
+        // no data packet belongs to) each 500 ns into a 7.2 us serializer.
         let gap = 500u64;
         for i in 0..n_pkts as u64 {
             let pkt = if i % 7 == 6 {
-                Packet::control(1, 0, 0, PacketKind::Ack)
+                Packet::control(1, 0, 4, PacketKind::Ack)
             } else {
                 Packet::data(0, 1, i / burst % flows, i, MTU as u32).with_flags(Flags::ECT)
             };
@@ -199,8 +202,8 @@ proptest! {
             4 => prop_assert!(w.get::<Count>(side).0 >= qq.stats.xoff_sent),
             _ => prop_assert_eq!(qq.stats.bounced, 0),
         }
-        if disc == 5 {
-            prop_assert_eq!(qq.stats.trimmed, 0, "the NIC is deep enough never to trim");
+        if disc >= 5 {
+            prop_assert_eq!(qq.stats.trimmed, 0, "the NDP NIC is deep enough never to trim, the drop-tail NIC never does");
             // Each data delivery as (flow, seq, the instant its service
             // started, the instant it arrived at the link).
             let served: Vec<(u64, u32, Time, Time)> = log

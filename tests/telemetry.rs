@@ -216,9 +216,10 @@ fn traced_load_sweep_submits_every_point_and_keeps_its_headline() {
 #[test]
 fn stragglers_export_in_ascending_flow_order_run_after_run() {
     let _g = serialize();
-    // This DCTCP point ends its drain cap with two measured flows still
+    // This DCTCP point ends its drain cap with three measured flows still
     // live; their `stuck` spans used to come out in `HashMap` order, which
-    // differs from map to map even inside one process.
+    // differs from map to map even inside one process. (Seed 23 left two
+    // until the drop-tail host NIC served its flows round-robin, then one.)
     let stuck_flows = || {
         session::begin(TelemetryConfig);
         let r = openloop_run(OpenLoopPoint {
@@ -228,13 +229,13 @@ fn stragglers_export_in_ascending_flow_order_run_after_run() {
                 .spec(Scale::Quick),
             dist: DistKind::WebSearch,
             load: 0.6,
-            seed: 23,
+            seed: 7,
             warmup: Time::from_ms(5),
             measure: Time::from_ms(30),
             drain: Time::from_ms(200),
         });
         let (_, points) = session::end().expect("session was active");
-        assert_eq!(r.incomplete, 2);
+        assert_eq!(r.incomplete, 3);
         assert_eq!(points.len(), 1);
         let stuck: Vec<u64> = (points[0].spans.iter())
             .filter(|s| s.stuck)

@@ -204,6 +204,8 @@ impl Endpoint for MptcpSender {
             return;
         };
         match s.rec.on_rto(MIN_RTO, self.mss, ctx.now()) {
+            // Resend `snd_una` alone, without TCP's go-back-N, until
+            // ROADMAP item 9 settles MPTCP's recovery.
             Timeout::Resend(seq) => {
                 self.stats.timeouts += 1;
                 self.send_segment(idx, seq, ctx);

@@ -7,10 +7,18 @@
 //! runs a 10 ms MinRTO), and an optional three-way handshake before data
 //! (otherwise the connection is pre-established).
 //!
+//! An RTO expiry goes back N (RFC 5681 §3.1, RFC 6298 §5): `cwnd` falls
+//! to one MSS, `snd_nxt` returns to `snd_una`, and the sender slow-starts
+//! back through the window, so every hole of a lost burst is resent
+//! within round trips of the one expiry, not one backed-off RTO per hole.
+//! The retransmissions of segments the receiver already holds are not
+//! suppressed: no RFC 6582 `recover` guard follows an expiry.
+//!
 //! DCTCP (Alizadeh et al. [4]) rides on the same machinery: data packets
 //! are ECT, switches mark CE above threshold, the receiver echoes marks
 //! per packet, and the sender maintains `alpha` with gain 1/16, cutting
-//! `cwnd` by `alpha/2` once per window.
+//! `cwnd` by `alpha/2` once per window. `alpha` starts at 1, as in Linux,
+//! so a new flow's first marked window halves `cwnd`.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -27,6 +35,13 @@ const INIT_CWND_PKTS: u64 = 10;
 
 /// DCTCP's `alpha` estimation gain g (Alizadeh et al. [4]).
 const DCTCP_G: f64 = 1.0 / 16.0;
+
+/// DCTCP's `alpha` at the start of a flow: its maximum, as Linux's
+/// `tcp_dctcp.c` starts it (`dctcp_alpha_on_init` defaults to
+/// `DCTCP_MAX_ALPHA`). Starting at 0 made the first window's cut
+/// `cwnd·(1 − 0/2)`, no cut at all, and left `alpha` ≤ 1/16 after it, so
+/// a flow that lived a few RTTs never backed off from a marking queue.
+const DCTCP_INIT_ALPHA: f64 = 1.0;
 
 /// Connection-establishment behaviour (Figure 8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +155,7 @@ impl TcpSender {
             cfg,
             state: State::Closed,
             rec,
-            alpha: 0.0,
+            alpha: DCTCP_INIT_ALPHA,
             bytes_acked_win: 0,
             bytes_marked_win: 0,
             win_end: 0,
@@ -314,9 +329,10 @@ impl Endpoint for TcpSender {
             return;
         }
         match self.rec.on_rto(self.rto(), self.mss(), ctx.now()) {
-            Timeout::Resend(seq) => {
+            Timeout::Resend(_) => {
                 self.stats.timeouts += 1;
-                self.send_segment(seq, ctx);
+                self.rec.go_back_n();
+                self.send_available(ctx);
             }
             Timeout::Rearm(left) => ctx.timer_in(left, RTO_TOKEN),
             // Nothing in flight: before the SYN-ACK, resend the SYN.
@@ -381,7 +397,8 @@ pub(crate) enum Timeout {
     /// The oldest segment has not been out a full RTO: re-arm for this
     /// remainder.
     Rearm(Time),
-    /// Expired: the window is one MSS again; resend this `snd_una`.
+    /// Expired: the window is one MSS again; resend this `snd_una`, or
+    /// go back N from it ([`NewReno::go_back_n`]).
     Resend(u64),
 }
 
@@ -452,6 +469,9 @@ impl NewReno {
         if ack > self.snd_una {
             let newly = ack - self.snd_una;
             self.snd_una = ack;
+            // After going back N, the receiver may already hold what
+            // follows the hole.
+            self.snd_nxt = self.snd_nxt.max(ack);
             self.una_time = now;
             self.dupacks = 0;
             self.backoff = 1;
@@ -518,6 +538,15 @@ impl NewReno {
         self.dupacks = 0;
         self.back_off();
         Timeout::Resend(self.snd_una)
+    }
+
+    /// After an expiry ([`Timeout::Resend`]): send from `snd_una` again,
+    /// so the one-MSS window slow-starts back through every segment in
+    /// flight (RFC 5681 §3.1) and each hole is resent within round trips
+    /// of the one expiry, not at an expiry of its own. Only `TcpSender`
+    /// goes back N; MPTCP's subflows resend `snd_una` alone.
+    pub(crate) fn go_back_n(&mut self) {
+        self.snd_nxt = self.snd_una;
     }
 
     /// Double the RTO backoff, up to 64×.
@@ -1028,6 +1057,92 @@ mod tests {
         let mut r = in_flight(3);
         assert_eq!(r.on_rto(RTO, MSS, RTO), Timeout::Resend(0));
         assert_eq!((r.cwnd, r.ssthresh), (MSS, 2 * MSS));
+    }
+
+    /// `TcpSender::send_available` for a `total`-byte flow of MSS-sized
+    /// segments: send from `snd_nxt` while the window allows, at `now`.
+    fn send_available(r: &mut NewReno, total: u64, now: Time) -> Vec<u64> {
+        let mut sent = vec![];
+        while r.snd_nxt < total && r.flight() < r.cwnd {
+            let seq = r.snd_nxt;
+            r.snd_nxt += MSS;
+            r.sent(seq, now, RTO);
+            sent.push(seq);
+        }
+        sent
+    }
+
+    #[test]
+    fn expiry_goes_back_n_and_repairs_two_holes_in_round_trips() {
+        let total = 10 * MSS;
+        let mut r = in_flight(10);
+        let mut rx = Reassembly::default();
+        let mut now = Time::from_us(100);
+        // Segments 7 and 9 of the window are lost: one duplicate ACK, too
+        // few for fast retransmit, so only the RTO can repair them.
+        for seq in (0..10).filter(|&i| i != 7 && i != 9).map(|i| i * MSS) {
+            rx.absorb(seq, seq + MSS);
+            if let Ack::Advanced(newly) = r.on_ack(rx.rcv_nxt(), Time::ZERO, now, MSS) {
+                r.open(newly, MSS, |_| MSS);
+            }
+        }
+        assert_eq!((r.snd_una, r.snd_nxt), (7 * MSS, total));
+        now += RTO;
+        assert_eq!(r.on_rto(RTO, MSS, now), Timeout::Resend(7 * MSS));
+        r.go_back_n();
+        // One expiry, then round trips: each ACK clocks out the window.
+        let mut round_trips = 0;
+        let mut out = send_available(&mut r, total, now);
+        while !out.is_empty() {
+            round_trips += 1;
+            now += Time::from_us(100);
+            for seq in std::mem::take(&mut out) {
+                rx.absorb(seq, seq + MSS);
+                if let Ack::Advanced(newly) = r.on_ack(rx.rcv_nxt(), Time::ZERO, now, MSS) {
+                    r.open(newly, MSS, |_| MSS);
+                    out.extend(send_available(&mut r, total, now));
+                }
+            }
+        }
+        assert_eq!((rx.rcv_nxt(), r.snd_una, r.snd_nxt), (total, total, total));
+        // The resent 7 is acked through the held 8; the one-MSS window
+        // then opens to two and sends 9. No second expiry is due.
+        assert_eq!(round_trips, 2);
+        assert_eq!(r.on_rto(RTO, MSS, now + RTO * 64), Timeout::Idle);
+    }
+
+    /// A fresh DCTCP sender whose first window of `segs` segments is out.
+    fn dctcp_sender(segs: u64) -> TcpSender {
+        let mut tx = TcpSender::new(1, 1, TcpCfg::dctcp(100 * MSS));
+        tx.rec.snd_nxt = segs * tx.mss();
+        tx
+    }
+
+    #[test]
+    fn a_fresh_dctcp_sender_halves_cwnd_on_its_first_mark() {
+        let mut tx = dctcp_sender(10);
+        let mss = tx.mss();
+        assert_eq!(tx.rec.on_ack(mss, Time::ZERO, RTO, mss), Ack::Advanced(mss));
+        tx.dctcp_on_ack(mss, true);
+        assert_eq!(tx.alpha(), 1.0);
+        assert_eq!((tx.cwnd(), tx.rec.ssthresh), (5 * mss, 5 * mss));
+    }
+
+    #[test]
+    fn a_window_without_marks_decays_alpha_by_one_minus_g() {
+        let mut tx = dctcp_sender(10);
+        let mss = tx.mss();
+        // The first ACK closes the (empty) window open at the start.
+        tx.rec.on_ack(mss, Time::ZERO, RTO, mss);
+        tx.dctcp_on_ack(mss, false);
+        assert_eq!(tx.alpha(), 1.0 - DCTCP_G);
+        // The rest of the 10-segment window, unmarked.
+        for seq in 2..=10 {
+            tx.rec.on_ack(seq * mss, Time::ZERO, RTO, mss);
+            tx.dctcp_on_ack(mss, false);
+        }
+        assert_eq!(tx.alpha(), (1.0 - DCTCP_G) * (1.0 - DCTCP_G));
+        assert_eq!(tx.cwnd(), 10 * mss, "no mark, no cut");
     }
 
     #[test]

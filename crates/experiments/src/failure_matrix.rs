@@ -23,8 +23,14 @@
 //! round-robin: DCTCP's pre-failure p99 slowdown fell 65.0 → 4.6 on
 //! leaf-spine and 11.4 → 2.8 on the FatTree, below NDP's 16.4 and 3.0;
 //! pHost's fell 10.1 → 4.8 and 8.0 → 2.9. NDP's lead in the healthy phase
-//! was the baselines' FIFO NICs. DCTCP still leaves one flow stuck on each
-//! fabric, NDP and pHost none.
+//! was the baselines' FIFO NICs.
+//!
+//! No cell strands a flow. DCTCP used to leave one stuck on each fabric:
+//! a burst lost around the failure, repaired one hole per backed-off RTO.
+//! That was the TCP family's RTO expiry, not single-path routing; since an
+//! expiry goes back N (and `alpha` starts at 1), DCTCP's FatTree
+//! during-failure p99 is 246.8 (was 1185.6) and its pre-failure p99 reads
+//! 5.2 on leaf-spine and 3.6 on the FatTree, where NDP's 3.0 leads again.
 
 use std::sync::{Arc, Mutex};
 
@@ -580,6 +586,13 @@ mod tests {
                 c.proto.label()
             );
             assert_eq!(c.tally.applied(), 4, "{}: wrong event tally", c.topo);
+            assert_eq!(
+                c.stuck_flows,
+                0,
+                "{}/{}: stranded flows",
+                c.topo,
+                c.proto.label()
+            );
         }
         // The registry envelope carries the chaos counters.
         let stats = crate::registry::Report::run_stats(&rep);

@@ -27,7 +27,8 @@
 //!
 //! The drop-tail host NIC's per-flow round robin (every fabric but NDP's)
 //! re-rendered the DCTCP and pHost rows, and only those; each constant's
-//! doc says what moved.
+//! doc says what moved. DCTCP's go-back-N RTO expiry and its `alpha`
+//! starting at 1 re-rendered the two DCTCP rows, and only those.
 
 use ndp_experiments::failure_matrix;
 use ndp_experiments::openloop::{openloop_run, DistKind};
@@ -209,12 +210,18 @@ const OPENLOOP_NDP_7: OpenLoopRow = (
 /// 764,479,952, peak live flows 68 → 59; slowdown p50 / p99 / max 2.850 /
 /// 149.209 / 630.699 → 2.445 / 50.645 / 1771.614 (the max is the one flow
 /// still live at the drain cap).
+///
+/// Re-rendered again when an RTO expiry went back N and `alpha` began at
+/// 1: the straggler's burst is repaired within one expiry, and short
+/// flows back off from the marking queues. Events 1,906,555 → 1,919,401,
+/// incomplete 1 → 0, delivered bytes 764,479,952 → 772,272,877; slowdown
+/// p50 / p99 / max 2.445 / 50.645 / 1771.614 → 2.437 / 41.014 / 51.416.
 const OPENLOOP_DCTCP_23: OpenLoopRow = (
-    [1906555, 490, 419, 1, 764479952, 59],
+    [1919401, 490, 419, 0, 772272877, 59],
     [
-        4612686964808598478,
-        4632324487867456958,
-        4655506454829933654,
+        4612670014946390874,
+        4630969040309147930,
+        4632432976271114702,
     ],
 );
 /// Re-rendered when the drop-tail host NIC (pHost's fabric takes it too)
@@ -257,23 +264,32 @@ const FAILURE_NDP: FailureRow = (
 /// 27.856, after it 1.499 / 77.396 → 1.315 / 47.711. Which packets reach
 /// the dead link while it is down, and so which flows are left stuck,
 /// moves with the order the NICs send them.
+///
+/// Re-rendered again when an RTO expiry went back N and `alpha` began at
+/// 1: the four stuck flows were repairing a lost burst one hole per
+/// backed-off RTO; now each burst is repaired within one expiry and the
+/// flow runs to completion, so the events grow. Events 600,478 → 697,464,
+/// stuck 4 → 0, peak live flows 22 → 21, reroutes 6 → 8, dropped-down
+/// 27 → 28; p50 / p99 before the failure 1.264 / 15.453 → 1.314 / 18.383,
+/// during it 1.635 / 27.856 → 1.661 / 11.748, after it 1.315 / 47.711 →
+/// 1.381 / 20.331.
 const FAILURE_DCTCP: FailureRow = (
-    [600478, 145, 132, 4, 22, 6, 27],
+    [697464, 145, 132, 0, 21, 8, 28],
     [
         [
-            4608369781427098243,
-            4624888675069156510,
-            4624888675069156510,
+            4608595064750550288,
+            4625867496205206118,
+            4625867496205206118,
         ],
         [
-            4610042627176919462,
-            4628534100209664616,
-            4628534100209664616,
+            4610159985166563816,
+            4622803079807552291,
+            4622803079807552291,
         ],
         [
-            4608602279001721229,
-            4631911520709308804,
-            4631911520709308804,
+            4608897029761377956,
+            4626416010889610840,
+            4626416010889610840,
         ],
     ],
 );

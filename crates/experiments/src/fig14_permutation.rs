@@ -10,7 +10,8 @@
 //! NIC serves its flows round-robin, the ACKs and MPTCP's subflows take
 //! turns at it. Measured at quick scale, utilization MPTCP 76.1 → 75.5 %
 //! (slowest flow 3.66 → 4.58 Gb/s), DCTCP 52.6 → 54.1 %; the ordering
-//! holds.
+//! holds. Since DCTCP's `alpha` starts at 1 and its RTO expiry goes back
+//! N, DCTCP reads 54.6 % with its slowest flow at 0.71 Gb/s (0.79).
 
 use ndp_metrics::Table;
 use ndp_sim::Time;

@@ -5,6 +5,14 @@
 //! Expected: NDP and DCQCN sit on the optimal line with a tight min/max
 //! spread (NDP's slowest ≤ ~1.2× its fastest); DCTCP is ~5 % off with a
 //! wide spread; MPTCP is crippled by synchronized tail losses.
+//!
+//! Measured at quick scale since DCTCP's RTO expiry goes back N (and its
+//! `alpha` starts at 1): its slowest flow at 100:1 reads 38.2 ms against
+//! an ideal of 36.3 and NDP's 36.7, the paper's ~5 % (351.8 ms before, when
+//! each hole of a lost burst waited for an RTO of its own); at 32:1 and
+//! 64:1 it fell 192.3 → 16.2 and 331.8 → 24.6 ms. Its fastest flow rose
+//! 7.6 → 9.5 ms at 100:1. MPTCP, whose subflows still resend one hole per
+//! RTO (ROADMAP item 9), stays at 350.8 ms.
 
 use ndp_metrics::Table;
 use ndp_sim::{Speed, Time};

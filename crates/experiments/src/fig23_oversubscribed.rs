@@ -13,7 +13,10 @@
 //! NACK is banked and pays for the resend when the NACK arrives. It does
 //! not edge DCTCP at high load, though: its median is 0.064 ms against
 //! DCTCP's 0.056 ms (0.055 before DCTCP's host NIC served its flows
-//! round-robin; ROADMAP item 10).
+//! round-robin; ROADMAP item 10). Since DCTCP's `alpha` starts at 1 and
+//! its RTO expiry goes back N, DCTCP's high-load median is 0.043 ms and
+//! its p90 0.246 ms (0.299 before), both below NDP's; at moderate load
+//! NDP's median stays ahead, 0.020 against 0.021 ms.
 
 use ndp_metrics::{Cdf, Table};
 use ndp_net::host::{start_token, Host};

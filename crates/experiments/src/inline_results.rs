@@ -12,7 +12,9 @@
 //!
 //! Since every host NIC serves its flows round-robin, at quick scale
 //! pHost's permutation utilization reads 0.805 → 0.769 and, beside the
-//! incast, DCTCP's 0.576 → 0.556 and DCQCN's 0.074 → 0.098.
+//! incast, DCTCP's 0.576 → 0.556 and DCQCN's 0.074 → 0.098. Since DCTCP's
+//! `alpha` starts at 1 and its RTO expiry goes back N, DCTCP's reads
+//! 0.589 beside the incast.
 
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};

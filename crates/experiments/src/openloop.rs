@@ -30,6 +30,16 @@
 //!   pHost leaves one flow incomplete, as it already did at 50% (ROADMAP
 //!   item 1(b)).
 //! * `oversub_load` at 20%: DCTCP 80.8 → 51.8, pHost 9.7 → 7.1, NDP 6.0.
+//!
+//! DCTCP's `alpha` then began at 1, so a short flow backs off from a
+//! marking queue in its first window, and its RTO expiry began to go back
+//! N. DCTCP's p99 before → after, NDP unchanged:
+//!
+//! * `load_websearch`: at 50% 18.4 → 11.2 (NDP 4.5), at 30% 59.1 → 42.5
+//!   (NDP 4.4). At 10% it got worse, 2.3 → 3.8 (NDP 2.1), in its >1 MB
+//!   bin. No DCTCP flow is left incomplete at any load.
+//! * `oversub_load`: at 20% 51.8 → 19.3 (NDP 6.0), at 10% 43.7 → 35.7, at
+//!   5% 171.2 → 41.0; incomplete flows 5/1/3 → 1/0/3 at 5/10/20%.
 
 use ndp_metrics::{fmt_or_dash, SlowdownBins, Table, SLOWDOWN_BIN_LABELS};
 use ndp_sim::{EventKindCounts, Time};

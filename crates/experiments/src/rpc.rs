@@ -27,7 +27,10 @@
 //! and now *beats* NDP's 79.1%, an ordering the FIFO NICs had reversed.
 //! pHost's fell 31.2% → 26.6%, with 1,441 → 1,578 of its requests served.
 //! In `rpc_sweep` DCTCP keeps its lower p99 at fan-out 8 and 50% load
-//! (370 → 385 µs, against NDP's 659).
+//! (370 → 385 µs, against NDP's 659). Since DCTCP's `alpha` starts at 1
+//! and its RTO expiry goes back N, its `rpc_tenant_mix` web-search SLO
+//! attainment reads 89.1% (86.2% before; NDP 79.1%); `rpc_sweep` did not
+//! move.
 //!
 //! Both are `--topo`-neutral: tenant arrival rates are declared as
 //! *loads* ([`ArrivalSpec`]) and resolved against the built topology's

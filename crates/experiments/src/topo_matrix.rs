@@ -22,8 +22,12 @@
 //! Measured at quick scale since every host NIC serves its flows
 //! round-robin: on leaf-spine DCTCP's open-loop p99 fell 205.4 → 13.4,
 //! with one flow now left incomplete; on the oversubscribed fabric pHost's
-//! rose 10.7 → 34.7 (its 0–10 KB bin). NDP keeps the lowest p99 on every
-//! fabric.
+//! rose 10.7 → 34.7 (its 0–10 KB bin). Since DCTCP's `alpha` starts at
+//! 1 and its RTO expiry goes back N, DCTCP's leaf-spine p99 reads 9.7
+//! with no flow incomplete; on the oversubscribed fabric it rose
+//! 48.1 → 62.1 with incomplete flows 12 → 9. NDP has the lowest p99 on
+//! leaf-spine (2.5) and the oversubscribed fabric (9.2), not on the
+//! FatTree: there DCTCP's 2.8 is below NDP's 3.2, as it was before.
 
 use ndp_metrics::{fmt_or_dash, Table, SLOWDOWN_BIN_LABELS};
 use ndp_sim::Time;

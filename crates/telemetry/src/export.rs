@@ -623,19 +623,12 @@ mod tests {
     }
 
     /// The writers are held to bytes rendered by the parent of the commit
-    /// that rewrote them (`testdata/` was generated there), not to
-    /// themselves.
+    /// that rewrote them, not to themselves.
     #[test]
     fn exported_bytes_match_the_committed_golden_files() {
         let points = [golden_point(), sample_point()];
-        assert_eq!(
-            write_ndjson(&points),
-            include_str!("../testdata/export_golden.ndjson")
-        );
-        assert_eq!(
-            write_chrome_trace(&points),
-            include_str!("../testdata/export_golden.chrome.json")
-        );
+        ndp_snapshot::snapshot!("export.ndjson", write_ndjson(&points));
+        ndp_snapshot::snapshot!("export.chrome.json", write_chrome_trace(&points));
     }
 
     #[test]

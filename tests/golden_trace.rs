@@ -1,34 +1,24 @@
 //! Golden-trace determinism tests.
 //!
-//! These pin the scheduler refactor to an exact event ordering: a small
-//! mixed NDP+TCP FatTree run is traced as a hash over every dispatched
-//! `(time, component, kind)` triple, and that hash must be identical
-//! (a) across repeated runs, (b) across the two-tier and classic
-//! schedulers, and (c) equal to the committed constant below.
-//!
-//! If a change breaks (c) *intentionally* — a new RNG draw on a hot path,
-//! a protocol fix that reorders packets — rerun with
-//! `NDP_PRINT_TRACE_HASH=1 cargo test --release golden` and commit the
-//! freshly printed value together with an explanation. Breaking (a) or (b)
-//! is never intentional: it means the engine lost determinism or the
-//! schedulers diverged.
+//! Each world below is traced as a hash over every dispatched
+//! `(time, component, kind)` triple, in ascending `(time, posting-seq)`
+//! order, plus the dispatched-event count. Every test first asserts that
+//! the two-tier and classic schedulers render the same trace (and the
+//! mixed world that two runs do), which is never intentional to break: it
+//! means the engine lost determinism or the schedulers diverged. Only then
+//! is one render pinned to its snapshot in `tests/snapshots/`; an
+//! intended change re-renders it under `NDP_BLESS=1`.
 
 use ndp::baselines::tcp::{attach_tcp_flow, Handshake, TcpCfg};
 use ndp::baselines::{attach_dcqcn_flow, attach_mptcp_flow, DcqcnCfg};
 use ndp::core::{attach_flow, NdpFlowCfg};
 use ndp::net::{Host, Packet, Queue};
-use ndp::sim::world::SchedulerKind;
+use ndp::sim::world::SchedulerKind::{self, Classic, TwoTier};
 use ndp::sim::{Time, World};
 use ndp::topology::{FatTree, FatTreeCfg, LeafSpine, LeafSpineCfg, QueueSpec, Topology};
+use ndp_snapshot::snapshot;
 
-/// The pinned trace of `mixed_world` (hash, dispatched-event count):
-/// ascending `(time, posting-seq)` over every dispatched event, one
-/// scheduled delivery per packet hop. (The name dates from when a second
-/// wiring, with a separate wire component behind every queue, had a
-/// constant of its own.) Re-rendered in PR 26: the receivers' tail-pull
-/// sweep adds 3 host wakes, which repeat no pull (was 6 788 events).
-const GOLDEN_FUSED: (u64, u64) = (0x9B43_CA67_75AD_B9AE, 6_791);
-
+/// Three NDP and two TCP flows sharing a k=4 FatTree for 20 ms.
 fn mixed_world(kind: SchedulerKind) -> (u64, u64) {
     let mut w: World<Packet> = World::with_scheduler(11, kind);
     w.enable_trace();
@@ -64,20 +54,6 @@ fn mixed_world(kind: SchedulerKind) -> (u64, u64) {
     w.trace_hash()
 }
 
-/// Pinned trace of `testbed_incast`: rendered at c00d46e, the last commit
-/// whose builders wired RTS bounce targets by hand, then re-rendered in
-/// PR 26 for 3 tail-pull sweep wakes at host 0 (was 16 894 events).
-const GOLDEN_TESTBED_INCAST: (u64, u64) = (0x1B2E_BF18_F225_384D, 16_897);
-
-/// Pinned trace of `dcqcn_permutation`, rendered at c00d46e from the
-/// hand-indexed PFC upstream lists. A pausing queue signals its upstreams
-/// in list order, so this is the trace that holds the *order* of the
-/// derived feeder relation. Re-rendered (37 194 → 37 022 events) when the
-/// lossless fabric's host NIC became a per-flow round robin: each host here
-/// sends one flow and receives another, so its ACKs and CNPs take turns
-/// with its data instead of queueing behind it.
-const GOLDEN_DCQCN_PERMUTATION: (u64, u64) = (0x3307_3CFB_BAA7_BE17, 37_022);
-
 /// NDP 7:1 incast on the paper's two-tier testbed: every host sends 450 KB
 /// to host 0, sprayed over both spines.
 fn testbed_incast(kind: SchedulerKind) -> (u64, u64) {
@@ -104,7 +80,9 @@ fn testbed_incast(kind: SchedulerKind) -> (u64, u64) {
 
 /// DCQCN cross-pod permutation (host `i` to `i + 4`) on a lossless k=4
 /// FatTree with every flow on path 0: each pod's four flows share one
-/// agg→core link, so queues cross Xoff and PFC pauses propagate.
+/// agg→core link, so queues cross Xoff and PFC pauses propagate. A pausing
+/// queue signals its upstreams in list order, so this trace holds the
+/// *order* of the derived feeder relation.
 fn dcqcn_permutation(kind: SchedulerKind) -> (u64, u64) {
     let mut w: World<Packet> = World::with_scheduler(7, kind);
     w.enable_trace();
@@ -130,14 +108,6 @@ fn dcqcn_permutation(kind: SchedulerKind) -> (u64, u64) {
     assert!(paused > 0, "the trace must exercise PFC pause");
     w.trace_hash()
 }
-
-/// Pinned trace of `tcp_family_incast`. Re-rendered when TCP and DCTCP
-/// began to go back N on an RTO expiry and DCTCP's `alpha` began at 1:
-/// `(0x4895_0FC3_5923_87E8, 58_865)` → the value below. Summed sender
-/// `(fast retransmits, timeouts)` went (5, 29) → (1, 6) for TCP + DCTCP,
-/// whose bursts are now repaired within one expiry, and (14, 74) →
-/// (9, 120) for MPTCP, which shares their queues.
-const GOLDEN_TCP_FAMILY_INCAST: (u64, u64) = (0x9E77_C827_492A_B247, 59_257);
 
 /// A 15:1 incast on a k=4 FatTree of 200-packet drop-tail queues (which
 /// CE-mark ECT packets above 30): every third sender is a 2.4 MB MPTCP
@@ -181,80 +151,47 @@ fn tcp_family_incast(kind: SchedulerKind) -> ((u64, u64), [(u64, u64); 2]) {
     (w.trace_hash(), recovery)
 }
 
+fn render((hash, events): (u64, u64)) -> String {
+    format!("hash 0x{hash:016X}\nevents {events}\n")
+}
+
+/// Renders `world`'s trace on both schedulers and asserts they agree.
+fn on_both_schedulers(world: impl Fn(SchedulerKind) -> (u64, u64)) -> String {
+    let [two_tier, classic] = [TwoTier, Classic].map(|kind| render(world(kind)));
+    assert_eq!(
+        two_tier, classic,
+        "two-tier scheduler must reproduce the classic heap's exact event ordering"
+    );
+    two_tier
+}
+
+#[test]
+fn golden_trace_is_reproducible_across_runs_and_schedulers() {
+    let trace = on_both_schedulers(mixed_world);
+    assert_eq!(
+        trace,
+        render(mixed_world(TwoTier)),
+        "two consecutive runs must produce identical event traces"
+    );
+    snapshot!("mixed_world", trace);
+}
+
 #[test]
 fn tcp_family_incast_matches_its_parent_rendered_hash_on_both_schedulers() {
-    for kind in [SchedulerKind::TwoTier, SchedulerKind::Classic] {
+    let trace = on_both_schedulers(|kind| {
         let (trace, [mptcp, tcp]) = tcp_family_incast(kind);
-        if std::env::var("NDP_PRINT_TRACE_HASH").is_ok() {
-            println!(
-                "tcp family incast: (0x{:016X}, {}); (fast rtx, RTOs) MPTCP {mptcp:?}, TCP/DCTCP {tcp:?}",
-                trace.0, trace.1
-            );
-        }
         assert!(
             mptcp.0 > 0 && mptcp.1 > 0,
             "MPTCP (fast rtx, RTOs) {mptcp:?}"
         );
         assert!(tcp.0 > 0 && tcp.1 > 0, "TCP/DCTCP (fast rtx, RTOs) {tcp:?}");
-        assert_eq!(
-            trace, GOLDEN_TCP_FAMILY_INCAST,
-            "{kind:?} TCP family incast"
-        );
-    }
+        trace
+    });
+    snapshot!("tcp_family_incast", trace);
 }
 
 #[test]
 fn wiring_traces_match_their_parent_rendered_hashes_on_both_schedulers() {
-    for kind in [SchedulerKind::TwoTier, SchedulerKind::Classic] {
-        let (incast, perm) = (testbed_incast(kind), dcqcn_permutation(kind));
-        if std::env::var("NDP_PRINT_TRACE_HASH").is_ok() {
-            println!("testbed incast: (0x{:016X}, {})", incast.0, incast.1);
-            println!("dcqcn permutation: (0x{:016X}, {})", perm.0, perm.1);
-        }
-        assert_eq!(incast, GOLDEN_TESTBED_INCAST, "{kind:?} testbed incast");
-        assert_eq!(perm, GOLDEN_DCQCN_PERMUTATION, "{kind:?} DCQCN permutation");
-    }
-}
-
-#[test]
-fn golden_trace_is_reproducible_across_runs() {
-    assert_eq!(
-        mixed_world(SchedulerKind::TwoTier),
-        mixed_world(SchedulerKind::TwoTier),
-        "two consecutive runs must produce identical event traces"
-    );
-}
-
-#[test]
-fn golden_trace_identical_across_schedulers() {
-    let two_tier = mixed_world(SchedulerKind::TwoTier);
-    let classic = mixed_world(SchedulerKind::Classic);
-    assert_eq!(
-        two_tier, classic,
-        "two-tier scheduler must reproduce the classic heap's exact event ordering"
-    );
-}
-
-#[test]
-fn golden_trace_matches_committed_hash() {
-    let got = mixed_world(SchedulerKind::TwoTier);
-    if std::env::var("NDP_PRINT_TRACE_HASH").is_ok() {
-        println!("golden trace: (0x{:016X}, {})", got.0, got.1);
-    }
-    assert_eq!(
-        got, GOLDEN_FUSED,
-        "event trace diverged from the committed golden hash; \
-         if intentional, rerun with NDP_PRINT_TRACE_HASH=1 and update GOLDEN_FUSED"
-    );
-}
-
-#[test]
-fn golden_trace_fused_matches_committed_hash_on_both_schedulers() {
-    for kind in [SchedulerKind::TwoTier, SchedulerKind::Classic] {
-        assert_eq!(
-            mixed_world(kind),
-            GOLDEN_FUSED,
-            "{kind:?} diverged from the committed golden hash"
-        );
-    }
+    snapshot!("testbed_incast", on_both_schedulers(testbed_incast));
+    snapshot!("dcqcn_permutation", on_both_schedulers(dcqcn_permutation));
 }

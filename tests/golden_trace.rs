@@ -2,12 +2,12 @@
 //!
 //! Each world below is traced as a hash over every dispatched
 //! `(time, component, kind)` triple, in ascending `(time, posting-seq)`
-//! order, plus the dispatched-event count. Every test first asserts that
-//! the two-tier and classic schedulers render the same trace (and the
-//! mixed world that two runs do), which is never intentional to break: it
-//! means the engine lost determinism or the schedulers diverged. Only then
-//! is one render pinned to its snapshot in `tests/snapshots/`; an
-//! intended change re-renders it under `NDP_BLESS=1`.
+//! order, plus the dispatched-event count. The two-tier and classic
+//! schedulers must render the same trace (and the mixed world must render
+//! it twice over), which is never intentional to break: it means the
+//! engine lost determinism or the schedulers diverged. Each trace is also
+//! pinned to its snapshot in `tests/snapshots/`; an intended change
+//! re-renders it under `NDP_BLESS=1`.
 
 use ndp::baselines::tcp::{attach_tcp_flow, Handshake, TcpCfg};
 use ndp::baselines::{attach_dcqcn_flow, attach_mptcp_flow, DcqcnCfg};
@@ -165,17 +165,28 @@ fn on_both_schedulers(world: impl Fn(SchedulerKind) -> (u64, u64)) -> String {
     two_tier
 }
 
-/// Runs the mixed world on TwoTier, Classic, TwoTier: the renders must
-/// agree across runs and across schedulers before one is pinned.
 #[test]
 fn golden_trace_is_reproducible_across_runs() {
-    let trace = on_both_schedulers(mixed_world);
     assert_eq!(
-        trace,
+        render(mixed_world(TwoTier)),
         render(mixed_world(TwoTier)),
         "two consecutive runs must produce identical event traces"
     );
-    snapshot!("mixed_world", trace);
+}
+
+#[test]
+fn golden_trace_identical_across_schedulers() {
+    on_both_schedulers(mixed_world);
+}
+
+#[test]
+fn golden_trace_matches_committed_hash() {
+    snapshot!("mixed_world", render(mixed_world(TwoTier)));
+}
+
+#[test]
+fn golden_trace_fused_matches_committed_hash_on_both_schedulers() {
+    snapshot!("mixed_world", on_both_schedulers(mixed_world));
 }
 
 #[test]

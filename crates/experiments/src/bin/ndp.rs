@@ -122,7 +122,7 @@ fn run(args: &[String]) {
     // must not surface as a panic from inside an experiment. NDP_SCALE and
     // NDP_TOPO are consulted only when no explicit flag was given, so a
     // stale/typoed env var cannot override (or abort) an explicit flag.
-    if let Err(e) = ndp_sim::scheduler_from_env() {
+    if let Err(e) = ndp_experiments::sweep::threads_from_env() {
         usage_error(&e);
     }
     let scale = scale.unwrap_or_else(|| Scale::from_env().unwrap_or_else(|e| usage_error(&e)));

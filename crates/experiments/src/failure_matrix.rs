@@ -577,6 +577,7 @@ mod tests {
     #[test]
     fn matrix_covers_both_axes_and_reports_chaos_counters() {
         let rep = run(Scale::Quick, None);
+        crate::registry::document::pin("failure_matrix", &rep);
         assert_eq!(rep.cells.len(), MATRIX_TOPOS.len() * SWEEP_PROTOS.len());
         for c in &rep.cells {
             assert!(

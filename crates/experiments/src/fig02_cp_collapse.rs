@@ -148,6 +148,7 @@ mod tests {
     #[test]
     fn ndp_beats_cp_under_overload() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig02", &rep);
         let heavy = rep.rows.last().unwrap();
         assert!(heavy.ndp_mean > 85.0, "NDP mean {:.1}", heavy.ndp_mean);
         assert!(heavy.ndp_mean > heavy.cp_mean, "NDP must beat CP");

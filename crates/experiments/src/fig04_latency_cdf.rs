@@ -164,6 +164,7 @@ mod tests {
     #[test]
     fn shapes_match_paper() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig04", &rep);
         // Loaded-but-uncongested traffic keeps sub-ms medians.
         assert!(
             rep.permutation.median() < 1_000.0,

@@ -250,6 +250,7 @@ mod tests {
     #[test]
     fn ordering_matches_paper() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig08", &rep);
         let ndp = rep.median(Stack::Ndp);
         let tfo_ns = rep.median(Stack::TfoNoSleep);
         let tcp_ns = rep.median(Stack::TcpNoSleep);

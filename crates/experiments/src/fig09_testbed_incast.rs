@@ -161,6 +161,7 @@ mod tests {
     #[test]
     fn ndp_is_near_optimal_and_beats_tcp() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig09", &rep);
         for r in &rep.rows {
             assert!(
                 r.ndp_median_ms < r.optimum_ms * 1.25 + 0.2,

@@ -165,6 +165,7 @@ mod tests {
     #[test]
     fn prioritization_shields_the_short_flow() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig10", &rep);
         assert!(rep.idle < rep.with_prio, "contention must cost something");
         assert!(rep.with_prio < rep.without_prio, "priority must help");
         // The prioritized FCT stays within a few hundred us of idle (the

@@ -141,6 +141,7 @@ mod tests {
     #[test]
     fn saturation_needs_more_window_with_host_delays() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig11", &rep);
         // Small IW underutilizes; big IW saturates.
         let small = rep.at(1).unwrap();
         let big = rep.at(128).unwrap();

@@ -112,6 +112,7 @@ mod tests {
     #[test]
     fn medians_match_targets_and_1500b_is_noisier() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig12", &rep);
         let m15 = rep.spacing_1500.median();
         let m90 = rep.spacing_9000.median();
         assert!((m15 - 1.2).abs() < 0.4, "1500B median {m15}");

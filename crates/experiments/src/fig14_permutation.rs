@@ -139,6 +139,7 @@ mod tests {
     #[test]
     fn ranking_matches_paper() {
         let rep = run(Scale::Quick, None);
+        crate::registry::document::pin("fig14", &rep);
         let ndp = rep.utilization(Proto::Ndp);
         let mptcp = rep.utilization(Proto::Mptcp);
         let dctcp = rep.utilization(Proto::Dctcp);

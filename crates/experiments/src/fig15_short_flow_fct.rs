@@ -229,6 +229,7 @@ mod tests {
     #[test]
     fn ndp_beats_dctcp_beats_mptcp() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig15", &rep);
         let ndp = rep.median(Proto::Ndp);
         let dctcp = rep.median(Proto::Dctcp);
         let mptcp = rep.median(Proto::Mptcp);

@@ -168,6 +168,7 @@ mod tests {
     #[test]
     fn ndp_near_ideal_mptcp_crippled() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig16", &rep);
         let n = 64;
         let ideal = rep.ideal(n);
         let ndp = rep.last_ms(Proto::Ndp, n);

@@ -149,6 +149,7 @@ mod tests {
     #[test]
     fn shape_matches_paper() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig17", &rep);
         // Small IW underutilizes.
         assert!(rep.util(8, 9000, 5) < rep.util(8, 9000, 30) - 0.03);
         // 8-packet buffers with a healthy IW exceed 90%.

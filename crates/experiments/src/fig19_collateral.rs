@@ -185,6 +185,7 @@ mod tests {
     #[test]
     fn ndp_recovers_fastest() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig19", &rep);
         let ndp = rep.depressed_ms(Proto::Ndp);
         let dctcp = rep.depressed_ms(Proto::Dctcp);
         assert!(ndp <= 3, "NDP long flow should dip <3ms, got {ndp}");

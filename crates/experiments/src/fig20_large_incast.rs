@@ -162,6 +162,7 @@ mod tests {
     #[test]
     fn overhead_small_and_rts_takes_over() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig20", &rep);
         for r in &rep.rows {
             if r.iw == 23 && r.n >= 8 {
                 assert!(

@@ -127,6 +127,7 @@ mod tests {
     #[test]
     fn pull_fair_queuing_fills_both_bottlenecks() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig21", &rep);
         // Both bottleneck links nearly saturated.
         assert!(rep.total_from_a > 9.0, "A's uplink {:.2}", rep.total_from_a);
         assert!(rep.total_to_e > 9.0, "E's downlink {:.2}", rep.total_to_e);

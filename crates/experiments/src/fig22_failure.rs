@@ -165,6 +165,7 @@ mod tests {
     #[test]
     fn path_penalty_rescues_ndp() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig22", &rep);
         let with = rep.min(Proto::Ndp);
         let without = rep.min(Proto::NdpNoPenalty);
         assert!(

@@ -245,6 +245,7 @@ mod tests {
     #[test]
     fn ndp_survives_oversubscription_and_beats_dctcp_at_moderate_load() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("fig23", &rep);
         let ndp5 = rep.median(Proto::Ndp, 5);
         let dctcp5 = rep.median(Proto::Dctcp, 5);
         assert!(ndp5.is_finite() && dctcp5.is_finite());

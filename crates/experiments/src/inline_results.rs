@@ -306,6 +306,7 @@ mod tests {
     #[test]
     fn inline_claims_hold_qualitatively() {
         let rep = run(Scale::Quick);
+        crate::registry::document::pin("inline", &rep);
         // Sender-chosen paths trim less on the uplinks than random ECMP.
         assert!(
             rep.lb_source_trim_pct <= rep.lb_random_trim_pct,

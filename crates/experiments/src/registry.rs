@@ -445,6 +445,119 @@ pub fn document_with_telemetry(
     ])
 }
 
+/// Every registered experiment's quick-scale document, pinned as
+/// `tests/snapshots/doc/<id>.txt`: the envelope `ndp run <id> --scale
+/// quick --json` prints minus its two wall-clock fields, one `path value`
+/// line per JSON leaf, then a blank line and the text `ndp run <id>
+/// --scale quick` prints. A module with a quick-scale test pins its report
+/// right after rendering it, before asserting its claims, so
+/// `NDP_BLESS=1` re-renders a moved document even where a claim then
+/// fails; the experiments with no such test render through their registry
+/// rows below.
+#[cfg(test)]
+pub(crate) mod document {
+    use super::*;
+    use ndp_snapshot::field;
+    use std::collections::BTreeSet;
+    use std::fmt::Write as _;
+
+    /// The envelope fields that read the wall clock.
+    const WALL_FIELDS: [&str; 2] = ["run.wall_ms", "run.events_per_sec"];
+
+    /// Compares the quick-scale document of experiment `id`, `report`
+    /// being its run, with its snapshot (or rewrites it under `NDP_BLESS=1`).
+    pub(crate) fn pin(id: &str, report: &dyn Report) {
+        let exp = find(id).unwrap_or_else(|| panic!("{id} is not registered"));
+        let doc = document_with_telemetry(exp, Scale::Quick, None, report, 0.0, None);
+        let mut out = String::new();
+        leaves(&mut out, "", &doc);
+        writeln!(out, "\n{report}\nheadline: {}", report.headline()).expect("a String");
+        ndp_snapshot::snapshot!(format!("doc/{id}"), out);
+    }
+
+    /// One `path value` line per leaf of `value`, depth first in document
+    /// order; an empty array or object is a leaf.
+    fn leaves(out: &mut String, path: &str, value: &Json) {
+        match value {
+            Json::Obj(fields) if !fields.is_empty() => {
+                for (key, v) in fields {
+                    let p = match path {
+                        "" => key.clone(),
+                        _ => format!("{path}.{key}"),
+                    };
+                    if !WALL_FIELDS.contains(&p.as_str()) {
+                        leaves(out, &p, v);
+                    }
+                }
+            }
+            Json::Arr(items) if !items.is_empty() => {
+                for (i, v) in items.iter().enumerate() {
+                    leaves(out, &format!("{path}[{i}]"), v);
+                }
+            }
+            Json::Obj(_) => field(out, path, format_args!("{{}}")),
+            Json::Arr(_) => field(out, path, format_args!("[]")),
+            Json::Null => field(out, path, format_args!("null")),
+            Json::Bool(b) => field(out, path, b),
+            Json::Num(x) => field(out, path, x),
+            Json::Str(s) => field(out, path, s),
+        }
+    }
+
+    /// The experiments whose modules have no quick-scale test of their
+    /// own, one test each so they render in parallel.
+    macro_rules! through_the_registry_row {
+        ($($id:ident),*) => {$(
+            #[test]
+            fn $id() {
+                let id = stringify!($id);
+                let exp = find(id).unwrap_or_else(|| panic!("{id} is not registered"));
+                pin(id, (exp.run)(Scale::Quick, None).as_ref());
+            }
+        )*};
+    }
+
+    through_the_registry_row!(
+        fig10_sweep,
+        load_websearch,
+        load_datamining,
+        oversub_load,
+        rpc_sweep,
+        rpc_tenant_mix,
+        quickstart
+    );
+
+    /// A new experiment cannot ship unpinned, and a removed one leaves no
+    /// stale document behind. (The bless run that first writes a new
+    /// experiment's document may list it as missing here while its test
+    /// is still rendering; the next run passes.)
+    #[test]
+    fn every_experiment_has_exactly_one_document_snapshot() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/doc");
+        let files: BTreeSet<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+            .map(|entry| {
+                entry
+                    .expect("a directory entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into()
+            })
+            .collect();
+        let want: BTreeSet<String> = EXPERIMENTS
+            .iter()
+            .map(|e| format!("{}.txt", e.id))
+            .collect();
+        let missing: Vec<_> = want.difference(&files).collect();
+        let stale: Vec<_> = files.difference(&want).collect();
+        assert!(
+            missing.is_empty() && stale.is_empty(),
+            "{}: no document for {missing:?}, no experiment for {stale:?}",
+            dir.display()
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

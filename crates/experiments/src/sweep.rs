@@ -23,17 +23,29 @@ use crate::harness::Proto;
 use crate::openloop::DistKind;
 use crate::topo::TopoSpec;
 
+/// `NDP_THREADS` as a worker count. Unset (or empty) means no override;
+/// anything but a positive integer is an error, so a typo cannot silently
+/// run on every core. Front ends call this before running anything;
+/// [`worker_threads`] panics with the same message.
+pub fn threads_from_env() -> Result<Option<usize>, String> {
+    match std::env::var("NDP_THREADS").as_deref() {
+        Err(_) | Ok("") => Ok(None),
+        Ok(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("NDP_THREADS must be a positive integer, got '{v}'")),
+        },
+    }
+}
+
 /// Number of sweep workers.
 pub fn worker_threads() -> usize {
-    match std::env::var("NDP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    threads_from_env()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// Execute `job` on every point on [`worker_threads`] workers, returning

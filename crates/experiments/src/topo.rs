@@ -223,7 +223,7 @@ pub(crate) fn registered(name: &str) -> &'static TopoEntry {
 /// experiments. Unset (or empty) means no override; anything that is not
 /// a registered topology name is an error — a typoed
 /// `NDP_TOPO=leafspin` must not silently run the default fabric,
-/// matching the strict `NDP_SCALE`/`NDP_SCHED` behavior.
+/// matching the strict `NDP_SCALE`/`NDP_THREADS` behavior.
 pub fn topo_from_env() -> Result<Option<&'static TopoEntry>, String> {
     match std::env::var("NDP_TOPO") {
         Err(_) => Ok(None),

@@ -329,6 +329,7 @@ mod tests {
     #[test]
     fn matrix_covers_topologies_and_protocols_with_populated_cells() {
         let rep = run(Scale::Quick, None);
+        crate::registry::document::pin("topo_matrix", &rep);
         assert_eq!(rep.cells.len(), MATRIX_TOPOS.len() * SWEEP_PROTOS.len());
         let topos: std::collections::HashSet<&str> = rep.cells.iter().map(|c| c.topo).collect();
         assert_eq!(topos.len(), 3);

@@ -10,7 +10,7 @@ use std::process::{Command, Output};
 fn ndp(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ndp"));
     cmd.args(args)
-        .env_remove("NDP_SCHED")
+        .env_remove("NDP_THREADS")
         .env_remove("NDP_SCALE")
         .env_remove("NDP_TOPO");
     for &(var, value) in env {
@@ -32,9 +32,10 @@ fn usage_error(out: &Output, what: &str) -> String {
 #[test]
 fn env_typos_are_usage_errors_not_panics() {
     for (var, typo) in [
-        ("NDP_SCHED", "clasic"),
         ("NDP_SCALE", "quik"),
         ("NDP_TOPO", "leafspin"),
+        ("NDP_THREADS", "seven"),
+        ("NDP_THREADS", "0"),
     ] {
         let what = format!("{var}={typo}");
         let out = ndp(&["run", "quickstart"], &[(var, typo)]);

@@ -35,7 +35,7 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -160,64 +160,22 @@ pub enum SchedulerKind {
     Classic,
 }
 
-impl SchedulerKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::TwoTier => "two-tier",
-            SchedulerKind::Classic => "classic",
-        }
-    }
-
-    /// Parse a scheduler name as accepted by `NDP_SCHED`.
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s {
-            "two-tier" => Some(SchedulerKind::TwoTier),
-            "classic" => Some(SchedulerKind::Classic),
-            _ => None,
-        }
-    }
-}
-
-/// Process-wide default for new worlds: 0 = unset, 1 = two-tier,
-/// 2 = classic. Overridable via `NDP_SCHED=classic|two-tier` or
-/// [`set_default_scheduler`] (used by benches to A/B the engines without
-/// threading a parameter through every harness entry point).
-static DEFAULT_SCHED: AtomicU8 = AtomicU8::new(0);
+/// Process-wide default for new worlds: two-tier unless
+/// [`set_default_scheduler`] chose classic (used by benches and tests to
+/// A/B the engines without threading a parameter through every harness
+/// entry point).
+static DEFAULT_CLASSIC: AtomicBool = AtomicBool::new(false);
 
 /// Set the scheduler used by subsequently created worlds.
 pub fn set_default_scheduler(kind: SchedulerKind) {
-    let v = match kind {
-        SchedulerKind::TwoTier => 1,
-        SchedulerKind::Classic => 2,
-    };
-    DEFAULT_SCHED.store(v, Ordering::Relaxed);
-}
-
-/// Read `NDP_SCHED`. Unset (or empty) means no override; a typo would
-/// silently invalidate an A/B comparison, so anything else that is not a
-/// scheduler name is an error, matching `NDP_SCALE`'s strictness. Front
-/// ends call this before running anything; worlds created without that
-/// check panic with the same message.
-pub fn scheduler_from_env() -> Result<Option<SchedulerKind>, String> {
-    match std::env::var("NDP_SCHED").as_deref() {
-        Err(_) | Ok("") => Ok(None),
-        Ok(v) => SchedulerKind::parse(v)
-            .map(Some)
-            .ok_or_else(|| format!("NDP_SCHED must be 'classic' or 'two-tier', got '{v}'")),
-    }
+    DEFAULT_CLASSIC.store(kind == SchedulerKind::Classic, Ordering::Relaxed);
 }
 
 fn default_scheduler() -> SchedulerKind {
-    match DEFAULT_SCHED.load(Ordering::Relaxed) {
-        1 => SchedulerKind::TwoTier,
-        2 => SchedulerKind::Classic,
-        _ => {
-            let kind = scheduler_from_env()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .unwrap_or(SchedulerKind::TwoTier);
-            set_default_scheduler(kind);
-            kind
-        }
+    if DEFAULT_CLASSIC.load(Ordering::Relaxed) {
+        SchedulerKind::Classic
+    } else {
+        SchedulerKind::TwoTier
     }
 }
 
@@ -855,8 +813,8 @@ pub struct World<M> {
 }
 
 impl<M: 'static> World<M> {
-    /// A world on the process-default scheduler (two-tier unless overridden
-    /// via `NDP_SCHED` or [`set_default_scheduler`]).
+    /// A world on the process-default scheduler (two-tier unless
+    /// overridden by [`set_default_scheduler`]).
     pub fn new(seed: u64) -> World<M> {
         World::with_scheduler(seed, default_scheduler())
     }

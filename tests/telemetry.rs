@@ -24,7 +24,7 @@ use ndp::net::switch::Switch;
 use ndp::net::Packet;
 use ndp::sim::world::{set_default_scheduler, SchedulerKind};
 use ndp::sim::{Time, World};
-use ndp::telemetry::{self, session, TelemetryConfig};
+use ndp::telemetry::{self, session, TelemetryConfig, TelemetrySummary};
 use ndp::topology::{FatTree, FatTreeCfg, Topology};
 use ndp_snapshot::{field, snapshot};
 
@@ -128,8 +128,9 @@ fn flight_recorder_sees_every_forwarded_packet() {
     assert_eq!(enq, deq, "enqueue/dequeue mismatch on an idle fabric");
 }
 
-/// Run the quick failure matrix under an active session and export it.
-fn capture_ndjson(threads: &str, kind: SchedulerKind) -> (String, String) {
+/// Run the quick failure matrix under an active session and export it:
+/// the NDJSON bytes, the headline and the envelope's `telemetry` summary.
+fn capture_ndjson(threads: &str, kind: SchedulerKind) -> (String, String, TelemetrySummary) {
     std::env::set_var("NDP_THREADS", threads);
     set_default_scheduler(kind);
     session::begin(TelemetryConfig);
@@ -138,20 +139,21 @@ fn capture_ndjson(threads: &str, kind: SchedulerKind) -> (String, String) {
     std::env::remove_var("NDP_THREADS");
     set_default_scheduler(SchedulerKind::TwoTier);
     assert!(!points.is_empty(), "failure matrix submitted no telemetry");
-    (telemetry::write_ndjson(&points), report.headline())
+    let summary = telemetry::summarize(&points);
+    (telemetry::write_ndjson(&points), report.headline(), summary)
 }
 
 #[test]
 fn telemetry_on_trace_is_byte_identical_across_threads_and_schedulers() {
     let _g = serialize();
-    let (serial, headline_serial) = capture_ndjson("1", SchedulerKind::TwoTier);
-    let (threaded, headline_threaded) = capture_ndjson("7", SchedulerKind::TwoTier);
+    let (serial, headline_serial, summary) = capture_ndjson("1", SchedulerKind::TwoTier);
+    let (threaded, headline_threaded, _) = capture_ndjson("7", SchedulerKind::TwoTier);
     assert_eq!(
         serial, threaded,
         "NDJSON bytes changed with the worker thread count"
     );
     assert_eq!(headline_serial, headline_threaded);
-    let (classic, _) = capture_ndjson("3", SchedulerKind::Classic);
+    let (classic, _, _) = capture_ndjson("3", SchedulerKind::Classic);
     assert_eq!(
         serial, classic,
         "NDJSON bytes changed with the engine scheduler"
@@ -161,6 +163,40 @@ fn telemetry_on_trace_is_byte_identical_across_threads_and_schedulers() {
     assert!(serial.contains("\"gauge\":\"queue\""));
     assert!(serial.contains("\"type\":\"span\""));
     assert!(serial.contains("\"kind\":\"drop_down\""));
+    // The export `ndp run failure_matrix --scale quick --trace` writes:
+    // its size and 64-bit FNV-1a digest, beside the envelope's block.
+    let fnv1a = serial.bytes().fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    });
+    let mut pin = String::new();
+    field(&mut pin, "ndjson_lines", serial.lines().count());
+    field(&mut pin, "ndjson_bytes", serial.len());
+    field(&mut pin, "ndjson_fnv1a", format_args!("0x{fnv1a:016X}"));
+    let TelemetrySummary {
+        points,
+        gauge_records,
+        span_records,
+        request_records,
+        hop_records,
+        gauges_evicted,
+        hops_evicted,
+        peak_queue_bytes,
+        max_span_gap_ps,
+        stuck_spans,
+        stuck_requests,
+    } = summary;
+    field(&mut pin, "points", points);
+    field(&mut pin, "gauge_records", gauge_records);
+    field(&mut pin, "span_records", span_records);
+    field(&mut pin, "request_records", request_records);
+    field(&mut pin, "hop_records", hop_records);
+    field(&mut pin, "gauges_evicted", gauges_evicted);
+    field(&mut pin, "hops_evicted", hops_evicted);
+    field(&mut pin, "peak_queue_bytes", peak_queue_bytes);
+    field(&mut pin, "max_span_gap_ps", max_span_gap_ps);
+    field(&mut pin, "stuck_spans", stuck_spans);
+    field(&mut pin, "stuck_requests", stuck_requests);
+    snapshot!("failure_matrix_trace", pin);
 }
 
 #[test]

@@ -29,6 +29,8 @@ import sys
 REPS = 12  # `--rep` cycles over the suite's twelve sub-seeds
 WITNESSES = ("events", "fingerprint", "warmup", "attempted", "failed")
 # Knobs that would make the child a different program (as `spawn_rep` does).
+# No current build reads NDP_SCHED, but a parent built before it was removed
+# still does, so it is cleared too.
 KNOBS = ("NDP_SCHED", "NDP_SCALE", "NDP_TOPO")
 
 

@@ -3,8 +3,10 @@
 //!
 //! Eight subflows per connection, each pinned to a distinct (randomly
 //! chosen) path tag, sharing one transfer. Each subflow runs TCP's
-//! NewReno loss recovery ([`crate::tcp`]'s shared machine) over its own
-//! sequence space; the *increase* is coupled:
+//! NewReno loss recovery ([`crate::tcp`]'s shared machine, with DCTCP's
+//! 10 ms RTO floor) over its own sequence space and reacts to it exactly
+//! as a TCP sender does, an RTO expiry going back N included; only the
+//! *increase* is coupled:
 //!
 //! ```text
 //! per ack:  cwnd_r += min( a · bytes / cwnd_total , bytes / cwnd_r )
@@ -32,8 +34,7 @@ const N_SUBFLOWS: usize = 8;
 /// Each subflow's initial congestion window, in segments.
 const INIT_CWND_PKTS: u64 = 2;
 
-/// Each subflow's RTO, fixed rather than TCP's RFC 6298 estimate until
-/// ROADMAP item 9 settles MPTCP's recovery.
+/// The floor of each subflow's RFC 6298 RTO.
 const MIN_RTO: Time = Time::from_ms(10);
 
 struct Subflow {
@@ -65,7 +66,7 @@ impl MptcpSender {
                 // Drawn per subflow in `on_start`.
                 path: 0,
                 claimed: 0,
-                rec: NewReno::new(INIT_CWND_PKTS * mss),
+                rec: NewReno::new(INIT_CWND_PKTS, mss, MIN_RTO),
             })
             .collect();
         MptcpSender {
@@ -114,7 +115,7 @@ impl MptcpSender {
         pkt.subflow = idx as u16;
         pkt.sent = ctx.now();
         ctx.send(pkt);
-        if let Some(delay) = s.rec.sent(seq, ctx.now(), MIN_RTO) {
+        if let Some(delay) = s.rec.sent(seq, ctx.now()) {
             ctx.timer_in(delay, RTO_TOKEN_BASE + idx as u8);
         }
     }
@@ -149,25 +150,22 @@ impl MptcpSender {
         let total_cwnd: u64 = self.subs.iter().map(|s| s.rec.cwnd).sum();
         let mss = self.mss;
         let s = &mut self.subs[idx];
-        match s.rec.on_ack(u64::from(pkt.ack), pkt.sent, ctx.now(), mss) {
+        match s.rec.on_ack(u64::from(pkt.ack), pkt.sent, ctx.now()) {
             Ack::Advanced(newly) => {
                 self.total_acked += newly;
                 let lia = |cwnd| lia_increment(alpha, newly, mss, total_cwnd, cwnd);
-                match s.rec.open(newly, mss, lia) {
-                    // Resend the hole only, without TCP's `send_available`,
-                    // until ROADMAP item 9 settles MPTCP's recovery.
-                    Some(hole) => self.send_segment(idx, hole, ctx),
-                    None => self.send_available(idx, ctx),
+                if let Some(hole) = s.rec.open(newly, lia) {
+                    self.send_segment(idx, hole, ctx);
                 }
                 self.check_done(ctx);
+                self.send_available(idx, ctx);
             }
             Ack::FastRetransmit(seq) => {
                 self.stats.fast_retransmits += 1;
                 self.send_segment(idx, seq, ctx);
             }
-            // No window inflation on dupacks during recovery, unlike TCP,
-            // until ROADMAP item 9 settles MPTCP's recovery.
-            Ack::Recovering | Ack::Ignored => {}
+            Ack::Recovering => self.send_available(idx, ctx),
+            Ack::Ignored => {}
         }
     }
 
@@ -203,12 +201,10 @@ impl Endpoint for MptcpSender {
         let Some(s) = self.subs.get_mut(idx) else {
             return;
         };
-        match s.rec.on_rto(MIN_RTO, self.mss, ctx.now()) {
-            // Resend `snd_una` alone, without TCP's go-back-N, until
-            // ROADMAP item 9 settles MPTCP's recovery.
-            Timeout::Resend(seq) => {
+        match s.rec.on_rto(ctx.now()) {
+            Timeout::Expired => {
                 self.stats.timeouts += 1;
-                self.send_segment(idx, seq, ctx);
+                self.send_available(idx, ctx);
             }
             Timeout::Rearm(left) => ctx.timer_in(left, token),
             Timeout::Idle => {}

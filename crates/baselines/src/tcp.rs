@@ -7,12 +7,15 @@
 //! runs a 10 ms MinRTO), and an optional three-way handshake before data
 //! (otherwise the connection is pre-established).
 //!
-//! An RTO expiry goes back N (RFC 5681 §3.1, RFC 6298 §5): `cwnd` falls
-//! to one MSS, `snd_nxt` returns to `snd_una`, and the sender slow-starts
-//! back through the window, so every hole of a lost burst is resent
-//! within round trips of the one expiry, not one backed-off RTO per hole.
-//! The retransmissions of segments the receiver already holds are not
-//! suppressed: no RFC 6582 `recover` guard follows an expiry.
+//! The loss recovery is one machine, `NewReno`, shared with every MPTCP
+//! subflow: it computes RFC 6298's RTO over its own floor, inflates `cwnd`
+//! on each duplicate ACK in recovery, and on an RTO expiry goes back N
+//! (RFC 5681 §3.1, RFC 6298 §5): `cwnd` falls to one MSS, `snd_nxt`
+//! returns to `snd_una`, and the sender slow-starts back through the
+//! window, so every hole of a lost burst is resent within round trips of
+//! the one expiry, not one backed-off RTO per hole. The retransmissions of
+//! segments the receiver already holds are not suppressed: no RFC 6582
+//! `recover` guard follows an expiry.
 //!
 //! DCTCP (Alizadeh et al. [4]) rides on the same machinery: data packets
 //! are ECT, switches mark CE above threshold, the receiver echoes marks
@@ -148,7 +151,7 @@ pub struct TcpSender {
 
 impl TcpSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: TcpCfg) -> TcpSender {
-        let rec = NewReno::new(INIT_CWND_PKTS * cfg.mss());
+        let rec = NewReno::new(INIT_CWND_PKTS, cfg.mss(), cfg.min_rto());
         TcpSender {
             flow,
             dst,
@@ -177,10 +180,6 @@ impl TcpSender {
         self.cfg.mss()
     }
 
-    fn rto(&self) -> Time {
-        self.rec.rfc6298_rto(self.cfg.min_rto())
-    }
-
     fn send_segment(&mut self, seq: u64, ctx: &mut EndpointCtx<'_, '_>) {
         let payload = (self.cfg.size_bytes - seq).min(self.mss());
         let mut pkt = Packet::data(
@@ -199,7 +198,7 @@ impl TcpSender {
             pkt.flags = pkt.flags.with(Flags::FIN);
         }
         ctx.send(pkt);
-        if let Some(delay) = self.rec.sent(seq, ctx.now(), self.rto()) {
+        if let Some(delay) = self.rec.sent(seq, ctx.now()) {
             ctx.timer_in(delay, RTO_TOKEN);
         }
     }
@@ -219,7 +218,7 @@ impl TcpSender {
         syn.flags = Flags::SYN;
         syn.path = self.cfg.path;
         ctx.send(syn);
-        if let Some(delay) = self.rec.arm(self.rto()) {
+        if let Some(delay) = self.rec.arm() {
             ctx.timer_in(delay, RTO_TOKEN);
         }
     }
@@ -259,8 +258,8 @@ impl TcpSender {
             self.send_available(ctx);
             return;
         }
-        let (ack, mss) = (u64::from(pkt.ack), self.mss());
-        match self.rec.on_ack(ack, pkt.sent, ctx.now(), mss) {
+        let mss = self.mss();
+        match self.rec.on_ack(u64::from(pkt.ack), pkt.sent, ctx.now()) {
             Ack::Advanced(newly) => {
                 let ece = pkt.flags.has(Flags::CE);
                 if self.cfg.dctcp {
@@ -277,7 +276,7 @@ impl TcpSender {
                     }
                 }
                 let reno = |cwnd: u64| (mss * mss / cwnd).max(1);
-                if let Some(hole) = self.rec.open(newly, mss, reno) {
+                if let Some(hole) = self.rec.open(newly, reno) {
                     // NewReno partial ACK: retransmit the next hole.
                     self.send_segment(hole, ctx);
                 }
@@ -293,11 +292,7 @@ impl TcpSender {
                 self.stats.fast_retransmits += 1;
                 self.send_segment(seq, ctx);
             }
-            Ack::Recovering => {
-                // Inflate during recovery to keep the pipe full.
-                self.rec.cwnd += mss;
-                self.send_available(ctx);
-            }
+            Ack::Recovering => self.send_available(ctx),
             Ack::Ignored => {}
         }
     }
@@ -328,10 +323,9 @@ impl Endpoint for TcpSender {
         if token != RTO_TOKEN {
             return;
         }
-        match self.rec.on_rto(self.rto(), self.mss(), ctx.now()) {
-            Timeout::Resend(_) => {
+        match self.rec.on_rto(ctx.now()) {
+            Timeout::Expired => {
                 self.stats.timeouts += 1;
-                self.rec.go_back_n();
                 self.send_available(ctx);
             }
             Timeout::Rearm(left) => ctx.timer_in(left, RTO_TOKEN),
@@ -356,9 +350,14 @@ impl Endpoint for TcpSender {
 
 /// NewReno loss recovery (RFC 5681/6582) for one byte stream: a TCP flow
 /// or one MPTCP subflow. It holds the window, the RTT estimate and the RTO
-/// timer's state; the sender frames packets, sets the timers this machine
-/// asks for, and brings its own increase law and ECN response.
+/// timer's state, and makes every recovery decision the family shares;
+/// the sender frames packets, sets the timers this machine asks for,
+/// resends what it names, and brings its own increase law and ECN
+/// response.
 pub(crate) struct NewReno {
+    mss: u64,
+    /// The floor of RFC 6298's RTO, and the RTO before the first sample.
+    min_rto: Time,
     pub(crate) snd_una: u64,
     pub(crate) snd_nxt: u64,
     pub(crate) cwnd: u64,
@@ -383,7 +382,7 @@ pub(crate) enum Ack {
     Advanced(u64),
     /// The third duplicate entered recovery: resend this `snd_una`.
     FastRetransmit(u64),
-    /// A further duplicate during recovery.
+    /// A further duplicate during recovery: `cwnd` grew by one MSS.
     Recovering,
     /// A stale ACK, or a duplicate before the third.
     Ignored,
@@ -397,17 +396,20 @@ pub(crate) enum Timeout {
     /// The oldest segment has not been out a full RTO: re-arm for this
     /// remainder.
     Rearm(Time),
-    /// Expired: the window is one MSS again; resend this `snd_una`, or
-    /// go back N from it ([`NewReno::go_back_n`]).
-    Resend(u64),
+    /// Expired: the window is one MSS again and `snd_nxt` is back at
+    /// `snd_una`, so sending what the window allows goes back N.
+    Expired,
 }
 
 impl NewReno {
-    pub(crate) fn new(cwnd: u64) -> NewReno {
+    /// A machine whose first window is `iw_pkts` segments of `mss` bytes.
+    pub(crate) fn new(iw_pkts: u64, mss: u64, min_rto: Time) -> NewReno {
         NewReno {
+            mss,
+            min_rto,
             snd_una: 0,
             snd_nxt: 0,
-            cwnd,
+            cwnd: iw_pkts * mss,
             ssthresh: u64::MAX / 2,
             dupacks: 0,
             in_recovery: false,
@@ -424,9 +426,10 @@ impl NewReno {
         self.snd_nxt - self.snd_una
     }
 
-    /// RFC 6298's `max(srtt + 4·rttvar, floor)`; the floor alone before
-    /// the first sample.
-    pub(crate) fn rfc6298_rto(&self, floor: Time) -> Time {
+    /// RFC 6298's `max(srtt + 4·rttvar, min_rto)`; `min_rto` alone
+    /// before the first sample.
+    fn rto(&self) -> Time {
+        let floor = self.min_rto;
         self.srtt
             .map_or(floor, |srtt| (srtt + self.rttvar * 4).max(floor))
     }
@@ -446,26 +449,26 @@ impl NewReno {
     }
 
     /// Arm the RTO unless it is armed: returns the delay to set the timer
-    /// for, `rto` times the backoff.
-    pub(crate) fn arm(&mut self, rto: Time) -> Option<Time> {
+    /// for, the RTO times the backoff.
+    pub(crate) fn arm(&mut self) -> Option<Time> {
         if self.rto_armed {
             return None;
         }
         self.rto_armed = true;
-        Some(rto * self.backoff as u64)
+        Some(self.rto() * self.backoff as u64)
     }
 
     /// The segment at `seq` just left; the oldest unacknowledged one
     /// anchors the RTO. Returns what [`NewReno::arm`] does.
-    pub(crate) fn sent(&mut self, seq: u64, now: Time, rto: Time) -> Option<Time> {
+    pub(crate) fn sent(&mut self, seq: u64, now: Time) -> Option<Time> {
         if seq == self.snd_una {
             self.una_time = now;
         }
-        self.arm(rto)
+        self.arm()
     }
 
     /// A cumulative ACK for `ack`, echoing a segment sent at `sent`.
-    pub(crate) fn on_ack(&mut self, ack: u64, sent: Time, now: Time, mss: u64) -> Ack {
+    pub(crate) fn on_ack(&mut self, ack: u64, sent: Time, now: Time) -> Ack {
         if ack > self.snd_una {
             let newly = ack - self.snd_una;
             self.snd_una = ack;
@@ -485,12 +488,15 @@ impl NewReno {
         }
         self.dupacks += 1;
         if self.dupacks == 3 && !self.in_recovery {
-            self.ssthresh = (self.flight() / 2).max(2 * mss);
-            self.cwnd = self.ssthresh + 3 * mss;
+            self.ssthresh = (self.flight() / 2).max(2 * self.mss);
+            self.cwnd = self.ssthresh + 3 * self.mss;
             self.in_recovery = true;
             self.recover = self.snd_nxt;
             Ack::FastRetransmit(self.snd_una)
         } else if self.in_recovery {
+            // Each duplicate is a segment that left the network: inflate
+            // to keep the pipe full.
+            self.cwnd += self.mss;
             Ack::Recovering
         } else {
             Ack::Ignored
@@ -500,12 +506,7 @@ impl NewReno {
     /// After [`Ack::Advanced`]: leave recovery once `recover` is acked,
     /// return the next hole on a partial ACK, or else grow the window by
     /// slow start or, above `ssthresh`, by `increase(cwnd)`.
-    pub(crate) fn open(
-        &mut self,
-        newly: u64,
-        mss: u64,
-        increase: impl FnOnce(u64) -> u64,
-    ) -> Option<u64> {
+    pub(crate) fn open(&mut self, newly: u64, increase: impl FnOnce(u64) -> u64) -> Option<u64> {
         if self.in_recovery {
             if self.snd_una < self.recover {
                 return Some(self.snd_una);
@@ -513,7 +514,7 @@ impl NewReno {
             self.in_recovery = false;
             self.cwnd = self.ssthresh;
         } else if self.cwnd < self.ssthresh {
-            self.cwnd += newly.min(mss);
+            self.cwnd += newly.min(self.mss);
         } else {
             self.cwnd += increase(self.cwnd);
         }
@@ -521,32 +522,27 @@ impl NewReno {
     }
 
     /// The RTO timer fired. It expires only once the oldest unacknowledged
-    /// segment has been out a full backed-off `rto`.
-    pub(crate) fn on_rto(&mut self, rto: Time, mss: u64, now: Time) -> Timeout {
+    /// segment has been out a full backed-off RTO. An expiry goes back N:
+    /// the one-MSS window then slow-starts from `snd_una` through every
+    /// segment that was in flight (RFC 5681 §3.1), so each hole is resent
+    /// within round trips of the one expiry, not at an expiry of its own.
+    pub(crate) fn on_rto(&mut self, now: Time) -> Timeout {
         self.rto_armed = false;
         if self.flight() == 0 {
             return Timeout::Idle;
         }
-        let deadline = self.una_time + rto * self.backoff as u64;
+        let deadline = self.una_time + self.rto() * self.backoff as u64;
         if now < deadline {
             self.rto_armed = true;
             return Timeout::Rearm(deadline - now);
         }
-        self.ssthresh = (self.flight() / 2).max(2 * mss);
-        self.cwnd = mss;
+        self.ssthresh = (self.flight() / 2).max(2 * self.mss);
+        self.cwnd = self.mss;
+        self.snd_nxt = self.snd_una;
         self.in_recovery = false;
         self.dupacks = 0;
         self.back_off();
-        Timeout::Resend(self.snd_una)
-    }
-
-    /// After an expiry ([`Timeout::Resend`]): send from `snd_una` again,
-    /// so the one-MSS window slow-starts back through every segment in
-    /// flight (RFC 5681 §3.1) and each hole is resent within round trips
-    /// of the one expiry, not at an expiry of its own. Only `TcpSender`
-    /// goes back N; MPTCP's subflows resend `snd_una` alone.
-    pub(crate) fn go_back_n(&mut self) {
-        self.snd_nxt = self.snd_una;
+        Timeout::Expired
     }
 
     /// Double the RTO backoff, up to 64×.
@@ -975,17 +971,17 @@ mod tests {
 
     /// A NewReno machine with `segs` MSS-sized segments sent at time 0.
     fn in_flight(segs: u64) -> NewReno {
-        let mut r = NewReno::new(10 * MSS);
+        let mut r = NewReno::new(10, MSS, RTO);
         for seq in (0..segs).map(|i| i * MSS) {
             r.snd_nxt += MSS;
-            r.sent(seq, Time::ZERO, RTO);
+            r.sent(seq, Time::ZERO);
         }
         r
     }
 
     /// A cumulative ACK at `now` that takes no RTT sample.
     fn ack(r: &mut NewReno, ack: u64) -> Ack {
-        r.on_ack(ack, Time::ZERO, Time::from_us(100), MSS)
+        r.on_ack(ack, Time::ZERO, Time::from_us(100))
     }
 
     #[test]
@@ -997,7 +993,9 @@ mod tests {
         assert_eq!(ack(&mut r, 2 * MSS), Ack::FastRetransmit(2 * MSS));
         // Half the 8 MSS in flight, plus the three segments that left.
         assert_eq!((r.ssthresh, r.cwnd), (4 * MSS, 7 * MSS));
+        // Each further duplicate inflates the window by one segment.
         assert_eq!(ack(&mut r, 2 * MSS), Ack::Recovering);
+        assert_eq!(r.cwnd, 8 * MSS);
         // Half of a 3 MSS flight is floored at 2 MSS.
         let mut r = in_flight(3);
         for _ in 0..2 {
@@ -1017,27 +1015,45 @@ mod tests {
         let no_increase = |_| unreachable!("no window growth in recovery");
         // A partial ACK names the next hole and stays in recovery.
         assert_eq!(ack(&mut r, 4 * MSS), Ack::Advanced(4 * MSS));
-        assert_eq!(r.open(4 * MSS, MSS, no_increase), Some(4 * MSS));
+        assert_eq!(r.open(4 * MSS, no_increase), Some(4 * MSS));
         assert_eq!(ack(&mut r, 4 * MSS), Ack::Recovering);
         // An ACK reaching `recover` (10 MSS) ends it at `ssthresh`.
         assert_eq!(ack(&mut r, 10 * MSS), Ack::Advanced(6 * MSS));
-        assert_eq!(r.open(6 * MSS, MSS, no_increase), None);
+        assert_eq!(r.open(6 * MSS, no_increase), None);
         assert_eq!(r.cwnd, 5 * MSS);
         // Out of recovery, above `ssthresh`, the caller's law grows it.
-        assert_eq!(r.open(MSS, MSS, |cwnd| cwnd / 5), None);
+        assert_eq!(r.open(MSS, |cwnd| cwnd / 5), None);
         assert_eq!(r.cwnd, 6 * MSS);
     }
 
     #[test]
     fn rto_before_its_deadline_rearms_for_the_remainder() {
         let mut r = in_flight(2);
-        assert_eq!(r.arm(RTO), None, "the first send armed it");
+        assert_eq!(r.arm(), None, "the first send armed it");
         // The first segment is acked at 4 ms: the anchor moves there.
-        r.on_ack(MSS, Time::ZERO, Time::from_ms(4), MSS);
-        let at_10 = r.on_rto(RTO, MSS, Time::from_ms(10));
+        r.on_ack(MSS, Time::ZERO, Time::from_ms(4));
+        let at_10 = r.on_rto(Time::from_ms(10));
         assert_eq!(at_10, Timeout::Rearm(Time::from_ms(4)));
-        assert_eq!(r.arm(RTO), None, "re-armed");
-        assert_eq!(r.on_rto(RTO, MSS, Time::from_ms(14)), Timeout::Resend(MSS));
+        assert_eq!(r.arm(), None, "re-armed");
+        assert_eq!(r.on_rto(Time::from_ms(14)), Timeout::Expired);
+        assert_eq!((r.snd_una, r.snd_nxt), (MSS, MSS), "back N to snd_una");
+    }
+
+    #[test]
+    fn rto_is_rfc6298s_over_the_floor() {
+        let mut r = in_flight(1);
+        // srtt 4 ms, rttvar 2 ms: 4 + 4·2 = 12 ms clears the 10 ms floor.
+        r.sample_rtt(Time::from_ms(4));
+        assert_eq!(
+            r.on_rto(Time::from_ms(11)),
+            Timeout::Rearm(Time::from_ms(1))
+        );
+        assert_eq!(r.on_rto(Time::from_ms(12)), Timeout::Expired);
+        // A 100 us path stays at the floor.
+        let mut r = in_flight(1);
+        r.sample_rtt(Time::from_us(100));
+        assert_eq!(r.arm(), None);
+        assert_eq!(r.on_rto(RTO), Timeout::Expired);
     }
 
     #[test]
@@ -1045,18 +1061,18 @@ mod tests {
         let mut r = in_flight(10);
         let mut now = RTO;
         let mut backoffs = vec![];
-        for _ in 0..8 {
-            assert_eq!(r.on_rto(RTO, MSS, now), Timeout::Resend(0));
-            assert_eq!((r.cwnd, r.ssthresh), (MSS, 5 * MSS));
-            let delay = r.sent(0, now, RTO).expect("disarmed by expiry");
+        for i in 0..8 {
+            assert_eq!(r.on_rto(now), Timeout::Expired);
+            // The first expiry halves the 10 MSS in flight; each later one
+            // finds only the one-MSS resend out, floored at 2 MSS.
+            let ssthresh = if i == 0 { 5 * MSS } else { 2 * MSS };
+            assert_eq!((r.cwnd, r.ssthresh, r.snd_nxt), (MSS, ssthresh, 0));
+            r.snd_nxt += MSS;
+            let delay = r.sent(0, now).expect("disarmed by expiry");
             backoffs.push(delay.as_ps() / RTO.as_ps());
             now += delay;
         }
         assert_eq!(backoffs, [2, 4, 8, 16, 32, 64, 64, 64]);
-        // Half of a 3 MSS flight is floored at 2 MSS.
-        let mut r = in_flight(3);
-        assert_eq!(r.on_rto(RTO, MSS, RTO), Timeout::Resend(0));
-        assert_eq!((r.cwnd, r.ssthresh), (MSS, 2 * MSS));
     }
 
     /// `TcpSender::send_available` for a `total`-byte flow of MSS-sized
@@ -1066,7 +1082,7 @@ mod tests {
         while r.snd_nxt < total && r.flight() < r.cwnd {
             let seq = r.snd_nxt;
             r.snd_nxt += MSS;
-            r.sent(seq, now, RTO);
+            r.sent(seq, now);
             sent.push(seq);
         }
         sent
@@ -1082,14 +1098,13 @@ mod tests {
         // few for fast retransmit, so only the RTO can repair them.
         for seq in (0..10).filter(|&i| i != 7 && i != 9).map(|i| i * MSS) {
             rx.absorb(seq, seq + MSS);
-            if let Ack::Advanced(newly) = r.on_ack(rx.rcv_nxt(), Time::ZERO, now, MSS) {
-                r.open(newly, MSS, |_| MSS);
+            if let Ack::Advanced(newly) = r.on_ack(rx.rcv_nxt(), Time::ZERO, now) {
+                r.open(newly, |_| MSS);
             }
         }
         assert_eq!((r.snd_una, r.snd_nxt), (7 * MSS, total));
         now += RTO;
-        assert_eq!(r.on_rto(RTO, MSS, now), Timeout::Resend(7 * MSS));
-        r.go_back_n();
+        assert_eq!(r.on_rto(now), Timeout::Expired);
         // One expiry, then round trips: each ACK clocks out the window.
         let mut round_trips = 0;
         let mut out = send_available(&mut r, total, now);
@@ -1098,8 +1113,8 @@ mod tests {
             now += Time::from_us(100);
             for seq in std::mem::take(&mut out) {
                 rx.absorb(seq, seq + MSS);
-                if let Ack::Advanced(newly) = r.on_ack(rx.rcv_nxt(), Time::ZERO, now, MSS) {
-                    r.open(newly, MSS, |_| MSS);
+                if let Ack::Advanced(newly) = r.on_ack(rx.rcv_nxt(), Time::ZERO, now) {
+                    r.open(newly, |_| MSS);
                     out.extend(send_available(&mut r, total, now));
                 }
             }
@@ -1108,7 +1123,7 @@ mod tests {
         // The resent 7 is acked through the held 8; the one-MSS window
         // then opens to two and sends 9. No second expiry is due.
         assert_eq!(round_trips, 2);
-        assert_eq!(r.on_rto(RTO, MSS, now + RTO * 64), Timeout::Idle);
+        assert_eq!(r.on_rto(now + RTO * 64), Timeout::Idle);
     }
 
     /// A fresh DCTCP sender whose first window of `segs` segments is out.
@@ -1122,7 +1137,7 @@ mod tests {
     fn a_fresh_dctcp_sender_halves_cwnd_on_its_first_mark() {
         let mut tx = dctcp_sender(10);
         let mss = tx.mss();
-        assert_eq!(tx.rec.on_ack(mss, Time::ZERO, RTO, mss), Ack::Advanced(mss));
+        assert_eq!(tx.rec.on_ack(mss, Time::ZERO, RTO), Ack::Advanced(mss));
         tx.dctcp_on_ack(mss, true);
         assert_eq!(tx.alpha(), 1.0);
         assert_eq!((tx.cwnd(), tx.rec.ssthresh), (5 * mss, 5 * mss));
@@ -1133,12 +1148,12 @@ mod tests {
         let mut tx = dctcp_sender(10);
         let mss = tx.mss();
         // The first ACK closes the (empty) window open at the start.
-        tx.rec.on_ack(mss, Time::ZERO, RTO, mss);
+        tx.rec.on_ack(mss, Time::ZERO, RTO);
         tx.dctcp_on_ack(mss, false);
         assert_eq!(tx.alpha(), 1.0 - DCTCP_G);
         // The rest of the 10-segment window, unmarked.
         for seq in 2..=10 {
-            tx.rec.on_ack(seq * mss, Time::ZERO, RTO, mss);
+            tx.rec.on_ack(seq * mss, Time::ZERO, RTO);
             tx.dctcp_on_ack(mss, false);
         }
         assert_eq!(tx.alpha(), (1.0 - DCTCP_G) * (1.0 - DCTCP_G));

@@ -13,6 +13,16 @@
 //! item 2). Since DCTCP's `alpha` starts at 1 and its RTO expiry goes
 //! back N, its median reads 0.429 ms (0.535 before) and its p99 1.180 ms
 //! (2.109); the ordering holds.
+//!
+//! Since MPTCP's subflows react to the shared NewReno machine exactly as
+//! TCP does, MPTCP's median reads 0.972 ms (0.659 before) and its max
+//! 10.121 ms (2.011). The background's subflows now inflate on duplicate
+//! ACKs and refill after a partial ACK, either of which alone raises the
+//! median (go-back-N alone leaves it at 0.659; ROADMAP 9(e)). A 90 KB
+//! probe is one or two segments per subflow, too few for three duplicate
+//! ACKs, so a lost probe segment waits out the 10 ms RTO floor: that is
+//! the max. DCTCP < MPTCP holds, by a wider margin, as the paper expects
+//! of a transport that fills the 200-packet buffers.
 
 use ndp_metrics::{Cdf, Table};
 use ndp_net::host::{start_token, Host};

@@ -11,8 +11,17 @@
 //! an ideal of 36.3 and NDP's 36.7, the paper's ~5 % (351.8 ms before, when
 //! each hole of a lost burst waited for an RTO of its own); at 32:1 and
 //! 64:1 it fell 192.3 → 16.2 and 331.8 → 24.6 ms. Its fastest flow rose
-//! 7.6 → 9.5 ms at 100:1. MPTCP, whose subflows still resend one hole per
-//! RTO (ROADMAP item 9), stays at 350.8 ms.
+//! 7.6 → 9.5 ms at 100:1.
+//!
+//! Since MPTCP's subflows react to the shared NewReno machine exactly as
+//! TCP does (an RTO expiry goes back N; duplicate ACKs in recovery inflate
+//! the window; a partial ACK resends its hole, then sends what the window
+//! allows), MPTCP's slowest flow at 100:1 reads 151.5 ms at quick scale
+//! (350.8 before, when each subflow resent one hole per backed-off RTO),
+//! and 3193.1 ms at 400:1 at paper scale (5150.7; ideal 145.0). It stays
+//! the crippled outlier the paper shows, at over 4× NDP. Go-back-N alone
+//! reads 73.9 ms at 100:1; the rest is the machine's recovery overshoot
+//! (unbounded inflation, no deflation on a partial ACK, ROADMAP 9(e)).
 
 use ndp_metrics::Table;
 use ndp_sim::{Speed, Time};

@@ -238,10 +238,15 @@ mod tests {
             // recovery tally is exercised, and a sender harvest that
             // silently returned defaults fails here. The last flow finishes
             // at (RTO expiries over all 30 flows): TCP 206.2 ms (18), DCTCP
-            // 13.0 ms (2), MPTCP 114.1 ms (399), NDP, pHost and DCQCN about
+            // 13.0 ms (2), MPTCP 17.9 ms (145), NDP, pHost and DCQCN about
             // 11 ms. The 1 s horizon fails a return to repairing one hole
-            // per backed-off RTO, which took TCP to 11.0 s (258) and DCTCP
-            // to 272.5 ms (137).
+            // per backed-off RTO, which took TCP to 11.0 s (258), DCTCP to
+            // 272.5 ms (137) and MPTCP to 114.1 ms (399).
+            //
+            // The progress law (ROADMAP 17(a), first input): the burst is
+            // one loss episode, so each byte stream repairs it with at most
+            // one RTO expiry. MPTCP's 8 subflows are 8 streams; every other
+            // transport's flow is one.
             const SIZE: u64 = 450_000;
             let flows: Vec<(u64, u32)> = (1..=30).map(|f| (f, ((f - 1) % 15) as u32)).collect();
             let hs = run_and_detach(proto, &flows, SIZE, Time::from_secs(1));
@@ -257,6 +262,14 @@ mod tests {
                         "{proto:?} must complete {flow}"
                     );
                 }
+            }
+            let streams = if proto == Proto::Mptcp { 8 } else { 1 };
+            for (&(flow, _), h) in flows.iter().zip(&hs) {
+                assert!(
+                    h.timeouts <= streams,
+                    "{proto:?} flow {flow}: {} RTO expiries for {streams} byte streams",
+                    h.timeouts
+                );
             }
             let retransmissions: u64 = hs.iter().map(|h| h.retransmissions).sum();
             let trimmed: u64 = hs.iter().map(|h| h.trimmed_headers).sum();

@@ -112,10 +112,9 @@ fn dcqcn_permutation(kind: SchedulerKind) -> (u64, u64) {
 /// A 15:1 incast on a k=4 FatTree of 200-packet drop-tail queues (which
 /// CE-mark ECT packets above 30): every third sender is a 2.4 MB MPTCP
 /// flow, the rest alternate 300 KB three-way-handshake TCP and DCTCP.
-/// MPTCP's subflows still repair one hole per backed-off RTO (ROADMAP
-/// item 9), so 3 s of simulated time covers backed-off expiries too. Returns
-/// the trace and, per family (`[MPTCP, TCP + DCTCP]`), the summed sender
-/// harvests' `(fast retransmits, timeouts)`.
+/// 3 s of simulated time covers TCP's 200 ms RTO floor with backoff.
+/// Returns the trace and, per family (`[MPTCP, TCP + DCTCP]`), the summed
+/// sender harvests' `(fast retransmits, timeouts)`.
 fn tcp_family_incast(kind: SchedulerKind) -> ((u64, u64), [(u64, u64); 2]) {
     let mut w: World<Packet> = World::with_scheduler(13, kind);
     w.enable_trace();

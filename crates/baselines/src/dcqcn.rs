@@ -188,6 +188,11 @@ impl DcqcnSender {
 
 impl Endpoint for DcqcnSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        debug_assert!(
+            self.stats.start_time.is_none(),
+            "flow {} started twice",
+            self.flow
+        );
         self.stats.start_time = Some(ctx.now());
         if self.cfg.path == 0 {
             self.cfg.path = ctx.rng().gen();

@@ -180,6 +180,11 @@ impl MptcpSender {
 
 impl Endpoint for MptcpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        debug_assert!(
+            self.stats.start_time.is_none(),
+            "flow {} started twice",
+            self.flow
+        );
         self.stats.start_time = Some(ctx.now());
         // Independent random path per subflow (per-flow ECMP hashing).
         for s in &mut self.subs {

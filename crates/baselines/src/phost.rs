@@ -121,6 +121,11 @@ impl PHostSender {
 
 impl Endpoint for PHostSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        debug_assert!(
+            self.stats.start_time.is_none(),
+            "flow {} started twice",
+            self.flow
+        );
         self.stats.start_time = Some(ctx.now());
         let burst = IW_PKTS.min(self.total_pkts);
         for _ in 0..burst {

@@ -300,6 +300,11 @@ impl TcpSender {
 
 impl Endpoint for TcpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        debug_assert!(
+            self.stats.start_time.is_none(),
+            "flow {} started twice",
+            self.flow
+        );
         self.stats.start_time = Some(ctx.now());
         match self.cfg.handshake {
             Handshake::ThreeWay => {

@@ -471,13 +471,11 @@ impl NdpSender {
 
 impl Endpoint for NdpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        // Idempotent: trigger chains can deliver duplicate start wakes
-        // (both ends of the predecessor flow report its completion). The
-        // initial window is already out; restarting would push `next_new`
-        // past `total_pkts` and send phantom sequences.
-        if self.stats.start_time.is_some() {
-            return;
-        }
+        debug_assert!(
+            self.stats.start_time.is_none(),
+            "flow {} started twice",
+            self.flow
+        );
         self.stats.start_time = Some(ctx.now());
         let burst = self.cfg.iw_pkts.min(self.total_pkts);
         self.iw_sent = burst;

@@ -1,5 +1,6 @@
 //! The lifecycle driver and the driven-point runner every open-loop,
-//! failure-matrix and RPC point runs on.
+//! failure-matrix and RPC point, and fig15's and fig23's flow chains, run
+//! on.
 //!
 //! ```text
 //! ArrivalProcess ──► source ──► driver ──► batch sink
@@ -7,7 +8,8 @@
 //!
 //! A [`RequestSource`] yields time-sorted request trees: an
 //! [`RpcWorkload`]'s fan-out/fan-in trees, or — through [`Flows`] — an
-//! open-loop flow stream, each flow a fan-out-1 request with no response.
+//! open-loop flow stream, or — through [`Chains`] — closed-loop flow
+//! chains, each flow a fan-out-1 request with no response.
 //! [`RpcDriver`] walks the source *inside* simulated time on one self-wake
 //! chain: at a request's arrival instant it attaches every shard leg
 //! through the engine's deferred-op queue (a flow costs nothing before it
@@ -24,8 +26,9 @@
 //! the caller's batch sink.
 //! A run has three phases — `warmup` (arrivals happen unmeasured while
 //! queues reach steady state), measurement up to `arrivals_end`, and a
-//! `drain` that is a cap, not a horizon: the run ends as soon as the
-//! live-flow gauge hits zero.
+//! `drain` that is a cap, not a horizon: from `arrivals_end` on, the run
+//! ends as soon as the driver is idle, with no flow live and nothing left
+//! to spawn.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -104,18 +107,68 @@ impl<I: Iterator<Item = FlowEvent>> Flows<I> {
 impl<I: Iterator<Item = FlowEvent> + Send> RequestSource for Flows<I> {
     fn next_open(&mut self) -> Option<RpcRequest> {
         let (seq, ev) = self.0.next()?;
-        Some(RpcRequest {
-            start_ps: ev.start_ps,
-            tenant: 0,
-            seq: seq as u64,
-            client: ev.src,
-            legs: vec![FlowLeg {
-                src: ev.src,
-                dst: ev.dst,
-                bytes: ev.bytes,
-            }],
-            response: None,
-        })
+        let leg = FlowLeg {
+            src: ev.src,
+            dst: ev.dst,
+            bytes: ev.bytes,
+        };
+        Some(one_flow(ev.start_ps, 0, seq, leg))
+    }
+}
+
+/// A single-leg request with no response.
+fn one_flow(start_ps: u64, tenant: u32, seq: usize, leg: FlowLeg) -> RpcRequest {
+    RpcRequest {
+        start_ps,
+        tenant,
+        seq: seq as u64,
+        client: leg.src,
+        legs: vec![leg],
+        response: None,
+    }
+}
+
+/// Closed-loop flow chains as a request source: every flow is a
+/// single-leg request whose tenant is its chain's index. A chain's first
+/// leg starts at the chain's first start, and every later leg its gap
+/// after the previous leg completes (the first leg's gap is unused).
+pub struct Chains(Vec<(Time, Legs)>);
+
+/// A chain's legs not yet started, numbered, each with its gap.
+type Legs = std::iter::Enumerate<std::vec::IntoIter<(FlowLeg, Time)>>;
+
+impl Chains {
+    /// Chains as `(first start, [(leg, gap)])`.
+    pub fn new(chains: Vec<(Time, Vec<(FlowLeg, Time)>)>) -> Chains {
+        let chains = chains.into_iter();
+        Chains(
+            chains
+                .map(|(first, legs)| (first, legs.into_iter().enumerate()))
+                .collect(),
+        )
+    }
+
+    /// Chain `tenant`'s next leg, started `gap` after `from_ps` (the first
+    /// leg at the chain's first start).
+    fn next_leg(&mut self, tenant: u32, from_ps: Option<u64>) -> Option<RpcRequest> {
+        let (first, legs) = &mut self.0[tenant as usize];
+        let (seq, (leg, gap)) = legs.next()?;
+        let start_ps = from_ps.map_or(first.as_ps(), |t| t + gap.as_ps());
+        Some(one_flow(start_ps, tenant, seq, leg))
+    }
+}
+
+impl RequestSource for Chains {
+    fn next_open(&mut self) -> Option<RpcRequest> {
+        None
+    }
+    fn initial_closed_loop(&mut self) -> Vec<RpcRequest> {
+        (0..self.0.len() as u32)
+            .filter_map(|c| self.next_leg(c, None))
+            .collect()
+    }
+    fn on_complete(&mut self, tenant: u32, done_ps: u64) -> Option<RpcRequest> {
+        self.next_leg(tenant, Some(done_ps))
     }
 }
 
@@ -225,6 +278,10 @@ pub struct RpcDriver {
     pending_open: Option<RpcRequest>,
     /// Closed-loop follow-ups not yet due, in the source's merge order.
     pending_closed: BinaryHeap<Reverse<RpcRequest>>,
+    /// The earliest outstanding spawn wake (`Time::MAX` for none): a
+    /// wake is posted only for an instant before it, so one closed-loop
+    /// completion adds at most one wake.
+    armed: Time,
     next_flow: FlowId,
     next_req: u64,
     warmup: Time,
@@ -272,6 +329,7 @@ impl RpcDriver {
             .chain(pending_closed.peek().map(|Reverse(r)| r))
             .map(|r| r.start_ps)
             .min();
+        let armed = first.map_or(Time::MAX, Time::from_ps);
         let hosts: Vec<_> = (0..topo.n_hosts())
             .map(|h| topo.host(h as HostId))
             .collect();
@@ -282,6 +340,7 @@ impl RpcDriver {
             source,
             pending_open,
             pending_closed,
+            armed,
             next_flow: 1,
             next_req: 0,
             warmup,
@@ -303,15 +362,15 @@ impl RpcDriver {
         for host in hosts {
             world.get_mut::<Host>(host).set_watcher(id);
         }
-        if let Some(at) = first {
-            world.post_wake(Time::from_ps(at), id, SPAWN_TICK);
+        if armed != Time::MAX {
+            world.post_wake(armed, id, SPAWN_TICK);
         }
         id
     }
 
-    /// Flows currently in flight (across all live requests).
-    pub fn live_flows(&self) -> usize {
-        self.flows.len()
+    /// No flow is in flight and nothing is left to spawn.
+    pub fn idle(&self) -> bool {
+        self.flows.is_empty() && self.pending_open.is_none() && self.pending_closed.is_empty()
     }
 
     /// Replace the protocol's attach (the Figure 8 handshake variants).
@@ -341,6 +400,15 @@ impl RpcDriver {
     fn publish_live(&self) {
         if let Some(g) = &self.live_gauge {
             g.store(self.flows.len() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Post a spawn wake at `at` unless one is already outstanding at or
+    /// before it.
+    fn arm(&mut self, at: Time, ctx: &mut Ctx<'_, Packet>) {
+        if at < self.armed {
+            self.armed = at;
+            ctx.wake_at(at, SPAWN_TICK);
         }
     }
 
@@ -502,7 +570,7 @@ impl RpcDriver {
         if let Some(next) = self.source.on_complete(lr.tenant, now.as_ps()) {
             let at = Time::from_ps(next.start_ps);
             self.pending_closed.push(Reverse(next));
-            ctx.wake_at(at, SPAWN_TICK);
+            self.arm(at, ctx);
         }
     }
 }
@@ -510,16 +578,23 @@ impl RpcDriver {
 impl Component<Packet> for RpcDriver {
     fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
         match ev {
-            Event::Wake(SPAWN_TICK) => loop {
-                match self.pop_due(ctx.now()) {
-                    Ok(Some(req)) => self.spawn(req, ctx),
-                    Ok(None) => break,
-                    Err(at) => {
-                        ctx.wake_at(at, SPAWN_TICK);
-                        break;
+            Event::Wake(SPAWN_TICK) => {
+                // The armed wake disarms; a stale one (an earlier wake
+                // took over) spawns what is due and posts nothing.
+                if ctx.now() >= self.armed {
+                    self.armed = Time::MAX;
+                }
+                loop {
+                    match self.pop_due(ctx.now()) {
+                        Ok(Some(req)) => self.spawn(req, ctx),
+                        Ok(None) => break,
+                        Err(at) => {
+                            self.arm(at, ctx);
+                            break;
+                        }
                     }
                 }
-            },
+            }
             Event::Wake(flow) => self.finish(flow, ctx),
             Event::Msg(_) => {}
         }
@@ -542,7 +617,9 @@ pub(crate) struct DrivenSpec<'a> {
     /// the determinism tests to A/B the two scheduler implementations.
     pub sched: Option<SchedulerKind>,
     pub warmup: Time,
-    /// Arrivals stop here; measurement runs `warmup..arrivals_end`.
+    /// Arrivals stop here; measurement runs `warmup..arrivals_end`. The
+    /// run ends at the first chunk boundary from here on where the driver
+    /// is idle (a chain source sets `Time::ZERO`: it has no open-loop end).
     pub arrivals_end: Time,
     /// Cap on the tail after `arrivals_end`.
     pub drain: Time,
@@ -666,7 +743,7 @@ pub(crate) fn run_driven(
             .iter()
             .filter(|c| c.measured)
             .for_each(&mut on_measured);
-        if world.now() >= spec.arrivals_end && world.get::<RpcDriver>(drv).live_flows() == 0 {
+        if world.now() >= spec.arrivals_end && world.get::<RpcDriver>(drv).idle() {
             done = true;
         }
         // Scheduler buckets never shrink mid-run (capacity reuse keeps
@@ -746,4 +823,61 @@ pub(crate) fn run_driven(
         });
     }
     (out, world)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::Scale;
+
+    /// Two chains on a 16-host fabric: every leg starts its gap after its
+    /// predecessor completes, a gap longer than the 1 ms chunk does not
+    /// end the run between legs, and the run ends once the driver is idle,
+    /// long before the drain cap.
+    #[test]
+    fn chains_start_each_leg_its_gap_after_the_last_and_stop_when_idle() {
+        let leg = |src, dst| FlowLeg {
+            src,
+            dst,
+            bytes: 20_000,
+        };
+        let gaps = [Time::ZERO, Time::from_us(100), Time::from_ms(3)];
+        let chain = |first, src, dst| (first, gaps.iter().map(|&g| (leg(src, dst), g)).collect());
+        let chains = vec![
+            chain(Time::from_us(10), 0, 15),
+            chain(Time::from_us(20), 5, 9),
+        ];
+        let firsts: Vec<Time> = chains.iter().map(|c| c.0).collect();
+        let topo = crate::topo::registered("fattree").spec(Scale::Quick);
+        let spec = DrivenSpec {
+            proto: Proto::Ndp,
+            topo: &topo,
+            seed: 1,
+            sched: None,
+            warmup: Time::ZERO,
+            arrivals_end: Time::ZERO,
+            drain: Time::from_secs(1),
+            chunk_of: Time::ZERO,
+            request_trees: false,
+            cell: "",
+        };
+        let mut done = Vec::new();
+        let (d, world) = run_driven(
+            &spec,
+            |_, _, _| (Box::new(Chains::new(chains)), Instruments::default()),
+            |c| done.push(*c),
+        );
+        assert_eq!(done.len(), 6, "every leg completes");
+        assert!(d.stuck.is_empty());
+        assert!(d.peak_live_flows <= 2, "peak {}", d.peak_live_flows);
+        assert!(world.now() < Time::from_ms(10), "ran to {:?}", world.now());
+        done.sort_by_key(|c| (c.tenant, c.seq));
+        for (legs, &first) in done.chunks(gaps.len()).zip(&firsts) {
+            assert_eq!(legs[0].start, first, "chain {}", legs[0].tenant);
+            for (w, &gap) in legs.windows(2).zip(&gaps[1..]) {
+                let msg = format!("chain {} leg {}", w[1].tenant, w[1].seq);
+                assert_eq!(w[1].start, w[0].start + w[0].latency + gap, "{msg}");
+            }
+        }
+    }
 }

@@ -15,110 +15,106 @@
 //! (2.109); the ordering holds.
 //!
 //! Since MPTCP's subflows react to the shared NewReno machine exactly as
-//! TCP does, MPTCP's median reads 0.972 ms (0.659 before) and its max
-//! 10.121 ms (2.011). The background's subflows now inflate on duplicate
-//! ACKs and refill after a partial ACK, either of which alone raises the
-//! median (go-back-N alone leaves it at 0.659; ROADMAP 9(e)). A 90 KB
-//! probe is one or two segments per subflow, too few for three duplicate
-//! ACKs, so a lost probe segment waits out the 10 ms RTO floor: that is
-//! the max. DCTCP < MPTCP holds, by a wider margin, as the paper expects
-//! of a transport that fills the 200-packet buffers.
+//! TCP does, MPTCP's median read 0.972 ms (0.659 before). The
+//! background's subflows inflate on duplicate ACKs and refill after a
+//! partial ACK, either of which alone raises the median (go-back-N alone
+//! leaves it at 0.659; ROADMAP 9(e)).
+//!
+//! The probe chain runs on the lifecycle driver (`driver::Chains`): each
+//! probe attaches at its start and detaches at its completion, and starts
+//! once. Before, every probe was attached at t=0 and started by both ends'
+//! completion wakes of its predecessor, so 14 of 15 MPTCP probes re-rolled
+//! all eight subflow paths mid-transfer. Medians now read NDP 0.149 ms
+//! (0.155), DCTCP 0.429 ms (unchanged) and MPTCP 1.068 ms (0.972), MPTCP's
+//! p90 1.790 ms (1.997) and its max 12.675 ms (10.121). A 90 KB probe is
+//! one or two segments per subflow, too few for three duplicate ACKs, so
+//! a lost probe segment waits out the 10 ms RTO floor: that is the max.
+//! NDP ≪ DCTCP < MPTCP holds, as the paper expects of a transport that
+//! fills the 200-packet buffers, and NDP's worst probe stays under 1 ms.
+//! At paper scale (60 probes) MPTCP's median reads 1.400 ms (1.333) and
+//! its p90 2.252 ms (10.307): fewer probes wait out the RTO floor.
 
 use ndp_metrics::{Cdf, Table};
-use ndp_net::host::{start_token, Host};
-use ndp_net::packet::{HostId, Packet};
-use ndp_sim::{ComponentId, Time, World};
-use ndp_topology::{FatTree, FatTreeCfg, Topology};
+use ndp_net::packet::HostId;
+use ndp_sim::Time;
+use ndp_topology::FatTreeCfg;
+use ndp_workloads::FlowLeg;
 
-use crate::harness::{attach_on, completion_time, FlowSpec, Proto, Scale, Trigger, LONG_FLOW};
+use crate::driver::{run_driven, Chains, DrivenSpec, Instruments};
+use crate::harness::{attach_on, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::topo::TopoSpec;
 
 pub struct Report {
     pub cdfs: Vec<(Proto, Cdf)>,
 }
 
 fn probe_fcts(proto: Proto, scale: Scale, seed: u64) -> Cdf {
-    let cfg = FatTreeCfg::new(scale.big_k()).with_fabric(proto.fabric());
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n = ft.n_hosts();
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    // Background: every host except the two probes sources 4 long flows.
-    let probe_a = 0usize;
-    let probe_b = n / 2; // different pod
-    let mut flow_id = 1_000u64;
-    let bg_per_host = match scale {
-        Scale::Paper => 4,
-        Scale::Quick => 2,
-    };
-    for src in 0..n {
-        if src == probe_a || src == probe_b {
-            continue;
-        }
-        for _ in 0..bg_per_host {
-            let dst = ndp_workloads::uniform_where(n, &mut rng, |d| {
-                d != src && d != probe_a && d != probe_b
-            });
-            let spec = FlowSpec::new(flow_id, src as HostId, dst as HostId, LONG_FLOW);
-            flow_id += 1;
-            attach_on(&mut world, &ft, proto, &spec);
-        }
-    }
-    // Probes: a chain of 90KB transfers A->B, each started when the
-    // previous completes (plus a small gap).
+    // Probes: one chain of 90KB transfers A->B, the first at 1 ms and
+    // each later one 100 us after the previous completes. The run ends
+    // once the last probe has landed (or at the cap).
     let n_probes = match scale {
         Scale::Paper => 60,
         Scale::Quick => 15,
     };
-    // Only the probe hosts are watched: background flows that finish
-    // inside the horizon must not wake the trigger.
-    let trig: ComponentId = world.reserve();
-    for probe in [probe_a, probe_b] {
-        world.get_mut::<Host>(ft.hosts[probe]).set_watcher(trig);
-    }
-    let mut trigger = Trigger::new();
-    for i in 0..n_probes {
-        let flow = i as u64 + 1;
-        let mut spec = FlowSpec::new(flow, probe_a as HostId, probe_b as HostId, 90_000);
-        spec.start = if i == 0 { Time::from_ms(1) } else { Time::MAX };
-        attach_on(&mut world, &ft, proto, &spec);
-        if i + 1 < n_probes {
-            trigger.on(
-                flow,
-                Time::from_us(100),
-                vec![(ft.hosts[probe_a], start_token(flow + 1))],
-            );
-        }
-    }
-    world.install(trig, trigger);
-    // Step 1 ms at a time and stop once the last probe has landed: the
-    // report reads nothing after that instant, so the result equals a run
-    // to the cap.
     let cap = match scale {
         Scale::Paper => Time::from_secs(5),
         Scale::Quick => Time::from_secs(2),
     };
-    let last_probe = n_probes as u64;
-    let mut until = Time::ZERO;
-    while until < cap && completion_time(&world, ft.hosts[probe_b], last_probe, proto).is_none() {
-        until = (until + Time::from_ms(1)).min(cap);
-        world.run_until(until);
-    }
-    // FCT = completion - start; starts are in the trigger log (previous
-    // completion + gap), the first at 1 ms.
-    let trig_ref = world.get::<Trigger>(trig);
+    let topo = TopoSpec::fattree(FatTreeCfg::new(scale.big_k()));
+    let spec = DrivenSpec {
+        proto,
+        topo: &topo,
+        seed,
+        sched: None,
+        warmup: Time::ZERO,
+        // No open-loop window: the run may end as soon as the chain is done.
+        arrivals_end: Time::ZERO,
+        drain: cap,
+        // 1 ms chunks: the run stops within 1 ms of the last probe.
+        chunk_of: Time::ZERO,
+        request_trees: false,
+        cell: "",
+    };
     let mut samples = Vec::new();
-    let mut start = Time::from_ms(1);
-    for i in 0..n_probes {
-        let flow = i as u64 + 1;
-        let Some(done) = completion_time(&world, ft.hosts[probe_b], flow, proto) else {
-            break;
-        };
-        samples.push((done - start).as_ms());
-        match trig_ref.fired_at(flow) {
-            Some(t) => start = t + Time::from_us(100),
-            None => break,
-        }
-    }
+    run_driven(
+        &spec,
+        |world, ft, _| {
+            let n = ft.n_hosts();
+            let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
+            // Background: every host except the two probes sources long
+            // flows, numbered from 1000 so they never share an id with a
+            // probe (the driver numbers those from 1).
+            let probe_a = 0usize;
+            let probe_b = n / 2; // different pod
+            let mut flow_id = 1_000u64;
+            let bg_per_host = match scale {
+                Scale::Paper => 4,
+                Scale::Quick => 2,
+            };
+            for src in 0..n {
+                if src == probe_a || src == probe_b {
+                    continue;
+                }
+                for _ in 0..bg_per_host {
+                    let dst = ndp_workloads::uniform_where(n, &mut rng, |d| {
+                        d != src && d != probe_a && d != probe_b
+                    });
+                    let spec = FlowSpec::new(flow_id, src as HostId, dst as HostId, LONG_FLOW);
+                    flow_id += 1;
+                    attach_on(world, ft.as_ref(), proto, &spec);
+                }
+            }
+            let probe = FlowLeg {
+                src: probe_a as HostId,
+                dst: probe_b as HostId,
+                bytes: 90_000,
+            };
+            let chain = vec![(probe, Time::from_us(100)); n_probes];
+            let source = Chains::new(vec![(Time::from_ms(1), chain)]);
+            (Box::new(source), Instruments::default())
+        },
+        |c| samples.push(c.latency.as_ms()),
+    );
     Cdf::from_samples(samples)
 }
 

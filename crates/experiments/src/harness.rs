@@ -1,17 +1,13 @@
-//! Shared experiment machinery: scale knobs, traffic-matrix runners and
-//! the completion-driven trigger component.
+//! Shared experiment machinery: scale knobs and traffic-matrix runners.
 //!
 //! Protocol dispatch lives in the [`crate::transport`] registry and
 //! fabric shapes in the [`crate::topo`] registry — this module drives
 //! `&dyn Transport` objects over `&dyn Topology` fabrics and contains no
 //! per-protocol or per-topology code at all.
 
-use std::any::Any;
-use std::collections::HashMap;
-
 use ndp_net::packet::{FlowId, Packet};
 use ndp_net::Host;
-use ndp_sim::{Component, ComponentId, Ctx, Event, Speed, Time, World};
+use ndp_sim::{ComponentId, Speed, Time, World};
 use ndp_topology::Topology;
 
 use crate::topo::TopoSpec;
@@ -113,52 +109,6 @@ pub fn completion_time(
     _proto: Proto,
 ) -> Option<Time> {
     world.get::<Host>(host).harvest(flow).completion_time
-}
-
-/// A completion-driven sequencer: when woken with a registered token it
-/// fires follow-up wakes (e.g. starting the next flow of a closed loop)
-/// and records when each token fired.
-#[derive(Default)]
-pub struct Trigger {
-    actions: HashMap<u64, (Time, Vec<(ComponentId, u64)>)>,
-    pub fired: Vec<(u64, Time)>,
-}
-
-impl Trigger {
-    pub fn new() -> Trigger {
-        Trigger::default()
-    }
-
-    /// When `token` fires, wake each `(component, wake_token)` after `delay`.
-    pub fn on(&mut self, token: u64, delay: Time, targets: Vec<(ComponentId, u64)>) {
-        self.actions.insert(token, (delay, targets));
-    }
-
-    pub fn fired_at(&self, token: u64) -> Option<Time> {
-        self.fired
-            .iter()
-            .find(|(t, _)| *t == token)
-            .map(|(_, at)| *at)
-    }
-}
-
-impl Component<Packet> for Trigger {
-    fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
-        if let Event::Wake(tok) = ev {
-            self.fired.push((tok, ctx.now()));
-            if let Some((delay, targets)) = self.actions.get(&tok) {
-                for &(comp, wtok) in targets {
-                    ctx.wake_other(comp, *delay, wtok);
-                }
-            }
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Result of a permutation-traffic-matrix run.
@@ -390,19 +340,5 @@ mod tests {
         assert_eq!(Scale::parse("QUICK"), Some(Scale::Quick));
         assert_eq!(Scale::parse("papre"), None);
         assert_eq!(Scale::Paper.name(), "paper");
-    }
-
-    #[test]
-    fn trigger_chains_wakes() {
-        let mut w: World<Packet> = World::new(1);
-        let trig = w.reserve();
-        let mut t = Trigger::new();
-        t.on(1, Time::from_us(5), vec![(trig, 2)]);
-        w.install(trig, t);
-        w.post_wake(Time::from_us(1), trig, 1);
-        w.run_until_idle();
-        let t = w.get::<Trigger>(trig);
-        assert_eq!(t.fired_at(1), Some(Time::from_us(1)));
-        assert_eq!(t.fired_at(2), Some(Time::from_us(6)));
     }
 }

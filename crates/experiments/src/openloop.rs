@@ -546,7 +546,7 @@ mod tests {
         w.run_until(Time::from_ms(20));
         let s = w.get::<RpcDriver>(sp);
         assert_eq!(s.started, 1);
-        assert_eq!(s.live_flows(), 0, "completed flow must leave the live set");
+        assert!(s.idle(), "completed flow must leave the live set");
         assert_eq!(s.peak_live_flows, 1);
         assert_eq!(s.completed.len(), 1);
         let fct_over_ideal = s.completed[0].slowdown;

@@ -120,9 +120,31 @@ mod tests {
         assert_eq!(keys[0], Proto::Ndp);
     }
 
+    /// A host watcher that records each token's first wake.
+    #[derive(Default)]
+    struct FirstWakes(std::collections::HashMap<u64, ndp_sim::Time>);
+
+    impl ndp_sim::Component<ndp_net::Packet> for FirstWakes {
+        fn handle(
+            &mut self,
+            ev: ndp_sim::Event<ndp_net::Packet>,
+            ctx: &mut ndp_sim::Ctx<'_, ndp_net::Packet>,
+        ) {
+            if let ndp_sim::Event::Wake(token) = ev {
+                self.0.entry(token).or_insert(ctx.now());
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     /// Attach one `size`-byte flow per `(flow, src)` to host 15 of a k=4
     /// FatTree on `proto`'s fabric through the registry adapter, with one
-    /// `Trigger` watching every host, run to `horizon`, then retire every
+    /// [`FirstWakes`] watching every host, run to `horizon`, then retire every
     /// flow. Checks each detach result equals `rx.harvest().merge(tx.harvest())`
     /// read just before it, that the watcher first fired for the flow at its
     /// `completion_time` (and, for blast, never), that a second detach is an
@@ -134,7 +156,6 @@ mod tests {
         size: u64,
         horizon: ndp_sim::Time,
     ) -> Vec<FlowHarvest> {
-        use crate::harness::Trigger;
         use ndp_net::{Host, Packet};
         use ndp_sim::World;
         use ndp_topology::{FatTree, FatTreeCfg};
@@ -142,7 +163,7 @@ mod tests {
         let cfg = FatTreeCfg::new(4).with_fabric(proto.fabric());
         let mut w: World<Packet> = World::new(7);
         let ft = FatTree::build(&mut w, cfg);
-        let watcher = w.add(Trigger::new());
+        let watcher = w.add(FirstWakes::default());
         for host in &ft.hosts {
             w.get_mut::<Host>(*host).set_watcher(watcher);
         }
@@ -158,7 +179,7 @@ mod tests {
             let halves = halves.merge(w.get::<Host>(src).harvest(flow));
             let h = detach_endpoints(&mut w, src, dst, flow);
             assert_eq!(h, halves, "{proto:?} flow {flow}: detach = rx + tx");
-            let fired = w.get::<Trigger>(watcher).fired_at(flow);
+            let fired = w.get::<FirstWakes>(watcher).0.get(&flow).copied();
             let msg = format!("{proto:?} flow {flow}: first watcher wake");
             assert_eq!(fired, h.completion_time, "{msg}");
             assert_eq!(fired.is_some(), proto != Proto::Blast, "{msg}");

@@ -720,8 +720,8 @@ impl<M> Ctx<'_, M> {
         self.queue.post(self.now, at, self.self_id, None, token);
     }
 
-    /// Wake a *different* component (used by harness-level triggers, e.g. an
-    /// application starting a flow on another host).
+    /// Wake a *different* component (a host waking its watcher when one of
+    /// its flows completes).
     pub fn wake_other(&mut self, to: ComponentId, delay: Time, token: u64) {
         self.queue.post(self.now, self.now + delay, to, None, token);
     }
@@ -1262,8 +1262,9 @@ mod tests {
 
     #[test]
     fn events_near_time_max_are_dispatched() {
-        // The in-tree "start later via trigger" pattern posts at Time::MAX;
-        // an empty lane table (front cache at u64::MAX) must not shadow it.
+        // A wake posted at Time::MAX (a "never" sentinel) must still be
+        // dispatched: an empty lane table (front cache at u64::MAX) must
+        // not shadow it.
         for kind in both_kinds() {
             let mut w: World<u32> = World::with_scheduler(1, kind);
             let id = w.add(counter());

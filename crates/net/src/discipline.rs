@@ -2,8 +2,9 @@
 //! next — the part of the switch the paper's comparisons actually vary.
 //!
 //! A [`Discipline`] owns its buffers and three decisions: *admit* an
-//! arrival (queue it, trim it, mark it, or hand a packet back as refused),
-//! *pop* the next packet to serialize, and report *occupancy*. Everything
+//! arrival (queue it, trim it, mark it, hand a packet back as refused, or
+//! at an idle, empty port hand it back to be served at once), *pop* the
+//! next packet to serialize, and report *occupancy*. Everything
 //! else about a port — the TX clock, pause state and the PFC pause frames,
 //! down/flush, return-to-sender, the wire — is the link's
 //! ([`crate::queue::Queue`]), which also owns the counters: a discipline
@@ -55,8 +56,17 @@ pub struct Fifo {
     pfc: Option<(u64, u64)>,
 }
 
+/// What [`Discipline::admit`] did with an arrival.
+pub(crate) enum Admit {
+    Queued,
+    /// The port is idle and empty: serve it now, as a push and pop would.
+    Serve(Packet),
+    /// The arrival, or the header of the victim it displaced.
+    Refused(Packet),
+}
+
 impl Fifo {
-    fn admit(&mut self, mut pkt: Packet, tap: &mut Tap<'_>) -> Option<Packet> {
+    fn admit(&mut self, mut pkt: Packet, idle: bool, tap: &mut Tap<'_>) -> Admit {
         if let Some(t) = self.trim_thresh_bytes {
             if pkt.kind == PacketKind::Data && !pkt.is_trimmed() && self.bytes + pkt.size as u64 > t
             {
@@ -67,7 +77,7 @@ impl Fifo {
         if self.bytes + pkt.size as u64 > self.cap_bytes {
             // On a lossless port correctly-sized skid buffers make this
             // unreachable; it is counted so tests can assert losslessness.
-            return Some(pkt);
+            return Admit::Refused(pkt);
         }
         if let Some(k) = self.ecn_thresh_bytes {
             if self.bytes > k && pkt.flags.has(Flags::ECT) {
@@ -75,9 +85,13 @@ impl Fifo {
                 tap.note(HopKind::EcnMark, &pkt);
             }
         }
+        // Not on a lossless port: its Xoff edge must see the packet resident.
+        if idle && self.q.is_empty() && self.pfc.is_none() {
+            return Admit::Serve(pkt);
+        }
         self.bytes += pkt.size as u64;
         self.q.push_back(pkt);
-        None
+        Admit::Queued
     }
 
     fn pop(&mut self) -> Option<Packet> {
@@ -241,13 +255,16 @@ pub struct DropTailNic {
 }
 
 impl DropTailNic {
-    fn admit(&mut self, pkt: Packet) -> Option<Packet> {
+    fn admit(&mut self, pkt: Packet, idle: bool) -> Admit {
         if self.bytes + pkt.size as u64 > self.cap_bytes {
-            return Some(pkt);
+            return Admit::Refused(pkt);
+        }
+        if idle && self.lanes.len() == 0 {
+            return Admit::Serve(pkt);
         }
         self.bytes += pkt.size as u64;
         self.lanes.push(pkt);
-        None
+        Admit::Queued
     }
 
     fn pop(&mut self) -> Option<Packet> {
@@ -270,8 +287,6 @@ pub struct NdpQueues<D = VecDeque<Packet>> {
     hdr_bytes: u64,
     /// Consecutive header-queue services while data waits (WRR state).
     hdr_run: u32,
-    /// WRR ratio: serve up to this many headers per data packet (10).
-    wrr_ratio: u32,
 }
 
 // Every method here is private, so the private bound leaks nothing.
@@ -290,17 +305,21 @@ impl<D: DataQueue> NdpQueues<D> {
             data_bytes: 0,
             hdr_bytes: 0,
             hdr_run: 0,
-            wrr_ratio: 10,
         }
     }
 
-    fn admit(&mut self, pkt: Packet, rng: &mut SmallRng, tap: &mut Tap<'_>) -> Option<Packet> {
+    fn admit(&mut self, pkt: Packet, idle: bool, rng: &mut SmallRng, tap: &mut Tap<'_>) -> Admit {
+        let serve_now = idle && self.queued_packets() == 0;
         let hdr = if pkt.ndp_priority() {
             pkt
         } else if self.data.len() < self.data_cap_pkts {
+            if serve_now {
+                debug_assert_eq!(self.hdr_run, 0, "a header run outlived the data");
+                return Admit::Serve(pkt);
+            }
             self.data_bytes += pkt.size as u64;
             self.data.push(pkt);
-            return None;
+            return Admit::Queued;
         } else {
             // Data queue full: trim. Decide with 50% probability whether
             // the victim is the arriving packet or the one at the tail of
@@ -318,18 +337,24 @@ impl<D: DataQueue> NdpQueues<D> {
             victim
         };
         if self.hdr_bytes + hdr.size as u64 > self.hdr_cap_bytes {
-            return Some(hdr);
+            return Admit::Refused(hdr);
+        }
+        if serve_now {
+            return Admit::Serve(hdr);
         }
         self.hdr_bytes += hdr.size as u64;
         self.hdr.push_back(hdr);
-        None
+        Admit::Queued
     }
 
+    /// Headers served per data packet while data waits (§3.1's 10:1 WRR).
+    const WRR_RATIO: u32 = 10;
+
     /// Weighted round robin, headers preferred: serve the header queue
-    /// unless `wrr_ratio` headers in a row were served while data waited.
+    /// unless `WRR_RATIO` headers in a row were served while data waited.
     fn pop(&mut self) -> Option<Packet> {
         let data_waits = self.data.len() > 0;
-        let serve_hdr = !self.hdr.is_empty() && (!data_waits || self.hdr_run < self.wrr_ratio);
+        let serve_hdr = !self.hdr.is_empty() && (!data_waits || self.hdr_run < Self::WRR_RATIO);
         if serve_hdr {
             let p = self.hdr.pop_front()?;
             self.hdr_bytes -= p.size as u64;
@@ -437,19 +462,22 @@ impl Discipline {
     /// Decide the fate of an arrival. Trims and marks are reported through
     /// `tap`; a packet that could not be buffered (the arrival, or the
     /// header of the victim it displaced) comes back for the link to
-    /// bounce or drop. The NDP coin is the only RNG draw.
+    /// bounce or drop; one that passes every check at an `idle` port (the
+    /// serializer free, nothing buffered, not lossless) comes back to be
+    /// served at once. The NDP coin is the only RNG draw.
     #[inline]
     pub(crate) fn admit(
         &mut self,
         pkt: Packet,
+        idle: bool,
         rng: &mut SmallRng,
         tap: &mut Tap<'_>,
-    ) -> Option<Packet> {
+    ) -> Admit {
         match self {
-            Discipline::Fifo(f) => f.admit(pkt, tap),
-            Discipline::Ndp(n) => n.admit(pkt, rng, tap),
-            Discipline::NdpNic(n) => n.admit(pkt, rng, tap),
-            Discipline::DropTailNic(n) => n.admit(pkt),
+            Discipline::Fifo(f) => f.admit(pkt, idle, tap),
+            Discipline::Ndp(n) => n.admit(pkt, idle, rng, tap),
+            Discipline::NdpNic(n) => n.admit(pkt, idle, rng, tap),
+            Discipline::DropTailNic(n) => n.admit(pkt, idle),
         }
     }
 
@@ -509,10 +537,19 @@ mod tests {
             Port(d, SmallRng::seed_from_u64(7), QueueStats::default())
         }
 
-        /// Admit `pkt`; the refused packet, if any.
+        /// Admit `pkt` at a busy port; the refused packet, if any.
         fn admit(&mut self, pkt: Packet) -> Option<Packet> {
+            match self.arrive(pkt, false) {
+                Admit::Queued => None,
+                Admit::Refused(p) => Some(p),
+                Admit::Serve(_) => unreachable!("a busy port serves nothing at once"),
+            }
+        }
+
+        /// Admit `pkt`, with the serializer free when `idle`.
+        fn arrive(&mut self, pkt: Packet, idle: bool) -> Admit {
             let Port(d, rng, st) = self;
-            d.admit(pkt, rng, &mut Tap::detached(st))
+            d.admit(pkt, idle, rng, &mut Tap::detached(st))
         }
 
         /// Pop `n` packets (fewer if the port empties) as (flow, seq,
@@ -738,5 +775,81 @@ mod tests {
         assert_eq!(nic.0.occupancy_bytes(), 4 * MTU as u64);
         assert_eq!(nic.order(usize::MAX), [(1, 0), (1, 1), (1, 2), (1, 3)]);
         assert_eq!(nic.2.trimmed + nic.2.ecn_marked, 0);
+    }
+
+    /// Drive two ports through the same busy-port script (two flows'
+    /// data, `d`/`e`, and pulls, `h`, with pops, `.`, so header runs build
+    /// up while data waits), then pop both dry: they must serve, refuse
+    /// and count the same.
+    fn same_busy_script(a: &mut Port, b: &mut Port) {
+        for (i, op) in b"ddehhhhhhhhhhhhe.dd..hh.e......".iter().enumerate() {
+            let i = i as u64;
+            let refused = |p: Option<Packet>| p.map(|p| format!("{p:?}"));
+            match op {
+                b'd' | b'e' => {
+                    let pkt = || data(1 + (op - b'd') as FlowId, i);
+                    assert_eq!(refused(a.admit(pkt())), refused(b.admit(pkt())));
+                }
+                b'h' => assert_eq!(refused(a.admit(pull(i))), refused(b.admit(pull(i)))),
+                _ => assert_eq!(a.pop(1), b.pop(1)),
+            }
+        }
+        assert_eq!(a.pop(usize::MAX), b.pop(usize::MAX));
+        assert_eq!(format!("{:?}", a.2), format!("{:?}", b.2));
+    }
+
+    /// The hand-off is the push and pop it replaces, for every constructor
+    /// and every kind of arrival, at a port that has served traffic before:
+    /// the same packet (flags and trim included), the same counters, both
+    /// ports empty after, and both in the same state, so a follow-up
+    /// script serves them in the same order.
+    #[test]
+    fn an_idle_port_serves_at_once_what_admit_and_pop_would() {
+        let builds: [fn() -> Discipline; 6] = [
+            || Discipline::ndp(2, MTU),
+            || Discipline::droptail(2 * MTU as u64, Some(MTU as u64)),
+            || Discipline::cp(MTU as u64),
+            || Discipline::lossless(2 * MTU as u64, MTU as u64 / 2, 0, Some(MTU as u64)),
+            || Discipline::ndp_nic(2, MTU),
+            || Discipline::droptail_nic(2 * MTU as u64),
+        ];
+        let arrivals: [fn() -> Packet; 6] = [
+            || data(1, 0),
+            || data(1, 0).with_flags(Flags::ECT),
+            || pull(0),
+            || ack(1),
+            || {
+                let mut p = data(1, 0);
+                p.trim();
+                p
+            },
+            // Over CP's trim threshold and over every byte cap.
+            || Packet::data(0, 1, 1, 0, 3 * MTU),
+        ];
+        for build in builds {
+            for arrival in arrivals {
+                let (mut handed, mut pushed) = (Port::new(build()), Port::new(build()));
+                same_busy_script(&mut handed, &mut pushed);
+                // (served, the packet); the hand-off, or the push and pop.
+                let (at_once, got) = match handed.arrive(arrival(), true) {
+                    Admit::Serve(p) => (true, (true, format!("{p:?}"))),
+                    Admit::Refused(p) => (false, (false, format!("{p:?}"))),
+                    Admit::Queued => (false, (true, format!("{:?}", handed.0.pop().unwrap()))),
+                };
+                let want = match pushed.admit(arrival()) {
+                    Some(p) => (false, format!("{p:?}")),
+                    None => (true, format!("{:?}", pushed.0.pop().unwrap())),
+                };
+                assert_eq!(got, want);
+                // Every packet a port takes is handed off, except on the
+                // lossless port.
+                assert_eq!(at_once, want.0 && handed.0.pfc().is_none());
+                assert_eq!(format!("{:?}", handed.2), format!("{:?}", pushed.2));
+                for port in [&handed, &pushed] {
+                    assert_eq!((port.0.occupancy_bytes(), port.0.queued_packets()), (0, 0));
+                }
+                same_busy_script(&mut handed, &mut pushed);
+            }
+        }
     }
 }

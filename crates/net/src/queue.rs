@@ -28,7 +28,7 @@ use std::any::Any;
 use ndp_sim::{Component, ComponentId, Ctx, Event, Speed, Time};
 use rand::Rng;
 
-use crate::discipline::Discipline;
+use crate::discipline::{Admit, Discipline};
 use crate::flight::{FlightHook, HopKind};
 use crate::packet::{Packet, PacketKind};
 
@@ -357,16 +357,20 @@ impl Queue {
             return;
         }
         if let Some(pkt) = self.disc.pop() {
-            // Exact-rate links (all standard speeds) serialize with one
-            // multiply; the division only runs for renegotiated oddballs.
-            let t = if self.ppb != 0 {
-                Time::from_ps(pkt.size as u64 * self.ppb)
-            } else {
-                self.rate.tx_time(pkt.size as u64)
-            };
-            self.in_service = Some(pkt);
-            ctx.wake_in(t, TX_DONE);
+            self.serialize(pkt, ctx);
         }
+    }
+
+    fn serialize(&mut self, pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
+        // Exact-rate links (all standard speeds) serialize with one
+        // multiply; the division only runs for renegotiated oddballs.
+        let t = if self.ppb != 0 {
+            Time::from_ps(pkt.size as u64 * self.ppb)
+        } else {
+            self.rate.tx_time(pkt.size as u64)
+        };
+        self.in_service = Some(pkt);
+        ctx.wake_in(t, TX_DONE);
     }
 
     fn enqueue(&mut self, pkt: Packet, ctx: &mut Ctx<'_, Packet>) {
@@ -380,8 +384,16 @@ impl Queue {
             // timescales); everything else is lost.
             return self.turn_away(pkt, HopKind::DropDown, ctx);
         }
-        if let Some(refused) = self.disc.admit(pkt, ctx.rng(), &mut tap) {
-            self.turn_away(refused, HopKind::Drop, ctx);
+        let idle = self.in_service.is_none() && self.paused == 0;
+        match self.disc.admit(pkt, idle, ctx.rng(), &mut tap) {
+            Admit::Queued => {}
+            // Alone in the port, as a push and pop would have left it.
+            Admit::Serve(pkt) => {
+                let occ = self.stats.max_occupancy_bytes.max(pkt.size as u64);
+                self.stats.max_occupancy_bytes = occ;
+                return self.serialize(pkt, ctx);
+            }
+            Admit::Refused(pkt) => self.turn_away(pkt, HopKind::Drop, ctx),
         }
         self.pfc_edge(true, ctx);
         let occ = self.disc.occupancy_bytes();
@@ -737,6 +749,39 @@ mod tests {
             d.stats.max_occupancy_bytes <= 40 * 9000,
             "occupancy bounded by capacity"
         );
+    }
+
+    #[test]
+    fn a_lone_arrival_at_an_idle_link_peaks_occupancy_at_its_size() {
+        for disc in [
+            Discipline::droptail(100 * 9000, None),
+            Discipline::ndp(8, 9000),
+        ] {
+            let (mut w, q, sink) = world_with_queue(disc);
+            w.post(Time::ZERO, q, Packet::data(0, 1, 0, 0, 9000));
+            w.run_until_idle();
+            assert_eq!(w.get::<Queue>(q).stats.max_occupancy_bytes, 9000);
+            assert_eq!(w.get::<Sink>(sink).times, [Time::from_ns(7_200)]);
+        }
+    }
+
+    #[test]
+    fn a_lone_packet_on_an_idle_lossless_port_still_crosses_xoff() {
+        // Xoff below one packet: the arrival alone pauses the upstream, and
+        // its departure resumes it.
+        let mut w: World<Packet> = World::new(5);
+        let sink = w.add(Sink::new());
+        let up = w.add(Sink::new());
+        let disc = Discipline::lossless(4 * 9000, 4500, 0, None);
+        let q = w.add(link(sink, disc));
+        w.get_mut::<Queue>(q).set_upstreams(vec![up]);
+        w.post(Time::ZERO, q, Packet::data(0, 1, 0, 0, 9000));
+        w.run_until_idle();
+        let frames: Vec<_> = w.get::<Sink>(up).got.iter().map(|p| p.kind).collect();
+        let pause = |xoff| PacketKind::Pause { xoff };
+        assert_eq!(frames, [pause(true), pause(false)]);
+        assert_eq!(w.get::<Queue>(q).stats.xoff_sent, 1);
+        assert_eq!(w.get::<Sink>(sink).times, [Time::from_ns(7_200)]);
     }
 
     #[test]

@@ -92,11 +92,12 @@ proptest! {
     }
 
     /// The link's conservation law, for every discipline: under seeded
-    /// overload, one or two down/restore flaps and a corrupting wire, every
-    /// arrival is forwarded, dropped, bounced, lost to the dead link, still
-    /// buffered or on the serializer — nothing else; everything forwarded
-    /// is delivered or counted corrupted; occupancy stays inside the
-    /// discipline's bound. The data arrives as bursts of `burst` packets
+    /// overload or under-load (so arrivals at an idle port, served at once,
+    /// are covered too), one or two down/restore flaps and a corrupting
+    /// wire, every arrival is forwarded, dropped, bounced, lost to the dead
+    /// link, still buffered or on the serializer — nothing else; everything
+    /// forwarded is delivered or counted corrupted; occupancy stays inside
+    /// the discipline's bound. The data arrives as bursts of `burst` packets
     /// from `flows` flows in turn, the ACKs as a flow of their own; each
     /// host NIC (NDP and drop-tail) must deliver each flow's packets in
     /// order and serve every other flow at most once while a flow's next
@@ -111,6 +112,7 @@ proptest! {
         flows in 1u64..5,
         burst in 1u64..40,
         seed in 0u64..500,
+        load in 0usize..3,
     ) {
         use ndp::net::{Discipline, Flags, LinkClass, PacketKind};
         struct Count(u64);
@@ -140,7 +142,7 @@ proptest! {
             3 => (Discipline::cp(8 * MTU), 16 * MTU),
             4 => (Discipline::lossless(40 * MTU, 10 * MTU, 5 * MTU, Some(3 * MTU)), 40 * MTU),
             5 => (Discipline::ndp_nic(4096, MTU as u32), 8192 * MTU),
-            // Shallow enough to refuse arrivals under this overload.
+            // Shallow enough to refuse arrivals under the 14x overload.
             _ => (Discipline::droptail_nic(20 * MTU), 20 * MTU),
         };
         let (speed, delay) = (Speed::gbps(10), Time::from_us(1));
@@ -156,9 +158,10 @@ proptest! {
             _ => {}
         }
         let q = w.add(link);
-        // 14x overload: a 9 KB packet (every 7th arrival an ACK, of a flow
-        // no data packet belongs to) each 500 ns into a 7.2 us serializer.
-        let gap = 500u64;
+        // A 9 KB packet (every 7th arrival an ACK, of a flow no data packet
+        // belongs to) each `gap` into a 7.2 us serializer: 14x overload,
+        // 1.2x, or a link busy about a third of the time.
+        let gap = [500u64, 6_000, 20_000][load];
         for i in 0..n_pkts as u64 {
             let pkt = if i % 7 == 6 {
                 Packet::control(1, 0, 4, PacketKind::Ack)

@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Interleaved parent/change A/B of one benchmark workload.
+"""Interleaved parent/change A/B of benchmark workloads.
 
-    tools/ab.py <parent-target-dir> <change-target-dir> <workload> --pairs N [--seed S]
+    tools/ab.py <parent-target-dir> <change-target-dir> <workloads> --pairs N [--seed S]
+
+<workloads> is one workload name, a comma-separated list of them, or `all`
+(every workload `BENCHMARK.json` declares, in its order); each runs its N
+pairs in turn.
 
 Builds nothing: each target dir must already hold `release/benchmark`
 (`CARGO_TARGET_DIR=<dir> cargo build --release --manifest-path
@@ -15,7 +19,10 @@ differ, and the tool exits with status 1 once every pair has run. Prints, for
 `wall_s` and `setup_s`, each side's min / quartiles, the median and IQR of the
 per-pair change÷parent ratio, the pairs the change won, and the ratio of the
 two minima; then the `peak_rss_mb` medians, and each side's mean `tail_ratio`
-(the `sim_tail_ratio` metric), total `failed` and median `events`.
+(the `sim_tail_ratio` metric), total `failed` and median `events`. Ends with
+one summary line per workload: the `wall_s` and `setup_s` pair-ratio medians
+and wins, the `peak_rss_mb` ratio and whether the witnesses were equal on
+every pair.
 """
 
 import argparse
@@ -56,6 +63,7 @@ def side_line(label, xs):
 
 
 def report(metric, parent, change):
+    """Prints the metric's block; returns its pair-ratio median and wins."""
     ratios = [c / p for p, c in zip(parent, change)]
     q1, q2, q3 = quartiles(ratios)
     wins = sum(c < p for p, c in zip(parent, change))
@@ -67,28 +75,19 @@ def report(metric, parent, change):
         f"  pair ratio change/parent: median {q2:.4f}  IQR {q1:.4f}..{q3:.4f}  "
         f"wins {wins}/{len(ratios)} (ties {ties})  ratio of minima {min(change) / min(parent):.4f}"
     )
+    return q2, wins
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("parent", help="CARGO_TARGET_DIR of the parent build")
-    ap.add_argument("change", help="CARGO_TARGET_DIR of the change build (the same dir gives a self-pair)")
-    ap.add_argument("workload")
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--cpu", type=int, default=None, help="CPU to pin to (default: the last one this process may use)")
-    args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be positive")
+def declared_workloads():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
+    with open(path) as f:
+        return [w["name"] for w in json.load(f)["workloads"]]
 
-    cpu = args.cpu
-    if shutil.which("taskset") is None:
-        cpu = None
-        print("note: no taskset on PATH, children run unpinned", file=sys.stderr)
-    elif cpu is None:
-        cpu = max(os.sched_getaffinity(0))
 
-    print(f"# ab: {args.workload} seed {args.seed} pairs {args.pairs} cpu {cpu}")
+def run_workload(args, workload, cpu):
+    """Runs and reports one workload's pairs; returns its summary line and
+    whether any pair's witnesses differed."""
+    print(f"# ab: {workload} seed {args.seed} pairs {args.pairs} cpu {cpu}")
     print(f"# parent {args.parent}")
     print(f"# change {args.change}")
     sides = {"parent": [], "change": []}
@@ -97,7 +96,7 @@ def main():
     for i in range(args.pairs):
         rep = i % REPS
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run_one(dirs[side], args.workload, args.seed, rep, cpu) for side in order}
+        got = {side: run_one(dirs[side], workload, args.seed, rep, cpu) for side in order}
         p, c = got["parent"], got["change"]
         differ = [key for key in WITNESSES if p[key] != c[key]]
         changed += bool(differ)
@@ -113,8 +112,10 @@ def main():
         print(f"BEHAVIOUR CHANGE: witnesses differ on {changed}/{args.pairs} pairs")
     else:
         print(f"witnesses equal on all {args.pairs} pairs ({', '.join(WITNESSES)})")
+    summary = f"{workload:<16}"
     for metric in ("wall_s", "setup_s"):
-        report(metric, [r[metric] for r in sides["parent"]], [r[metric] for r in sides["change"]])
+        median, wins = report(metric, [r[metric] for r in sides["parent"]], [r[metric] for r in sides["change"]])
+        summary += f"  {metric} {median:.4f} ({wins}/{args.pairs} wins)"
     rss = {s: statistics.median(r["peak_rss_mb"] for r in rs) for s, rs in sides.items()}
     print(f"peak_rss_mb medians: parent {rss['parent']:.2f}  change {rss['change']:.2f}  ratio {rss['change'] / rss['parent']:.4f}")
     for side, rs in sides.items():
@@ -122,6 +123,43 @@ def main():
             f"{side}: tail_ratio mean {statistics.mean(r['tail_ratio'] for r in rs):.4f}  "
             f"failed {sum(r['failed'] for r in rs)}  events median {statistics.median(r['events'] for r in rs):.0f}"
         )
+    witnesses = f"witnesses differ on {changed}/{args.pairs}" if changed else "witnesses equal"
+    summary += f"  peak_rss_mb {rss['change'] / rss['parent']:.4f}  {witnesses}"
+    return summary, bool(changed)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", help="CARGO_TARGET_DIR of the parent build")
+    ap.add_argument("change", help="CARGO_TARGET_DIR of the change build (the same dir gives a self-pair)")
+    ap.add_argument("workloads", help="a workload, a comma-separated list of them, or `all`")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--cpu", type=int, default=None, help="CPU to pin to (default: the last one this process may use)")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+
+    cpu = args.cpu
+    if shutil.which("taskset") is None:
+        cpu = None
+        print("note: no taskset on PATH, children run unpinned", file=sys.stderr)
+    elif cpu is None:
+        cpu = max(os.sched_getaffinity(0))
+
+    declared = declared_workloads()
+    workloads = declared if args.workloads == "all" else args.workloads.split(",")
+    unknown = [w for w in workloads if w not in declared]
+    if unknown:
+        ap.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json declares {', '.join(declared)}")
+    summaries, changed = [], False
+    for workload in workloads:
+        summary, differs = run_workload(args, workload, cpu)
+        summaries.append(summary)
+        changed |= differs
+    print(f"# summary: seed {args.seed} pairs {args.pairs}; pair-ratio medians change/parent")
+    for line in summaries:
+        print(line)
     return 1 if changed else 0
 
 

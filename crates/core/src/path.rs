@@ -11,6 +11,11 @@
 //! re-permutes, paths whose NACK or loss ratios are outliers are
 //! *temporarily* removed. Counters decay at each permutation so an
 //! excluded path is retried once the failure heals.
+//!
+//! Layout: a [`PathSet`] is one `Vec` of per-path records, record `i`
+//! holding path `i`'s counters and cooldown and slot `i` of the current
+//! permutation. Every NDP flow builds one at attach, so its whole path
+//! state costs one allocation, whatever the path count.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -18,16 +23,24 @@ use rand::Rng;
 /// Per-destination path list with scoreboard.
 #[derive(Clone, Debug)]
 pub struct PathSet {
-    n: u32,
-    order: Vec<u32>,
+    /// Record `i` holds path `i`'s scoreboard and, in `order`, the path
+    /// at position `i` of the current permutation.
+    paths: Vec<PathRecord>,
     pos: usize,
-    acks: Vec<u64>,
-    nacks: Vec<u64>,
-    losses: Vec<u64>,
-    /// Remaining permutation rounds for which each path stays excluded.
-    cooldown: Vec<u32>,
     /// Enables §3.2.3 outlier exclusion (Fig 22 ablates this).
     penalize: bool,
+}
+
+/// One path's scoreboard, plus one slot of the permutation.
+#[derive(Clone, Copy, Debug)]
+struct PathRecord {
+    /// The path tag at this record's position of the permutation.
+    order: u32,
+    /// Remaining permutation rounds for which this path stays excluded.
+    cooldown: u32,
+    acks: u64,
+    nacks: u64,
+    losses: u64,
 }
 
 /// Rounds an outlier path sits out before being re-probed. Sixteen rounds
@@ -39,66 +52,72 @@ const EXCLUSION_ROUNDS: u32 = 16;
 impl PathSet {
     pub fn new(n_paths: u32, penalize: bool) -> PathSet {
         assert!(n_paths >= 1);
-        let n = n_paths as usize;
+        let paths: Vec<PathRecord> = (0..n_paths)
+            .map(|order| PathRecord {
+                order,
+                cooldown: 0,
+                acks: 0,
+                nacks: 0,
+                losses: 0,
+            })
+            .collect();
         PathSet {
-            n: n_paths,
-            order: (0..n_paths).collect(),
-            pos: n, // force a shuffle on first use
-            acks: vec![0; n],
-            nacks: vec![0; n],
-            losses: vec![0; n],
-            cooldown: vec![0; n],
+            pos: paths.len(), // force a shuffle on first use
+            paths,
             penalize,
         }
     }
 
     pub fn n_paths(&self) -> u32 {
-        self.n
+        self.paths.len() as u32
     }
 
     /// Next path tag to send on.
     pub fn next(&mut self, rng: &mut SmallRng) -> u32 {
-        if self.n == 1 {
+        if self.paths.len() == 1 {
             return 0;
         }
         loop {
-            if self.pos >= self.order.len() {
+            if self.pos >= self.paths.len() {
                 self.reshuffle(rng);
             }
-            let p = self.order[self.pos];
+            let p = self.paths[self.pos].order;
             self.pos += 1;
-            if self.cooldown[p as usize] == 0 {
+            if self.paths[p as usize].cooldown == 0 {
                 return p;
             }
         }
     }
 
     fn reshuffle(&mut self, rng: &mut SmallRng) {
-        // Fisher-Yates.
-        for i in (1..self.order.len()).rev() {
+        // Fisher-Yates over the permutation slots only.
+        for i in (1..self.paths.len()).rev() {
             let j = rng.gen_range(0..=i);
-            self.order.swap(i, j);
+            let (a, b) = (self.paths[i].order, self.paths[j].order);
+            self.paths[i].order = b;
+            self.paths[j].order = a;
         }
         self.pos = 0;
-        for c in &mut self.cooldown {
-            *c = c.saturating_sub(1);
+        for p in &mut self.paths {
+            p.cooldown = p.cooldown.saturating_sub(1);
         }
         if self.penalize {
             self.recompute_exclusions();
         }
         // Exponential decay makes exclusion temporary (§3.2.3:
         // "temporarily removes outliers").
-        for i in 0..self.n as usize {
-            self.acks[i] -= self.acks[i] / 8;
-            self.nacks[i] -= self.nacks[i] / 8;
-            self.losses[i] -= self.losses[i] / 8;
+        for p in &mut self.paths {
+            p.acks -= p.acks / 8;
+            p.nacks -= p.nacks / 8;
+            p.losses -= p.losses / 8;
         }
     }
 
     /// Path `i`'s NACK ratio, once it has enough feedback to judge.
     fn nack_ratio(&self, i: usize) -> Option<f64> {
-        let total = self.acks[i] + self.nacks[i];
-        (total >= 8).then(|| self.nacks[i] as f64 / total as f64)
+        let p = &self.paths[i];
+        let total = p.acks + p.nacks;
+        (total >= 8).then(|| p.nacks as f64 / total as f64)
     }
 
     /// Runs once per permutation round, so it allocates nothing: one pass
@@ -106,7 +125,7 @@ impl PathSet {
     /// function of its own counters and those sums, asked again where it
     /// is needed rather than stored.
     fn recompute_exclusions(&mut self) {
-        let n = self.n as usize;
+        let n = self.paths.len();
         // NACK-ratio per path, compared against the *other* paths' mean:
         // during a legitimate incast every path NACKs heavily, so a path is
         // only an outlier if it NACKs markedly more than its peers.
@@ -116,7 +135,7 @@ impl PathSet {
                 sampled += 1;
                 sum += r;
             }
-            total_loss += self.losses[i];
+            total_loss += self.paths[i].losses;
         }
         let outlier = |ps: &PathSet, i: usize| {
             let nack_outlier = sampled >= 2
@@ -124,58 +143,62 @@ impl PathSet {
                     let mean_other = (sum - r) / (sampled - 1) as f64;
                     r > 0.20 + 2.0 * mean_other
                 });
-            let loss = ps.losses[i];
+            let loss = ps.paths[i].losses;
             let mean_other_loss = (total_loss - loss) as f64 / (n - 1).max(1) as f64;
             nack_outlier || (loss >= 3 && loss as f64 > 4.0 * mean_other_loss.max(0.25))
         };
         // Never exclude everything.
         let excluded_after = (0..n)
-            .filter(|&i| self.cooldown[i] > 0 || outlier(self, i))
+            .filter(|&i| self.paths[i].cooldown > 0 || outlier(self, i))
             .count();
         if excluded_after < n {
             for i in 0..n {
                 // Zeroing path i's counters leaves every later path's
                 // verdict alone: each reads only its own and the sums.
                 if outlier(self, i) {
-                    self.cooldown[i] = EXCLUSION_ROUNDS;
                     // Forget the bad history so re-probing starts clean.
-                    self.acks[i] = 0;
-                    self.nacks[i] = 0;
-                    self.losses[i] = 0;
+                    let order = self.paths[i].order;
+                    self.paths[i] = PathRecord {
+                        order,
+                        cooldown: EXCLUSION_ROUNDS,
+                        acks: 0,
+                        nacks: 0,
+                        losses: 0,
+                    };
                 }
             }
         }
     }
 
     pub fn on_ack(&mut self, path: u32) {
-        if let Some(a) = self.acks.get_mut(path as usize) {
-            *a += 1;
+        if let Some(p) = self.paths.get_mut(path as usize) {
+            p.acks += 1;
         }
     }
 
     pub fn on_nack(&mut self, path: u32) {
-        if let Some(nk) = self.nacks.get_mut(path as usize) {
-            *nk += 1;
+        if let Some(p) = self.paths.get_mut(path as usize) {
+            p.nacks += 1;
         }
     }
 
     pub fn on_loss(&mut self, path: u32) {
-        if let Some(l) = self.losses.get_mut(path as usize) {
-            *l += 1;
+        if let Some(p) = self.paths.get_mut(path as usize) {
+            p.losses += 1;
         }
     }
 
     pub fn is_excluded(&self, path: u32) -> bool {
-        self.cooldown[path as usize] > 0
+        self.paths[path as usize].cooldown > 0
     }
 
     /// Pick a path different from `avoid` (retransmissions always use a new
     /// path, §3.2.3).
     pub fn next_avoiding(&mut self, rng: &mut SmallRng, avoid: u32) -> u32 {
-        if self.n == 1 {
+        if self.paths.len() == 1 {
             return 0;
         }
-        for _ in 0..2 * self.n as usize + 2 {
+        for _ in 0..2 * self.paths.len() + 2 {
             let p = self.next(rng);
             if p != avoid {
                 return p;

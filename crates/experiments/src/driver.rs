@@ -11,14 +11,17 @@
 //! open-loop flow stream, or — through [`Chains`] — closed-loop flow
 //! chains, each flow a fan-out-1 request with no response.
 //! [`RpcDriver`] walks the source *inside* simulated time on one self-wake
-//! chain: at a request's arrival instant it attaches every shard leg
-//! through the engine's deferred-op queue (a flow costs nothing before it
-//! arrives). It watches every host, so a leg's `complete()` wakes it, and
-//! a finished leg is detached on the spot, so live state is O(requests in
-//! flight), never O(requests ever offered). A request is done when its
-//! *last* flow is — optionally after a sequential response flow — and
-//! closed-loop tenants are self-clocked: each completion asks the source
-//! for the chain's next request.
+//! chain: at a request's arrival instant it attaches every shard leg (a
+//! flow costs nothing before it arrives). It watches every host, so a
+//! leg's `complete()` wakes it, and a finished leg is detached on the
+//! spot, so live state is O(requests in flight), never O(requests ever
+//! offered). Attaching and detaching need the whole world, which a
+//! dispatch does not have: the driver queues each as a lifecycle op on its
+//! own ordered list, and one deferred world op per dispatch runs the list
+//! as soon as that dispatch returns, in the order the ops were queued. A
+//! request is done when its *last* flow is — optionally after a sequential
+//! response flow — and closed-loop tenants are self-clocked: each
+//! completion asks the source for the chain's next request.
 //!
 //! `run_driven` is the one point runner: seeded world, fabric, the
 //! caller's set-up hook, the driver, opt-in telemetry, then the world
@@ -178,6 +181,28 @@ impl RequestSource for Chains {
 /// its handshake-variant TCP attach here.
 pub type AttachFn = Arc<dyn Fn(&mut World<Packet>, &FlowSpec) + Send + Sync>;
 
+/// A lifecycle step that needs the whole world, queued on the driver's
+/// ordered list and run right after the dispatch that queued it.
+enum LifecycleOp {
+    /// Attach a due flow's endpoints through the driver's [`AttachFn`],
+    /// starting it at `start`.
+    Attach {
+        flow: FlowId,
+        leg: FlowLeg,
+        start: Time,
+    },
+    /// Detach a finished flow from its two host components, fold its
+    /// harvest into the driver's tally and, where spans are recorded,
+    /// close its span.
+    Detach {
+        flow: FlowId,
+        fr: FlowRef,
+        hosts: (ComponentId, ComponentId),
+        /// The flow's slowdown, computed only where spans are recorded.
+        slowdown: Option<f64>,
+    },
+}
+
 /// Which flow of a request tree a live flow is.
 #[derive(Clone, Copy, Debug)]
 enum LegRef {
@@ -201,6 +226,12 @@ struct FlowRef {
 }
 
 impl FlowRef {
+    /// The flow's FCT, finishing at `now`, over its ideal FCT on `topo`.
+    fn slowdown(&self, topo: &dyn Topology, now: Time) -> f64 {
+        let ideal = topo.ideal_fct(self.src, self.dst, self.bytes);
+        (now - self.start).as_ps() as f64 / ideal.as_ps() as f64
+    }
+
     /// The flow's span, opened with the driver-side facts; `tagged` links
     /// it to its request (only where request spans are recorded).
     fn span(&self, flow: FlowId, tagged: bool) -> FlowSpan {
@@ -302,6 +333,8 @@ pub struct RpcDriver {
     finished: u64,
     delivered_bytes: u64,
     attach: AttachFn,
+    /// Lifecycle ops queued by the current dispatch, in order.
+    ops: Vec<LifecycleOp>,
     spans: Option<ndp_telemetry::SpanLog>,
     requests_log: Option<ndp_telemetry::RequestLog>,
     live_gauge: Option<Arc<AtomicU64>>,
@@ -355,6 +388,7 @@ impl RpcDriver {
             finished: 0,
             delivered_bytes: 0,
             attach,
+            ops: Vec::new(),
             spans: None,
             requests_log: None,
             live_gauge: None,
@@ -410,6 +444,56 @@ impl RpcDriver {
             self.armed = at;
             ctx.wake_at(at, SPAWN_TICK);
         }
+    }
+
+    /// Queue a lifecycle op; the first op of a dispatch defers the one
+    /// world op that runs them all once the dispatch returns (it captures
+    /// nothing, so deferring it allocates nothing).
+    fn queue(&mut self, op: LifecycleOp, ctx: &mut Ctx<'_, Packet>) {
+        if self.ops.is_empty() {
+            ctx.defer(RpcDriver::run_ops);
+        }
+        self.ops.push(op);
+    }
+
+    /// Run driver `me`'s queued lifecycle ops in order. The list keeps its
+    /// capacity, so a steady driver queues without allocating.
+    fn run_ops(w: &mut World<Packet>, me: ComponentId) {
+        let d = w.get_mut::<RpcDriver>(me);
+        let mut ops = std::mem::take(&mut d.ops);
+        let (spans, tagged) = (d.spans.clone(), d.requests_log.is_some());
+        // Cloned on the first attach: most runs are a single detach.
+        let mut attach: Option<AttachFn> = None;
+        let mut delivered = 0;
+        for op in ops.drain(..) {
+            match op {
+                LifecycleOp::Attach { flow, leg, start } => {
+                    let attach =
+                        attach.get_or_insert_with(|| Arc::clone(&w.get::<RpcDriver>(me).attach));
+                    let mut spec = FlowSpec::new(flow, leg.src, leg.dst, leg.bytes);
+                    spec.start = start;
+                    attach(w, &spec)
+                }
+                LifecycleOp::Detach {
+                    flow,
+                    fr,
+                    hosts: (src, dst),
+                    slowdown,
+                } => {
+                    let harvest = detach_endpoints(w, src, dst, flow);
+                    delivered += harvest.delivered_bytes;
+                    if let (Some(log), Some(slowdown)) = (&spans, slowdown) {
+                        let mut span = fr.span(flow, tagged);
+                        span.slowdown = slowdown;
+                        span.absorb(&harvest);
+                        push_span(log, span);
+                    }
+                }
+            }
+        }
+        let d = w.get_mut::<RpcDriver>(me);
+        d.delivered_bytes += delivered;
+        d.ops = ops;
     }
 
     /// The next due request across both streams, or the instant to sleep
@@ -471,7 +555,7 @@ impl RpcDriver {
         }
     }
 
-    /// Attach one flow of a request through the deferred-op path.
+    /// Book one flow of a request and queue its attach.
     fn start_flow(
         &mut self,
         req: u64,
@@ -497,10 +581,12 @@ impl RpcDriver {
         );
         self.peak_live_flows = self.peak_live_flows.max(self.flows.len());
         self.publish_live();
-        let mut spec = FlowSpec::new(flow, fl.src, fl.dst, fl.bytes);
-        spec.start = start;
-        let attach = Arc::clone(&self.attach);
-        ctx.defer(move |w| attach(w, &spec));
+        let attach = LifecycleOp::Attach {
+            flow,
+            leg: fl,
+            start,
+        };
+        self.queue(attach, ctx);
     }
 
     /// One of a request's flows completed: detach it, advance the fan-in.
@@ -510,23 +596,18 @@ impl RpcDriver {
         };
         self.finished += 1;
         self.publish_live();
-        let src = self.topo.host(fr.src);
-        let dst = self.topo.host(fr.dst);
-        let ideal = self.topo.ideal_fct(fr.src, fr.dst, fr.bytes);
-        let slowdown = (ctx.now() - fr.start).as_ps() as f64 / ideal.as_ps() as f64;
-        let spans = self.spans.clone();
-        let tagged = self.requests_log.is_some();
-        let me = ctx.self_id();
-        ctx.defer(move |w| {
-            let harvest = detach_endpoints(w, src, dst, flow);
-            w.get_mut::<RpcDriver>(me).delivered_bytes += harvest.delivered_bytes;
-            if let Some(log) = spans {
-                let mut span = fr.span(flow, tagged);
-                span.slowdown = slowdown;
-                span.absorb(&harvest);
-                push_span(&log, span);
-            }
-        });
+        let hosts = (self.topo.host(fr.src), self.topo.host(fr.dst));
+        // The slowdown is a span field and a request's sample: a fan-in
+        // leg that is neither pays no ideal-FCT bound.
+        let now = ctx.now();
+        let span_slowdown = self.spans.is_some().then(|| fr.slowdown(&*self.topo, now));
+        let detach = LifecycleOp::Detach {
+            flow,
+            fr,
+            hosts,
+            slowdown: span_slowdown,
+        };
+        self.queue(detach, ctx);
         let Some(lr) = self.live.get_mut(&fr.req) else {
             return;
         };
@@ -542,6 +623,7 @@ impl RpcDriver {
                 return self.start_flow(fr.req, LegRef::Response, rsp, fr.measured, ctx);
             }
         }
+        let slowdown = span_slowdown.unwrap_or_else(|| fr.slowdown(&*self.topo, now));
         self.complete(fr.req, fr.bytes, slowdown, ctx);
     }
 

@@ -346,11 +346,13 @@ struct HostCore {
     next_pull_at: Time,
     last_rx: Time,
     trace_pulls: bool,
-    time_wait: FxHashMap<FlowId, Time>,
     /// Time-wait entries in expiry order (expiries are monotone: always
-    /// `now + MSL`), so the table purges itself in O(1) amortized instead
-    /// of growing with every connection ever closed.
-    time_wait_order: VecDeque<(FlowId, Time)>,
+    /// `now + MSL`), so the table purges itself from the front in O(1)
+    /// amortized instead of growing with every connection ever closed.
+    /// It holds the connections closed in the last MSL, and only a SYN for
+    /// a flow with no endpoint searches it, so it needs no index: closing a
+    /// connection costs a push and the purge, no hashing.
+    time_wait: VecDeque<(FlowId, Time)>,
     /// Optional goodput trace: (bucket width, delivered bytes per bucket).
     rx_trace: Option<(Time, Vec<u64>)>,
     /// The component [`EndpointCtx::complete`] wakes, if any.
@@ -542,20 +544,12 @@ impl<'a, 'b> EndpointCtx<'a, 'b> {
     /// (§3.2.2 at-most-once semantics).
     pub fn enter_time_wait(&mut self) {
         let now = self.sim.now();
-        let until = now + MSL;
-        self.core.time_wait.insert(self.flow, until);
-        self.core.time_wait_order.push_back((self.flow, until));
+        let time_wait = &mut self.core.time_wait;
+        time_wait.push_back((self.flow, now + MSL));
         // Opportunistically purge expired entries so the table tracks
         // connections inside the MSL window, not every flow ever closed.
-        while let Some(&(flow, exp)) = self.core.time_wait_order.front() {
-            if exp > now {
-                break;
-            }
-            self.core.time_wait_order.pop_front();
-            // Only drop the map entry if it wasn't refreshed since.
-            if self.core.time_wait.get(&flow) == Some(&exp) {
-                self.core.time_wait.remove(&flow);
-            }
+        while time_wait.front().is_some_and(|&(_, exp)| exp <= now) {
+            time_wait.pop_front();
         }
     }
 }
@@ -584,8 +578,7 @@ impl Host {
                 next_pull_at: Time::ZERO,
                 last_rx: Time::ZERO,
                 trace_pulls: false,
-                time_wait: FxHashMap::default(),
-                time_wait_order: VecDeque::new(),
+                time_wait: VecDeque::new(),
                 rx_trace: None,
                 watcher: None,
                 tx_train: Vec::new(),
@@ -720,7 +713,10 @@ impl Host {
         // endpoint; the miss path handles §3.2.2 time-wait rejection.
         let Some(ep) = endpoints.get_mut(&flow) else {
             if pkt.kind == PacketKind::Data && pkt.flags.has(Flags::SYN) {
-                if let Some(&until) = core.time_wait.get(&flow) {
+                // The newest entry for the flow: a connection id closed
+                // twice is held to its later expiry.
+                let entry = core.time_wait.iter().rev().find(|&&(f, _)| f == flow);
+                if let Some(&(_, until)) = entry {
                     if sim.now() < until {
                         core.stats.timewait_rejects += 1;
                         return;

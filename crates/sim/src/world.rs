@@ -651,8 +651,10 @@ impl<M> EventQueue<M> {
 /// A deferred structural mutation of the world, requested from inside a
 /// dispatch (where only a [`Ctx`] is available) and executed with full
 /// `&mut World` access immediately after the current component's handler
-/// returns — see [`Ctx::defer`].
-pub type WorldOp<M> = Box<dyn FnOnce(&mut World<M>) + Send>;
+/// returns — see [`Ctx::defer`]. It is handed the id of the component
+/// that deferred it, so an op that acts on that component alone captures
+/// nothing, and boxing it allocates nothing.
+pub type WorldOp<M> = Box<dyn FnOnce(&mut World<M>, ComponentId) + Send>;
 
 /// Dispatch context: the only way a component can affect the world.
 pub struct Ctx<'a, M> {
@@ -660,7 +662,7 @@ pub struct Ctx<'a, M> {
     self_id: ComponentId,
     queue: &'a mut EventQueue<M>,
     rng: &'a mut SmallRng,
-    deferred: &'a mut Vec<WorldOp<M>>,
+    deferred: &'a mut Vec<(ComponentId, WorldOp<M>)>,
 }
 
 impl<M> Ctx<'_, M> {
@@ -731,9 +733,10 @@ impl<M> Ctx<'_, M> {
     /// the event queue. The op runs with `&mut World` as soon as the
     /// current handler returns, before the next event is dispatched, so
     /// ordering stays deterministic. Ops queued by an op run in the same
-    /// drain, at the same instant.
-    pub fn defer(&mut self, op: impl FnOnce(&mut World<M>) + Send + 'static) {
-        self.deferred.push(Box::new(op));
+    /// drain, at the same instant. The op is called with the world and
+    /// this component's id.
+    pub fn defer(&mut self, op: impl FnOnce(&mut World<M>, ComponentId) + Send + 'static) {
+        self.deferred.push((self.self_id, Box::new(op)));
     }
 }
 
@@ -803,8 +806,8 @@ pub struct World<M> {
     live: usize,
     peak_live: usize,
     stale_dropped: u64,
-    deferred: Vec<WorldOp<M>>,
-    deferred_spare: Vec<WorldOp<M>>,
+    deferred: Vec<(ComponentId, WorldOp<M>)>,
+    deferred_spare: Vec<(ComponentId, WorldOp<M>)>,
     queue: EventQueue<M>,
     now: Time,
     rng: SmallRng,
@@ -1065,14 +1068,14 @@ impl<M: 'static> World<M> {
     ///
     /// The batch being run swaps places with `deferred_spare`, so both
     /// buffers keep their capacity and a steady `Ctx::defer` allocates
-    /// only the boxed op.
+    /// only the boxed op (nothing for an op that captures nothing).
     #[inline(never)]
     fn drain_deferred(&mut self) {
         while !self.deferred.is_empty() {
             let mut ops = std::mem::take(&mut self.deferred_spare);
             std::mem::swap(&mut ops, &mut self.deferred);
-            for op in ops.drain(..) {
-                op(self);
+            for (by, op) in ops.drain(..) {
+                op(self, by);
             }
             self.deferred_spare = ops;
         }
@@ -1569,7 +1572,7 @@ mod tests {
         fn handle(&mut self, _ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
             let target = self.target;
             let spawn = self.spawn_replacement;
-            ctx.defer(move |w| {
+            ctx.defer(move |w, _| {
                 w.retire(target);
                 if spawn {
                     let id = w.add(Counter {
@@ -1655,8 +1658,7 @@ mod tests {
         impl Component<u32> for SelfRetire {
             fn handle(&mut self, _ev: Event<u32>, ctx: &mut Ctx<'_, u32>) {
                 self.got += 1;
-                let me = ctx.self_id();
-                ctx.defer(move |w| {
+                ctx.defer(|w, me| {
                     w.retire(me);
                 });
             }

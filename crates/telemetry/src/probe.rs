@@ -156,7 +156,7 @@ impl Probe {
         let switches = Arc::clone(&self.switches);
         let live_flows = self.live_flows.clone();
         let out = Arc::clone(&self.out);
-        ctx.defer(move |w| {
+        ctx.defer(move |w, _| {
             let mut ring = match out.lock() {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),

@@ -162,7 +162,7 @@ impl ChaosController {
             }
             FabricOp::LinkDegrade { link, speed } => {
                 let queue = self.links[link];
-                return ctx.defer(move |w| w.get_mut::<Queue>(queue).set_rate(speed));
+                return ctx.defer(move |w, _| w.get_mut::<Queue>(queue).set_rate(speed));
             }
             // A switch takes its egress links with it, and every port one
             // hop upstream that feeds it is masked so neighbours stop
@@ -175,7 +175,7 @@ impl ChaosController {
             ),
         };
         let up = matches!(op, FabricOp::LinkUp { .. } | FabricOp::SwitchUp { .. });
-        ctx.defer(move |w| {
+        ctx.defer(move |w, _| {
             for q in queues {
                 let q = w.get_mut::<Queue>(q);
                 if up {

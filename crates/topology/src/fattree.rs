@@ -23,7 +23,7 @@ use ndp_sim::{ComponentId, Speed, World};
 
 use crate::routes::{RouteMode, Step, TreeRouter};
 use crate::spec::QueueSpec;
-use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology, LINK_DELAY};
+use crate::topology::{push_links_1d, push_links_2d, Hop, HopList, LinkRef, Topology, LINK_DELAY};
 use crate::wiring::wire_back_refs;
 
 /// Configuration for [`FatTree::build`].
@@ -383,14 +383,12 @@ impl Topology for FatTree {
         2 + 2 * self.cfg.index().climb(src, dst)
     }
 
-    fn path_profile(&self, src: HostId, dst: HostId) -> Vec<Hop> {
-        vec![
-            Hop {
-                speed: self.cfg.link_speed,
-                delay: LINK_DELAY,
-            };
-            self.n_hops(src, dst) as usize
-        ]
+    fn path_profile(&self, src: HostId, dst: HostId) -> HopList {
+        let hop = Hop {
+            speed: self.cfg.link_speed,
+            delay: LINK_DELAY,
+        };
+        HopList::uniform(hop, self.n_hops(src, dst) as usize)
     }
 
     fn links(&self) -> Vec<LinkRef> {

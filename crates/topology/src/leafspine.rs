@@ -25,7 +25,7 @@ use ndp_sim::{ComponentId, Speed, World};
 
 use crate::routes::{RouteMode, Step, TreeRouter};
 use crate::spec::QueueSpec;
-use crate::topology::{push_links_1d, push_links_2d, Hop, LinkRef, Topology, LINK_DELAY};
+use crate::topology::{push_links_1d, push_links_2d, Hop, HopList, LinkRef, Topology, LINK_DELAY};
 use crate::wiring::wire_back_refs;
 
 /// Configuration for [`LeafSpine::build`].
@@ -251,7 +251,7 @@ impl Topology for LeafSpine {
         }
     }
 
-    fn path_profile(&self, src: HostId, dst: HostId) -> Vec<Hop> {
+    fn path_profile(&self, src: HostId, dst: HostId) -> HopList {
         let access = Hop {
             speed: self.cfg.host_speed,
             delay: LINK_DELAY,
@@ -261,9 +261,9 @@ impl Topology for LeafSpine {
             delay: LINK_DELAY,
         };
         if self.same_rack(src, dst) {
-            vec![access, access]
+            HopList::new(&[access, access])
         } else {
-            vec![access, uplink, uplink, access]
+            HopList::new(&[access, uplink, uplink, access])
         }
     }
 

@@ -39,4 +39,4 @@ pub use leafspine::{LeafSpine, LeafSpineCfg};
 pub use routes::{flow_hash_path, RouteMode};
 pub use small::{BackToBack, SingleBottleneck};
 pub use spec::QueueSpec;
-pub use topology::{ideal_fct_over, mask_link, Hop, LinkRef, Topology};
+pub use topology::{ideal_fct_over, mask_link, Hop, HopList, LinkRef, Topology, MAX_HOPS};

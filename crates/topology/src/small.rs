@@ -10,7 +10,7 @@ use ndp_sim::{ComponentId, Speed, Time, World};
 
 use crate::routes::TreeRouter;
 use crate::spec::QueueSpec;
-use crate::topology::{push_links_1d, Hop, LinkRef, Topology};
+use crate::topology::{push_links_1d, Hop, HopList, LinkRef, Topology};
 use crate::wiring::wire_back_refs;
 
 /// Two hosts wired NIC-to-NIC (the paper's §5.1/§6 calibration setup).
@@ -81,11 +81,12 @@ impl Topology for BackToBack {
         1
     }
 
-    fn path_profile(&self, _src: HostId, _dst: HostId) -> Vec<Hop> {
-        vec![Hop {
+    fn path_profile(&self, _src: HostId, _dst: HostId) -> HopList {
+        let hop = Hop {
             speed: self.link_speed,
             delay: self.link_delay,
-        }]
+        };
+        HopList::uniform(hop, 1)
     }
 
     fn links(&self) -> Vec<LinkRef> {

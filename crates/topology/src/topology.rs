@@ -21,7 +21,9 @@
 //! [`Topology::bulk_speed`] for the pipelined bulk — so a fabric with
 //! slow uplinks (an oversubscribed leaf-spine) or asymmetric tiers
 //! yields an honest bound that no transport can beat and a multipath
-//! transport can approach.
+//! transport can approach. A path profile is a [`HopList`], at most
+//! [`MAX_HOPS`] hops held inline, so the bound allocates nothing: a
+//! driver asks for it for every request it completes.
 
 use ndp_net::packet::{HostId, Packet, HEADER_BYTES};
 use ndp_net::queue::{LinkClass, Queue, QueueStats};
@@ -39,6 +41,52 @@ pub const LINK_DELAY: Time = Time::from_us(1);
 pub struct Hop {
     pub speed: Speed,
     pub delay: Time,
+}
+
+/// The most links a path crosses on any fabric here: a FatTree's
+/// inter-pod path (NIC, ToR up, agg up, core down, agg down, ToR down).
+pub const MAX_HOPS: usize = 6;
+
+/// A path's hops in order, held inline: at most [`MAX_HOPS`] of them, read
+/// as a `&[Hop]`. [`Topology::path_profile`] returns one, so the ideal-FCT
+/// bound a driver computes for every request it completes allocates
+/// nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct HopList {
+    hops: [Hop; MAX_HOPS],
+    len: u8,
+}
+
+impl HopList {
+    /// `hops`, in path order. Panics past [`MAX_HOPS`].
+    pub fn new(hops: &[Hop]) -> HopList {
+        let mut list = HopList::uniform(
+            Hop {
+                speed: Speed::bps(0),
+                delay: Time::ZERO,
+            },
+            hops.len(),
+        );
+        list.hops[..hops.len()].copy_from_slice(hops);
+        list
+    }
+
+    /// `n` crossings of identical links. Panics past [`MAX_HOPS`].
+    pub fn uniform(hop: Hop, n: usize) -> HopList {
+        assert!(n <= MAX_HOPS, "a {n}-hop path is longer than MAX_HOPS");
+        HopList {
+            hops: [hop; MAX_HOPS],
+            len: n as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for HopList {
+    type Target = [Hop];
+
+    fn deref(&self) -> &[Hop] {
+        &self.hops[..self.len as usize]
+    }
 }
 
 /// One directional link of a built topology: the egress [`Queue`]
@@ -131,7 +179,7 @@ pub trait Topology: Send + Sync {
 
     /// Per-hop speeds/delays of the fastest src→dst path (used for
     /// [`Topology::ideal_fct`]; length is the hop count).
-    fn path_profile(&self, src: HostId, dst: HostId) -> Vec<Hop>;
+    fn path_profile(&self, src: HostId, dst: HostId) -> HopList;
 
     /// Number of links a packet crosses from `src` to `dst`.
     fn n_hops(&self, src: HostId, dst: HostId) -> u32 {

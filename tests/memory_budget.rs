@@ -3,6 +3,10 @@
 //! binary of its own). Wall-clock and RSS are the benchmark's business;
 //! these are the exact, repeatable byte counts behind them, so a footprint
 //! regression fails here with a number instead of as a drifting `peak_rss_mb`.
+//! The allocator counts blocks (allocation calls) too, per thread: what a
+//! flow costs the allocator is its block count more than its bytes, and a
+//! thread's own count is exact whatever the harness's threads allocate
+//! meanwhile.
 //!
 //! The counters are process-global, so every test holds one mutex for its
 //! whole body: nothing another test builds, frees or prints (a panic's
@@ -12,6 +16,7 @@
 //! which makes the counts an upper bound that does not depend on the libc.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
@@ -22,7 +27,7 @@ use ndp::net::flight::{HopKind, HopRecord};
 use ndp::net::{LinkClass, Packet, Queue, HEADER_BYTES};
 use ndp::sim::{Component, Ctx, Event, Speed, Time, World};
 use ndp::telemetry::{write_chrome_trace, FlowSpan, Gauge, PointTelemetry, RequestSpan};
-use ndp::topology::{FatTreeCfg, QueueSpec};
+use ndp::topology::{FatTreeCfg, LeafSpineCfg, QueueSpec, Topology};
 use ndp::transport::FlowSpec;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -33,6 +38,12 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Blocks ever allocated on this thread. Const-initialised and without
+    /// a destructor, so reading it from the allocator allocates nothing.
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
+}
+
 // SAFETY: every block comes from and returns to `System` with the layout
 // the caller passed; the counters are statistics (`Relaxed`: they publish
 // no other data) and never influence what is handed out.
@@ -41,6 +52,8 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
+            // `try_with`: a thread being torn down has no counter left.
+            let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
             ALLOCATED.fetch_add(layout.size(), Relaxed);
             let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
             PEAK.fetch_max(live, Relaxed);
@@ -64,6 +77,9 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 struct Heap {
     /// Bytes allocated while the closure ran (freed or not).
     allocated: usize,
+    /// Blocks the closure's thread allocated while it ran (freed or not):
+    /// allocation calls, a growth of a buffer included.
+    blocks: usize,
     /// High-water mark of live bytes above what was live when it started.
     peak: usize,
 }
@@ -77,9 +93,11 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, Heap) {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
     let allocated = ALLOCATED.load(Relaxed);
+    let blocks = BLOCKS.with(Cell::get);
     let r = f();
     let heap = Heap {
         allocated: ALLOCATED.load(Relaxed) - allocated,
+        blocks: BLOCKS.with(Cell::get) - blocks,
         peak: PEAK.load(Relaxed).saturating_sub(base),
     };
     (r, heap)
@@ -195,6 +213,91 @@ fn a_path_reshuffle_allocates_nothing() {
     });
     assert!(paths.is_excluded(3) && paths.is_excluded(9));
     assert_eq!(heap.allocated, 0, "bytes the reshuffles allocated");
+}
+
+/// Blocks one 1 KB flow costs from attach to detach, on back-to-back hosts:
+/// 6,400 flows attached 64 at a time, each batch run for 50 ms and then
+/// detached (the benchmark's lifecycle probe). Everything a flow touches
+/// is counted: its endpoints and their state, its packets, its start
+/// wake, and its share of the hosts' tables and the scheduler's buffers.
+fn lifecycle_blocks_per_flow(proto: Proto) -> f64 {
+    const FLOWS: u64 = 6_400;
+    const BATCH: u64 = 64;
+    let mut world: World<Packet> = World::new(7);
+    let topo = TopoSpec::backtoback().build(&mut world, proto.fabric());
+    let (h0, h1) = (topo.host(0), topo.host(1));
+    let (_, heap) = measure(|| {
+        for first in (1..=FLOWS).step_by(BATCH as usize) {
+            let batch = first..first + BATCH;
+            for flow in batch.clone() {
+                let mut spec = FlowSpec::new(flow, 0, 1, 1_000);
+                spec.start = world.now();
+                attach_on(&mut world, topo.as_ref(), proto, &spec);
+            }
+            let deadline = world.now() + Time::from_ms(50);
+            world.run_until(deadline);
+            for flow in batch {
+                let harvest = ndp::transport::detach_endpoints(&mut world, h0, h1, flow);
+                assert!(harvest.completion_time.is_some(), "flow {flow} completed");
+            }
+        }
+    });
+    heap.blocks as f64 / FLOWS as f64
+}
+
+/// A 1 KB flow's block budget. NDP's is 6.98: its two boxed endpoints, the
+/// sender's path records and sequence window, and the data packet and its
+/// ACK (one block each), plus its share of table and buffer growth; it was
+/// 10.98 while the sender kept its path scoreboard in five vectors.
+/// DCTCP's is 5.97, one fewer: a TCP-family sender has no path records.
+#[test]
+fn a_1kb_flow_costs_its_block_budget() {
+    let _serial = serial();
+    for (proto, budget) in [(Proto::Ndp, 7.0), (Proto::Dctcp, 6.0)] {
+        let blocks = lifecycle_blocks_per_flow(proto);
+        assert!(
+            blocks < budget,
+            "a {} 1 KB flow cost {blocks:.2} blocks",
+            proto.label()
+        );
+    }
+}
+
+/// An ideal-FCT bound allocates nothing: a driver asks for one per request
+/// it completes (for the last flow's slowdown), so a path profile that
+/// allocated would cost every request a block. Every host pair of a k=4
+/// FatTree and of an 8-leaf leaf-spine is asked for its bound, hop count
+/// and bulk speed.
+#[test]
+fn an_ideal_fct_allocates_nothing() {
+    let _serial = serial();
+    for spec in [
+        TopoSpec::fattree(FatTreeCfg::new(4)),
+        TopoSpec::leafspine(LeafSpineCfg::new(8, 4, 4)),
+    ] {
+        let mut world: World<Packet> = World::new(7);
+        let topo = spec.build(&mut world, Proto::Ndp.fabric());
+        let topo: &dyn Topology = topo.as_ref();
+        let n = topo.n_hosts() as u32;
+        let (sum, heap) = measure(|| {
+            let mut sum = Time::ZERO;
+            for src in 0..n {
+                for dst in (0..n).filter(|&d| d != src) {
+                    sum += topo.ideal_fct(src, dst, 1_000);
+                    sum += Time::from_ps(u64::from(topo.n_hops(src, dst)));
+                    sum += topo.bulk_speed(src, dst).tx_time(1);
+                }
+            }
+            sum
+        });
+        assert!(sum > Time::ZERO);
+        assert_eq!(
+            heap.blocks,
+            0,
+            "{}: blocks the bounds allocated",
+            spec.name()
+        );
+    }
 }
 
 /// Drops every packet it is sent.

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Interleaved parent/change A/B of benchmark workloads.
 
-    tools/ab.py <parent-target-dir> <change-target-dir> <workloads> --pairs N [--seed S]
+    tools/ab.py <parent-target-dir> <change-target-dir> <workloads> --pairs N [--seed S[,S...]]
 
 <workloads> is one workload name, a comma-separated list of them, or `all`
 (every workload `BENCHMARK.json` declares, in its order); each runs its N
-pairs in turn.
+pairs in turn. `--seed` is one seed or a comma-separated list of them
+(`--seed 7,23`): every workload runs its N pairs at each seed, seed by seed.
 
 Builds nothing: each target dir must already hold `release/benchmark`
 (`CARGO_TARGET_DIR=<dir> cargo build --release --manifest-path
@@ -20,9 +21,9 @@ differ, and the tool exits with status 1 once every pair has run. Prints, for
 per-pair change÷parent ratio, the pairs the change won, and the ratio of the
 two minima; then the `peak_rss_mb` medians, and each side's mean `tail_ratio`
 (the `sim_tail_ratio` metric), total `failed` and median `events`. Ends with
-one summary line per workload: the `wall_s` and `setup_s` pair-ratio medians
-and wins, the `peak_rss_mb` ratio and whether the witnesses were equal on
-every pair.
+one summary block per seed, one line per workload: the `wall_s` and `setup_s`
+pair-ratio medians and wins, the `peak_rss_mb` ratio and whether the
+witnesses were equal on every pair.
 """
 
 import argparse
@@ -84,10 +85,10 @@ def declared_workloads():
         return [w["name"] for w in json.load(f)["workloads"]]
 
 
-def run_workload(args, workload, cpu):
-    """Runs and reports one workload's pairs; returns its summary line and
-    whether any pair's witnesses differed."""
-    print(f"# ab: {workload} seed {args.seed} pairs {args.pairs} cpu {cpu}")
+def run_workload(args, workload, seed, cpu):
+    """Runs and reports one workload's pairs at `seed`; returns its summary
+    line and whether any pair's witnesses differed."""
+    print(f"# ab: {workload} seed {seed} pairs {args.pairs} cpu {cpu}")
     print(f"# parent {args.parent}")
     print(f"# change {args.change}")
     sides = {"parent": [], "change": []}
@@ -96,7 +97,7 @@ def run_workload(args, workload, cpu):
     for i in range(args.pairs):
         rep = i % REPS
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run_one(dirs[side], workload, args.seed, rep, cpu) for side in order}
+        got = {side: run_one(dirs[side], workload, seed, rep, cpu) for side in order}
         p, c = got["parent"], got["change"]
         differ = [key for key in WITNESSES if p[key] != c[key]]
         changed += bool(differ)
@@ -134,11 +135,15 @@ def main():
     ap.add_argument("change", help="CARGO_TARGET_DIR of the change build (the same dir gives a self-pair)")
     ap.add_argument("workloads", help="a workload, a comma-separated list of them, or `all`")
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", default="7", help="a seed or a comma-separated list of them (default 7)")
     ap.add_argument("--cpu", type=int, default=None, help="CPU to pin to (default: the last one this process may use)")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be positive")
+    try:
+        seeds = [int(s) for s in args.seed.split(",")]
+    except ValueError:
+        ap.error(f"--seed takes an integer or a comma-separated list of them, not {args.seed!r}")
 
     cpu = args.cpu
     if shutil.which("taskset") is None:
@@ -152,14 +157,16 @@ def main():
     unknown = [w for w in workloads if w not in declared]
     if unknown:
         ap.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json declares {', '.join(declared)}")
-    summaries, changed = [], False
-    for workload in workloads:
-        summary, differs = run_workload(args, workload, cpu)
-        summaries.append(summary)
-        changed |= differs
-    print(f"# summary: seed {args.seed} pairs {args.pairs}; pair-ratio medians change/parent")
-    for line in summaries:
-        print(line)
+    summaries, changed = {}, False
+    for seed in seeds:
+        for workload in workloads:
+            summary, differs = run_workload(args, workload, seed, cpu)
+            summaries.setdefault(seed, []).append(summary)
+            changed |= differs
+    for seed, lines in summaries.items():
+        print(f"# summary: seed {seed} pairs {args.pairs}; pair-ratio medians change/parent")
+        for line in lines:
+            print(line)
     return 1 if changed else 0
 
 

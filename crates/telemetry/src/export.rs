@@ -631,6 +631,159 @@ mod tests {
         ndp_snapshot::snapshot!("export.chrome.json", write_chrome_trace(&points));
     }
 
+    /// Every record variant at its field edges: `0` and `u64::MAX` (and
+    /// `u32`/`usize` maxima), timestamps whose microsecond fraction is zero
+    /// or starts with zeros, the latest representable time, a key and a
+    /// label that need escaping, tags inside and outside the table, a leg
+    /// of a request and a flow outside any, a span with no first data,
+    /// non-finite and long-decimal slowdowns, stuck spans and requests, and
+    /// a hop of every kind.
+    fn edge_point() -> PointTelemetry {
+        let mut done = FlowSpan::open(u64::MAX, 0, u32::MAX, u64::MAX, Time::ZERO);
+        done.completion = Some(Time::MAX);
+        done.slowdown = f64::NAN;
+        done.request = Some(0);
+        done.retransmissions = u64::MAX;
+        let mut long = FlowSpan::open(0, u32::MAX, 0, 0, Time::from_ps(7_000_500));
+        long.first_data = Some(Time::from_ps(7_000_501));
+        long.completion = Some(Time::from_ps(8_000_000));
+        long.slowdown = 0.1 + 0.2;
+        long.measured = true;
+        long.timeouts = u64::MAX;
+        long.trimmed_headers = u64::MAX;
+        long.rts_events = u64::MAX;
+        let mut huge = FlowSpan::open(9, 1, 2, 1, Time::from_ps(999_999));
+        huge.completion = Some(Time::from_ps(999_999));
+        huge.slowdown = 1e300;
+        huge.request = Some(u64::MAX);
+        let mut stuck = FlowSpan::open(10, 2, 1, 1500, Time::from_ps(1_000_042));
+        stuck.first_data = Some(Time::from_ps(u64::MAX));
+        stuck.slowdown = f64::INFINITY;
+        stuck.stuck = true;
+        stuck.request = Some(7);
+        let request = crate::span::RequestSpan {
+            request: u64::MAX - REQUEST_TID_BASE,
+            tenant: u32::MAX,
+            seq: u64::MAX,
+            client: u32::MAX,
+            fanout: 0,
+            arrival: Time::ZERO,
+            completion: Some(Time::MAX),
+            straggler_leg: u32::MAX,
+            measured: false,
+            slo_met: false,
+        };
+        let hop = HopRecord {
+            at: Time::from_ps(42),
+            tag: 0,
+            kind: HopKind::Enqueue,
+            flow: 0,
+            src: 0,
+            dst: 0,
+            seq: 0,
+            size: 0,
+        };
+        let kinds = [
+            HopKind::Enqueue,
+            HopKind::Dequeue,
+            HopKind::Trim,
+            HopKind::Bounce,
+            HopKind::Drop,
+            HopKind::DropDown,
+            HopKind::EcnMark,
+            HopKind::Reroute,
+        ];
+        let mut hops: Vec<HopRecord> = (0u32..)
+            .zip(kinds)
+            .map(|(i, kind)| HopRecord {
+                kind,
+                tag: i % 3,
+                at: Time::from_ps(u64::from(i) * 1_000_001),
+                ..hop
+            })
+            .collect();
+        hops.push(HopRecord {
+            at: Time::MAX,
+            tag: u32::MAX,
+            flow: u64::MAX,
+            src: u32::MAX,
+            dst: u32::MAX,
+            seq: u64::MAX,
+            size: u32::MAX,
+            ..hop
+        });
+        PointTelemetry {
+            key: "edge/\"ndp\"\\\t\u{1b}\u{7f}é".into(),
+            tags: vec!["tor0\r".into(), String::new()],
+            gauges: vec![
+                Gauge::Queue {
+                    at: Time::MAX,
+                    tag: u32::MAX,
+                    occ_bytes: u64::MAX,
+                    occ_pkts: usize::MAX,
+                    forwarded: u64::MAX,
+                    trimmed: u64::MAX,
+                    bounced: u64::MAX,
+                    dropped: u64::MAX,
+                    dropped_down: u64::MAX,
+                    ecn_marked: u64::MAX,
+                },
+                Gauge::Queue {
+                    at: Time::ZERO,
+                    tag: 0,
+                    occ_bytes: 0,
+                    occ_pkts: 0,
+                    forwarded: 0,
+                    trimmed: 0,
+                    bounced: 0,
+                    dropped: 0,
+                    dropped_down: 0,
+                    ecn_marked: 0,
+                },
+                Gauge::Switch {
+                    at: Time::from_ps(5_000_000),
+                    tag: 2,
+                    rx_pkts: u64::MAX,
+                    rerouted: 0,
+                },
+                Gauge::World {
+                    at: Time::from_ps(1_000_042),
+                    live_components: usize::MAX,
+                    live_flows: 0,
+                    events: u64::MAX,
+                },
+            ],
+            gauges_evicted: u64::MAX,
+            spans: vec![done, long, huge, stuck],
+            requests: vec![
+                request,
+                crate::span::RequestSpan {
+                    request: 0,
+                    tenant: 0,
+                    seq: 0,
+                    client: 0,
+                    fanout: u32::MAX,
+                    arrival: Time::from_ps(12_000_009),
+                    completion: None,
+                    straggler_leg: 0,
+                    measured: true,
+                    slo_met: false,
+                },
+            ],
+            hops,
+            hops_evicted: 0,
+        }
+    }
+
+    /// `edge_point()` through both writers, pinned to the bytes the
+    /// `core::fmt` writers rendered.
+    #[test]
+    fn every_record_variant_at_its_field_edges_is_pinned() {
+        let points = [edge_point(), PointTelemetry::default()];
+        ndp_snapshot::snapshot!("export_edges.ndjson", write_ndjson(&points));
+        ndp_snapshot::snapshot!("export_edges.chrome.json", write_chrome_trace(&points));
+    }
+
     #[test]
     fn escapes_hostile_labels() {
         let mut p = sample_point();

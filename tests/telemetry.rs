@@ -24,7 +24,7 @@ use ndp::net::switch::Switch;
 use ndp::net::Packet;
 use ndp::sim::world::{set_default_scheduler, SchedulerKind};
 use ndp::sim::{Time, World};
-use ndp::telemetry::{self, session, TelemetryConfig, TelemetrySummary};
+use ndp::telemetry::{self, session, PointTelemetry, TelemetryConfig, TelemetrySummary};
 use ndp::topology::{FatTree, FatTreeCfg, Topology};
 use ndp_snapshot::{field, snapshot};
 
@@ -128,9 +128,9 @@ fn flight_recorder_sees_every_forwarded_packet() {
     assert_eq!(enq, deq, "enqueue/dequeue mismatch on an idle fabric");
 }
 
-/// Run the quick failure matrix under an active session and export it:
-/// the NDJSON bytes, the headline and the envelope's `telemetry` summary.
-fn capture_ndjson(threads: &str, kind: SchedulerKind) -> (String, String, TelemetrySummary) {
+/// Run the quick failure matrix under an active session: the collected
+/// points and the headline.
+fn capture_points(threads: &str, kind: SchedulerKind) -> (Vec<PointTelemetry>, String) {
     std::env::set_var("NDP_THREADS", threads);
     set_default_scheduler(kind);
     session::begin(TelemetryConfig);
@@ -139,39 +139,63 @@ fn capture_ndjson(threads: &str, kind: SchedulerKind) -> (String, String, Teleme
     std::env::remove_var("NDP_THREADS");
     set_default_scheduler(SchedulerKind::TwoTier);
     assert!(!points.is_empty(), "failure matrix submitted no telemetry");
-    let summary = telemetry::summarize(&points);
-    (telemetry::write_ndjson(&points), report.headline(), summary)
+    (points, report.headline())
+}
+
+/// 64-bit FNV-1a of an export's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
 }
 
 #[test]
 fn telemetry_on_trace_is_byte_identical_across_threads_and_schedulers() {
     let _g = serialize();
-    let (serial, headline_serial, summary) = capture_ndjson("1", SchedulerKind::TwoTier);
-    let (threaded, headline_threaded, _) = capture_ndjson("7", SchedulerKind::TwoTier);
+    let (points, headline_serial) = capture_points("1", SchedulerKind::TwoTier);
+    let (serial, chrome) = (
+        telemetry::write_ndjson(&points),
+        telemetry::write_chrome_trace(&points),
+    );
+    let summary = telemetry::summarize(&points);
+    drop(points);
+    let (threaded, headline_threaded) = capture_points("7", SchedulerKind::TwoTier);
     assert_eq!(
-        serial, threaded,
+        serial,
+        telemetry::write_ndjson(&threaded),
         "NDJSON bytes changed with the worker thread count"
     );
     assert_eq!(headline_serial, headline_threaded);
-    let (classic, _, _) = capture_ndjson("3", SchedulerKind::Classic);
+    drop(threaded);
+    let (classic, _) = capture_points("3", SchedulerKind::Classic);
     assert_eq!(
-        serial, classic,
+        serial,
+        telemetry::write_ndjson(&classic),
         "NDJSON bytes changed with the engine scheduler"
     );
+    drop(classic);
     // The capture is substantive: gauges, spans, and down-link hop
     // records all present, so a tail flow is attributable to the failure.
     assert!(serial.contains("\"gauge\":\"queue\""));
     assert!(serial.contains("\"type\":\"span\""));
     assert!(serial.contains("\"kind\":\"drop_down\""));
-    // The export `ndp run failure_matrix --scale quick --trace` writes:
-    // its size and 64-bit FNV-1a digest, beside the envelope's block.
-    let fnv1a = serial.bytes().fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
-    });
+    // The two exports `ndp run failure_matrix --scale quick --trace`
+    // writes: their sizes and 64-bit FNV-1a digests, beside the
+    // envelope's block.
     let mut pin = String::new();
     field(&mut pin, "ndjson_lines", serial.lines().count());
     field(&mut pin, "ndjson_bytes", serial.len());
-    field(&mut pin, "ndjson_fnv1a", format_args!("0x{fnv1a:016X}"));
+    field(
+        &mut pin,
+        "ndjson_fnv1a",
+        format_args!("0x{:016X}", fnv1a(&serial)),
+    );
+    field(&mut pin, "chrome_bytes", chrome.len());
+    field(
+        &mut pin,
+        "chrome_fnv1a",
+        format_args!("0x{:016X}", fnv1a(&chrome)),
+    );
     let TelemetrySummary {
         points,
         gauge_records,

@@ -6,7 +6,11 @@
 //! become `null`); the parser is the minimal inverse used by tests and by
 //! `ndp --json` consumers that want to re-load results.
 
+use ndp_telemetry::export::Decimal;
 use std::fmt::Write as _;
+
+/// 2^53: every integer of smaller magnitude is an exact `f64`.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,9 +85,18 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // An integer of magnitude below 2^53 is exact as a `u64`, and
+            // `Display` prints it as its digits, with no fraction or
+            // exponent; `-0` keeps its sign as `Display` does.
+            Json::Num(x) if x.abs() < TWO_53 && x.fract() == 0.0 => {
+                if x.is_sign_negative() {
+                    out.push('-');
+                }
+                out.push_str(Decimal::new(x.abs() as u64).as_str());
+            }
             Json::Num(x) if x.is_finite() => {
                 // Rust's f64 Display is shortest-roundtrip and (for finite
-                // values) valid JSON; integers print without a fraction.
+                // values) valid JSON.
                 write!(out, "{x}").expect("write to String")
             }
             // Non-finite floats have no JSON representation; guard here as
@@ -382,6 +395,48 @@ mod tests {
             Json::Num(1.5),
         ]);
         assert_eq!(v.render(), "[null,null,1.5]");
+    }
+
+    /// Integral numbers take the digit writer, everything else `Display`;
+    /// both must print what `Display` prints, on either side of every edge.
+    #[test]
+    fn numbers_render_as_display_prints_them() {
+        let below = TWO_53 - 1.0;
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            99.0,
+            100.0,
+            -12_345.0,
+            1e15,
+            below,
+            -below,
+            TWO_53,
+            -TWO_53,
+            TWO_53 * 2.0,
+            // Display prints these as 17 significant digits and zeros,
+            // not as their exact integer digits.
+            2f64.powi(60),
+            -2f64.powi(63),
+            1e300,
+            -1e300,
+            0.5,
+            -0.5,
+            1.5,
+            below - 0.5,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for x in edges {
+            assert_eq!(Json::Num(x).render(), format!("{x}"), "{x:e}");
+        }
     }
 
     #[test]

@@ -14,22 +14,128 @@
 //!   become `X` slices on their own track band, and their leg flows carry
 //!   a `request` arg, so a fan-out tree reads as one request slice with N
 //!   leg slices nested under the same id.
+//!
+//! Both writers append every record to one byte buffer, piece by piece,
+//! through [`Emit`] (the `emit!` macro): a literal is copied, an integer
+//! is rendered two digits at a time by [`Decimal`], a timestamp in
+//! microseconds writes its six fractional digits the same way, and a
+//! label is the escaped copy made once per point. No format string is
+//! parsed and no formatter is built per field; only an `f64` (a span's
+//! `slowdown`) goes through `core::fmt`, for its shortest round-trip
+//! `Display`. The bytes are exactly what `format!` renders for the same
+//! fields: `tests/snapshots/export*.txt` and the failure-matrix trace pin
+//! (`tests/snapshots/failure_matrix_trace.txt` at the workspace root) hold
+//! both formats to the bytes of the `core::fmt` writers this one replaced.
 
 use crate::probe::Gauge;
 use crate::session::PointTelemetry;
 use crate::span::{FlowSpan, RequestSpan};
 use ndp_net::flight::HopRecord;
-use std::fmt::{self, Write as _};
 
 /// Chrome-trace track offset for request slices, so request lanes never
 /// collide with per-flow lanes (flow ids count up from 1).
 const REQUEST_TID_BASE: u64 = 1 << 32;
 
-/// `write!` into the one output `String`; that cannot fail.
-macro_rules! put {
-    ($out:expr, $($arg:tt)*) => {{
-        let _ = write!($out, $($arg)*);
+/// `00`, `01`, …, `99`: two ASCII digits per entry.
+const PAIRS: [u8; 200] = {
+    let mut table = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The two ASCII digits of `n < 100`.
+fn pair(n: usize) -> [u8; 2] {
+    [PAIRS[2 * n], PAIRS[2 * n + 1]]
+}
+
+/// A `u64`'s decimal digits, exactly what `{}` prints, rendered two at a
+/// time from a lookup table into the head of a stack buffer.
+pub struct Decimal {
+    buf: [u8; 20],
+    len: usize,
+}
+
+impl Decimal {
+    pub fn new(mut v: u64) -> Decimal {
+        let len = v.checked_ilog10().unwrap_or(0) as usize + 1;
+        let mut buf = [0; 20];
+        let mut end = len;
+        while end > 1 {
+            end -= 2;
+            buf[end..end + 2].copy_from_slice(&pair((v % 100) as usize));
+            v /= 100;
+        }
+        if end == 1 {
+            buf[0] = b'0' + v as u8;
+        }
+        Decimal { buf, len }
+    }
+
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("decimal digits are ASCII")
+    }
+}
+
+/// One piece of a record, appended to the output as UTF-8 bytes.
+trait Emit {
+    fn emit(&self, out: &mut Vec<u8>);
+}
+
+/// Append each piece in turn: `emit!(out, "\"seq\":", h.seq, ",")` is one
+/// [`Emit::emit`] call per piece.
+macro_rules! emit {
+    ($out:expr, $($piece:expr),+ $(,)?) => {{
+        let out: &mut Vec<u8> = $out;
+        $($piece.emit(out);)+
     }};
+}
+
+impl Emit for str {
+    fn emit(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Emit for u64 {
+    fn emit(&self, out: &mut Vec<u8>) {
+        // A fixed-size copy and a truncation: cheaper than copying a
+        // slice whose length is known only at run time.
+        let d = Decimal::new(*self);
+        let end = out.len() + d.len;
+        out.extend_from_slice(&d.buf);
+        out.truncate(end);
+    }
+}
+
+impl Emit for u32 {
+    fn emit(&self, out: &mut Vec<u8>) {
+        u64::from(*self).emit(out);
+    }
+}
+
+impl Emit for usize {
+    fn emit(&self, out: &mut Vec<u8>) {
+        (*self as u64).emit(out);
+    }
+}
+
+impl Emit for bool {
+    fn emit(&self, out: &mut Vec<u8>) {
+        (if *self { "true" } else { "false" }).emit(out);
+    }
+}
+
+/// Rust's shortest round-trip `Display`, the one field `core::fmt` keeps.
+impl Emit for f64 {
+    fn emit(&self, out: &mut Vec<u8>) {
+        use std::io::Write as _;
+        write!(out, "{self}").expect("writing to a Vec cannot fail");
+    }
 }
 
 /// Escape a string for embedding in a JSON string literal.
@@ -42,7 +148,12 @@ fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => put!(out, "\\u{:04x}", c as u32),
+            c if (c as u32) < 0x20 => {
+                let hex = |d: u32| char::from_digit(d, 16).expect("a nibble is a hex digit");
+                out.push_str("\\u00");
+                out.push(hex(c as u32 >> 4));
+                out.push(hex(c as u32 & 0xf));
+            }
             c => out.push(c),
         }
     }
@@ -72,11 +183,11 @@ impl Labels {
 /// A tag's escaped label, or `tag<N>` for one outside the table.
 struct TagLabel<'a>(Option<&'a str>, u32);
 
-impl fmt::Display for TagLabel<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Emit for TagLabel<'_> {
+    fn emit(&self, out: &mut Vec<u8>) {
         match self.0 {
-            Some(label) => f.write_str(label),
-            None => write!(f, "tag{}", self.1),
+            Some(label) => label.emit(out),
+            None => emit!(out, "tag", self.1),
         }
     }
 }
@@ -84,11 +195,11 @@ impl fmt::Display for TagLabel<'_> {
 /// `null` for `None`; `T`'s own rendering otherwise.
 struct OrNull<T>(Option<T>);
 
-impl<T: fmt::Display> fmt::Display for OrNull<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl<T: Emit> Emit for OrNull<T> {
+    fn emit(&self, out: &mut Vec<u8>) {
         match &self.0 {
-            Some(v) => v.fmt(f),
-            None => f.write_str("null"),
+            Some(v) => v.emit(out),
+            None => "null".emit(out),
         }
     }
 }
@@ -101,8 +212,45 @@ fn opt_f64(v: f64) -> OrNull<f64> {
     OrNull(Some(v).filter(|v| v.is_finite()))
 }
 
-fn push_gauge_line(out: &mut String, l: &Labels, g: &Gauge) {
-    let key = &l.key;
+/// Picoseconds → microseconds with six fractional digits. Integer math
+/// throughout so the bytes are platform-independent.
+struct Us(u64);
+
+impl Emit for Us {
+    fn emit(&self, out: &mut Vec<u8>) {
+        (self.0 / 1_000_000).emit(out);
+        let frac = (self.0 % 1_000_000) as usize;
+        let [a, b] = pair(frac / 10_000);
+        let [c, d] = pair(frac / 100 % 100);
+        let [e, f] = pair(frac % 100);
+        out.extend_from_slice(&[b'.', a, b, c, d, e, f]);
+    }
+}
+
+fn us(t: ndp_sim::Time) -> Us {
+    Us(t.as_ps())
+}
+
+/// The `,"request":N` member a leg flow's slice carries; nothing for a
+/// flow outside any request.
+struct RequestArg(Option<u64>);
+
+impl Emit for RequestArg {
+    fn emit(&self, out: &mut Vec<u8>) {
+        if let Some(r) = self.0 {
+            emit!(out, ",\"request\":", r);
+        }
+    }
+}
+
+/// The finished buffer as text: every piece appended was a `str` or
+/// ASCII digits, so it is UTF-8.
+fn into_string(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("every emitted piece is UTF-8")
+}
+
+fn push_gauge_line(out: &mut Vec<u8>, l: &Labels, g: &Gauge) {
+    let key = l.key.as_str();
     match *g {
         Gauge::Queue {
             at,
@@ -115,102 +263,165 @@ fn push_gauge_line(out: &mut String, l: &Labels, g: &Gauge) {
             dropped,
             dropped_down,
             ecn_marked,
-        } => put!(
+        } => emit!(
             out,
-            "{{\"type\":\"gauge\",\"point\":\"{key}\",\"gauge\":\"queue\",\"at_ps\":{},\
-             \"target\":\"{}\",\"occ_bytes\":{occ_bytes},\"occ_pkts\":{occ_pkts},\
-             \"forwarded\":{forwarded},\"trimmed\":{trimmed},\"bounced\":{bounced},\
-             \"dropped\":{dropped},\"dropped_down\":{dropped_down},\"ecn_marked\":{ecn_marked}}}\n",
+            "{\"type\":\"gauge\",\"point\":\"",
+            key,
+            "\",\"gauge\":\"queue\",\"at_ps\":",
             at.as_ps(),
+            ",\"target\":\"",
             l.tag(tag),
+            "\",\"occ_bytes\":",
+            occ_bytes,
+            ",\"occ_pkts\":",
+            occ_pkts,
+            ",\"forwarded\":",
+            forwarded,
+            ",\"trimmed\":",
+            trimmed,
+            ",\"bounced\":",
+            bounced,
+            ",\"dropped\":",
+            dropped,
+            ",\"dropped_down\":",
+            dropped_down,
+            ",\"ecn_marked\":",
+            ecn_marked,
+            "}\n",
         ),
         Gauge::Switch {
             at,
             tag,
             rx_pkts,
             rerouted,
-        } => put!(
+        } => emit!(
             out,
-            "{{\"type\":\"gauge\",\"point\":\"{key}\",\"gauge\":\"switch\",\"at_ps\":{},\
-             \"target\":\"{}\",\"rx_pkts\":{rx_pkts},\"rerouted\":{rerouted}}}\n",
+            "{\"type\":\"gauge\",\"point\":\"",
+            key,
+            "\",\"gauge\":\"switch\",\"at_ps\":",
             at.as_ps(),
+            ",\"target\":\"",
             l.tag(tag),
+            "\",\"rx_pkts\":",
+            rx_pkts,
+            ",\"rerouted\":",
+            rerouted,
+            "}\n",
         ),
         Gauge::World {
             at,
             live_components,
             live_flows,
             events,
-        } => put!(
+        } => emit!(
             out,
-            "{{\"type\":\"gauge\",\"point\":\"{key}\",\"gauge\":\"world\",\"at_ps\":{},\
-             \"live_components\":{live_components},\"live_flows\":{live_flows},\
-             \"events\":{events}}}\n",
+            "{\"type\":\"gauge\",\"point\":\"",
+            key,
+            "\",\"gauge\":\"world\",\"at_ps\":",
             at.as_ps(),
+            ",\"live_components\":",
+            live_components,
+            ",\"live_flows\":",
+            live_flows,
+            ",\"events\":",
+            events,
+            "}\n",
         ),
     }
 }
 
-fn push_span_line(out: &mut String, key: &str, s: &FlowSpan) {
-    put!(
+fn push_span_line(out: &mut Vec<u8>, key: &str, s: &FlowSpan) {
+    emit!(
         out,
-        "{{\"type\":\"span\",\"point\":\"{key}\",\"flow\":{},\"src\":{},\"dst\":{},\
-         \"request\":{},\"bytes\":{},\"arrival_ps\":{},\"first_data_ps\":{},\
-         \"completion_ps\":{},\
-         \"slowdown\":{},\"measured\":{},\"stuck\":{},\"retransmissions\":{},\
-         \"timeouts\":{},\"trimmed_headers\":{},\"rts_events\":{}}}\n",
+        "{\"type\":\"span\",\"point\":\"",
+        key,
+        "\",\"flow\":",
         s.flow,
+        ",\"src\":",
         s.src,
+        ",\"dst\":",
         s.dst,
+        ",\"request\":",
         OrNull(s.request),
+        ",\"bytes\":",
         s.bytes,
+        ",\"arrival_ps\":",
         s.arrival.as_ps(),
+        ",\"first_data_ps\":",
         opt_ps(s.first_data),
+        ",\"completion_ps\":",
         opt_ps(s.completion),
+        ",\"slowdown\":",
         opt_f64(s.slowdown),
+        ",\"measured\":",
         s.measured,
+        ",\"stuck\":",
         s.stuck,
+        ",\"retransmissions\":",
         s.retransmissions,
+        ",\"timeouts\":",
         s.timeouts,
+        ",\"trimmed_headers\":",
         s.trimmed_headers,
+        ",\"rts_events\":",
         s.rts_events,
+        "}\n",
     );
 }
 
-fn push_request_line(out: &mut String, key: &str, r: &RequestSpan) {
-    put!(
+fn push_request_line(out: &mut Vec<u8>, key: &str, r: &RequestSpan) {
+    emit!(
         out,
-        "{{\"type\":\"request\",\"point\":\"{key}\",\"request\":{},\"tenant\":{},\
-         \"seq\":{},\"client\":{},\"fanout\":{},\"arrival_ps\":{},\"completion_ps\":{},\
-         \"latency_ps\":{},\"straggler_leg\":{},\"measured\":{},\"slo_met\":{}}}\n",
+        "{\"type\":\"request\",\"point\":\"",
+        key,
+        "\",\"request\":",
         r.request,
+        ",\"tenant\":",
         r.tenant,
+        ",\"seq\":",
         r.seq,
+        ",\"client\":",
         r.client,
+        ",\"fanout\":",
         r.fanout,
+        ",\"arrival_ps\":",
         r.arrival.as_ps(),
+        ",\"completion_ps\":",
         opt_ps(r.completion),
+        ",\"latency_ps\":",
         opt_ps(r.latency()),
+        ",\"straggler_leg\":",
         r.straggler_leg,
+        ",\"measured\":",
         r.measured,
+        ",\"slo_met\":",
         r.slo_met,
+        "}\n",
     );
 }
 
-fn push_hop_line(out: &mut String, l: &Labels, h: &HopRecord) {
-    put!(
+fn push_hop_line(out: &mut Vec<u8>, l: &Labels, h: &HopRecord) {
+    emit!(
         out,
-        "{{\"type\":\"hop\",\"point\":\"{}\",\"at_ps\":{},\"target\":\"{}\",\
-         \"kind\":\"{}\",\"flow\":{},\"src\":{},\"dst\":{},\"seq\":{},\"size\":{}}}\n",
-        l.key,
+        "{\"type\":\"hop\",\"point\":\"",
+        l.key.as_str(),
+        "\",\"at_ps\":",
         h.at.as_ps(),
+        ",\"target\":\"",
         l.tag(h.tag),
+        "\",\"kind\":\"",
         h.kind.name(),
+        "\",\"flow\":",
         h.flow,
+        ",\"src\":",
         h.src,
+        ",\"dst\":",
         h.dst,
+        ",\"seq\":",
         h.seq,
+        ",\"size\":",
         h.size,
+        "}\n",
     );
 }
 
@@ -218,195 +429,224 @@ fn push_hop_line(out: &mut String, l: &Labels, h: &HopRecord) {
 /// key-sorted by [`crate::session::end`]) a `point` header line, then
 /// gauges, spans, requests, hops in recorded order.
 pub fn write_ndjson(points: &[PointTelemetry]) -> String {
-    let mut out = String::new();
+    let mut buf = Vec::new();
+    let out = &mut buf;
     for p in points {
         let l = Labels::of(p);
-        let key = &l.key;
-        put!(out, "{{\"type\":\"point\",\"point\":\"{key}\",\"tags\":[");
-        for (i, t) in l.tags.iter().enumerate() {
-            put!(out, "{}\"{t}\"", if i == 0 { "" } else { "," });
-        }
-        put!(
+        let key = l.key.as_str();
+        emit!(
             out,
-            "],\"gauges\":{},\"spans\":{},\"requests\":{},\"hops\":{},\"gauges_evicted\":{},\
-             \"hops_evicted\":{}}}\n",
+            "{\"type\":\"point\",\"point\":\"",
+            key,
+            "\",\"tags\":["
+        );
+        for (i, t) in l.tags.iter().enumerate() {
+            emit!(out, if i == 0 { "\"" } else { ",\"" }, t.as_str(), "\"");
+        }
+        emit!(
+            out,
+            "],\"gauges\":",
             p.gauges.len(),
+            ",\"spans\":",
             p.spans.len(),
+            ",\"requests\":",
             p.requests.len(),
+            ",\"hops\":",
             p.hops.len(),
+            ",\"gauges_evicted\":",
             p.gauges_evicted,
+            ",\"hops_evicted\":",
             p.hops_evicted,
+            "}\n",
         );
         for g in &p.gauges {
-            push_gauge_line(&mut out, &l, g);
+            push_gauge_line(out, &l, g);
         }
         for s in &p.spans {
-            push_span_line(&mut out, key, s);
+            push_span_line(out, key, s);
         }
         for r in &p.requests {
-            push_request_line(&mut out, key, r);
+            push_request_line(out, key, r);
         }
         for h in &p.hops {
-            push_hop_line(&mut out, &l, h);
+            push_hop_line(out, &l, h);
         }
     }
-    out
+    into_string(buf)
 }
 
-/// Picoseconds → microseconds with six fractional digits. Integer math
-/// throughout so the bytes are platform-independent.
-struct Us(u64);
-
-impl fmt::Display for Us {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{:06}", self.0 / 1_000_000, self.0 % 1_000_000)
-    }
-}
-
-fn us(t: ndp_sim::Time) -> Us {
-    Us(t.as_ps())
-}
-
-/// The `,"request":N` member a leg flow's slice carries; nothing for a
-/// flow outside any request.
-struct RequestArg(Option<u64>);
-
-impl fmt::Display for RequestArg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Some(r) => write!(f, ",\"request\":{r}"),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Append one Chrome trace event, `{body}`, comma-separated from the one
-/// before it (the array's opening bracket is the only `[` an event can
-/// follow: every event ends in `}`).
-macro_rules! chrome_event {
-    ($out:expr, $($body:tt)*) => {{
-        $out.push_str(if $out.ends_with('[') { "{" } else { ",{" });
-        put!($out, $($body)*);
-        $out.push('}');
-    }};
-}
-
-/// Serialise all points as a Chrome trace-event JSON document.
+/// Serialise all points as a Chrome trace-event JSON document. Events are
+/// comma-separated: each starts with `,{` but the first point's process
+/// name, the first event of the array.
 pub fn write_chrome_trace(points: &[PointTelemetry]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+    let mut buf = Vec::new();
+    let out = &mut buf;
+    emit!(out, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     for (pid, p) in points.iter().enumerate() {
         let l = Labels::of(p);
-        chrome_event!(
+        emit!(
             out,
-            "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}",
-            l.key
+            if pid == 0 { "{" } else { ",{" },
+            "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":",
+            pid,
+            ",\"tid\":0,\"args\":{\"name\":\"",
+            l.key.as_str(),
+            "\"}}",
         );
         for g in &p.gauges {
             match *g {
                 Gauge::Queue {
                     at, tag, occ_bytes, ..
-                } => chrome_event!(
+                } => emit!(
                     out,
-                    "\"ph\":\"C\",\"name\":\"queue {}\",\"pid\":{pid},\"ts\":{},\
-                     \"args\":{{\"occ_bytes\":{occ_bytes}}}",
+                    ",{\"ph\":\"C\",\"name\":\"queue ",
                     l.tag(tag),
+                    "\",\"pid\":",
+                    pid,
+                    ",\"ts\":",
                     us(at),
+                    ",\"args\":{\"occ_bytes\":",
+                    occ_bytes,
+                    "}}",
                 ),
                 Gauge::Switch {
                     at, tag, rerouted, ..
-                } => chrome_event!(
+                } => emit!(
                     out,
-                    "\"ph\":\"C\",\"name\":\"reroutes {}\",\"pid\":{pid},\"ts\":{},\
-                     \"args\":{{\"rerouted\":{rerouted}}}",
+                    ",{\"ph\":\"C\",\"name\":\"reroutes ",
                     l.tag(tag),
+                    "\",\"pid\":",
+                    pid,
+                    ",\"ts\":",
                     us(at),
+                    ",\"args\":{\"rerouted\":",
+                    rerouted,
+                    "}}",
                 ),
-                Gauge::World { at, live_flows, .. } => chrome_event!(
+                Gauge::World { at, live_flows, .. } => emit!(
                     out,
-                    "\"ph\":\"C\",\"name\":\"live_flows\",\"pid\":{pid},\"ts\":{},\
-                     \"args\":{{\"live_flows\":{live_flows}}}",
+                    ",{\"ph\":\"C\",\"name\":\"live_flows\",\"pid\":",
+                    pid,
+                    ",\"ts\":",
                     us(at),
+                    ",\"args\":{\"live_flows\":",
+                    live_flows,
+                    "}}",
                 ),
             }
         }
         for s in &p.spans {
             match s.completion {
-                Some(done) => chrome_event!(
+                Some(done) => emit!(
                     out,
-                    "\"ph\":\"X\",\"cat\":\"flow\",\"name\":\"flow {}\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"bytes\":{},\
-                     \"slowdown\":{},\"retransmissions\":{},\"trimmed_headers\":{}{}}}",
+                    ",{\"ph\":\"X\",\"cat\":\"flow\",\"name\":\"flow ",
                     s.flow,
+                    "\",\"pid\":",
+                    pid,
+                    ",\"tid\":",
                     s.flow,
+                    ",\"ts\":",
                     us(s.arrival),
+                    ",\"dur\":",
                     us(done.saturating_sub(s.arrival)),
+                    ",\"args\":{\"bytes\":",
                     s.bytes,
+                    ",\"slowdown\":",
                     opt_f64(s.slowdown),
+                    ",\"retransmissions\":",
                     s.retransmissions,
+                    ",\"trimmed_headers\":",
                     s.trimmed_headers,
                     RequestArg(s.request),
+                    "}}",
                 ),
-                None => chrome_event!(
+                None => emit!(
                     out,
-                    "\"ph\":\"i\",\"s\":\"p\",\"cat\":\"flow\",\"name\":\"stuck flow {}\",\
-                     \"pid\":{pid},\"tid\":{},\"ts\":{},\"args\":{{\"bytes\":{}}}",
+                    ",{\"ph\":\"i\",\"s\":\"p\",\"cat\":\"flow\",\"name\":\"stuck flow ",
                     s.flow,
+                    "\",\"pid\":",
+                    pid,
+                    ",\"tid\":",
                     s.flow,
+                    ",\"ts\":",
                     us(s.arrival),
+                    ",\"args\":{\"bytes\":",
                     s.bytes,
+                    "}}",
                 ),
             }
         }
         for r in &p.requests {
             match r.completion {
-                Some(done) => chrome_event!(
+                Some(done) => emit!(
                     out,
-                    "\"ph\":\"X\",\"cat\":\"request\",\"name\":\"t{} req {}\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"request\":{},\
-                     \"fanout\":{},\"client\":{},\"straggler_leg\":{},\"slo_met\":{}}}",
+                    ",{\"ph\":\"X\",\"cat\":\"request\",\"name\":\"t",
                     r.tenant,
+                    " req ",
                     r.seq,
+                    "\",\"pid\":",
+                    pid,
+                    ",\"tid\":",
                     REQUEST_TID_BASE + r.request,
+                    ",\"ts\":",
                     us(r.arrival),
+                    ",\"dur\":",
                     us(done.saturating_sub(r.arrival)),
+                    ",\"args\":{\"request\":",
                     r.request,
+                    ",\"fanout\":",
                     r.fanout,
+                    ",\"client\":",
                     r.client,
+                    ",\"straggler_leg\":",
                     r.straggler_leg,
+                    ",\"slo_met\":",
                     r.slo_met,
+                    "}}",
                 ),
-                None => chrome_event!(
+                None => emit!(
                     out,
-                    "\"ph\":\"i\",\"s\":\"p\",\"cat\":\"request\",\
-                     \"name\":\"stuck t{} req {}\",\"pid\":{pid},\"tid\":{},\"ts\":{},\
-                     \"args\":{{\"request\":{},\"fanout\":{}}}",
+                    ",{\"ph\":\"i\",\"s\":\"p\",\"cat\":\"request\",\"name\":\"stuck t",
                     r.tenant,
+                    " req ",
                     r.seq,
+                    "\",\"pid\":",
+                    pid,
+                    ",\"tid\":",
                     REQUEST_TID_BASE + r.request,
+                    ",\"ts\":",
                     us(r.arrival),
+                    ",\"args\":{\"request\":",
                     r.request,
+                    ",\"fanout\":",
                     r.fanout,
+                    "}}",
                 ),
             }
         }
         for h in &p.hops {
-            chrome_event!(
+            emit!(
                 out,
-                "\"ph\":\"i\",\"s\":\"t\",\"cat\":\"hop\",\"name\":\"{}\",\"pid\":{pid},\
-                 \"tid\":{},\"ts\":{},\"args\":{{\"target\":\"{}\",\"seq\":{},\
-                 \"size\":{}}}",
+                ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"hop\",\"name\":\"",
                 h.kind.name(),
+                "\",\"pid\":",
+                pid,
+                ",\"tid\":",
                 h.flow,
+                ",\"ts\":",
                 us(h.at),
+                ",\"args\":{\"target\":\"",
                 l.tag(h.tag),
+                "\",\"seq\":",
                 h.seq,
+                ",\"size\":",
                 h.size,
+                "}}",
             );
         }
     }
-    out.push_str("]}\n");
-    out
+    emit!(out, "]}\n");
+    into_string(buf)
 }
 
 /// Headline numbers for the `run --json` envelope.
@@ -782,6 +1022,22 @@ mod tests {
         let points = [edge_point(), PointTelemetry::default()];
         ndp_snapshot::snapshot!("export_edges.ndjson", write_ndjson(&points));
         ndp_snapshot::snapshot!("export_edges.chrome.json", write_chrome_trace(&points));
+    }
+
+    /// On both sides of every digit-count boundary, and at the extremes.
+    #[test]
+    fn decimal_prints_what_display_prints() {
+        let mut edges = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for v in edges {
+            assert_eq!(Decimal::new(v).as_str(), v.to_string());
+            let mut out = b"x".to_vec();
+            v.emit(&mut out);
+            assert_eq!(out, format!("x{v}").into_bytes());
+        }
     }
 
     #[test]

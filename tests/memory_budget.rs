@@ -3,21 +3,21 @@
 //! binary of its own). Wall-clock and RSS are the benchmark's business;
 //! these are the exact, repeatable byte counts behind them, so a footprint
 //! regression fails here with a number instead of as a drifting `peak_rss_mb`.
-//! The allocator counts blocks (allocation calls) too, per thread: what a
-//! flow costs the allocator is its block count more than its bytes, and a
-//! thread's own count is exact whatever the harness's threads allocate
-//! meanwhile.
+//! The allocator counts blocks (allocation calls) too: what a flow costs
+//! the allocator is its block count more than its bytes.
 //!
-//! The counters are process-global, so every test holds one mutex for its
-//! whole body: nothing another test builds, frees or prints (a panic's
-//! backtrace) is charged to it. `realloc` is deliberately left at `GlobalAlloc`'s default
+//! Every counter is per thread: a test's counts are what its own thread
+//! allocated and freed, exact whatever libtest's threads allocate
+//! meanwhile (a finished test's report, the next test's thread starting).
+//! Every test also holds one mutex for its whole body, so that nothing
+//! another test builds, frees or prints (a panic's backtrace) runs beside
+//! it. `realloc` is deliberately left at `GlobalAlloc`'s default
 //! (allocate, copy, free): a growing buffer is then charged old + new at
 //! each growth whatever the system allocator could have done in place,
 //! which makes the counts an upper bound that does not depend on the libc.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
 use ndp::core::{NdpFlowCfg, NdpSender, PathSet};
@@ -33,30 +33,40 @@ use rand::{rngs::SmallRng, SeedableRng};
 
 struct Counting;
 
-/// Bytes live now, the high-water mark of that, and bytes ever allocated.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    /// Blocks ever allocated on this thread. Const-initialised and without
-    /// a destructor, so reading it from the allocator allocates nothing.
+    // Const-initialised and without a destructor, so reading them from the
+    // allocator allocates nothing.
+    /// Bytes this thread allocated minus bytes it freed: negative when it
+    /// frees more of other threads' blocks than it allocates itself.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE` since `measure` last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Bytes ever allocated on this thread.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// Blocks ever allocated on this thread.
     static BLOCKS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// This thread's live bytes now.
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
 // SAFETY: every block comes from and returns to `System` with the layout
-// the caller passed; the counters are statistics (`Relaxed`: they publish
-// no other data) and never influence what is handed out.
+// the caller passed; the counters are statistics and never influence what
+// is handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            // `try_with`: a thread being torn down has no counter left.
+            // `try_with`: a thread being torn down has no counters left.
             let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
-            ALLOCATED.fetch_add(layout.size(), Relaxed);
-            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-            PEAK.fetch_max(live, Relaxed);
+            let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
+            let _ = LIVE.try_with(|l| {
+                l.set(l.get() + layout.size() as isize);
+                PEAK.with(|p| p.set(p.get().max(l.get())));
+            });
         }
         p
     }
@@ -65,7 +75,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `p` was returned by `alloc` above, i.e. by `System`, for
         // this `layout`.
         unsafe { System.dealloc(p, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        let _ = LIVE.try_with(|l| l.set(l.get() - layout.size() as isize));
     }
 }
 
@@ -89,16 +99,17 @@ fn serial() -> MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// What `f` cost the calling thread's heap.
 fn measure<R>(f: impl FnOnce() -> R) -> (R, Heap) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let allocated = ALLOCATED.load(Relaxed);
+    let base = live();
+    PEAK.with(|p| p.set(base));
+    let allocated = ALLOCATED.with(Cell::get);
     let blocks = BLOCKS.with(Cell::get);
     let r = f();
     let heap = Heap {
-        allocated: ALLOCATED.load(Relaxed) - allocated,
+        allocated: ALLOCATED.with(Cell::get) - allocated,
         blocks: BLOCKS.with(Cell::get) - blocks,
-        peak: PEAK.load(Relaxed).saturating_sub(base),
+        peak: (PEAK.with(Cell::get) - base).max(0) as usize,
     };
     (r, heap)
 }
@@ -341,9 +352,9 @@ fn a_nic_that_interleaved_many_flows_drains_to_one_lanes_buffer() {
         }
         world.run_until_idle();
         assert_eq!(world.get::<Queue>(nic).stats.forwarded_pkts, window * FLOWS);
-        let live = LIVE.load(Relaxed);
+        let before = live();
         world.retire(nic);
-        live - LIVE.load(Relaxed)
+        (before - live()) as usize
     };
     let lane_buffer = WINDOW as usize * std::mem::size_of::<Packet>();
     let (one_packet, window) = (held(1), held(WINDOW));

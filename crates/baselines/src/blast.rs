@@ -6,9 +6,7 @@
 //! a fixed rate forever; the sink counts untrimmed payload per flow so the
 //! experiment can compute each flow's share of fair goodput.
 
-use std::any::Any;
-
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_net::Host;
 use ndp_sim::{ComponentId, Speed, Time, World};
@@ -69,15 +67,12 @@ impl Endpoint for BlastSender {
             self.emit(ctx);
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Counts delivered (untrimmed) payload and trimmed headers.
 #[derive(Default)]
 pub struct CountSink {
-    pub payload_bytes: u64,
+    rx: Delivery,
     pub data_pkts: u64,
     pub headers: u64,
 }
@@ -89,7 +84,6 @@ impl CountSink {
 }
 
 impl Endpoint for CountSink {
-    fn on_start(&mut self, _ctx: &mut EndpointCtx<'_, '_>) {}
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         if pkt.kind != PacketKind::Data {
             return;
@@ -98,19 +92,11 @@ impl Endpoint for CountSink {
             self.headers += 1;
         } else {
             self.data_pkts += 1;
-            self.payload_bytes += pkt.payload as u64;
-            ctx.account_delivered(pkt.payload as u64);
+            self.rx.deliver(pkt.payload as u64, ctx);
         }
-    }
-    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
     }
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            delivered_bytes: self.payload_bytes,
-            ..FlowHarvest::default()
-        }
+        self.rx.harvest()
     }
 }
 
@@ -206,9 +192,8 @@ mod tests {
     #[test]
     fn single_blast_achieves_line_rate() {
         let (w, sb) = run_blast(1, QueueSpec::ndp_default(), 1);
-        let sink = w.get::<Host>(sb.receiver).endpoint::<CountSink>(1);
         let frac = fair_share_fraction(
-            sink.payload_bytes,
+            w.get::<Host>(sb.receiver).harvest(1).delivered_bytes,
             1,
             Speed::gbps(10),
             9000,
@@ -223,7 +208,7 @@ mod tests {
         let (w, sb) = run_blast(n, QueueSpec::ndp_default(), 2);
         let host = w.get::<Host>(sb.receiver);
         let total: u64 = (1..=n as u64)
-            .map(|f| host.endpoint::<CountSink>(f).payload_bytes)
+            .map(|f| host.harvest(f).delivered_bytes)
             .sum();
         let frac = fair_share_fraction(total, 1, Speed::gbps(10), 9000, Time::from_ms(10));
         // WRR 10:1 bounds header bandwidth: goodput stays high.
@@ -239,7 +224,7 @@ mod tests {
             let (w, sb) = run_blast(n, fabric, seed);
             let host = w.get::<Host>(sb.receiver);
             let total: u64 = (1..=n as u64)
-                .map(|f| host.endpoint::<CountSink>(f).payload_bytes)
+                .map(|f| host.harvest(f).delivered_bytes)
                 .sum();
             fair_share_fraction(total, 1, Speed::gbps(10), 9000, Time::from_ms(10))
         };

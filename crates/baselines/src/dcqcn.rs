@@ -10,9 +10,7 @@
 //! fabric: PFC guarantees no congestion loss, which is exactly the
 //! property whose collateral damage Figures 15/16/19 explore.
 
-use std::any::Any;
-
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, Speed, Time, World};
 use ndp_transport::attach_endpoints;
@@ -230,10 +228,6 @@ impl Endpoint for DcqcnSender {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// The DCQCN receiver (notification point).
@@ -241,9 +235,7 @@ pub struct DcqcnReceiver {
     peer: HostId,
     total: u64,
     last_cnp: Option<Time>,
-    pub payload_bytes: u64,
-    pub completion_time: Option<Time>,
-    pub first_arrival: Option<Time>,
+    rx: Delivery,
     pub cnps_sent: u64,
 }
 
@@ -253,26 +245,19 @@ impl DcqcnReceiver {
             peer,
             total,
             last_cnp: None,
-            payload_bytes: 0,
-            completion_time: None,
-            first_arrival: None,
+            rx: Delivery::default(),
             cnps_sent: 0,
         }
     }
 }
 
 impl Endpoint for DcqcnReceiver {
-    fn on_start(&mut self, _ctx: &mut EndpointCtx<'_, '_>) {}
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         if pkt.kind != PacketKind::Data {
             return;
         }
-        if self.first_arrival.is_none() {
-            self.first_arrival = Some(ctx.now());
-        }
-        self.payload_bytes += pkt.payload as u64;
-        ctx.account_delivered(pkt.payload as u64);
+        self.rx.arrived(ctx);
+        self.rx.deliver(pkt.payload as u64, ctx);
         if pkt.flags.has(Flags::CE) {
             let due = match self.last_cnp {
                 None => true,
@@ -286,25 +271,13 @@ impl Endpoint for DcqcnReceiver {
                 ctx.send(cnp);
             }
         }
-        if self.payload_bytes >= self.total && self.completion_time.is_none() {
-            self.completion_time = Some(ctx.now());
-            ctx.complete();
+        if self.rx.bytes() >= self.total {
+            self.rx.complete(ctx);
         }
-    }
-
-    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            delivered_bytes: self.payload_bytes,
-            completion_time: self.completion_time,
-            first_data: self.first_arrival,
-            ..FlowHarvest::default()
-        }
+        self.rx.harvest()
     }
 }
 
@@ -380,8 +353,9 @@ mod tests {
         );
         w.run_until(Time::from_ms(100));
         let rx = w.get::<Host>(sb.receiver).endpoint::<DcqcnReceiver>(1);
-        assert_eq!(rx.payload_bytes, size);
-        let fct = rx.completion_time.unwrap() - rx.first_arrival.unwrap();
+        let h = rx.harvest();
+        assert_eq!(h.delivered_bytes, size);
+        let fct = h.completion_time.unwrap() - h.first_data.unwrap();
         let goodput = size as f64 * 8.0 / fct.as_secs() / 1e9;
         assert!(
             goodput > 9.0,
@@ -416,7 +390,7 @@ mod tests {
         let mut cnps = 0;
         for s in 0..2u64 {
             let rx = w.get::<Host>(sb.receiver).endpoint::<DcqcnReceiver>(s + 1);
-            assert_eq!(rx.payload_bytes, size, "flow {s}");
+            assert_eq!(rx.harvest().delivered_bytes, size, "flow {s}");
             cnps += rx.cnps_sent;
             let tx = w
                 .get::<Host>(sb.senders[s as usize])
@@ -475,10 +449,6 @@ mod tests {
 
         fn on_timer(&mut self, _token: u8, ctx: &mut EndpointCtx<'_, '_>) {
             self.send(ctx);
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 

@@ -16,9 +16,7 @@
 //! Data is allocated to subflows on demand from a shared pool, so a stalled
 //! subflow simply stops claiming bytes.
 
-use std::any::Any;
-
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
@@ -54,7 +52,6 @@ pub struct MptcpSender {
     /// Bytes of the transfer not yet claimed by any subflow.
     pool: u64,
     total_acked: u64,
-    done: bool,
     pub stats: TcpStats,
 }
 
@@ -77,7 +74,6 @@ impl MptcpSender {
             subs,
             pool: size_bytes,
             total_acked: 0,
-            done: false,
             stats: TcpStats::default(),
         }
     }
@@ -170,8 +166,7 @@ impl MptcpSender {
     }
 
     fn check_done(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if !self.done && self.total_acked >= self.size_bytes {
-            self.done = true;
+        if self.stats.completion_time.is_none() && self.total_acked >= self.size_bytes {
             self.stats.completion_time = Some(ctx.now());
             ctx.complete();
         }
@@ -216,10 +211,6 @@ impl Endpoint for MptcpSender {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn harvest(&self) -> FlowHarvest {
         self.stats.harvest()
     }
@@ -238,9 +229,7 @@ pub fn lia_increment(alpha: f64, newly: u64, mss: u64, total_cwnd: u64, cwnd: u6
 pub struct MptcpReceiver {
     peer: HostId,
     subflows: Vec<Reassembly>,
-    pub payload_bytes: u64,
-    pub completion_time: Option<Time>,
-    pub first_arrival: Option<Time>,
+    rx: Delivery,
     total: u64,
 }
 
@@ -249,17 +238,13 @@ impl MptcpReceiver {
         MptcpReceiver {
             peer,
             subflows: vec![Reassembly::default(); n_subflows],
-            payload_bytes: 0,
-            completion_time: None,
-            first_arrival: None,
+            rx: Delivery::default(),
             total,
         }
     }
 }
 
 impl Endpoint for MptcpReceiver {
-    fn on_start(&mut self, _ctx: &mut EndpointCtx<'_, '_>) {}
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         if pkt.kind != PacketKind::Data {
             return;
@@ -267,15 +252,12 @@ impl Endpoint for MptcpReceiver {
         let Some(stream) = self.subflows.get_mut(pkt.subflow as usize) else {
             return;
         };
-        if self.first_arrival.is_none() {
-            self.first_arrival = Some(ctx.now());
-        }
+        self.rx.arrived(ctx);
         let start = u64::from(pkt.seq);
         let delivered = stream.absorb(start, start + pkt.payload as u64);
         let rcv_nxt = stream.rcv_nxt();
         if delivered > 0 {
-            self.payload_bytes += delivered;
-            ctx.account_delivered(delivered);
+            self.rx.deliver(delivered, ctx);
         }
         let mut ack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
         ack.ack = Packet::ack32(rcv_nxt);
@@ -286,25 +268,13 @@ impl Endpoint for MptcpReceiver {
             ack.flags = ack.flags.with(Flags::CE);
         }
         ctx.send(ack);
-        if self.payload_bytes >= self.total && self.completion_time.is_none() {
-            self.completion_time = Some(ctx.now());
-            ctx.complete();
+        if self.rx.bytes() >= self.total {
+            self.rx.complete(ctx);
         }
-    }
-
-    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            delivered_bytes: self.payload_bytes,
-            completion_time: self.completion_time,
-            first_data: self.first_arrival,
-            ..FlowHarvest::default()
-        }
+        self.rx.harvest()
     }
 }
 
@@ -372,8 +342,7 @@ mod tests {
             Time::ZERO,
         );
         w.run_until(Time::from_ms(200));
-        let rx = w.get::<Host>(ft.hosts[15]).endpoint::<MptcpReceiver>(1);
-        assert_eq!(rx.payload_bytes, size);
+        assert_eq!(w.get::<Host>(ft.hosts[15]).harvest(1).delivered_bytes, size);
         let tx = w.get::<Host>(ft.hosts[0]).endpoint::<MptcpSender>(1);
         let fct = tx.stats.fct().unwrap();
         let goodput = size as f64 * 8.0 / fct.as_secs() / 1e9;

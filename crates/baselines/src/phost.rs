@@ -12,9 +12,7 @@
 //! the loss-recovery side: no NACKs, no return-to-sender, timeout-driven
 //! re-credits.
 
-use std::any::Any;
-
-use ndp_net::host::{start_token, Endpoint, EndpointCtx, FlowHarvest, PullPriority};
+use ndp_net::host::{start_token, Delivery, Endpoint, EndpointCtx, FlowHarvest, PullPriority};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::{attach_endpoints, SeqWindow};
@@ -49,7 +47,6 @@ pub struct PHostSender {
     acked_count: u64,
     token_ctr: u64,
     scan: u64,
-    done: bool,
     pub stats: PHostStats,
 }
 
@@ -69,7 +66,6 @@ impl PHostSender {
             acked_count: 0,
             token_ctr: 0,
             scan: 0,
-            done: false,
             stats: PHostStats::default(),
         }
     }
@@ -141,8 +137,7 @@ impl Endpoint for PHostSender {
                 let seq = u64::from(pkt.seq);
                 if seq < self.total_pkts && self.acked.settle(seq) {
                     self.acked_count += 1;
-                    if self.acked_count == self.total_pkts && !self.done {
-                        self.done = true;
+                    if self.acked_count == self.total_pkts && self.stats.completion_time.is_none() {
                         self.stats.completion_time = Some(ctx.now());
                     }
                 }
@@ -154,12 +149,6 @@ impl Endpoint for PHostSender {
             }
             _ => {}
         }
-    }
-
-    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn harvest(&self) -> FlowHarvest {
@@ -179,10 +168,7 @@ pub struct PHostReceiver {
     received_count: u64,
     last_arrival: Time,
     timer_armed: bool,
-    done: bool,
-    pub payload_bytes: u64,
-    pub completion_time: Option<Time>,
-    pub first_arrival: Option<Time>,
+    rx: Delivery,
     pub timeout_credits: u64,
 }
 
@@ -195,10 +181,7 @@ impl PHostReceiver {
             received_count: 0,
             last_arrival: Time::ZERO,
             timer_armed: false,
-            done: false,
-            payload_bytes: 0,
-            completion_time: None,
-            first_arrival: None,
+            rx: Delivery::default(),
             timeout_credits: 0,
         }
     }
@@ -210,7 +193,7 @@ impl PHostReceiver {
     }
 
     fn arm_timer(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if !self.timer_armed && !self.done {
+        if !self.timer_armed && !self.rx.is_complete() {
             self.timer_armed = true;
             ctx.timer_in(TOKEN_TIMEOUT, TIMEOUT_TOKEN);
         }
@@ -230,16 +213,13 @@ impl Endpoint for PHostReceiver {
         if pkt.kind != PacketKind::Data || pkt.is_trimmed() {
             return;
         }
-        if self.first_arrival.is_none() {
-            self.first_arrival = Some(ctx.now());
-        }
+        self.rx.arrived(ctx);
         self.last_arrival = ctx.now();
         if pkt.flags.has(Flags::FIN) {
             self.total = Some(u64::from(pkt.seq) + 1);
         }
         if self.mark(u64::from(pkt.seq)) {
-            self.payload_bytes += pkt.payload as u64;
-            ctx.account_delivered(pkt.payload as u64);
+            self.rx.deliver(pkt.payload as u64, ctx);
         }
         // Per-packet ACK.
         let mut ack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
@@ -248,11 +228,9 @@ impl Endpoint for PHostReceiver {
         ack.sent = pkt.sent;
         ctx.send(ack);
         if let Some(total) = self.total {
-            if self.received_count >= total && !self.done {
-                self.done = true;
-                self.completion_time = Some(ctx.now());
+            if self.received_count >= total && !self.rx.is_complete() {
                 ctx.pull_cancel();
-                ctx.complete();
+                self.rx.complete(ctx);
                 return;
             }
         }
@@ -265,7 +243,7 @@ impl Endpoint for PHostReceiver {
             return;
         }
         self.timer_armed = false;
-        if self.done {
+        if self.rx.is_complete() {
             return;
         }
         if ctx.now().saturating_sub(self.last_arrival) >= TOKEN_TIMEOUT {
@@ -283,19 +261,12 @@ impl Endpoint for PHostReceiver {
         self.arm_timer(ctx);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     /// pHost's only timer is the receiver's token timeout, so its
     /// `timeouts` tally lives here, not on the sender.
     fn harvest(&self) -> FlowHarvest {
         FlowHarvest {
-            delivered_bytes: self.payload_bytes,
-            completion_time: self.completion_time,
-            first_data: self.first_arrival,
             timeouts: self.timeout_credits,
-            ..FlowHarvest::default()
+            ..self.rx.harvest()
         }
     }
 }
@@ -373,9 +344,9 @@ mod tests {
             Time::ZERO,
         );
         w.run_until(Time::from_ms(100));
-        let rx = w.get::<Host>(sb.receiver).endpoint::<PHostReceiver>(1);
-        assert_eq!(rx.payload_bytes, size);
-        assert!(rx.harvest().completion_time.is_some());
+        let rx = w.get::<Host>(sb.receiver).harvest(1);
+        assert_eq!(rx.delivered_bytes, size);
+        assert!(rx.completion_time.is_some());
     }
 
     #[test]
@@ -407,11 +378,8 @@ mod tests {
         let mut timeout_credits = 0;
         for s in 0..n as u64 {
             let rx = w.get::<Host>(sb.receiver).endpoint::<PHostReceiver>(s + 1);
-            assert!(
-                rx.harvest().completion_time.is_some(),
-                "flow {s} incomplete"
-            );
-            last = last.max(rx.completion_time.unwrap());
+            let done = rx.harvest().completion_time;
+            last = last.max(done.unwrap_or_else(|| panic!("flow {s} incomplete")));
             timeout_credits += rx.timeout_credits;
         }
         assert!(

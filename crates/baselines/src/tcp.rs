@@ -23,10 +23,9 @@
 //! `cwnd` by `alpha/2` once per window. `alpha` starts at 1, as in Linux,
 //! so a new flow's first marked window halves `cwnd`.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
@@ -145,7 +144,6 @@ pub struct TcpSender {
     bytes_marked_win: u64,
     win_end: u64,
     cut_this_window: bool,
-    done: bool,
     pub stats: TcpStats,
 }
 
@@ -163,7 +161,6 @@ impl TcpSender {
             bytes_marked_win: 0,
             win_end: 0,
             cut_this_window: false,
-            done: false,
             stats: TcpStats::default(),
         }
     }
@@ -280,8 +277,7 @@ impl TcpSender {
                     // NewReno partial ACK: retransmit the next hole.
                     self.send_segment(hole, ctx);
                 }
-                if self.rec.snd_una >= self.cfg.size_bytes && !self.done {
-                    self.done = true;
+                if self.rec.snd_una >= self.cfg.size_bytes && self.stats.completion_time.is_none() {
                     self.stats.completion_time = Some(ctx.now());
                     ctx.complete();
                     return;
@@ -342,10 +338,6 @@ impl Endpoint for TcpSender {
             }
             Timeout::Idle => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn harvest(&self) -> FlowHarvest {
@@ -603,9 +595,7 @@ pub struct TcpReceiver {
     path: PathTag,
     stream: Reassembly,
     total: Option<u64>,
-    pub payload_bytes: u64,
-    pub completion_time: Option<Time>,
-    pub first_arrival: Option<Time>,
+    rx: Delivery,
 }
 
 impl TcpReceiver {
@@ -615,9 +605,7 @@ impl TcpReceiver {
             path,
             stream: Reassembly::default(),
             total: None,
-            payload_bytes: 0,
-            completion_time: None,
-            first_arrival: None,
+            rx: Delivery::default(),
         }
     }
 
@@ -637,15 +625,11 @@ impl TcpReceiver {
 }
 
 impl Endpoint for TcpReceiver {
-    fn on_start(&mut self, _ctx: &mut EndpointCtx<'_, '_>) {}
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         if pkt.kind != PacketKind::Data {
             return;
         }
-        if self.first_arrival.is_none() {
-            self.first_arrival = Some(ctx.now());
-        }
+        self.rx.arrived(ctx);
         if pkt.flags.has(Flags::SYN) && pkt.payload == 0 {
             // Bare SYN of a three-way handshake: reply SYN-ACK.
             let mut synack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
@@ -659,34 +643,22 @@ impl Endpoint for TcpReceiver {
         let end = start + pkt.payload as u64;
         let delivered = self.stream.absorb(start, end);
         if delivered > 0 {
-            self.payload_bytes += delivered;
-            ctx.account_delivered(delivered);
+            self.rx.deliver(delivered, ctx);
         }
         if pkt.flags.has(Flags::FIN) {
             self.total = Some(end);
         }
         self.send_ack(&pkt, ctx);
-        if let Some(total) = self.total {
-            if self.stream.rcv_nxt() >= total && self.completion_time.is_none() {
-                self.completion_time = Some(ctx.now());
-                ctx.complete();
-            }
+        if self
+            .total
+            .is_some_and(|total| self.stream.rcv_nxt() >= total)
+        {
+            self.rx.complete(ctx);
         }
-    }
-
-    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            delivered_bytes: self.payload_bytes,
-            completion_time: self.completion_time,
-            first_data: self.first_arrival,
-            ..FlowHarvest::default()
-        }
+        self.rx.harvest()
     }
 }
 
@@ -792,8 +764,8 @@ mod tests {
             Time::ZERO,
         );
         w.run_until(Time::from_ms(200));
-        let rx = w.get::<Host>(b.hosts[1]).endpoint::<TcpReceiver>(1);
-        assert_eq!(rx.payload_bytes, size);
+        let rx = w.get::<Host>(b.hosts[1]).harvest(1);
+        assert_eq!(rx.delivered_bytes, size);
         assert!(rx.completion_time.is_some());
         let tx = tcp_stats(&w, b.hosts[0], 1);
         assert_eq!(tx.timeouts, 0, "clean link should not time out");
@@ -880,8 +852,7 @@ mod tests {
             "fct {}",
             tx.fct().unwrap()
         );
-        let rx = w.get::<Host>(h1).endpoint::<TcpReceiver>(1);
-        assert_eq!(rx.payload_bytes, size);
+        assert_eq!(w.get::<Host>(h1).harvest(1).delivered_bytes, size);
     }
 
     #[test]

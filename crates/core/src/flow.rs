@@ -64,7 +64,6 @@ mod tests {
     use ndp_net::queue::{LinkClass, Queue};
     use ndp_sim::Speed;
     use ndp_topology::{BackToBack, FatTree, FatTreeCfg, QueueSpec, SingleBottleneck, Topology};
-    use std::any::Any;
 
     fn b2b(seed: u64) -> (World<Packet>, BackToBack) {
         let mut w: World<Packet> = World::new(seed);
@@ -89,9 +88,12 @@ mod tests {
         };
         attach_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
         w.run_until(Time::from_ms(100));
-        let rx = receiver_stats(&w, b.hosts[1], 1);
+        let rx = w.get::<Host>(b.hosts[1]).harvest(1);
         let tx = sender_stats(&w, b.hosts[0], 1);
-        assert_eq!(rx.payload_bytes, size, "every byte delivered exactly once");
+        assert_eq!(
+            rx.delivered_bytes, size,
+            "every byte delivered exactly once"
+        );
         assert!(tx.completion_time.is_some(), "sender saw all ACKs");
         let fct = tx.fct().unwrap();
         let goodput_gbps = size as f64 * 8.0 / fct.as_secs() / 1e9;
@@ -100,7 +102,7 @@ mod tests {
             tx.retransmissions, 0,
             "nothing to retransmit on an idle link"
         );
-        assert_eq!(rx.duplicate_pkts, 0);
+        assert_eq!(receiver_stats(&w, b.hosts[1], 1).duplicate_pkts, 0);
     }
 
     #[test]
@@ -112,11 +114,11 @@ mod tests {
         };
         attach_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
         w.run_until(Time::from_ms(10));
-        let rx = receiver_stats(&w, b.hosts[1], 1);
-        assert_eq!(rx.payload_bytes, 100);
+        let rx = w.get::<Host>(b.hosts[1]).harvest(1);
+        assert_eq!(rx.delivered_bytes, 100);
         assert!(rx.completion_time.is_some());
         // One packet, one ACK, no pull needed for completion.
-        assert_eq!(rx.data_pkts, 1);
+        assert_eq!(receiver_stats(&w, b.hosts[1], 1).data_pkts, 1);
     }
 
     #[test]
@@ -137,8 +139,8 @@ mod tests {
             Time::ZERO,
         );
         w.run_until(Time::from_ms(50));
-        let rx = receiver_stats(&w, ft.hosts[15], 1);
-        assert_eq!(rx.payload_bytes, size);
+        let rx = w.get::<Host>(ft.hosts[15]).harvest(1);
+        assert_eq!(rx.delivered_bytes, size);
         let tx = sender_stats(&w, ft.hosts[0], 1);
         assert!(tx.completion_time.is_some());
         // All four cores carried traffic (per-packet multipath).
@@ -184,7 +186,7 @@ mod tests {
             let tx = sender_stats(&w, sb.senders[s], s as u64 + 1);
             assert!(tx.completion_time.is_some(), "sender {s} incomplete");
             total += size;
-            let rx = receiver_stats(&w, sb.receiver, s as u64 + 1);
+            let rx = w.get::<Host>(sb.receiver).harvest(s as u64 + 1);
             last_done = last_done.max(rx.completion_time.unwrap());
         }
         let rx_host = w.get::<Host>(sb.receiver);
@@ -226,8 +228,8 @@ mod tests {
         };
         attach_flow(&mut w, 1, (h0, 0), (h1, 1), cfg, Time::ZERO);
         w.run_until(Time::from_secs(2));
-        let rx = receiver_stats(&w, h1, 1);
-        assert_eq!(rx.payload_bytes, size, "all data must eventually arrive");
+        let rx = w.get::<Host>(h1).harvest(1);
+        assert_eq!(rx.delivered_bytes, size, "all data must eventually arrive");
         let tx = sender_stats(&w, h0, 1);
         assert!(tx.rtx_rto > 0, "corruption must exercise the RTO path");
     }
@@ -275,11 +277,10 @@ mod tests {
             Time::ZERO,
         );
         w.run_until(Time::from_ms(100));
-        let short_fct = receiver_stats(&w, sb.receiver, 7).completion_time.unwrap();
+        let fct = |flow| w.get::<Host>(sb.receiver).harvest(flow).completion_time;
+        let short_fct = fct(7).unwrap();
         for s in 0..6 {
-            let long_fct = receiver_stats(&w, sb.receiver, s + 1)
-                .completion_time
-                .unwrap();
+            let long_fct = fct(s + 1).unwrap();
             assert!(
                 short_fct < long_fct,
                 "priority flow must finish before long flows"
@@ -300,13 +301,8 @@ mod tests {
         sent: Vec<u32>,
     }
     impl Endpoint for Recorder {
-        fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
         fn on_packet(&mut self, p: Packet, _c: &mut EndpointCtx<'_, '_>) {
             self.sent.push(p.seq);
-        }
-        fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 
@@ -365,9 +361,6 @@ mod tests {
             }
             fn on_timer(&mut self, t: u8, c: &mut EndpointCtx<'_, '_>) {
                 self.0.on_timer(t, c);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
             }
         }
         let (mut w, b) = b2b(8);
@@ -540,7 +533,10 @@ mod tests {
                 Time::ZERO,
             );
             w.run_until(Time::from_ms(50));
-            receiver_stats(&w, ft.hosts[15], 1).completion_time.unwrap()
+            w.get::<Host>(ft.hosts[15])
+                .harvest(1)
+                .completion_time
+                .unwrap()
         }
         assert_eq!(run(11), run(11));
     }

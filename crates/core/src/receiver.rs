@@ -11,22 +11,16 @@
 //! sequence gaps — trimmed headers carry exact per-packet information, in
 //! any order (§3.2.1).
 
-use std::any::Any;
-
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, PullPriority};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest, PullPriority};
 use ndp_net::packet::{Flags, HostId, Packet, PacketKind};
-use ndp_sim::Time;
 use ndp_transport::SeqWindow;
 
-/// Receiver-side counters.
+/// Receiver-side counters NDP keeps beyond its [`FlowHarvest`].
 #[derive(Clone, Debug, Default)]
 pub struct NdpReceiverStats {
     pub data_pkts: u64,
     pub duplicate_pkts: u64,
     pub headers: u64,
-    pub payload_bytes: u64,
-    pub first_arrival: Option<Time>,
-    pub completion_time: Option<Time>,
     /// Per-packet one-way delivery latencies (original send → first
     /// untrimmed arrival), in picoseconds, recorded when tracing is on.
     pub delivery_latencies: Vec<u64>,
@@ -42,7 +36,7 @@ pub struct NdpReceiver {
     /// Received-or-not per seq, held from the lowest missing seq up.
     received: SeqWindow<bool>,
     received_count: u64,
-    done: bool,
+    rx: Delivery,
     trace_latency: bool,
     pub stats: NdpReceiverStats,
 }
@@ -55,7 +49,7 @@ impl NdpReceiver {
             total: None,
             received: SeqWindow::new(false, true, 0),
             received_count: 0,
-            done: false,
+            rx: Delivery::default(),
             trace_latency: false,
             stats: NdpReceiverStats::default(),
         }
@@ -83,16 +77,14 @@ impl NdpReceiver {
 
     fn check_done(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         let Some(total) = self.total else { return };
-        if self.done || self.received_count < total {
+        if self.rx.is_complete() || self.received_count < total {
             return;
         }
-        self.done = true;
-        self.stats.completion_time = Some(ctx.now());
         // Remove queued pulls for this sender (§3.2) and retire the
         // connection id into time-wait (§3.2.2 at-most-once semantics).
         ctx.pull_cancel();
         ctx.enter_time_wait();
-        ctx.complete();
+        self.rx.complete(ctx);
     }
 
     fn reply(&self, kind: PacketKind, data: &Packet, ctx: &mut EndpointCtx<'_, '_>) {
@@ -107,19 +99,14 @@ impl NdpReceiver {
     }
 }
 
+/// Passive open (listen): nothing happens at start — §3.2.2, connection
+/// state is established by whichever packet arrives first.
 impl Endpoint for NdpReceiver {
-    fn on_start(&mut self, _ctx: &mut EndpointCtx<'_, '_>) {
-        // Passive open (listen): nothing to do until data arrives — §3.2.2,
-        // connection state is established by whichever packet arrives first.
-    }
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         if pkt.kind != PacketKind::Data || pkt.is_rts() {
             return;
         }
-        if self.stats.first_arrival.is_none() {
-            self.stats.first_arrival = Some(ctx.now());
-        }
+        self.rx.arrived(ctx);
         if pkt.flags.has(Flags::FIN) {
             self.total = Some(u64::from(pkt.seq) + 1);
         }
@@ -127,14 +114,13 @@ impl Endpoint for NdpReceiver {
             // Payload was cut: NACK so the sender readies a retransmission.
             self.stats.headers += 1;
             self.reply(PacketKind::Nack, &pkt, ctx);
-            if !self.done {
+            if !self.rx.is_complete() {
                 ctx.pull_request(self.peer, self.prio);
             }
         } else {
             self.stats.data_pkts += 1;
             if self.mark(u64::from(pkt.seq)) {
-                self.stats.payload_bytes += pkt.payload as u64;
-                ctx.account_delivered(pkt.payload as u64);
+                self.rx.deliver(pkt.payload as u64, ctx);
                 if self.trace_latency {
                     self.stats
                         .delivery_latencies
@@ -144,26 +130,17 @@ impl Endpoint for NdpReceiver {
                 self.stats.duplicate_pkts += 1;
             }
             self.reply(PacketKind::Ack, &pkt, ctx);
-            if !self.done {
+            if !self.rx.is_complete() {
                 ctx.pull_request(self.peer, self.prio);
             }
             self.check_done(ctx);
         }
     }
 
-    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn harvest(&self) -> FlowHarvest {
         FlowHarvest {
-            delivered_bytes: self.stats.payload_bytes,
-            completion_time: self.stats.completion_time,
-            first_data: self.stats.first_arrival,
             trimmed_headers: self.stats.headers,
-            ..FlowHarvest::default()
+            ..self.rx.harvest()
         }
     }
 }

@@ -8,7 +8,6 @@
 //! with the anti-incast-echo rules of §3.2.4), or — only for genuinely lost
 //! packets, i.e. corruption — the retransmission timeout.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, NDP_RTO};
@@ -135,7 +134,6 @@ pub struct NdpSender {
     /// only when the flow has been completely silent for a full RTO, never
     /// merely because a burst's tail is still being serialized or pulled.
     last_activity: Time,
-    done: bool,
     pub stats: NdpSenderStats,
 }
 
@@ -166,13 +164,12 @@ impl NdpSender {
             paths,
             rto_armed: false,
             last_activity: Time::ZERO,
-            done: false,
             stats: NdpSenderStats::default(),
         }
     }
 
     pub fn is_done(&self) -> bool {
-        self.done
+        self.stats.completion_time.is_some()
     }
 
     pub fn total_pkts(&self) -> u64 {
@@ -338,8 +335,7 @@ impl NdpSender {
         if prev != ACKED {
             self.window.set(seq, ACKED);
             self.acked_count += 1;
-            if self.acked_count == self.total_pkts && !self.done {
-                self.done = true;
+            if self.acked_count == self.total_pkts && !self.is_done() {
                 self.stats.completion_time = Some(ctx.now());
                 ctx.complete();
             }
@@ -439,7 +435,7 @@ impl NdpSender {
     /// full RTO of silence with packets outstanding resends the oldest.
     fn on_rto(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         self.rto_armed = false;
-        if self.done {
+        if self.is_done() {
             return;
         }
         if self.outstanding_count == 0 {
@@ -515,10 +511,6 @@ impl Endpoint for NdpSender {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
     fn harvest(&self) -> FlowHarvest {
         FlowHarvest {
             retransmissions: self.stats.retransmissions,
@@ -562,9 +554,6 @@ mod tests {
             }
             fn on_timer(&mut self, t: u8, c: &mut EndpointCtx<'_, '_>) {
                 self.inner.on_timer(t, c);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
             }
         }
         const SETTLED: u64 = 100_000;

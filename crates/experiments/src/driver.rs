@@ -33,7 +33,6 @@
 //! ends as soon as the driver is idle, with no flow live and nothing left
 //! to spawn.
 
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -680,12 +679,6 @@ impl Component<Packet> for RpcDriver {
             Event::Wake(flow) => self.finish(flow, ctx),
             Event::Msg(_) => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

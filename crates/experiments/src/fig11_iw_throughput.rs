@@ -10,7 +10,7 @@
 
 use ndp_core::{attach_flow, NdpFlowCfg};
 use ndp_metrics::Table;
-use ndp_net::host::HostLatency;
+use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::Packet;
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{BackToBack, QueueSpec};
@@ -59,7 +59,7 @@ fn throughput(iw: u64, host_delay: bool) -> f64 {
         Time::ZERO,
     );
     world.run_until(Time::from_secs(10));
-    let rx = ndp_core::flow::receiver_stats(&world, b2b.hosts[1], 1);
+    let rx = world.get::<Host>(b2b.hosts[1]).harvest(1);
     let fct = rx.completion_time.expect("transfer completes");
     size as f64 * 8.0 / fct.as_secs() / 1e9
 }

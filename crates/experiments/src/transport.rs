@@ -5,9 +5,10 @@
 //! Adding a transport to the evaluation is two steps:
 //!
 //! 1. next to the new sender/receiver, override `Endpoint::harvest` on
-//!    each (the receiver reports delivery, the sender its recovery
-//!    tallies), call `ctx.complete()` once when the flow is done, and
-//!    implement [`Transport`]'s `label`/`fabric`/`attach`; `attach`
+//!    each: the receiver keeps an `ndp_net::Delivery` ledger, which counts
+//!    what it delivers and completes the flow once, and the sender
+//!    reports its recovery tallies. Implement [`Transport`]'s
+//!    `label`/`fabric`/`attach`; `attach`
 //!    reads its hosts (`FlowSpec::ends`), MTU and path count off the
 //!    `&dyn Topology` it is given and ends in one
 //!    `ndp_transport::attach_endpoints` call (see
@@ -134,19 +135,14 @@ mod tests {
                 self.0.entry(token).or_insert(ctx.now());
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// Attach one `size`-byte flow per `(flow, src)` to host 15 of a k=4
     /// FatTree on `proto`'s fabric through the registry adapter, with one
     /// [`FirstWakes`] watching every host, run to `horizon`, then retire every
-    /// flow. Checks each detach result equals `rx.harvest().merge(tx.harvest())`
-    /// read just before it, that the watcher first fired for the flow at its
+    /// flow. Checks that host 15's delivered payload bytes equal its flows'
+    /// harvested bytes, that each detach result equals
+    /// `rx.harvest().merge(tx.harvest())` read just before it, that the watcher first fired for the flow at its
     /// `completion_time` (and, for blast, never), that a second detach is an
     /// empty no-op and that no endpoint is left behind. Returns each flow's
     /// detach harvest.
@@ -172,6 +168,12 @@ mod tests {
             t.attach(&mut w, &ft, &FlowSpec::new(flow, src, 15, size));
         }
         w.run_until(horizon);
+        // The host's byte counter and its flows' harvests are one ledger.
+        let harvested: u64 = (flows.iter())
+            .map(|&(flow, _)| w.get::<Host>(dst).harvest(flow).delivered_bytes)
+            .sum();
+        let host_bytes = w.get::<Host>(dst).stats().delivered_payload_bytes;
+        assert_eq!(host_bytes, harvested, "{proto:?}: host vs flow bytes");
         let mut harvests = Vec::new();
         for &(flow, src) in flows {
             let src = ft.hosts[src as usize];

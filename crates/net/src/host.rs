@@ -57,15 +57,15 @@ pub enum PullPriority {
     Normal = 1,
 }
 
-/// A transport state machine bound to one flow on one host.
-pub trait Endpoint: Send {
+/// A transport state machine bound to one flow on one host. It is [`Any`],
+/// so [`Host::endpoint`] downcasts it to read protocol-specific state.
+pub trait Endpoint: Any + Send {
     /// The flow's start trigger fired (scheduled by the harness).
-    fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>);
+    fn on_start(&mut self, _ctx: &mut EndpointCtx<'_, '_>) {}
     /// A packet for this flow arrived (after host processing delays).
     fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>);
     /// A timer set through [`EndpointCtx::timer_in`] fired.
-    fn on_timer(&mut self, token: u8, ctx: &mut EndpointCtx<'_, '_>);
-    fn as_any(&self) -> &dyn Any;
+    fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {}
     /// This side's half of the flow's accounting: a receiver fills what
     /// it saw arrive, a sender its recovery tallies. Protocol-neutral, so
     /// a harness reads any flow without knowing the endpoint's type.
@@ -122,6 +122,68 @@ impl FlowHarvest {
             timeouts: one("timeouts", a.timeouts, b.timeouts),
             trimmed_headers: one("trimmed_headers", a.trimmed_headers, b.trimmed_headers),
             rts_events: one("rts_events", a.rts_events, b.rts_events),
+        }
+    }
+}
+
+/// The receiver half of a flow's [`FlowHarvest`], kept the same way by
+/// every receiver: it stamps the first arrival, counts delivered payload
+/// (for the flow and for its host) and completes the flow once. The
+/// receiver decides *when* the flow is complete; its `harvest` is
+/// `FlowHarvest { <its own fields>, ..self.rx.harvest() }`.
+#[derive(Clone, Debug, Default)]
+pub struct Delivery {
+    first_data: Option<Time>,
+    bytes: u64,
+    completion_time: Option<Time>,
+}
+
+impl Delivery {
+    /// Something of the flow arrived (data or header); the first call
+    /// stamps `first_data`.
+    pub fn arrived(&mut self, ctx: &EndpointCtx<'_, '_>) {
+        self.first_data.get_or_insert(ctx.now());
+    }
+
+    /// Hand `bytes` of payload to the application: the flow's count, the
+    /// host's `delivered_payload_bytes` and its goodput trace.
+    pub fn deliver(&mut self, bytes: u64, ctx: &mut EndpointCtx<'_, '_>) {
+        self.bytes += bytes;
+        let core = &mut *ctx.core;
+        core.stats.delivered_payload_bytes += bytes;
+        if let Some((bucket, buckets)) = &mut core.rx_trace {
+            let idx = (ctx.sim.now().as_ps() / bucket.as_ps()) as usize;
+            if buckets.len() <= idx {
+                buckets.resize(idx + 1, 0);
+            }
+            buckets[idx] += bytes;
+        }
+    }
+
+    /// Payload bytes delivered so far.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    pub fn is_complete(&self) -> bool {
+        self.completion_time.is_some()
+    }
+
+    /// The flow is done: stamp its completion time and wake the host's
+    /// watcher ([`EndpointCtx::complete`]). Only the first call counts.
+    pub fn complete(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        if self.completion_time.is_none() {
+            self.completion_time = Some(ctx.now());
+            ctx.complete();
+        }
+    }
+
+    pub fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            delivered_bytes: self.bytes,
+            completion_time: self.completion_time,
+            first_data: self.first_data,
+            ..FlowHarvest::default()
         }
     }
 }
@@ -519,18 +581,6 @@ impl<'a, 'b> EndpointCtx<'a, 'b> {
         self.core.pull.cancel(self.flow);
     }
 
-    /// Record goodput delivered to the application on this host.
-    pub fn account_delivered(&mut self, payload_bytes: u64) {
-        self.core.stats.delivered_payload_bytes += payload_bytes;
-        if let Some((bucket, buckets)) = &mut self.core.rx_trace {
-            let idx = (self.sim.now().as_ps() / bucket.as_ps()) as usize;
-            if buckets.len() <= idx {
-                buckets.resize(idx + 1, 0);
-            }
-            buckets[idx] += payload_bytes;
-        }
-    }
-
     /// This endpoint's flow is done: wake the host's watcher, if it has
     /// one, now, with the flow id as the token.
     pub fn complete(&mut self) {
@@ -662,9 +712,8 @@ impl Host {
 
     /// Downcast an endpoint to read protocol-specific state.
     pub fn endpoint<T: 'static>(&self, flow: FlowId) -> &T {
-        self.live_endpoint(flow)
-            .as_any()
-            .downcast_ref::<T>()
+        let ep: &dyn Any = self.live_endpoint(flow);
+        ep.downcast_ref::<T>()
             .unwrap_or_else(|| panic!("endpoint for flow {flow} has unexpected type"))
     }
 
@@ -786,13 +835,6 @@ impl Component<Packet> for Host {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -830,9 +872,6 @@ mod tests {
         fn on_timer(&mut self, token: u8, _ctx: &mut EndpointCtx<'_, '_>) {
             self.timers.push(token);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     struct NicSink {
@@ -843,12 +882,6 @@ mod tests {
             if let Event::Msg(p) = ev {
                 self.got.push((ctx.now(), p));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -872,6 +905,13 @@ mod tests {
         let p: &Probe = h.endpoint(7);
         assert!(p.started);
         assert_eq!(p.timers, vec![42]);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint for flow 7 has unexpected type")]
+    fn endpoint_downcast_to_a_wrong_type_panics() {
+        let (w, host, _) = setup(0);
+        w.get::<Host>(host).endpoint::<NicSink>(7);
     }
 
     #[test]
@@ -927,10 +967,6 @@ mod tests {
                 ctx.pull_cancel();
             }
             fn on_packet(&mut self, _p: Packet, _c: &mut EndpointCtx<'_, '_>) {}
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
         }
         let mut h = Host::new(0, nic, Speed::gbps(10), 9000);
         h.add_endpoint(7, Box::new(CancelProbe));
@@ -988,10 +1024,6 @@ mod tests {
                 }
             }
             fn on_packet(&mut self, _p: Packet, _c: &mut EndpointCtx<'_, '_>) {}
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
         }
         let mut h = Host::new(0, nic, Speed::gbps(10), 9000);
         h.add_endpoint(
@@ -1066,7 +1098,8 @@ mod tests {
         assert_eq!(h.n_endpoints(), 1);
         let ep = h.remove_endpoint(7);
         assert!(ep.is_some(), "removed endpoint is handed back for harvest");
-        assert!(ep.unwrap().as_any().downcast_ref::<Probe>().is_some());
+        let ep: Box<dyn Any> = ep.unwrap();
+        assert!(ep.is::<Probe>());
         assert_eq!(h.n_endpoints(), 0);
         assert!(h.remove_endpoint(7).is_none(), "second removal is a no-op");
         w.run_until_idle();
@@ -1139,37 +1172,70 @@ mod tests {
         assert_eq!(flows, vec![7, 7, 8, 7, 8, 7, 8]);
     }
 
+    /// Logs what reaches it in delivery order: `None` for a packet,
+    /// `Some(token)` for a wake. Serves as both NIC and watcher.
+    #[derive(Default)]
+    struct Log(Vec<(Time, Option<u64>)>);
+    impl Component<Packet> for Log {
+        fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
+            let tok = match ev {
+                Event::Msg(_) => None,
+                Event::Wake(tok) => Some(tok),
+            };
+            self.0.push((ctx.now(), tok));
+        }
+    }
+
+    /// The ledger stamps the first arrival, counts every delivered byte
+    /// for the flow and its host, and completes the flow once: a
+    /// completion condition that holds again (a duplicate FIN) wakes the
+    /// watcher no second time and keeps the first completion instant.
     #[test]
-    fn complete_flushes_sends_then_wakes_the_watcher() {
-        /// Logs what reaches it in delivery order: `None` for a packet,
-        /// `Some(token)` for a wake. Serves as both NIC and watcher.
-        #[derive(Default)]
-        struct Log(Vec<(Time, Option<u64>)>);
-        impl Component<Packet> for Log {
-            fn handle(&mut self, ev: Event<Packet>, ctx: &mut Ctx<'_, Packet>) {
-                let tok = match ev {
-                    Event::Msg(_) => None,
-                    Event::Wake(tok) => Some(tok),
-                };
-                self.0.push((ctx.now(), tok));
+    fn the_delivery_ledger_completes_a_flow_once() {
+        struct FinSink(Delivery);
+        impl Endpoint for FinSink {
+            fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+                self.0.arrived(ctx);
+                self.0.deliver(pkt.payload as u64, ctx);
+                if pkt.flags.has(Flags::FIN) {
+                    self.0.complete(ctx);
+                }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
+            fn harvest(&self) -> FlowHarvest {
+                self.0.harvest()
             }
         }
+        let mut w: World<Packet> = World::new(9);
+        let log = w.add(Log::default());
+        let mut h = Host::new(4, log, Speed::gbps(10), 9000);
+        h.set_watcher(log);
+        h.add_endpoint(7, Box::new(FinSink(Delivery::default())));
+        let host = w.add(h);
+        let fin = Packet::data(1, 4, 7, 1, 9000).with_flags(Flags::FIN);
+        w.post(Time::from_us(1), host, Packet::data(1, 4, 7, 0, 9000));
+        w.post(Time::from_us(2), host, fin.clone());
+        w.post(Time::from_us(3), host, fin);
+        w.run_until_idle();
+        assert_eq!(w.get::<Log>(log).0, vec![(Time::from_us(2), Some(7))]);
+        let h = w.get::<Host>(host);
+        let payload = Packet::data(1, 4, 7, 0, 9000).payload as u64;
+        let want = FlowHarvest {
+            delivered_bytes: 3 * payload,
+            first_data: Some(Time::from_us(1)),
+            completion_time: Some(Time::from_us(2)),
+            ..FlowHarvest::default()
+        };
+        assert_eq!(h.harvest(7), want);
+        assert_eq!(h.stats().delivered_payload_bytes, want.delivered_bytes);
+    }
+
+    #[test]
+    fn complete_flushes_sends_then_wakes_the_watcher() {
         struct Finisher;
         impl Endpoint for Finisher {
-            fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
             fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
                 ctx.send(Packet::control(4, pkt.src, pkt.flow, PacketKind::Ack));
                 ctx.complete();
-            }
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
             }
         }
         let run = |watched: bool| {
@@ -1191,21 +1257,18 @@ mod tests {
         assert_eq!(run(false), vec![(t, None)], "unwatched: no wake");
     }
 
+    /// Closes its connection into time-wait on its first packet.
+    struct Waiter;
+    impl Endpoint for Waiter {
+        fn on_packet(&mut self, _p: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+            ctx.enter_time_wait();
+        }
+    }
+
     #[test]
     fn timewait_table_purges_expired_entries() {
         let mut w: World<Packet> = World::new(9);
         let nic = w.add(NicSink { got: vec![] });
-        struct Waiter;
-        impl Endpoint for Waiter {
-            fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
-            fn on_packet(&mut self, _p: Packet, ctx: &mut EndpointCtx<'_, '_>) {
-                ctx.enter_time_wait();
-            }
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
         let mut h = Host::new(0, nic, Speed::gbps(10), 9000);
         for f in 1..=20u64 {
             h.add_endpoint(f, Box::new(Waiter));
@@ -1229,19 +1292,8 @@ mod tests {
     fn timewait_rejects_duplicate_connection() {
         let mut w: World<Packet> = World::new(9);
         let nic = w.add(NicSink { got: vec![] });
-        struct Once;
-        impl Endpoint for Once {
-            fn on_start(&mut self, _c: &mut EndpointCtx<'_, '_>) {}
-            fn on_packet(&mut self, _p: Packet, ctx: &mut EndpointCtx<'_, '_>) {
-                ctx.enter_time_wait();
-            }
-            fn on_timer(&mut self, _t: u8, _c: &mut EndpointCtx<'_, '_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
         let mut h = Host::new(0, nic, Speed::gbps(10), 9000);
-        h.add_endpoint(7, Box::new(Once));
+        h.add_endpoint(7, Box::new(Waiter));
         let host = w.add(h);
         let syn = Packet::data(1, 0, 7, 0, 9000).with_flags(Flags::SYN);
         w.post(Time::ZERO, host, syn.clone());

@@ -23,8 +23,6 @@
 //!   forwarded packet bumps its [`QueueStats`] counter and reaches the
 //!   flight recorder.
 
-use std::any::Any;
-
 use ndp_sim::{Component, ComponentId, Ctx, Event, Speed, Time};
 use rand::Rng;
 
@@ -446,13 +444,6 @@ impl Component<Packet> for Queue {
             Event::Wake(t) => unknown_wake(t),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Out-of-line panic for an unrecognized wake token, keeping the dispatch
@@ -492,12 +483,6 @@ mod tests {
                 self.times.push(ctx.now());
                 self.draws.push(ctx.rng().gen());
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -6,8 +6,6 @@
 //! queues). Routing policy is injected via [`Router`] so topology crates can
 //! supply FatTree arithmetic without this crate depending on them.
 
-use std::any::Any;
-
 use ndp_sim::{Component, ComponentId, Ctx, Event};
 use rand::rngs::SmallRng;
 
@@ -116,13 +114,6 @@ impl Component<Packet> for Switch {
         }
         ctx.forward(self.ports[port], pkt);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -138,12 +129,6 @@ mod tests {
             if let Event::Msg(_) = ev {
                 self.got += 1;
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -21,8 +21,6 @@
 //!     fn handle(&mut self, ev: Event<u64>, _ctx: &mut Ctx<'_, u64>) {
 //!         if let Event::Msg(v) = ev { self.heard += v; }
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut world = World::new(42);

@@ -98,14 +98,26 @@ pub enum Event<M> {
 
 /// A simulation actor: a queue, switch, or host.
 ///
-/// `as_any`/`as_any_mut` enable post-run harvesting of statistics by
-/// downcasting — the experiment harness reads results out of components
-/// after `run_until` returns, so components never need shared ownership of
-/// metric sinks.
-pub trait Component<M>: Send {
+/// A component is [`Any`], so [`World::get`] downcasts it for post-run
+/// harvesting of statistics — the experiment harness reads results out of
+/// components after `run_until` returns, so components never need shared
+/// ownership of metric sinks.
+pub trait Component<M>: Any + Send {
     fn handle(&mut self, ev: Event<M>, ctx: &mut Ctx<'_, M>);
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// `as_any`/`as_any_mut` are superseded by upcasting `&dyn Component`
+    /// to `&dyn Any`; they stay so older implementations still compile.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// One scheduler entry, five plain words for a one-word message: a wake
@@ -1096,8 +1108,8 @@ impl<M: 'static> World<M> {
         let Slot::Occupied(c) = &entry.state else {
             panic!("component {id} vacated")
         };
-        c.as_any()
-            .downcast_ref::<C>()
+        let c: &dyn Any = &**c;
+        c.downcast_ref::<C>()
             .unwrap_or_else(|| panic!("component {id} has unexpected type"))
     }
 
@@ -1108,8 +1120,8 @@ impl<M: 'static> World<M> {
         let Slot::Occupied(c) = &mut entry.state else {
             panic!("component {id} vacated")
         };
-        c.as_any_mut()
-            .downcast_mut::<C>()
+        let c: &mut dyn Any = &mut **c;
+        c.downcast_mut::<C>()
             .unwrap_or_else(|| panic!("component {id} has unexpected type"))
     }
 
@@ -1121,7 +1133,7 @@ impl<M: 'static> World<M> {
             return None;
         }
         match &entry.state {
-            Slot::Occupied(c) => c.as_any().downcast_ref::<C>(),
+            Slot::Occupied(c) => (&**c as &dyn Any).downcast_ref::<C>(),
             _ => None,
         }
     }
@@ -1165,12 +1177,6 @@ mod tests {
                 Event::Msg(m) => self.msgs.push((ctx.now().as_ps(), m)),
                 Event::Wake(_) => self.ticks += 1,
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1296,12 +1302,6 @@ mod tests {
                 }
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1343,12 +1343,6 @@ mod tests {
                 Event::Wake(tok) => self.fired.push(tok),
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1374,12 +1368,6 @@ mod tests {
                     ctx.forward(n, v + 1);
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1438,12 +1426,6 @@ mod tests {
                         let v: u32 = ctx.rng().gen_range(0..100);
                         ctx.send(self.target, v, Time::from_ns(d));
                     }
-                }
-                fn as_any(&self) -> &dyn Any {
-                    self
-                }
-                fn as_any_mut(&mut self) -> &mut dyn Any {
-                    self
                 }
             }
             let r = w.add(R { target: id, n: 50 });
@@ -1507,6 +1489,26 @@ mod tests {
             assert_eq!(w.run_until(Time::from_us(4)), 5);
             assert_eq!(w.run_until_idle(), 5);
         }
+    }
+
+    /// `get`, `get_mut` and `try_get` reach a component as its own type
+    /// (downcasting the boxed component, not the box), and `try_get` is
+    /// `None` for a wrong type, a reserved slot and a retired id.
+    #[test]
+    fn downcasts_see_each_component_as_its_own_type() {
+        let mut w: World<u32> = World::new(1);
+        let a = w.add(counter());
+        let b = w.add(SelfTimer { fired: vec![5] });
+        let reserved = w.reserve();
+        w.get_mut::<Counter>(a).ticks = 3;
+        assert_eq!(w.get::<Counter>(a).ticks, 3);
+        assert_eq!(w.get::<SelfTimer>(b).fired, vec![5]);
+        assert_eq!(w.try_get::<Counter>(a).map(|c| c.ticks), Some(3));
+        assert!(w.try_get::<SelfTimer>(b).is_some());
+        assert!(w.try_get::<SelfTimer>(a).is_none(), "wrong type");
+        assert!(w.try_get::<Counter>(reserved).is_none(), "reserved slot");
+        assert!(w.retire(a));
+        assert!(w.try_get::<Counter>(a).is_none(), "retired id");
     }
 
     #[test]
@@ -1584,12 +1586,6 @@ mod tests {
                 }
             });
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1661,12 +1657,6 @@ mod tests {
                 ctx.defer(|w, me| {
                     w.retire(me);
                 });
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         for kind in both_kinds() {

@@ -23,8 +23,6 @@
 //! draws no world RNG, the campaign generator owns a seeded RNG, and event
 //! application rides the engine's exact `(time, posting-seq)` order.
 
-use std::any::Any;
-
 use ndp_net::packet::Packet;
 use ndp_net::queue::{LinkClass, Queue};
 use ndp_net::switch::Switch;
@@ -202,13 +200,6 @@ impl Component<Packet> for ChaosController {
             self.next += 1;
             self.apply(ev.op, ctx);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -33,7 +33,7 @@ fn main() {
 
     // Run 10 ms healthy.
     world.run_until(Time::from_ms(10));
-    let healthy = ndp::core::flow::receiver_stats(&world, ft.hosts[15], 1).payload_bytes;
+    let healthy = world.get::<Host>(ft.hosts[15]).harvest(1).delivered_bytes;
     println!(
         "after 10 ms healthy: {:.2} Gb/s",
         healthy as f64 * 8.0 / 0.010 / 1e9
@@ -45,7 +45,7 @@ fn main() {
 
     // Run another 30 ms; the scoreboard should exclude the sick path.
     world.run_until(Time::from_ms(40));
-    let after = ndp::core::flow::receiver_stats(&world, ft.hosts[15], 1).payload_bytes;
+    let after = world.get::<Host>(ft.hosts[15]).harvest(1).delivered_bytes;
     let gbps = (after - healthy) as f64 * 8.0 / 0.030 / 1e9;
     println!("next 30 ms with failure: {gbps:.2} Gb/s");
 

@@ -12,7 +12,7 @@
 
 use ndp::core::{attach_flow, NdpFlowCfg};
 use ndp::metrics::Table;
-use ndp::net::Packet;
+use ndp::net::{Host, Packet};
 use ndp::sim::{Time, World};
 use ndp::topology::{FatTree, FatTreeCfg, Topology};
 use rand::SeedableRng;
@@ -45,7 +45,9 @@ fn main() {
     let mut last = Time::ZERO;
     let mut prio_fct = Time::ZERO;
     for i in 0..workers.len() {
-        let rx = ndp::core::flow::receiver_stats(&world, ft.hosts[frontend as usize], i as u64 + 1);
+        let rx = world
+            .get::<Host>(ft.hosts[frontend as usize])
+            .harvest(i as u64 + 1);
         let fct = rx.completion_time.expect("all incast flows complete");
         last = last.max(fct);
         if i == 0 {

@@ -5,7 +5,7 @@
 //! ```
 
 use ndp::core::{attach_flow, NdpFlowCfg};
-use ndp::net::Packet;
+use ndp::net::{Host, Packet};
 use ndp::sim::{Time, World};
 use ndp::topology::{FatTree, FatTreeCfg, Topology};
 
@@ -37,9 +37,9 @@ fn main() {
     world.run_until(Time::from_secs(1));
 
     let tx = ndp::core::flow::sender_stats(&world, ft.hosts[0], 1);
-    let rx = ndp::core::flow::receiver_stats(&world, ft.hosts[15], 1);
+    let rx = world.get::<Host>(ft.hosts[15]).harvest(1);
     let fct = tx.fct().expect("flow should complete");
-    println!("transferred {} bytes in {}", rx.payload_bytes, fct);
+    println!("transferred {} bytes in {}", rx.delivered_bytes, fct);
     println!(
         "goodput: {:.2} Gb/s",
         size as f64 * 8.0 / fct.as_secs() / 1e9

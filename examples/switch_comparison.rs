@@ -7,7 +7,7 @@
 //! cargo run --release --example switch_comparison
 //! ```
 
-use ndp::baselines::blast::{attach_blast, CountSink};
+use ndp::baselines::blast::attach_blast;
 use ndp::metrics::Table;
 use ndp::net::{Host, Packet, Queue};
 use ndp::sim::{Speed, Time, World};
@@ -40,9 +40,7 @@ fn run(fabric: QueueSpec, label: &str, t: &mut Table) {
     let q = world.get::<Queue>(sb.bottleneck);
     let delivered: u64 = {
         let h = world.get::<Host>(sb.receiver);
-        (1..=n as u64)
-            .map(|f| h.endpoint::<CountSink>(f).payload_bytes)
-            .sum()
+        (1..=n as u64).map(|f| h.harvest(f).delivered_bytes).sum()
     };
     let goodput = delivered as f64 * 8.0 / span.as_secs() / 1e9;
     t.row([

@@ -52,7 +52,8 @@ fn fig3_retransmission_beats_queue_drain() {
     assert!(q.stats.trimmed >= 1, "overflow packet should be trimmed");
     let last_done = (1..=n as u64)
         .map(|f| {
-            ndp::core::flow::receiver_stats(&w, sb.receiver, f)
+            w.get::<Host>(sb.receiver)
+                .harvest(f)
                 .completion_time
                 .unwrap()
         })
@@ -88,7 +89,8 @@ fn same_seed_same_world() {
         w.run_until(Time::from_ms(20));
         let done: Time = (1..=3u64)
             .map(|f| {
-                ndp::core::flow::receiver_stats(&w, ft.hosts[[5usize, 9, 13][(f - 1) as usize]], f)
+                w.get::<Host>(ft.hosts[[5usize, 9, 13][(f - 1) as usize]])
+                    .harvest(f)
                     .completion_time
                     .unwrap()
             })
@@ -129,8 +131,8 @@ fn payload_conservation_under_incast() {
     }
     w.run_until(Time::from_secs(2));
     for s in 0..n {
-        let rx = ndp::core::flow::receiver_stats(&w, ft.hosts[0], s as u64 + 1);
-        assert_eq!(rx.payload_bytes, size, "flow {s} byte count");
+        let rx = w.get::<Host>(ft.hosts[0]).harvest(s as u64 + 1);
+        assert_eq!(rx.delivered_bytes, size, "flow {s} byte count");
         assert!(rx.completion_time.is_some());
     }
     assert_eq!(
@@ -160,7 +162,9 @@ fn ndp_beats_tcp_on_short_transfers_across_a_tree() {
         Time::ZERO,
     );
     w1.run_until(Time::from_secs(1));
-    let ndp_fct = ndp::core::flow::receiver_stats(&w1, ft1.hosts[15], 1)
+    let ndp_fct = w1
+        .get::<Host>(ft1.hosts[15])
+        .harvest(1)
         .completion_time
         .expect("ndp completes");
     // TCP on 200-packet drop-tail switches.
@@ -184,9 +188,9 @@ fn ndp_beats_tcp_on_short_transfers_across_a_tree() {
         Time::ZERO,
     );
     w2.run_until(Time::from_secs(1));
-    let h = w2.get::<Host>(ft2.hosts[15]);
-    let tcp_fct = h
-        .endpoint::<ndp::baselines::tcp::TcpReceiver>(1)
+    let tcp_fct = w2
+        .get::<Host>(ft2.hosts[15])
+        .harvest(1)
         .completion_time
         .expect("tcp completes");
     assert!(
@@ -232,7 +236,8 @@ fn metadata_is_lossless_with_rts() {
     assert_eq!(data_drops, 0, "nothing silently dropped");
     for s in 1..16u64 {
         assert!(
-            ndp::core::flow::receiver_stats(&w, ft.hosts[0], s)
+            w.get::<Host>(ft.hosts[0])
+                .harvest(s)
                 .completion_time
                 .is_some(),
             "flow {s} incomplete"
@@ -265,7 +270,8 @@ fn testbed_incast_is_near_ideal() {
     let mut last = Time::ZERO;
     for s in 1..8u64 {
         last = last.max(
-            ndp::core::flow::receiver_stats(&w, tt.hosts[0], s)
+            w.get::<Host>(tt.hosts[0])
+                .harvest(s)
                 .completion_time
                 .unwrap(),
         );

@@ -316,12 +316,6 @@ struct Sink;
 
 impl Component<Packet> for Sink {
     fn handle(&mut self, _ev: Event<Packet>, _ctx: &mut Ctx<'_, Packet>) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A host NIC that interleaved many flows holds one lane's buffer once it

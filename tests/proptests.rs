@@ -4,7 +4,7 @@
 use ndp::core::{attach_flow, NdpFlowCfg, PathSet};
 use ndp::metrics::Cdf;
 use ndp::net::host::HostLatency;
-use ndp::net::{Packet, Queue};
+use ndp::net::{Host, Packet, Queue};
 use ndp::sim::{Speed, Time, World};
 use ndp::topology::{BackToBack, QueueSpec, SingleBottleneck};
 use proptest::prelude::*;
@@ -29,8 +29,8 @@ proptest! {
         let cfg = NdpFlowCfg { n_paths: 1, iw_pkts: iw, ..NdpFlowCfg::new(size) };
         attach_flow(&mut w, 1, (b2b.hosts[0], 0), (b2b.hosts[1], 1), cfg, Time::ZERO);
         w.run_until(Time::from_secs(10));
-        let rx = ndp::core::flow::receiver_stats(&w, b2b.hosts[1], 1);
-        prop_assert_eq!(rx.payload_bytes, size);
+        let rx = w.get::<Host>(b2b.hosts[1]).harvest(1);
+        prop_assert_eq!(rx.delivered_bytes, size);
         prop_assert!(rx.completion_time.is_some());
         let tx = ndp::core::flow::sender_stats(&w, b2b.hosts[0], 1);
         prop_assert_eq!(tx.retransmissions, 0, "no retransmissions on a clean link");
@@ -56,8 +56,8 @@ proptest! {
         let cfg = NdpFlowCfg { n_paths: 1, ..NdpFlowCfg::new(size) };
         attach_flow(&mut w, 1, (h0, 0), (h1, 1), cfg, Time::ZERO);
         w.run_until(Time::from_secs(60));
-        let rx = ndp::core::flow::receiver_stats(&w, h1, 1);
-        prop_assert_eq!(rx.payload_bytes, size, "all payload delivered despite corruption");
+        let rx = w.get::<Host>(h1).harvest(1);
+        prop_assert_eq!(rx.delivered_bytes, size, "all payload delivered despite corruption");
     }
 
     /// The path permutation visits every path exactly once per round, for
@@ -120,8 +120,6 @@ proptest! {
             fn handle(&mut self, _ev: ndp::sim::Event<Packet>, _ctx: &mut ndp::sim::Ctx<'_, Packet>) {
                 self.0 += 1;
             }
-            fn as_any(&self) -> &dyn std::any::Any { self }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
         }
         /// Every delivery: (flow, seq, data?, arrival time).
         struct Log(Vec<(u64, u32, bool, Time)>);
@@ -131,8 +129,6 @@ proptest! {
                     self.0.push((p.flow, p.seq, p.kind == PacketKind::Data, ctx.now()));
                 }
             }
-            fn as_any(&self) -> &dyn std::any::Any { self }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
         }
         const MTU: u64 = 9000;
         // (discipline, occupancy bound in bytes)
@@ -244,7 +240,6 @@ proptest! {
     #[test]
     fn retirement_never_misdelivers(ops in proptest::collection::vec(0u8..10, 1..80), seed in 0u64..1000) {
         use ndp::sim::{Component, ComponentId, Ctx, Event, World};
-        use std::any::Any;
         /// Records every payload it receives; payloads encode the id the
         /// harness addressed, so misdelivery is detectable.
         struct Tagged { tag: u64, got: Vec<u64> }
@@ -252,8 +247,6 @@ proptest! {
             fn handle(&mut self, ev: Event<u64>, _ctx: &mut Ctx<'_, u64>) {
                 if let Event::Msg(v) = ev { self.got.push(v); }
             }
-            fn as_any(&self) -> &dyn Any { self }
-            fn as_any_mut(&mut self) -> &mut dyn Any { self }
         }
         let mut w: World<u64> = World::new(seed);
         let mut live: Vec<(ComponentId, u64)> = Vec::new();
@@ -341,10 +334,9 @@ proptest! {
         }
         let span = Time::from_ms(2);
         w.run_until(span);
-        use ndp::net::Host;
         let host = w.get::<Host>(sb.receiver);
         let total: u64 = (1..=n as u64)
-            .map(|f| host.endpoint::<ndp::baselines::blast::CountSink>(f).payload_bytes)
+            .map(|f| host.harvest(f).delivered_bytes)
             .sum();
         let frac = ndp::baselines::blast::fair_share_fraction(total, 1, Speed::gbps(10), 9000, span);
         prop_assert!(frac <= 1.05, "goodput cannot exceed the link: {frac}");
@@ -661,7 +653,6 @@ mod chaos_invariants {
 mod scheduler_lanes {
     use ndp::sim::{Component, ComponentId, Ctx, Event, SchedulerKind, Time, World};
     use proptest::prelude::*;
-    use std::any::Any;
 
     /// Logs every arrival; when `peer` is set, forwards each payload with
     /// zero delay, exercising the fast lane from inside dispatch.
@@ -677,12 +668,6 @@ mod scheduler_lanes {
                     ctx.send(p, v, Time::ZERO);
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -713,12 +698,6 @@ mod scheduler_lanes {
                     }
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -10,7 +10,7 @@
 //! fabric: PFC guarantees no congestion loss, which is exactly the
 //! property whose collateral damage Figures 15/16/19 explore.
 
-use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest, Launch};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, Speed, Time, World};
 use ndp_transport::attach_endpoints;
@@ -67,7 +67,6 @@ impl DcqcnCfg {
 /// RP statistics.
 #[derive(Clone, Debug, Default)]
 pub struct DcqcnStats {
-    pub start_time: Option<Time>,
     pub cnps_received: u64,
     pub rate_samples: Vec<(u64, u64)>,
 }
@@ -85,6 +84,7 @@ pub struct DcqcnSender {
     sent_bytes: u64,
     seq: u64,
     running: bool,
+    pub tx: Launch,
     pub stats: DcqcnStats,
 }
 
@@ -103,6 +103,7 @@ impl DcqcnSender {
             sent_bytes: 0,
             seq: 0,
             running: false,
+            tx: Launch::default(),
             stats: DcqcnStats::default(),
         }
     }
@@ -186,12 +187,7 @@ impl DcqcnSender {
 
 impl Endpoint for DcqcnSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        debug_assert!(
-            self.stats.start_time.is_none(),
-            "flow {} started twice",
-            self.flow
-        );
-        self.stats.start_time = Some(ctx.now());
+        self.tx.start(ctx);
         if self.cfg.path == 0 {
             self.cfg.path = ctx.rng().gen();
         }
@@ -227,6 +223,10 @@ impl Endpoint for DcqcnSender {
             }
             _ => {}
         }
+    }
+
+    fn harvest(&self) -> FlowHarvest {
+        self.tx.harvest()
     }
 }
 

@@ -16,13 +16,13 @@
 //! Data is allocated to subflows on demand from a shared pool, so a stalled
 //! subflow simply stops claiming bytes.
 
-use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest, Launch};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
 use rand::Rng;
 
-use crate::tcp::{Ack, NewReno, Reassembly, TcpStats, Timeout};
+use crate::tcp::{Ack, NewReno, Reassembly, Timeout};
 
 const RTO_TOKEN_BASE: u8 = 1; // token = base + subflow index
 
@@ -52,7 +52,7 @@ pub struct MptcpSender {
     /// Bytes of the transfer not yet claimed by any subflow.
     pool: u64,
     total_acked: u64,
-    pub stats: TcpStats,
+    pub tx: Launch,
 }
 
 impl MptcpSender {
@@ -74,7 +74,7 @@ impl MptcpSender {
             subs,
             pool: size_bytes,
             total_acked: 0,
-            stats: TcpStats::default(),
+            tx: Launch::default(),
         }
     }
 
@@ -153,34 +153,24 @@ impl MptcpSender {
                 if let Some(hole) = s.rec.open(newly, lia) {
                     self.send_segment(idx, hole, ctx);
                 }
-                self.check_done(ctx);
+                if self.total_acked >= self.size_bytes {
+                    self.tx.complete(ctx);
+                }
                 self.send_available(idx, ctx);
             }
             Ack::FastRetransmit(seq) => {
-                self.stats.fast_retransmits += 1;
+                self.tx.retransmissions += 1;
                 self.send_segment(idx, seq, ctx);
             }
             Ack::Recovering => self.send_available(idx, ctx),
             Ack::Ignored => {}
         }
     }
-
-    fn check_done(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if self.stats.completion_time.is_none() && self.total_acked >= self.size_bytes {
-            self.stats.completion_time = Some(ctx.now());
-            ctx.complete();
-        }
-    }
 }
 
 impl Endpoint for MptcpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        debug_assert!(
-            self.stats.start_time.is_none(),
-            "flow {} started twice",
-            self.flow
-        );
-        self.stats.start_time = Some(ctx.now());
+        self.tx.start(ctx);
         // Independent random path per subflow (per-flow ECMP hashing).
         for s in &mut self.subs {
             s.path = ctx.rng().gen();
@@ -203,7 +193,8 @@ impl Endpoint for MptcpSender {
         };
         match s.rec.on_rto(ctx.now()) {
             Timeout::Expired => {
-                self.stats.timeouts += 1;
+                self.tx.retransmissions += 1;
+                self.tx.timeouts += 1;
                 self.send_available(idx, ctx);
             }
             Timeout::Rearm(left) => ctx.timer_in(left, token),
@@ -212,7 +203,7 @@ impl Endpoint for MptcpSender {
     }
 
     fn harvest(&self) -> FlowHarvest {
-        self.stats.harvest()
+        self.tx.harvest()
     }
 }
 
@@ -344,7 +335,7 @@ mod tests {
         w.run_until(Time::from_ms(200));
         assert_eq!(w.get::<Host>(ft.hosts[15]).harvest(1).delivered_bytes, size);
         let tx = w.get::<Host>(ft.hosts[0]).endpoint::<MptcpSender>(1);
-        let fct = tx.stats.fct().unwrap();
+        let fct = tx.tx.fct().unwrap();
         let goodput = size as f64 * 8.0 / fct.as_secs() / 1e9;
         assert!(
             goodput > 7.0,

@@ -12,7 +12,9 @@
 //! the loss-recovery side: no NACKs, no return-to-sender, timeout-driven
 //! re-credits.
 
-use ndp_net::host::{start_token, Delivery, Endpoint, EndpointCtx, FlowHarvest, PullPriority};
+use ndp_net::host::{
+    start_token, Delivery, Endpoint, EndpointCtx, FlowHarvest, Launch, PullPriority,
+};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::{attach_endpoints, SeqWindow};
@@ -27,14 +29,6 @@ const IW_PKTS: u64 = 30;
 /// Receiver-side token timeout: re-issue credits if the flow stalls.
 const TOKEN_TIMEOUT: Time = Time::from_us(500);
 
-/// pHost sender statistics.
-#[derive(Clone, Debug, Default)]
-pub struct PHostStats {
-    pub start_time: Option<Time>,
-    pub completion_time: Option<Time>,
-    pub retransmissions: u64,
-}
-
 /// The pHost sender.
 pub struct PHostSender {
     flow: FlowId,
@@ -47,7 +41,7 @@ pub struct PHostSender {
     acked_count: u64,
     token_ctr: u64,
     scan: u64,
-    pub stats: PHostStats,
+    pub tx: Launch,
 }
 
 impl PHostSender {
@@ -66,7 +60,7 @@ impl PHostSender {
             acked_count: 0,
             token_ctr: 0,
             scan: 0,
-            stats: PHostStats::default(),
+            tx: Launch::default(),
         }
     }
 
@@ -86,7 +80,7 @@ impl PHostSender {
         }
         if rtx {
             pkt.flags = pkt.flags.with(Flags::RTX);
-            self.stats.retransmissions += 1;
+            self.tx.retransmissions += 1;
         }
         ctx.send(pkt);
     }
@@ -117,12 +111,7 @@ impl PHostSender {
 
 impl Endpoint for PHostSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        debug_assert!(
-            self.stats.start_time.is_none(),
-            "flow {} started twice",
-            self.flow
-        );
-        self.stats.start_time = Some(ctx.now());
+        self.tx.start(ctx);
         let burst = IW_PKTS.min(self.total_pkts);
         for _ in 0..burst {
             let seq = self.next_new;
@@ -137,8 +126,8 @@ impl Endpoint for PHostSender {
                 let seq = u64::from(pkt.seq);
                 if seq < self.total_pkts && self.acked.settle(seq) {
                     self.acked_count += 1;
-                    if self.acked_count == self.total_pkts && self.stats.completion_time.is_none() {
-                        self.stats.completion_time = Some(ctx.now());
+                    if self.acked_count == self.total_pkts {
+                        self.tx.complete(ctx);
                     }
                 }
             }
@@ -152,10 +141,7 @@ impl Endpoint for PHostSender {
     }
 
     fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            retransmissions: self.stats.retransmissions,
-            ..FlowHarvest::default()
-        }
+        self.tx.harvest()
     }
 }
 

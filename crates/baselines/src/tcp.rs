@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest, Launch};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
@@ -100,31 +100,6 @@ impl TcpCfg {
     }
 }
 
-/// Sender-side statistics, for TCP, DCTCP and MPTCP alike.
-#[derive(Clone, Debug, Default)]
-pub struct TcpStats {
-    pub start_time: Option<Time>,
-    pub completion_time: Option<Time>,
-    pub fast_retransmits: u64,
-    pub timeouts: u64,
-    pub marks_echoed: u64,
-}
-
-impl TcpStats {
-    pub fn fct(&self) -> Option<Time> {
-        Some(self.completion_time? - self.start_time?)
-    }
-
-    /// The sender's half of the flow's [`FlowHarvest`].
-    pub fn harvest(&self) -> FlowHarvest {
-        FlowHarvest {
-            retransmissions: self.fast_retransmits + self.timeouts,
-            timeouts: self.timeouts,
-            ..FlowHarvest::default()
-        }
-    }
-}
-
 enum State {
     Closed,
     SynSent,
@@ -144,7 +119,9 @@ pub struct TcpSender {
     bytes_marked_win: u64,
     win_end: u64,
     cut_this_window: bool,
-    pub stats: TcpStats,
+    /// ACKs that echoed a CE mark (DCTCP).
+    pub marks_echoed: u64,
+    pub tx: Launch,
 }
 
 impl TcpSender {
@@ -161,7 +138,8 @@ impl TcpSender {
             bytes_marked_win: 0,
             win_end: 0,
             cut_this_window: false,
-            stats: TcpStats::default(),
+            marks_echoed: 0,
+            tx: Launch::default(),
         }
     }
 
@@ -225,7 +203,7 @@ impl TcpSender {
         self.bytes_acked_win += newly;
         if ece {
             self.bytes_marked_win += newly;
-            self.stats.marks_echoed += 1;
+            self.marks_echoed += 1;
         }
         if self.rec.snd_una >= self.win_end {
             let f = if self.bytes_acked_win == 0 {
@@ -277,15 +255,15 @@ impl TcpSender {
                     // NewReno partial ACK: retransmit the next hole.
                     self.send_segment(hole, ctx);
                 }
-                if self.rec.snd_una >= self.cfg.size_bytes && self.stats.completion_time.is_none() {
-                    self.stats.completion_time = Some(ctx.now());
-                    ctx.complete();
+                if self.rec.snd_una >= self.cfg.size_bytes {
+                    // Everything is ACKed, so there is nothing left to send.
+                    self.tx.complete(ctx);
                     return;
                 }
                 self.send_available(ctx);
             }
             Ack::FastRetransmit(seq) => {
-                self.stats.fast_retransmits += 1;
+                self.tx.retransmissions += 1;
                 self.send_segment(seq, ctx);
             }
             Ack::Recovering => self.send_available(ctx),
@@ -296,12 +274,7 @@ impl TcpSender {
 
 impl Endpoint for TcpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        debug_assert!(
-            self.stats.start_time.is_none(),
-            "flow {} started twice",
-            self.flow
-        );
-        self.stats.start_time = Some(ctx.now());
+        self.tx.start(ctx);
         match self.cfg.handshake {
             Handshake::ThreeWay => {
                 self.state = State::SynSent;
@@ -326,14 +299,16 @@ impl Endpoint for TcpSender {
         }
         match self.rec.on_rto(ctx.now()) {
             Timeout::Expired => {
-                self.stats.timeouts += 1;
+                self.tx.retransmissions += 1;
+                self.tx.timeouts += 1;
                 self.send_available(ctx);
             }
             Timeout::Rearm(left) => ctx.timer_in(left, RTO_TOKEN),
             // Nothing in flight: before the SYN-ACK, resend the SYN.
             Timeout::Idle if matches!(self.state, State::SynSent) => {
                 self.rec.back_off();
-                self.stats.timeouts += 1;
+                self.tx.retransmissions += 1;
+                self.tx.timeouts += 1;
                 self.send_syn(ctx);
             }
             Timeout::Idle => {}
@@ -341,7 +316,7 @@ impl Endpoint for TcpSender {
     }
 
     fn harvest(&self) -> FlowHarvest {
-        self.stats.harvest()
+        self.tx.harvest()
     }
 }
 
@@ -744,11 +719,8 @@ mod tests {
         (w, b)
     }
 
-    fn tcp_stats(w: &World<Packet>, host: ndp_sim::ComponentId, flow: FlowId) -> TcpStats {
-        w.get::<Host>(host)
-            .endpoint::<TcpSender>(flow)
-            .stats
-            .clone()
+    fn sender(w: &World<Packet>, host: ndp_sim::ComponentId, flow: FlowId) -> &TcpSender {
+        w.get::<Host>(host).endpoint::<TcpSender>(flow)
     }
 
     #[test]
@@ -767,9 +739,9 @@ mod tests {
         let rx = w.get::<Host>(b.hosts[1]).harvest(1);
         assert_eq!(rx.delivered_bytes, size);
         assert!(rx.completion_time.is_some());
-        let tx = tcp_stats(&w, b.hosts[0], 1);
+        let tx = &sender(&w, b.hosts[0], 1).tx;
         assert_eq!(tx.timeouts, 0, "clean link should not time out");
-        assert!(tx.completion_time.is_some());
+        assert!(tx.is_complete());
     }
 
     #[test]
@@ -785,8 +757,7 @@ mod tests {
             Time::ZERO,
         );
         w.run_until(Time::from_ms(200));
-        let tx = tcp_stats(&w, b.hosts[0], 1);
-        let fct = tx.fct().unwrap();
+        let fct = sender(&w, b.hosts[0], 1).tx.fct().unwrap();
         let goodput = size as f64 * 8.0 / fct.as_secs() / 1e9;
         assert!(
             goodput > 8.5,
@@ -804,7 +775,7 @@ mod tests {
             };
             attach_tcp_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
             w.run_until(Time::from_ms(200));
-            tcp_stats(&w, b.hosts[0], 1).fct().unwrap()
+            sender(&w, b.hosts[0], 1).tx.fct().unwrap()
         };
         let plain = run(Handshake::None);
         let full = run(Handshake::ThreeWay);
@@ -839,10 +810,11 @@ mod tests {
         // its control law stays idle.
         attach_tcp_flow(&mut w, 1, (h0, 0), (h1, 1), TcpCfg::dctcp(size), Time::ZERO);
         w.run_until(Time::from_secs(20));
-        let tx = tcp_stats(&w, h0, 1);
-        assert!(tx.completion_time.is_some(), "long flow incomplete");
+        let tx = &sender(&w, h0, 1).tx;
+        assert!(tx.is_complete(), "long flow incomplete");
+        // Retransmissions beyond one per RTO expiry are fast retransmits.
         assert!(
-            tx.fast_retransmits > 0,
+            tx.retransmissions > tx.timeouts,
             "mid-window loss must trigger fast retransmit"
         );
         // ~6-7 losses over 2239 packets, each recovered in about an RTT:
@@ -879,8 +851,8 @@ mod tests {
         }
         w.run_until(Time::from_secs(1));
         for s in 0..2u64 {
-            let tx = tcp_stats(&w, sb.senders[s as usize], s + 1);
-            assert!(tx.completion_time.is_some());
+            let tx = sender(&w, sb.senders[s as usize], s + 1);
+            assert!(tx.tx.is_complete());
             assert!(
                 tx.marks_echoed > 0,
                 "DCTCP should see marks under congestion"
@@ -929,10 +901,11 @@ mod tests {
         let mut timeouts = 0;
         let mut last = Time::ZERO;
         for s in 0..n as u64 {
-            let tx = tcp_stats(&w, sb.senders[s as usize], s + 1);
-            assert!(tx.completion_time.is_some(), "flow {s} incomplete");
+            let tx = &sender(&w, sb.senders[s as usize], s + 1).tx;
+            assert!(tx.is_complete(), "flow {s} incomplete");
             timeouts += tx.timeouts;
-            last = last.max(tx.completion_time.unwrap());
+            // Every flow starts at 0, so its FCT is its completion instant.
+            last = last.max(tx.fct().unwrap());
         }
         assert!(timeouts > 0, "synchronized incast losses should cause RTOs");
         // The 200ms MinRTO pushes the tail far beyond the ideal ~7ms.

@@ -30,18 +30,10 @@ pub fn attach_flow(
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
-/// NDP-specific counters, for callers that need more than the
-/// protocol-neutral [`Host::harvest`].
-pub fn sender_stats(
-    world: &World<Packet>,
-    host: ComponentId,
-    flow: FlowId,
-) -> crate::NdpSenderStats {
-    world
-        .get::<Host>(host)
-        .endpoint::<NdpSender>(flow)
-        .stats
-        .clone()
+/// The NDP sender itself (its `tx` ledger and NDP-specific counters), for
+/// callers that need more than the protocol-neutral [`Host::harvest`].
+pub fn sender_stats(world: &World<Packet>, host: ComponentId, flow: FlowId) -> &NdpSender {
+    world.get::<Host>(host).endpoint::<NdpSender>(flow)
 }
 
 pub fn receiver_stats(
@@ -89,12 +81,12 @@ mod tests {
         attach_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
         w.run_until(Time::from_ms(100));
         let rx = w.get::<Host>(b.hosts[1]).harvest(1);
-        let tx = sender_stats(&w, b.hosts[0], 1);
+        let tx = &sender_stats(&w, b.hosts[0], 1).tx;
         assert_eq!(
             rx.delivered_bytes, size,
             "every byte delivered exactly once"
         );
-        assert!(tx.completion_time.is_some(), "sender saw all ACKs");
+        assert!(tx.is_complete(), "sender saw all ACKs");
         let fct = tx.fct().unwrap();
         let goodput_gbps = size as f64 * 8.0 / fct.as_secs() / 1e9;
         assert!(goodput_gbps > 9.0, "goodput {goodput_gbps:.2} Gb/s");
@@ -141,8 +133,8 @@ mod tests {
         w.run_until(Time::from_ms(50));
         let rx = w.get::<Host>(ft.hosts[15]).harvest(1);
         assert_eq!(rx.delivered_bytes, size);
-        let tx = sender_stats(&w, ft.hosts[0], 1);
-        assert!(tx.completion_time.is_some());
+        let tx = &sender_stats(&w, ft.hosts[0], 1).tx;
+        assert!(tx.is_complete());
         // All four cores carried traffic (per-packet multipath).
         for c in 0..4 {
             assert!(
@@ -183,8 +175,8 @@ mod tests {
         let mut total = 0u64;
         let mut last_done = Time::ZERO;
         for s in 0..n {
-            let tx = sender_stats(&w, sb.senders[s], s as u64 + 1);
-            assert!(tx.completion_time.is_some(), "sender {s} incomplete");
+            let tx = &sender_stats(&w, sb.senders[s], s as u64 + 1).tx;
+            assert!(tx.is_complete(), "sender {s} incomplete");
             total += size;
             let rx = w.get::<Host>(sb.receiver).harvest(s as u64 + 1);
             last_done = last_done.max(rx.completion_time.unwrap());
@@ -230,8 +222,8 @@ mod tests {
         w.run_until(Time::from_secs(2));
         let rx = w.get::<Host>(h1).harvest(1);
         assert_eq!(rx.delivered_bytes, size, "all data must eventually arrive");
-        let tx = sender_stats(&w, h0, 1);
-        assert!(tx.rtx_rto > 0, "corruption must exercise the RTO path");
+        let tx = &sender_stats(&w, h0, 1).tx;
+        assert!(tx.timeouts > 0, "corruption must exercise the RTO path");
     }
 
     #[test]
@@ -380,8 +372,8 @@ mod tests {
         w.run_until(Time::from_ms(20));
         let tx: &DropFirstPull = w.get::<Host>(b.hosts[0]).endpoint(1);
         assert!(tx.1, "the pull was dropped");
-        assert!(tx.0.is_done(), "the flow must complete");
-        assert_eq!(tx.0.stats.rtx_rto, 0, "no data was lost, so no RTO");
+        assert!(tx.0.tx.is_complete(), "the flow must complete");
+        assert_eq!(tx.0.tx.timeouts, 0, "no data was lost, so no RTO");
         assert_eq!(w.get::<Host>(b.hosts[1]).stats().repulls, 1);
     }
 
@@ -430,9 +422,9 @@ mod tests {
         feedback(&mut w, &b, 70, PacketKind::Ack, 0);
         w.run_until(Time::from_ms(5));
         let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
-        assert!(s.is_done());
+        assert!(s.tx.is_complete());
         assert_eq!(s.stats.rtx_nack, 1);
-        assert_eq!(s.stats.rtx_rto, 0, "no RTO: the bank paid for the resend");
+        assert_eq!(s.tx.timeouts, 0, "no RTO: the bank paid for the resend");
     }
 
     #[test]
@@ -458,8 +450,8 @@ mod tests {
         feedback(&mut w, &b, 1500, PacketKind::Ack, 0);
         w.run_until(Time::from_ms(5));
         let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
-        assert!(s.is_done());
-        assert_eq!(s.stats.rtx_rto, 1);
+        assert!(s.tx.is_complete());
+        assert_eq!(s.tx.timeouts, 1);
     }
 
     #[test]
@@ -508,9 +500,9 @@ mod tests {
         }
         w.run_until(Time::from_ms(200));
         for s in 0..n {
-            let tx = sender_stats(&w, sb.senders[s], s as u64 + 1);
-            assert!(tx.completion_time.is_some(), "sender {s} incomplete");
-            assert_eq!(tx.rtx_rto, 0, "sender {s} fired in a deep pull queue");
+            let tx = &sender_stats(&w, sb.senders[s], s as u64 + 1).tx;
+            assert!(tx.is_complete(), "sender {s} incomplete");
+            assert_eq!(tx.timeouts, 0, "sender {s} fired in a deep pull queue");
         }
         assert_eq!(w.get::<Host>(sb.receiver).stats().repulls, 0);
     }

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, NDP_RTO};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest, Launch, NDP_RTO};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, HEADER_BYTES};
 use ndp_sim::{FxHashSet, Time};
 use ndp_transport::SeqWindow;
@@ -25,17 +25,16 @@ const RTO_TOKEN: u8 = 1;
 const IDLE: u32 = u32::MAX;
 const ACKED: u32 = u32::MAX - 1;
 
-/// Sender-side counters for the evaluation figures.
+/// Sender-side counters for the evaluation figures, beside the flow's
+/// [`Launch`] ledger (its `retransmissions`, and its `timeouts`: the
+/// RTO-driven sends, corruption recovery).
 #[derive(Clone, Debug, Default)]
 pub struct NdpSenderStats {
     pub data_sent: u64,
-    pub retransmissions: u64,
     /// Retransmissions triggered via NACK→pull.
     pub rtx_nack: u64,
     /// Retransmissions triggered by returned (RTS) headers.
     pub rtx_rts: u64,
-    /// Retransmissions triggered by the RTO (corruption recovery).
-    pub rtx_rto: u64,
     pub acks: u64,
     pub nacks: u64,
     pub pulls: u64,
@@ -44,15 +43,6 @@ pub struct NdpSenderStats {
     /// the bank was full, or an ACK retired the packet a credit was held
     /// for.
     pub wasted_pulls: u64,
-    pub start_time: Option<Time>,
-    pub completion_time: Option<Time>,
-}
-
-impl NdpSenderStats {
-    /// Flow completion time as seen by the sender (start → all ACKed).
-    pub fn fct(&self) -> Option<Time> {
-        Some(self.completion_time? - self.start_time?)
-    }
 }
 
 /// Configuration for one NDP flow.
@@ -134,6 +124,7 @@ pub struct NdpSender {
     /// only when the flow has been completely silent for a full RTO, never
     /// merely because a burst's tail is still being serialized or pulled.
     last_activity: Time,
+    pub tx: Launch,
     pub stats: NdpSenderStats,
 }
 
@@ -164,12 +155,9 @@ impl NdpSender {
             paths,
             rto_armed: false,
             last_activity: Time::ZERO,
+            tx: Launch::default(),
             stats: NdpSenderStats::default(),
         }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.stats.completion_time.is_some()
     }
 
     pub fn total_pkts(&self) -> u64 {
@@ -211,7 +199,7 @@ impl NdpSender {
         }
         if rtx {
             pkt.flags = pkt.flags.with(Flags::RTX);
-            self.stats.retransmissions += 1;
+            self.tx.retransmissions += 1;
         }
         // Mark the last packet (§3.2). Trimming preserves flags, so the
         // receiver learns the transfer length even if this packet's payload
@@ -310,7 +298,7 @@ impl NdpSender {
         let s = &self.stats;
         debug_assert_eq!(
             s.data_sent,
-            self.iw_sent + (s.pulls - s.wasted_pulls - self.banked) + s.rtx_rts + s.rtx_rto,
+            self.iw_sent + (s.pulls - s.wasted_pulls - self.banked) + s.rtx_rts + self.tx.timeouts,
             "a packet sent without a credit, or a credit spent twice"
         );
     }
@@ -335,9 +323,8 @@ impl NdpSender {
         if prev != ACKED {
             self.window.set(seq, ACKED);
             self.acked_count += 1;
-            if self.acked_count == self.total_pkts && !self.is_done() {
-                self.stats.completion_time = Some(ctx.now());
-                ctx.complete();
+            if self.acked_count == self.total_pkts {
+                self.tx.complete(ctx);
             }
         }
     }
@@ -421,7 +408,7 @@ impl NdpSender {
             ctx.timer_in(deadline - now, RTO_TOKEN);
             return;
         }
-        self.stats.rtx_rto += 1;
+        self.tx.timeouts += 1;
         if let Some(seq) = self.pop_rtx() {
             self.send_data(seq, true, None, ctx);
         } else {
@@ -435,7 +422,7 @@ impl NdpSender {
     /// full RTO of silence with packets outstanding resends the oldest.
     fn on_rto(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         self.rto_armed = false;
-        if self.is_done() {
+        if self.tx.is_complete() {
             return;
         }
         if self.outstanding_count == 0 {
@@ -458,7 +445,7 @@ impl NdpSender {
         let oldest = self.window.iter().find(|&(_, p)| p < ACKED);
         if let Some((seq, path)) = oldest {
             self.paths.on_loss(path);
-            self.stats.rtx_rto += 1;
+            self.tx.timeouts += 1;
             self.send_data(seq, true, Some(path), ctx);
         }
         self.arm_rto(ctx);
@@ -467,12 +454,7 @@ impl NdpSender {
 
 impl Endpoint for NdpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        debug_assert!(
-            self.stats.start_time.is_none(),
-            "flow {} started twice",
-            self.flow
-        );
-        self.stats.start_time = Some(ctx.now());
+        self.tx.start(ctx);
         let burst = self.cfg.iw_pkts.min(self.total_pkts);
         self.iw_sent = burst;
         for _ in 0..burst {
@@ -513,10 +495,8 @@ impl Endpoint for NdpSender {
 
     fn harvest(&self) -> FlowHarvest {
         FlowHarvest {
-            retransmissions: self.stats.retransmissions,
-            timeouts: self.stats.rtx_rto,
             rts_events: self.stats.rts_received,
-            ..FlowHarvest::default()
+            ..self.tx.harvest()
         }
     }
 }
@@ -586,14 +566,14 @@ mod tests {
         for ms in 1..=800 {
             w.run_until(Time::from_ms(ms));
             let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
-            if s.stats.rtx_rto == 0 && s.stats.acks == SETTLED + TAIL - 1 {
+            if s.tx.timeouts == 0 && s.stats.acks == SETTLED + TAIL - 1 {
                 // Silent, one packet outstanding: the next timer scans this.
                 scanned = Some(s.window.len());
             }
         }
         let s: &NdpSender = w.get::<Host>(b.hosts[0]).endpoint(1);
-        assert!(s.is_done(), "the hole must be repaired");
-        assert_eq!(s.stats.rtx_rto, 1, "by exactly one RTO");
+        assert!(s.tx.is_complete(), "the hole must be repaired");
+        assert_eq!(s.tx.timeouts, 1, "by exactly one RTO");
         assert_eq!(scanned, Some(TAIL as usize), "slots the RTO walked");
     }
 }

@@ -486,6 +486,7 @@ impl crate::registry::Report for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn quick_point(topo: &str, proto: Proto, seed: u64) -> FailurePoint {
         let (warmup, pre, during, post, drain) = windows(Scale::Quick);
@@ -574,31 +575,40 @@ mod tests {
         }
     }
 
+    /// The matrix covers at least two topologies and two transports; every
+    /// cell measures flows, kills links and reports a non-null p50/p99/p999
+    /// slowdown for every phase; no cell strands a flow; NDP reroutes
+    /// around the dead link; and the envelope carries the chaos counters.
     #[test]
     fn matrix_covers_both_axes_and_reports_chaos_counters() {
         let rep = run(Scale::Quick, None);
         crate::registry::document::pin("failure_matrix", &rep);
         assert_eq!(rep.cells.len(), MATRIX_TOPOS.len() * SWEEP_PROTOS.len());
+        let topos: BTreeSet<_> = rep.cells.iter().map(|c| c.topo).collect();
+        let protos: BTreeSet<_> = rep.cells.iter().map(|c| c.proto.label()).collect();
+        assert!(topos.len() >= 2, "need >=2 topologies, got {topos:?}");
+        assert!(protos.len() >= 2, "need >=2 transports, got {protos:?}");
         for c in &rep.cells {
-            assert!(
-                c.measured > 0,
-                "{}/{}: no measured flows",
-                c.topo,
-                c.proto.label()
-            );
+            let key = format!("{}/{}", c.topo, c.proto.label());
+            assert!(c.measured > 0, "{key}: no measured flows");
+            assert!(c.failed_links > 0, "{key}: no link failed");
             assert_eq!(c.tally.applied(), 4, "{}: wrong event tally", c.topo);
-            assert_eq!(
-                c.stuck_flows,
-                0,
-                "{}/{}: stranded flows",
-                c.topo,
-                c.proto.label()
-            );
+            assert_eq!(c.stuck_flows, 0, "{key}: stranded flows");
+            for (ph, phase) in PHASES.iter().enumerate() {
+                assert!(!c.phases[ph].is_empty(), "{key} {phase}: no samples");
+                for p in [0.50, 0.99, 0.999] {
+                    let v = c.percentile(ph, p);
+                    assert!(v.is_finite(), "{key} {phase}: p{p} is null");
+                }
+            }
+            if c.proto == Proto::Ndp {
+                assert!(c.reroutes > 0, "{key}: NDP never rerouted");
+            }
         }
         // The registry envelope carries the chaos counters.
         let stats = crate::registry::Report::run_stats(&rep);
         assert_eq!(stats.link_events_applied, Some(4 * rep.cells.len() as u64));
         assert!(stats.stuck_flows.is_some());
-        assert!(stats.reroutes.is_some());
+        assert!(stats.reroutes > Some(0), "{:?}", stats.reroutes);
     }
 }

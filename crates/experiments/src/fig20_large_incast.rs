@@ -59,7 +59,7 @@ fn trial(scale: Scale, n: usize, iw: u64, seed: u64) -> Row {
             .endpoint::<NdpSender>(i as u64 + 1);
         total_pkts += s.total_pkts();
         rtx_nack += s.stats.rtx_nack;
-        rtx_rts += s.stats.rtx_rts + s.stats.rtx_rto;
+        rtx_rts += s.stats.rtx_rts + s.tx.timeouts;
     }
     let ideal = incast_ideal(workers.len(), size, Speed::gbps(10), 9000);
     Row {

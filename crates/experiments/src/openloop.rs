@@ -595,6 +595,68 @@ mod tests {
         }
     }
 
+    /// The `load_websearch` document, pinned, keeps its shape: every
+    /// (protocol, load) row carries all four size bins, with ≥3 protocols
+    /// and ≥3 loads; no NDP or DCTCP flow is left incomplete (NDP's
+    /// liveness net; DCTCP's RTO expiry going back N, so a lost burst is
+    /// repaired within one expiry at every load); and the run block reports
+    /// engine events and the flow-lifecycle live gauges. pHost stays out:
+    /// its known straggler (ROADMAP item 1(b)) shows at 30% load as well as
+    /// 50%.
+    #[test]
+    fn load_websearch_document_keeps_its_shape() {
+        use crate::json::Json;
+        use crate::registry::{document, document_with_telemetry, find};
+        use std::collections::BTreeSet;
+        let exp = find("load_websearch").expect("load_websearch is registered");
+        let report = (exp.run)(Scale::Quick, None);
+        document::pin(exp.id, report.as_ref());
+        let doc = document_with_telemetry(exp, Scale::Quick, None, report.as_ref(), 0.0, None);
+        fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+            v.get(key).unwrap_or_else(|| panic!("no {key}: {v:?}"))
+        }
+        fn list<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+            field(v, key).as_arr().expect("an array")
+        }
+        let run = field(&doc, "run");
+        for gauge in [
+            "events_processed",
+            "peak_live_components",
+            "peak_live_flows",
+        ] {
+            assert!(field(run, gauge).as_f64() > Some(0.0), "{gauge}: {run:?}");
+        }
+        let data = field(&doc, "data");
+        let (bins, rows) = (list(data, "bins"), list(data, "rows"));
+        assert_eq!(bins.len(), 4, "{bins:?}");
+        let distinct = |key| {
+            let values: BTreeSet<String> = rows.iter().map(|r| field(r, key).render()).collect();
+            values.len()
+        };
+        assert!(distinct("proto") >= 3, "need >=3 protocols");
+        assert!(distinct("load") >= 3, "need >=3 load points");
+        for r in rows {
+            let proto = field(r, "proto").as_str().expect("a label");
+            let row_bins = list(r, "bins");
+            let labels: Vec<&Json> = row_bins.iter().map(|b| field(b, "bin")).collect();
+            assert!(labels.iter().copied().eq(bins), "{proto}: {labels:?}");
+            for b in row_bins {
+                for key in ["bin", "n", "p50", "p99"] {
+                    assert!(b.get(key).is_some(), "{proto}: no {key} in {b:?}");
+                }
+            }
+            let overall = field(r, "overall");
+            for key in ["n", "p50", "p99"] {
+                assert!(overall.get(key).is_some(), "{proto}: no overall {key}");
+            }
+            if matches!(proto, "NDP" | "DCTCP") {
+                let load = field(r, "load").render();
+                let incomplete = field(r, "incomplete").as_f64();
+                assert_eq!(incomplete, Some(0.0), "{proto} load {load}: stuck flows");
+            }
+        }
+    }
+
     #[test]
     fn openloop_live_state_returns_to_baseline_and_peak_is_bounded() {
         let r = openloop_world_run(&quick_point(Proto::Ndp, 0.4, 5));

@@ -39,7 +39,7 @@ pub fn two_host_transfer(bytes: u64) -> TransferReport {
         Time::ZERO,
     );
     world.run_until(Time::from_secs(10));
-    let tx = ndp_core::flow::sender_stats(&world, b2b.hosts[0], 1);
+    let tx = &ndp_core::flow::sender_stats(&world, b2b.hosts[0], 1).tx;
     let fct = tx.fct().expect("transfer must complete");
     TransferReport {
         bytes,

@@ -519,7 +519,6 @@ pub(crate) mod document {
 
     through_the_registry_row!(
         fig10_sweep,
-        load_websearch,
         load_datamining,
         oversub_load,
         rpc_sweep,

@@ -121,31 +121,33 @@ mod tests {
         assert_eq!(keys[0], Proto::Ndp);
     }
 
-    /// A host watcher that records each token's first wake.
+    /// A host watcher that records every wake, in order, per token.
     #[derive(Default)]
-    struct FirstWakes(std::collections::HashMap<u64, ndp_sim::Time>);
+    struct Wakes(std::collections::HashMap<u64, Vec<ndp_sim::Time>>);
 
-    impl ndp_sim::Component<ndp_net::Packet> for FirstWakes {
+    impl ndp_sim::Component<ndp_net::Packet> for Wakes {
         fn handle(
             &mut self,
             ev: ndp_sim::Event<ndp_net::Packet>,
             ctx: &mut ndp_sim::Ctx<'_, ndp_net::Packet>,
         ) {
             if let ndp_sim::Event::Wake(token) = ev {
-                self.0.entry(token).or_insert(ctx.now());
+                self.0.entry(token).or_default().push(ctx.now());
             }
         }
     }
 
     /// Attach one `size`-byte flow per `(flow, src)` to host 15 of a k=4
     /// FatTree on `proto`'s fabric through the registry adapter, with one
-    /// [`FirstWakes`] watching every host, run to `horizon`, then retire every
+    /// [`Wakes`] watching every host, run to `horizon`, then retire every
     /// flow. Checks that host 15's delivered payload bytes equal its flows'
     /// harvested bytes, that each detach result equals
-    /// `rx.harvest().merge(tx.harvest())` read just before it, that the watcher first fired for the flow at its
-    /// `completion_time` (and, for blast, never), that a second detach is an
-    /// empty no-op and that no endpoint is left behind. Returns each flow's
-    /// detach harvest.
+    /// `rx.harvest().merge(tx.harvest())` read just before it, that the
+    /// watcher was woken for the flow twice, first at its `completion_time`
+    /// (the receiver) and then strictly later (the sender's last ACK), or
+    /// once for DCQCN (its sender has no ACKs) and never for blast, that a
+    /// second detach is an empty no-op and that no endpoint is left behind.
+    /// Returns each flow's detach harvest.
     fn run_and_detach(
         proto: Proto,
         flows: &[(u64, u32)],
@@ -159,7 +161,7 @@ mod tests {
         let cfg = FatTreeCfg::new(4).with_fabric(proto.fabric());
         let mut w: World<Packet> = World::new(7);
         let ft = FatTree::build(&mut w, cfg);
-        let watcher = w.add(FirstWakes::default());
+        let watcher = w.add(Wakes::default());
         for host in &ft.hosts {
             w.get_mut::<Host>(*host).set_watcher(watcher);
         }
@@ -181,10 +183,19 @@ mod tests {
             let halves = halves.merge(w.get::<Host>(src).harvest(flow));
             let h = detach_endpoints(&mut w, src, dst, flow);
             assert_eq!(h, halves, "{proto:?} flow {flow}: detach = rx + tx");
-            let fired = w.get::<FirstWakes>(watcher).0.get(&flow).copied();
-            let msg = format!("{proto:?} flow {flow}: first watcher wake");
-            assert_eq!(fired, h.completion_time, "{msg}");
-            assert_eq!(fired.is_some(), proto != Proto::Blast, "{msg}");
+            let wakes = w.get::<Wakes>(watcher).0.get(&flow);
+            let wakes = wakes.map_or(&[][..], Vec::as_slice);
+            let msg = format!("{proto:?} flow {flow}: watcher wakes {wakes:?}");
+            let want = match proto {
+                Proto::Blast => 0,
+                Proto::Dcqcn => 1,
+                _ => 2,
+            };
+            assert_eq!(wakes.len(), want, "{msg}");
+            assert_eq!(wakes.first().copied(), h.completion_time, "{msg}");
+            if let [first, second] = wakes {
+                assert!(second > first, "{msg}");
+            }
             // Detaching again is a harmless no-op with an empty harvest.
             let again = t.detach(&mut w, src, dst, flow);
             assert_eq!(again, FlowHarvest::default(), "{proto:?} re-detach");

@@ -88,11 +88,11 @@ pub struct FlowHarvest {
     /// Absolute instant the receiver first saw the flow (data or header).
     pub first_data: Option<Time>,
     /// Sender retransmissions, however the protocol triggers them
-    /// (NACK/RTS/RTO for NDP, dupACK fast retransmit for TCP-family,
-    /// re-issued credits for pHost).
+    /// ([`Launch::retransmissions`] says what each sender counts).
     pub retransmissions: u64,
-    /// The subset of recovery events driven by a timer expiry — the
-    /// slowest, tail-defining recovery path.
+    /// Recovery events driven by a timer expiry — the slowest,
+    /// tail-defining recovery path ([`Launch::timeouts`]; pHost's timer is
+    /// its receiver's).
     pub timeouts: u64,
     /// Trimmed headers the receiver saw (NDP fabrics; 0 elsewhere).
     pub trimmed_headers: u64,
@@ -172,10 +172,7 @@ impl Delivery {
     /// The flow is done: stamp its completion time and wake the host's
     /// watcher ([`EndpointCtx::complete`]). Only the first call counts.
     pub fn complete(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        if self.completion_time.is_none() {
-            self.completion_time = Some(ctx.now());
-            ctx.complete();
-        }
+        complete_once(&mut self.completion_time, ctx);
     }
 
     pub fn harvest(&self) -> FlowHarvest {
@@ -185,6 +182,64 @@ impl Delivery {
             first_data: self.first_data,
             ..FlowHarvest::default()
         }
+    }
+}
+
+/// The sender half of a flow's [`FlowHarvest`], kept the same way by every
+/// sender: it starts the flow once, completes it once (all data ACKed) and
+/// holds the recovery tallies, which the sender bumps where its protocol
+/// recovers. The sender decides *when* the flow is complete; its `harvest`
+/// is `self.tx.harvest()` (NDP adds `rts_events`).
+#[derive(Clone, Debug, Default)]
+pub struct Launch {
+    start: Option<Time>,
+    completion_time: Option<Time>,
+    /// Data packets resent: NDP's NACK-, RTS- and RTO-driven resends; TCP,
+    /// DCTCP and MPTCP's fast retransmits plus one per RTO expiry (a SYN
+    /// resend included); pHost's token-paid resends of unACKed packets.
+    /// DCQCN never resends.
+    pub retransmissions: u64,
+    /// Timer-driven recoveries: NDP's RTO resends and self-clocked sends;
+    /// TCP, DCTCP and MPTCP's RTO expiries. pHost and DCQCN keep none.
+    pub timeouts: u64,
+}
+
+impl Launch {
+    /// The flow's start trigger fired: stamp the start. A flow starts once.
+    pub fn start(&mut self, ctx: &EndpointCtx<'_, '_>) {
+        debug_assert!(self.start.is_none(), "flow {} started twice", ctx.flow);
+        self.start = Some(ctx.now());
+    }
+
+    /// Every byte is ACKed: stamp the completion time and wake the host's
+    /// watcher ([`EndpointCtx::complete`]). Only the first call counts.
+    pub fn complete(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        complete_once(&mut self.completion_time, ctx);
+    }
+
+    pub fn is_complete(&self) -> bool {
+        self.completion_time.is_some()
+    }
+
+    /// Flow completion time as the sender sees it (start → all ACKed).
+    pub fn fct(&self) -> Option<Time> {
+        Some(self.completion_time? - self.start?)
+    }
+
+    pub fn harvest(&self) -> FlowHarvest {
+        FlowHarvest {
+            retransmissions: self.retransmissions,
+            timeouts: self.timeouts,
+            ..FlowHarvest::default()
+        }
+    }
+}
+
+/// Stamp `completion_time` and wake the host's watcher, the first time only.
+fn complete_once(completion_time: &mut Option<Time>, ctx: &mut EndpointCtx<'_, '_>) {
+    if completion_time.is_none() {
+        *completion_time = Some(ctx.now());
+        ctx.complete();
     }
 }
 
@@ -1186,25 +1241,27 @@ mod tests {
         }
     }
 
+    /// A receiver that delivers every packet and completes on a FIN.
+    struct FinSink(Delivery);
+    impl Endpoint for FinSink {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+            self.0.arrived(ctx);
+            self.0.deliver(pkt.payload as u64, ctx);
+            if pkt.flags.has(Flags::FIN) {
+                self.0.complete(ctx);
+            }
+        }
+        fn harvest(&self) -> FlowHarvest {
+            self.0.harvest()
+        }
+    }
+
     /// The ledger stamps the first arrival, counts every delivered byte
     /// for the flow and its host, and completes the flow once: a
     /// completion condition that holds again (a duplicate FIN) wakes the
     /// watcher no second time and keeps the first completion instant.
     #[test]
     fn the_delivery_ledger_completes_a_flow_once() {
-        struct FinSink(Delivery);
-        impl Endpoint for FinSink {
-            fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
-                self.0.arrived(ctx);
-                self.0.deliver(pkt.payload as u64, ctx);
-                if pkt.flags.has(Flags::FIN) {
-                    self.0.complete(ctx);
-                }
-            }
-            fn harvest(&self) -> FlowHarvest {
-                self.0.harvest()
-            }
-        }
         let mut w: World<Packet> = World::new(9);
         let log = w.add(Log::default());
         let mut h = Host::new(4, log, Speed::gbps(10), 9000);
@@ -1227,6 +1284,85 @@ mod tests {
         };
         assert_eq!(h.harvest(7), want);
         assert_eq!(h.stats().delivered_payload_bytes, want.delivered_bytes);
+    }
+
+    /// The sender ledger starts a flow once and completes it once: an ACK
+    /// after completion keeps the first instant and wakes the watcher no
+    /// second time, `fct` is completion minus start, and the harvest holds
+    /// only the recovery tallies, so it merges with a receiver's half.
+    #[test]
+    fn the_launch_ledger_starts_and_completes_once() {
+        /// Times out once, resends on a NACK, completes on an ACK.
+        struct AckedSource(Launch);
+        impl Endpoint for AckedSource {
+            fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+                self.0.start(ctx);
+                ctx.timer_in(Time::from_us(1), 1);
+            }
+            fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+                match pkt.kind {
+                    PacketKind::Nack => self.0.retransmissions += 1,
+                    PacketKind::Ack => self.0.complete(ctx),
+                    _ => {}
+                }
+            }
+            fn on_timer(&mut self, _token: u8, _ctx: &mut EndpointCtx<'_, '_>) {
+                self.0.timeouts += 1;
+            }
+            fn harvest(&self) -> FlowHarvest {
+                self.0.harvest()
+            }
+        }
+        let mut w: World<Packet> = World::new(9);
+        let log = w.add(Log::default());
+        let mut h = Host::new(4, log, Speed::gbps(10), 9000);
+        h.set_watcher(log);
+        h.add_endpoint(7, Box::new(AckedSource(Launch::default())));
+        h.add_endpoint(8, Box::new(FinSink(Delivery::default())));
+        let host = w.add(h);
+        let fin = Packet::data(1, 4, 8, 0, 9000).with_flags(Flags::FIN);
+        let ack = Packet::control(1, 4, 7, PacketKind::Ack);
+        w.post_wake(Time::from_us(1), host, start_token(7));
+        w.post(Time::from_us(2), host, fin);
+        w.post(
+            Time::from_us(3),
+            host,
+            Packet::control(1, 4, 7, PacketKind::Nack),
+        );
+        w.post(Time::from_us(4), host, ack.clone());
+        w.post(Time::from_us(5), host, ack);
+        w.run_until_idle();
+        let (t2, t4) = (Time::from_us(2), Time::from_us(4));
+        assert_eq!(w.get::<Log>(log).0, vec![(t2, Some(8)), (t4, Some(7))]);
+        let h = w.get::<Host>(host);
+        let tx: &AckedSource = h.endpoint(7);
+        assert!(tx.0.is_complete());
+        assert_eq!(tx.0.fct(), Some(Time::from_us(3)), "completion minus start");
+        let want = FlowHarvest {
+            retransmissions: 1,
+            timeouts: 1,
+            ..FlowHarvest::default()
+        };
+        assert_eq!(h.harvest(7), want, "only the recovery tallies");
+        let rx = h.harvest(8);
+        let both = rx.merge(h.harvest(7));
+        assert_eq!(
+            both,
+            FlowHarvest {
+                retransmissions: 1,
+                timeouts: 1,
+                ..rx
+            }
+        );
+        if cfg!(debug_assertions) {
+            w.post_wake(Time::from_us(6), host, start_token(7));
+            let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.run_until_idle();
+            }));
+            let err = again.expect_err("a second start must panic");
+            let msg = err.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("flow 7 started twice"));
+        }
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod switch;
 
 pub use discipline::Discipline;
 pub use flight::{FlightHook, FlightRecorder, HopKind, HopRecord};
-pub use host::{Delivery, Endpoint, EndpointCtx, FlowHarvest, Host, HostLatency, PullPriority};
+pub use host::{
+    Delivery, Endpoint, EndpointCtx, FlowHarvest, Host, HostLatency, Launch, PullPriority,
+};
 pub use packet::{Flags, FlowId, HostId, Packet, PacketBody, PacketKind, PathTag, HEADER_BYTES};
 pub use queue::{LinkClass, Queue, QueueStats};
 pub use switch::{Router, Switch};

@@ -52,7 +52,7 @@ fn main() {
     let sender = world.get::<Host>(ft.hosts[0]).endpoint::<NdpSender>(1);
     println!(
         "sender saw {} NACKs, {} retransmissions ({} via RTO)",
-        sender.stats.nacks, sender.stats.retransmissions, sender.stats.rtx_rto
+        sender.stats.nacks, sender.tx.retransmissions, sender.tx.timeouts
     );
     // With 4 paths and one at 1/10th speed, naive spraying would cap at
     // ~77% of line rate; path exclusion should do much better.

@@ -38,7 +38,7 @@ fn main() {
 
     let tx = ndp::core::flow::sender_stats(&world, ft.hosts[0], 1);
     let rx = world.get::<Host>(ft.hosts[15]).harvest(1);
-    let fct = tx.fct().expect("flow should complete");
+    let fct = tx.tx.fct().expect("flow should complete");
     println!("transferred {} bytes in {}", rx.delivered_bytes, fct);
     println!(
         "goodput: {:.2} Gb/s",
@@ -46,7 +46,7 @@ fn main() {
     );
     println!(
         "data packets sent: {} (retransmissions: {}), headers NACKed: {}",
-        tx.data_sent, tx.retransmissions, tx.nacks
+        tx.stats.data_sent, tx.tx.retransmissions, tx.stats.nacks
     );
     println!("events processed: {}", world.events_processed());
 }

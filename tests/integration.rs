@@ -305,7 +305,7 @@ fn path_penalty_end_to_end() {
     );
     w.run_until(Time::from_secs(2));
     let tx = w.get::<Host>(ft.hosts[0]).endpoint::<NdpSender>(1);
-    let fct = tx.stats.fct().expect("completes");
+    let fct = tx.tx.fct().expect("completes");
     let gbps = size as f64 * 8.0 / fct.as_secs() / 1e9;
     // Naive 4-way spraying with one path at 1/10 speed converges to ~7.5
     // Gb/s; the scoreboard should do clearly better.

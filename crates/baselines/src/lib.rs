@@ -1,12 +1,13 @@
 //! Baseline transports the paper compares NDP against (§5/§6):
 //!
-//! * [`tcp`] — TCP NewReno with per-flow ECMP, Linux-like 200 ms MinRTO,
-//!   an optional three-way handshake, and the DCTCP extension (ECN
-//!   fraction estimator with g = 1/16, proportional window reduction,
-//!   10 ms MinRTO).
-//! * [`mptcp`] — Multipath TCP with 8 subflows on distinct paths coupled by
-//!   the LIA increase (RFC 6356), the high-throughput baseline of Fig 14.
-//!   Each subflow recovers losses with TCP's NewReno machine.
+//! * [`tcp`] — the TCP family, one sender and receiver pair in three
+//!   flavours: TCP NewReno with per-flow ECMP and a Linux-like 200 ms
+//!   MinRTO; DCTCP (ECN fraction estimator with g = 1/16, proportional
+//!   window reduction, 10 ms MinRTO); and MPTCP, 8 subflows on distinct
+//!   paths, the high-throughput baseline of Fig 14. Every flavour takes an
+//!   optional three-way handshake and recovers each byte stream with one
+//!   NewReno machine.
+//! * [`mptcp`] — MPTCP's coupled increase, LIA (RFC 6356).
 //! * [`dcqcn`] — DCQCN rate-based congestion control for RoCE over the
 //!   lossless (PFC) fabric: per-CNP multiplicative decrease with the α
 //!   estimator, timer-driven fast-recovery/additive-increase, at the
@@ -19,13 +20,14 @@
 //! Each baseline runs at the one setting the paper evaluates. Those
 //! settings are named constants beside the code that reads them. A flow's
 //! inputs are its size and MTU, plus a path tag for TCP and DCQCN and the
-//! handshake and DCTCP flavour for TCP.
+//! handshake and flavour for the TCP family.
 //!
 //! Every sender/receiver is an [`ndp_net::host::Endpoint`]; attach helpers
 //! mirror `ndp_core::attach_flow`. Each protocol file also exposes its
-//! [`ndp_transport::Transport`] adapter as a `static` (TCP and DCTCP are
-//! configured instances of one adapter), so the experiment harnesses can
-//! drive every baseline through the same object-safe surface.
+//! [`ndp_transport::Transport`] adapter as a `static` (TCP, DCTCP and
+//! MPTCP are configured instances of one adapter), so the experiment
+//! harnesses can drive every baseline through the same object-safe
+//! surface.
 
 pub mod blast;
 pub mod dcqcn;
@@ -35,6 +37,7 @@ pub mod tcp;
 
 pub use blast::{attach_blast, BlastSender, CountSink, BLAST};
 pub use dcqcn::{attach_dcqcn_flow, DcqcnCfg, DcqcnReceiver, DcqcnSender, DCQCN};
-pub use mptcp::{attach_mptcp_flow, MptcpReceiver, MptcpSender, MPTCP};
 pub use phost::{attach_phost_flow, PHostReceiver, PHostSender, PHOST};
-pub use tcp::{attach_tcp_flow, Handshake, TcpCfg, TcpReceiver, TcpSender, DCTCP, TCP};
+pub use tcp::{
+    attach_tcp_flow, Flavour, Handshake, TcpCfg, TcpReceiver, TcpSender, DCTCP, MPTCP, TCP,
+};

@@ -1,39 +1,47 @@
-//! TCP NewReno and DCTCP.
+//! The TCP family: TCP NewReno, DCTCP and MPTCP, one sender and receiver
+//! pair configured by a [`Flavour`].
 //!
 //! A byte-sequence TCP in the style of htsim's: slow start, congestion
 //! avoidance, duplicate-ACK fast retransmit with NewReno partial-ACK
 //! recovery, exponential-backoff RTO with a Linux-like 200 ms MinRTO (the
-//! paper attributes TCP's terrible incast tail exactly to this; DCTCP
-//! runs a 10 ms MinRTO), and an optional three-way handshake before data
-//! (otherwise the connection is pre-established).
+//! paper attributes TCP's terrible incast tail exactly to this; DCTCP and
+//! MPTCP run a 10 ms MinRTO), and an optional three-way handshake before
+//! data (otherwise the connection is pre-established).
 //!
-//! The loss recovery is one machine, `NewReno`, shared with every MPTCP
-//! subflow: it computes RFC 6298's RTO over its own floor, inflates `cwnd`
-//! on each duplicate ACK in recovery, and on an RTO expiry goes back N
-//! (RFC 5681 §3.1, RFC 6298 §5): `cwnd` falls to one MSS, `snd_nxt`
-//! returns to `snd_una`, and the sender slow-starts back through the
-//! window, so every hole of a lost burst is resent within round trips of
-//! the one expiry, not one backed-off RTO per hole. The retransmissions of
-//! segments the receiver already holds are not suppressed: no RFC 6582
-//! `recover` guard follows an expiry.
+//! A flow is one or more byte streams, each with its own path, sequence
+//! space and loss recovery. TCP and DCTCP run one stream; MPTCP runs
+//! [`crate::mptcp`]'s eight subflows on distinct random paths and couples
+//! their increase by LIA. Every stream claims the flow's bytes one segment
+//! at a time from a shared pool, so a stalled subflow simply stops
+//! claiming, and a one-stream flow's segments are TCP's.
+//!
+//! The loss recovery is one machine, `NewReno`, run by every stream: it
+//! computes RFC 6298's RTO over its own floor, inflates `cwnd` on each
+//! duplicate ACK in recovery, and on an RTO expiry goes back N (RFC 5681
+//! §3.1, RFC 6298 §5): `cwnd` falls to one MSS, `snd_nxt` returns to
+//! `snd_una`, and the stream slow-starts back through the window, so every
+//! hole of a lost burst is resent within round trips of the one expiry,
+//! not one backed-off RTO per hole. The retransmissions of segments the
+//! receiver already holds are not suppressed: no RFC 6582 `recover` guard
+//! follows an expiry.
 //!
 //! DCTCP (Alizadeh et al. [4]) rides on the same machinery: data packets
 //! are ECT, switches mark CE above threshold, the receiver echoes marks
 //! per packet, and the sender maintains `alpha` with gain 1/16, cutting
 //! `cwnd` by `alpha/2` once per window. `alpha` starts at 1, as in Linux,
-//! so a new flow's first marked window halves `cwnd`.
+//! so a new flow's first marked window halves `cwnd`. Only DCTCP sends
+//! ECT, and queues mark only ECT packets, so TCP and MPTCP never see CE.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 use ndp_net::host::{Delivery, Endpoint, EndpointCtx, FlowHarvest, Launch};
 use ndp_net::packet::{Flags, FlowId, HostId, Packet, PacketKind, PathTag, HEADER_BYTES};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
+use rand::Rng;
 
-const RTO_TOKEN: u8 = 1;
-
-/// Initial congestion window in segments (RFC 6928).
-const INIT_CWND_PKTS: u64 = 10;
+use crate::mptcp::{lia_alpha, lia_increment, N_SUBFLOWS};
 
 /// DCTCP's `alpha` estimation gain g (Alizadeh et al. [4]).
 const DCTCP_G: f64 = 1.0 / 16.0;
@@ -55,16 +63,27 @@ pub enum Handshake {
     ThreeWay,
 }
 
+/// Which member of the TCP family a flow runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flavour {
+    /// NewReno over one stream.
+    Tcp,
+    /// NewReno with ECT data and DCTCP's control law over one stream.
+    Dctcp,
+    /// Eight NewReno subflows on distinct paths, coupled by LIA.
+    Mptcp,
+}
+
 /// TCP flow configuration.
 #[derive(Clone, Debug)]
 pub struct TcpCfg {
     pub size_bytes: u64,
     pub mtu: u32,
     pub handshake: Handshake,
-    /// ECN-capable + DCTCP control law.
-    pub dctcp: bool,
-    /// Fixed per-flow ECMP path tag (hash-equivalent: chosen randomly by
-    /// the harness; collisions are the point of Fig 14).
+    pub flavour: Flavour,
+    /// Fixed per-flow ECMP path tag of a one-stream flow (hash-equivalent:
+    /// chosen randomly by the harness; collisions are the point of Fig 14).
+    /// MPTCP draws a random tag per subflow instead.
     pub path: PathTag,
 }
 
@@ -74,29 +93,90 @@ impl TcpCfg {
             size_bytes,
             mtu: 9000,
             handshake: Handshake::None,
-            dctcp: false,
+            flavour: Flavour::Tcp,
             path: 0,
         }
     }
 
     pub fn dctcp(size_bytes: u64) -> TcpCfg {
         TcpCfg {
-            dctcp: true,
+            flavour: Flavour::Dctcp,
             ..TcpCfg::new(size_bytes)
         }
     }
 
-    /// The RTO floor: Linux's 200 ms for TCP, 10 ms for DCTCP.
+    pub fn mptcp(size_bytes: u64) -> TcpCfg {
+        TcpCfg {
+            flavour: Flavour::Mptcp,
+            ..TcpCfg::new(size_bytes)
+        }
+    }
+
+    /// The RTO floor: Linux's 200 ms for TCP, 10 ms for DCTCP and for
+    /// each MPTCP subflow.
     pub fn min_rto(&self) -> Time {
-        if self.dctcp {
-            Time::from_ms(10)
-        } else {
-            Time::from_ms(200)
+        match self.flavour {
+            Flavour::Tcp => Time::from_ms(200),
+            Flavour::Dctcp | Flavour::Mptcp => Time::from_ms(10),
+        }
+    }
+
+    /// Each stream's initial window in segments: RFC 6928's 10, or 2 per
+    /// MPTCP subflow.
+    fn init_cwnd_pkts(&self) -> u64 {
+        match self.flavour {
+            Flavour::Tcp | Flavour::Dctcp => 10,
+            Flavour::Mptcp => 2,
+        }
+    }
+
+    /// Byte streams per flow: one, or MPTCP's subflows.
+    fn streams(&self) -> usize {
+        match self.flavour {
+            Flavour::Tcp | Flavour::Dctcp => 1,
+            Flavour::Mptcp => N_SUBFLOWS,
         }
     }
 
     pub fn mss(&self) -> u64 {
         (self.mtu - HEADER_BYTES) as u64
+    }
+}
+
+/// One value per byte stream of a flow. A one-stream flow keeps its value
+/// inline, so TCP and DCTCP pay no heap block for it.
+enum Streams<T> {
+    One(T),
+    Many(Box<[T]>),
+}
+
+impl<T> Streams<T> {
+    fn new(n: usize, mut each: impl FnMut() -> T) -> Streams<T> {
+        if n == 1 {
+            Streams::One(each())
+        } else {
+            Streams::Many((0..n).map(|_| each()).collect())
+        }
+    }
+}
+
+impl<T> Deref for Streams<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Streams::One(one) => std::slice::from_ref(one),
+            Streams::Many(many) => many,
+        }
+    }
+}
+
+impl<T> DerefMut for Streams<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Streams::One(one) => std::slice::from_mut(one),
+            Streams::Many(many) => many,
+        }
     }
 }
 
@@ -106,14 +186,27 @@ enum State {
     Established,
 }
 
-/// The TCP/DCTCP sender endpoint.
+/// One byte stream of a flow: TCP's only one, or an MPTCP subflow.
+pub(crate) struct Subflow {
+    pub(crate) path: PathTag,
+    /// Bytes claimed from the flow's shared pool: the stream's sequence
+    /// space so far.
+    pub(crate) claimed: u64,
+    pub(crate) rec: NewReno,
+}
+
+/// The sender endpoint of every TCP-family flow.
 pub struct TcpSender {
     flow: FlowId,
     dst: HostId,
     cfg: TcpCfg,
     state: State,
-    rec: NewReno,
-    // DCTCP state.
+    subs: Streams<Subflow>,
+    /// Bytes of the flow no stream has claimed yet.
+    pool: u64,
+    /// Bytes acknowledged over all streams.
+    acked: u64,
+    // DCTCP state, kept for stream 0.
     alpha: f64,
     bytes_acked_win: u64,
     bytes_marked_win: u64,
@@ -126,13 +219,20 @@ pub struct TcpSender {
 
 impl TcpSender {
     pub fn new(flow: FlowId, dst: HostId, cfg: TcpCfg) -> TcpSender {
-        let rec = NewReno::new(INIT_CWND_PKTS, cfg.mss(), cfg.min_rto());
+        let subs = Streams::new(cfg.streams(), || Subflow {
+            // A multi-stream flow draws each path in `on_start`.
+            path: cfg.path,
+            claimed: 0,
+            rec: NewReno::new(cfg.init_cwnd_pkts(), cfg.mss(), cfg.min_rto()),
+        });
         TcpSender {
             flow,
             dst,
+            pool: cfg.size_bytes,
             cfg,
             state: State::Closed,
-            rec,
+            subs,
+            acked: 0,
             alpha: DCTCP_INIT_ALPHA,
             bytes_acked_win: 0,
             bytes_marked_win: 0,
@@ -143,8 +243,9 @@ impl TcpSender {
         }
     }
 
+    /// The flow's window: the sum of its streams'.
     pub fn cwnd(&self) -> u64 {
-        self.rec.cwnd
+        self.subs.iter().map(|s| s.rec.cwnd).sum()
     }
 
     pub fn alpha(&self) -> f64 {
@@ -155,8 +256,10 @@ impl TcpSender {
         self.cfg.mss()
     }
 
-    fn send_segment(&mut self, seq: u64, ctx: &mut EndpointCtx<'_, '_>) {
-        let payload = (self.cfg.size_bytes - seq).min(self.mss());
+    fn send_segment(&mut self, idx: usize, seq: u64, ctx: &mut EndpointCtx<'_, '_>) {
+        let mss = self.mss();
+        let s = &mut self.subs[idx];
+        let payload = (s.claimed - seq).min(mss);
         let mut pkt = Packet::data(
             ctx.host(),
             self.dst,
@@ -164,48 +267,71 @@ impl TcpSender {
             seq,
             payload as u32 + HEADER_BYTES,
         );
-        pkt.path = self.cfg.path;
+        pkt.path = s.path;
+        pkt.subflow = idx as u16;
         pkt.sent = ctx.now();
-        if self.cfg.dctcp {
+        if self.cfg.flavour == Flavour::Dctcp {
             pkt.flags = pkt.flags.with(Flags::ECT);
         }
-        if seq + payload >= self.cfg.size_bytes {
-            pkt.flags = pkt.flags.with(Flags::FIN);
-        }
         ctx.send(pkt);
-        if let Some(delay) = self.rec.sent(seq, ctx.now()) {
-            ctx.timer_in(delay, RTO_TOKEN);
+        if let Some(delay) = s.rec.sent(seq, ctx.now()) {
+            ctx.timer_in(delay, 1 + idx as u8);
         }
     }
 
-    fn send_available(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
-        while self.rec.snd_nxt < self.cfg.size_bytes && self.rec.flight() < self.rec.cwnd {
-            let seq = self.rec.snd_nxt;
-            let payload = (self.cfg.size_bytes - seq).min(self.mss());
-            self.rec.snd_nxt += payload;
-            self.send_segment(seq, ctx);
+    /// Send what stream `idx`'s window allows, claiming a segment's worth
+    /// from the pool whenever the stream has sent all it claimed.
+    fn send_available(&mut self, idx: usize, ctx: &mut EndpointCtx<'_, '_>) {
+        let mss = self.mss();
+        loop {
+            let s = &mut self.subs[idx];
+            if s.rec.flight() >= s.rec.cwnd {
+                break;
+            }
+            if s.rec.snd_nxt >= s.claimed {
+                let want = mss.min(self.pool);
+                if want == 0 {
+                    break;
+                }
+                self.pool -= want;
+                s.claimed += want;
+            }
+            let seq = s.rec.snd_nxt;
+            s.rec.snd_nxt += (s.claimed - seq).min(mss);
+            self.send_segment(idx, seq, ctx);
         }
     }
 
-    /// Send the bare SYN of a three-way handshake.
+    /// The connection is up: every stream sends what its window allows.
+    fn establish(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        self.state = State::Established;
+        for idx in 0..self.subs.len() {
+            self.send_available(idx, ctx);
+        }
+    }
+
+    /// Send the bare SYN of a three-way handshake on stream 0.
     fn send_syn(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        let s = &mut self.subs[0];
         let mut syn = Packet::control(ctx.host(), self.dst, self.flow, PacketKind::Data);
         syn.flags = Flags::SYN;
-        syn.path = self.cfg.path;
+        syn.path = s.path;
         ctx.send(syn);
-        if let Some(delay) = self.rec.arm() {
-            ctx.timer_in(delay, RTO_TOKEN);
+        if let Some(delay) = s.rec.arm() {
+            ctx.timer_in(delay, 1);
         }
     }
 
     /// DCTCP per-window alpha update and proportional cut.
     fn dctcp_on_ack(&mut self, newly: u64, ece: bool) {
+        let mss = self.mss();
+        let rec = &mut self.subs[0].rec;
         self.bytes_acked_win += newly;
         if ece {
             self.bytes_marked_win += newly;
             self.marks_echoed += 1;
         }
-        if self.rec.snd_una >= self.win_end {
+        if rec.snd_una >= self.win_end {
             let f = if self.bytes_acked_win == 0 {
                 0.0
             } else {
@@ -214,59 +340,62 @@ impl TcpSender {
             self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
             self.bytes_acked_win = 0;
             self.bytes_marked_win = 0;
-            self.win_end = self.rec.snd_nxt;
+            self.win_end = rec.snd_nxt;
             self.cut_this_window = false;
         }
         if ece && !self.cut_this_window {
             self.cut_this_window = true;
-            let cut = (self.rec.cwnd as f64 * (1.0 - self.alpha / 2.0)) as u64;
-            self.rec.cwnd = cut.max(self.mss());
-            self.rec.ssthresh = self.rec.cwnd;
+            let cut = (rec.cwnd as f64 * (1.0 - self.alpha / 2.0)) as u64;
+            rec.cwnd = cut.max(mss);
+            rec.ssthresh = rec.cwnd;
         }
     }
 
     fn on_ack(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
         if matches!(self.state, State::SynSent) {
             // SYN-ACK: connection established, start pushing data.
-            self.state = State::Established;
-            self.rec.sample_rtt(ctx.now() - pkt.sent);
-            self.send_available(ctx);
+            self.subs[0].rec.sample_rtt(ctx.now() - pkt.sent);
+            self.establish(ctx);
             return;
         }
+        let idx = usize::from(pkt.subflow);
+        if idx >= self.subs.len() {
+            return;
+        }
+        // LIA reads every subflow's window and RTT as they were before
+        // this ACK.
+        let coupled =
+            (self.cfg.flavour == Flavour::Mptcp).then(|| (lia_alpha(&self.subs), self.cwnd()));
         let mss = self.mss();
-        match self.rec.on_ack(u64::from(pkt.ack), pkt.sent, ctx.now()) {
+        match self.subs[idx]
+            .rec
+            .on_ack(u64::from(pkt.ack), pkt.sent, ctx.now())
+        {
             Ack::Advanced(newly) => {
-                let ece = pkt.flags.has(Flags::CE);
-                if self.cfg.dctcp {
-                    self.dctcp_on_ack(newly, ece);
-                } else if ece {
-                    // Classic ECN: halve once per window.
-                    if !self.cut_this_window {
-                        self.cut_this_window = true;
-                        self.win_end = self.rec.snd_nxt;
-                        self.rec.ssthresh = (self.rec.cwnd / 2).max(2 * mss);
-                        self.rec.cwnd = self.rec.ssthresh;
-                    } else if self.rec.snd_una >= self.win_end {
-                        self.cut_this_window = false;
-                    }
+                self.acked += newly;
+                if self.cfg.flavour == Flavour::Dctcp {
+                    self.dctcp_on_ack(newly, pkt.flags.has(Flags::CE));
                 }
-                let reno = |cwnd: u64| (mss * mss / cwnd).max(1);
-                if let Some(hole) = self.rec.open(newly, reno) {
+                let increase = |cwnd: u64| match coupled {
+                    Some((alpha, total)) => lia_increment(alpha, newly, mss, total, cwnd),
+                    None => (mss * mss / cwnd).max(1),
+                };
+                if let Some(hole) = self.subs[idx].rec.open(newly, increase) {
                     // NewReno partial ACK: retransmit the next hole.
-                    self.send_segment(hole, ctx);
+                    self.send_segment(idx, hole, ctx);
                 }
-                if self.rec.snd_una >= self.cfg.size_bytes {
+                if self.acked >= self.cfg.size_bytes {
                     // Everything is ACKed, so there is nothing left to send.
                     self.tx.complete(ctx);
                     return;
                 }
-                self.send_available(ctx);
+                self.send_available(idx, ctx);
             }
             Ack::FastRetransmit(seq) => {
                 self.tx.retransmissions += 1;
-                self.send_segment(seq, ctx);
+                self.send_segment(idx, seq, ctx);
             }
-            Ack::Recovering => self.send_available(ctx),
+            Ack::Recovering => self.send_available(idx, ctx),
             Ack::Ignored => {}
         }
     }
@@ -275,15 +404,18 @@ impl TcpSender {
 impl Endpoint for TcpSender {
     fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
         self.tx.start(ctx);
+        if self.subs.len() > 1 {
+            // Independent random path per subflow (per-flow ECMP hashing).
+            for s in self.subs.iter_mut() {
+                s.path = ctx.rng().gen();
+            }
+        }
         match self.cfg.handshake {
             Handshake::ThreeWay => {
                 self.state = State::SynSent;
                 self.send_syn(ctx);
             }
-            Handshake::None => {
-                self.state = State::Established;
-                self.send_available(ctx);
-            }
+            Handshake::None => self.establish(ctx),
         }
     }
 
@@ -293,20 +425,22 @@ impl Endpoint for TcpSender {
         }
     }
 
+    /// Stream `idx`'s RTO timer carries token `1 + idx`.
     fn on_timer(&mut self, token: u8, ctx: &mut EndpointCtx<'_, '_>) {
-        if token != RTO_TOKEN {
+        let idx = usize::from(token.wrapping_sub(1));
+        let Some(s) = self.subs.get_mut(idx) else {
             return;
-        }
-        match self.rec.on_rto(ctx.now()) {
+        };
+        match s.rec.on_rto(ctx.now()) {
             Timeout::Expired => {
                 self.tx.retransmissions += 1;
                 self.tx.timeouts += 1;
-                self.send_available(ctx);
+                self.send_available(idx, ctx);
             }
-            Timeout::Rearm(left) => ctx.timer_in(left, RTO_TOKEN),
+            Timeout::Rearm(left) => ctx.timer_in(left, token),
             // Nothing in flight: before the SYN-ACK, resend the SYN.
             Timeout::Idle if matches!(self.state, State::SynSent) => {
-                self.rec.back_off();
+                s.rec.back_off();
                 self.tx.retransmissions += 1;
                 self.tx.timeouts += 1;
                 self.send_syn(ctx);
@@ -563,39 +697,25 @@ impl Reassembly {
     }
 }
 
-/// The TCP receiver: cumulative ACKs with out-of-order buffering and
-/// per-packet DCTCP mark echo.
+/// The receiver endpoint of every TCP-family flow: per stream, cumulative
+/// ACKs with out-of-order buffering, echoing each packet's CE mark
+/// (DCTCP) on the path it came by.
 pub struct TcpReceiver {
     peer: HostId,
-    path: PathTag,
-    stream: Reassembly,
-    total: Option<u64>,
+    streams: Streams<Reassembly>,
+    /// The flow's size: it is complete once this much is delivered.
+    size: u64,
     rx: Delivery,
 }
 
 impl TcpReceiver {
-    pub fn new(peer: HostId, path: PathTag) -> TcpReceiver {
+    pub fn new(peer: HostId, streams: usize, size: u64) -> TcpReceiver {
         TcpReceiver {
             peer,
-            path,
-            stream: Reassembly::default(),
-            total: None,
+            streams: Streams::new(streams, Reassembly::default),
+            size,
             rx: Delivery::default(),
         }
-    }
-
-    fn send_ack(&mut self, data: &Packet, ctx: &mut EndpointCtx<'_, '_>) {
-        let mut ack = Packet::control(ctx.host(), self.peer, data.flow, PacketKind::Ack);
-        ack.ack = Packet::ack32(self.stream.rcv_nxt());
-        ack.seq = data.seq;
-        ack.subflow = data.subflow;
-        ack.path = self.path;
-        ack.sent = data.sent;
-        if data.flags.has(Flags::CE) {
-            // DCTCP-style precise echo.
-            ack.flags = ack.flags.with(Flags::CE);
-        }
-        ctx.send(ack);
     }
 }
 
@@ -604,30 +724,33 @@ impl Endpoint for TcpReceiver {
         if pkt.kind != PacketKind::Data {
             return;
         }
+        let Some(stream) = self.streams.get_mut(usize::from(pkt.subflow)) else {
+            return;
+        };
         self.rx.arrived(ctx);
+        let mut ack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
+        ack.path = pkt.path;
+        ack.sent = pkt.sent;
         if pkt.flags.has(Flags::SYN) && pkt.payload == 0 {
             // Bare SYN of a three-way handshake: reply SYN-ACK.
-            let mut synack = Packet::control(ctx.host(), self.peer, pkt.flow, PacketKind::Ack);
-            synack.flags = Flags::SYN;
-            synack.path = self.path;
-            synack.sent = pkt.sent;
-            ctx.send(synack);
+            ack.flags = Flags::SYN;
+            ctx.send(ack);
             return;
         }
         let start = u64::from(pkt.seq);
-        let end = start + pkt.payload as u64;
-        let delivered = self.stream.absorb(start, end);
+        let delivered = stream.absorb(start, start + pkt.payload as u64);
+        ack.ack = Packet::ack32(stream.rcv_nxt());
+        ack.seq = pkt.seq;
+        ack.subflow = pkt.subflow;
+        if pkt.flags.has(Flags::CE) {
+            // DCTCP-style precise echo.
+            ack.flags = ack.flags.with(Flags::CE);
+        }
         if delivered > 0 {
             self.rx.deliver(delivered, ctx);
         }
-        if pkt.flags.has(Flags::FIN) {
-            self.total = Some(end);
-        }
-        self.send_ack(&pkt, ctx);
-        if self
-            .total
-            .is_some_and(|total| self.stream.rcv_nxt() >= total)
-        {
+        ctx.send(ack);
+        if self.rx.bytes() >= self.size {
             self.rx.complete(ctx);
         }
     }
@@ -637,7 +760,7 @@ impl Endpoint for TcpReceiver {
     }
 }
 
-/// Attach a TCP (or DCTCP) flow between two hosts.
+/// Attach a TCP-family flow between two hosts.
 pub fn attach_tcp_flow(
     world: &mut World<Packet>,
     flow: FlowId,
@@ -646,37 +769,47 @@ pub fn attach_tcp_flow(
     cfg: TcpCfg,
     start: Time,
 ) {
-    let receiver = TcpReceiver::new(src.1, cfg.path);
+    let receiver = TcpReceiver::new(src.1, cfg.streams(), cfg.size_bytes);
     let sender = TcpSender::new(flow, dst.1, cfg);
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
-/// TCP's [`Transport`] adapter; DCTCP is the same adapter with the ECN
-/// control law (and its marking fabric) switched on.
+/// The TCP family's [`Transport`] adapter, one instance per flavour.
+///
+/// [`Transport`]: ndp_transport::Transport
 pub struct TcpTransport {
-    pub dctcp: bool,
+    pub flavour: Flavour,
 }
 
 /// TCP NewReno over 200-packet drop-tail queues.
-pub static TCP: TcpTransport = TcpTransport { dctcp: false };
+pub static TCP: TcpTransport = TcpTransport {
+    flavour: Flavour::Tcp,
+};
 
 /// DCTCP over 200-packet queues with a 30-packet marking threshold.
-pub static DCTCP: TcpTransport = TcpTransport { dctcp: true };
+pub static DCTCP: TcpTransport = TcpTransport {
+    flavour: Flavour::Dctcp,
+};
+
+/// MPTCP: 8 subflows on distinct paths, coupled by the LIA increase, over
+/// the TCP drop-tail fabric.
+pub static MPTCP: TcpTransport = TcpTransport {
+    flavour: Flavour::Mptcp,
+};
 
 impl ndp_transport::Transport for TcpTransport {
     fn label(&self) -> &'static str {
-        if self.dctcp {
-            "DCTCP"
-        } else {
-            "TCP"
+        match self.flavour {
+            Flavour::Tcp => "TCP",
+            Flavour::Dctcp => "DCTCP",
+            Flavour::Mptcp => "MPTCP",
         }
     }
 
     fn fabric(&self) -> ndp_transport::QueueSpec {
-        if self.dctcp {
-            ndp_transport::QueueSpec::dctcp_default()
-        } else {
-            ndp_transport::QueueSpec::droptail_default()
+        match self.flavour {
+            Flavour::Dctcp => ndp_transport::QueueSpec::dctcp_default(),
+            Flavour::Tcp | Flavour::Mptcp => ndp_transport::QueueSpec::droptail_default(),
         }
     }
 
@@ -687,13 +820,12 @@ impl ndp_transport::Transport for TcpTransport {
         spec: &ndp_transport::FlowSpec,
     ) {
         let [src, dst] = spec.ends(topo);
-        let mut cfg = if self.dctcp {
-            TcpCfg::dctcp(spec.size)
-        } else {
-            TcpCfg::new(spec.size)
+        let cfg = TcpCfg {
+            mtu: topo.mtu(),
+            flavour: self.flavour,
+            path: ndp_transport::flow_hash_path(spec.flow),
+            ..TcpCfg::new(spec.size)
         };
-        cfg.mtu = topo.mtu();
-        cfg.path = ndp_transport::flow_hash_path(spec.flow);
         attach_tcp_flow(world, spec.flow, src, dst, cfg, spec.start);
     }
 }
@@ -869,6 +1001,32 @@ mod tests {
             "occupancy {} too high",
             q.stats.max_occupancy_bytes
         );
+    }
+
+    /// An MPTCP flow starts every subflow, whether it is pre-established
+    /// or opened by a three-way handshake: each claims a share of the
+    /// bytes, and the receiver completes on the whole transfer.
+    #[test]
+    fn an_mptcp_flow_sends_on_every_subflow() {
+        for handshake in [Handshake::None, Handshake::ThreeWay] {
+            let (mut w, b) = b2b(7, QueueSpec::droptail_default());
+            let size = 2_000_000u64;
+            let cfg = TcpCfg {
+                handshake,
+                ..TcpCfg::mptcp(size)
+            };
+            attach_tcp_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
+            w.run_until(Time::from_ms(200));
+            let rx = w.get::<Host>(b.hosts[1]).harvest(1);
+            assert_eq!(rx.delivered_bytes, size, "{handshake:?}");
+            assert!(rx.completion_time.is_some(), "{handshake:?}");
+            let tx = sender(&w, b.hosts[0], 1);
+            assert!(tx.tx.is_complete(), "{handshake:?}");
+            let claimed: Vec<u64> = tx.subs.iter().map(|s| s.claimed).collect();
+            assert_eq!(claimed.len(), N_SUBFLOWS);
+            assert!(claimed.iter().all(|&c| c > 0), "{handshake:?}: {claimed:?}");
+            assert_eq!(claimed.iter().sum::<u64>(), size);
+        }
     }
 
     #[test]
@@ -1078,7 +1236,7 @@ mod tests {
     /// A fresh DCTCP sender whose first window of `segs` segments is out.
     fn dctcp_sender(segs: u64) -> TcpSender {
         let mut tx = TcpSender::new(1, 1, TcpCfg::dctcp(100 * MSS));
-        tx.rec.snd_nxt = segs * tx.mss();
+        tx.subs[0].rec.snd_nxt = segs * tx.mss();
         tx
     }
 
@@ -1086,10 +1244,13 @@ mod tests {
     fn a_fresh_dctcp_sender_halves_cwnd_on_its_first_mark() {
         let mut tx = dctcp_sender(10);
         let mss = tx.mss();
-        assert_eq!(tx.rec.on_ack(mss, Time::ZERO, RTO), Ack::Advanced(mss));
+        assert_eq!(
+            tx.subs[0].rec.on_ack(mss, Time::ZERO, RTO),
+            Ack::Advanced(mss)
+        );
         tx.dctcp_on_ack(mss, true);
         assert_eq!(tx.alpha(), 1.0);
-        assert_eq!((tx.cwnd(), tx.rec.ssthresh), (5 * mss, 5 * mss));
+        assert_eq!((tx.cwnd(), tx.subs[0].rec.ssthresh), (5 * mss, 5 * mss));
     }
 
     #[test]
@@ -1097,12 +1258,12 @@ mod tests {
         let mut tx = dctcp_sender(10);
         let mss = tx.mss();
         // The first ACK closes the (empty) window open at the start.
-        tx.rec.on_ack(mss, Time::ZERO, RTO);
+        tx.subs[0].rec.on_ack(mss, Time::ZERO, RTO);
         tx.dctcp_on_ack(mss, false);
         assert_eq!(tx.alpha(), 1.0 - DCTCP_G);
         // The rest of the 10-segment window, unmarked.
         for seq in 2..=10 {
-            tx.rec.on_ack(seq * mss, Time::ZERO, RTO);
+            tx.subs[0].rec.on_ack(seq * mss, Time::ZERO, RTO);
             tx.dctcp_on_ack(mss, false);
         }
         assert_eq!(tx.alpha(), (1.0 - DCTCP_G) * (1.0 - DCTCP_G));

@@ -610,5 +610,6 @@ mod tests {
         assert_eq!(stats.link_events_applied, Some(4 * rep.cells.len() as u64));
         assert!(stats.stuck_flows.is_some());
         assert!(stats.reroutes > Some(0), "{:?}", stats.reroutes);
+        assert!(stats.dropped_down > Some(0), "{:?}", stats.dropped_down);
     }
 }

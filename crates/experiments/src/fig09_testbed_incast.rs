@@ -14,10 +14,11 @@
 
 use ndp_metrics::{Cdf, Table};
 use ndp_net::packet::{HostId, Packet};
+use ndp_net::Host;
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{completion_time, FlowSpec, Proto, Scale};
+use crate::harness::{FlowSpec, Proto, Scale};
 
 pub struct Row {
     pub size: u64,
@@ -54,7 +55,7 @@ fn trial(proto: Proto, size: u64, seed: u64) -> Time {
     world.run_until(Time::from_secs(30));
     let mut last = Time::ZERO;
     for w in 1..8u64 {
-        match completion_time(&world, tt.hosts[0], w, proto) {
+        match world.get::<Host>(tt.hosts[0]).harvest(w).completion_time {
             Some(t) => last = last.max(t),
             None => return Time::from_secs(30),
         }

@@ -6,10 +6,11 @@
 
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
+use ndp_net::Host;
 use ndp_sim::{Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{completion_time, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     pub size: u64,
@@ -33,7 +34,11 @@ fn trial(size: u64, prio: bool, background: bool, seed: u64) -> Time {
     spec.prio = prio;
     Proto::Ndp.transport().attach(&mut world, &tt, &spec);
     world.run_until(Time::from_secs(5));
-    completion_time(&world, tt.hosts[0], 1, Proto::Ndp).expect("short flow must complete")
+    world
+        .get::<Host>(tt.hosts[0])
+        .harvest(1)
+        .completion_time
+        .expect("short flow must complete")
 }
 
 pub fn run(_scale: Scale) -> Report {

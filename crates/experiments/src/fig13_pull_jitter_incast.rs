@@ -12,7 +12,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Time, World};
 use ndp_topology::{FatTree, FatTreeCfg, Topology};
 
-use crate::harness::{attach_on, completion_time, FlowSpec, Proto, Scale};
+use crate::harness::{attach_on, FlowSpec, Proto, Scale};
 
 pub struct Report {
     /// (flow size, perfect-pulls last FCT us, jittered-pulls last FCT us)
@@ -43,10 +43,12 @@ fn trial(scale: Scale, size: u64, jitter: bool, seed: u64) -> Time {
     world.run_until(Time::from_secs(5));
     let mut last = Time::ZERO;
     for i in 0..workers.len() as u64 {
-        last = last.max(completion_time(&world, ft.hosts[0], i + 1, Proto::Ndp).expect("complete"));
+        let done = world
+            .get::<Host>(ft.hosts[0])
+            .harvest(i + 1)
+            .completion_time;
+        last = last.max(done.expect("complete"));
     }
-    // Access world's host to keep the borrow checker honest about ft usage.
-    let _ = world.get::<Host>(ft.hosts[0]).id();
     last
 }
 

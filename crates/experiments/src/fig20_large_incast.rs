@@ -17,7 +17,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{FatTree, FatTreeCfg, Topology};
 
-use crate::harness::{attach_on, completion_time, incast_ideal, FlowSpec, Proto, Scale};
+use crate::harness::{attach_on, incast_ideal, FlowSpec, Proto, Scale};
 use crate::sweep;
 
 pub struct Row {
@@ -51,7 +51,10 @@ fn trial(scale: Scale, n: usize, iw: u64, seed: u64) -> Row {
     let mut rtx_nack = 0u64;
     let mut rtx_rts = 0u64;
     for (i, &w) in workers.iter().enumerate() {
-        let done = completion_time(&world, ft.hosts[0], i as u64 + 1, Proto::Ndp)
+        let done = world
+            .get::<Host>(ft.hosts[0])
+            .harvest(i as u64 + 1)
+            .completion_time
             .expect("incast flow must complete");
         last = last.max(done);
         let s = world

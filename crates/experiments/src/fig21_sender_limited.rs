@@ -9,10 +9,11 @@
 
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
+use ndp_net::Host;
 use ndp_sim::{Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{delivered_bytes, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     /// (label, Gb/s)
@@ -46,7 +47,10 @@ pub fn run(scale: Scale) -> Report {
     let mut from_a = 0.0;
     let mut to_e = 0.0;
     for (i, &(label, _src, dst)) in pairs.iter().enumerate() {
-        let bytes = delivered_bytes(&world, tt.hosts[dst], i as u64 + 1, Proto::Ndp);
+        let bytes = world
+            .get::<Host>(tt.hosts[dst])
+            .harvest(i as u64 + 1)
+            .delivered_bytes;
         let gbps = bytes as f64 * 8.0 / duration.as_secs() / 1e9;
         if label.starts_with("A->") {
             from_a += gbps;

@@ -17,12 +17,13 @@
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
+use ndp_net::Host;
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{
     link_index, ChaosController, FabricEvent, FabricOp, FatTree, FatTreeCfg, Topology,
 };
 
-use crate::harness::{attach_on, delivered_bytes, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{attach_on, FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     /// (protocol, sorted per-flow Gb/s)
@@ -78,9 +79,11 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Vec<f64> {
         .iter()
         .enumerate()
         .map(|(src, &dst)| {
-            delivered_bytes(&world, ft.hosts[dst], src as u64 + 1, proto) as f64 * 8.0
-                / duration.as_secs()
-                / 1e9
+            let bytes = world
+                .get::<Host>(ft.hosts[dst])
+                .harvest(src as u64 + 1)
+                .delivered_bytes;
+            bytes as f64 * 8.0 / duration.as_secs() / 1e9
         })
         .collect();
     per_flow.sort_by(|a, b| a.partial_cmp(b).unwrap());

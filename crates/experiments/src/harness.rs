@@ -155,7 +155,10 @@ pub(crate) fn permutation_world_run(point: &crate::sweep::PermutationPoint) -> P
     world.run_until(duration);
     let mut per_flow = Vec::with_capacity(n);
     for (src, &dst) in dsts.iter().enumerate() {
-        let bytes = delivered_bytes(&world, topo.host(dst as u32), src as u64 + 1, proto);
+        let bytes = world
+            .get::<Host>(topo.host(dst as u32))
+            .harvest(src as u64 + 1)
+            .delivered_bytes;
         per_flow.push(bytes as f64 * 8.0 / duration.as_secs() / 1e9);
     }
     per_flow.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -242,8 +245,9 @@ pub(crate) fn incast_world_run(point: &crate::sweep::IncastPoint) -> IncastResul
     world.run_until(horizon);
     let mut fcts = Vec::new();
     let mut incomplete = 0;
+    let host = world.get::<Host>(topo.host(frontend as u32));
     for i in 0..workers.len() {
-        match completion_time(&world, topo.host(frontend as u32), i as u64 + 1, proto) {
+        match host.harvest(i as u64 + 1).completion_time {
             Some(t) => fcts.push(t),
             None => incomplete += 1,
         }

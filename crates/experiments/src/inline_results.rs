@@ -19,12 +19,11 @@
 use ndp_metrics::Table;
 use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
+use ndp_net::Host;
 use ndp_sim::{Time, World};
 use ndp_topology::{FatTree, FatTreeCfg, RouteMode, Topology};
 
-use crate::harness::{
-    attach_on, delivered_bytes, incast_run, permutation_run, FlowSpec, Proto, Scale, LONG_FLOW,
-};
+use crate::harness::{attach_on, incast_run, permutation_run, FlowSpec, Proto, Scale, LONG_FLOW};
 use crate::topo::TopoSpec;
 
 pub struct Report {
@@ -74,7 +73,12 @@ fn lb_comparison(scale: Scale, mode: RouteMode, seed: u64) -> (f64, f64) {
     let total: u64 = dsts
         .iter()
         .enumerate()
-        .map(|(src, &dst)| delivered_bytes(&world, ft.hosts[dst], src as u64 + 1, Proto::Ndp))
+        .map(|(src, &dst)| {
+            world
+                .get::<Host>(ft.hosts[dst])
+                .harvest(src as u64 + 1)
+                .delivered_bytes
+        })
         .sum();
     let util = total as f64 * 8.0 / duration.as_secs() / 1e9 / (n as f64 * 10.0);
     (
@@ -201,7 +205,12 @@ fn side_effects(proto: Proto, scale: Scale, seed: u64) -> f64 {
     let total: u64 = dsts
         .iter()
         .enumerate()
-        .map(|(src, &dst)| delivered_bytes(&world, ft.hosts[dst], src as u64 + 1, proto))
+        .map(|(src, &dst)| {
+            world
+                .get::<Host>(ft.hosts[dst])
+                .harvest(src as u64 + 1)
+                .delivered_bytes
+        })
         .sum();
     total as f64 * 8.0 / duration.as_secs() / 1e9 / (n as f64 * 10.0)
 }

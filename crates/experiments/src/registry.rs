@@ -522,7 +522,6 @@ pub(crate) mod document {
         load_datamining,
         oversub_load,
         rpc_sweep,
-        rpc_tenant_mix,
         quickstart
     );
 
@@ -609,6 +608,32 @@ mod tests {
         // Fixed-shape figures reject overrides so the CLI can error.
         for id in ["fig09", "fig11", "fig21"] {
             assert!(!find(id).unwrap().topo, "{id} is fixed-shape");
+        }
+    }
+
+    /// The two-tier testbed end to end: the `testbed` registry entry under
+    /// a topology-neutral figure, and a fixed-shape testbed figure.
+    #[test]
+    fn testbed_documents_carry_every_flow() {
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64);
+        let exp = find("fig14").expect("fig14 registered");
+        let testbed = Some(crate::topo::registered("testbed"));
+        let report = (exp.run)(Scale::Quick, testbed);
+        let doc = document_with_telemetry(exp, Scale::Quick, testbed, report.as_ref(), 0.0, None);
+        assert_eq!(doc.get("topo").and_then(Json::as_str), Some("testbed"));
+        let data = doc.get("data").expect("a data payload");
+        let rows = data.get("protocols").and_then(Json::as_arr).expect("rows");
+        assert!(rows.len() >= 2, "{rows:?}");
+        for r in rows {
+            assert!(num(r, "utilization") > Some(0.0), "{r:?}");
+            let rates = r.get("per_flow_gbps_sorted").and_then(Json::as_arr);
+            assert_eq!(rates.map(<[Json]>::len), Some(8), "{r:?}");
+        }
+        let fig21 = (find("fig21").expect("fig21 registered").run)(Scale::Quick, None).to_json();
+        let flows = fig21.get("flows").and_then(Json::as_arr).expect("flows");
+        assert_eq!(flows.len(), 5, "{flows:?}");
+        for f in flows {
+            assert!(num(f, "gbps") > Some(0.0), "{f:?}");
         }
     }
 

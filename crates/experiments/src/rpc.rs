@@ -967,4 +967,60 @@ mod tests {
             vec!["websearch_rpc", "datamining_bulk", "background_blast"]
         );
     }
+
+    /// The quick `rpc_tenant_mix` document covers three protocols by three
+    /// tenants with tail percentiles on at least two tenants per protocol
+    /// (the low-rate data-mining tenant may offer too few requests for a
+    /// p999), NDP's RPC tenants drain completely, and NDP's web-search SLO
+    /// attainment beats pHost's.
+    #[test]
+    fn rpc_tenant_mix_document_keeps_its_shape() {
+        use crate::json::Json;
+        use crate::registry::{document, find};
+        use std::collections::{BTreeMap, BTreeSet};
+        let exp = find("rpc_tenant_mix").expect("rpc_tenant_mix is registered");
+        let report = (exp.run)(Scale::Quick, None);
+        document::pin(exp.id, report.as_ref());
+        let data = report.to_json();
+        fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+            v.get(key).unwrap_or_else(|| panic!("no {key}: {v:?}"))
+        }
+        fn list<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+            field(v, key).as_arr().expect("an array")
+        }
+        fn label(r: &Json) -> &str {
+            field(r, "proto").as_str().expect("a label")
+        }
+        assert_eq!(list(&data, "tenants").len(), 3);
+        let rows = list(&data, "rows");
+        let protos: BTreeSet<&str> = rows.iter().map(label).collect();
+        for proto in ["NDP", "DCTCP", "pHost"] {
+            assert!(protos.contains(proto), "no {proto} row: {protos:?}");
+        }
+        let mut slo = BTreeMap::new();
+        for r in rows {
+            let (proto, mix) = (label(r), list(r, "mix"));
+            for key in ["mix", "solo", "interference_p99"] {
+                assert_eq!(list(r, key).len(), 3, "{proto}: {key}");
+            }
+            let tails = mix.iter().filter(|t| {
+                field(t, "p999_us").as_f64().is_some()
+                    && field(t, "slo_attainment").as_f64().is_some()
+            });
+            assert!(tails.count() >= 2, "{proto}: tail percentiles missing");
+            for t in mix {
+                let tenant = field(t, "tenant").as_str().expect("a name");
+                let completed = field(t, "completed").as_f64();
+                assert!(completed > Some(0.0), "{proto} {tenant}: none completed");
+                if proto == "NDP" && tenant != "datamining_bulk" {
+                    let incomplete = field(t, "incomplete").as_f64();
+                    assert_eq!(incomplete, Some(0.0), "{tenant}: NDP stranded requests");
+                }
+                if tenant == "websearch_rpc" {
+                    slo.insert(proto, field(t, "slo_attainment").as_f64());
+                }
+            }
+        }
+        assert!(slo["NDP"] > slo["pHost"], "{slo:?}");
+    }
 }

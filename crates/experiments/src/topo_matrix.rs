@@ -325,6 +325,7 @@ impl crate::registry::Report for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn matrix_covers_topologies_and_protocols_with_populated_cells() {
@@ -352,6 +353,24 @@ mod tests {
                 c.topo,
                 c.proto.label()
             );
+        }
+        // Every cell of the document carries an overall slowdown and at
+        // least one populated bin.
+        let doc = crate::registry::Report::to_json(&rep);
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64);
+        for cell in doc.get("cells").and_then(Json::as_arr).expect("cells") {
+            let key = (cell.get("topo"), cell.get("proto"));
+            let overall = cell.get("overall").expect("an overall slowdown");
+            assert!(num(overall, "n") > Some(0.0), "{key:?}");
+            for p in ["p50", "p99"] {
+                assert!(num(overall, p).is_some(), "{key:?}: overall {p} is null");
+            }
+            let bins = cell.get("slowdown_bins").and_then(Json::as_arr);
+            let populated = bins
+                .expect("slowdown bins")
+                .iter()
+                .filter(|b| num(b, "n") > Some(0.0) && num(b, "p50").is_some());
+            assert!(populated.count() > 0, "{key:?}: all slowdown bins null");
         }
         // NDP keeps full-bisection fabrics busy and leads DCTCP's p99 on
         // the scarce-core shape.

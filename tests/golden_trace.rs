@@ -10,7 +10,7 @@
 //! re-renders it under `NDP_BLESS=1`.
 
 use ndp::baselines::tcp::{attach_tcp_flow, Handshake, TcpCfg};
-use ndp::baselines::{attach_dcqcn_flow, attach_mptcp_flow, DcqcnCfg};
+use ndp::baselines::{attach_dcqcn_flow, DcqcnCfg};
 use ndp::core::{attach_flow, NdpFlowCfg};
 use ndp::net::{Host, Packet, Queue};
 use ndp::sim::world::SchedulerKind::{self, Classic, TwoTier};
@@ -128,7 +128,7 @@ fn tcp_family_incast(kind: SchedulerKind) -> ((u64, u64), [(u64, u64); 2]) {
         let flow = src as u64;
         let tcp = |cfg: TcpCfg| TcpCfg { path: src, ..cfg };
         match src % 3 {
-            0 => attach_mptcp_flow(&mut w, flow, from, to, 8 * size, 9000, Time::ZERO),
+            0 => attach_tcp_flow(&mut w, flow, from, to, TcpCfg::mptcp(8 * size), Time::ZERO),
             1 => {
                 let cfg = TcpCfg {
                     handshake: Handshake::ThreeWay,

@@ -21,10 +21,10 @@ use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard};
 
 use ndp::core::{NdpFlowCfg, NdpSender, PathSet};
-use ndp::experiments::harness::{attach_on, delivered_bytes, permutation_run, LONG_FLOW};
+use ndp::experiments::harness::{attach_on, permutation_run, LONG_FLOW};
 use ndp::experiments::{Proto, TopoSpec};
 use ndp::net::flight::{HopKind, HopRecord};
-use ndp::net::{LinkClass, Packet, Queue, HEADER_BYTES};
+use ndp::net::{Host, LinkClass, Packet, Queue, HEADER_BYTES};
 use ndp::sim::{Component, Ctx, Event, Speed, Time, World};
 use ndp::telemetry::{write_chrome_trace, FlowSpan, Gauge, PointTelemetry, RequestSpan};
 use ndp::topology::{FatTreeCfg, LeafSpineCfg, QueueSpec, Topology};
@@ -182,7 +182,12 @@ fn a_packet_hop_allocates_nothing() {
     }
     let (_, heap) = measure(|| world.run_until(Time::from_ms(2)));
     let bytes: u64 = flows()
-        .map(|(flow, _, dst)| delivered_bytes(&world, topo.host(dst), flow, proto))
+        .map(|(flow, _, dst)| {
+            world
+                .get::<Host>(topo.host(dst))
+                .harvest(flow)
+                .delivered_bytes
+        })
         .sum();
     let delivered = bytes / u64::from(topo.mtu() - HEADER_BYTES);
     assert!(delivered > 20_000, "flows must actually run: {delivered}");
@@ -260,11 +265,19 @@ fn lifecycle_blocks_per_flow(proto: Proto) -> f64 {
 /// sender's path records and sequence window, and the data packet and its
 /// ACK (one block each), plus its share of table and buffer growth; it was
 /// 10.98 while the sender kept its path scoreboard in five vectors.
-/// DCTCP's is 5.97, one fewer: a TCP-family sender has no path records.
+/// DCTCP's and TCP's are 5.97, one fewer: a one-stream TCP-family flow
+/// keeps its stream state inline and has no path records. MPTCP's is 7.97,
+/// two more: its sender's and receiver's per-subflow arrays.
 #[test]
 fn a_1kb_flow_costs_its_block_budget() {
     let _serial = serial();
-    for (proto, budget) in [(Proto::Ndp, 7.0), (Proto::Dctcp, 6.0)] {
+    let budgets = [
+        (Proto::Ndp, 7.0),
+        (Proto::Dctcp, 6.0),
+        (Proto::Tcp, 6.0),
+        (Proto::Mptcp, 8.0),
+    ];
+    for (proto, budget) in budgets {
         let blocks = lifecycle_blocks_per_flow(proto);
         assert!(
             blocks < budget,

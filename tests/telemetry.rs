@@ -12,9 +12,11 @@
 //! The telemetry session and the default-scheduler knob are process
 //! globals, so every test here serializes on one mutex.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ndp::core::{attach_flow, NdpFlowCfg};
+use ndp::experiments::json::{self, Json};
 use ndp::experiments::openloop::{openloop_run, DistKind, SWEEP_PROTOS};
 use ndp::experiments::sweep::OpenLoopPoint;
 use ndp::experiments::{failure_matrix, find_topo, registry, Proto, Report as _, Scale};
@@ -179,6 +181,21 @@ fn telemetry_on_trace_is_byte_identical_across_threads_and_schedulers() {
     assert!(serial.contains("\"gauge\":\"queue\""));
     assert!(serial.contains("\"type\":\"span\""));
     assert!(serial.contains("\"kind\":\"drop_down\""));
+    // Every NDJSON line is a JSON record naming its type and point, and
+    // the Chrome trace loads with events in it.
+    let mut kinds = BTreeMap::new();
+    for line in serial.lines() {
+        let rec = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert!(rec.get("point").is_some(), "{line}");
+        let kind = rec.get("type").and_then(Json::as_str).expect(line);
+        *kinds.entry(kind.to_string()).or_insert(0) += 1;
+    }
+    for kind in ["point", "gauge", "span", "hop"] {
+        assert!(kinds.contains_key(kind), "no {kind} records: {kinds:?}");
+    }
+    let chrome_doc = json::parse(&chrome).expect("a Chrome trace");
+    let events = chrome_doc.get("traceEvents").and_then(Json::as_arr);
+    assert!(events.is_some_and(|e| !e.is_empty()), "empty Chrome trace");
     // The two exports `ndp run failure_matrix --scale quick --trace`
     // writes: their sizes and 64-bit FNV-1a digests, beside the
     // envelope's block.
@@ -221,6 +238,17 @@ fn telemetry_on_trace_is_byte_identical_across_threads_and_schedulers() {
     field(&mut pin, "stuck_spans", stuck_spans);
     field(&mut pin, "stuck_requests", stuck_requests);
     snapshot!("failure_matrix_trace", pin);
+    // The envelope's telemetry block counts every record kind and evicted
+    // no gauge.
+    for (kind, n) in [
+        ("points", points as u64),
+        ("gauge_records", gauge_records),
+        ("span_records", span_records),
+        ("hop_records", hop_records),
+    ] {
+        assert!(n > 0, "no {kind}");
+    }
+    assert_eq!(gauges_evicted, 0);
 }
 
 #[test]

@@ -54,8 +54,8 @@ mod tests {
     use super::*;
     use crate::tcp::{attach_tcp_flow, NewReno, TcpCfg, TcpSender};
     use ndp_net::{Host, Packet};
-    use ndp_sim::World;
-    use ndp_topology::{FatTree, FatTreeCfg, QueueSpec};
+    use ndp_sim::{Speed, World};
+    use ndp_topology::{FatTree, FatTreeCfg, QueueSpec, SingleBottleneck};
 
     #[test]
     fn mptcp_fills_a_fat_tree_path_bundle() {
@@ -122,5 +122,42 @@ mod tests {
         );
         // Never zero: growth must not stall entirely.
         assert!(coupled >= 1);
+    }
+
+    /// LIA's goal on a shared bottleneck (RFC 6356 §1): an MPTCP flow
+    /// takes no more capacity than one TCP flow would. A TCP flow runs
+    /// alone on a drop-tail link for 20 ms (two slow starts at once lock
+    /// one flow out behind a 200 ms RTO), then an MPTCP flow joins. With
+    /// the coupled increase the MPTCP flow ends with under half of what
+    /// the link delivered (0.25); eight subflows each growing like a Reno
+    /// flow take 0.93.
+    #[test]
+    fn mptcp_takes_no_more_than_one_tcps_share_of_a_shared_bottleneck() {
+        let mut w: World<Packet> = World::new(3);
+        let sb = SingleBottleneck::build(
+            &mut w,
+            2,
+            Speed::gbps(10),
+            Time::from_us(1),
+            9000,
+            QueueSpec::droptail_default(),
+        );
+        let size = 1 << 32;
+        let flows = [
+            (TcpCfg::mptcp(size), Time::from_ms(20)),
+            (TcpCfg::new(size), Time::ZERO),
+        ];
+        for (s, (cfg, start)) in flows.into_iter().enumerate() {
+            let src = (sb.senders[s], s as u32);
+            attach_tcp_flow(&mut w, s as u64 + 1, src, (sb.receiver, 2), cfg, start);
+        }
+        w.run_until(Time::from_secs(1));
+        let rx = w.get::<Host>(sb.receiver);
+        let [mptcp, tcp] = [1, 2].map(|flow| rx.harvest(flow).delivered_bytes as f64);
+        let share = mptcp / (mptcp + tcp);
+        assert!(
+            mptcp > 0.0 && share < 0.5,
+            "MPTCP took {share:.3} of the bottleneck ({mptcp} vs {tcp} B)"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Harness glue: attach an NDP flow between two hosts in a built world.
 
-use ndp_net::host::{Host, PullPriority};
+use ndp_net::host::PullPriority;
 use ndp_net::packet::{FlowId, HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_transport::attach_endpoints;
@@ -30,28 +30,10 @@ pub fn attach_flow(
     attach_endpoints(world, flow, (src.0, sender), (dst.0, receiver), start);
 }
 
-/// The NDP sender itself (its `tx` ledger and NDP-specific counters), for
-/// callers that need more than the protocol-neutral [`Host::harvest`].
-pub fn sender_stats(world: &World<Packet>, host: ComponentId, flow: FlowId) -> &NdpSender {
-    world.get::<Host>(host).endpoint::<NdpSender>(flow)
-}
-
-pub fn receiver_stats(
-    world: &World<Packet>,
-    host: ComponentId,
-    flow: FlowId,
-) -> crate::NdpReceiverStats {
-    world
-        .get::<Host>(host)
-        .endpoint::<NdpReceiver>(flow)
-        .stats
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndp_net::host::{Endpoint, EndpointCtx, HostLatency};
+    use ndp_net::host::{Endpoint, EndpointCtx, Host, HostLatency};
     use ndp_net::packet::PacketKind;
     use ndp_net::queue::{LinkClass, Queue};
     use ndp_sim::Speed;
@@ -81,7 +63,7 @@ mod tests {
         attach_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
         w.run_until(Time::from_ms(100));
         let rx = w.get::<Host>(b.hosts[1]).harvest(1);
-        let tx = &sender_stats(&w, b.hosts[0], 1).tx;
+        let tx = &w.get::<Host>(b.hosts[0]).endpoint::<NdpSender>(1).tx;
         assert_eq!(
             rx.delivered_bytes, size,
             "every byte delivered exactly once"
@@ -94,7 +76,8 @@ mod tests {
             tx.retransmissions, 0,
             "nothing to retransmit on an idle link"
         );
-        assert_eq!(receiver_stats(&w, b.hosts[1], 1).duplicate_pkts, 0);
+        let rx: &NdpReceiver = w.get::<Host>(b.hosts[1]).endpoint(1);
+        assert_eq!(rx.stats.duplicate_pkts, 0);
     }
 
     #[test]
@@ -110,7 +93,8 @@ mod tests {
         assert_eq!(rx.delivered_bytes, 100);
         assert!(rx.completion_time.is_some());
         // One packet, one ACK, no pull needed for completion.
-        assert_eq!(receiver_stats(&w, b.hosts[1], 1).data_pkts, 1);
+        let rx: &NdpReceiver = w.get::<Host>(b.hosts[1]).endpoint(1);
+        assert_eq!(rx.stats.data_pkts, 1);
     }
 
     #[test]
@@ -133,7 +117,7 @@ mod tests {
         w.run_until(Time::from_ms(50));
         let rx = w.get::<Host>(ft.hosts[15]).harvest(1);
         assert_eq!(rx.delivered_bytes, size);
-        let tx = &sender_stats(&w, ft.hosts[0], 1).tx;
+        let tx = &w.get::<Host>(ft.hosts[0]).endpoint::<NdpSender>(1).tx;
         assert!(tx.is_complete());
         // All four cores carried traffic (per-packet multipath).
         for c in 0..4 {
@@ -175,7 +159,10 @@ mod tests {
         let mut total = 0u64;
         let mut last_done = Time::ZERO;
         for s in 0..n {
-            let tx = &sender_stats(&w, sb.senders[s], s as u64 + 1).tx;
+            let tx = &w
+                .get::<Host>(sb.senders[s])
+                .endpoint::<NdpSender>(s as u64 + 1)
+                .tx;
             assert!(tx.is_complete(), "sender {s} incomplete");
             total += size;
             let rx = w.get::<Host>(sb.receiver).harvest(s as u64 + 1);
@@ -222,7 +209,7 @@ mod tests {
         w.run_until(Time::from_secs(2));
         let rx = w.get::<Host>(h1).harvest(1);
         assert_eq!(rx.delivered_bytes, size, "all data must eventually arrive");
-        let tx = &sender_stats(&w, h0, 1).tx;
+        let tx = &w.get::<Host>(h0).endpoint::<NdpSender>(1).tx;
         assert!(tx.timeouts > 0, "corruption must exercise the RTO path");
     }
 
@@ -500,7 +487,10 @@ mod tests {
         }
         w.run_until(Time::from_ms(200));
         for s in 0..n {
-            let tx = &sender_stats(&w, sb.senders[s], s as u64 + 1).tx;
+            let tx = &w
+                .get::<Host>(sb.senders[s])
+                .endpoint::<NdpSender>(s as u64 + 1)
+                .tx;
             assert!(tx.is_complete(), "sender {s} incomplete");
             assert_eq!(tx.timeouts, 0, "sender {s} fired in a deep pull queue");
         }

@@ -21,9 +21,6 @@ pub struct NdpReceiverStats {
     pub data_pkts: u64,
     pub duplicate_pkts: u64,
     pub headers: u64,
-    /// Per-packet one-way delivery latencies (original send → first
-    /// untrimmed arrival), in picoseconds, recorded when tracing is on.
-    pub delivery_latencies: Vec<u64>,
 }
 
 /// The receiver endpoint for one NDP connection.
@@ -37,7 +34,6 @@ pub struct NdpReceiver {
     received: SeqWindow<bool>,
     received_count: u64,
     rx: Delivery,
-    trace_latency: bool,
     pub stats: NdpReceiverStats,
 }
 
@@ -50,7 +46,6 @@ impl NdpReceiver {
             received: SeqWindow::new(false, true, 0),
             received_count: 0,
             rx: Delivery::default(),
-            trace_latency: false,
             stats: NdpReceiverStats::default(),
         }
     }
@@ -60,12 +55,6 @@ impl NdpReceiver {
     /// dynamically prioritize its inbound traffic).
     pub fn with_priority(mut self, prio: PullPriority) -> NdpReceiver {
         self.prio = prio;
-        self
-    }
-
-    /// Record per-packet delivery latencies (Figure 4).
-    pub fn with_latency_trace(mut self) -> NdpReceiver {
-        self.trace_latency = true;
         self
     }
 
@@ -121,11 +110,6 @@ impl Endpoint for NdpReceiver {
             self.stats.data_pkts += 1;
             if self.mark(u64::from(pkt.seq)) {
                 self.rx.deliver(pkt.payload as u64, ctx);
-                if self.trace_latency {
-                    self.stats
-                        .delivery_latencies
-                        .push((ctx.now() - pkt.sent).as_ps());
-                }
             } else {
                 self.stats.duplicate_pkts += 1;
             }

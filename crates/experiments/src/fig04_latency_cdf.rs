@@ -7,15 +7,12 @@
 //! trimming with a long tail; the 1350 KB incast settles into pull-paced
 //! delivery with a low median.
 
-use ndp_core::NdpReceiver;
 use ndp_metrics::{Cdf, Table};
-use ndp_net::host::Host;
-use ndp_net::packet::{HostId, Packet};
+use ndp_net::packet::{HostId, Packet, PacketBody};
 use ndp_sim::{Time, World};
 use ndp_topology::{FatTree, FatTreeCfg, Topology};
-use ndp_transport::attach_endpoints;
 
-use crate::harness::{FlowSpec, Scale};
+use crate::harness::{attach_on, FlowSpec, Proto, Scale, Tap};
 
 pub struct Report {
     pub permutation: Cdf,
@@ -24,13 +21,28 @@ pub struct Report {
     pub incast_1350k: Cdf,
 }
 
+/// One sample per packet that grew the receiver's delivered bytes: its
+/// one-way delivery latency (original send → first untrimmed arrival).
+fn delivery_latency(pkt: &PacketBody, now: Time, delivered: u64) -> Option<Time> {
+    (delivered > 0).then(|| now - pkt.sent)
+}
+
+/// Attach an NDP flow and tap its receiver for delivery latencies.
+fn attach_tapped(world: &mut World<Packet>, ft: &FatTree, spec: &FlowSpec) {
+    attach_on(world, ft, Proto::Ndp, spec);
+    Tap::install(
+        world,
+        ft.hosts[spec.dst as usize],
+        spec.flow,
+        delivery_latency,
+    );
+}
+
 fn collect_latencies(world: &World<Packet>, ft: &FatTree, flows: &[(u64, usize)]) -> Cdf {
     let mut samples = Vec::new();
     for &(flow, dst) in flows {
-        let r = world
-            .get::<Host>(ft.hosts[dst])
-            .endpoint::<NdpReceiver>(flow);
-        samples.extend(r.stats.delivery_latencies.iter().map(|&ps| ps as f64 / 1e6));
+        let taken = Tap::samples(world, ft.hosts[dst], flow);
+        samples.extend(taken.iter().map(|t| t.as_ps() as f64 / 1e6));
     }
     Cdf::from_samples(samples)
 }
@@ -55,26 +67,11 @@ fn tm_run(scale: Scale, seed: u64, random: bool, horizon: Time) -> Cdf {
             dst as HostId,
             crate::harness::LONG_FLOW,
         );
-        attach_with_trace(&mut world, &ft, &spec);
+        attach_tapped(&mut world, &ft, &spec);
         flows.push((flow, dst));
     }
     world.run_until(horizon);
     collect_latencies(&world, &ft, &flows)
-}
-
-/// Attach an NDP flow whose receiver records delivery latencies.
-fn attach_with_trace(world: &mut World<Packet>, ft: &FatTree, spec: &FlowSpec) {
-    use ndp_core::{NdpFlowCfg, NdpSender};
-    let mut cfg = NdpFlowCfg::new(spec.size);
-    cfg.mtu = ft.cfg.mtu;
-    cfg.n_paths = ft.n_paths(spec.src, spec.dst);
-    if let Some(iw) = spec.iw {
-        cfg.iw_pkts = iw;
-    }
-    let sender = NdpSender::new(spec.flow, spec.dst, cfg);
-    let receiver = NdpReceiver::new(spec.src).with_latency_trace();
-    let (src, dst) = (ft.hosts[spec.src as usize], ft.hosts[spec.dst as usize]);
-    attach_endpoints(world, spec.flow, (src, sender), (dst, receiver), spec.start);
 }
 
 fn incast_traced(scale: Scale, size: u64, seed: u64) -> Cdf {
@@ -92,7 +89,7 @@ fn incast_traced(scale: Scale, size: u64, seed: u64) -> Cdf {
     for (i, &w) in workers.iter().enumerate() {
         let flow = i as u64 + 1;
         let spec = FlowSpec::new(flow, w as HostId, 0, size);
-        attach_with_trace(&mut world, &ft, &spec);
+        attach_tapped(&mut world, &ft, &spec);
         flows.push((flow, 0usize));
     }
     world.run_until(Time::from_secs(2));

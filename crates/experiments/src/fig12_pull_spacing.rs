@@ -1,5 +1,6 @@
 //! Figure 12: distribution of PULL spacing measured at the sender for
-//! 1500 B and 9000 B packets.
+//! 1500 B and 9000 B packets: a tap on the sender reads each PULL's send
+//! stamp.
 //!
 //! The pacer targets one pull per packet serialization time (1.2 µs /
 //! 7.2 µs at 10 Gb/s). The "measured" curves sample the synthetic jitter
@@ -7,14 +8,19 @@
 //! around its target, the 1500 B curve has real variance but the same
 //! median.
 
-use ndp_core::{attach_flow, NdpFlowCfg};
 use ndp_metrics::{Cdf, Table};
-use ndp_net::host::{Host, HostLatency, JitterDist};
-use ndp_net::packet::Packet;
+use ndp_net::host::{HostLatency, JitterDist};
+use ndp_net::packet::{Packet, PacketBody, PacketKind};
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{BackToBack, QueueSpec};
 
-use crate::harness::Scale;
+use crate::harness::{attach_on, FlowSpec, Proto, Scale, Tap};
+
+/// One sample per PULL the sender takes: the instant its receiver's
+/// pacer emitted it.
+fn pull_stamp(pkt: &PacketBody, _now: Time, _delivered: u64) -> Option<Time> {
+    (pkt.kind == PacketKind::Pull).then_some(pkt.sent)
+}
 
 pub struct Report {
     pub spacing_1500: Cdf,
@@ -35,27 +41,15 @@ fn measure(mtu: u32, jitter: JitterDist, n_pkts: u64) -> Cdf {
         QueueSpec::ndp_default(),
         latency,
     );
-    world.get_mut::<Host>(b2b.hosts[1]).trace_pulls(true);
-    let size = n_pkts * (mtu as u64 - 64);
-    let cfg = NdpFlowCfg {
-        n_paths: 1,
-        mtu,
-        iw_pkts: 10,
-        ..NdpFlowCfg::new(size)
-    };
-    attach_flow(
-        &mut world,
-        1,
-        (b2b.hosts[0], 0),
-        (b2b.hosts[1], 1),
-        cfg,
-        Time::ZERO,
-    );
+    let mut spec = FlowSpec::new(1, 0, 1, n_pkts * (mtu as u64 - 64));
+    spec.iw = Some(10);
+    attach_on(&mut world, &b2b, Proto::Ndp, &spec);
+    Tap::install(&mut world, b2b.hosts[0], 1, pull_stamp);
     world.run_until(Time::from_secs(5));
-    let times = &world.get::<Host>(b2b.hosts[1]).stats().pull_times;
+    let times = Tap::samples(&world, b2b.hosts[0], 1);
     let gaps: Vec<f64> = times
         .windows(2)
-        .map(|w| (w[1] - w[0]) as f64 / 1e6)
+        .map(|w| (w[1] - w[0]).as_ps() as f64 / 1e6)
         .filter(|&g| g > 0.0)
         .collect();
     Cdf::from_samples(gaps)

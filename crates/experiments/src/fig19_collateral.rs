@@ -20,7 +20,7 @@
 use ndp_metrics::{Table, TimeSeries};
 use ndp_net::host::Host;
 use ndp_net::packet::{HostId, Packet};
-use ndp_sim::{Time, World};
+use ndp_sim::{ComponentId, Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
 use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
@@ -48,9 +48,6 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
     let cfg = LeafSpineCfg::collateral(n_incast / 2 + 1).with_fabric(proto.fabric());
     let mut world: World<Packet> = World::new(seed);
     let tt = LeafSpine::build(&mut world, cfg);
-    let bucket = Time::from_ms(1);
-    world.get_mut::<Host>(tt.hosts[0]).enable_rx_trace(bucket);
-    world.get_mut::<Host>(tt.hosts[1]).enable_rx_trace(bucket);
     // Long flow into host 0 from the last sender host.
     let long_src = tt.hosts.len() - 1;
     let spec = FlowSpec::new(1, long_src as HostId, 0, LONG_FLOW);
@@ -69,18 +66,9 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
         Proto::Dctcp => Time::from_ms(400),
         _ => Time::from_ms(200),
     };
-    world.run_until(horizon);
-    let collect = |host: usize| {
-        let mut ts = TimeSeries::new(bucket);
-        if let Some((b, buckets)) = world.get::<Host>(tt.hosts[host]).rx_trace() {
-            for (i, &bytes) in buckets.iter().enumerate() {
-                ts.add(b * i as u64, bytes);
-            }
-        }
-        ts
-    };
-    let long_flow = collect(0);
-    let incast = collect(1);
+    let bucket = Time::from_ms(1);
+    let [long_flow, incast] =
+        goodput_series(&mut world, [tt.hosts[0], tt.hosts[1]], bucket, horizon);
     let start_bucket = (incast_start.as_ps() / bucket.as_ps()) as usize;
     let depressed = long_flow
         .rates_gbps()
@@ -94,6 +82,44 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
         incast,
         long_flow_depressed_ms: depressed,
     }
+}
+
+/// Run `world` to `horizon` one `bucket` at a time and return each host's
+/// delivered payload per bucket, read from outside as the growth of its
+/// `delivered_payload_bytes`. A bucket holds the deliveries in
+/// `[start, start + bucket)`; `run_until` includes its horizon, so each
+/// step stops one picosecond short of the next bucket. Trailing empty
+/// buckets are dropped: a series ends at its host's last delivery.
+fn goodput_series<const N: usize>(
+    world: &mut World<Packet>,
+    hosts: [ComponentId; N],
+    bucket: Time,
+    horizon: Time,
+) -> [TimeSeries; N] {
+    let delivered =
+        |world: &World<Packet>| hosts.map(|h| world.get::<Host>(h).stats().delivered_payload_bytes);
+    let mut buckets: [Vec<u64>; N] = std::array::from_fn(|_| Vec::new());
+    let mut last = delivered(world);
+    let mut start = Time::ZERO;
+    while start <= horizon {
+        world.run_until((start + bucket - Time::from_ps(1)).min(horizon));
+        let now = delivered(world);
+        for ((bytes, now), last) in buckets.iter_mut().zip(now).zip(last) {
+            bytes.push(now - last);
+        }
+        last = now;
+        start += bucket;
+    }
+    buckets.map(|mut bytes| {
+        while bytes.last() == Some(&0) {
+            bytes.pop();
+        }
+        let mut ts = TimeSeries::new(bucket);
+        for (i, b) in bytes.into_iter().enumerate() {
+            ts.add(bucket * i as u64, b);
+        }
+        ts
+    })
 }
 
 pub fn run(scale: Scale) -> Report {

@@ -5,7 +5,8 @@
 //! `&dyn Transport` objects over `&dyn Topology` fabrics and contains no
 //! per-protocol or per-topology code at all.
 
-use ndp_net::packet::{FlowId, Packet};
+use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
+use ndp_net::packet::{FlowId, Packet, PacketBody};
 use ndp_net::Host;
 use ndp_sim::{ComponentId, Speed, Time, World};
 use ndp_topology::Topology;
@@ -266,6 +267,64 @@ pub fn incast_ideal(n: usize, size: u64, link: Speed, mtu: u32) -> Time {
     let pkts = size.div_ceil(per);
     let wire_bytes = n as u64 * (size + pkts * ndp_net::packet::HEADER_BYTES as u64);
     link.tx_time(wire_bytes)
+}
+
+/// What a [`Tap`] keeps of one packet its endpoint took: given the
+/// packet, the instant, and the payload bytes the endpoint delivered for
+/// it, a sample or `None`.
+pub type TapProbe = fn(&PacketBody, Time, u64) -> Option<Time>;
+
+/// An endpoint that forwards every call to the one it wraps and records a
+/// sample per packet its probe keeps: a figure measures a flow from
+/// outside the transport instead of through a recorder built into it.
+pub struct Tap {
+    inner: Box<dyn Endpoint>,
+    probe: TapProbe,
+    samples: Vec<Time>,
+}
+
+impl Tap {
+    /// Wrap `flow`'s attached endpoint on host component `host` in a tap.
+    pub fn install(world: &mut World<Packet>, host: ComponentId, flow: FlowId, probe: TapProbe) {
+        let h = world.get_mut::<Host>(host);
+        let inner = h
+            .remove_endpoint(flow)
+            .expect("tap needs an attached endpoint");
+        let tap = Tap {
+            inner,
+            probe,
+            samples: Vec::new(),
+        };
+        h.add_endpoint(flow, Box::new(tap));
+    }
+
+    /// The samples the tap on `flow` at `host` recorded, in arrival order.
+    pub fn samples(world: &World<Packet>, host: ComponentId, flow: FlowId) -> &[Time] {
+        &world.get::<Host>(host).endpoint::<Tap>(flow).samples
+    }
+}
+
+impl Endpoint for Tap {
+    fn on_start(&mut self, ctx: &mut EndpointCtx<'_, '_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut EndpointCtx<'_, '_>) {
+        let before = self.inner.harvest().delivered_bytes;
+        let head = (*pkt).clone();
+        self.inner.on_packet(pkt, ctx);
+        let delivered = self.inner.harvest().delivered_bytes - before;
+        self.samples
+            .extend((self.probe)(&head, ctx.now(), delivered));
+    }
+
+    fn on_timer(&mut self, token: u8, ctx: &mut EndpointCtx<'_, '_>) {
+        self.inner.on_timer(token, ctx);
+    }
+
+    fn harvest(&self) -> FlowHarvest {
+        self.inner.harvest()
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Tiny entry points used by the facade crate's examples and doctests.
 
-use ndp_core::{attach_flow, NdpFlowCfg};
-use ndp_net::host::HostLatency;
+use ndp_core::{attach_flow, NdpFlowCfg, NdpSender};
+use ndp_net::host::{Host, HostLatency};
 use ndp_net::packet::Packet;
 use ndp_sim::{Speed, Time, World};
 use ndp_topology::{BackToBack, QueueSpec};
@@ -39,7 +39,7 @@ pub fn two_host_transfer(bytes: u64) -> TransferReport {
         Time::ZERO,
     );
     world.run_until(Time::from_secs(10));
-    let tx = &ndp_core::flow::sender_stats(&world, b2b.hosts[0], 1).tx;
+    let tx = &world.get::<Host>(b2b.hosts[0]).endpoint::<NdpSender>(1).tx;
     let fct = tx.fct().expect("transfer must complete");
     TransferReport {
         bytes,

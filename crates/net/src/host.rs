@@ -145,19 +145,11 @@ impl Delivery {
         self.first_data.get_or_insert(ctx.now());
     }
 
-    /// Hand `bytes` of payload to the application: the flow's count, the
-    /// host's `delivered_payload_bytes` and its goodput trace.
+    /// Hand `bytes` of payload to the application: the flow's count and
+    /// the host's `delivered_payload_bytes`.
     pub fn deliver(&mut self, bytes: u64, ctx: &mut EndpointCtx<'_, '_>) {
         self.bytes += bytes;
-        let core = &mut *ctx.core;
-        core.stats.delivered_payload_bytes += bytes;
-        if let Some((bucket, buckets)) = &mut core.rx_trace {
-            let idx = (ctx.sim.now().as_ps() / bucket.as_ps()) as usize;
-            if buckets.len() <= idx {
-                buckets.resize(idx + 1, 0);
-            }
-            buckets[idx] += bytes;
-        }
+        ctx.core.stats.delivered_payload_bytes += bytes;
     }
 
     /// Payload bytes delivered so far.
@@ -441,9 +433,6 @@ pub struct HostStats {
     pub repulls: u64,
     pub unknown_flow_drops: u64,
     pub timewait_rejects: u64,
-    /// Timestamps (ps) of pull emissions, recorded when tracing is enabled
-    /// (Figure 12 measures inter-pull gaps at the sender).
-    pub pull_times: Vec<u64>,
 }
 
 /// Everything about a host except its endpoints (split for borrow hygiene).
@@ -462,7 +451,6 @@ struct HostCore {
     repull_armed: bool,
     next_pull_at: Time,
     last_rx: Time,
-    trace_pulls: bool,
     /// Time-wait entries in expiry order (expiries are monotone: always
     /// `now + MSL`), so the table purges itself from the front in O(1)
     /// amortized instead of growing with every connection ever closed.
@@ -470,8 +458,6 @@ struct HostCore {
     /// a flow with no endpoint searches it, so it needs no index: closing a
     /// connection costs a push and the purge, no hashing.
     time_wait: VecDeque<(FlowId, Time)>,
-    /// Optional goodput trace: (bucket width, delivered bytes per bucket).
-    rx_trace: Option<(Time, Vec<u64>)>,
     /// The component [`EndpointCtx::complete`] wakes, if any.
     watcher: Option<ComponentId>,
     /// Same-tick transmit burst being assembled during one endpoint
@@ -492,6 +478,7 @@ impl HostCore {
     fn send_pull(&mut self, (flow, peer, ctr): (FlowId, HostId, u64), sim: &mut Ctx<'_, Packet>) {
         let mut p = Packet::control(self.id, peer, flow, PacketKind::Pull);
         p.ack = Packet::ack32(ctr);
+        p.sent = sim.now();
         // Spray pulls across paths; routers reduce the tag modulo fan-out.
         p.path = sim.rng().gen();
         sim.send(self.nic, p, self.latency.tx_delay);
@@ -503,9 +490,6 @@ impl HostCore {
         };
         self.send_pull(pull, sim);
         self.stats.pulls_sent += 1;
-        if self.trace_pulls {
-            self.stats.pull_times.push(sim.now().as_ps());
-        }
         let base = self.pull_interval();
         let gap = match &self.latency.pull_jitter {
             Some(d) => {
@@ -682,9 +666,7 @@ impl Host {
                 repull_armed: false,
                 next_pull_at: Time::ZERO,
                 last_rx: Time::ZERO,
-                trace_pulls: false,
                 time_wait: VecDeque::new(),
-                rx_trace: None,
                 watcher: None,
                 tx_train: Vec::new(),
                 stats: HostStats::default(),
@@ -697,22 +679,6 @@ impl Host {
     pub fn with_latency(mut self, latency: HostLatency) -> Host {
         self.core.latency = latency;
         self
-    }
-
-    /// Record pull emission timestamps (Fig. 12 analysis).
-    pub fn trace_pulls(&mut self, on: bool) {
-        self.core.trace_pulls = on;
-    }
-
-    /// Record delivered goodput into `bucket`-wide time buckets
-    /// (Fig. 19's goodput-vs-time traces).
-    pub fn enable_rx_trace(&mut self, bucket: Time) {
-        self.core.rx_trace = Some((bucket, Vec::new()));
-    }
-
-    /// Harvest the goodput trace: (bucket width, bytes per bucket).
-    pub fn rx_trace(&self) -> Option<(Time, &[u64])> {
-        self.core.rx_trace.as_ref().map(|(b, v)| (*b, v.as_slice()))
     }
 
     pub fn id(&self) -> HostId {

@@ -114,6 +114,7 @@ pub struct PacketBody {
     pub subflow: u16,
     pub flags: Flags,
     /// Time the packet (or the original it acknowledges) was first sent.
+    /// A PULL carries the instant its host sent it.
     pub sent: Time,
 }
 

@@ -327,25 +327,6 @@ impl FatTree {
             core_down,
         }
     }
-
-    /// Degrade the bidirectional link between agg `a` (in-pod index) of
-    /// `pod` and its `m`-th core to `speed` (Figure 22's failure) — a
-    /// convenience wrapper over [`Topology::set_link_speed`] for the
-    /// fabric's own index arithmetic.
-    pub fn degrade_core_link(
-        &self,
-        world: &mut World<Packet>,
-        pod: usize,
-        a: usize,
-        m: usize,
-        speed: Speed,
-    ) {
-        let half = self.cfg.k / 2;
-        let agg = pod * half + a;
-        let core = a * half + m;
-        self.set_link_speed(world, self.agg_up[agg][m], speed);
-        self.set_link_speed(world, self.core_down[core][pod], speed);
-    }
 }
 
 impl Topology for FatTree {
@@ -545,10 +526,14 @@ mod tests {
     }
 
     #[test]
-    fn degrade_core_link_slows_it() {
+    fn a_degraded_core_link_slows_the_path() {
         let mut w: World<Packet> = World::new(1);
         let ft = FatTree::build(&mut w, FatTreeCfg::new(4));
-        ft.degrade_core_link(&mut w, 0, 0, 0, Speed::gbps(1));
+        // Pod 0's agg 0 and its first core, both directions.
+        for label in ["agg_up[0][0]", "core_down[0][0]"] {
+            let link = ft.links().into_iter().find(|l| l.label == label);
+            ft.set_link_speed(&mut w, link.expect(label).queue, Speed::gbps(1));
+        }
         // Tag 0 = agg 0, core uplink 0 — the degraded link.
         let pkt = Packet::data(0, 15, 7, 0, 9000).with_path(0);
         w.post(Time::ZERO, ft.host_nic[0], pkt);

@@ -32,9 +32,6 @@ pub enum ArrivalProcess {
     /// Open-loop Poisson arrivals: exponential inter-arrival gaps with
     /// mean `1/rate_hz` — the standard load-sweep model.
     Poisson { rate_hz: f64 },
-    /// Deterministic fixed-rate arrivals: constant gap `1/rate_hz`
-    /// (isolates queueing from arrival burstiness).
-    FixedRate { rate_hz: f64 },
     /// Closed-loop think time: exponential gap with the given *median*
     /// (the paper's Figure 23 uses a 1 ms median inter-flow gap). As a
     /// gap generator this is an exponential with mean `median / ln 2`.
@@ -108,9 +105,7 @@ impl ArrivalProcess {
     /// this is the cycle-averaged rate's reciprocal.
     pub fn mean_gap_ps(&self) -> f64 {
         match self {
-            ArrivalProcess::Poisson { rate_hz } | ArrivalProcess::FixedRate { rate_hz } => {
-                PS_PER_S / rate_hz
-            }
+            ArrivalProcess::Poisson { rate_hz } => PS_PER_S / rate_hz,
             ArrivalProcess::ClosedLoop { median_gap_ps } => {
                 *median_gap_ps as f64 / std::f64::consts::LN_2
             }
@@ -135,7 +130,6 @@ impl ArrivalProcess {
                 let u: f64 = rng.gen::<f64>().max(1e-12);
                 (-u.ln() * self.mean_gap_ps()) as u64
             }
-            ArrivalProcess::FixedRate { .. } => self.mean_gap_ps() as u64,
             ArrivalProcess::TimeVarying { .. } => self.next_gap_at_ps(0, rng),
         }
     }
@@ -204,15 +198,6 @@ mod tests {
             (mean / expect - 1.0).abs() < 0.02,
             "mean gap {mean:.0} ps vs 1/rate {expect:.0} ps"
         );
-    }
-
-    #[test]
-    fn fixed_rate_gaps_are_constant() {
-        let p = ArrivalProcess::FixedRate { rate_hz: 1_000.0 };
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..10 {
-            assert_eq!(p.next_gap_ps(&mut rng), 1_000_000_000); // 1 ms
-        }
     }
 
     #[test]
@@ -305,7 +290,6 @@ mod tests {
         // for stationary processes (golden-trace compatibility).
         for p in [
             ArrivalProcess::Poisson { rate_hz: 1e6 },
-            ArrivalProcess::FixedRate { rate_hz: 1e6 },
             ArrivalProcess::ClosedLoop {
                 median_gap_ps: 1_000_000,
             },

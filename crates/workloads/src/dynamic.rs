@@ -73,15 +73,7 @@ impl DynamicWorkload {
             .collect();
         let mut heap = BinaryHeap::with_capacity(n_hosts);
         for (h, rng) in rngs.iter_mut().enumerate() {
-            let first = match process {
-                // Phase-stagger deterministic arrivals so hosts don't fire
-                // in lockstep bursts.
-                ArrivalProcess::FixedRate { .. } => {
-                    let gap = process.mean_gap_ps() as u64;
-                    gap + gap * h as u64 / n_hosts as u64
-                }
-                _ => process.next_gap_at_ps(0, rng),
-            };
+            let first = process.next_gap_at_ps(0, rng);
             if first < horizon_ps {
                 heap.push(Reverse(Pending {
                     at_ps: first,
@@ -179,23 +171,5 @@ mod tests {
             (measured / offered - 1.0).abs() < 0.3,
             "measured {measured:.2e} vs offered {offered:.2e}"
         );
-    }
-
-    #[test]
-    fn fixed_rate_staggers_hosts() {
-        let wl = DynamicWorkload::new(
-            4,
-            ArrivalProcess::FixedRate { rate_hz: 1000.0 },
-            EmpiricalCdf::websearch(),
-            1,
-            4_000_000_000, // 4 ms = 4 gaps
-        );
-        let evs: Vec<FlowEvent> = wl.collect();
-        // Hosts fire at distinct phases, not in lockstep.
-        let t0: Vec<u64> = (0..4)
-            .map(|h| evs.iter().find(|e| e.src == h).unwrap().start_ps)
-            .collect();
-        let distinct: std::collections::HashSet<u64> = t0.iter().copied().collect();
-        assert_eq!(distinct.len(), 4, "phases {t0:?}");
     }
 }

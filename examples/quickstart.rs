@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ndp::core::{attach_flow, NdpFlowCfg};
+use ndp::core::{attach_flow, NdpFlowCfg, NdpSender};
 use ndp::net::{Host, Packet};
 use ndp::sim::{Time, World};
 use ndp::topology::{FatTree, FatTreeCfg, Topology};
@@ -36,7 +36,7 @@ fn main() {
     );
     world.run_until(Time::from_secs(1));
 
-    let tx = ndp::core::flow::sender_stats(&world, ft.hosts[0], 1);
+    let tx = world.get::<Host>(ft.hosts[0]).endpoint::<NdpSender>(1);
     let rx = world.get::<Host>(ft.hosts[15]).harvest(1);
     let fct = tx.tx.fct().expect("flow should complete");
     println!("transferred {} bytes in {}", rx.delivered_bytes, fct);

@@ -289,7 +289,11 @@ fn testbed_incast_is_near_ideal() {
 fn path_penalty_end_to_end() {
     let mut w: World<Packet> = World::new(6);
     let ft = FatTree::build(&mut w, FatTreeCfg::new(4));
-    ft.degrade_core_link(&mut w, 0, 0, 0, Speed::gbps(1));
+    // Pod 0's agg 0 and its first core, both directions (Figure 22's link).
+    for label in ["agg_up[0][0]", "core_down[0][0]"] {
+        let link = ft.links().into_iter().find(|l| l.label == label);
+        ft.set_link_speed(&mut w, link.expect(label).queue, Speed::gbps(1));
+    }
     let size = 40_000_000u64;
     let cfg = NdpFlowCfg {
         n_paths: ft.n_paths(0, 15),

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and protocol
 //! invariants.
 
-use ndp::core::{attach_flow, NdpFlowCfg, PathSet};
+use ndp::core::{attach_flow, NdpFlowCfg, NdpSender, PathSet};
 use ndp::metrics::Cdf;
 use ndp::net::host::HostLatency;
 use ndp::net::{Host, Packet, Queue};
@@ -32,7 +32,7 @@ proptest! {
         let rx = w.get::<Host>(b2b.hosts[1]).harvest(1);
         prop_assert_eq!(rx.delivered_bytes, size);
         prop_assert!(rx.completion_time.is_some());
-        let tx = &ndp::core::flow::sender_stats(&w, b2b.hosts[0], 1).tx;
+        let tx = &w.get::<Host>(b2b.hosts[0]).endpoint::<NdpSender>(1).tx;
         prop_assert_eq!(tx.retransmissions, 0, "no retransmissions on a clean link");
     }
 

@@ -170,7 +170,15 @@ mod tests {
     use ndp_net::queue::Queue;
     use ndp_topology::{QueueSpec, SingleBottleneck};
 
-    fn run_blast(n: usize, fabric: QueueSpec, seed: u64) -> (World<Packet>, SingleBottleneck) {
+    /// `n` line-rate blasts into one receiver, sender `s` starting at
+    /// `s × stagger`, run for `span`.
+    fn run_blast(
+        n: usize,
+        fabric: QueueSpec,
+        seed: u64,
+        stagger: Time,
+        span: Time,
+    ) -> (World<Packet>, SingleBottleneck) {
         let mut w: World<Packet> = World::new(seed);
         let sb =
             SingleBottleneck::build(&mut w, n, Speed::gbps(10), Time::from_us(1), 9000, fabric);
@@ -182,16 +190,55 @@ mod tests {
                 (sb.receiver, n as HostId),
                 9000,
                 Speed::gbps(10),
-                Time::ZERO,
+                stagger * s as u64,
             );
         }
-        w.run_until(Time::from_ms(10));
+        w.run_until(span);
         (w, sb)
+    }
+
+    /// The same 40:1 blast overload through every switch service model
+    /// (§2.3's design-space tour): drop-tail drops and never trims, CP
+    /// trims into its FIFO and drops nothing, NDP trims, and lossless PFC
+    /// pauses its feeders and drops nothing. Blast packets are not
+    /// ECN-capable, so the 200-packet ECN queue marks none and behaves as
+    /// plain drop-tail. Measured over 5 ms (Gb/s, trimmed, dropped,
+    /// pauses): NDP 9.25, 27,077, 19,482, 0; CP 7.18, 27,226, 0, 0;
+    /// drop-tail (8 packets) 9.91, 0, 27,031, 0; ECN 9.91, 0, 26,839, 0;
+    /// PFC 9.91, 0, 0, 6.
+    #[test]
+    fn every_switch_model_meets_a_blast_overload_its_own_way() {
+        let bottleneck = |fabric| {
+            let (w, sb) = run_blast(40, fabric, 11, Time::from_ns(180), Time::from_ms(5));
+            w.get::<Queue>(sb.bottleneck).stats.clone()
+        };
+        let droptail = bottleneck(QueueSpec::DropTail {
+            cap_pkts: 8,
+            ecn_thresh_pkts: None,
+        });
+        assert!(
+            droptail.dropped_data > 0 && droptail.trimmed == 0,
+            "{droptail:?}"
+        );
+        let cp = bottleneck(QueueSpec::Cp { thresh_pkts: 8 });
+        assert!(cp.trimmed > 0 && cp.dropped_data == 0, "{cp:?}");
+        let ndp = bottleneck(QueueSpec::ndp_default());
+        assert!(ndp.trimmed > 0, "{ndp:?}");
+        let ecn = bottleneck(QueueSpec::dctcp_default());
+        assert!(ecn.dropped_data > 0 && ecn.trimmed == 0, "{ecn:?}");
+        let pfc = bottleneck(QueueSpec::dcqcn_default());
+        assert!(pfc.xoff_sent > 0 && pfc.dropped_data == 0, "{pfc:?}");
     }
 
     #[test]
     fn single_blast_achieves_line_rate() {
-        let (w, sb) = run_blast(1, QueueSpec::ndp_default(), 1);
+        let (w, sb) = run_blast(
+            1,
+            QueueSpec::ndp_default(),
+            1,
+            Time::ZERO,
+            Time::from_ms(10),
+        );
         let frac = fair_share_fraction(
             w.get::<Host>(sb.receiver).harvest(1).delivered_bytes,
             1,
@@ -205,7 +252,13 @@ mod tests {
     #[test]
     fn ndp_switch_sustains_goodput_under_heavy_overload() {
         let n = 50;
-        let (w, sb) = run_blast(n, QueueSpec::ndp_default(), 2);
+        let (w, sb) = run_blast(
+            n,
+            QueueSpec::ndp_default(),
+            2,
+            Time::ZERO,
+            Time::from_ms(10),
+        );
         let host = w.get::<Host>(sb.receiver);
         let total: u64 = (1..=n as u64)
             .map(|f| host.harvest(f).delivered_bytes)
@@ -221,7 +274,7 @@ mod tests {
     fn cp_switch_collapses_more_than_ndp() {
         let n = 100;
         let agg = |fabric: QueueSpec, seed| {
-            let (w, sb) = run_blast(n, fabric, seed);
+            let (w, sb) = run_blast(n, fabric, seed, Time::ZERO, Time::from_ms(10));
             let host = w.get::<Host>(sb.receiver);
             let total: u64 = (1..=n as u64)
                 .map(|f| host.harvest(f).delivered_bytes)

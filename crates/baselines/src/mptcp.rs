@@ -142,7 +142,7 @@ mod tests {
             9000,
             QueueSpec::droptail_default(),
         );
-        let size = 1 << 32;
+        let size = u64::from(u32::MAX);
         let flows = [
             (TcpCfg::mptcp(size), Time::from_ms(20)),
             (TcpCfg::new(size), Time::ZERO),

@@ -218,7 +218,17 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
+    /// Panics if the flow is over 4 GiB: the wire `seq` counts its bytes
+    /// in 32 bits, and refusing it here (every attach path builds its
+    /// sender) fails before its first event rather than mid-run in
+    /// [`Packet::seq32`].
     pub fn new(flow: FlowId, dst: HostId, cfg: TcpCfg) -> TcpSender {
+        assert!(
+            cfg.size_bytes <= u64::from(u32::MAX),
+            "TCP-family flow {flow} of {} bytes is over the 4 GiB (2^32 - 1 byte) bound \
+             of its 32-bit wire sequence",
+            cfg.size_bytes
+        );
         let subs = Streams::new(cfg.streams(), || Subflow {
             // A multi-stream flow draws each path in `on_start`.
             path: cfg.path,
@@ -853,6 +863,25 @@ mod tests {
 
     fn sender(w: &World<Packet>, host: ndp_sim::ComponentId, flow: FlowId) -> &TcpSender {
         w.get::<Host>(host).endpoint::<TcpSender>(flow)
+    }
+
+    /// The 32-bit wire `seq` bounds a flow to 4 GiB: a larger one is
+    /// refused when it attaches, before any event runs.
+    #[test]
+    #[should_panic(expected = "TCP-family flow 1 of 4294967296 bytes is over the 4 GiB")]
+    fn a_flow_over_4_gib_is_refused_at_attach() {
+        let (mut w, b) = b2b(1, QueueSpec::droptail_default());
+        let cfg = TcpCfg::new(u64::from(u32::MAX) + 1);
+        attach_tcp_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
+    }
+
+    #[test]
+    fn a_flow_of_4_gib_attaches_and_runs() {
+        let (mut w, b) = b2b(1, QueueSpec::droptail_default());
+        let cfg = TcpCfg::mptcp(u64::from(u32::MAX));
+        attach_tcp_flow(&mut w, 1, (b.hosts[0], 0), (b.hosts[1], 1), cfg, Time::ZERO);
+        w.run_until(Time::from_ms(1));
+        assert!(w.get::<Host>(b.hosts[1]).harvest(1).delivered_bytes > 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! delivery with a low median.
 
 use ndp_metrics::{Cdf, Table};
-use ndp_net::packet::{HostId, Packet, PacketBody};
-use ndp_sim::{Time, World};
-use ndp_topology::{FatTree, FatTreeCfg, Topology};
+use ndp_net::packet::{HostId, PacketBody};
+use ndp_sim::Time;
+use ndp_topology::{FatTree, FatTreeCfg};
 
-use crate::harness::{attach_on, FlowSpec, Proto, Scale, Tap};
+use crate::harness::{incast_flows, FlowSet, FlowSpec, Proto, Scale, Tap, LONG_FLOW};
 
 pub struct Report {
     pub permutation: Cdf,
@@ -27,73 +27,51 @@ fn delivery_latency(pkt: &PacketBody, now: Time, delivered: u64) -> Option<Time>
     (delivered > 0).then(|| now - pkt.sent)
 }
 
-/// Attach an NDP flow and tap its receiver for delivery latencies.
-fn attach_tapped(world: &mut World<Packet>, ft: &FatTree, spec: &FlowSpec) {
-    attach_on(world, ft, Proto::Ndp, spec);
-    Tap::install(
-        world,
-        ft.hosts[spec.dst as usize],
-        spec.flow,
-        delivery_latency,
-    );
-}
-
-fn collect_latencies(world: &World<Packet>, ft: &FatTree, flows: &[(u64, usize)]) -> Cdf {
-    let mut samples = Vec::new();
-    for &(flow, dst) in flows {
-        let taken = Tap::samples(world, ft.hosts[dst], flow);
-        samples.extend(taken.iter().map(|t| t.as_ps() as f64 / 1e6));
+/// Run NDP `flows` on the 432-host-network FatTree to `horizon` with every
+/// receiver tapped, and pool their delivery latencies (us).
+fn tapped_run(scale: Scale, seed: u64, flows: &[FlowSpec], horizon: Time) -> Cdf {
+    let cfg = FatTreeCfg::new(scale.big_k());
+    let mut set = FlowSet::attach(seed, Proto::Ndp, flows, |w| {
+        Box::new(FatTree::build(w, cfg))
+    });
+    for f in flows {
+        Tap::install(
+            &mut set.world,
+            set.topo.host(f.dst),
+            f.flow,
+            delivery_latency,
+        );
     }
+    set.world.run_until(horizon);
+    let samples = flows.iter().flat_map(|f| {
+        let taken = Tap::samples(&set.world, set.topo.host(f.dst), f.flow);
+        taken.iter().map(|t| t.as_ps() as f64 / 1e6)
+    });
     Cdf::from_samples(samples)
 }
 
 fn tm_run(scale: Scale, seed: u64, random: bool, horizon: Time) -> Cdf {
-    let cfg = FatTreeCfg::new(scale.big_k());
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n = ft.n_hosts();
+    let n = FatTreeCfg::new(scale.big_k()).n_hosts();
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
     let dsts = if random {
         ndp_workloads::random_matrix(n, &mut rng)
     } else {
         ndp_workloads::permutation(n, &mut rng)
     };
-    let mut flows = Vec::new();
-    for (src, &dst) in dsts.iter().enumerate() {
-        let flow = src as u64 + 1;
-        let spec = FlowSpec::new(
-            flow,
-            src as HostId,
-            dst as HostId,
-            crate::harness::LONG_FLOW,
-        );
-        attach_tapped(&mut world, &ft, &spec);
-        flows.push((flow, dst));
-    }
-    world.run_until(horizon);
-    collect_latencies(&world, &ft, &flows)
+    let flows: Vec<FlowSpec> = (dsts.into_iter().enumerate())
+        .map(|(src, dst)| FlowSpec::new(src as u64 + 1, src as HostId, dst as HostId, LONG_FLOW))
+        .collect();
+    tapped_run(scale, seed, &flows, horizon)
 }
 
 fn incast_traced(scale: Scale, size: u64, seed: u64) -> Cdf {
-    let cfg = FatTreeCfg::new(scale.big_k());
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n = ft.n_hosts();
+    let n = FatTreeCfg::new(scale.big_k()).n_hosts();
     let n_senders = match scale {
         Scale::Paper => 100,
         Scale::Quick => 50,
     };
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let workers = ndp_workloads::incast(0, n_senders, n, &mut rng);
-    let mut flows = Vec::new();
-    for (i, &w) in workers.iter().enumerate() {
-        let flow = i as u64 + 1;
-        let spec = FlowSpec::new(flow, w as HostId, 0, size);
-        attach_tapped(&mut world, &ft, &spec);
-        flows.push((flow, 0usize));
-    }
-    world.run_until(Time::from_secs(2));
-    collect_latencies(&world, &ft, &flows)
+    let flows = incast_flows(n, n_senders, size, seed);
+    tapped_run(scale, seed, &flows, Time::from_secs(2))
 }
 
 pub fn run(scale: Scale) -> Report {
@@ -157,6 +135,40 @@ impl crate::registry::Report for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A packet's latency is sampled once, at its first untrimmed arrival:
+    /// a copy of an already-delivered data packet, posted to the receiver
+    /// mid-flow, adds no sample. (No quick fig04 run delivers a duplicate,
+    /// so its document cannot tell the two rules apart.)
+    #[test]
+    fn a_duplicate_arrival_adds_no_sample() {
+        use ndp_net::packet::{Packet, HEADER_BYTES};
+        use ndp_sim::Speed;
+        use ndp_topology::{BackToBack, QueueSpec};
+        let pkts = 100;
+        let flow = FlowSpec::new(1, 0, 1, pkts * u64::from(9000 - HEADER_BYTES));
+        let mut set = FlowSet::attach(1, Proto::Ndp, &[flow], |w| {
+            let (speed, delay, fabric) =
+                (Speed::gbps(10), Time::from_us(1), QueueSpec::ndp_default());
+            Box::new(BackToBack::build(
+                w,
+                speed,
+                delay,
+                9000,
+                fabric,
+                Default::default(),
+            ))
+        });
+        let rx = set.topo.host(1);
+        Tap::install(&mut set.world, rx, 1, delivery_latency);
+        set.world.run_until(Time::from_us(300));
+        assert!(set.rx(&flow).delivered_bytes > 0 && set.rx(&flow).completion_time.is_none());
+        let now = set.world.now();
+        set.world.post(now, rx, Packet::data(0, 1, 1, 0, 9000));
+        set.world.run_until(Time::from_ms(5));
+        assert_eq!(set.rx(&flow).delivered_bytes, flow.size);
+        assert_eq!(Tap::samples(&set.world, rx, 1).len() as u64, pkts);
+    }
 
     #[test]
     fn shapes_match_paper() {

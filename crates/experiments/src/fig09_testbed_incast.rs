@@ -13,12 +13,11 @@
 //! of its own. What is left is whole MinRTOs, the paper's complaint.
 
 use ndp_metrics::{Cdf, Table};
-use ndp_net::packet::{HostId, Packet};
-use ndp_net::Host;
-use ndp_sim::{Speed, Time, World};
+use ndp_net::packet::HostId;
+use ndp_sim::{Speed, Time};
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{FlowSpec, Proto, Scale};
+use crate::harness::{FlowSet, FlowSpec, Proto, Scale};
 
 pub struct Row {
     pub size: u64,
@@ -44,23 +43,16 @@ pub struct Report {
 fn trial(proto: Proto, size: u64, seed: u64) -> Time {
     let fabric = proto.fabric().with_data_cap(8);
     let cfg = LeafSpineCfg::testbed().with_fabric(fabric);
-    let mut world: World<Packet> = World::new(seed);
-    let tt = LeafSpine::build(&mut world, cfg);
     // Frontend is host 0; workers are hosts 1..8. The request leg is one
     // base RTT, folded into the optimum rather than simulated.
-    for w in 1..8usize {
-        let spec = FlowSpec::new(w as u64, w as HostId, 0, size);
-        proto.transport().attach(&mut world, &tt, &spec);
-    }
-    world.run_until(Time::from_secs(30));
-    let mut last = Time::ZERO;
-    for w in 1..8u64 {
-        match world.get::<Host>(tt.hosts[0]).harvest(w).completion_time {
-            Some(t) => last = last.max(t),
-            None => return Time::from_secs(30),
-        }
-    }
-    last
+    let flows: Vec<FlowSpec> = (1..8u32)
+        .map(|w| FlowSpec::new(w as u64, w as HostId, 0, size))
+        .collect();
+    let mut set = FlowSet::attach(seed, proto, &flows, |w| Box::new(LeafSpine::build(w, cfg)));
+    set.world.run_until(Time::from_secs(30));
+    let done: Option<Vec<Time>> = flows.iter().map(|f| set.rx(f).completion_time).collect();
+    done.and_then(|t| t.into_iter().max())
+        .unwrap_or(Time::from_secs(30))
 }
 
 pub fn run(scale: Scale) -> Report {

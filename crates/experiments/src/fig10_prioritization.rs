@@ -5,12 +5,11 @@
 //! takes ~10× the idle time.
 
 use ndp_metrics::Table;
-use ndp_net::packet::{HostId, Packet};
-use ndp_net::Host;
-use ndp_sim::{Time, World};
+use ndp_net::packet::HostId;
+use ndp_sim::Time;
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{FlowSet, FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     pub size: u64,
@@ -20,23 +19,18 @@ pub struct Report {
 }
 
 fn trial(size: u64, prio: bool, background: bool, seed: u64) -> Time {
-    let cfg = LeafSpineCfg::testbed();
-    let mut world: World<Packet> = World::new(seed);
-    let tt = LeafSpine::build(&mut world, cfg);
     // Receiver host 0; short flow from host 1; long flows from hosts 2..8.
-    if background {
-        for s in 2..8usize {
-            let spec = FlowSpec::new(s as u64, s as HostId, 0, LONG_FLOW);
-            Proto::Ndp.transport().attach(&mut world, &tt, &spec);
-        }
-    }
-    let mut spec = FlowSpec::new(1, 1, 0, size);
-    spec.prio = prio;
-    Proto::Ndp.transport().attach(&mut world, &tt, &spec);
-    world.run_until(Time::from_secs(5));
-    world
-        .get::<Host>(tt.hosts[0])
-        .harvest(1)
+    let long = (2..8u32).map(|s| FlowSpec::new(s as u64, s as HostId, 0, LONG_FLOW));
+    let short = FlowSpec {
+        prio,
+        ..FlowSpec::new(1, 1, 0, size)
+    };
+    let flows: Vec<FlowSpec> = long.filter(|_| background).chain([short]).collect();
+    let mut set = FlowSet::attach(seed, Proto::Ndp, &flows, |w| {
+        Box::new(LeafSpine::build(w, LeafSpineCfg::testbed()))
+    });
+    set.world.run_until(Time::from_secs(5));
+    set.rx(&short)
         .completion_time
         .expect("short flow must complete")
 }

@@ -8,14 +8,12 @@
 //! 50 µs so the perfect curve saturates near IW 15 like the paper's
 //! simulation (their b2b baseline RTT, see DESIGN.md).
 
-use ndp_core::{attach_flow, NdpFlowCfg};
 use ndp_metrics::Table;
-use ndp_net::host::{Host, HostLatency};
-use ndp_net::packet::Packet;
-use ndp_sim::{Speed, Time, World};
+use ndp_net::host::HostLatency;
+use ndp_sim::{Speed, Time};
 use ndp_topology::{BackToBack, QueueSpec};
 
-use crate::harness::Scale;
+use crate::harness::{FlowSet, FlowSpec, Proto, Scale};
 use crate::sweep;
 
 pub struct Report {
@@ -24,7 +22,6 @@ pub struct Report {
 }
 
 fn throughput(iw: u64, host_delay: bool) -> f64 {
-    let mut world: World<Packet> = World::new(3);
     let latency = if host_delay {
         // ~72 us of extra round-trip host processing: the ten extra packets
         // of buffering the paper measured.
@@ -36,31 +33,19 @@ fn throughput(iw: u64, host_delay: bool) -> f64 {
     } else {
         HostLatency::default()
     };
-    let b2b = BackToBack::build(
-        &mut world,
-        Speed::gbps(10),
-        Time::from_us(50),
-        9000,
-        QueueSpec::ndp_default(),
-        latency,
-    );
     let size = 30_000_000u64;
-    let cfg = NdpFlowCfg {
-        n_paths: 1,
-        iw_pkts: iw,
-        ..NdpFlowCfg::new(size)
+    let flow = FlowSpec {
+        iw: Some(iw),
+        ..FlowSpec::new(1, 0, 1, size)
     };
-    attach_flow(
-        &mut world,
-        1,
-        (b2b.hosts[0], 0),
-        (b2b.hosts[1], 1),
-        cfg,
-        Time::ZERO,
-    );
-    world.run_until(Time::from_secs(10));
-    let rx = world.get::<Host>(b2b.hosts[1]).harvest(1);
-    let fct = rx.completion_time.expect("transfer completes");
+    // The back-to-back pair gives the flow one path and 9000-byte packets.
+    let mut set = FlowSet::attach(3, Proto::Ndp, &[flow], |w| {
+        let (speed, delay) = (Speed::gbps(10), Time::from_us(50));
+        let fabric = QueueSpec::ndp_default();
+        Box::new(BackToBack::build(w, speed, delay, 9000, fabric, latency))
+    });
+    set.world.run_until(Time::from_secs(10));
+    let fct = set.rx(&flow).completion_time.expect("transfer completes");
     size as f64 * 8.0 / fct.as_secs() / 1e9
 }
 

@@ -10,11 +10,11 @@
 
 use ndp_metrics::{Cdf, Table};
 use ndp_net::host::{HostLatency, JitterDist};
-use ndp_net::packet::{Packet, PacketBody, PacketKind};
-use ndp_sim::{Speed, Time, World};
+use ndp_net::packet::{PacketBody, PacketKind};
+use ndp_sim::{Speed, Time};
 use ndp_topology::{BackToBack, QueueSpec};
 
-use crate::harness::{attach_on, FlowSpec, Proto, Scale, Tap};
+use crate::harness::{FlowSet, FlowSpec, Proto, Scale, Tap};
 
 /// One sample per PULL the sender takes: the instant its receiver's
 /// pacer emitted it.
@@ -28,25 +28,23 @@ pub struct Report {
 }
 
 fn measure(mtu: u32, jitter: JitterDist, n_pkts: u64) -> Cdf {
-    let mut world: World<Packet> = World::new(21);
     let latency = HostLatency {
         pull_jitter: Some(jitter),
         ..Default::default()
     };
-    let b2b = BackToBack::build(
-        &mut world,
-        Speed::gbps(10),
-        Time::from_us(1),
-        mtu,
-        QueueSpec::ndp_default(),
-        latency,
-    );
-    let mut spec = FlowSpec::new(1, 0, 1, n_pkts * (mtu as u64 - 64));
-    spec.iw = Some(10);
-    attach_on(&mut world, &b2b, Proto::Ndp, &spec);
-    Tap::install(&mut world, b2b.hosts[0], 1, pull_stamp);
-    world.run_until(Time::from_secs(5));
-    let times = Tap::samples(&world, b2b.hosts[0], 1);
+    let flow = FlowSpec {
+        iw: Some(10),
+        ..FlowSpec::new(1, 0, 1, n_pkts * (mtu as u64 - 64))
+    };
+    let mut set = FlowSet::attach(21, Proto::Ndp, &[flow], |w| {
+        let (speed, delay) = (Speed::gbps(10), Time::from_us(1));
+        let fabric = QueueSpec::ndp_default();
+        Box::new(BackToBack::build(w, speed, delay, mtu, fabric, latency))
+    });
+    let sender = set.topo.host(0);
+    Tap::install(&mut set.world, sender, 1, pull_stamp);
+    set.world.run_until(Time::from_secs(5));
+    let times = Tap::samples(&set.world, sender, 1);
     let gaps: Vec<f64> = times
         .windows(2)
         .map(|w| (w[1] - w[0]).as_ps() as f64 / 1e6)

@@ -7,12 +7,11 @@
 //! simulation results.
 
 use ndp_metrics::Table;
-use ndp_net::host::{Host, HostLatency, JitterDist};
-use ndp_net::packet::{HostId, Packet};
-use ndp_sim::{Time, World};
-use ndp_topology::{FatTree, FatTreeCfg, Topology};
+use ndp_net::host::{HostLatency, JitterDist};
+use ndp_sim::Time;
+use ndp_topology::{FatTree, FatTreeCfg};
 
-use crate::harness::{attach_on, FlowSpec, Proto, Scale};
+use crate::harness::{incast_flows, FlowSet, Proto, Scale};
 
 pub struct Report {
     /// (flow size, perfect-pulls last FCT us, jittered-pulls last FCT us)
@@ -27,29 +26,20 @@ fn trial(scale: Scale, size: u64, jitter: bool, seed: u64) -> Time {
             ..Default::default()
         };
     }
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n = ft.n_hosts();
+    let n = cfg.n_hosts();
     let n_senders = match scale {
         Scale::Paper => 200,
         Scale::Quick => 60,
     };
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let workers = ndp_workloads::incast(0, n_senders.min(n - 1), n, &mut rng);
-    for (i, &w) in workers.iter().enumerate() {
-        let spec = FlowSpec::new(i as u64 + 1, w as HostId, 0, size);
-        attach_on(&mut world, &ft, Proto::Ndp, &spec);
-    }
-    world.run_until(Time::from_secs(5));
-    let mut last = Time::ZERO;
-    for i in 0..workers.len() as u64 {
-        let done = world
-            .get::<Host>(ft.hosts[0])
-            .harvest(i + 1)
-            .completion_time;
-        last = last.max(done.expect("complete"));
-    }
-    last
+    let flows = incast_flows(n, n_senders.min(n - 1), size, seed);
+    let mut set = FlowSet::attach(seed, Proto::Ndp, &flows, |w| {
+        Box::new(FatTree::build(w, cfg))
+    });
+    set.world.run_until(Time::from_secs(5));
+    let done = flows
+        .iter()
+        .map(|f| set.rx(f).completion_time.expect("complete"));
+    done.fold(Time::ZERO, Time::max)
 }
 
 pub fn run(scale: Scale) -> Report {

@@ -23,7 +23,7 @@ use ndp_net::packet::{HostId, Packet};
 use ndp_sim::{ComponentId, Time, World};
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{FlowSet, FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Trace {
     pub proto: Proto,
@@ -46,29 +46,29 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Trace {
     };
     // Victim rack (hosts 0, 1) + sender racks, two hosts each.
     let cfg = LeafSpineCfg::collateral(n_incast / 2 + 1).with_fabric(proto.fabric());
-    let mut world: World<Packet> = World::new(seed);
-    let tt = LeafSpine::build(&mut world, cfg);
-    // Long flow into host 0 from the last sender host.
-    let long_src = tt.hosts.len() - 1;
-    let spec = FlowSpec::new(1, long_src as HostId, 0, LONG_FLOW);
-    proto.transport().attach(&mut world, &tt, &spec);
-    // 64:1 incast of 900KB into host 1 starting at t=50ms, from hosts 2..,
-    // skipping the long-flow source.
+    // Long flow into host 0 from the last sender host, then a 64:1 incast
+    // of 900KB into host 1 starting at t=50ms, from hosts 2.., skipping
+    // the long-flow source.
+    let long_src = cfg.n_hosts() - 1;
     let incast_start = Time::from_ms(50);
-    for i in 0..n_incast {
+    let incast = (0..n_incast).map(|i| {
         let src = 2 + i;
         assert!(src < long_src);
-        let mut s = FlowSpec::new(10 + i as u64, src as HostId, 1, 900_000);
-        s.start = incast_start;
-        proto.transport().attach(&mut world, &tt, &s);
-    }
+        FlowSpec {
+            start: incast_start,
+            ..FlowSpec::new(10 + i as u64, src as HostId, 1, 900_000)
+        }
+    });
+    let long = FlowSpec::new(1, long_src as HostId, 0, LONG_FLOW);
+    let flows: Vec<FlowSpec> = [long].into_iter().chain(incast).collect();
+    let mut set = FlowSet::attach(seed, proto, &flows, |w| Box::new(LeafSpine::build(w, cfg)));
     let horizon = match proto {
         Proto::Dctcp => Time::from_ms(400),
         _ => Time::from_ms(200),
     };
     let bucket = Time::from_ms(1);
-    let [long_flow, incast] =
-        goodput_series(&mut world, [tt.hosts[0], tt.hosts[1]], bucket, horizon);
+    let hosts = [set.topo.host(0), set.topo.host(1)];
+    let [long_flow, incast] = goodput_series(&mut set.world, hosts, bucket, horizon);
     let start_bucket = (incast_start.as_ps() / bucket.as_ps()) as usize;
     let depressed = long_flow
         .rates_gbps()

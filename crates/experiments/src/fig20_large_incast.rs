@@ -13,11 +13,10 @@
 use ndp_core::NdpSender;
 use ndp_metrics::Table;
 use ndp_net::host::Host;
-use ndp_net::packet::{HostId, Packet};
-use ndp_sim::{Speed, Time, World};
-use ndp_topology::{FatTree, FatTreeCfg, Topology};
+use ndp_sim::{Speed, Time};
+use ndp_topology::{FatTree, FatTreeCfg};
 
-use crate::harness::{attach_on, incast_ideal, FlowSpec, Proto, Scale};
+use crate::harness::{incast_flows, incast_ideal, FlowSet, Proto, Scale};
 use crate::sweep;
 
 pub struct Row {
@@ -34,40 +33,31 @@ pub struct Report {
 
 fn trial(scale: Scale, n: usize, iw: u64, seed: u64) -> Row {
     let cfg = FatTreeCfg::new(scale.huge_k());
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n_hosts = ft.n_hosts();
+    let n_hosts = cfg.n_hosts();
     let size = 270_000u64;
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let workers = ndp_workloads::incast(0, n.min(n_hosts - 1), n_hosts, &mut rng);
-    for (i, &w) in workers.iter().enumerate() {
-        let mut spec = FlowSpec::new(i as u64 + 1, w as HostId, 0, size);
-        spec.iw = Some(iw);
-        attach_on(&mut world, &ft, Proto::Ndp, &spec);
-    }
-    world.run_until(Time::from_secs(60));
+    let mut flows = incast_flows(n_hosts, n.min(n_hosts - 1), size, seed);
+    flows.iter_mut().for_each(|f| f.iw = Some(iw));
+    let mut set = FlowSet::attach(seed, Proto::Ndp, &flows, |w| {
+        Box::new(FatTree::build(w, cfg))
+    });
+    set.world.run_until(Time::from_secs(60));
     let mut last = Time::ZERO;
     let mut total_pkts = 0u64;
     let mut rtx_nack = 0u64;
     let mut rtx_rts = 0u64;
-    for (i, &w) in workers.iter().enumerate() {
-        let done = world
-            .get::<Host>(ft.hosts[0])
-            .harvest(i as u64 + 1)
-            .completion_time
-            .expect("incast flow must complete");
-        last = last.max(done);
-        let s = world
-            .get::<Host>(ft.hosts[w])
-            .endpoint::<NdpSender>(i as u64 + 1);
+    for f in &flows {
+        let done = set.rx(f).completion_time;
+        last = last.max(done.expect("incast flow must complete"));
+        let tx = set.world.get::<Host>(set.topo.host(f.src));
+        let s = tx.endpoint::<NdpSender>(f.flow);
         total_pkts += s.total_pkts();
         rtx_nack += s.stats.rtx_nack;
         rtx_rts += s.stats.rtx_rts + s.tx.timeouts;
     }
-    let ideal = incast_ideal(workers.len(), size, Speed::gbps(10), 9000);
+    let ideal = incast_ideal(flows.len(), size, Speed::gbps(10), 9000);
     Row {
         iw,
-        n: workers.len(),
+        n: flows.len(),
         overhead_pct: 100.0 * (last.as_secs() - ideal.as_secs()) / ideal.as_secs(),
         rtx_nack_per_pkt: rtx_nack as f64 / total_pkts as f64,
         rtx_rts_per_pkt: rtx_rts as f64 / total_pkts as f64,

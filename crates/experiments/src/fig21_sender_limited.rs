@@ -8,12 +8,11 @@
 //! 2.49/2.48/2.47, A→E 2.39, F→E 7.53, from A 9.83, to E 9.92 Gb/s.
 
 use ndp_metrics::Table;
-use ndp_net::packet::{HostId, Packet};
-use ndp_net::Host;
-use ndp_sim::{Time, World};
+use ndp_net::packet::HostId;
+use ndp_sim::Time;
 use ndp_topology::{LeafSpine, LeafSpineCfg};
 
-use crate::harness::{FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{FlowSet, FlowSpec, Proto, Scale, LONG_FLOW};
 
 pub struct Report {
     /// (label, Gb/s)
@@ -24,46 +23,32 @@ pub struct Report {
 
 pub fn run(scale: Scale) -> Report {
     // A=0 B=1 C=2 | D=3 E=4 F=5.
-    let cfg = LeafSpineCfg::sender_limited();
-    let mut world: World<Packet> = World::new(77);
-    let tt = LeafSpine::build(&mut world, cfg);
-    let pairs: [(&str, usize, usize); 5] = [
+    let pairs: [(&str, HostId, HostId); 5] = [
         ("A->B", 0, 1),
         ("A->C", 0, 2),
         ("A->D", 0, 3),
         ("A->E", 0, 4),
         ("F->E", 5, 4),
     ];
-    for (i, &(_, src, dst)) in pairs.iter().enumerate() {
-        let spec = FlowSpec::new(i as u64 + 1, src as HostId, dst as HostId, LONG_FLOW);
-        Proto::Ndp.transport().attach(&mut world, &tt, &spec);
-    }
+    let flows: Vec<FlowSpec> = (pairs.iter().enumerate())
+        .map(|(i, &(_, src, dst))| FlowSpec::new(i as u64 + 1, src, dst, LONG_FLOW))
+        .collect();
+    let mut set = FlowSet::attach(77, Proto::Ndp, &flows, |w| {
+        Box::new(LeafSpine::build(w, LeafSpineCfg::sender_limited()))
+    });
     let duration = match scale {
         Scale::Paper => Time::from_ms(50),
         Scale::Quick => Time::from_ms(15),
     };
-    world.run_until(duration);
-    let mut flows = Vec::new();
-    let mut from_a = 0.0;
-    let mut to_e = 0.0;
-    for (i, &(label, _src, dst)) in pairs.iter().enumerate() {
-        let bytes = world
-            .get::<Host>(tt.hosts[dst])
-            .harvest(i as u64 + 1)
-            .delivered_bytes;
-        let gbps = bytes as f64 * 8.0 / duration.as_secs() / 1e9;
-        if label.starts_with("A->") {
-            from_a += gbps;
-        }
-        if label.ends_with("->E") || label == "A->E" {
-            to_e += gbps;
-        }
-        flows.push((label, gbps));
-    }
+    set.world.run_until(duration);
+    let flows: Vec<(&str, f64)> = (pairs.iter().zip(&flows))
+        .map(|(&(label, _, _), f)| (label, set.gbps(f, duration)))
+        .collect();
+    let total = |keep: fn(&str) -> bool| flows.iter().filter(|f| keep(f.0)).map(|f| f.1).sum();
     Report {
+        total_from_a: total(|label| label.starts_with("A->")),
+        total_to_e: total(|label| label.ends_with("->E")),
         flows,
-        total_from_a: from_a,
-        total_to_e: to_e,
     }
 }
 

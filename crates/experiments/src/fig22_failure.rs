@@ -15,15 +15,13 @@
 //! (6.775) and its slowest flow stays 2.91.
 
 use ndp_metrics::Table;
-use ndp_net::packet::{HostId, Packet};
 use ndp_net::queue::LinkClass;
-use ndp_net::Host;
-use ndp_sim::{Speed, Time, World};
+use ndp_sim::{Speed, Time};
 use ndp_topology::{
     link_index, ChaosController, FabricEvent, FabricOp, FatTree, FatTreeCfg, Topology,
 };
 
-use crate::harness::{attach_on, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{permutation_flows, FlowSet, Proto, Scale};
 
 pub struct Report {
     /// (protocol, sorted per-flow Gb/s)
@@ -36,56 +34,43 @@ fn trial(proto: Proto, scale: Scale, seed: u64) -> Vec<f64> {
         Scale::Quick => 4,
     };
     let cfg = FatTreeCfg::new(k).with_fabric(proto.fabric());
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    // Degrade pod 0, agg 0, uplink 0 in both directions, through the
-    // fabric-chaos machinery: two `LinkDegrade` events at t=0 walked by a
-    // `ChaosController`. The controller's wake is posted before any
-    // traffic exists, so the renegotiated speed applies before the first
-    // packet is serialized — same outcome as degrading the queues by
-    // hand, one less ad-hoc failure path.
-    let links = ft.links();
-    let schedule: Vec<FabricEvent> = ["agg_up[0][0]", "core_down[0][0]"]
-        .iter()
-        .map(|label| {
-            let link = link_index(&links, label).expect("k>=4 FatTree has the degraded core link");
-            debug_assert!(matches!(
-                links[link].class,
-                LinkClass::AggUp | LinkClass::CoreDown
-            ));
-            FabricEvent {
-                at: Time::ZERO,
-                op: FabricOp::LinkDegrade {
-                    link,
-                    speed: Speed::gbps(1),
-                },
-            }
-        })
-        .collect();
-    ChaosController::install_into(&mut world, &ft, schedule);
-    let n = ft.n_hosts();
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let dsts = ndp_workloads::permutation(n, &mut rng);
-    for (src, &dst) in dsts.iter().enumerate() {
-        let spec = FlowSpec::new(src as u64 + 1, src as HostId, dst as HostId, LONG_FLOW);
-        attach_on(&mut world, &ft, proto, &spec);
-    }
+    let flows = permutation_flows(cfg.n_hosts(), seed);
+    let mut set = FlowSet::attach(seed, proto, &flows, |w| {
+        let ft = FatTree::build(w, cfg);
+        // Degrade pod 0, agg 0, uplink 0 in both directions, through the
+        // fabric-chaos machinery: two `LinkDegrade` events at t=0 walked by
+        // a `ChaosController`. The controller's wake is posted before any
+        // flow attaches, so the renegotiated speed applies before the first
+        // packet is serialized — same outcome as degrading the queues by
+        // hand, one less ad-hoc failure path.
+        let links = ft.links();
+        let schedule: Vec<FabricEvent> = ["agg_up[0][0]", "core_down[0][0]"]
+            .iter()
+            .map(|label| {
+                let link =
+                    link_index(&links, label).expect("k>=4 FatTree has the degraded core link");
+                debug_assert!(matches!(
+                    links[link].class,
+                    LinkClass::AggUp | LinkClass::CoreDown
+                ));
+                FabricEvent {
+                    at: Time::ZERO,
+                    op: FabricOp::LinkDegrade {
+                        link,
+                        speed: Speed::gbps(1),
+                    },
+                }
+            })
+            .collect();
+        ChaosController::install_into(w, &ft, schedule);
+        Box::new(ft)
+    });
     let duration = match scale {
         Scale::Paper => Time::from_ms(30),
         Scale::Quick => Time::from_ms(12),
     };
-    world.run_until(duration);
-    let mut per_flow: Vec<f64> = dsts
-        .iter()
-        .enumerate()
-        .map(|(src, &dst)| {
-            let bytes = world
-                .get::<Host>(ft.hosts[dst])
-                .harvest(src as u64 + 1)
-                .delivered_bytes;
-            bytes as f64 * 8.0 / duration.as_secs() / 1e9
-        })
-        .collect();
+    set.world.run_until(duration);
+    let mut per_flow: Vec<f64> = flows.iter().map(|f| set.gbps(f, duration)).collect();
     per_flow.sort_by(|a, b| a.partial_cmp(b).unwrap());
     per_flow
 }

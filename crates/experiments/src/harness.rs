@@ -1,4 +1,5 @@
-//! Shared experiment machinery: scale knobs and traffic-matrix runners.
+//! Shared experiment machinery: scale knobs, [`FlowSet`] (the one runner
+//! for a fixed set of flows) and the traffic-matrix runners built on it.
 //!
 //! Protocol dispatch lives in the [`crate::transport`] registry and
 //! fabric shapes in the [`crate::topo`] registry — this module drives
@@ -6,7 +7,7 @@
 //! per-protocol or per-topology code at all.
 
 use ndp_net::host::{Endpoint, EndpointCtx, FlowHarvest};
-use ndp_net::packet::{FlowId, Packet, PacketBody};
+use ndp_net::packet::{FlowId, HostId, Packet, PacketBody};
 use ndp_net::Host;
 use ndp_sim::{ComponentId, Speed, Time, World};
 use ndp_topology::Topology;
@@ -112,6 +113,66 @@ pub fn completion_time(
     world.get::<Host>(host).harvest(flow).completion_time
 }
 
+/// A fixed set of flows on one freshly seeded world: the bare
+/// build-attach-run shape behind every figure that runs its flows to a
+/// horizon. The caller runs [`FlowSet::world`] itself (to a horizon, in
+/// steps, or after installing a [`Tap`]) and reads each flow back at its
+/// receiver.
+pub struct FlowSet {
+    pub world: World<Packet>,
+    pub topo: Box<dyn Topology>,
+}
+
+impl FlowSet {
+    /// Seed a world, wire it with `build` (the fabric, plus anything that
+    /// must act before the first flow), then attach every flow on `proto`
+    /// in order.
+    pub fn attach(
+        seed: u64,
+        proto: Proto,
+        flows: &[FlowSpec],
+        build: impl FnOnce(&mut World<Packet>) -> Box<dyn Topology>,
+    ) -> FlowSet {
+        let mut world = World::new(seed);
+        let topo = build(&mut world);
+        for spec in flows {
+            attach_on(&mut world, topo.as_ref(), proto, spec);
+        }
+        FlowSet { world, topo }
+    }
+
+    /// What `spec`'s receiver has harvested so far.
+    pub fn rx(&self, spec: &FlowSpec) -> FlowHarvest {
+        let host = self.world.get::<Host>(self.topo.host(spec.dst));
+        host.harvest(spec.flow)
+    }
+
+    /// `spec`'s delivered goodput over `span`, in Gb/s.
+    pub fn gbps(&self, spec: &FlowSpec, span: Time) -> f64 {
+        self.rx(spec).delivered_bytes as f64 * 8.0 / span.as_secs() / 1e9
+    }
+}
+
+/// One long flow from every one of `n_hosts` hosts to a permutation of
+/// them drawn from `seed`; flow ids count from 1 in source order.
+pub fn permutation_flows(n_hosts: usize, seed: u64) -> Vec<FlowSpec> {
+    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
+    (ndp_workloads::permutation(n_hosts, &mut rng).into_iter())
+        .enumerate()
+        .map(|(src, dst)| FlowSpec::new(src as u64 + 1, src as HostId, dst as HostId, LONG_FLOW))
+        .collect()
+}
+
+/// A `size`-byte flow to host 0 from each of `n_senders` workers drawn
+/// from `seed`; flow ids count from 1 in draw order.
+pub fn incast_flows(n_hosts: usize, n_senders: usize, size: u64, seed: u64) -> Vec<FlowSpec> {
+    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
+    (ndp_workloads::incast(0, n_senders, n_hosts, &mut rng).into_iter())
+        .enumerate()
+        .map(|(i, w)| FlowSpec::new(i as u64 + 1, w as HostId, 0, size))
+        .collect()
+}
+
 /// Result of a permutation-traffic-matrix run.
 pub struct PermutationResult {
     pub per_flow_gbps: Vec<f64>,
@@ -142,33 +203,21 @@ pub fn permutation_run(
 /// own seeded world, so concurrent executions are independent and
 /// bit-reproducible.
 pub(crate) fn permutation_world_run(point: &crate::sweep::PermutationPoint) -> PermutationResult {
-    let (proto, duration, seed, iw) = (point.proto, point.duration, point.seed, point.iw);
-    let mut world: World<Packet> = World::new(seed);
-    let topo = point.topo.build(&mut world, proto.fabric());
-    let n = topo.n_hosts();
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed ^ 0xDEAD);
-    let dsts = ndp_workloads::permutation(n, &mut rng);
-    for (src, &dst) in dsts.iter().enumerate() {
-        let mut spec = FlowSpec::new(src as u64 + 1, src as u32, dst as u32, LONG_FLOW);
-        spec.iw = iw;
-        attach_on(&mut world, topo.as_ref(), proto, &spec);
-    }
-    world.run_until(duration);
-    let mut per_flow = Vec::with_capacity(n);
-    for (src, &dst) in dsts.iter().enumerate() {
-        let bytes = world
-            .get::<Host>(topo.host(dst as u32))
-            .harvest(src as u64 + 1)
-            .delivered_bytes;
-        per_flow.push(bytes as f64 * 8.0 / duration.as_secs() / 1e9);
-    }
+    let (proto, duration, n) = (point.proto, point.duration, point.topo.n_hosts());
+    let mut flows = permutation_flows(n, point.seed ^ 0xDEAD);
+    flows.iter_mut().for_each(|f| f.iw = point.iw);
+    let mut set = FlowSet::attach(point.seed, proto, &flows, |w| {
+        point.topo.build(w, proto.fabric())
+    });
+    set.world.run_until(duration);
+    let mut per_flow: Vec<f64> = flows.iter().map(|f| set.gbps(f, duration)).collect();
     per_flow.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let line = topo.host_link_speed().as_gbps();
+    let line = set.topo.host_link_speed().as_gbps();
     let utilization = per_flow.iter().sum::<f64>() / (n as f64 * line);
     PermutationResult {
         per_flow_gbps: per_flow,
         utilization,
-        events_processed: world.events_processed(),
+        events_processed: set.world.events_processed(),
     }
 }
 
@@ -224,39 +273,18 @@ pub fn incast_run(
 
 /// The simulation behind one [`crate::sweep::IncastPoint`].
 pub(crate) fn incast_world_run(point: &crate::sweep::IncastPoint) -> IncastResult {
-    let (proto, n_senders, size, iw, seed, horizon) = (
-        point.proto,
-        point.n_senders,
-        point.size,
-        point.iw,
-        point.seed,
-        point.horizon,
-    );
-    let mut world: World<Packet> = World::new(seed);
-    let topo = point.topo.build(&mut world, proto.fabric());
-    let n = topo.n_hosts();
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed ^ 0xBEEF);
-    let frontend = 0usize;
-    let workers = ndp_workloads::incast(frontend, n_senders, n, &mut rng);
-    for (i, &w) in workers.iter().enumerate() {
-        let mut spec = FlowSpec::new(i as u64 + 1, w as u32, frontend as u32, size);
-        spec.iw = iw;
-        attach_on(&mut world, topo.as_ref(), proto, &spec);
-    }
-    world.run_until(horizon);
-    let mut fcts = Vec::new();
-    let mut incomplete = 0;
-    let host = world.get::<Host>(topo.host(frontend as u32));
-    for i in 0..workers.len() {
-        match host.harvest(i as u64 + 1).completion_time {
-            Some(t) => fcts.push(t),
-            None => incomplete += 1,
-        }
-    }
+    let (n, seed) = (point.topo.n_hosts(), point.seed ^ 0xBEEF);
+    let mut flows = incast_flows(n, point.n_senders, point.size, seed);
+    flows.iter_mut().for_each(|f| f.iw = point.iw);
+    let mut set = FlowSet::attach(point.seed, point.proto, &flows, |w| {
+        point.topo.build(w, point.proto.fabric())
+    });
+    set.world.run_until(point.horizon);
+    let done: Vec<Option<Time>> = flows.iter().map(|f| set.rx(f).completion_time).collect();
     IncastResult {
-        fcts,
-        incomplete,
-        events_processed: world.events_processed(),
+        fcts: done.iter().flatten().copied().collect(),
+        incomplete: done.iter().filter(|t| t.is_none()).count(),
+        events_processed: set.world.events_processed(),
     }
 }
 
@@ -383,6 +411,103 @@ mod tests {
                 r.utilization
             );
         }
+    }
+
+    /// The frozen benchmark times `permutation_run` and `incast_run` from
+    /// parts: it seeds a bare world, builds the fabric, draws the flows,
+    /// attaches them in order and runs, then refuses the whole run unless
+    /// its event count and per-flow results equal the runner's. A runner
+    /// that posts one event more (a driver's spawn or watcher wake, say)
+    /// or attaches in another order fails here rather than in the
+    /// benchmark's smoke run.
+    #[test]
+    fn the_runners_match_a_bare_build_attach_run_world() {
+        use rand::SeedableRng;
+        let spec = quick_fattree();
+        let bare = |seed: u64, draw: &dyn Fn(usize) -> Vec<FlowSpec>, horizon: Time| {
+            let mut w: World<Packet> = World::new(seed);
+            let topo = spec.build(&mut w, Proto::Ndp.fabric());
+            let flows = draw(topo.n_hosts());
+            for f in &flows {
+                attach_on(&mut w, topo.as_ref(), Proto::Ndp, f);
+            }
+            w.run_until(horizon);
+            let rx: Vec<FlowHarvest> = (flows.iter())
+                .map(|f| w.get::<Host>(topo.host(f.dst)).harvest(f.flow))
+                .collect();
+            (w.events_processed(), rx)
+        };
+
+        let (seed, span) = (5, Time::from_ms(2));
+        let (events, rx) = bare(
+            seed,
+            &|n| {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xDEAD);
+                (ndp_workloads::permutation(n, &mut rng).into_iter())
+                    .enumerate()
+                    .map(|(src, dst)| {
+                        FlowSpec::new(src as u64 + 1, src as u32, dst as u32, LONG_FLOW)
+                    })
+                    .collect()
+            },
+            span,
+        );
+        let mut gbps: Vec<f64> = (rx.iter())
+            .map(|h| h.delivered_bytes as f64 * 8.0 / span.as_secs() / 1e9)
+            .collect();
+        gbps.sort_by(f64::total_cmp);
+        let r = permutation_run(Proto::Ndp, spec.clone(), span, seed, None);
+        assert_eq!(r.events_processed, events, "permutation events");
+        assert_eq!(r.per_flow_gbps, gbps, "permutation goodputs");
+
+        let (seed, horizon) = (6, Time::from_ms(20));
+        let (events, rx) = bare(
+            seed,
+            &|n| {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xBEEF);
+                (ndp_workloads::incast(0, 8, n, &mut rng).into_iter())
+                    .enumerate()
+                    .map(|(i, w)| FlowSpec::new(i as u64 + 1, w as u32, 0, 90_000))
+                    .collect()
+            },
+            horizon,
+        );
+        let fcts: Vec<Time> = rx.iter().filter_map(|h| h.completion_time).collect();
+        let r = incast_run(Proto::Ndp, spec.clone(), 8, 90_000, None, seed, horizon);
+        assert_eq!(r.events_processed, events, "incast events");
+        assert_eq!(r.fcts, fcts, "incast completion times");
+        assert!(r.complete(), "the small incast completes");
+    }
+
+    /// §2.1's straggler: one worker of a 32:1 incast of 450 KB responses
+    /// on the k=8 FatTree is pulled with priority, so it finishes in under
+    /// a tenth of the last flow's time while the rest still fill the
+    /// frontend's link: the last flow lands within 5% of the 11.52 ms the
+    /// 32 responses take to serialise at 10 Gb/s. Measured: 0.72 ms and
+    /// 11.84 ms.
+    #[test]
+    fn a_prioritised_straggler_overtakes_its_incast() {
+        use ndp_topology::{FatTree, FatTreeCfg};
+        let mut flows = incast_flows(128, 32, 450_000, 99);
+        flows[0].prio = true;
+        let mut set = FlowSet::attach(7, Proto::Ndp, &flows, |w| {
+            Box::new(FatTree::build(w, FatTreeCfg::new(8)))
+        });
+        set.world.run_until(Time::from_ms(50));
+        let fcts: Vec<Time> = (flows.iter())
+            .map(|f| set.rx(f).completion_time.expect("every response completes"))
+            .collect();
+        let last = fcts.iter().copied().max().unwrap();
+        let ideal = Speed::gbps(10).tx_time(32 * 450_000);
+        assert!(
+            fcts[0] * 10 < last,
+            "prioritised {} vs last {last}",
+            fcts[0]
+        );
+        assert!(
+            ideal <= last && last.as_secs() <= 1.05 * ideal.as_secs(),
+            "last {last} vs ideal {ideal}"
+        );
     }
 
     #[test]

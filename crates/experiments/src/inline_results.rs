@@ -17,13 +17,14 @@
 //! 0.589 beside the incast.
 
 use ndp_metrics::Table;
-use ndp_net::packet::{HostId, Packet};
+use ndp_net::packet::HostId;
 use ndp_net::queue::LinkClass;
-use ndp_net::Host;
-use ndp_sim::{Time, World};
-use ndp_topology::{FatTree, FatTreeCfg, RouteMode, Topology};
+use ndp_sim::Time;
+use ndp_topology::{FatTree, FatTreeCfg, RouteMode};
 
-use crate::harness::{attach_on, incast_run, permutation_run, FlowSpec, Proto, Scale, LONG_FLOW};
+use crate::harness::{
+    incast_run, permutation_flows, permutation_run, FlowSet, FlowSpec, Proto, Scale, LONG_FLOW,
+};
 use crate::topo::TopoSpec;
 
 pub struct Report {
@@ -47,21 +48,17 @@ fn lb_comparison(scale: Scale, mode: RouteMode, seed: u64) -> (f64, f64) {
         Scale::Quick => 4,
     };
     let cfg = FatTreeCfg::new(k).with_route_mode(mode);
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n = ft.n_hosts();
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let dsts = ndp_workloads::permutation(n, &mut rng);
-    for (src, &dst) in dsts.iter().enumerate() {
-        let spec = FlowSpec::new(src as u64 + 1, src as HostId, dst as HostId, LONG_FLOW);
-        attach_on(&mut world, &ft, Proto::Ndp, &spec);
-    }
+    let n = cfg.n_hosts();
+    let flows = permutation_flows(n, seed);
+    let mut set = FlowSet::attach(seed, Proto::Ndp, &flows, |w| {
+        Box::new(FatTree::build(w, cfg))
+    });
     let duration = match scale {
         Scale::Paper => Time::from_ms(20),
         Scale::Quick => Time::from_ms(8),
     };
-    world.run_until(duration);
-    let stats = ft.stats_by_class(&world);
+    set.world.run_until(duration);
+    let stats = set.topo.stats_by_class(&set.world);
     let mut up_trim = 0u64;
     let mut up_fwd = 0u64;
     for (c, s) in &stats {
@@ -70,21 +67,17 @@ fn lb_comparison(scale: Scale, mode: RouteMode, seed: u64) -> (f64, f64) {
             up_fwd += s.forwarded_pkts;
         }
     }
-    let total: u64 = dsts
-        .iter()
-        .enumerate()
-        .map(|(src, &dst)| {
-            world
-                .get::<Host>(ft.hosts[dst])
-                .harvest(src as u64 + 1)
-                .delivered_bytes
-        })
-        .sum();
-    let util = total as f64 * 8.0 / duration.as_secs() / 1e9 / (n as f64 * 10.0);
     (
         100.0 * up_trim as f64 / (up_trim + up_fwd).max(1) as f64,
-        util,
+        utilization(&set, &flows, duration),
     )
+}
+
+/// `flows`' share of the 10 Gb/s host links over `span`: their delivered
+/// bytes summed, then converted once.
+fn utilization(set: &FlowSet, flows: &[FlowSpec], span: Time) -> f64 {
+    let total: u64 = flows.iter().map(|f| set.rx(f).delivered_bytes).sum();
+    total as f64 * 8.0 / span.as_secs() / 1e9 / (set.topo.n_hosts() as f64 * 10.0)
 }
 
 pub fn run(scale: Scale) -> Report {
@@ -182,37 +175,19 @@ fn side_effects(proto: Proto, scale: Scale, seed: u64) -> f64 {
         Scale::Quick => 4,
     };
     let cfg = FatTreeCfg::new(k).with_fabric(proto.fabric());
-    let mut world: World<Packet> = World::new(seed);
-    let ft = FatTree::build(&mut world, cfg);
-    let n = ft.n_hosts();
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let dsts = ndp_workloads::permutation(n, &mut rng);
-    for (src, &dst) in dsts.iter().enumerate() {
-        let spec = FlowSpec::new(src as u64 + 1, src as HostId, dst as HostId, LONG_FLOW);
-        attach_on(&mut world, &ft, proto, &spec);
-    }
+    let n = cfg.n_hosts();
+    let perm = permutation_flows(n, seed);
     // Long-lived incast onto host 0 from a quarter of the hosts.
-    for (fid, i) in (10_000u64..).zip(0..(n / 4).max(8).min(n - 1)) {
-        let src = 1 + i;
-        let spec = FlowSpec::new(fid, src as HostId, 0, LONG_FLOW);
-        attach_on(&mut world, &ft, proto, &spec);
-    }
+    let incast = (10_000u64..).zip(0..(n / 4).max(8).min(n - 1));
+    let incast = incast.map(|(fid, i)| FlowSpec::new(fid, 1 + i as HostId, 0, LONG_FLOW));
+    let flows: Vec<FlowSpec> = perm.iter().copied().chain(incast).collect();
+    let mut set = FlowSet::attach(seed, proto, &flows, |w| Box::new(FatTree::build(w, cfg)));
     let duration = match scale {
         Scale::Paper => Time::from_ms(20),
         Scale::Quick => Time::from_ms(10),
     };
-    world.run_until(duration);
-    let total: u64 = dsts
-        .iter()
-        .enumerate()
-        .map(|(src, &dst)| {
-            world
-                .get::<Host>(ft.hosts[dst])
-                .harvest(src as u64 + 1)
-                .delivered_bytes
-        })
-        .sum();
-    total as f64 * 8.0 / duration.as_secs() / 1e9 / (n as f64 * 10.0)
+    set.world.run_until(duration);
+    utilization(&set, &perm, duration)
 }
 
 impl std::fmt::Display for Report {

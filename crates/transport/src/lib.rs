@@ -37,7 +37,7 @@ pub use seq_window::SeqWindow;
 ///
 /// Fields a given transport has no use for (e.g. `iw` for TCP, `prio` for
 /// DCQCN) are ignored by its [`Transport::attach`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlowSpec {
     pub flow: FlowId,
     pub src: HostId,
